@@ -227,11 +227,20 @@ def _parse_index(token: str, line_no: int) -> tuple[int, bool]:
     return int(token), neg
 
 
+def _parse_qubit(op: str, args: list[str], line_no: int) -> int:
+    """The single, un-negated qubit argument of ``op``."""
+    if len(args) != 1:
+        raise CircuitSyntaxError(f"usage: {op} Q", line_no)
+    q, neg = _parse_index(args[0], line_no)
+    if neg:
+        raise CircuitSyntaxError(f"{op} qubit cannot be negated", line_no)
+    return q
+
+
 def parse_circuit(text: str) -> Circuit:
     width: int | None = None
     gates: list[Gate] = []
-    output: int | None = None
-    postselect: int | None = None
+    roles: dict[str, int | None] = {"output": None, "postselect": None}
     ancillas: list[tuple[int, int]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -253,12 +262,7 @@ def parse_circuit(text: str) -> Circuit:
 
         try:
             if op in ("h", "x"):
-                if len(args) != 1:
-                    raise CircuitSyntaxError(f"usage: {op} Q", line_no)
-                q, neg = _parse_index(args[0], line_no)
-                if neg:
-                    raise CircuitSyntaxError("targets cannot be negated", line_no)
-                gates.append(Gate(op, q))
+                gates.append(Gate(op, _parse_qubit(op, args, line_no)))
             elif op in ("cx", "ccx", "mcx"):
                 if len(args) < 2:
                     raise CircuitSyntaxError(f"{op} needs controls and a target", line_no)
@@ -275,14 +279,10 @@ def parse_circuit(text: str) -> Circuit:
                 if expected is not None and len(ctls) != expected:
                     raise CircuitSyntaxError(f"{op} takes {expected} controls", line_no)
                 gates.append(mcx(ctls, tgt, negs))
-            elif op == "output":
-                if output is not None:
-                    raise CircuitSyntaxError("duplicate output line", line_no)
-                output, _ = _parse_index(args[0], line_no)
-            elif op == "postselect":
-                if postselect is not None:
-                    raise CircuitSyntaxError("duplicate postselect line", line_no)
-                postselect, _ = _parse_index(args[0], line_no)
+            elif op in roles:
+                if roles[op] is not None:
+                    raise CircuitSyntaxError(f"duplicate {op} line", line_no)
+                roles[op] = _parse_qubit(op, args, line_no)
             elif op == "ancilla":
                 if len(args) != 2:
                     raise CircuitSyntaxError("usage: ancilla Q V", line_no)
@@ -297,10 +297,10 @@ def parse_circuit(text: str) -> Circuit:
 
     if width is None:
         raise CircuitSyntaxError("missing qubits line")
-    if output is None:
+    if roles["output"] is None:
         raise CircuitSyntaxError("missing output line")
     try:
-        return Circuit(width, tuple(gates), output, postselect, tuple(ancillas))
+        return Circuit(width, tuple(gates), ancillas=tuple(ancillas), **roles)
     except ValueError as exc:
         raise CircuitSyntaxError(str(exc)) from exc
 

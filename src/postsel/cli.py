@@ -63,7 +63,7 @@ def _cmd_simulate(args) -> int:
     status = 0
     if args.oracle:
         matched = True
-        for name, dense_val in checks:
+        for name, sim_val in checks:
             if name == "output":
                 constraints = [(circ.output, 1)]
             elif name == "postselect":
@@ -71,7 +71,7 @@ def _cmd_simulate(args) -> int:
             else:
                 constraints = [(circ.output, 1), (circ.postselect, 1)]
             g, m = path_sum(circ, bits, constraints)
-            matched = matched and Fraction(g, 1 << m) == dense_val
+            matched = matched and Fraction(g, 1 << m) == sim_val
         rows.append(("oracle", "match" if matched else "mismatch"))
         if not matched:
             status = 1

@@ -27,7 +27,7 @@ import numpy as np
 
 from .circuit import Circuit, apply_gate_classical
 from .errors import CapExceeded
-from .simulator import _normalize_bits
+from .simulator import _basis_index
 
 DEFAULT_MAX_BRANCH = 20
 
@@ -44,7 +44,7 @@ def path_sum(
     hcount = circuit.h_count
     if hcount > cap:
         raise CapExceeded(f"{hcount} Hadamard branchings exceed oracle cap {cap}")
-    bits = _normalize_bits(input_bits, circuit.width)
+    z0 = _basis_index(circuit, input_bits)
     constraints = [(int(q), int(v)) for q, v in constraints]
     for q, v in constraints:
         if not 0 <= q < circuit.width:
@@ -52,7 +52,6 @@ def path_sum(
         if v not in (0, 1):
             raise ValueError("constraint value must be 0 or 1")
 
-    z0 = sum(b << i for i, b in enumerate(bits))
     npaths = 1 << hcount
     state = np.full(npaths, z0, dtype=np.int64)
     sign = np.zeros(npaths, dtype=np.int8)  # parity of accumulated -1 factors
@@ -91,8 +90,7 @@ def path_sum(
 
 def path_sum_slow(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
     """Reference implementation: explicit depth-first path enumeration."""
-    bits = _normalize_bits(input_bits, circuit.width)
-    z0 = sum(b << i for i, b in enumerate(bits))
+    z0 = _basis_index(circuit, input_bits)
     constraints = [(int(q), int(v)) for q, v in constraints]
     gates = circuit.gates
     amps: dict[int, int] = defaultdict(int)

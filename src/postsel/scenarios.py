@@ -1,7 +1,7 @@
 """End-to-end verification scenarios.
 
 Each scenario compiles fixture machines or circuits, measures them with the
-dense simulator and the branch-enumeration oracle, and reports exact
+sparse statevector simulator and the branch-enumeration oracle, and reports exact
 comparisons against closed forms as a WitnessReport.  Scenario functions all
 take (seed, r); the seed drives any randomized fixtures through a private
 generator so repeated runs are byte-identical, and r adjusts the sharpness
@@ -202,18 +202,18 @@ def _toy_fixture() -> _ToyFixture:
 
 
 def scenario_oracle_equivalence(seed: int, r: int) -> WitnessReport:
-    """Dense simulation and branch enumeration agree on random circuits."""
+    """Statevector simulation and branch enumeration agree on random circuits."""
     rng = _rng(seed, "oracle-equivalence")
     report = WitnessReport("oracle-equivalence")
     for i in range(100):
         circ, bits = random_circuit(rng, allow_mcx=(i % 3 == 2))
-        dense = run(expand_mcx(circ), bits)
+        state = run(expand_mcx(circ), bits)
         if circ.postselect is not None:
             constraints = [(circ.output, 1), (circ.postselect, 1)]
-            lhs = joint_prob(dense, constraints)
+            lhs = joint_prob(state, constraints)
         else:
             constraints = [(circ.output, 1)]
-            lhs = measure_prob(dense, circ.output, 1)
+            lhs = measure_prob(state, circ.output, 1)
         g, m = path_sum(circ, bits, constraints)
         _row(report, f"circuit{i:03d}:prob", lhs, "==", Fraction(g, 1 << m))
         if circ.postselect is not None:
@@ -221,7 +221,7 @@ def scenario_oracle_equivalence(seed: int, r: int) -> WitnessReport:
             _row(
                 report,
                 f"circuit{i:03d}:marginal",
-                measure_prob(dense, circ.postselect, 1),
+                measure_prob(state, circ.postselect, 1),
                 "==",
                 Fraction(gm, 1 << mm),
             )

@@ -1,21 +1,23 @@
-"""Exact integer statevector simulation of {h, x, cx, ccx} circuits.
+"""Exact sparse statevector simulation of {h, x, cx, ccx} circuits.
 
-A state over n qubits after m Hadamards is stored as a length-2**n integer
-coefficient vector ``coeffs`` with the global scale factor 1/sqrt(2)**m kept
-symbolically: amplitude(z) == coeffs[z] / sqrt(2)**m.  Unitarity gives the
-invariant sum(coeffs**2) == 2**m, which also bounds every coefficient by
-2**(m/2).  For circuits with at most ``_INT64_SAFE_H`` Hadamards that bound
-proves every coefficient, square and partial sum of squares fits in int64, so
-the hot path runs on numpy int64 vectors; larger circuits fall back to an
-object-dtype vector of Python ints.  Either way the arithmetic is exact.
+A state over n qubits after m Hadamards is stored as its live support: aligned
+arrays ``indices`` (int64 basis states, bit i = qubit i) and ``coeffs`` (their
+nonzero integer coefficients), with amplitude(indices[j]) == coeffs[j] /
+sqrt(2)**m and every unlisted basis state at amplitude 0.  X/CX/CCX XOR the
+target bit into the firing indices; H splits each entry in two and merges the
+entries that meet.  Cost follows the live support, at most min(2**n, 2**m),
+not 2**n (Jaques & Haener, arXiv:2105.01533).  Unitarity gives
+sum(coeffs**2) == 2**m, which bounds every coefficient by 2**(m/2): with at
+most ``_INT64_SAFE_H`` Hadamards every coefficient, square and partial sum of
+squares fits in int64; larger circuits use object-dtype Python ints.
 
-The practical width cap defaults to 24 qubits and can be raised with the
-``POSTSEL_MAX_QUBITS`` environment variable or the ``max_qubits`` argument.
+``CapExceeded`` is raised when the live support outgrows ``max_support``
+(default 2**24, so every circuit of width <= 24 runs) and for circuits wider
+than ``MAX_WIDTH`` = 63 qubits, the int64 index limit shared with path_sum.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,55 +27,68 @@ from .circuit import Circuit
 from .errors import CapExceeded, ZeroPostselection
 from .exactring import DyadicRational, PathAmplitude, SqrtDyadic
 
-DEFAULT_MAX_QUBITS = 24
+DEFAULT_MAX_SUPPORT = 1 << 24
+MAX_WIDTH = 63  # qubit 63 would be the sign bit of an int64 basis index
 _INT64_SAFE_H = 60  # sum(coeffs**2) == 2**m <= 2**60 keeps all int64 math exact
 
 
-def _width_cap(max_qubits: int | None) -> int:
-    if max_qubits is not None:
-        return max_qubits
-    env = os.environ.get("POSTSEL_MAX_QUBITS")
-    return int(env) if env else DEFAULT_MAX_QUBITS
-
-
-def _normalize_bits(bits, width: int) -> tuple[int, ...]:
-    if isinstance(bits, str):
-        bits = [c for c in bits]
-    out = []
-    for b in bits:
-        if b in (0, 1):
-            out.append(int(b))
-        elif b in ("0", "1"):
-            out.append(int(b))
-        else:
+def _basis_index(circuit: Circuit, bits) -> int:
+    """Basis state of the input bits (bit i = qubit i); enforces ``MAX_WIDTH``."""
+    if circuit.width > MAX_WIDTH:
+        raise CapExceeded(f"width {circuit.width} exceeds the {MAX_WIDTH}-qubit index limit")
+    z = 0
+    for i, b in enumerate(bits):
+        if b not in (0, 1, "0", "1"):
             raise ValueError(f"input bits must be 0/1, got {b!r}")
-    if len(out) != width:
-        raise ValueError(f"expected {width} input bits, got {len(out)}")
-    return tuple(out)
+        z |= int(b) << i
+    if len(bits) != circuit.width:
+        raise ValueError(f"expected {circuit.width} input bits, got {len(bits)}")
+    return z
+
+
+def _pin_mask(pairs) -> tuple[int, int]:
+    """(mask, value) with (z & mask) == value iff every (qubit, value) pair holds."""
+    mask = val = 0
+    for q, v in pairs:
+        mask |= 1 << q
+        val |= v << q
+    return mask, val
 
 
 @dataclass
 class QuantumState:
-    """coeffs[z] / sqrt(2)**m for each basis state z (bit i of z = qubit i)."""
+    """coeffs[j] / sqrt(2)**m at basis state indices[j] (bit i = qubit i).
+
+    Every listed coefficient is nonzero; unlisted basis states have amplitude 0.
+    """
 
     width: int
+    indices: np.ndarray
     coeffs: np.ndarray
     m: int
 
     def amplitude(self, z: int) -> SqrtDyadic:
-        return PathAmplitude(int(self.coeffs[z]), self.m).as_sqrt_dyadic()
+        hit = self.coeffs[self.indices == z]
+        return PathAmplitude(int(hit[0]) if hit.size else 0, self.m).as_sqrt_dyadic()
 
     def norm_sq(self) -> int:
-        return int(_dot(self.coeffs, self.coeffs))
+        return _dot(self.coeffs, self.coeffs)
 
     def canonical(self) -> "QuantumState":
-        """Divide out common factors of 2 in sqrt(2)**2 steps."""
-        coeffs = self.coeffs.copy()
+        """Sort the support and divide out common factors of 2 in sqrt(2)**2 steps."""
+        order = np.argsort(self.indices)
+        coeffs = self.coeffs[order]
         m = self.m
         while m >= 2 and not np.any(coeffs & 1):
             coeffs >>= 1
             m -= 2
-        return QuantumState(self.width, coeffs, m)
+        return QuantumState(self.width, self.indices[order], coeffs, m)
+
+    def to_dense(self) -> np.ndarray:
+        """The length-2**width coefficient vector (for small widths)."""
+        vec = np.zeros(1 << self.width, dtype=self.coeffs.dtype)
+        vec[self.indices] = self.coeffs
+        return vec
 
     def __eq__(self, other):
         if not isinstance(other, QuantumState):
@@ -82,7 +97,8 @@ class QuantumState:
         return (
             a.width == b.width
             and a.m == b.m
-            and bool(np.all(a.coeffs == b.coeffs))
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.coeffs, b.coeffs)
         )
 
 
@@ -101,67 +117,62 @@ def _dot(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.dot(a, b))
 
 
-def run(circuit: Circuit, input_bits, *, max_qubits: int | None = None) -> QuantumState:
+def _hadamard(idx: np.ndarray, coeffs: np.ndarray, t: np.int64):
+    """H on bit t: |z> -> |z & ~t> + (-1)**z_t |z | t>, merged, zeros dropped."""
+    key = idx & ~t
+    hot = np.count_nonzero(idx & t)
+    if hot in (0, idx.size):  # one shared value of bit t: no two outputs meet
+        signed = -coeffs if hot else coeffs
+        return np.concatenate((key, key | t)), np.concatenate((coeffs, signed))
+    # pair up z and z ^ t by sorting on the key z & ~t (groups of one or two)
+    order = np.argsort(key)
+    key = key[order]
+    c = coeffs[order]
+    signed = np.where((idx[order] & t) != 0, -c, c)
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    key = key[starts]
+    out_idx = np.concatenate((key, key | t))
+    out_c = np.concatenate((np.add.reduceat(c, starts), np.add.reduceat(signed, starts)))
+    live = out_c != 0
+    return out_idx[live], out_c[live]
+
+
+def run(
+    circuit: Circuit, input_bits, *, max_support: int = DEFAULT_MAX_SUPPORT
+) -> QuantumState:
     """Exactly simulate an mcx-free circuit on the given basis-state input.
 
     Raises if the circuit still contains mcx macros (expand first), if the
-    width cap would be exceeded, or if an input bit contradicts a declared
-    ancilla value.
+    circuit is wider than ``MAX_WIDTH`` or its live support outgrows
+    ``max_support`` entries (``CapExceeded``), or if an input bit contradicts
+    a declared ancilla value.
     """
-    cap = _width_cap(max_qubits)
-    if circuit.width > cap:
-        raise CapExceeded(
-            f"width {circuit.width} exceeds cap {cap} "
-            "(raise POSTSEL_MAX_QUBITS to override)"
-        )
-    bits = _normalize_bits(input_bits, circuit.width)
+    z0 = _basis_index(circuit, input_bits)
     for q, v in circuit.ancillas:
-        if bits[q] != v:
+        if (z0 >> q) & 1 != v:
             raise ValueError(f"ancilla qubit {q} requires input value {v}")
     if any(g.kind == "mcx" for g in circuit.gates):
         raise ValueError("circuit contains unexpanded mcx gates; run expand_mcx first")
 
-    n = circuit.width
-    size = 1 << n
     dtype = np.int64 if circuit.h_count <= _INT64_SAFE_H else object
-    vec = np.zeros(size, dtype=dtype)
-    z0 = sum(b << i for i, b in enumerate(bits))
-    vec[z0] = 1
-    # qubit q lives on axis n-1-q of the (2,)*n view; pinning control axes
-    # with integer indices leaves a view of just the firing subspace
-    grid = vec.reshape((2,) * n) if n <= 30 else None
-    idx = np.arange(size, dtype=np.int64) if grid is None else None
-
+    idx = np.array([z0], dtype=np.int64)
+    coeffs = np.ones(1, dtype=dtype)
     m = 0
     for g in circuit.gates:
+        t = np.int64(1 << g.target)
         if g.kind == "h":
-            v3 = vec.reshape(-1, 2, 1 << g.target)
-            lo = v3[:, 0, :].copy()
-            hi = v3[:, 1, :].copy()
-            v3[:, 0, :] = lo + hi
-            v3[:, 1, :] = lo - hi
+            idx, coeffs = _hadamard(idx, coeffs, t)
             m += 1
-        elif grid is not None:
-            ix: list = [slice(None)] * n
-            for c, neg in zip(g.controls, g.negated):
-                ix[n - 1 - c] = 0 if neg else 1
-            sub = grid[tuple(ix)]
-            pos = (n - 1 - g.target) - sum(1 for c in g.controls if c > g.target)
-            sw = np.moveaxis(sub, pos, 0)
-            tmp = sw[0].copy()
-            sw[0] = sw[1]
-            sw[1] = tmp
+            if idx.size > max_support:
+                raise CapExceeded(
+                    f"live support {idx.size} exceeds cap {max_support} at h {g.target}"
+                )
+        elif not g.controls:
+            idx ^= t
         else:
-            sel = ((idx >> g.target) & 1) == 0
-            for c, neg in zip(g.controls, g.negated):
-                sel &= ((idx >> c) & 1) == (0 if neg else 1)
-            i0 = idx[sel]
-            i1 = i0 | (1 << g.target)
-            lo = vec[i0]
-            hi = vec[i1]
-            vec[i0] = hi
-            vec[i1] = lo
-    return QuantumState(n, vec, m)
+            mask, val = _pin_mask((c, int(not neg)) for c, neg in zip(g.controls, g.negated))
+            idx ^= ((idx & mask) == val) * t
+    return QuantumState(circuit.width, idx, coeffs, m)
 
 
 def _masked_square_sum(state: QuantumState, constraints) -> int:
@@ -173,17 +184,8 @@ def _masked_square_sum(state: QuantumState, constraints) -> int:
             raise ValueError("constraint value must be 0 or 1")
         if pinned.setdefault(q, v) != v:
             return 0
-    if state.width <= 30:
-        ix: list = [slice(None)] * state.width
-        for q, v in pinned.items():
-            ix[state.width - 1 - q] = v
-        c = state.coeffs.reshape((2,) * state.width)[tuple(ix)].ravel()
-        return _dot(c, c)
-    idx = np.arange(1 << state.width, dtype=np.int64)
-    sel = np.ones(idx.size, dtype=bool)
-    for q, v in pinned.items():
-        sel &= ((idx >> q) & 1) == v
-    c = state.coeffs[sel]
+    mask, val = _pin_mask(pinned.items())
+    c = state.coeffs[(state.indices & mask) == val]
     return _dot(c, c)
 
 
@@ -198,7 +200,7 @@ def joint_prob(state: QuantumState, constraints) -> DyadicRational:
 
 
 def postselect_stats(
-    circuit: Circuit, input_bits, *, max_qubits: int | None = None
+    circuit: Circuit, input_bits, *, max_support: int = DEFAULT_MAX_SUPPORT
 ) -> PostselStats:
     """Run the circuit and return exact (P(p=1), P(o=1,p=1), P(o=1|p=1)).
 
@@ -207,7 +209,7 @@ def postselect_stats(
     """
     if circuit.postselect is None:
         raise ValueError("circuit declares no postselect qubit")
-    state = run(circuit, input_bits, max_qubits=max_qubits)
+    state = run(circuit, input_bits, max_support=max_support)
     p_post = measure_prob(state, circuit.postselect, 1)
     if p_post.is_zero():
         raise ZeroPostselection("P(postselect=1) is exactly zero")
@@ -219,9 +221,5 @@ def postselect_stats(
 def ancillas_restored(circuit: Circuit, state: QuantumState) -> bool:
     """True when every declared ancilla is back at its declared value in every
     basis state carrying nonzero amplitude."""
-    idx = np.arange(1 << state.width, dtype=np.int64)
-    live = state.coeffs != 0
-    for q, v in circuit.ancillas:
-        if np.any(((idx[live] >> q) & 1) != v):
-            return False
-    return True
+    mask, val = _pin_mask(circuit.ancillas)
+    return bool(np.all((state.indices & mask) == val))

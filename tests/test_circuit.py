@@ -230,6 +230,21 @@ def test_parse_errors_carry_line_numbers():
         parse_circuit("qubits 2\ncx 1 1\noutput 0\n")  # target == control
 
 
+BAD_QUBIT_DIRECTIVES = ["output", "postselect", "output !1", "output 0 2", "postselect 1 1"]
+
+
+def _circuit_with_directive(directive: str) -> str:
+    """An otherwise valid 3-qubit circuit whose line 3 is ``directive``."""
+    tail = "postselect 2\n" if directive.startswith("output") else "output 2\n"
+    return f"qubits 3\nh 0\n{directive}\n{tail}"
+
+
+@pytest.mark.parametrize("directive", BAD_QUBIT_DIRECTIVES)
+def test_parse_rejects_malformed_output_and_postselect(directive):
+    with pytest.raises(CircuitSyntaxError, match="line 3"):
+        parse_circuit(_circuit_with_directive(directive))
+
+
 def test_parse_normalizes_wide_gates_spelled_short():
     c = parse_circuit("qubits 5\nmcx 0 1 2\nmcx 0 1 2 3 4\noutput 0\n")
     assert c.gates[0].kind == "ccx"

@@ -93,6 +93,25 @@ def test_simulate_syntax_error_exits_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "directive", ["output", "postselect", "output !1", "output 0 2", "postselect 1 1"]
+)
+def test_simulate_malformed_output_or_postselect_exits_2(tmp_path, capsys, directive):
+    tail = "postselect 2\n" if directive.startswith("output") else "output 2\n"
+    p = tmp_path / "bad.circ"
+    p.write_text(f"qubits 3\nh 0\n{directive}\n{tail}")
+    assert main(["simulate", "--circuit", str(p)]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_width_64_exits_2_with_cap_error(tmp_path, capsys, command):
+    p = tmp_path / "wide.circ"
+    p.write_text("qubits 64\nh 0\nx 63\noutput 0\n")
+    assert main([command, "--circuit", str(p)]) == 2
+    assert "63-qubit" in capsys.readouterr().err
+
+
 # ===================================================================
 # oracle
 # ===================================================================

@@ -1,10 +1,13 @@
-"""Dense exact simulator: known states, invariants, caps, postselection."""
+"""Sparse exact simulator: known states, invariants, caps, postselection,
+and differential checks against the path-sum oracles and a dense reference."""
 
 import random
 
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from postsel import (
     CapExceeded,
@@ -20,6 +23,8 @@ from postsel import (
     joint_prob,
     mcx,
     measure_prob,
+    path_sum,
+    path_sum_slow,
     postselect_stats,
     run,
     x,
@@ -33,7 +38,7 @@ from postsel import (
 def test_single_hadamard_is_uniform():
     st = run(Circuit(1, (h(0),), 0), "0")
     assert st.m == 1
-    assert list(st.coeffs) == [1, 1]
+    assert list(st.to_dense()) == [1, 1]
     assert st.amplitude(0) == SqrtDyadic(0, 1, 1)  # 1/sqrt2 == sqrt2/2
     assert measure_prob(st, 0, 1) == DyadicRational(1, 1)
 
@@ -41,18 +46,19 @@ def test_single_hadamard_is_uniform():
 def test_hh_is_identity():
     st = run(Circuit(1, (h(0), h(0)), 0), "0").canonical()
     assert st.m == 0
-    assert list(st.coeffs) == [1, 0]
+    assert list(st.to_dense()) == [1, 0]
+    assert list(st.indices) == [0]  # the cancelled |1> entry is dropped
 
 
 def test_hh_from_one_interferes_back():
     st = run(Circuit(1, (h(0), h(0)), 0), "1").canonical()
-    assert list(st.coeffs) == [0, 1]
+    assert list(st.to_dense()) == [0, 1]
 
 
 def test_bell_pair():
     st = run(Circuit(2, (h(0), cx(0, 1)), 0), "00")
     assert st.m == 1
-    assert list(st.coeffs) == [1, 0, 0, 1]  # (|00> + |11>)/sqrt2
+    assert list(st.to_dense()) == [1, 0, 0, 1]  # (|00> + |11>)/sqrt2
     assert measure_prob(st, 0, 1) == DyadicRational(1, 1)
     assert joint_prob(st, [(0, 1), (1, 0)]) == DyadicRational(0, 0)
     assert joint_prob(st, [(0, 1), (1, 1)]) == DyadicRational(1, 1)
@@ -60,9 +66,9 @@ def test_bell_pair():
 
 def test_x_and_negated_control():
     st = run(Circuit(2, (x(0), cx(0, 1, neg=True)), 0), "00")
-    assert list(st.coeffs) == [0, 1, 0, 0]  # |01> as (q1 q0); no fire on 1
+    assert list(st.to_dense()) == [0, 1, 0, 0]  # |01> as (q1 q0); no fire on 1
     st = run(Circuit(2, (cx(0, 1, neg=True),), 0), "00")
-    assert list(st.coeffs) == [0, 0, 1, 0]  # fires on 0: |10>
+    assert list(st.to_dense()) == [0, 0, 1, 0]  # fires on 0: |10>
 
 
 def test_ccx_only_on_11():
@@ -70,7 +76,7 @@ def test_ccx_only_on_11():
     for z0 in range(8):
         st = run(c, format(z0, "03b")[::-1])
         expect = z0 ^ (0b100 if (z0 & 0b11) == 0b11 else 0)
-        assert st.coeffs[expect] == 1 and st.norm_sq() == 1
+        assert list(st.indices) == [expect] and st.norm_sq() == 1
 
 
 # ===================================================================
@@ -113,22 +119,18 @@ def test_marginals_sum_to_one():
             assert total == DyadicRational(1, 0)
 
 
-def test_view_kernel_matches_mask_kernel():
-    """The reshaped-view permutation path agrees with the arange-mask path."""
+def test_sparse_kernel_matches_mask_reference():
+    """The sparse engine's dense image equals the dense arange-mask kernel."""
     rng = random.Random(5)
     for _ in range(25):
         width = rng.randint(2, 6)
         c = _random_flat_circuit(rng, width, 15)
         bits = "".join(rng.choice("01") for _ in range(width))
-        fast = run(c, bits)
-        # Force the fallback by making the width look huge to the view check:
-        # simulate manually through the mask branch via a monkeyed reshape cap.
-        slow_coeffs = _mask_reference(c, bits)
-        assert list(fast.coeffs) == slow_coeffs
+        assert list(run(c, bits).to_dense()) == _mask_reference(c, bits)
 
 
 def _mask_reference(circuit: Circuit, bits: str) -> list:
-    """Reference permutation kernel: arange masks, no views."""
+    """Reference dense kernel: a length-2**n vector updated through arange masks."""
     n = circuit.width
     vec = np.zeros(1 << n, dtype=np.int64)
     vec[sum(int(b) << i for i, b in enumerate(bits))] = 1
@@ -150,6 +152,69 @@ def _mask_reference(circuit: Circuit, bits: str) -> list:
     return list(vec)
 
 
+def _check_against_references(circuit: Circuit, bits: str, *, oracles: bool = True):
+    """Sparse run + joint_prob against the dense mask reference and, when
+    ``oracles``, against path_sum and path_sum_slow on the unexpanded circuit,
+    for every constraint set over the output and postselect qubits."""
+    flat = expand_mcx(circuit)
+    st = run(flat, bits)
+    assert st.m == circuit.h_count
+    assert np.all(st.coeffs != 0)  # zeros are dropped: the support is exactly the live set
+    assert len(set(st.indices.tolist())) == st.indices.size
+    dense = _mask_reference(flat, bits)
+    assert list(st.to_dense()) == dense
+    idx = np.arange(1 << circuit.width)
+    dense_obj = np.array(dense, dtype=object)
+    for o in (None, 0, 1):
+        for p in (None, 0, 1):
+            pins = ((circuit.output, o), (circuit.postselect, p))
+            cons = [(q, v) for q, v in pins if v is not None]
+            sel = np.ones(idx.size, dtype=bool)
+            for q, v in cons:
+                sel &= ((idx >> q) & 1) == v
+            expect = DyadicRational(sum(int(c) ** 2 for c in dense_obj[sel]), st.m)
+            assert joint_prob(st, cons) == expect
+            if oracles:
+                assert DyadicRational(*path_sum(circuit, bits, cons)) == expect
+                assert DyadicRational(*path_sum_slow(circuit, bits, cons)) == expect
+
+
+@hst.composite
+def _circuits(draw):
+    """Data qubits first, then 0-2 declared ancillas borrowed by mcx expansion;
+    at most 10 Hadamards so that path_sum_slow stays quick."""
+    n_data = draw(hst.integers(2, 6))
+    n_anc = draw(hst.integers(0, 2))
+    width = n_data + n_anc
+    arity = {"h": 0, "hh": 0, "x": 0, "cx": 1, "ccx": 2, "mcx": 3}
+    kinds = [k for k, n in arity.items() if n < n_data and (k != "mcx" or n_anc)]
+    gates = []
+    for _ in range(draw(hst.integers(0, 14))):
+        kind = draw(hst.sampled_from(kinds))
+        if kind in ("h", "hh"):
+            if sum(g.kind == "h" for g in gates) < 9:
+                # "hh" repeats H on one qubit: merge path and cancellations
+                gates += [h(draw(hst.integers(0, n_data - 1)))] * len(kind)
+            continue
+        n_ctl = arity[kind]
+        if kind == "mcx":
+            n_ctl = draw(hst.integers(3, min(2 + n_anc, n_data - 1)))
+        qs = draw(hst.permutations(range(n_data)))[: n_ctl + 1]
+        negs = draw(hst.lists(hst.booleans(), min_size=n_ctl, max_size=n_ctl))
+        gates.append(mcx(qs[:-1], qs[-1], negs))
+    out, post = draw(hst.permutations(range(width)))[:2]
+    anc_vals = draw(hst.lists(hst.sampled_from("01"), min_size=n_anc, max_size=n_anc))
+    ancillas = tuple((q, int(v)) for q, v in zip(range(n_data, width), anc_vals))
+    data_bits = draw(hst.lists(hst.sampled_from("01"), min_size=n_data, max_size=n_data))
+    return Circuit(width, tuple(gates), out, post, ancillas), "".join(data_bits + anc_vals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_circuits())
+def test_sparse_run_matches_path_sums_and_dense_reference(case):
+    _check_against_references(*case)
+
+
 def test_object_dtype_fallback_for_many_hadamards():
     """More than 60 h gates switches to Python-int coefficients, still exact."""
     gates = tuple(h(q) for _ in range(31) for q in (0, 1)) + (h(0),)
@@ -161,7 +226,13 @@ def test_object_dtype_fallback_for_many_hadamards():
     canon = st.canonical()
     assert canon.m == 1  # 62 of the 63 branchings cancel pairwise
     # qubit 0 saw 32 h's (identity), qubit 1 saw 31 (one net h)
-    assert list(canon.coeffs) == [1, 0, 1, 0]
+    assert list(canon.to_dense()) == [1, 0, 1, 0]
+    # a mixed circuit past the int64 bound still matches the dense reference
+    rng = random.Random(6)
+    mixed = _random_flat_circuit(rng, 4, 40)
+    mixed = Circuit(4, gates + mixed.gates, 2, postselect=3)
+    assert mixed.h_count > 60
+    _check_against_references(mixed, "0110", oracles=False)
 
 
 def test_int64_path_for_few_hadamards():
@@ -174,13 +245,38 @@ def test_int64_path_for_few_hadamards():
 # ===================================================================
 
 
-def test_width_cap():
-    c = Circuit(25, (), 0)
-    with pytest.raises(CapExceeded):
-        run(c, "0" * 25)
-    # explicit override admits it
-    st = run(c, "0" * 25, max_qubits=25)
-    assert st.norm_sq() == 1
+def test_support_cap():
+    """max_support bounds the live support after every h, not the width."""
+    c = Circuit(4, (h(0), h(1), h(2), h(3)), 0)
+    assert run(c, "0000", max_support=16).coeffs.size == 16
+    with pytest.raises(CapExceeded, match="support"):
+        run(c, "0000", max_support=15)
+    # the cap applies after the merge: the last h pairs 4 entries into 2
+    merged = run(Circuit(2, (h(0), h(1), h(0)), 0), "00", max_support=4)
+    assert sorted(merged.indices.tolist()) == [0, 2]
+    # width alone costs nothing: 40 qubits with two live entries
+    wide = run(Circuit(40, (h(0), cx(0, 39)), 0), "0" * 40)
+    assert sorted(wide.indices.tolist()) == [0, 1 | 1 << 39]
+
+
+def test_width_limit_is_63_qubits_on_both_engines():
+    ok = Circuit(63, (h(0), x(62), cx(62, 61)), 0)
+    st = run(ok, "0" * 63)
+    assert joint_prob(st, [(0, 1), (61, 1)]) == DyadicRational(1, 1)
+    assert path_sum(ok, "0" * 63, [(0, 1), (61, 1)]) == (1, 1)
+    wide = Circuit(64, (h(0), x(63)), 0)
+    with pytest.raises(CapExceeded, match="63-qubit"):
+        run(wide, "0" * 64)
+    with pytest.raises(CapExceeded, match="63-qubit"):
+        path_sum(wide, "0" * 64, [(0, 1)])
+
+
+def test_equality_ignores_support_order():
+    a = run(Circuit(2, (h(0), h(1)), 0), "00")
+    b = run(Circuit(2, (h(1), h(0)), 0), "00")
+    assert list(a.indices) != list(b.indices)
+    assert a == b
+    assert a != run(Circuit(2, (h(0),), 0), "00")
 
 
 def test_rejects_unexpanded_mcx():
