@@ -9,14 +9,16 @@ probability of a set of (qubit, value) constraints is then
     g / 2**m   with   g = sum over constrained z of (path sum at z)**2,
                and    m = number of Hadamard gates.
 
-Unlike the simulator this costs 2**H regardless of width, handles mcx macros
-directly (they act classically on paths) and never builds a statevector, so
-it cross-checks the simulator through an entirely different route.
+``path_sum`` grows its path arrays as it goes: it starts from the single input
+path and doubles the arrays at each Hadamard, so a gate after k Hadamards
+costs 2**k.  The total is the sum over gates of 2**(Hadamards before the
+gate), plus one sort-and-reduce over the final 2**H paths; no two paths are
+merged before it.  Unlike the simulator it handles mcx macros directly (they
+act classically on paths) and never builds a statevector, so it cross-checks
+the simulator through an entirely different route.
 
-``path_sum`` is the vectorized oracle used everywhere; ``path_sum_slow`` is a
-deliberately naive per-path rewrite of the same definition, kept as a second
-opinion for tests.  Path sums stay below 2**H and squared sums below 2**2H,
-so int64 vectors are exact for the default cap of 20 branch qubits.
+``path_sum_slow`` is a deliberately naive per-path rewrite of the same
+definition, kept as a second opinion for tests.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .circuit import Circuit, apply_gate_classical
 from .errors import CapExceeded
-from .simulator import _basis_index
+from .simulator import _basis_index, _constraint_mask, _pin_mask
 
 DEFAULT_MAX_BRANCH = 20
 
@@ -45,47 +47,33 @@ def path_sum(
     if hcount > cap:
         raise CapExceeded(f"{hcount} Hadamard branchings exceed oracle cap {cap}")
     z0 = _basis_index(circuit, input_bits)
-    constraints = [(int(q), int(v)) for q, v in constraints]
-    for q, v in constraints:
-        if not 0 <= q < circuit.width:
-            raise ValueError(f"constraint qubit {q} outside width {circuit.width}")
-        if v not in (0, 1):
-            raise ValueError("constraint value must be 0 or 1")
-
-    npaths = 1 << hcount
-    state = np.full(npaths, z0, dtype=np.int64)
-    sign = np.zeros(npaths, dtype=np.int8)  # parity of accumulated -1 factors
-    branch = np.arange(npaths, dtype=np.int64)
-
-    j = 0
-    for g in circuit.gates:
-        tbit = np.int64(1 << g.target)
-        if g.kind == "h":
-            out = (branch >> j) & 1
-            cur = (state >> g.target) & 1
-            sign ^= (cur & out).astype(np.int8)
-            state = (state & ~tbit) | (out << g.target)
-            j += 1
-        else:
-            fire = np.ones(npaths, dtype=bool)
-            for c, neg in zip(g.controls, g.negated):
-                fire &= ((state >> c) & 1) == (0 if neg else 1)
-            state[fire] ^= tbit
-
-    keep = np.ones(npaths, dtype=bool)
-    for q, v in constraints:
-        keep &= ((state >> q) & 1) == v
-    z = state[keep]
-    if z.size == 0:
+    pin = _constraint_mask(circuit.width, constraints)
+    if pin is None:
         return 0, hcount
-    s = 1 - 2 * sign[keep].astype(np.int64)
-    order = np.argsort(z, kind="stable")
-    z = z[order]
-    s = s[order]
-    starts = np.concatenate(([0], np.nonzero(np.diff(z))[0] + 1))
-    sums = np.add.reduceat(s, starts)
-    g_val = int(np.dot(sums, sums))
-    return g_val, hcount
+
+    state = np.array([z0], dtype=np.int64)
+    sign = np.zeros(1, dtype=bool)  # parity of accumulated -1 factors
+    for g in circuit.gates:
+        t = np.int64(1 << g.target)
+        if g.kind == "h":
+            lo = state & ~t
+            sign = np.concatenate((sign, sign ^ ((state & t) != 0)))
+            state = np.concatenate((lo, lo | t))
+        else:
+            mask, val = _pin_mask((c, int(not neg)) for c, neg in zip(g.controls, g.negated))
+            state ^= ((state & mask) == val) * t
+
+    mask, val = pin
+    keep = (state & mask) == val
+    z = state[keep]
+    order = np.argsort(z)
+    # Exact in int64: |path sum at z| <= 2**H as it adds at most 2**H signs, and
+    # g == P * 2**H <= 2**H bounds every square and partial sum of squares, so
+    # any H <= 62 is exact (memory caps H far lower).  Basis indices are >= 0,
+    # so prepending -1 makes the first kept path start a group.
+    s = 1 - 2 * sign[keep][order].astype(np.int64)
+    sums = np.add.reduceat(s, np.flatnonzero(np.diff(z[order], prepend=-1)))
+    return int(np.dot(sums, sums)), hcount
 
 
 def path_sum_slow(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:

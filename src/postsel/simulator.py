@@ -55,6 +55,19 @@ def _pin_mask(pairs) -> tuple[int, int]:
     return mask, val
 
 
+def _constraint_mask(width: int, constraints) -> tuple[int, int] | None:
+    """Validated ``_pin_mask`` of (qubit, value) constraints; None when two contradict."""
+    pinned: dict[int, int] = {}
+    for q, v in constraints:
+        if not 0 <= q < width:
+            raise ValueError(f"constraint qubit {q} outside width {width}")
+        if v not in (0, 1):
+            raise ValueError("constraint value must be 0 or 1")
+        if pinned.setdefault(int(q), int(v)) != v:
+            return None
+    return _pin_mask(pinned.items())
+
+
 @dataclass
 class QuantumState:
     """coeffs[j] / sqrt(2)**m at basis state indices[j] (bit i = qubit i).
@@ -176,15 +189,10 @@ def run(
 
 
 def _masked_square_sum(state: QuantumState, constraints) -> int:
-    pinned: dict[int, int] = {}
-    for q, v in constraints:
-        if not 0 <= q < state.width:
-            raise ValueError(f"constraint qubit {q} outside width {state.width}")
-        if v not in (0, 1):
-            raise ValueError("constraint value must be 0 or 1")
-        if pinned.setdefault(q, v) != v:
-            return 0
-    mask, val = _pin_mask(pinned.items())
+    pin = _constraint_mask(state.width, constraints)
+    if pin is None:
+        return 0
+    mask, val = pin
     c = state.coeffs[(state.indices & mask) == val]
     return _dot(c, c)
 

@@ -3,13 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from postsel import (
     CapExceeded,
     Circuit,
     DyadicRational,
     ccx,
+    compile_fqp_to_exp,
     cx,
+    default_input,
     expand_mcx,
     h,
     joint_prob,
@@ -19,6 +23,7 @@ from postsel import (
     run,
     x,
 )
+from postsel.scenarios import _uniform_circuit
 
 # ===================================================================
 # pinned closed forms
@@ -103,6 +108,63 @@ def test_oracle_matches_simulator():
         cons = [(q, rng.randint(0, 1)) for q in rng.sample(range(width), rng.randint(0, width))]
         g, m = path_sum(c, bits, cons)
         assert DyadicRational(g, m) == joint_prob(run(c, bits), cons)
+
+
+@hst.composite
+def _layered_circuits(draw):
+    """Layers of x/cx/ccx/mcx gates (controls may be negated), each followed by
+    Hadamards, some repeated on one qubit, so that gates act on paths grown
+    mid-circuit; at most 10 Hadamards keep path_sum_slow quick.  Qubits come
+    from the whole index range; at width 63 qubit 62 (the top bit of a
+    nonnegative int64 index) is always a data qubit.  Two more qubits are
+    declared ancillas for expanding mcx with up to 4 controls.  Constraints
+    may repeat or contradict each other."""
+    width = draw(hst.sampled_from([7, 12, 63]))
+    others = hst.lists(hst.integers(0, width - 2), min_size=6, max_size=6, unique=True)
+    live = [width - 1] + draw(others)
+    data, anc = live[:5], live[5:]
+    gates = []
+    for _ in range(draw(hst.integers(1, 4))):
+        for _ in range(draw(hst.integers(0, 4))):
+            n_ctl = draw(hst.integers(0, 4))
+            qs = draw(hst.permutations(data))[: n_ctl + 1]
+            negs = draw(hst.lists(hst.booleans(), min_size=n_ctl, max_size=n_ctl))
+            gates.append(mcx(qs[:-1], qs[-1], negs))
+        for q in draw(hst.lists(hst.sampled_from(data), max_size=3)):
+            if sum(g.kind == "h" for g in gates) < 9:
+                gates += [h(q)] * draw(hst.integers(1, 2))
+    anc_vals = draw(hst.lists(hst.integers(0, 1), min_size=2, max_size=2))
+    bits = [draw(hst.integers(0, 1)) for _ in range(width)]
+    for q, v in zip(anc, anc_vals):
+        bits[q] = v
+    pair = hst.tuples(hst.sampled_from(live), hst.integers(0, 1))
+    cons = draw(hst.lists(pair, min_size=1, max_size=5))
+    circuit = Circuit(width, tuple(gates), data[0], ancillas=tuple(zip(anc, anc_vals)))
+    return circuit, "".join(map(str, bits)), cons
+
+
+@settings(max_examples=150, deadline=None)
+@given(_layered_circuits())
+def test_oracles_match_simulator_on_layered_wide_circuits(case):
+    """The drawn constraints, then each gate target alone."""
+    circuit, bits, cons = case
+    state = run(expand_mcx(circuit), bits)
+    for c in [cons] + [[(q, 1)] for q in sorted({g.target for g in circuit.gates})]:
+        g, m = path_sum(circuit, bits, c)
+        assert m == circuit.h_count
+        assert (g, m) == path_sum_slow(circuit, bits, c)
+        assert DyadicRational(g, m) == joint_prob(state, c)
+
+
+@pytest.mark.parametrize("h_exp", [1, 2, 3])
+def test_fast_oracle_matches_slow_oracle_on_postsel_adjust_circuits(h_exp):
+    """The circuits of the exact-postsel-adjust scenario: Hadamard layers
+    separated by comparators, the shape the lazy path growth targets."""
+    for f in range(1, (1 << h_exp) + 1):
+        w2 = compile_fqp_to_exp(_uniform_circuit(h_exp, f, None), f, h_exp)
+        bits = default_input(w2)
+        for cons in ([(w2.postselect, 1)], [(w2.output, 1), (w2.postselect, 1)]):
+            assert path_sum(w2, bits, cons) == path_sum_slow(w2, bits, cons)
 
 
 def test_oracle_handles_mcx_natively():
