@@ -23,6 +23,10 @@ control::
 Files are plain 7-bit ASCII.  ``ancilla Q V`` declares that qubit Q must be
 given input value V (0 or 1) and is returned to that value by the gates that
 borrow it.
+
+The statement reader, the index and gate-line parsers and the gate-line
+writer here also serve the machine and FP-table formats of ``counting``, and
+``_pack_bits`` is the one rule for instance and input bit strings.
 """
 
 from __future__ import annotations
@@ -218,100 +222,124 @@ def expand_mcx(circuit: Circuit) -> Circuit:
 # --- text format -----------------------------------------------------------
 
 
+def _pack_bits(bits, width: int) -> int:
+    """0/1 bits (a string or a sequence) as an int, bit i at position i.
+
+    Raises ValueError unless there are exactly ``width`` bits, each 0 or 1.
+    """
+    if len(bits) != width:
+        raise ValueError(f"expected {width} bits, got {len(bits)}")
+    z = 0
+    for i, b in enumerate(bits):
+        if b not in (0, 1, "0", "1"):
+            raise ValueError(f"bits must be 0/1, got {b!r}")
+        z |= int(b) << i
+    return z
+
+
+def _statements(text: str):
+    """(line_no, op, args) per statement: ``#`` comments and blank lines dropped."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield line_no, parts[0].lower(), parts[1:]
+
+
+def _body(text: str, usages: Sequence[str], found: dict[str, list[int]]):
+    """The statements of a headed file other than its integer directives.
+
+    ``usages`` spell the directives (``"qubits N"``, ``"output Q"``); the
+    first is the header, which must open the file.  Each directive may appear
+    once, and its parsed arguments land in ``found`` under its keyword.
+    """
+    usage = {u.split()[0]: u for u in usages}
+    header = usages[0].split()[0]
+    for line_no, op, args in _statements(text):
+        if op != header and header not in found:
+            raise CircuitSyntaxError(f"{header} line must come first", line_no)
+        if op not in usage:
+            yield line_no, op, args
+        elif op in found:
+            raise CircuitSyntaxError(f"duplicate {op} line", line_no)
+        else:
+            found[op] = _parse_ints(args, usage[op], line_no)
+    if header not in found:
+        raise CircuitSyntaxError(f"missing {header} line")
+
+
 def _parse_index(token: str, line_no: int) -> tuple[int, bool]:
+    """An ASCII-digit index with an optional ``!`` (negated) prefix."""
     neg = token.startswith("!")
-    if neg:
-        token = token[1:]
-    if not token.isdigit():
-        raise CircuitSyntaxError(f"bad qubit index {token!r}", line_no)
-    return int(token), neg
+    body = token[1:] if neg else token
+    if not (body.isascii() and body.isdigit()):
+        raise CircuitSyntaxError(f"expected a non-negative integer, got {token!r}", line_no)
+    return int(body), neg
 
 
-def _parse_qubit(op: str, args: list[str], line_no: int) -> int:
-    """The single, un-negated qubit argument of ``op``."""
-    if len(args) != 1:
-        raise CircuitSyntaxError(f"usage: {op} Q", line_no)
-    q, neg = _parse_index(args[0], line_no)
+def _parse_ints(args: list[str], usage: str, line_no: int) -> list[int]:
+    """The un-negated integer arguments of a directive spelled ``usage``."""
+    if len(args) != len(usage.split()) - 1:
+        raise CircuitSyntaxError(f"usage: {usage}", line_no)
+    values = []
+    for tok in args:
+        value, neg = _parse_index(tok, line_no)
+        if neg:
+            raise CircuitSyntaxError(f"{usage.split()[0]} arguments cannot be negated", line_no)
+        values.append(value)
+    return values
+
+
+_CONTROL_COUNT = {"h": 0, "x": 0, "cx": 1, "ccx": 2}
+
+
+def _parse_gate(op: str, args: list[str], line_no: int) -> Gate:
+    """One gate line; ``mcx`` takes one or more controls and is normalized by count."""
+    if op not in GATE_KINDS:
+        raise CircuitSyntaxError(f"unknown statement {op!r}", line_no)
+    ctls = [_parse_index(tok, line_no) for tok in args]
+    if not ctls:
+        raise CircuitSyntaxError(f"{op} needs a target", line_no)
+    tgt, neg = ctls.pop()
     if neg:
-        raise CircuitSyntaxError(f"{op} qubit cannot be negated", line_no)
-    return q
+        raise CircuitSyntaxError("targets cannot be negated", line_no)
+    expected = _CONTROL_COUNT.get(op)
+    if expected is None and not ctls:
+        raise CircuitSyntaxError("mcx needs controls and a target", line_no)
+    if expected is not None and len(ctls) != expected:
+        raise CircuitSyntaxError(f"{op} takes {expected} controls", line_no)
+    if op == "h":
+        return h(tgt)
+    try:
+        return mcx([c for c, _ in ctls], tgt, [n for _, n in ctls])
+    except ValueError as exc:
+        raise CircuitSyntaxError(str(exc), line_no) from exc
 
 
 def parse_circuit(text: str) -> Circuit:
-    width: int | None = None
+    found: dict[str, list[int]] = {}
     gates: list[Gate] = []
-    roles: dict[str, int | None] = {"output": None, "postselect": None}
     ancillas: list[tuple[int, int]] = []
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        op, args = parts[0].lower(), parts[1:]
-
-        if op == "qubits":
-            if width is not None:
-                raise CircuitSyntaxError("duplicate qubits line", line_no)
-            if len(args) != 1 or not args[0].isdigit():
-                raise CircuitSyntaxError("usage: qubits N", line_no)
-            width = int(args[0])
-            continue
-        if width is None:
-            raise CircuitSyntaxError("qubits line must come first", line_no)
-
-        try:
-            if op in ("h", "x"):
-                gates.append(Gate(op, _parse_qubit(op, args, line_no)))
-            elif op in ("cx", "ccx", "mcx"):
-                if len(args) < 2:
-                    raise CircuitSyntaxError(f"{op} needs controls and a target", line_no)
-                *ctl_toks, tgt_tok = args
-                tgt, neg = _parse_index(tgt_tok, line_no)
-                if neg:
-                    raise CircuitSyntaxError("targets cannot be negated", line_no)
-                ctls, negs = [], []
-                for tok in ctl_toks:
-                    c, n = _parse_index(tok, line_no)
-                    ctls.append(c)
-                    negs.append(n)
-                expected = {"cx": 1, "ccx": 2}.get(op)
-                if expected is not None and len(ctls) != expected:
-                    raise CircuitSyntaxError(f"{op} takes {expected} controls", line_no)
-                gates.append(mcx(ctls, tgt, negs))
-            elif op in roles:
-                if roles[op] is not None:
-                    raise CircuitSyntaxError(f"duplicate {op} line", line_no)
-                roles[op] = _parse_qubit(op, args, line_no)
-            elif op == "ancilla":
-                if len(args) != 2:
-                    raise CircuitSyntaxError("usage: ancilla Q V", line_no)
-                q, _ = _parse_index(args[0], line_no)
-                if args[1] not in ("0", "1"):
-                    raise CircuitSyntaxError("ancilla value must be 0 or 1", line_no)
-                ancillas.append((q, int(args[1])))
-            else:
-                raise CircuitSyntaxError(f"unknown statement {op!r}", line_no)
-        except ValueError as exc:
-            raise CircuitSyntaxError(str(exc), line_no) from exc
-
-    if width is None:
-        raise CircuitSyntaxError("missing qubits line")
-    if roles["output"] is None:
+    for line_no, op, args in _body(text, ("qubits N", "output Q", "postselect Q"), found):
+        if op == "ancilla":
+            q, v = _parse_ints(args, "ancilla Q V", line_no)
+            if v not in (0, 1):
+                raise CircuitSyntaxError("ancilla value must be 0 or 1", line_no)
+            ancillas.append((q, v))
+        else:
+            gates.append(_parse_gate(op, args, line_no))
+    if "output" not in found:
         raise CircuitSyntaxError("missing output line")
+    (width,), (output,) = found["qubits"], found["output"]
+    postselect = found["postselect"][0] if "postselect" in found else None
     try:
-        return Circuit(width, tuple(gates), ancillas=tuple(ancillas), **roles)
+        return Circuit(width, tuple(gates), output, postselect, tuple(ancillas))
     except ValueError as exc:
         raise CircuitSyntaxError(str(exc)) from exc
 
 
 def _gate_line(g: Gate) -> str:
-    if g.kind in ("h", "x"):
-        return f"{g.kind} {g.target}"
-    ctls = " ".join(
-        ("!" if neg else "") + str(c) for c, neg in zip(g.controls, g.negated)
-    )
-    return f"{g.kind} {ctls} {g.target}"
+    ctls = [("!" if neg else "") + str(c) for c, neg in zip(g.controls, g.negated)]
+    return " ".join([g.kind, *ctls, str(g.target)])
 
 
 def serialize_circuit(circuit: Circuit) -> str:

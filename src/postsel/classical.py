@@ -42,8 +42,8 @@ class ProbTM:
             raise ValueError("coin_width must be >= 0")
 
 
-def run_ptm(tm: ProbTM, w: str) -> PostselStats:
-    """Exact statistics by enumerating every coin outcome."""
+def _count_outcomes(tm: ProbTM, w: str) -> tuple[int, int]:
+    """(n(p=1), n(o=1, p=1)) over every coin outcome of the machine on ``w``."""
     n_post = 0
     n_joint = 0
     for coins in range(1 << tm.coin_width):
@@ -52,6 +52,12 @@ def run_ptm(tm: ProbTM, w: str) -> PostselStats:
             raise ValueError("evaluator must return bit pairs")
         n_post += p_bit
         n_joint += p_bit & o_bit
+    return n_post, n_joint
+
+
+def run_ptm(tm: ProbTM, w: str) -> PostselStats:
+    """Exact statistics by enumerating every coin outcome."""
+    n_post, n_joint = _count_outcomes(tm, w)
     if n_post == 0:
         raise ZeroPostselection(f"machine never postselects on {w!r}")
     return PostselStats(
@@ -132,12 +138,7 @@ def wapp_witness(tm: ProbTM) -> WappWitness:
     p_exp = tm.coin_width - tm.fp_exponent
     joint_counts: dict[str, int] = {}
     for w in sorted(tm.instances):
-        n_post = 0
-        n_joint = 0
-        for coins in range(1 << tm.coin_width):
-            p_bit, o_bit = tm.evaluate(w, coins)
-            n_post += p_bit
-            n_joint += p_bit & o_bit
+        n_post, n_joint = _count_outcomes(tm, w)
         declared = tm.fp_numerators[w] << p_exp
         if n_post != declared:
             raise StatsMismatch(

@@ -96,30 +96,22 @@ def _cmd_compile(args) -> int:
     m2 = parse_machine(_read(args.machine2)) if args.machine2 else None
     kind = args.construction
     w = args.input
+    if kind != "gapsq" and m2 is None:
+        raise ValueError(f"construction {kind!r} needs --machine2")
     if kind == "gapsq":
         circ = compile_gap_squared(m1, w)
-    elif kind in ("pair", "wpp", "app"):
-        if m2 is None:
-            raise ValueError(f"construction {kind!r} needs --machine2")
-        mode = {"pair": "fp_of_input", "wpp": "none", "app": "gap_of_length"}[kind]
-        k = 0 if kind == "wpp" else args.k
-        circ = compile_pair_postsel(m1, m2, w, k, mode)
-    elif kind in ("fqp2exp", "rescale"):
-        if m2 is None:
-            raise ValueError(f"construction {kind!r} needs --machine2")
-        base = compile_pair_postsel(m1, m2, w, args.k)
+    elif kind == "pp":
+        circ = compile_pp_instance(m1, m2, w, args.r)
+    else:
+        circ = compile_pair_postsel(m1, m2, w, args.k)
         if kind == "rescale":
-            circ = rescale_postsel(base, args.t)
-        else:
+            circ = rescale_postsel(circ, args.t)
+        elif kind == "fqp2exp":
             f, h_exp = args.f, args.h
             if f is None or h_exp is None:
-                st = postselect_stats(expand_mcx(base), default_input(base))
+                st = postselect_stats(expand_mcx(circ), default_input(circ))
                 f, h_exp = st.p_post.n, st.p_post.k
-            circ = compile_fqp_to_exp(base, f, h_exp)
-    else:  # pp
-        if m2 is None:
-            raise ValueError("construction 'pp' needs --machine2")
-        circ = compile_pp_instance(m1, m2, w, args.r)
+            circ = compile_fqp_to_exp(circ, f, h_exp)
     with open(args.output, "w", encoding="ascii") as fh:
         fh.write(serialize_circuit(circ))
     print(
@@ -177,12 +169,12 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--construction",
         required=True,
-        choices=["gapsq", "pair", "wpp", "app", "fqp2exp", "rescale", "pp"],
+        choices=["gapsq", "pair", "fqp2exp", "rescale", "pp"],
     )
     c.add_argument("--machine1", required=True, help="machine file")
     c.add_argument("--machine2", help="second machine file")
     c.add_argument("--input", default="", help="instance bits baked into the circuit")
-    c.add_argument("--k", type=int, default=0, help="padding pairs (pair/app)")
+    c.add_argument("--k", type=int, default=0, help="padding pairs (pair/fqp2exp/rescale)")
     c.add_argument("--t", type=int, default=1, help="rescale exponent (rescale)")
     c.add_argument("--f", type=int, help="postselection numerator override (fqp2exp)")
     c.add_argument("--h", type=int, help="postselection exponent override (fqp2exp)")

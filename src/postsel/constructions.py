@@ -14,35 +14,14 @@ unless explicitly written as inequalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuit import Circuit, Gate, ccx, default_input, expand_mcx, h, mcx, x
+from .circuit import Circuit, Gate, _pack_bits, ccx, default_input, expand_mcx, h, mcx, x
 from .counting import PredicateCircuit, emit_less_than, gap
 from .errors import StatsMismatch, ZeroPostselection
 from .exactring import DyadicRational
 from .simulator import postselect_stats
 from .witness import Condition, WitnessReport
-
-
-@dataclass
-class ConstructionParams:
-    """Knobs shared by the compilers and the verification scenarios."""
-
-    k: int = 0  # |+> padding pairs in the two-machine construction
-    r: int = 4  # witness sharpness exponent of the source data
-    r1: int = 3  # conditional-probability sharpness of a postselected circuit
-    r2: int = 3  # postselection-probability sharpness
-    t: int = 0  # rescaling exponent
-    h: int = 0  # target probability denominator exponent
-    q: int = 0  # path-bit count
-    s: int = 0  # auxiliary denominator exponent
-
-    def validate(self) -> None:
-        if min(self.k, self.t, self.h, self.q, self.s) < 0:
-            raise ValueError("exponent parameters must be >= 0")
-        if self.r < max(self.r1 + 2, self.r2 + 2):
-            raise ValueError("need r >= max(r1 + 2, r2 + 2)")
 
 
 class _Builder:
@@ -70,6 +49,11 @@ class _Builder:
 
     def extend(self, gates) -> None:
         self.gates.extend(gates)
+
+    def load(self, qubits: list[int], w) -> None:
+        """X each qubit whose instance bit in ``w`` is 1 (``len(w)`` must match)."""
+        z = _pack_bits(w, len(qubits))
+        self.extend(x(q) for i, q in enumerate(qubits) if (z >> i) & 1)
 
     def declare(self, qubits, value: int = 0) -> None:
         if isinstance(qubits, int):
@@ -143,13 +127,6 @@ def _machine_gates(
     return out
 
 
-def _as_bits(w) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in w)
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("instance bits must be 0/1")
-    return bits
-
-
 def gap_squared_prob(g_val: int, q: int) -> DyadicRational:
     """Closed form for the single-machine compiler: P(o=1) = G**2 / 2**2q."""
     return DyadicRational(g_val * g_val, 2 * q)
@@ -174,9 +151,6 @@ def compile_gap_squared(machine: PredicateCircuit, w) -> Circuit:
     rejecting path through a computed flag bit, interferes the paths back and
     detects the all-zero path register.
     """
-    bits = _as_bits(w)
-    if len(bits) != machine.input_width:
-        raise ValueError("instance width mismatch")
     q = machine.path_width
     b = _Builder()
     wq = b.alloc(machine.input_width)
@@ -185,9 +159,7 @@ def compile_gap_squared(machine: PredicateCircuit, w) -> Circuit:
     acc = b.alloc1()
     out = b.alloc1()
 
-    for i, bit in enumerate(bits):
-        if bit:
-            b.add(x(wq[i]))
+    b.load(wq, w)
     for qb in xq:
         b.add(h(qb))
     forward = _machine_gates(machine, wq, xq, scratch, acc)
@@ -213,7 +185,6 @@ def compile_pair_postsel(
     m2: PredicateCircuit,
     w,
     k: int = 0,
-    scale_mode: str = "none",
 ) -> Circuit:
     """Postselected circuit encoding two machine gaps at once.
 
@@ -227,28 +198,19 @@ def compile_pair_postsel(
     rejecting paths and records its reject flag.  Postselection projects the
     2k padding qubits, the path register and the flag onto the uniform state
     via a Hadamard layer and an all-zeros detector.
-
-    ``scale_mode`` records how the caller derived the machines (pre-scaled by
-    tabulated values, by gaps of an all-ones instance, or not at all); the
-    emitted circuit is the same either way.
     """
-    if scale_mode not in ("none", "fp_of_input", "gap_of_length"):
-        raise ValueError(f"unknown scale_mode {scale_mode!r}")
     if k < 0:
         raise ValueError("k must be >= 0")
     if m1.input_width != m2.input_width or m1.path_width != m2.path_width:
         raise ValueError("machines must share instance and path widths")
-    bits = _as_bits(w)
-    if len(bits) != m1.input_width:
-        raise ValueError("instance width mismatch")
-    g1 = gap(m1, bits).gap
-    g2 = gap(m2, bits).gap
+    b = _Builder()
+    wq = b.alloc(m1.input_width)
+    b.load(wq, w)  # a malformed instance is a ValueError before any gap is counted
+    g1, g2 = gap(m1, w).gap, gap(m2, w).gap
     if g1 == 0 and g2 == 0:
         raise ZeroPostselection("both machine gaps vanish on this instance")
 
     q = m1.path_width
-    b = _Builder()
-    wq = b.alloc(m1.input_width)
     pad = b.alloc(2 * k)
     xq = b.alloc(q)
     flag = b.alloc1()  # reject flag of the selected machine
@@ -257,9 +219,6 @@ def compile_pair_postsel(
     acc = b.alloc1()
     post = b.alloc1()
 
-    for i, bit in enumerate(bits):
-        if bit:
-            b.add(x(wq[i]))
     b.add(h(sel))
     for qb in xq:
         b.add(h(qb))
@@ -419,8 +378,7 @@ def compile_pp_instance(
     sharpness of the (g, f) pair and is used by the surrounding checks, not
     by the construction.
     """
-    bits = _as_bits(w)
-    if gap(mf, bits).gap == 0:
+    if gap(mf, w).gap == 0:
         raise ValueError("the f machine must have a nonzero gap")
     if r < 2:
         raise ValueError("r must be >= 2")
@@ -428,8 +386,8 @@ def compile_pp_instance(
     qp_exp = 2 * mf.path_width
 
     b = _Builder()
-    block_g = compile_gap_squared(mg, bits)
-    block_f = compile_gap_squared(mf, bits)
+    block_g = compile_gap_squared(mg, w)
+    block_f = compile_gap_squared(mf, w)
     o_g = b.embed(block_g) + block_g.output
     o_f = b.embed(block_f) + block_f.output
 

@@ -7,8 +7,10 @@ settings of the path register are live by construction, so the accept count
 N_a and reject count N_r always satisfy N_a + N_r == 2**q and the gap
 G = N_a - N_r is congruent to 2**q mod 2.
 
-Machine text format mirrors the circuit format (``#`` comments, 0-based
-indices, ``!`` for negated controls)::
+Machine files are read by the circuit format's statement reader and written
+with its gate lines, so the comment, index and ``!``-control rules and the
+per-gate control counts are the same; only the directives differ, and a
+machine has no ``h``::
 
     machine IN_WIDTH PATH_WIDTH ANCILLAS
     x 3
@@ -31,9 +33,19 @@ taken as the value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from .circuit import Gate, apply_gate_classical, mcx, x
+from .circuit import (
+    Gate,
+    _body,
+    _gate_line,
+    _pack_bits,
+    _parse_gate,
+    _parse_ints,
+    _statements,
+    apply_gate_classical,
+    mcx,
+    x,
+)
 from .errors import CapExceeded, CircuitSyntaxError, MachineContractError
 
 DEFAULT_MAX_PATH_BITS = 20
@@ -77,36 +89,17 @@ class GapValue:
         return self.accepts - self.rejects
 
 
-def _pack(machine: PredicateCircuit, w, x_val: int) -> int:
-    state = 0
-    for i, b in enumerate(w):
-        state |= int(b) << i
-    state |= x_val << machine.input_width
-    return state
+def _instance(machine: PredicateCircuit, w) -> int:
+    """The packed instance bits, or MachineContractError if the machine cannot read them."""
+    try:
+        return _pack_bits(w, machine.input_width)
+    except ValueError as exc:
+        raise MachineContractError(f"bad instance for the machine: {exc}") from exc
 
 
-def _check_w(machine: PredicateCircuit, w) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in w)
-    if len(bits) != machine.input_width:
-        raise MachineContractError(
-            f"machine reads {machine.input_width} instance bits, got {len(bits)}"
-        )
-    if any(b not in (0, 1) for b in bits):
-        raise MachineContractError("instance bits must be 0/1")
-    return bits
-
-
-def eval_machine(machine: PredicateCircuit, w, x_val: int) -> bool:
-    """Run one nondeterministic path; True iff the accept bit ends at 1.
-
-    Also enforces the machine contract: instance and path bits unchanged,
-    scratch bits restored to 0.
-    """
-    bits = _check_w(machine, w)
-    if not 0 <= x_val < (1 << machine.path_width):
-        raise ValueError("path index out of range")
-    state = _pack(machine, bits, x_val)
-    start = state
+def _accepts(machine: PredicateCircuit, start: int) -> bool:
+    """One forward pass from a packed start state, enforcing the machine contract."""
+    state = start
     for g in machine.gates:
         state = apply_gate_classical(state, g)
     accept = (state >> machine.accept_index) & 1
@@ -118,6 +111,18 @@ def eval_machine(machine: PredicateCircuit, w, x_val: int) -> bool:
     return bool(accept)
 
 
+def eval_machine(machine: PredicateCircuit, w, x_val: int) -> bool:
+    """Run one nondeterministic path; True iff the accept bit ends at 1.
+
+    Also enforces the machine contract: instance and path bits unchanged,
+    scratch bits restored to 0.
+    """
+    w_int = _instance(machine, w)
+    if not 0 <= x_val < (1 << machine.path_width):
+        raise ValueError("path index out of range")
+    return _accepts(machine, w_int | x_val << machine.input_width)
+
+
 def gap(machine: PredicateCircuit, w, *, max_path_bits: int | None = None) -> GapValue:
     """Exact accept/reject counts over all 2**q paths."""
     cap = DEFAULT_MAX_PATH_BITS if max_path_bits is None else max_path_bits
@@ -125,10 +130,11 @@ def gap(machine: PredicateCircuit, w, *, max_path_bits: int | None = None) -> Ga
         raise CapExceeded(
             f"enumerating 2**{machine.path_width} paths exceeds cap 2**{cap}"
         )
-    accepts = 0
-    for x_val in range(1 << machine.path_width):
-        if eval_machine(machine, w, x_val):
-            accepts += 1
+    w_int = _instance(machine, w)
+    accepts = sum(
+        _accepts(machine, w_int | x_val << machine.input_width)
+        for x_val in range(1 << machine.path_width)
+    )
     total = 1 << machine.path_width
     return GapValue(accepts, total - accepts, machine.path_width)
 
@@ -233,11 +239,11 @@ def tabulated_count_machine(
     accept = input_width + path_width
     x_bits = list(range(input_width, accept))
     for w, count in sorted(table.items()):
-        bits = _as_bits(w, input_width)
+        w_int = _pack_bits(w, input_width)
         if not 0 <= count <= (1 << path_width):
             raise ValueError(f"count {count} does not fit in {path_width} path bits")
         guard_ctls = list(range(input_width))
-        guard_negs = [b == 0 for b in bits]
+        guard_negs = [(w_int >> i) & 1 == 0 for i in guard_ctls]
         for term in emit_less_than(x_bits, count, accept):
             gates.append(
                 mcx(
@@ -249,11 +255,10 @@ def tabulated_count_machine(
     return PredicateCircuit(input_width, path_width, 0, tuple(gates), accept)
 
 
-def _as_bits(w: str | Iterable[int], width: int) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in w)
-    if len(bits) != width or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"bad instance bits {w!r} for width {width}")
-    return bits
+def _check_fp_value(val: int, w: str, bound_exp: int) -> int:
+    if not 0 < val <= (1 << bound_exp):
+        raise ValueError(f"f({w!r}) = {val} outside (0, 2**{bound_exp}]")
+    return val
 
 
 @dataclass(frozen=True)
@@ -275,16 +280,9 @@ class FPFunction:
             raise ValueError(f"unknown FPFunction variant {self.variant!r}")
         if self.variant == "fp_of_input":
             for w, val in self.table.items():
-                self._check_value(val, w)
+                _check_fp_value(val, w, self.bound_exp)
         elif self.machine is None:
             raise ValueError("gap_of_length variant needs a machine")
-
-    def _check_value(self, val: int, w: str) -> int:
-        if not 0 < val <= (1 << self.bound_exp):
-            raise ValueError(
-                f"f({w!r}) = {val} outside (0, 2**{self.bound_exp}]"
-            )
-        return val
 
     def __call__(self, w: str) -> int:
         if self.variant == "fp_of_input":
@@ -297,23 +295,21 @@ class FPFunction:
             raise MachineContractError(
                 f"length machine reads {self.machine.input_width} bits, |w| = {len(w)}"
             )
-        return self._check_value(gap(self.machine, ones).gap, w)
+        return _check_fp_value(gap(self.machine, ones).gap, w, self.bound_exp)
 
 
 def parse_fp_table(text: str, bound_exp: int) -> FPFunction:
     """Parse ``w_bits value`` lines into a tabulated FPFunction."""
     table: dict[str, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2 or not set(parts[0]) <= {"0", "1"}:
-            raise CircuitSyntaxError("expected: BITS VALUE", line_no)
+    for line_no, w, args in _statements(text):
+        if w in table:
+            raise CircuitSyntaxError(f"instance {w} listed twice", line_no)
+        (value,) = _parse_ints(args, "BITS VALUE", line_no)
         try:
-            table[parts[0]] = int(parts[1])
+            _pack_bits(w, len(w))
+            table[w] = _check_fp_value(value, w, bound_exp)
         except ValueError as exc:
-            raise CircuitSyntaxError(f"bad value {parts[1]!r}", line_no) from exc
+            raise CircuitSyntaxError(str(exc), line_no) from exc
     return FPFunction("fp_of_input", bound_exp, table)
 
 
@@ -321,58 +317,16 @@ def parse_fp_table(text: str, bound_exp: int) -> FPFunction:
 
 
 def parse_machine(text: str) -> PredicateCircuit:
-    header: tuple[int, int, int] | None = None
-    accept: int | None = None
+    found: dict[str, list[int]] = {}
     gates: list[Gate] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        op, args = parts[0].lower(), parts[1:]
-        if op == "machine":
-            if header is not None:
-                raise CircuitSyntaxError("duplicate machine line", line_no)
-            if len(args) != 3 or not all(a.isdigit() for a in args):
-                raise CircuitSyntaxError("usage: machine IN PATH ANC", line_no)
-            header = (int(args[0]), int(args[1]), int(args[2]))
-            continue
-        if header is None:
-            raise CircuitSyntaxError("machine line must come first", line_no)
-        if op == "accept":
-            if accept is not None:
-                raise CircuitSyntaxError("duplicate accept line", line_no)
-            if len(args) != 1 or not args[0].isdigit():
-                raise CircuitSyntaxError("usage: accept BITINDEX", line_no)
-            accept = int(args[0])
-            continue
+    for line_no, op, args in _body(text, ("machine IN PATH ANC", "accept BITINDEX"), found):
         if op == "h":
             raise CircuitSyntaxError("machines are reversible: no h gates", line_no)
-        if op not in ("x", "cx", "ccx", "mcx"):
-            raise CircuitSyntaxError(f"unknown statement {op!r}", line_no)
-        toks = []
-        for tok in args:
-            neg = tok.startswith("!")
-            body = tok[1:] if neg else tok
-            if not body.isdigit():
-                raise CircuitSyntaxError(f"bad bit index {tok!r}", line_no)
-            toks.append((int(body), neg))
-        if not toks:
-            raise CircuitSyntaxError(f"{op} needs a target", line_no)
-        if toks[-1][1]:
-            raise CircuitSyntaxError("targets cannot be negated", line_no)
-        try:
-            gates.append(
-                mcx([t for t, _ in toks[:-1]], toks[-1][0], [n for _, n in toks[:-1]])
-            )
-        except ValueError as exc:
-            raise CircuitSyntaxError(str(exc), line_no) from exc
-    if header is None:
-        raise CircuitSyntaxError("missing machine line")
-    if accept is None:
+        gates.append(_parse_gate(op, args, line_no))
+    if "accept" not in found:
         raise CircuitSyntaxError("missing accept line")
     try:
-        return PredicateCircuit(header[0], header[1], header[2], tuple(gates), accept)
+        return PredicateCircuit(*found["machine"], tuple(gates), *found["accept"])
     except ValueError as exc:
         raise CircuitSyntaxError(str(exc)) from exc
 
@@ -381,10 +335,6 @@ def serialize_machine(machine: PredicateCircuit) -> str:
     lines = [
         f"machine {machine.input_width} {machine.path_width} {machine.ancilla_count}"
     ]
-    for g in machine.gates:
-        toks = [
-            ("!" if neg else "") + str(c) for c, neg in zip(g.controls, g.negated)
-        ]
-        lines.append(" ".join([g.kind, *toks, str(g.target)]))
+    lines += [_gate_line(g) for g in machine.gates]
     lines.append(f"accept {machine.accept_index}")
     return "\n".join(lines) + "\n"

@@ -79,7 +79,10 @@ def path_sum(
 def path_sum_slow(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
     """Reference implementation: explicit depth-first path enumeration."""
     z0 = _basis_index(circuit, input_bits)
-    constraints = [(int(q), int(v)) for q, v in constraints]
+    pin = _constraint_mask(circuit.width, constraints)
+    if pin is None:
+        return 0, circuit.h_count
+    mask, val = pin
     gates = circuit.gates
     amps: dict[int, int] = defaultdict(int)
     stack = [(0, z0, 1)]
@@ -96,6 +99,6 @@ def path_sum_slow(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
             else:
                 z = apply_gate_classical(z, g)
                 gi += 1
-        if all(((z >> q) & 1) == v for q, v in constraints):
+        if (z & mask) == val:
             amps[z] += s
     return sum(v * v for v in amps.values()), circuit.h_count

@@ -296,7 +296,7 @@ def scenario_awpp_forward(seed: int, r: int) -> WitnessReport:
 
     stats = {}
     for w in sorted(fx.labels):
-        circ = compile_pair_postsel(fx.m1, fx.m2, w, k=0, scale_mode="fp_of_input")
+        circ = compile_pair_postsel(fx.m1, fx.m2, w, k=0)
         st = _stats(circ)
         stats[w] = st
         p_ref, cond_ref = pair_stats(fx.big_g1[w], fx.big_g2[w], fx.q, 0)
@@ -412,7 +412,7 @@ def scenario_app_forward(seed: int, r: int) -> WitnessReport:
     stats = {}
     for w in sorted(fx.labels):
         _row(report, f"w={w}:normalizer", f_fn(w), "==", fx.postsel_numerator(w))
-        circ = compile_pair_postsel(fx.m1, fx.m2, w, k=0, scale_mode="gap_of_length")
+        circ = compile_pair_postsel(fx.m1, fx.m2, w, k=0)
         st = _stats(circ)
         stats[w] = st
         p_ref, cond_ref = pair_stats(fx.big_g1[w], fx.big_g2[w], fx.q, 0)
@@ -440,9 +440,7 @@ def scenario_wpp_promise(seed: int, r: int) -> WitnessReport:
     stats = {}
     for label in sorted(fixtures):
         v1, v2 = fixtures[label]
-        circ = compile_pair_postsel(
-            make_gap_machine(v1, q), make_gap_machine(v2, q), "", k=0, scale_mode="none"
-        )
+        circ = compile_pair_postsel(make_gap_machine(v1, q), make_gap_machine(v2, q), "", k=0)
         st = _stats(circ)
         stats[label] = st
         p_ref, cond_ref = pair_stats(v1, v2, q, 0)
@@ -465,11 +463,6 @@ def scenario_wpp_promise(seed: int, r: int) -> WitnessReport:
         report,
         classify_postsel_profile(stats, "FP", f=table, q_exp=2 * q + 2),
         "profile-fp:",
-    )
-    _merge(
-        report,
-        classify_postsel_profile(stats, "FQP", f=table, q_exp=2 * q + 2),
-        "profile-fqp:",
     )
     return report
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, _pack_bits
 from .errors import CapExceeded, ZeroPostselection
 from .exactring import DyadicRational, PathAmplitude, SqrtDyadic
 
@@ -36,14 +37,7 @@ def _basis_index(circuit: Circuit, bits) -> int:
     """Basis state of the input bits (bit i = qubit i); enforces ``MAX_WIDTH``."""
     if circuit.width > MAX_WIDTH:
         raise CapExceeded(f"width {circuit.width} exceeds the {MAX_WIDTH}-qubit index limit")
-    z = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1, "0", "1"):
-            raise ValueError(f"input bits must be 0/1, got {b!r}")
-        z |= int(b) << i
-    if len(bits) != circuit.width:
-        raise ValueError(f"expected {circuit.width} input bits, got {len(bits)}")
-    return z
+    return _pack_bits(bits, circuit.width)
 
 
 def _pin_mask(pairs) -> tuple[int, int]:
@@ -59,6 +53,8 @@ def _constraint_mask(width: int, constraints) -> tuple[int, int] | None:
     """Validated ``_pin_mask`` of (qubit, value) constraints; None when two contradict."""
     pinned: dict[int, int] = {}
     for q, v in constraints:
+        if not (isinstance(q, Integral) and isinstance(v, Integral)):
+            raise ValueError(f"constraint ({q!r}, {v!r}) is not a pair of integers")
         if not 0 <= q < width:
             raise ValueError(f"constraint qubit {q} outside width {width}")
         if v not in (0, 1):

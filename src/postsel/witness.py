@@ -144,7 +144,7 @@ def check_wapp_witness(
     return report
 
 
-PROFILE_KINDS = ("post", "FP", "size", "aFP", "asize", "exp", "leexp", "FQP")
+PROFILE_KINDS = ("post", "FP", "size", "aFP", "asize", "exp", "leexp")
 
 
 def classify_postsel_profile(
@@ -163,9 +163,6 @@ def classify_postsel_profile(
 
     - ``post``:   P(p=1) > 0
     - ``FP``:     P(p=1) == f(w) / 2**q_exp exactly
-    - ``FQP``:    same equality; the numerator table was produced by a gap
-                  evaluation rather than a closed form (bookkeeping only —
-                  at this scale the check is identical to ``FP``)
     - ``size``:   P(p=1) == f(|w|) / 2**q_exp (depends only on length)
     - ``aFP``:    P(p=1) within (1 +- 2**-r2) * f(w) / 2**q_exp
     - ``asize``:  same window with f a function of |w| alone
@@ -182,7 +179,7 @@ def classify_postsel_profile(
         cid = f"w={w}"
         if profile == "post":
             report.add(Condition(f"{cid}:positive", str(pf), ">", "0", pf > 0))
-        elif profile in ("FP", "FQP", "size"):
+        elif profile in ("FP", "size"):
             key = len(w) if profile == "size" else w
             target = Fraction(_lookup(f, key), 1 << q_exp)
             report.add(

@@ -173,6 +173,16 @@ def test_wapp_witness_rejects_mixed_lengths():
         wapp_witness(tm)
 
 
+@pytest.mark.parametrize("bad", [2, 3])
+def test_wapp_witness_rejects_non_bit_outputs_like_run_ptm(bad):
+    tm = _declared_tm()
+    tm.evaluate = lambda w, coins: (int(coins < 12), bad * int(coins < 2))
+    with pytest.raises(ValueError, match="bit pairs"):
+        run_ptm(tm, "0")
+    with pytest.raises(ValueError, match="bit pairs"):
+        wapp_witness(tm)
+
+
 def test_wapp_witness_rejects_oversized_denominator():
     tm = _declared_tm()
     tm.fp_exponent = 9

@@ -186,15 +186,14 @@ def test_compile_pair_statistics(machine_files, tmp_path):
     assert st.p_cond == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("kind", ["wpp", "app"])
-def test_compile_pair_variants(kind, machine_files, tmp_path):
+def test_compile_pair_honors_k(machine_files, tmp_path):
     m1, m2 = machine_files
-    out_path = str(tmp_path / f"{kind}.circ")
+    out_path = str(tmp_path / "pair.circ")
     rc = main(
         [
             "compile",
             "--construction",
-            kind,
+            "pair",
             "--machine1",
             m1,
             "--machine2",
@@ -208,9 +207,8 @@ def test_compile_pair_variants(kind, machine_files, tmp_path):
     assert rc == 0
     circ = parse_circuit(open(out_path).read())
     st = postselect_stats(expand_mcx(circ), default_input(circ))
-    # wpp ignores --k; app honors it
-    expect = Fraction(1, 8) if kind == "wpp" else Fraction(1, 32)
-    assert st.p_post.as_fraction() == expect
+    # each padding pair divides P(p=1) by 4: 1/8 at k = 0
+    assert st.p_post.as_fraction() == Fraction(1, 32)
 
 
 def test_compile_rescale_and_fqp2exp(machine_files, tmp_path):

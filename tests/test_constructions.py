@@ -186,10 +186,6 @@ def test_pair_validation():
         compile_pair_postsel(m1, m2, "")  # path widths differ
     with pytest.raises(ValueError):
         compile_pair_postsel(m1, m1, "", k=-1)
-    with pytest.raises(ValueError):
-        compile_pair_postsel(m1, m1, "", scale_mode="bogus")
-    for mode in ("none", "fp_of_input", "gap_of_length"):
-        compile_pair_postsel(m1, m1, "", scale_mode=mode)
 
 
 def test_pair_symbolic_identity():

@@ -18,6 +18,7 @@ from postsel import (
     h,
     joint_prob,
     mcx,
+    measure_prob,
     path_sum,
     path_sum_slow,
     run,
@@ -194,3 +195,23 @@ def test_oracle_validates_constraints():
         path_sum(c, "00", [(5, 1)])
     with pytest.raises(ValueError):
         path_sum(c, "00", [(0, 2)])
+
+
+_CONSTRAINT_READERS = {
+    "path_sum": lambda c, pairs: path_sum(c, "00", pairs),
+    "path_sum_slow": lambda c, pairs: path_sum_slow(c, "00", pairs),
+    "joint_prob": lambda c, pairs: joint_prob(run(c, "00"), pairs),
+    "measure_prob": lambda c, pairs: [measure_prob(run(c, "00"), q, v) for q, v in pairs],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_CONSTRAINT_READERS))
+@pytest.mark.parametrize(
+    "pair",
+    [("1", 1), (1, "1"), (1.0, 1), (1, 1.0), (None, 0)],
+    ids=["str-qubit", "str-value", "float-qubit", "float-value", "none-qubit"],
+)
+def test_every_constraint_reader_rejects_non_integers(reader, pair):
+    c = Circuit(2, (h(0),), 0)
+    with pytest.raises(ValueError):
+        _CONSTRAINT_READERS[reader](c, [pair])

@@ -153,7 +153,7 @@ def _p(n: int, k: int) -> DyadicRational:
 
 
 def test_profile_kinds_frozen():
-    assert PROFILE_KINDS == ("post", "FP", "size", "aFP", "asize", "exp", "leexp", "FQP")
+    assert PROFILE_KINDS == ("post", "FP", "size", "aFP", "asize", "exp", "leexp")
 
 
 def test_profile_post():
@@ -167,10 +167,6 @@ def test_profile_fp_exact_equality():
     assert rep.passed
     rep2 = classify_postsel_profile(stats, "FP", f={"00": 3, "01": 4}, q_exp=4)
     assert not rep2.passed
-    # FQP spells the same exact check
-    rep3 = classify_postsel_profile(stats, "FQP", f={"00": 3, "01": 5}, q_exp=4)
-    assert rep3.passed
-    assert rep3.name == "postsel-profile-FQP"
 
 
 def test_profile_size_depends_on_length_only():
