@@ -32,11 +32,19 @@ writer here also serve the machine and FP-table formats of ``counting``, and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Iterable, Sequence
 
 from .errors import CircuitSyntaxError, InsufficientAncillas
 
 GATE_KINDS = ("h", "x", "cx", "ccx", "mcx")
+
+
+def _integer(value, role: str) -> int:
+    """``value`` as an int; ValueError unless it is an ``Integral`` (numpy ints count)."""
+    if type(value) is not int and not isinstance(value, Integral):
+        raise ValueError(f"{role} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,9 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        _integer(self.target, "target")
+        for c in self.controls:
+            _integer(c, "control")
         expected = {"h": 0, "x": 0, "cx": 1, "ccx": 2}.get(self.kind)
         if expected is not None and len(self.controls) != expected:
             raise ValueError(f"{self.kind} takes {expected} controls")
@@ -109,20 +120,21 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(
-            self, "ancillas", tuple(sorted((int(q), int(v)) for q, v in self.ancillas))
+        ancillas = sorted(
+            (_integer(q, "ancilla qubit"), _integer(v, "ancilla value")) for q, v in self.ancillas
         )
+        object.__setattr__(self, "ancillas", tuple(ancillas))
         self._validate()
 
     def _validate(self):
-        if self.width < 1:
+        if _integer(self.width, "width") < 1:
             raise ValueError("width must be >= 1")
         def _chk(q, role):
             if not 0 <= q < self.width:
                 raise ValueError(f"{role} qubit {q} outside width {self.width}")
-        _chk(self.output, "output")
+        _chk(_integer(self.output, "output qubit"), "output")
         if self.postselect is not None:
-            _chk(self.postselect, "postselect")
+            _chk(_integer(self.postselect, "postselect qubit"), "postselect")
             if self.postselect == self.output:
                 raise ValueError("output and postselect qubits must differ")
         seen = set()
@@ -136,10 +148,6 @@ class Circuit:
         for g in self.gates:
             for q in g.qubits:
                 _chk(q, f"{g.kind} gate")
-
-    @property
-    def ancilla_map(self) -> dict[int, int]:
-        return dict(self.ancillas)
 
     @property
     def h_count(self) -> int:

@@ -28,50 +28,48 @@ from .constructions import (
     rescale_postsel,
 )
 from .counting import parse_machine
-from .errors import PostselError
+from .errors import CircuitSyntaxError, PostselError
 from .exactring import DyadicRational
 from .pathsum import path_sum
 from .scenarios import SUITES, run_suite
-from .simulator import joint_prob, measure_prob, postselect_stats, run
+from .simulator import joint_prob, postselect_stats, run
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    """A text file's contents; a non-ASCII byte is a syntax error on its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line, with line breaks as the statement reader sees them
+        line_no = len((data[: exc.start].decode("ascii") + "?").splitlines())
+        raise CircuitSyntaxError(
+            f"non-ASCII byte 0x{data[exc.start]:02x}; files are 7-bit ASCII", line_no
+        ) from exc
 
 
 def _cmd_simulate(args) -> int:
     circ = parse_circuit(_read(args.circuit))
     bits = args.input if args.input is not None else default_input(circ)
     state = run(expand_mcx(circ), bits)
-    p_out = measure_prob(state, circ.output, 1)
-    rows: list[tuple[str, str]] = [("prob_output", str(p_out))]
-    checks: list[tuple[str, Fraction]] = [
-        ("output", p_out.as_fraction()),
-    ]
+    # each event's constraints, read by the simulator and by the oracle alike
+    events = {"prob_output": [(circ.output, 1)]}
     if circ.postselect is not None:
-        p_post = measure_prob(state, circ.postselect, 1)
-        p_joint = joint_prob(state, [(circ.output, 1), (circ.postselect, 1)])
-        rows.append(("prob_postselect", str(p_post)))
-        rows.append(("prob_joint", str(p_joint)))
-        if p_post.as_fraction() != 0:
-            rows.append(("conditional", str(p_joint.as_fraction() / p_post.as_fraction())))
-        else:
-            rows.append(("conditional", "undefined"))
-        checks.append(("postselect", p_post.as_fraction()))
-        checks.append(("joint", p_joint.as_fraction()))
+        events["prob_postselect"] = [(circ.postselect, 1)]
+        events["prob_joint"] = [(circ.output, 1), (circ.postselect, 1)]
+    probs = {key: joint_prob(state, cons) for key, cons in events.items()}
+    rows = [(key, str(p)) for key, p in probs.items()]
+    if circ.postselect is not None:
+        p_post = probs["prob_postselect"].as_fraction()
+        cond = probs["prob_joint"].as_fraction() / p_post if p_post else "undefined"
+        rows.append(("conditional", str(cond)))
     status = 0
     if args.oracle:
         matched = True
-        for name, sim_val in checks:
-            if name == "output":
-                constraints = [(circ.output, 1)]
-            elif name == "postselect":
-                constraints = [(circ.postselect, 1)]
-            else:
-                constraints = [(circ.output, 1), (circ.postselect, 1)]
-            g, m = path_sum(circ, bits, constraints)
-            matched = matched and Fraction(g, 1 << m) == sim_val
+        for key, cons in events.items():
+            g, m = path_sum(circ, bits, cons)
+            matched = matched and Fraction(g, 1 << m) == probs[key].as_fraction()
         rows.append(("oracle", "match" if matched else "mismatch"))
         if not matched:
             status = 1

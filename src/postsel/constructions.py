@@ -21,7 +21,7 @@ from .counting import PredicateCircuit, emit_less_than, gap
 from .errors import StatsMismatch, ZeroPostselection
 from .exactring import DyadicRational
 from .simulator import postselect_stats
-from .witness import Condition, WitnessReport
+from .witness import WitnessReport
 
 
 class _Builder:
@@ -431,13 +431,8 @@ def verify_error_algebra(r: int) -> WitnessReport:
     eps2 = Fraction(1, 1 << (r - 2))  # 2**-(r-2)
     eps = Fraction(1, 1 << r)
     report = WitnessReport(f"error-algebra-r{r}")
-    checks = [
-        ("inflate-upper", 1 / (1 - eps1), "<=", 1 + eps2),
-        ("deflate-lower", 1 / (1 + eps1) - (1 - eps2), ">=", Fraction(0)),
-        ("square-lower", (1 - eps) ** 2, ">=", 1 - eps1),
-        ("cross-upper", 1 + eps * eps, "<=", 1 + eps1),
-    ]
-    for cid, lhs, op, rhs in checks:
-        ok = lhs <= rhs if op == "<=" else lhs >= rhs
-        report.add(Condition(cid, str(lhs), op, str(rhs), ok))
+    report.check("inflate-upper", 1 / (1 - eps1), "<=", 1 + eps2)
+    report.check("deflate-lower", 1 / (1 + eps1) - (1 - eps2), ">=", 0)
+    report.check("square-lower", (1 - eps) ** 2, ">=", 1 - eps1)
+    report.check("cross-upper", 1 + eps * eps, "<=", 1 + eps1)
     return report

@@ -123,12 +123,11 @@ def eval_machine(machine: PredicateCircuit, w, x_val: int) -> bool:
     return _accepts(machine, w_int | x_val << machine.input_width)
 
 
-def gap(machine: PredicateCircuit, w, *, max_path_bits: int | None = None) -> GapValue:
-    """Exact accept/reject counts over all 2**q paths."""
-    cap = DEFAULT_MAX_PATH_BITS if max_path_bits is None else max_path_bits
-    if machine.path_width > cap:
+def gap(machine: PredicateCircuit, w) -> GapValue:
+    """Exact accept/reject counts over all 2**q paths, for q <= DEFAULT_MAX_PATH_BITS."""
+    if machine.path_width > DEFAULT_MAX_PATH_BITS:
         raise CapExceeded(
-            f"enumerating 2**{machine.path_width} paths exceeds cap 2**{cap}"
+            f"enumerating 2**{machine.path_width} paths exceeds cap 2**{DEFAULT_MAX_PATH_BITS}"
         )
     w_int = _instance(machine, w)
     accepts = sum(

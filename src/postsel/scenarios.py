@@ -43,55 +43,44 @@ from .errors import PromiseViolation, StatsMismatch, ZeroPostselection
 from .pathsum import path_sum, path_sum_slow
 from .simulator import joint_prob, measure_prob, postselect_stats, run
 from .witness import (
-    Condition,
     WitnessReport,
     check_awpp_witness,
     check_wapp_witness,
     classify_postsel_profile,
 )
 
-_OPS = {
-    "==": lambda a, b: a == b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-}
-
 
 def _rng(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
 
 
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if hasattr(v, "as_fraction"):
-        return v.as_fraction()
-    return Fraction(v)
-
-
-def _row(report: WitnessReport, cid: str, lhs, op: str, rhs) -> None:
-    a, b = _frac(lhs), _frac(rhs)
-    report.add(Condition(cid, str(a), op, str(b), _OPS[op](a, b)))
-
-
-def _merge(report: WitnessReport, sub: WitnessReport, prefix: str = "") -> None:
-    for c in sub.conditions:
-        report.add(Condition(prefix + c.cid, c.lhs, c.op, c.rhs, c.passed))
-
-
-def _raises(report: WitnessReport, cid: str, exc_type, fn) -> None:
-    try:
-        fn()
-    except exc_type:
-        report.add(Condition(cid, exc_type.__name__, "==", "raised", True))
-    else:
-        report.add(Condition(cid, exc_type.__name__, "==", "not-raised", False))
-
-
 def _stats(circuit: Circuit):
     return postselect_stats(expand_mcx(circuit), default_input(circuit))
+
+
+def _output_prob(circuit: Circuit):
+    """P(o=1) of a circuit run on its default input."""
+    state = run(expand_mcx(circuit), default_input(circuit))
+    return measure_prob(state, circuit.output, 1)
+
+
+def _check_pair(
+    report: WitnessReport, prefix: str, circuit: Circuit, g1: int, g2: int, q: int, k: int = 0
+):
+    """Rows ``prefix:postsel`` and ``prefix:conditional``: a compiled gap pair's
+    statistics against the closed form ``pair_stats``.  Returns the stats."""
+    st = _stats(circuit)
+    p_ref, cond_ref = pair_stats(g1, g2, q, k)
+    report.check(f"{prefix}:postsel", st.p_post, "==", p_ref)
+    report.check(f"{prefix}:conditional", st.p_cond, "==", cond_ref)
+    return st
+
+
+def _check_oracle_joint(report: WitnessReport, prefix: str, circuit: Circuit, st) -> None:
+    """Row ``prefix:oracle-joint``: simulated P(o=1, p=1) against branch enumeration."""
+    constraints = [(circuit.output, 1), (circuit.postselect, 1)]
+    gj, mj = path_sum(circuit, default_input(circuit), constraints)
+    report.check(f"{prefix}:oracle-joint", st.p_joint, "==", Fraction(gj, 1 << mj))
 
 
 # --- randomized fixtures ------------------------------------------------------
@@ -215,11 +204,10 @@ def scenario_oracle_equivalence(seed: int, r: int) -> WitnessReport:
             constraints = [(circ.output, 1)]
             lhs = measure_prob(state, circ.output, 1)
         g, m = path_sum(circ, bits, constraints)
-        _row(report, f"circuit{i:03d}:prob", lhs, "==", Fraction(g, 1 << m))
+        report.check(f"circuit{i:03d}:prob", lhs, "==", Fraction(g, 1 << m))
         if circ.postselect is not None:
             gm, mm = path_sum(circ, bits, [(circ.postselect, 1)])
-            _row(
-                report,
+            report.check(
                 f"circuit{i:03d}:marginal",
                 measure_prob(state, circ.postselect, 1),
                 "==",
@@ -227,12 +215,8 @@ def scenario_oracle_equivalence(seed: int, r: int) -> WitnessReport:
             )
         if i < 20:
             gs, ms = path_sum_slow(circ, bits, constraints)
-            _row(
-                report,
-                f"circuit{i:03d}:slow",
-                Fraction(gs, 1 << ms),
-                "==",
-                Fraction(g, 1 << m),
+            report.check(
+                f"circuit{i:03d}:slow", Fraction(gs, 1 << ms), "==", Fraction(g, 1 << m)
             )
     return report
 
@@ -243,46 +227,21 @@ def scenario_gap_squared(seed: int, r: int) -> WitnessReport:
     report = WitnessReport("gap-squared")
 
     pinned = compile_gap_squared(make_gap_machine(2, 2), "")
-    _row(
-        report,
-        "pinned-gap2-q2",
-        measure_prob(run(expand_mcx(pinned), default_input(pinned)), pinned.output, 1),
-        "==",
-        Fraction(1, 4),
-    )
+    report.check("pinned-gap2-q2", _output_prob(pinned), "==", Fraction(1, 4))
     all_accept = PredicateCircuit(0, 2, 0, (x(2),), 2)
     certain = compile_gap_squared(all_accept, "")
-    _row(
-        report,
-        "pinned-all-accept",
-        measure_prob(run(expand_mcx(certain), default_input(certain)), certain.output, 1),
-        "==",
-        Fraction(1),
-    )
+    report.check("pinned-all-accept", _output_prob(certain), "==", 1)
 
     for i in range(50):
         in_w = rng.randint(0, 2)
         q = rng.randint(1, 4)
         mach = random_machine(rng, in_w, q)
         w = "".join(rng.choice("01") for _ in range(in_w))
-        g_val = gap(mach, w).gap
+        want = gap_squared_prob(gap(mach, w).gap, q)
         circ = compile_gap_squared(mach, w)
-        state = run(expand_mcx(circ), default_input(circ))
-        _row(
-            report,
-            f"machine{i:02d}:prob",
-            measure_prob(state, circ.output, 1),
-            "==",
-            gap_squared_prob(g_val, q),
-        )
+        report.check(f"machine{i:02d}:prob", _output_prob(circ), "==", want)
         go, mo = path_sum(circ, default_input(circ), [(circ.output, 1)])
-        _row(
-            report,
-            f"machine{i:02d}:oracle",
-            Fraction(go, 1 << mo),
-            "==",
-            gap_squared_prob(g_val, q),
-        )
+        report.check(f"machine{i:02d}:oracle", Fraction(go, 1 << mo), "==", want)
     return report
 
 
@@ -290,26 +249,19 @@ def scenario_awpp_forward(seed: int, r: int) -> WitnessReport:
     """Witness pair -> pair compiler: exact statistics and sharp conditionals."""
     fx = _toy_fixture()
     report = WitnessReport("awpp-forward")
-    _merge(report, check_awpp_witness(fx.g1, fx.f1, fx.labels, 5), "w1:")
+    report.merge(check_awpp_witness(fx.g1, fx.f1, fx.labels, 5), "w1:")
     flipped = {w: not v for w, v in fx.labels.items()}
-    _merge(report, check_awpp_witness(fx.g2, fx.f2, flipped, 5), "w2:")
+    report.merge(check_awpp_witness(fx.g2, fx.f2, flipped, 5), "w2:")
 
     stats = {}
     for w in sorted(fx.labels):
         circ = compile_pair_postsel(fx.m1, fx.m2, w, k=0)
-        st = _stats(circ)
-        stats[w] = st
-        p_ref, cond_ref = pair_stats(fx.big_g1[w], fx.big_g2[w], fx.q, 0)
-        _row(report, f"w={w}:postsel", st.p_post, "==", p_ref)
-        _row(report, f"w={w}:conditional", st.p_cond, "==", cond_ref)
-        gj, mj = path_sum(
-            circ, default_input(circ), [(circ.output, 1), (circ.postselect, 1)]
-        )
-        _row(report, f"w={w}:oracle-joint", st.p_joint, "==", Fraction(gj, 1 << mj))
+        st = stats[w] = _check_pair(report, f"w={w}", circ, fx.big_g1[w], fx.big_g2[w], fx.q)
+        _check_oracle_joint(report, f"w={w}", circ, st)
         if fx.labels[w]:
-            _row(report, f"w={w}:cond-high", st.p_cond, ">=", 1 - Fraction(1, 8))
+            report.check(f"w={w}:cond-high", st.p_cond, ">=", 1 - Fraction(1, 8))
         else:
-            _row(report, f"w={w}:cond-low", st.p_cond, "<=", Fraction(1, 8))
+            report.check(f"w={w}:cond-low", st.p_cond, "<=", Fraction(1, 8))
 
     prof = classify_postsel_profile(
         stats,
@@ -318,27 +270,16 @@ def scenario_awpp_forward(seed: int, r: int) -> WitnessReport:
         q_exp=fx.postsel_exp,
         r2=3,
     )
-    _merge(report, prof, "profile:")
+    report.merge(prof, "profile:")
 
     padded = compile_pair_postsel(fx.m1, fx.m2, "11", k=1)
-    p_ref, cond_ref = pair_stats(fx.big_g1["11"], fx.big_g2["11"], fx.q, 1)
-    st = _stats(padded)
-    _row(report, "padded-k1:postsel", st.p_post, "==", p_ref)
-    _row(report, "padded-k1:conditional", st.p_cond, "==", cond_ref)
+    _check_pair(report, "padded-k1", padded, fx.big_g1["11"], fx.big_g2["11"], fx.q, k=1)
 
     # boundary instance sitting exactly on the in-language threshold at r=5
-    _merge(
-        report,
-        check_awpp_witness({"1": 31}, {"1": 32}, {"1": True}, 5),
-        "boundary:",
-    )
+    report.merge(check_awpp_witness({"1": 31}, {"1": 32}, {"1": True}, 5), "boundary:")
     mb1 = make_gap_machine(2 * 31 * 2, 7)
     mb2 = make_gap_machine(2 * 1 * 32, 7)
-    cb = compile_pair_postsel(mb1, mb2, "")
-    stb = _stats(cb)
-    p_ref, cond_ref = pair_stats(124, 64, 7, 0)
-    _row(report, "boundary:postsel", stb.p_post, "==", p_ref)
-    _row(report, "boundary:conditional", stb.p_cond, "==", cond_ref)
+    _check_pair(report, "boundary", compile_pair_postsel(mb1, mb2, ""), 124, 64, 7)
     return report
 
 
@@ -347,8 +288,7 @@ def scenario_awpp_forward_complement(seed: int, r: int) -> WitnessReport:
     fx = _toy_fixture()
     report = WitnessReport("awpp-forward-complement")
     for w in sorted(fx.labels):
-        _row(
-            report,
+        report.check(
             f"w={w}:complement-gap",
             gap(complement_machine(fx.m1), w).gap,
             "==",
@@ -356,22 +296,19 @@ def scenario_awpp_forward_complement(seed: int, r: int) -> WitnessReport:
         )
         p_ref, cond_ref = pair_stats(fx.big_g1[w], fx.big_g2[w], fx.q, 0)
         st = _stats(compile_pair_postsel(fx.m2, fx.m1, w))
-        _row(report, f"w={w}:swap-postsel", st.p_post, "==", p_ref)
-        _row(report, f"w={w}:swap-conditional", st.p_cond, "==", 1 - cond_ref)
+        report.check(f"w={w}:swap-postsel", st.p_post, "==", p_ref)
+        report.check(f"w={w}:swap-conditional", st.p_cond, "==", 1 - cond_ref)
         if fx.labels[w]:
-            _row(report, f"w={w}:swap-cond-low", st.p_cond, "<=", Fraction(1, 8))
+            report.check(f"w={w}:swap-cond-low", st.p_cond, "<=", Fraction(1, 8))
         else:
-            _row(report, f"w={w}:swap-cond-high", st.p_cond, ">=", 1 - Fraction(1, 8))
+            report.check(f"w={w}:swap-cond-high", st.p_cond, ">=", 1 - Fraction(1, 8))
         # a gap's sign never shows in the statistics
         if fx.big_g1[w] != 0:
             stn = _stats(compile_pair_postsel(complement_machine(fx.m1), fx.m2, w))
-            _row(report, f"w={w}:sign-invariant", stn.p_cond, "==", cond_ref)
+            report.check(f"w={w}:sign-invariant", stn.p_cond, "==", cond_ref)
     zero = make_gap_machine(0, 3)
-    _raises(
-        report,
-        "zero-gaps-raise",
-        ZeroPostselection,
-        lambda: compile_pair_postsel(zero, zero, ""),
+    report.check_raises(
+        "zero-gaps-raise", ZeroPostselection, lambda: compile_pair_postsel(zero, zero, "")
     )
     return report
 
@@ -396,10 +333,10 @@ def scenario_awpp_backward(seed: int, r: int) -> WitnessReport:
         )
         g_wit[w] = gj << r2
         f_wit[w] = fx.postsel_numerator(w) * ((1 << r2) + 1) << (mj - fx.postsel_exp)
-    _merge(report, check_awpp_witness(g_wit, f_wit, fx.labels, Fraction(1, 3)))
+    report.merge(check_awpp_witness(g_wit, f_wit, fx.labels, Fraction(1, 3)))
     lower = (1 - Fraction(1, 8)) ** 2 / (1 + Fraction(1, 8))
-    _row(report, "bound-value", lower, "==", Fraction(49, 72))
-    _row(report, "bound-instantiation", lower, ">=", Fraction(2, 3))
+    report.check("bound-value", lower, "==", Fraction(49, 72))
+    report.check("bound-instantiation", lower, ">=", Fraction(2, 3))
     return report
 
 
@@ -411,21 +348,15 @@ def scenario_app_forward(seed: int, r: int) -> WitnessReport:
     f_fn = FPFunction("gap_of_length", 7, machine=norm_machine)
     stats = {}
     for w in sorted(fx.labels):
-        _row(report, f"w={w}:normalizer", f_fn(w), "==", fx.postsel_numerator(w))
+        report.check(f"w={w}:normalizer", f_fn(w), "==", fx.postsel_numerator(w))
         circ = compile_pair_postsel(fx.m1, fx.m2, w, k=0)
-        st = _stats(circ)
-        stats[w] = st
-        p_ref, cond_ref = pair_stats(fx.big_g1[w], fx.big_g2[w], fx.q, 0)
-        _row(report, f"w={w}:postsel", st.p_post, "==", p_ref)
-        _row(report, f"w={w}:conditional", st.p_cond, "==", cond_ref)
-    _merge(report, classify_postsel_profile(stats, "post"), "profile-post:")
-    _merge(
-        report,
+        stats[w] = _check_pair(report, f"w={w}", circ, fx.big_g1[w], fx.big_g2[w], fx.q)
+    report.merge(classify_postsel_profile(stats, "post"), "profile-post:")
+    report.merge(
         classify_postsel_profile(stats, "size", f={2: 64}, q_exp=fx.postsel_exp),
         "profile-size:",
     )
-    _merge(
-        report,
+    report.merge(
         classify_postsel_profile(stats, "asize", f={2: 64}, q_exp=fx.postsel_exp, r2=3),
         "profile-asize:",
     )
@@ -441,28 +372,13 @@ def scenario_wpp_promise(seed: int, r: int) -> WitnessReport:
     for label in sorted(fixtures):
         v1, v2 = fixtures[label]
         circ = compile_pair_postsel(make_gap_machine(v1, q), make_gap_machine(v2, q), "", k=0)
-        st = _stats(circ)
-        stats[label] = st
-        p_ref, cond_ref = pair_stats(v1, v2, q, 0)
-        _row(report, f"w={label}:postsel", st.p_post, "==", p_ref)
-        _row(report, f"w={label}:conditional", st.p_cond, "==", cond_ref)
-        _row(
-            report,
-            f"w={label}:two-valued",
-            st.p_cond * (1 - st.p_cond),
-            "==",
-            Fraction(0),
-        )
-        _row(report, f"w={label}:floor", st.p_post, ">=", Fraction(1, 1 << (2 * q)))
-        gj, mj = path_sum(
-            circ, default_input(circ), [(circ.output, 1), (circ.postselect, 1)]
-        )
-        _row(report, f"w={label}:oracle-joint", st.p_joint, "==", Fraction(gj, 1 << mj))
+        st = stats[label] = _check_pair(report, f"w={label}", circ, v1, v2, q)
+        report.check(f"w={label}:two-valued", st.p_cond * (1 - st.p_cond), "==", 0)
+        report.check(f"w={label}:floor", st.p_post, ">=", Fraction(1, 1 << (2 * q)))
+        _check_oracle_joint(report, f"w={label}", circ, st)
     table = {label: 4 for label in fixtures}
-    _merge(
-        report,
-        classify_postsel_profile(stats, "FP", f=table, q_exp=2 * q + 2),
-        "profile-fp:",
+    report.merge(
+        classify_postsel_profile(stats, "FP", f=table, q_exp=2 * q + 2), "profile-fp:"
     )
     return report
 
@@ -486,25 +402,19 @@ def scenario_postsel_rescale(seed: int, r: int) -> WitnessReport:
         scaled = rescale_postsel(circ, t)
         wide_bits = bits + "0" * (scaled.width - circ.width)
         st = postselect_stats(expand_mcx(scaled), wide_bits)
-        _row(
-            report,
+        report.check(
             f"circuit{made:02d}:postsel-t{t}",
             st.p_post,
             "==",
-            _frac(base.p_post) / (1 << t),
+            base.p_post.as_fraction() / (1 << t),
         )
-        _row(report, f"circuit{made:02d}:conditional-t{t}", st.p_cond, "==", base.p_cond)
+        report.check(f"circuit{made:02d}:conditional-t{t}", st.p_cond, "==", base.p_cond)
         made += 1
     for m in range(0, 5):
         for a in range(0, (1 << m) + 1):
             flag = gadget_biased_flag(a, m)
-            state = run(expand_mcx(flag), default_input(flag))
-            _row(
-                report,
-                f"biased-flag:m={m}:a={a}",
-                measure_prob(state, flag.output, 1),
-                "==",
-                Fraction(a, 1 << m),
+            report.check(
+                f"biased-flag:m={m}:a={a}", _output_prob(flag), "==", Fraction(a, 1 << m)
             )
     return report
 
@@ -533,8 +443,7 @@ def scenario_exact_postsel_adjust(seed: int, r: int) -> WitnessReport:
             v = _uniform_circuit(h_exp, f, None)
             w2 = compile_fqp_to_exp(v, f, h_exp)
             gj, mj = path_sum(w2, default_input(w2), [(w2.postselect, 1)])
-            _row(
-                report,
+            report.check(
                 f"h={h_exp}:f={f}:postsel",
                 Fraction(gj, 1 << mj),
                 "==",
@@ -543,42 +452,31 @@ def scenario_exact_postsel_adjust(seed: int, r: int) -> WitnessReport:
 
     v_hi = _uniform_circuit(4, 10, 9)
     inner = _stats(v_hi)
-    _row(report, "fixture-hi:inner-cond", inner.p_cond, "==", Fraction(9, 10))
+    report.check("fixture-hi:inner-cond", inner.p_cond, "==", Fraction(9, 10))
     mixed = mix_with_constant(v_hi, 10, 4)
     st = _stats(mixed)
-    _row(report, "fixture-hi:mixed-postsel", st.p_post, "==", Fraction(8, 16))
-    _row(
-        report,
-        "fixture-hi:mixed-cond",
-        st.p_cond,
-        "==",
-        mixed_conditional(10, 3, Fraction(9, 10)),
+    report.check("fixture-hi:mixed-postsel", st.p_post, "==", Fraction(8, 16))
+    report.check(
+        "fixture-hi:mixed-cond", st.p_cond, "==", mixed_conditional(10, 3, Fraction(9, 10))
     )
-    _row(report, "fixture-hi:mixed-cond-value", st.p_cond, "==", Fraction(3, 4))
-    _row(report, "fixture-hi:cond-floor", st.p_cond, ">=", Fraction(7, 10))
+    report.check("fixture-hi:mixed-cond-value", st.p_cond, "==", Fraction(3, 4))
+    report.check("fixture-hi:cond-floor", st.p_cond, ">=", Fraction(7, 10))
     final = rescale_postsel(mixed, 3)
     stf = _stats(final)
-    _row(report, "fixture-hi:final-postsel", stf.p_post, "==", Fraction(1, 16))
-    _row(report, "fixture-hi:final-cond", stf.p_cond, "==", Fraction(3, 4))
-    _merge(
-        report,
-        classify_postsel_profile({"f=10,h=4": stf}, "exp", u=4),
-        "profile:",
-    )
+    report.check("fixture-hi:final-postsel", stf.p_post, "==", Fraction(1, 16))
+    report.check("fixture-hi:final-cond", stf.p_cond, "==", Fraction(3, 4))
+    report.merge(classify_postsel_profile({"f=10,h=4": stf}, "exp", u=4), "profile:")
 
     v_lo = _uniform_circuit(4, 10, 1)
     inner_lo = _stats(v_lo)
-    _row(report, "fixture-lo:inner-cond", inner_lo.p_cond, "==", Fraction(1, 10))
+    report.check("fixture-lo:inner-cond", inner_lo.p_cond, "==", Fraction(1, 10))
     mixed_lo = mix_with_constant(v_lo, 10, 4)
     st_lo = _stats(mixed_lo)
-    _row(report, "fixture-lo:mixed-cond", st_lo.p_cond, "==", Fraction(1, 4))
-    _row(report, "fixture-lo:cond-ceiling", st_lo.p_cond, "<=", Fraction(3, 10))
+    report.check("fixture-lo:mixed-cond", st_lo.p_cond, "==", Fraction(1, 4))
+    report.check("fixture-lo:cond-ceiling", st_lo.p_cond, "<=", Fraction(3, 10))
 
-    _raises(
-        report,
-        "wrong-numerator-raises",
-        StatsMismatch,
-        lambda: mix_with_constant(v_hi, 9, 4),
+    report.check_raises(
+        "wrong-numerator-raises", StatsMismatch, lambda: mix_with_constant(v_hi, 9, 4)
     )
     return report
 
@@ -605,25 +503,15 @@ def scenario_classical_upcoup(seed: int, r: int) -> WitnessReport:
                     tm = build_upcoup(empty_machine(q), point_machine(q, j), "")
                     want = Fraction(0)
                 st = run_ptm(tm, "")
-                if _frac(st.p_post) == Fraction(1, 1 << q) and st.p_cond == want:
+                if st.p_post.as_fraction() == Fraction(1, 1 << q) and st.p_cond == want:
                     good += 1
-            report.add(
-                Condition(
-                    f"q={q}:{owner}-owner",
-                    str(good),
-                    "==",
-                    str(1 << q),
-                    good == (1 << q),
-                )
-            )
-    _raises(
-        report,
+            report.check(f"q={q}:{owner}-owner", good, "==", 1 << q)
+    report.check_raises(
         "two-paths-raise",
         PromiseViolation,
         lambda: build_upcoup(point_machine(2, 0), point_machine(2, 1), ""),
     )
-    _raises(
-        report,
+    report.check_raises(
         "no-path-raises",
         PromiseViolation,
         lambda: build_upcoup(empty_machine(2), empty_machine(2), ""),
@@ -642,20 +530,20 @@ def scenario_classical_upcoup(seed: int, r: int) -> WitnessReport:
     )
     wit = wapp_witness(tm)
     ratio = wit.ratio("1")
-    _row(report, "witness-ratio", ratio, "==", Fraction(3, 4))
-    _merge(report, check_wapp_witness({"1": ratio}, {"1": True}, wit.epsilon), "eps1/3:")
+    report.check("witness-ratio", ratio, "==", Fraction(3, 4))
+    report.merge(check_wapp_witness({"1": ratio}, {"1": True}, wit.epsilon), "eps1/3:")
     # margin 1/2 puts the acceptance gate exactly at the ratio; strict fails
     gate = (1 + Fraction(1, 2)) / 2
-    _row(report, "eps1/2-rejected", ratio, "<=", gate)
-    _row(report, "sup-epsilon", 2 * ratio - 1, "==", Fraction(1, 2))
+    report.check("eps1/2-rejected", ratio, "<=", gate)
+    report.check("sup-epsilon", 2 * ratio - 1, "==", Fraction(1, 2))
 
     def coin_flip(w: str, coins: int) -> tuple[int, int]:
         return (1, 1 if coins < 2 else 0)
 
     st = run_ptm(ProbTM(2, coin_flip), "1")
-    _row(report, "half-ratio", st.p_cond, "==", Fraction(1, 2))
-    _row(report, "half-fails-in", st.p_cond, "<=", (1 + Fraction(1, 2)) / 2)
-    _row(report, "half-fails-out", st.p_cond, ">=", (1 - Fraction(1, 2)) / 2)
+    report.check("half-ratio", st.p_cond, "==", Fraction(1, 2))
+    report.check("half-fails-in", st.p_cond, "<=", (1 + Fraction(1, 2)) / 2)
+    report.check("half-fails-out", st.p_cond, ">=", (1 - Fraction(1, 2)) / 2)
 
     bad = ProbTM(
         3,
@@ -665,13 +553,12 @@ def scenario_classical_upcoup(seed: int, r: int) -> WitnessReport:
         epsilon=Fraction(1, 3),
         instances={"1": True},
     )
-    _raises(report, "wrong-declaration-raises", StatsMismatch, lambda: wapp_witness(bad))
+    report.check_raises("wrong-declaration-raises", StatsMismatch, lambda: wapp_witness(bad))
 
     def never(w: str, coins: int) -> tuple[int, int]:
         return (0, 0)
 
-    _raises(
-        report,
+    report.check_raises(
         "no-postselection-raises",
         ZeroPostselection,
         lambda: run_ptm(ProbTM(2, never), "1"),
@@ -695,38 +582,25 @@ def scenario_pp_to_postsel(seed: int, r: int) -> WitnessReport:
         gg = gap(mg, w).gap
         gf = gap(mf, w).gap
         denom = 3 * gg * gg + gf * gf
-        _row(report, f"w={w}:postsel", st.p_post, "==", Fraction(denom, 1 << 10))
-        _row(report, f"w={w}:conditional", st.p_cond, "==", Fraction(3 * gg * gg, denom))
-        _row(report, f"w={w}:floor", st.p_post, ">=", Fraction(1, 1 << 10))
-        gj, mj = path_sum(
-            circ, default_input(circ), [(circ.output, 1), (circ.postselect, 1)]
-        )
-        _row(report, f"w={w}:oracle-joint", st.p_joint, "==", Fraction(gj, 1 << mj))
+        report.check(f"w={w}:postsel", st.p_post, "==", Fraction(denom, 1 << 10))
+        report.check(f"w={w}:conditional", st.p_cond, "==", Fraction(3 * gg * gg, denom))
+        report.check(f"w={w}:floor", st.p_post, ">=", Fraction(1, 1 << 10))
+        _check_oracle_joint(report, f"w={w}", circ, st)
         if labels[w]:
-            _row(report, f"w={w}:cond-high", st.p_cond, ">=", in_bound)
+            report.check(f"w={w}:cond-high", st.p_cond, ">=", in_bound)
         else:
-            _row(report, f"w={w}:cond-low", st.p_cond, "<=", out_bound)
+            report.check(f"w={w}:cond-low", st.p_cond, "<=", out_bound)
     rho = 1 - Fraction(1, 1 << r)
-    _row(
-        report,
-        "bound-instantiation",
-        3 * rho**2 / (3 * rho**2 + 1),
-        ">=",
-        in_bound,
-    )
-    _row(
-        report,
+    report.check("bound-instantiation", 3 * rho**2 / (3 * rho**2 + 1), ">=", in_bound)
+    report.check(
         "bound-value-r4",
         Fraction(1, 2) + Fraction(1, 22) - Fraction(12, 11) / 16,
         "==",
         Fraction(21, 44),
     )
     zero_f = tabulated_count_machine({"1": 2, "0": 2}, 1, 2)
-    _raises(
-        report,
-        "zero-f-raises",
-        ValueError,
-        lambda: compile_pp_instance(mg, zero_f, "1", r),
+    report.check_raises(
+        "zero-f-raises", ValueError, lambda: compile_pp_instance(mg, zero_f, "1", r)
     )
     return report
 
@@ -735,7 +609,7 @@ def scenario_error_algebra(seed: int, r: int) -> WitnessReport:
     """Exact inequality ladder across the sharpness range."""
     report = WitnessReport("error-algebra")
     for rr in range(2, max(16, r) + 1):
-        _merge(report, verify_error_algebra(rr), f"r={rr}:")
+        report.merge(verify_error_algebra(rr), f"r={rr}:")
     return report
 
 

@@ -9,9 +9,23 @@ repeated runs can be diffed directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping
+
+_OPS = {
+    "==": operator.eq,
+    "<=": operator.le,
+    ">=": operator.ge,
+    "<": operator.lt,
+    ">": operator.gt,
+}
+
+
+def _frac(v) -> Fraction:
+    """An exact value (int, Fraction or anything with ``as_fraction``) as a Fraction."""
+    return v.as_fraction() if hasattr(v, "as_fraction") else Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -37,6 +51,29 @@ class WitnessReport:
             if " " in part:
                 raise ValueError(f"condition fields must not contain spaces: {part!r}")
         self.conditions.append(condition)
+
+    def check(self, cid: str, lhs, op: str, rhs) -> bool:
+        """Add the exact comparison ``lhs op rhs`` (op one of == <= >= < >),
+        both sides rendered as Fractions; returns whether it held."""
+        a, b = _frac(lhs), _frac(rhs)
+        ok = _OPS[op](a, b)
+        self.add(Condition(cid, str(a), op, str(b), ok))
+        return ok
+
+    def check_raises(self, cid: str, exc_type: type[BaseException], fn) -> None:
+        """Add a condition that passes when ``fn()`` raises ``exc_type``."""
+        try:
+            fn()
+        except exc_type:
+            outcome = "raised"
+        else:
+            outcome = "not-raised"
+        self.add(Condition(cid, exc_type.__name__, "==", outcome, outcome == "raised"))
+
+    def merge(self, sub: "WitnessReport", prefix: str = "") -> None:
+        """Append every condition of ``sub``, each id prefixed with ``prefix``."""
+        for c in sub.conditions:
+            self.add(replace(c, cid=prefix + c.cid))
 
     @property
     def passed(self) -> bool:
@@ -94,10 +131,7 @@ def check_awpp_witness(
     for w in sorted(labels):
         f_val = _lookup(f_of, w)
         g_val = _lookup(g_of, w)
-        report.add(
-            Condition(f"w={w}:normalizer-positive", str(f_val), ">", "0", f_val > 0)
-        )
-        if f_val <= 0:
+        if not report.check(f"w={w}:normalizer-positive", f_val, ">", 0):
             continue
         ratio = Fraction(g_val, f_val)
         if labels[w]:
@@ -174,35 +208,24 @@ def classify_postsel_profile(
     report = WitnessReport(f"postsel-profile-{profile}")
     for w in sorted(stats_by_instance):
         p = stats_by_instance[w]
-        p = getattr(p, "p_post", p)
-        pf = p.as_fraction() if hasattr(p, "as_fraction") else Fraction(p)
+        pf = _frac(getattr(p, "p_post", p))
         cid = f"w={w}"
         if profile == "post":
-            report.add(Condition(f"{cid}:positive", str(pf), ">", "0", pf > 0))
-        elif profile in ("FP", "size"):
-            key = len(w) if profile == "size" else w
+            report.check(f"{cid}:positive", pf, ">", 0)
+            continue
+        if profile in ("exp", "leexp"):
+            target = Fraction(1, 1 << (u(len(w)) if callable(u) else u))
+        else:
+            key = len(w) if profile.endswith("size") else w
             target = Fraction(_lookup(f, key), 1 << q_exp)
-            report.add(
-                Condition(f"{cid}:equals", str(pf), "==", str(target), pf == target)
-            )
-        elif profile in ("aFP", "asize"):
-            key = len(w) if profile == "asize" else w
-            target = Fraction(_lookup(f, key), 1 << q_exp)
+        if profile == "leexp":
+            report.check(f"{cid}:at-least", pf, ">=", target)
+        elif profile in ("FP", "size", "exp"):
+            report.check(f"{cid}:equals", pf, "==", target)
+        else:  # aFP, asize
             eps = Fraction(1, 1 << r2)
             lo = (1 - eps) * target
             hi = (1 + eps) * target
             ok = lo <= pf <= hi
             report.add(Condition(f"{cid}:window", str(pf), "in", f"[{lo},{hi}]", ok))
-        elif profile == "exp":
-            u_val = u(len(w)) if callable(u) else u
-            target = Fraction(1, 1 << u_val)
-            report.add(
-                Condition(f"{cid}:equals", str(pf), "==", str(target), pf == target)
-            )
-        else:  # leexp
-            u_val = u(len(w)) if callable(u) else u
-            target = Fraction(1, 1 << u_val)
-            report.add(
-                Condition(f"{cid}:at-least", str(pf), ">=", str(target), pf >= target)
-            )
     return report

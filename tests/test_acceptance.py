@@ -5,6 +5,7 @@ run with ``pytest -s tests/test_acceptance.py`` to see the summary inline.
 All comparisons are exact — integers, dyadics and Fractions, zero tolerance.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -364,19 +365,32 @@ def test_acceptance_10_majority_instance_bounds():
 # -------------------------------------------------------------------
 
 
-def test_acceptance_11_suite_determinism(capsys):
+# sha256 of `postsel verify --suite all --format machine --seed S`: a change
+# that alters any row must update its digest and name the rows in CHANGES.md
+SUITE_DIGESTS = {
+    42: "c44aed62222a41a264799237ed8b9deba5a6c9db3be966359ea934a1b04b2a3b",
+    7: "09f40d66bb418d2e7bf89f11f07e2286060d811b1a4c66c75f704a33aee3323c",
+}
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_acceptance_11_suite_determinism(capsys, seed):
+    argv = ["verify", "--suite", "all", "--seed", str(seed), "--format", "machine"]
     t0 = time.monotonic()
-    rc1 = main(["verify", "--suite", "all", "--seed", "42", "--format", "machine"])
+    rc1 = main(argv)
     first = capsys.readouterr().out
     t1 = time.monotonic()
-    rc2 = main(["verify", "--suite", "all", "--seed", "42", "--format", "machine"])
+    rc2 = main(argv)
     second = capsys.readouterr().out
     t2 = time.monotonic()
+    digest = hashlib.sha256(first.encode("ascii")).hexdigest()
     ok = rc1 == 0 and rc2 == 0 and first == second and first.count("\n") > 100
+    ok = ok and digest == SUITE_DIGESTS[seed]
     ok = ok and (t1 - t0) < 300.0 and (t2 - t1) < 300.0
     with capsys.disabled():
         _verdict(
-            f"criterion 11: suite byte-identical twice "
-            f"({t1 - t0:.1f}s / {t2 - t1:.1f}s, {first.count(chr(10))} rows)",
+            f"criterion 11: seed-{seed} suite byte-identical twice and pinned "
+            f"({t1 - t0:.1f}s / {t2 - t1:.1f}s, {first.count(chr(10))} rows, "
+            f"sha256 {digest[:12]})",
             ok,
         )

@@ -66,6 +66,24 @@ def test_circuit_validation():
         Circuit(2, (), 0, ancillas=((1, 0), (1, 1)))  # declared twice
 
 
+# one non-integer per field; each used to slip through or raise a raw TypeError
+NON_INTEGER_FIELDS = {
+    "width": lambda: Circuit("2", (), 0),
+    "target": lambda: Circuit(2, (x("1"),), 0),
+    "h-target": lambda: h(1.0),
+    "control": lambda: Circuit(2, (cx("0", 1),), 1),
+    "output": lambda: Circuit(2, (), "0"),
+    "postselect": lambda: Circuit(2, (), 0, postselect=1.0),
+    "ancilla": lambda: Circuit(3, (), 0, ancillas=(("2", 0),)),
+}
+
+
+@pytest.mark.parametrize("field", NON_INTEGER_FIELDS)
+def test_non_integer_qubits_raise_value_error(field):
+    with pytest.raises(ValueError, match="must be an integer"):
+        NON_INTEGER_FIELDS[field]()
+
+
 def test_default_input_uses_ancilla_values():
     c = Circuit(5, (), 0, ancillas=((1, 1), (3, 1)))
     assert default_input(c) == "01010"

@@ -85,10 +85,13 @@ def test_circuits_and_machines_share_control_counts(gate):
         parse_machine(f"machine 0 3 0\n{gate}\naccept 3\n")
 
 
-@pytest.mark.parametrize("gate", ["x 0 1", "cx 0 1 2"])
+# the last case is a non-ASCII byte, which the file reader must place on its line
+@pytest.mark.parametrize("gate", ["x 0 1", "cx 0 1 2", "x \u00b9"])
 def test_cli_compile_reports_machine_syntax_error(tmp_path, gate):
     bad = tmp_path / "bad.machine"
-    bad.write_text(f"machine 0 3 0\n# a gate line of the wrong arity\n{gate}\naccept 3\n")
+    bad.write_text(
+        f"machine 0 3 0\n# a malformed gate line\n{gate}\naccept 3\n", encoding="utf-8"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(postsel.__file__).parents[1]))
     argv = ["compile", "--construction", "gapsq", "--machine1", str(bad), "-o", "out.circ"]
     proc = subprocess.run(

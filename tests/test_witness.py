@@ -56,6 +56,23 @@ def test_report_rejects_spaces():
         rep.add(Condition("ok", "1 /2", "==", "1", True))
 
 
+def test_report_row_rule_check_raises_and_merge():
+    rep = WitnessReport("rows")
+    assert rep.check("dyadic", DyadicRational(2, 2), "==", Fraction(1, 2))
+    assert not rep.check("strict", 1, "<", Fraction(2, 2))
+    rep.check_raises("raises", ZeroDivisionError, lambda: 1 // 0)
+    rep.check_raises("silent", ZeroDivisionError, lambda: 1)
+    outer = WitnessReport("outer")
+    outer.merge(rep, "sub:")
+    assert outer.to_machine().splitlines() == [
+        "scenario=outer condition=sub:dyadic lhs=1/2 op=== rhs=1/2 result=pass",
+        "scenario=outer condition=sub:strict lhs=1 op=< rhs=1 result=fail",
+        "scenario=outer condition=sub:raises lhs=ZeroDivisionError op=== rhs=raised result=pass",
+        "scenario=outer condition=sub:silent lhs=ZeroDivisionError op=== "
+        "rhs=not-raised result=fail",
+    ]
+
+
 # ===================================================================
 # two-sided ratio thresholds
 # ===================================================================
