@@ -47,6 +47,14 @@ def _integer(value, role: str) -> int:
     return int(value)
 
 
+def _tuple(value, role: str) -> tuple:
+    """``value`` as a tuple; ValueError unless it is iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{role} must be a sequence, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: str
@@ -57,6 +65,9 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if not type(self.controls) is type(self.negated) is tuple:
+            object.__setattr__(self, "controls", _tuple(self.controls, "controls"))
+            object.__setattr__(self, "negated", _tuple(self.negated, "negated"))
         _integer(self.target, "target")
         for c in self.controls:
             _integer(c, "control")
@@ -119,10 +130,14 @@ class Circuit:
     ancillas: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        ancillas = sorted(
-            (_integer(q, "ancilla qubit"), _integer(v, "ancilla value")) for q, v in self.ancillas
-        )
+        object.__setattr__(self, "gates", _tuple(self.gates, "gates"))
+        try:
+            ancillas = sorted(
+                (_integer(q, "ancilla qubit"), _integer(v, "ancilla value"))
+                for q, v in self.ancillas
+            )
+        except TypeError:
+            raise ValueError(f"ancillas must be (qubit, value) pairs, got {self.ancillas!r}") from None
         object.__setattr__(self, "ancillas", tuple(ancillas))
         self._validate()
 
@@ -173,6 +188,37 @@ def apply_gate_classical(state: int, gate: Gate) -> int:
         if ((state >> c) & 1) == (1 if neg else 0):
             return state
     return state ^ (1 << gate.target)
+
+
+def apply_gates_planes(planes: list, gates: Iterable[Gate], ones) -> None:
+    """Apply reversible (non-h) gates to every path at once, in place.
+
+    ``planes[q]`` is wire q's bit-plane: bit j is the wire's value on path j
+    (bitslicing, Biham FSE 1997).  A gate fires on the AND of its control
+    planes, a negated control being its plane XOR ``ones`` (the plane with a
+    bit set for every path), and XORs that into its target plane: one AND per
+    control and one XOR per gate.  Only ``&`` and ``^`` are used, so a plane
+    may be a Python int or a numpy uint64 word array.
+    """
+    for g in gates:
+        if g.kind == "h":
+            raise ValueError("h has no classical action")
+        fire = ones
+        for c, neg in zip(g.controls, g.negated):
+            fire = fire & (planes[c] ^ ones if neg else planes[c])
+        planes[g.target] = planes[g.target] ^ fire
+
+
+def branch_planes(planes: list[int], n: int, target: int) -> None:
+    """Double ``n`` paths to 2n in place, on Python int planes.
+
+    Path n + j copies path j, except that wire ``target`` reads 0 on the first
+    n paths and 1 on the other n, so branching on wires t_0, t_1, ... in turn
+    from one path sets wire t_i to bit i of the path index.
+    """
+    for q, p in enumerate(planes):
+        planes[q] = p | p << n
+    planes[target] = ((1 << n) - 1) << n
 
 
 def _ladder(controls: Sequence[int], target: int, anc: Sequence[int]) -> list[Gate]:

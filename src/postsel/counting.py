@@ -24,6 +24,15 @@ scratch-or-last region.  A machine must leave the instance and path bits
 untouched and every scratch bit back at 0 after a forward pass; this is
 checked during evaluation.
 
+``gap`` counts all 2**q paths at once on bit-planes, one Python int of 2**q
+bits per machine bit (bitslicing applied to GapP evaluation): instance planes
+are all-0 or all-1, path bit j is the pattern of bit j of the path index, a
+gate costs one AND per control and one XOR on 2**q-bit planes, the accept
+count is the popcount of the accept plane, and the contract holds iff every
+other plane ends equal to its starting plane.  The planes and their starting
+copies take at most 2 * total_bits * 2**q / 8 bytes.  ``eval_machine`` runs
+one path and is the per-path reference.
+
 ``FPFunction`` wraps the two desk-scale ways this package supplies an
 efficiently-computable positive integer function: an explicit per-instance
 table, or a machine whose gap on the all-ones instance of matching length is
@@ -43,11 +52,15 @@ from .circuit import (
     _parse_ints,
     _statements,
     apply_gate_classical,
+    apply_gates_planes,
+    branch_planes,
     mcx,
     x,
 )
 from .errors import CapExceeded, CircuitSyntaxError, MachineContractError
 
+# At the cap a plane is 2**20 bits (128 KiB): at most 16 MiB with the starting
+# copies for a 64-bit machine.
 DEFAULT_MAX_PATH_BITS = 20
 
 
@@ -97,45 +110,46 @@ def _instance(machine: PredicateCircuit, w) -> int:
         raise MachineContractError(f"bad instance for the machine: {exc}") from exc
 
 
-def _accepts(machine: PredicateCircuit, start: int) -> bool:
-    """One forward pass from a packed start state, enforcing the machine contract."""
-    state = start
-    for g in machine.gates:
-        state = apply_gate_classical(state, g)
-    accept = (state >> machine.accept_index) & 1
-    residue = (state ^ (accept << machine.accept_index)) ^ start
-    if residue:
-        raise MachineContractError(
-            "machine left instance/path/scratch bits modified after a forward pass"
-        )
-    return bool(accept)
+_CONTRACT = "machine left instance/path/scratch bits modified after a forward pass"
 
 
 def eval_machine(machine: PredicateCircuit, w, x_val: int) -> bool:
     """Run one nondeterministic path; True iff the accept bit ends at 1.
 
     Also enforces the machine contract: instance and path bits unchanged,
-    scratch bits restored to 0.
+    scratch bits restored to 0.  This is the per-path reference for ``gap``.
     """
     w_int = _instance(machine, w)
     if not 0 <= x_val < (1 << machine.path_width):
         raise ValueError("path index out of range")
-    return _accepts(machine, w_int | x_val << machine.input_width)
+    start = state = w_int | x_val << machine.input_width
+    for g in machine.gates:
+        state = apply_gate_classical(state, g)
+    accept = (state >> machine.accept_index) & 1
+    if (state ^ (accept << machine.accept_index)) != start:
+        raise MachineContractError(_CONTRACT)
+    return bool(accept)
 
 
 def gap(machine: PredicateCircuit, w) -> GapValue:
-    """Exact accept/reject counts over all 2**q paths, for q <= DEFAULT_MAX_PATH_BITS."""
-    if machine.path_width > DEFAULT_MAX_PATH_BITS:
-        raise CapExceeded(
-            f"enumerating 2**{machine.path_width} paths exceeds cap 2**{DEFAULT_MAX_PATH_BITS}"
-        )
+    """Exact accept/reject counts over all 2**q paths, for q <= DEFAULT_MAX_PATH_BITS.
+
+    All paths run at once on bit-planes; path x sets the path bits to x.
+    """
+    q = machine.path_width
+    if q > DEFAULT_MAX_PATH_BITS:
+        raise CapExceeded(f"enumerating 2**{q} paths exceeds cap 2**{DEFAULT_MAX_PATH_BITS}")
     w_int = _instance(machine, w)
-    accepts = sum(
-        _accepts(machine, w_int | x_val << machine.input_width)
-        for x_val in range(1 << machine.path_width)
-    )
-    total = 1 << machine.path_width
-    return GapValue(accepts, total - accepts, machine.path_width)
+    planes = [(w_int >> i) & 1 for i in range(machine.total_bits)]
+    for j in range(q):
+        branch_planes(planes, 1 << j, machine.input_width + j)
+    start = planes.copy()
+    apply_gates_planes(planes, machine.gates, (1 << (1 << q)) - 1)
+    accepts = planes[machine.accept_index].bit_count()
+    planes[machine.accept_index] = start[machine.accept_index]
+    if planes != start:
+        raise MachineContractError(_CONTRACT)
+    return GapValue(accepts, (1 << q) - accepts, q)
 
 
 def emit_less_than(bit_indices, constant: int, flag_index: int) -> list[Gate]:

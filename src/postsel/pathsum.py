@@ -9,13 +9,24 @@ probability of a set of (qubit, value) constraints is then
     g / 2**m   with   g = sum over constrained z of (path sum at z)**2,
                and    m = number of Hadamard gates.
 
-``path_sum`` grows its path arrays as it goes: it starts from the single input
-path and doubles the arrays at each Hadamard, so a gate after k Hadamards
-costs 2**k.  The total is the sum over gates of 2**(Hadamards before the
-gate), plus one sort-and-reduce over the final 2**H paths; no two paths are
-merged before it.  Unlike the simulator it handles mcx macros directly (they
-act classically on paths) and never builds a statevector, so it cross-checks
-the simulator through an entirely different route.
+``path_sum`` is bitsliced (one bit-plane per wire, bit j = the wire's value
+on path j) and evaluates the GapP-style sum over all paths at once.  It
+starts from the single input path.  Each Hadamard doubles the paths: the new
+half copies the old, the target plane becomes 0...0 1...1, and a sign plane
+takes sign | ((sign ^ target) << n), marking the paths with an odd number of
+-1 factors.  A gate after k Hadamards costs one AND per control and one XOR
+on 2**k-bit planes, whatever its control count, so mcx needs no expansion.
+Planes are Python ints up to 32 paths; from 64 paths up they are uint64
+words stored once per period, so a plane that depends on few branch bits
+stays small and a Hadamard writes only its target and the sign.  The
+constraint mask is the AND of the constrained planes.  Only the kept paths
+are transposed back, into one uint64 key (z << 1) | sign each (z over the
+wires that vary), and one sort groups the paths that end in the same basis
+state: no two paths are merged before that final reduction.  Memory is
+about (width + 1) * 2**H / 8 bytes of planes plus a few 8-byte words per
+kept path while the keys are built and sorted.  Unlike the simulator it
+never builds a statevector and shares none of its arithmetic, so it
+cross-checks the simulator through an entirely different route.
 
 ``path_sum_slow`` is a deliberately naive per-path rewrite of the same
 definition, kept as a second opinion for tests.
@@ -24,14 +35,25 @@ definition, kept as a second opinion for tests.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import groupby
 
 import numpy as np
 
-from .circuit import Circuit, apply_gate_classical
+from .circuit import (
+    Circuit,
+    apply_gate_classical,
+    apply_gates_planes,
+    branch_planes,
+)
 from .errors import CapExceeded
-from .simulator import _basis_index, _constraint_mask, _pin_mask
+from .simulator import _basis_index, _constraint_mask
 
+# At the cap the planes take at most (width + 1) * 2**20 / 8 bytes (8 MiB at
+# width 63); building and sorting the keys of all 2**20 paths adds about 48 MiB.
 DEFAULT_MAX_BRANCH = 20
+_HALVES = np.array([0, np.iinfo(np.uint64).max], np.uint64)  # the words of 0...0 1...1
+# 8x8 bit-matrix transpose inside each uint64 word: (shift, mask) per round
+_TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 def path_sum(
@@ -51,29 +73,82 @@ def path_sum(
     if pin is None:
         return 0, hcount
 
-    state = np.array([z0], dtype=np.int64)
-    sign = np.zeros(1, dtype=bool)  # parity of accumulated -1 factors
-    for g in circuit.gates:
-        t = np.int64(1 << g.target)
-        if g.kind == "h":
-            lo = state & ~t
-            sign = np.concatenate((sign, sign ^ ((state & t) != 0)))
-            state = np.concatenate((lo, lo | t))
-        else:
-            mask, val = _pin_mask((c, int(not neg)) for c, neg in zip(g.controls, g.negated))
-            state ^= ((state & mask) == val) * t
+    # One plane per wire, then the sign plane.  Up to 32 paths a plane is a
+    # Python int.  From 64 up it is a uint64 array over the word index j // 64,
+    # with one axis per index bit (highest first) and length 1 on the axes it
+    # does not depend on, so & and ^ broadcast.
+    planes = [(z0 >> q) & 1 for q in range(circuit.width)] + [0]
+    n = 1
+    for is_h, run in groupby(circuit.gates, key=lambda g: g.kind == "h"):
+        if not is_h:
+            apply_gates_planes(planes, run, _ones(n))
+            continue
+        for g in run:
+            t = g.target
+            if n < 64:
+                flips = planes[t] << n
+                branch_planes(planes, n, t)
+            else:
+                half = _HALVES.reshape((2,) + (1,) * (n.bit_length() - 7))
+                flips, planes[t] = planes[t] & half, half
+            planes[-1] = planes[-1] ^ flips  # H|1> = |0> - |1>: a 1 that stays 1 turns negative
+            n <<= 1
+            if n == 64:
+                planes = [np.uint64(p) for p in planes]
+    if n < 64:
+        planes = [np.uint64(p) for p in planes]
 
+    ones = np.uint64(_ones(n))
+    full = (2,) * max(0, n.bit_length() - 7)  # the word-index axes
     mask, val = pin
-    keep = (state & mask) == val
-    z = state[keep]
-    order = np.argsort(z)
+    keep = ones
+    for q in range(circuit.width):
+        if (mask >> q) & 1:
+            keep = keep & (planes[q] if (val >> q) & 1 else planes[q] ^ ones)
+    if not keep.any():
+        return 0, hcount
+    # Wires constant on every path, or pinned on the kept ones, cannot split a group.
+    rows = [keep, planes[-1]] + [
+        p for q, p in enumerate(planes[:-1]) if not (mask >> q) & 1 and p.any() and (p != ones).any()
+    ]
+    words = np.empty((len(rows), 1 << len(full)), np.uint64)
+    for row, p in zip(words, rows):
+        np.copyto(row.reshape(full), p)
+    keys = np.sort(_kept_keys(words[1:], words[0]))
     # Exact in int64: |path sum at z| <= 2**H as it adds at most 2**H signs, and
     # g == P * 2**H <= 2**H bounds every square and partial sum of squares, so
-    # any H <= 62 is exact (memory caps H far lower).  Basis indices are >= 0,
-    # so prepending -1 makes the first kept path start a group.
-    s = 1 - 2 * sign[keep][order].astype(np.int64)
-    sums = np.add.reduceat(s, np.flatnonzero(np.diff(z[order], prepend=-1)))
+    # any H <= 62 is exact (memory caps H far lower).
+    z = keys >> np.uint64(1)
+    starts = np.flatnonzero(np.concatenate(([True], z[1:] != z[:-1])))
+    sums = np.add.reduceat(1 - 2 * (keys & np.uint64(1)).astype(np.int64), starts)
     return int(np.dot(sums, sums)), hcount
+
+
+def _ones(n: int):
+    """The plane of ``n`` paths with every bit set (one word from 64 paths up)."""
+    return (1 << n) - 1 if n < 64 else _HALVES[1]
+
+
+def _kept_keys(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """One uint64 per path j set in ``keep`` whose bit i is bit j of rows[i].
+
+    ``rows`` holds at most 64 planes as uint64 words.  Only the bytes where
+    ``keep`` has a path are gathered; eight rows at a time, the eight bytes
+    at one byte position form an 8x8 bit matrix in one uint64 word, and
+    transposing it gives one byte per path.
+    """
+    kept = keep.view(np.uint8)
+    at = np.flatnonzero(kept)
+    blocks = -(-len(rows) // 8)
+    tiles = np.zeros((len(at), 8 * blocks), np.uint8)
+    tiles[:, : len(rows)] = rows.view(np.uint8)[:, at].T
+    words = tiles.view(np.uint64)
+    for shift, m in _TRANSPOSE8:
+        t = (words ^ (words >> np.uint64(shift))) & np.uint64(m)
+        words ^= t ^ (t << np.uint64(shift))
+    keys = np.zeros((len(at), 8, 8), np.uint8)  # (byte position, path in byte, key byte)
+    keys[:, :, :blocks] = words.view(np.uint8).reshape(len(at), blocks, 8).transpose(0, 2, 1)
+    return keys.view(np.uint64).reshape(-1)[np.unpackbits(kept[at], bitorder="little").view(bool)]
 
 
 def path_sum_slow(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:

@@ -2,8 +2,9 @@
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postsel import (
@@ -22,6 +23,7 @@ from postsel import (
     serialize_circuit,
     x,
 )
+from postsel.circuit import apply_gates_planes, branch_planes
 
 # ===================================================================
 # gate constructors
@@ -84,6 +86,26 @@ def test_non_integer_qubits_raise_value_error(field):
         NON_INTEGER_FIELDS[field]()
 
 
+# a scalar where a sequence belongs; each used to raise a raw TypeError
+NON_SEQUENCE_FIELDS = {
+    "ancilla-pair": lambda: Circuit(3, (), 0, None, (1,)),
+    "ancillas": lambda: Circuit(3, (), 0, None, 1),
+    "gates": lambda: Circuit(3, 5, 0),
+    "controls": lambda: Gate("cx", 0, 1, (False,)),
+    "negated": lambda: Gate("cx", 0, (1,), False),
+}
+
+
+@pytest.mark.parametrize("field", NON_SEQUENCE_FIELDS)
+def test_non_sequence_containers_raise_value_error(field):
+    with pytest.raises(ValueError):
+        NON_SEQUENCE_FIELDS[field]()
+
+
+def test_gate_stores_controls_as_tuples():
+    assert Gate("cx", 0, [1], [True]) == cx(1, 0, neg=True)
+
+
 def test_default_input_uses_ancilla_values():
     c = Circuit(5, (), 0, ancillas=((1, 1), (3, 1)))
     assert default_input(c) == "01010"
@@ -123,6 +145,42 @@ def test_classical_gates_are_involutions(state, data):
     negs = data.draw(st.lists(st.booleans(), min_size=n_ctl, max_size=n_ctl))
     g = mcx(qubits[:-1], qubits[-1], negs)
     assert apply_gate_classical(apply_gate_classical(state, g), g) == state
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_plane_kernel_matches_per_path_action_on_ints_and_words(data):
+    """128 paths over 7 wires: the same gates on Python-int planes and on
+    uint64 word-array planes give every path's per-gate classical result."""
+    states = data.draw(st.lists(st.integers(0, 127), min_size=128, max_size=128))
+    gates = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        n_ctl = data.draw(st.integers(0, 4))
+        qs = data.draw(st.permutations(range(7)))[: n_ctl + 1]
+        negs = data.draw(st.lists(st.booleans(), min_size=n_ctl, max_size=n_ctl))
+        gates.append(mcx(qs[:-1], qs[-1], negs))
+    ints = [sum(((z >> q) & 1) << j for j, z in enumerate(states)) for q in range(7)]
+    words = [np.array([p & (2**64 - 1), p >> 64], np.uint64) for p in ints]
+    apply_gates_planes(ints, gates, 2**128 - 1)
+    apply_gates_planes(words, gates, np.full(2, 2**64 - 1, np.uint64))
+    for j, z in enumerate(states):
+        for g in gates:
+            z = apply_gate_classical(z, g)
+        assert [(p >> j) & 1 for p in ints] == [(z >> q) & 1 for q in range(7)]
+    assert [int(w[0]) | int(w[1]) << 64 for w in words] == ints
+
+
+def test_plane_kernel_rejects_h():
+    with pytest.raises(ValueError):
+        apply_gates_planes([0], [h(0)], 1)
+
+
+def test_branch_planes_sets_each_branched_wire_to_a_path_index_bit():
+    planes = [1, 0, 0, 0]  # one path: wire 0 at 1
+    for i, wire in enumerate((2, 1, 3)):
+        branch_planes(planes, 1 << i, wire)
+    for j in range(8):
+        assert [(p >> j) & 1 for p in planes] == [1, (j >> 1) & 1, j & 1, (j >> 2) & 1]
 
 
 # ===================================================================

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from postsel import (
     CapExceeded,
@@ -27,6 +29,8 @@ from postsel import (
     tabulated_count_machine,
     x,
 )
+from postsel.counting import DEFAULT_MAX_PATH_BITS
+from postsel.scenarios import random_machine
 
 # ===================================================================
 # machine structure and evaluation
@@ -74,6 +78,91 @@ def test_gap_counts_all_paths():
     g = gap(m, "")
     assert (g.accepts, g.rejects, g.gap) == (4, 4, 0)
     assert g.accepts + g.rejects == 1 << m.path_width
+
+
+def _per_path(m, w):
+    """(accepts, rejects) by eval_machine on every path, or "contract"."""
+    try:
+        accepts = sum(eval_machine(m, w, x_val) for x_val in range(1 << m.path_width))
+    except MachineContractError:
+        return "contract"
+    return accepts, (1 << m.path_width) - accepts
+
+
+def _bitsliced(m, w):
+    try:
+        g = gap(m, w)
+    except MachineContractError:
+        return "contract"
+    return g.accepts, g.rejects
+
+
+def _dirty(m: PredicateCircuit, negs) -> PredicateCircuit:
+    """``m`` plus one scratch bit that is flipped, and never restored, on the
+    path whose bits match ``negs`` (True for 0): the last path when none is."""
+    path = list(range(m.input_width, m.input_width + m.path_width))
+    flip = mcx(path, m.total_bits, negs)
+    return PredicateCircuit(
+        m.input_width, m.path_width, m.ancilla_count + 1, m.gates + (flip,), m.accept_index
+    )
+
+
+@hst.composite
+def _machines(draw):
+    """A random machine, maybe scaled and complemented, maybe made dirty on one
+    late path (at most its lowest two path bits must be 0)."""
+    in_w, q = draw(hst.integers(0, 2)), draw(hst.integers(0, 6))
+    m = random_machine(random.Random(draw(hst.integers(0, 2**32))), in_w, q)
+    if q and draw(hst.booleans()):
+        m = scale_gap(m, draw(hst.integers(2, 3)))
+    if draw(hst.booleans()):
+        m = complement_machine(m)
+    if draw(hst.booleans()):
+        q = m.path_width
+        m = _dirty(m, [i < 2 and draw(hst.booleans()) for i in range(q)])
+    w = "".join(draw(hst.sampled_from("01")) for _ in range(in_w))
+    return m, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(_machines())
+def test_bitsliced_gap_matches_per_path_reference(case):
+    m, w = case
+    assert _bitsliced(m, w) == _per_path(m, w)
+
+
+def test_gap_at_the_path_bit_cap():
+    """q = DEFAULT_MAX_PATH_BITS: a machine that reads only its first 4 path
+    bits accepts 2**(q - 4) times as often as the same machine at q = 4, and a
+    dirty flip on the last path alone breaks the contract."""
+    q = DEFAULT_MAX_PATH_BITS
+    rng = random.Random(7)
+    for _ in range(3):
+        small = random_machine(rng, 1, 4)
+        big = PredicateCircuit(
+            1,
+            q,
+            0,
+            tuple(mcx(g.controls, 1 + q, g.negated) for g in small.gates),
+            1 + q,
+        )
+        for w in "01":
+            accepts, _ = _per_path(small, w)
+            assert _bitsliced(big, w) == (accepts << (q - 4), (16 - accepts) << (q - 4))
+        dirty = _dirty(big, [False] * q)
+        assert _bitsliced(dirty, "1") == "contract"
+        eval_machine(dirty, "1", (1 << q) - 2)  # the path before it is clean
+        with pytest.raises(MachineContractError):
+            eval_machine(dirty, "1", (1 << q) - 1)
+    for v in (-(1 << q), -6, 0, 1 << (q - 1), 1 << q):
+        assert gap(make_gap_machine(v, q), "").gap == v
+
+
+def test_gap_with_no_path_bits():
+    m = PredicateCircuit(1, 0, 0, (cx(0, 1),), 1)  # accept iff w = 1
+    assert _bitsliced(m, "1") == _per_path(m, "1") == (1, 0)
+    assert _bitsliced(m, "0") == _per_path(m, "0") == (0, 1)
+    assert _bitsliced(_dirty(m, []), "1") == _per_path(_dirty(m, []), "1") == "contract"
 
 
 def test_gap_path_cap():

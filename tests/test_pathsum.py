@@ -168,6 +168,54 @@ def test_fast_oracle_matches_slow_oracle_on_postsel_adjust_circuits(h_exp):
             assert path_sum(w2, bits, cons) == path_sum_slow(w2, bits, cons)
 
 
+_ANC = 7  # an ancilla held at 1, read as a control and never written
+
+
+def _layout_circuit(hcount: int) -> tuple[Circuit, list[int]]:
+    """``hcount`` Hadamards (5, 6 or 7) mixed with negated controls, mcx with
+    3 and 4 controls and a 1-valued ancilla.  Qubit 0 is branched from 1 and
+    then branched again by the very last Hadamard, so some paths turn
+    negative and paths interfere.  The qubits of the last Hadamards are
+    returned, the very last one last; no later gate writes them."""
+    lasts = [3, 8, 9][: hcount - 4] + [0]
+    gates = [x(0), h(0), h(1), h(2)]
+    gates += [
+        mcx([0, 1, 2, _ANC], 5, [False, True, False, False]),
+        ccx(_ANC, 2, 6, False, True),
+        cx(_ANC, 4, True),  # never fires: the ancilla is 1
+        mcx([5, 6, 1], 4, [True, False, True]),
+        x(2),
+    ]
+    gates += [h(q) for q in lasts]
+    gates.append(mcx([*lasts, _ANC], 6, [False] * (len(lasts) - 1) + [True, False]))
+    circuit = Circuit(10, tuple(gates), 4, ancillas=((_ANC, 1),))
+    assert circuit.h_count == hcount
+    return circuit, lasts
+
+
+@pytest.mark.parametrize("hcount", [5, 6, 7])
+def test_fast_oracle_matches_slow_oracle_where_the_plane_layout_changes(hcount):
+    """32, 64 and 128 paths: the constraints keep no path, every path, only
+    the upper half (the last uint64 word at 128 paths), only the last block
+    of 2**(hcount - len(lasts)) paths, or a mix."""
+    circuit, lasts = _layout_circuit(hcount)
+    cases = {
+        "none": ([(_ANC, 0)], 0),
+        "all": ([], 1 << hcount),
+        "all-pinned": ([(_ANC, 1)], 1 << hcount),
+        "last-half": ([(lasts[-1], 1)], None),
+        "last-block": ([(q, 1) for q in lasts], None),
+        "mixed": ([(5, 1), (0, 0)], None),
+        "mixed-negated": ([(6, 0), (4, 1), (lasts[-1], 1)], None),
+    }
+    for bits in ("0000000100", "0100100100"):
+        for name, (cons, want) in cases.items():
+            got = path_sum(circuit, bits, cons)
+            assert got == path_sum_slow(circuit, bits, cons), (bits, name)
+            if want is not None:
+                assert got == (want, hcount), (bits, name)
+
+
 def test_oracle_handles_mcx_natively():
     """mcx acts classically on each path; no expansion or ancillas needed."""
     g = mcx([0, 1, 2, 3], 4)
