@@ -16,15 +16,15 @@ half copies the old, the target plane becomes 0...0 1...1, and a sign plane
 takes sign | ((sign ^ target) << n), marking the paths with an odd number of
 -1 factors.  A gate after k Hadamards costs one AND per control and one XOR
 on 2**k-bit planes, whatever its control count, so mcx needs no expansion.
-Planes are Python ints up to 32 paths; from 64 paths up they are uint64
-words stored once per period, so a plane that depends on few branch bits
-stays small and a Hadamard writes only its target and the sign.  The
-constraint mask is the AND of the constrained planes.  Only the kept paths
-are transposed back, into one uint64 key (z << 1) | sign each (z over the
-wires that vary), and one sort groups the paths that end in the same basis
+Planes are Python ints throughout; the constraint mask is the AND of the
+constrained planes.  Only then are the planes that matter turned into
+little-endian uint64 words, once, and only the kept paths are transposed
+back, into one uint64 key (z << 1) | sign each (z over the wires that
+vary), and one sort groups the paths that end in the same basis
 state: no two paths are merged before that final reduction.  Memory is
-about (width + 1) * 2**H / 8 bytes of planes plus a few 8-byte words per
-kept path while the keys are built and sorted.  Unlike the simulator it
+about (width + 1) * 2**H / 8 bytes of planes, as much again while they are
+turned into words, plus a few 8-byte words per kept path while the keys
+are built and sorted.  Unlike the simulator it
 never builds a statevector and shares none of its arithmetic, so it
 cross-checks the simulator through an entirely different route.
 
@@ -49,9 +49,10 @@ from .errors import CapExceeded
 from .simulator import _basis_index, _constraint_mask
 
 # At the cap the planes take at most (width + 1) * 2**20 / 8 bytes (8 MiB at
-# width 63); building and sorting the keys of all 2**20 paths adds about 48 MiB.
+# width 63) and as much again as words; building and sorting the keys of all
+# 2**20 paths adds about 48 MiB.
 DEFAULT_MAX_BRANCH = 20
-_HALVES = np.array([0, np.iinfo(np.uint64).max], np.uint64)  # the words of 0...0 1...1
+_WORD = np.dtype("<u8")  # plane words, little-endian so byte k holds bits 8k..8k+7
 # 8x8 bit-matrix transpose inside each uint64 word: (shift, mask) per round
 _TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
@@ -73,47 +74,32 @@ def path_sum(
     if pin is None:
         return 0, hcount
 
-    # One plane per wire, then the sign plane.  Up to 32 paths a plane is a
-    # Python int.  From 64 up it is a uint64 array over the word index j // 64,
-    # with one axis per index bit (highest first) and length 1 on the axes it
-    # does not depend on, so & and ^ broadcast.
+    # One Python-int plane per wire, then the sign plane.
     planes = [(z0 >> q) & 1 for q in range(circuit.width)] + [0]
     n = 1
     for is_h, run in groupby(circuit.gates, key=lambda g: g.kind == "h"):
         if not is_h:
-            apply_gates_planes(planes, run, _ones(n))
+            apply_gates_planes(planes, run, (1 << n) - 1)
             continue
         for g in run:
-            t = g.target
-            if n < 64:
-                flips = planes[t] << n
-                branch_planes(planes, n, t)
-            else:
-                half = _HALVES.reshape((2,) + (1,) * (n.bit_length() - 7))
-                flips, planes[t] = planes[t] & half, half
-            planes[-1] = planes[-1] ^ flips  # H|1> = |0> - |1>: a 1 that stays 1 turns negative
+            flips = planes[g.target] << n
+            branch_planes(planes, n, g.target)
+            planes[-1] ^= flips  # H|1> = |0> - |1>: a 1 that stays 1 turns negative
             n <<= 1
-            if n == 64:
-                planes = [np.uint64(p) for p in planes]
-    if n < 64:
-        planes = [np.uint64(p) for p in planes]
 
-    ones = np.uint64(_ones(n))
-    full = (2,) * max(0, n.bit_length() - 7)  # the word-index axes
+    ones = (1 << n) - 1
     mask, val = pin
     keep = ones
     for q in range(circuit.width):
         if (mask >> q) & 1:
-            keep = keep & (planes[q] if (val >> q) & 1 else planes[q] ^ ones)
-    if not keep.any():
+            keep &= planes[q] if (val >> q) & 1 else planes[q] ^ ones
+    if not keep:
         return 0, hcount
-    # Wires constant on every path, or pinned on the kept ones, cannot split a group.
-    rows = [keep, planes[-1]] + [
-        p for q, p in enumerate(planes[:-1]) if not (mask >> q) & 1 and p.any() and (p != ones).any()
-    ]
-    words = np.empty((len(rows), 1 << len(full)), np.uint64)
+    # Wires constant on the kept paths, the pinned ones among them, cannot split a group.
+    rows = [keep, planes[-1]] + [p for p in planes[:-1] if p & keep not in (0, keep)]
+    words = np.empty((len(rows), -(-n // 64)), _WORD)
     for row, p in zip(words, rows):
-        np.copyto(row.reshape(full), p)
+        row[:] = np.frombuffer(p.to_bytes(8 * len(row), "little"), _WORD)
     keys = np.sort(_kept_keys(words[1:], words[0]))
     # Exact in int64: |path sum at z| <= 2**H as it adds at most 2**H signs, and
     # g == P * 2**H <= 2**H bounds every square and partial sum of squares, so
@@ -124,31 +110,27 @@ def path_sum(
     return int(np.dot(sums, sums)), hcount
 
 
-def _ones(n: int):
-    """The plane of ``n`` paths with every bit set (one word from 64 paths up)."""
-    return (1 << n) - 1 if n < 64 else _HALVES[1]
-
-
 def _kept_keys(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """One uint64 per path j set in ``keep`` whose bit i is bit j of rows[i].
 
-    ``rows`` holds at most 64 planes as uint64 words.  Only the bytes where
-    ``keep`` has a path are gathered; eight rows at a time, the eight bytes
-    at one byte position form an 8x8 bit matrix in one uint64 word, and
-    transposing it gives one byte per path.
+    ``rows`` holds at most 64 planes as little-endian uint64 words.  Only the
+    bytes where ``keep`` has a path are gathered; eight rows at a time, the
+    eight bytes at one byte position form an 8x8 bit matrix in one word, and
+    transposing it gives one byte per path.  Every word view is explicitly
+    little-endian, so byte k of a word holds bits 8k..8k+7 on any host.
     """
     kept = keep.view(np.uint8)
     at = np.flatnonzero(kept)
     blocks = -(-len(rows) // 8)
     tiles = np.zeros((len(at), 8 * blocks), np.uint8)
     tiles[:, : len(rows)] = rows.view(np.uint8)[:, at].T
-    words = tiles.view(np.uint64)
+    words = tiles.view(_WORD)
     for shift, m in _TRANSPOSE8:
         t = (words ^ (words >> np.uint64(shift))) & np.uint64(m)
         words ^= t ^ (t << np.uint64(shift))
     keys = np.zeros((len(at), 8, 8), np.uint8)  # (byte position, path in byte, key byte)
     keys[:, :, :blocks] = words.view(np.uint8).reshape(len(at), blocks, 8).transpose(0, 2, 1)
-    return keys.view(np.uint64).reshape(-1)[np.unpackbits(kept[at], bitorder="little").view(bool)]
+    return keys.view(_WORD).reshape(-1)[np.unpackbits(kept[at], bitorder="little").view(bool)]
 
 
 def path_sum_slow(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:

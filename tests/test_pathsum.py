@@ -195,9 +195,10 @@ def _layout_circuit(hcount: int) -> tuple[Circuit, list[int]]:
 
 @pytest.mark.parametrize("hcount", [5, 6, 7])
 def test_fast_oracle_matches_slow_oracle_where_the_plane_layout_changes(hcount):
-    """32, 64 and 128 paths: the constraints keep no path, every path, only
-    the upper half (the last uint64 word at 128 paths), only the last block
-    of 2**(hcount - len(lasts)) paths, or a mix."""
+    """32, 64 and 128 paths, so the planes fill part of one uint64 word, one
+    word and two words when the kept paths are transposed: the constraints
+    keep no path, every path, only the upper half (the last word at 128
+    paths), only the last block of 2**(hcount - len(lasts)) paths, or a mix."""
     circuit, lasts = _layout_circuit(hcount)
     cases = {
         "none": ([(_ANC, 0)], 0),
