@@ -1,41 +1,37 @@
 """
-Exact scalars: dyadic rationals and the sqrt(2) ring
-====================================================
+Exact numbers: dyadic probabilities and integer amplitude pairs
+===============================================================
 
 Every probability a Hadamard+Toffoli circuit can produce is an integer over
-a power of two, and every amplitude lives in Z[sqrt(2)] scaled the same way.
-This demo exercises the three scalar types the package computes with —
-no floats anywhere.
+a power of two, g/2^m, where g is a sum of squared integer path sums.  So
+the package needs one exact value type, DyadicRational, and reports an
+amplitude as the integer pair (c, m), meaning c/sqrt(2)^m — no floats, and
+no sqrt(2) arithmetic either.
 """
 
-from postsel import DyadicRational, PathAmplitude, SqrtDyadic
+from postsel import Circuit, DyadicRational, h, measure_prob, run
 
 # dyadic rationals normalize to an odd numerator (or exponent zero)
 p = DyadicRational(12, 5)
 print("12/2^5 canonicalizes to", p)            # 3/2^3
 print("as a Fraction:", p.as_fraction())
 
-# arithmetic stays exact at any size
+# equality is value equality, at any size; sums go through Fraction
 tiny = DyadicRational(1, 400)
-print("1/2^400 + 1/2^400 =", tiny + tiny)      # 1/2^399
-print("comparison: 1/2^400 < 1/2^399:", tiny < tiny + tiny)
+assert tiny == DyadicRational(1 << 10, 410)
+twice = tiny.as_fraction() + tiny.as_fraction()
+print("1/2^400 + 1/2^400 == 1/2^399:", twice == DyadicRational(1, 399).as_fraction())
 
-# amplitudes: (a + b*sqrt(2)) / 2^k, with sqrt(2)^2 = 2 built into *
-amp = SqrtDyadic(1, 1, 1)                      # (1 + sqrt2)/2
-print("((1+sqrt2)/2)^2 =", amp * amp)          # (3 + 2*sqrt2)/4
+# one Hadamard: the amplitude of |0> is the pair (1, 1), i.e. 1/sqrt2
+st = run(Circuit(1, (h(0),), 0), "0")
+c, m = st.amplitude(0)
+print(f"H|0>: amplitude of |0> = {c}/sqrt2^{m}, probability", DyadicRational(c * c, m))
 
-# a single path contributes c / sqrt(2)^m; squaring gives a probability
-contrib = PathAmplitude(3, 5)
-print("path weight 3/sqrt2^5 squared =", contrib.square())   # 9/2^5
-print("embedded in the ring:", contrib.as_sqrt_dyadic())
-
-# interference: two paths with weights +1 and -1 over sqrt(2)^2 cancel
-plus = PathAmplitude(1, 2).as_sqrt_dyadic()
-minus = PathAmplitude(-1, 2).as_sqrt_dyadic()
-total = plus + minus
-print("(+1 - 1)/sqrt2^2 =", total, "-> probability", (total * total))
-
-# and constructive interference doubles instead
-both = plus + plus
-print("(+1 + 1)/sqrt2^2 squared =", both * both)   # 1, certainty
-assert both * both == SqrtDyadic.from_int(1)
+# interference: after H H the two paths into |1> cancel (+1 - 1 = 0) and the
+# two into |0> add up (+1 + 1 = 2); squaring gives c*c/2^m exactly
+st = run(Circuit(1, (h(0), h(0)), 0), "0")
+for z in (0, 1):
+    c, m = st.amplitude(z)
+    print(f"HH|0>: amplitude of |{z}> = {c}/sqrt2^{m} -> probability", DyadicRational(c * c, m))
+assert st.amplitude(1) == (0, 2)
+assert measure_prob(st, 0, 0) == DyadicRational(1, 0)  # 2*2/2^2: certainty

@@ -99,7 +99,7 @@ def _cmd_compile(args) -> int:
     if kind == "gapsq":
         circ = compile_gap_squared(m1, w)
     elif kind == "pp":
-        circ = compile_pp_instance(m1, m2, w, args.r)
+        circ = compile_pp_instance(m1, m2, w)
     else:
         circ = compile_pair_postsel(m1, m2, w, args.k)
         if kind == "rescale":
@@ -176,7 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--t", type=int, default=1, help="rescale exponent (rescale)")
     c.add_argument("--f", type=int, help="postselection numerator override (fqp2exp)")
     c.add_argument("--h", type=int, help="postselection exponent override (fqp2exp)")
-    c.add_argument("--r", type=int, default=4, help="sharpness exponent (pp)")
     c.add_argument("-o", "--output", required=True, help="circuit file to write")
     c.set_defaults(func=_cmd_compile)
 

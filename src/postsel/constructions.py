@@ -359,9 +359,7 @@ def compile_fqp_to_exp(circuit: Circuit, f: int, h_exp: int) -> Circuit:
     return rescale_postsel(mixed, t)
 
 
-def compile_pp_instance(
-    mg: PredicateCircuit, mf: PredicateCircuit, w, r: int = 4
-) -> Circuit:
+def compile_pp_instance(mg: PredicateCircuit, mf: PredicateCircuit, w) -> Circuit:
     """Postselected circuit for a majority-vote style gap pair (g, f).
 
     Builds the two squared-gap blocks, downscales each by the other's path
@@ -374,14 +372,10 @@ def compile_pp_instance(
         P(p=1)   = (3 * P_V + P_W) / 4     P(o=1 | p=1) = 3 P_V / (3 P_V + P_W)
 
     Requires gap(mf, w) != 0, which makes P(p=1) >= 2**-(q+q'+2) with
-    equality only in the degenerate all-zero-g, unit-f case.  ``r`` names the
-    sharpness of the (g, f) pair and is used by the surrounding checks, not
-    by the construction.
+    equality only in the degenerate all-zero-g, unit-f case.
     """
     if gap(mf, w).gap == 0:
         raise ValueError("the f machine must have a nonzero gap")
-    if r < 2:
-        raise ValueError("r must be >= 2")
     q_exp = 2 * mg.path_width
     qp_exp = 2 * mf.path_width
 

@@ -1,19 +1,13 @@
-"""Exact scalar arithmetic for Hadamard+Toffoli amplitudes and probabilities.
+"""The exact dyadic value n / 2**k of a Hadamard+Toffoli event probability.
 
-Three value types, all backed by Python's arbitrary-precision integers:
-
-* ``SqrtDyadic``     -- numbers of the form (a + b*sqrt(2)) / 2**k.  Closed
-  under + - * and exactly comparable; every amplitude reachable by H, X, CX
-  and CCX from a basis state lives in this ring.
-* ``DyadicRational`` -- n / 2**k, the exact form of every event probability
-  of such a circuit.  Canonical serialization is the literal string
-  ``"n/2^k"`` (9/16 prints as ``9/2^4``).
-* ``PathAmplitude``  -- c / sqrt(2)**m, the shape produced by summing signed
-  unit contributions over m Hadamard branchings; squaring one gives the
-  DyadicRational c**2 / 2**m.
-
-No value here ever touches a float.  Conditional probabilities, which need
-general rationals, are handled by ``fractions.Fraction`` at the call sites.
+An event probability of such a circuit is a path sum squared over 2**m (a
+GapP-style count), so one integer pair carries it exactly.  ``DyadicRational``
+stores that pair in canonical form and prints as the literal string
+``"n/2^k"`` (9/16 prints as ``9/2^4``).  It carries no arithmetic: every
+comparison and every conditional probability goes through ``as_fraction``
+and ``fractions.Fraction``.  Amplitudes never need a number type of their
+own; the simulator reports one as the integer pair (c, m), meaning
+c / sqrt(2)**m.  No value here ever touches a float.
 """
 
 from __future__ import annotations
@@ -46,170 +40,11 @@ class DyadicRational:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
 
-    @classmethod
-    def from_int(cls, value: int) -> "DyadicRational":
-        return cls(value, 0)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.n, 1 << self.k)
 
     def __str__(self) -> str:
         return f"{self.n}/2^{self.k}"
 
-    def __add__(self, other):
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        k = max(self.k, other.k)
-        return DyadicRational(
-            (self.n << (k - self.k)) + (other.n << (k - other.k)), k
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        return self + DyadicRational(-other.n, other.k)
-
-    def __mul__(self, other):
-        if isinstance(other, DyadicRational):
-            return DyadicRational(self.n * other.n, self.k + other.k)
-        if isinstance(other, int):
-            return DyadicRational(self.n * other, self.k)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return DyadicRational(-self.n, self.k)
-
-    def _cmp_key(self, other: "DyadicRational") -> tuple[int, int]:
-        # n1/2^k1 ? n2/2^k2  <=>  n1*2^k2 ? n2*2^k1
-        return self.n << other.k, other.n << self.k
-
-    def __lt__(self, other):
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        a, b = self._cmp_key(other)
-        return a < b
-
-    def __le__(self, other):
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __gt__(self, other):
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        a, b = self._cmp_key(other)
-        return a > b
-
-    def __ge__(self, other):
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        a, b = self._cmp_key(other)
-        return a >= b
-
     def is_zero(self) -> bool:
         return self.n == 0
-
-
-@dataclass(frozen=True)
-class SqrtDyadic:
-    """Exact (a + b*sqrt(2)) / 2**k.
-
-    Canonical form: k == 0, or a and b are not both even.  Canonical
-    representatives are unique, so structural equality is value equality.
-    """
-
-    a: int
-    b: int = 0
-    k: int = 0
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("denominator exponent must be >= 0")
-        a, b, k = self.a, self.b, self.k
-        while k > 0 and a % 2 == 0 and b % 2 == 0:
-            a //= 2
-            b //= 2
-            k -= 1
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "k", k)
-
-    @classmethod
-    def from_int(cls, value: int) -> "SqrtDyadic":
-        return cls(value, 0, 0)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = SqrtDyadic.from_int(other)
-        if not isinstance(other, SqrtDyadic):
-            return NotImplemented
-        k = max(self.k, other.k)
-        s1 = k - self.k
-        s2 = k - other.k
-        return SqrtDyadic(
-            (self.a << s1) + (other.a << s2), (self.b << s1) + (other.b << s2), k
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SqrtDyadic(-self.a, -self.b, self.k)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = SqrtDyadic.from_int(other)
-        if not isinstance(other, SqrtDyadic):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = SqrtDyadic.from_int(other)
-        if not isinstance(other, SqrtDyadic):
-            return NotImplemented
-        # (a1 + b1 r)(a2 + b2 r) with r^2 = 2
-        return SqrtDyadic(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.k + other.k,
-        )
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __str__(self) -> str:
-        return f"({self.a} + {self.b}*sqrt2)/2^{self.k}"
-
-
-@dataclass(frozen=True)
-class PathAmplitude:
-    """Exact c / sqrt(2)**m: an integer path sum over m Hadamard branchings."""
-
-    c: int
-    m: int
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("sqrt2 exponent must be >= 0")
-
-    def square(self) -> DyadicRational:
-        """|c / sqrt(2)**m|**2 == c**2 / 2**m, canonicalized."""
-        return DyadicRational(self.c * self.c, self.m)
-
-    def as_sqrt_dyadic(self) -> SqrtDyadic:
-        # c / sqrt2^m  ==  c / 2^(m/2)          for even m
-        #             ==  c*sqrt2 / 2^((m+1)/2) for odd m
-        if self.m % 2 == 0:
-            return SqrtDyadic(self.c, 0, self.m // 2)
-        return SqrtDyadic(0, self.c, (self.m + 1) // 2)
-
-    def __str__(self) -> str:
-        return f"{self.c}/sqrt2^{self.m}"

@@ -57,18 +57,16 @@ _WORD = np.dtype("<u8")  # plane words, little-endian so byte k holds bits 8k..8
 _TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
-def path_sum(
-    circuit: Circuit,
-    input_bits,
-    constraints,
-    *,
-    max_branch: int | None = None,
-) -> tuple[int, int]:
-    """Exact (g, m) with P(constraints) == g / 2**m and m == Hadamard count."""
-    cap = DEFAULT_MAX_BRANCH if max_branch is None else max_branch
+def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
+    """Exact (g, m) with P(constraints) == g / 2**m and m == Hadamard count.
+
+    Raises ``CapExceeded`` above ``DEFAULT_MAX_BRANCH`` Hadamards.
+    """
     hcount = circuit.h_count
-    if hcount > cap:
-        raise CapExceeded(f"{hcount} Hadamard branchings exceed oracle cap {cap}")
+    if hcount > DEFAULT_MAX_BRANCH:
+        raise CapExceeded(
+            f"{hcount} Hadamard branchings exceed oracle cap {DEFAULT_MAX_BRANCH}"
+        )
     z0 = _basis_index(circuit, input_bits)
     pin = _constraint_mask(circuit.width, constraints)
     if pin is None:

@@ -577,7 +577,7 @@ def scenario_pp_to_postsel(seed: int, r: int) -> WitnessReport:
     in_bound = Fraction(1, 2) + Fraction(1, 22) - Fraction(12, 11) / (1 << r)
     out_bound = Fraction(3, 1 << (2 * r))
     for w in sorted(labels):
-        circ = compile_pp_instance(mg, mf, w, r)
+        circ = compile_pp_instance(mg, mf, w)
         st = _stats(circ)
         gg = gap(mg, w).gap
         gf = gap(mf, w).gap
@@ -599,9 +599,7 @@ def scenario_pp_to_postsel(seed: int, r: int) -> WitnessReport:
         Fraction(21, 44),
     )
     zero_f = tabulated_count_machine({"1": 2, "0": 2}, 1, 2)
-    report.check_raises(
-        "zero-f-raises", ValueError, lambda: compile_pp_instance(mg, zero_f, "1", r)
-    )
+    report.check_raises("zero-f-raises", ValueError, lambda: compile_pp_instance(mg, zero_f, "1"))
     return report
 
 

@@ -11,9 +11,10 @@ sum(coeffs**2) == 2**m, which bounds every coefficient by 2**(m/2): with at
 most ``_INT64_SAFE_H`` Hadamards every coefficient, square and partial sum of
 squares fits in int64; larger circuits use object-dtype Python ints.
 
-``CapExceeded`` is raised when the live support outgrows ``max_support``
-(default 2**24, so every circuit of width <= 24 runs) and for circuits wider
-than ``MAX_WIDTH`` = 63 qubits, the int64 index limit shared with path_sum.
+``CapExceeded`` is raised when the live support outgrows
+``DEFAULT_MAX_SUPPORT`` = 2**24 entries (so every circuit of width <= 24 runs)
+and for circuits wider than ``MAX_WIDTH`` = 63 qubits, the int64 index limit
+shared with path_sum.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .circuit import Circuit, _pack_bits
 from .errors import CapExceeded, ZeroPostselection
-from .exactring import DyadicRational, PathAmplitude, SqrtDyadic
+from .exactring import DyadicRational
 
 DEFAULT_MAX_SUPPORT = 1 << 24
 MAX_WIDTH = 63  # qubit 63 would be the sign bit of an int64 basis index
@@ -76,9 +77,10 @@ class QuantumState:
     coeffs: np.ndarray
     m: int
 
-    def amplitude(self, z: int) -> SqrtDyadic:
+    def amplitude(self, z: int) -> tuple[int, int]:
+        """Exact (c, m) with amplitude(z) == c / sqrt(2)**m; c == 0 off the support."""
         hit = self.coeffs[self.indices == z]
-        return PathAmplitude(int(hit[0]) if hit.size else 0, self.m).as_sqrt_dyadic()
+        return (int(hit[0]) if hit.size else 0), self.m
 
     def norm_sq(self) -> int:
         return _dot(self.coeffs, self.coeffs)
@@ -146,15 +148,13 @@ def _hadamard(idx: np.ndarray, coeffs: np.ndarray, t: np.int64):
     return out_idx[live], out_c[live]
 
 
-def run(
-    circuit: Circuit, input_bits, *, max_support: int = DEFAULT_MAX_SUPPORT
-) -> QuantumState:
+def run(circuit: Circuit, input_bits) -> QuantumState:
     """Exactly simulate an mcx-free circuit on the given basis-state input.
 
     Raises if the circuit still contains mcx macros (expand first), if the
     circuit is wider than ``MAX_WIDTH`` or its live support outgrows
-    ``max_support`` entries (``CapExceeded``), or if an input bit contradicts
-    a declared ancilla value.
+    ``DEFAULT_MAX_SUPPORT`` entries (``CapExceeded``), or if an input bit
+    contradicts a declared ancilla value.
     """
     z0 = _basis_index(circuit, input_bits)
     for q, v in circuit.ancillas:
@@ -172,9 +172,9 @@ def run(
         if g.kind == "h":
             idx, coeffs = _hadamard(idx, coeffs, t)
             m += 1
-            if idx.size > max_support:
+            if idx.size > DEFAULT_MAX_SUPPORT:
                 raise CapExceeded(
-                    f"live support {idx.size} exceeds cap {max_support} at h {g.target}"
+                    f"live support {idx.size} exceeds cap {DEFAULT_MAX_SUPPORT} at h {g.target}"
                 )
         elif not g.controls:
             idx ^= t
@@ -203,9 +203,7 @@ def joint_prob(state: QuantumState, constraints) -> DyadicRational:
     return DyadicRational(_masked_square_sum(state, constraints), state.m)
 
 
-def postselect_stats(
-    circuit: Circuit, input_bits, *, max_support: int = DEFAULT_MAX_SUPPORT
-) -> PostselStats:
+def postselect_stats(circuit: Circuit, input_bits) -> PostselStats:
     """Run the circuit and return exact (P(p=1), P(o=1,p=1), P(o=1|p=1)).
 
     The conditional is never rounded: it is returned as an exact Fraction.
@@ -213,7 +211,7 @@ def postselect_stats(
     """
     if circuit.postselect is None:
         raise ValueError("circuit declares no postselect qubit")
-    state = run(circuit, input_bits, max_support=max_support)
+    state = run(circuit, input_bits)
     p_post = measure_prob(state, circuit.postselect, 1)
     if p_post.is_zero():
         raise ZeroPostselection("P(postselect=1) is exactly zero")

@@ -346,7 +346,7 @@ def test_acceptance_10_majority_instance_bounds():
     for in_l in (True, False):
         mg = make_gap_machine(2 if in_l else 0, 1)
         mf = make_gap_machine(2, 1)
-        circ = compile_pp_instance(mg, mf, "", r)
+        circ = compile_pp_instance(mg, mf, "")
         st = _stats(circ)
         strict_floor = Fraction(1, 1 << (2 * 1 + 2 * 1 + 2))
         ok = ok and st.p_post.as_fraction() > strict_floor

@@ -327,7 +327,7 @@ def test_fqp_to_exp_power_of_two_input_skips_rescale():
 def test_pp_instance_pinned():
     mg = make_gap_machine(2, 1)  # gap 2, q_exp = 2
     mf = make_gap_machine(2, 1)
-    c = compile_pp_instance(mg, mf, "", r=2)
+    c = compile_pp_instance(mg, mf, "")
     st = postselect_stats(expand_mcx(c), default_input(c))
     # P_V = P_W = 4/2**4 = 1/4; P(p) = (3+1)/4 * 1/4 = 1/4; cond = 3/4
     assert st.p_post == DyadicRational(1, 2)
@@ -355,8 +355,6 @@ def test_pp_instance_validation():
     mg = make_gap_machine(2, 1)
     with pytest.raises(ValueError):
         compile_pp_instance(mg, make_gap_machine(0, 1), "")  # f gap must be nonzero
-    with pytest.raises(ValueError):
-        compile_pp_instance(mg, mg, "", r=1)
 
 
 # ===================================================================

@@ -1,4 +1,4 @@
-"""Exact scalar types: canonical forms, ring laws, serialization."""
+"""The exact dyadic value: canonical form, equality, serialization."""
 
 from fractions import Fraction
 
@@ -6,18 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from postsel import DyadicRational, PathAmplitude, SqrtDyadic
+from postsel import DyadicRational
 
 ints = st.integers(min_value=-(1 << 40), max_value=1 << 40)
 exps = st.integers(min_value=0, max_value=40)
 
 dyadics = st.builds(DyadicRational, ints, exps)
-sqrt_dyadics = st.builds(SqrtDyadic, ints, ints, exps)
-
-
-# ===================================================================
-# DyadicRational
-# ===================================================================
 
 
 def test_dyadic_canonical_form():
@@ -47,29 +41,6 @@ def test_dyadic_canonical_representative_is_unique(x):
         assert x.k == 0 or x.n % 2 == 1
 
 
-@given(dyadics, dyadics)
-def test_dyadic_add_matches_fraction(x, y):
-    assert (x + y).as_fraction() == x.as_fraction() + y.as_fraction()
-
-
-@given(dyadics, dyadics)
-def test_dyadic_sub_matches_fraction(x, y):
-    assert (x - y).as_fraction() == x.as_fraction() - y.as_fraction()
-
-
-@given(dyadics, dyadics)
-def test_dyadic_mul_matches_fraction(x, y):
-    assert (x * y).as_fraction() == x.as_fraction() * y.as_fraction()
-
-
-@given(dyadics, dyadics)
-def test_dyadic_order_matches_fraction(x, y):
-    assert (x < y) == (x.as_fraction() < y.as_fraction())
-    assert (x <= y) == (x.as_fraction() <= y.as_fraction())
-    assert (x > y) == (x.as_fraction() > y.as_fraction())
-    assert (x >= y) == (x.as_fraction() >= y.as_fraction())
-
-
 @given(dyadics)
 def test_dyadic_equality_is_value_equality(x):
     """Structural equality of canonical forms is value equality."""
@@ -78,129 +49,9 @@ def test_dyadic_equality_is_value_equality(x):
     assert hash(doubled) == hash(x)
 
 
-@given(dyadics, st.integers(min_value=-100, max_value=100))
-def test_dyadic_int_scaling(x, c):
-    assert (x * c).as_fraction() == x.as_fraction() * c
-    assert (c * x).as_fraction() == x.as_fraction() * c
-
-
-@given(dyadics)
-def test_dyadic_negate_roundtrip(x):
-    assert -(-x) == x
-    assert (x + (-x)).is_zero()
-
-
-# ===================================================================
-# SqrtDyadic
-# ===================================================================
-
-
-def _as_pair(x: SqrtDyadic) -> tuple[Fraction, Fraction]:
-    """Value of x as (rational part, coefficient of sqrt2), exactly."""
-    d = Fraction(1, 1 << x.k)
-    return Fraction(x.a) * d, Fraction(x.b) * d
-
-
-def test_sqrt_dyadic_canonical_form():
-    assert SqrtDyadic(2, 4, 1) == SqrtDyadic(1, 2, 0)
-    assert SqrtDyadic(0, 0, 9) == SqrtDyadic(0, 0, 0)
-    # a odd: cannot reduce even though b is even
-    x = SqrtDyadic(1, 2, 3)
-    assert (x.a, x.b, x.k) == (1, 2, 3)
-
-
-def test_sqrt_dyadic_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        SqrtDyadic(1, 1, -2)
-
-
-@given(sqrt_dyadics)
-def test_sqrt_dyadic_canonical_representative(x):
-    """Canonical form: k == 0, or not both components even."""
-    assert x.k == 0 or x.a % 2 == 1 or x.b % 2 == 1
-
-
-@given(sqrt_dyadics, sqrt_dyadics)
-def test_sqrt_dyadic_add_componentwise(x, y):
-    xa, xb = _as_pair(x)
-    ya, yb = _as_pair(y)
-    za, zb = _as_pair(x + y)
-    assert (za, zb) == (xa + ya, xb + yb)
-
-
-@given(sqrt_dyadics, sqrt_dyadics)
-def test_sqrt_dyadic_mul_uses_sqrt2_squared_is_2(x, y):
-    """(a1 + b1 r)(a2 + b2 r) == (a1 a2 + 2 b1 b2) + (a1 b2 + a2 b1) r."""
-    xa, xb = _as_pair(x)
-    ya, yb = _as_pair(y)
-    za, zb = _as_pair(x * y)
-    assert za == xa * ya + 2 * xb * yb
-    assert zb == xa * yb + xb * ya
-
-
-@given(sqrt_dyadics, sqrt_dyadics, sqrt_dyadics)
-def test_sqrt_dyadic_distributive(x, y, z):
-    assert x * (y + z) == x * y + x * z
-
-
-@given(sqrt_dyadics, sqrt_dyadics)
-def test_sqrt_dyadic_commutative(x, y):
-    assert x + y == y + x
-    assert x * y == y * x
-
-
-@given(sqrt_dyadics)
-def test_sqrt_dyadic_int_mixing(x):
-    assert x + 0 == x
-    assert 0 + x == x
-    assert x * 1 == x
-    assert 1 * x == x
-    assert (x - x).is_zero()
-    assert 3 - x == SqrtDyadic.from_int(3) - x
-
-
-@given(sqrt_dyadics)
-def test_sqrt_dyadic_equality_is_value_equality(x):
-    assert SqrtDyadic(x.a * 8, x.b * 8, x.k + 3) == x
-
-
-# ===================================================================
-# PathAmplitude
-# ===================================================================
-
-
-def test_path_amplitude_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        PathAmplitude(1, -1)
-
-
-def test_path_amplitude_str():
-    assert str(PathAmplitude(-3, 5)) == "-3/sqrt2^5"
-
-
-@given(ints, exps)
-def test_path_amplitude_square(c, m):
-    """|c / sqrt2^m|^2 == c^2 / 2^m."""
-    p = PathAmplitude(c, m).square()
-    assert p.as_fraction() == Fraction(c * c, 1 << m)
-
-
-@given(ints, exps)
-def test_path_amplitude_embeds_into_sqrt_ring(c, m):
-    x = PathAmplitude(c, m).as_sqrt_dyadic()
-    ra, rb = _as_pair(x)
-    # (ra + rb*sqrt2)^2 must equal c^2 / 2^m, and one component is zero.
-    assert ra * rb == 0
-    assert ra * ra + 2 * rb * rb == Fraction(c * c, 1 << m)
-
-
-@given(ints, ints, exps)
-def test_square_of_sum_in_sqrt_ring(c1, c2, m):
-    """Interference: adding amplitudes then squaring stays in the ring."""
-    a = PathAmplitude(c1, m).as_sqrt_dyadic()
-    b = PathAmplitude(c2, m).as_sqrt_dyadic()
-    s = a + b
-    total = s * s
-    ra, rb = _as_pair(total)
-    assert rb == 0
-    assert ra == Fraction((c1 + c2) ** 2, 1 << m)
+@given(ints, exps, ints, exps)
+def test_dyadic_equality_matches_fraction(a, i, b, j):
+    x, y = DyadicRational(a, i), DyadicRational(b, j)
+    assert (x == y) == (Fraction(a, 2**i) == Fraction(b, 2**j))
+    assert x.as_fraction() == Fraction(a, 2**i)
+    assert x.is_zero() == (a == 0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from postsel import pathsum
 from postsel import (
     CapExceeded,
     Circuit,
@@ -228,11 +229,12 @@ def test_oracle_handles_mcx_natively():
     assert joint_prob(st, [(4, 1)]) == DyadicRational(1, 1)
 
 
-def test_oracle_branch_cap():
+def test_oracle_branch_cap(monkeypatch):
     c = Circuit(1, tuple(h(0) for _ in range(21)), 0)
     with pytest.raises(CapExceeded):
         path_sum(c, "0", [])
-    g, m = path_sum(c, "0", [(0, 0)], max_branch=21)
+    monkeypatch.setattr(pathsum, "DEFAULT_MAX_BRANCH", 21)
+    g, m = path_sum(c, "0", [(0, 0)])
     # 21 h's == one net h; amplitude 2**10/sqrt2**21 squares to 2**20/2**21
     assert (g, m) == (1 << 20, 21)
     assert DyadicRational(g, m) == DyadicRational(1, 1)

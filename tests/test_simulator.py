@@ -9,11 +9,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from postsel import simulator
 from postsel import (
     CapExceeded,
     Circuit,
     DyadicRational,
-    SqrtDyadic,
     ZeroPostselection,
     ancillas_restored,
     ccx,
@@ -39,12 +39,15 @@ def test_single_hadamard_is_uniform():
     st = run(Circuit(1, (h(0),), 0), "0")
     assert st.m == 1
     assert list(st.to_dense()) == [1, 1]
-    assert st.amplitude(0) == SqrtDyadic(0, 1, 1)  # 1/sqrt2 == sqrt2/2
+    assert st.amplitude(0) == (1, 1)  # 1/sqrt2
     assert measure_prob(st, 0, 1) == DyadicRational(1, 1)
 
 
 def test_hh_is_identity():
-    st = run(Circuit(1, (h(0), h(0)), 0), "0").canonical()
+    raw = run(Circuit(1, (h(0), h(0)), 0), "0")
+    assert raw.amplitude(0) == (2, 2)  # 2/sqrt2**2 == 1
+    assert raw.amplitude(1) == (0, 2)  # off the support: the paths cancelled
+    st = raw.canonical()
     assert st.m == 0
     assert list(st.to_dense()) == [1, 0]
     assert list(st.indices) == [0]  # the cancelled |1> entry is dropped
@@ -115,8 +118,8 @@ def test_marginals_sum_to_one():
         c = _random_flat_circuit(rng, width, 12)
         st = run(c, "0" * width)
         for q in range(width):
-            total = measure_prob(st, q, 0) + measure_prob(st, q, 1)
-            assert total == DyadicRational(1, 0)
+            total = measure_prob(st, q, 0).as_fraction() + measure_prob(st, q, 1).as_fraction()
+            assert total == Fraction(1)
 
 
 def test_sparse_kernel_matches_mask_reference():
@@ -245,14 +248,17 @@ def test_int64_path_for_few_hadamards():
 # ===================================================================
 
 
-def test_support_cap():
-    """max_support bounds the live support after every h, not the width."""
+def test_support_cap(monkeypatch):
+    """DEFAULT_MAX_SUPPORT bounds the live support after every h, not the width."""
     c = Circuit(4, (h(0), h(1), h(2), h(3)), 0)
-    assert run(c, "0000", max_support=16).coeffs.size == 16
+    monkeypatch.setattr(simulator, "DEFAULT_MAX_SUPPORT", 16)
+    assert run(c, "0000").coeffs.size == 16
+    monkeypatch.setattr(simulator, "DEFAULT_MAX_SUPPORT", 15)
     with pytest.raises(CapExceeded, match="support"):
-        run(c, "0000", max_support=15)
+        run(c, "0000")
     # the cap applies after the merge: the last h pairs 4 entries into 2
-    merged = run(Circuit(2, (h(0), h(1), h(0)), 0), "00", max_support=4)
+    monkeypatch.setattr(simulator, "DEFAULT_MAX_SUPPORT", 4)
+    merged = run(Circuit(2, (h(0), h(1), h(0)), 0), "00")
     assert sorted(merged.indices.tolist()) == [0, 2]
     # width alone costs nothing: 40 qubits with two live entries
     wide = run(Circuit(40, (h(0), cx(0, 39)), 0), "0" * 40)
