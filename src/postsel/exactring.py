@@ -14,10 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 
 def _reduce_dyadic(n: int, k: int) -> tuple[int, int]:
     """Lower (n, k) to the canonical representative of n / 2**k."""
+    if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in (n, k)):
+        raise ValueError(f"DyadicRational({n!r}, {k!r}) needs two integers")
     if k < 0:
         raise ValueError("denominator exponent must be >= 0")
     if n == 0:

@@ -1,4 +1,4 @@
-"""Branch-sum probability oracle, independent of the statevector simulator.
+"""Branch-sum probability oracle, a second route to the simulator's numbers.
 
 Every Hadamard in the gate list splits a computational-basis path in two:
 H|b> = (|0> + (-1)**b |1>) / sqrt(2).  Enumerating one branch bit per
@@ -19,14 +19,15 @@ on 2**k-bit planes, whatever its control count, so mcx needs no expansion.
 Planes are Python ints throughout; the constraint mask is the AND of the
 constrained planes.  Only then are the planes that matter turned into
 little-endian uint64 words, once, and only the kept paths are transposed
-back, into one uint64 key (z << 1) | sign each (z over the wires that
-vary), and one sort groups the paths that end in the same basis
-state: no two paths are merged before that final reduction.  Memory is
-about (width + 1) * 2**H / 8 bytes of planes, as much again while they are
-turned into words, plus a few 8-byte words per kept path while the keys
-are built and sorted.  Unlike the simulator it
-never builds a statevector and shares none of its arithmetic, so it
-cross-checks the simulator through an entirely different route.
+back, into one uint64 key (z << 1) | sign each (z over the wires that vary),
+and one sort groups the paths that end in the same basis state: no two paths
+are merged before that final reduction.  Memory is about (width + 1) * 2**H
+/ 8 bytes of planes, as much again while they are turned into words, plus a
+few 8-byte words per kept path while the keys are built and sorted.  Only
+the gate kernel ``apply_gates_planes`` (tested against
+``apply_gate_classical``) is shared with the simulator: ``run`` merges
+amplitudes at every H and sees the ``expand_mcx`` ladder, while this sums
+all paths once at the end and applies mcx natively.
 
 ``path_sum_slow`` is a deliberately naive per-path rewrite of the same
 definition, kept as a second opinion for tests.

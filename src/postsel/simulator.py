@@ -3,13 +3,17 @@
 A state over n qubits after m Hadamards is stored as its live support: aligned
 arrays ``indices`` (int64 basis states, bit i = qubit i) and ``coeffs`` (their
 nonzero integer coefficients), with amplitude(indices[j]) == coeffs[j] /
-sqrt(2)**m and every unlisted basis state at amplitude 0.  X/CX/CCX XOR the
-target bit into the firing indices; H splits each entry in two and merges the
-entries that meet.  Cost follows the live support, at most min(2**n, 2**m),
-not 2**n (Jaques & Haener, arXiv:2105.01533).  Unitarity gives
-sum(coeffs**2) == 2**m, which bounds every coefficient by 2**(m/2): with at
-most ``_INT64_SAFE_H`` Hadamards every coefficient, square and partial sum of
-squares fits in int64; larger circuits use object-dtype Python ints.
+sqrt(2)**m and every unlisted basis state at amplitude 0.  H splits each
+entry in two and merges the entries that meet.  A run of X/CX/CCX gates
+transposes the indices once into one bit-plane per wire it touches (bit j of
+wire q's plane = bit q of indices[j]) and the changed target planes back, and
+costs one AND per control and one XOR per gate on indices.size-bit planes
+(the ``apply_gates_planes`` kernel path_sum shares).  Cost follows the live
+support, at most min(2**n, 2**m), not 2**n (Jaques & Haener,
+arXiv:2105.01533).  Unitarity gives sum(coeffs**2) == 2**m, which bounds
+every coefficient by 2**(m/2): with at most ``_INT64_SAFE_H`` Hadamards
+every coefficient, square and partial sum of squares fits in int64; larger
+circuits use object-dtype Python ints.
 
 ``CapExceeded`` is raised when the live support outgrows
 ``DEFAULT_MAX_SUPPORT`` = 2**24 entries (so every circuit of width <= 24 runs)
@@ -21,17 +25,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from numbers import Integral
 
 import numpy as np
 
-from .circuit import Circuit, _pack_bits
+from .circuit import Circuit, _pack_bits, apply_gates_planes
 from .errors import CapExceeded, ZeroPostselection
 from .exactring import DyadicRational
 
 DEFAULT_MAX_SUPPORT = 1 << 24
 MAX_WIDTH = 63  # qubit 63 would be the sign bit of an int64 basis index
 _INT64_SAFE_H = 60  # sum(coeffs**2) == 2**m <= 2**60 keeps all int64 math exact
+_INDEX = np.dtype("<i8")  # basis indices, little-endian so byte k holds qubits 8k..8k+7
 
 
 def _basis_index(circuit: Circuit, bits) -> int:
@@ -41,17 +47,8 @@ def _basis_index(circuit: Circuit, bits) -> int:
     return _pack_bits(bits, circuit.width)
 
 
-def _pin_mask(pairs) -> tuple[int, int]:
-    """(mask, value) with (z & mask) == value iff every (qubit, value) pair holds."""
-    mask = val = 0
-    for q, v in pairs:
-        mask |= 1 << q
-        val |= v << q
-    return mask, val
-
-
 def _constraint_mask(width: int, constraints) -> tuple[int, int] | None:
-    """Validated ``_pin_mask`` of (qubit, value) constraints; None when two contradict."""
+    """Validated (mask, value): (z & mask) == value iff all constraints hold; None if two clash."""
     pinned: dict[int, int] = {}
     for q, v in constraints:
         if not (isinstance(q, Integral) and isinstance(v, Integral)):
@@ -62,7 +59,7 @@ def _constraint_mask(width: int, constraints) -> tuple[int, int] | None:
             raise ValueError("constraint value must be 0 or 1")
         if pinned.setdefault(int(q), int(v)) != v:
             return None
-    return _pin_mask(pinned.items())
+    return sum(1 << q for q in pinned), sum(v << q for q, v in pinned.items())
 
 
 @dataclass
@@ -148,6 +145,27 @@ def _hadamard(idx: np.ndarray, coeffs: np.ndarray, t: np.int64):
     return out_idx[live], out_c[live]
 
 
+def _apply_reversible(idx: np.ndarray, gates: list) -> None:
+    """Apply x/cx/ccx gates to every index in place, on bit-planes read from
+    and XORed back into byte column q >> 3 of each touched wire q."""
+    cols = idx.view(np.uint8).reshape(-1, 8)
+    wires = {q for g in gates for q in (g.target, *g.controls)}
+    col = {k: cols[:, k].copy() for k in {q >> 3 for q in wires}}  # strided access is slow
+    planes = [0] * MAX_WIDTH
+    for q in wires:
+        packed = np.packbits(col[q >> 3] & (1 << (q & 7)), bitorder="little")
+        planes[q] = int.from_bytes(packed.tobytes(), "little")
+    old = planes.copy()
+    apply_gates_planes(planes, gates, (1 << idx.size) - 1)
+    for q in wires:
+        if flips := planes[q] ^ old[q]:  # only targets can change
+            packed = np.frombuffer(flips.to_bytes(-(-idx.size // 8), "little"), np.uint8)
+            bits = np.unpackbits(packed, count=idx.size, bitorder="little")
+            col[q >> 3] ^= bits * np.uint8(1 << (q & 7))  # not <<: uint8 shifts are slow
+    for k, c in col.items():
+        cols[:, k] = c
+
+
 def run(circuit: Circuit, input_bits) -> QuantumState:
     """Exactly simulate an mcx-free circuit on the given basis-state input.
 
@@ -167,20 +185,18 @@ def run(circuit: Circuit, input_bits) -> QuantumState:
     idx = np.array([z0], dtype=np.int64)
     coeffs = np.ones(1, dtype=dtype)
     m = 0
-    for g in circuit.gates:
-        t = np.int64(1 << g.target)
-        if g.kind == "h":
-            idx, coeffs = _hadamard(idx, coeffs, t)
+    for is_h, gates in groupby(circuit.gates, key=lambda g: g.kind == "h"):
+        if not is_h:
+            idx = idx.astype(_INDEX, copy=False)  # a copy only on big-endian hosts
+            _apply_reversible(idx, list(gates))
+            continue
+        for g in gates:
+            idx, coeffs = _hadamard(idx, coeffs, np.int64(1 << g.target))
             m += 1
             if idx.size > DEFAULT_MAX_SUPPORT:
                 raise CapExceeded(
                     f"live support {idx.size} exceeds cap {DEFAULT_MAX_SUPPORT} at h {g.target}"
                 )
-        elif not g.controls:
-            idx ^= t
-        else:
-            mask, val = _pin_mask((c, int(not neg)) for c, neg in zip(g.controls, g.negated))
-            idx ^= ((idx & mask) == val) * t
     return QuantumState(circuit.width, idx, coeffs, m)
 
 
@@ -223,5 +239,5 @@ def postselect_stats(circuit: Circuit, input_bits) -> PostselStats:
 def ancillas_restored(circuit: Circuit, state: QuantumState) -> bool:
     """True when every declared ancilla is back at its declared value in every
     basis state carrying nonzero amplitude."""
-    mask, val = _pin_mask(circuit.ancillas)
+    mask, val = _constraint_mask(circuit.width, circuit.ancillas)
     return bool(np.all((state.indices & mask) == val))

@@ -32,6 +32,12 @@ def test_dyadic_rejects_negative_exponent():
         DyadicRational(1, -1)
 
 
+@pytest.mark.parametrize("n, k", [(1, 2.5), (3.0, 2), (True, 0), (1, -1)])
+def test_dyadic_rejects_non_integers_bools_and_negative_exponents(n, k):
+    with pytest.raises(ValueError):
+        DyadicRational(n, k)
+
+
 @given(dyadics)
 def test_dyadic_canonical_representative_is_unique(x):
     """Canonical form: k == 0 (an integer) or the numerator is odd."""

@@ -2,11 +2,12 @@
 and differential checks against the path-sum oracles and a dense reference."""
 
 import random
+from collections import defaultdict
 
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from postsel import simulator
@@ -16,6 +17,7 @@ from postsel import (
     DyadicRational,
     ZeroPostselection,
     ancillas_restored,
+    apply_gate_classical,
     ccx,
     cx,
     expand_mcx,
@@ -95,7 +97,7 @@ def _random_flat_circuit(rng: random.Random, width: int, n_gates: int) -> Circui
         need = {"h": 1, "x": 1, "cx": 2, "ccx": 3}[kind]
         qs = rng.sample(range(width), need)
         negs = [rng.random() < 0.5 for _ in qs[:-1]]
-        gates.append(mcx(qs[:-1], qs[-1], negs))
+        gates.append(h(qs[0]) if kind == "h" else mcx(qs[:-1], qs[-1], negs))
     return Circuit(width, tuple(gates), 0)
 
 
@@ -216,6 +218,68 @@ def _circuits(draw):
 @given(_circuits())
 def test_sparse_run_matches_path_sums_and_dense_reference(case):
     _check_against_references(*case)
+
+
+def _dict_reference(circuit: Circuit, bits: str) -> dict[int, int]:
+    """Per-index reference: H splits and merges {z: c}; every other gate moves
+    each basis state on its own through apply_gate_classical."""
+    state = {sum(int(b) << i for i, b in enumerate(bits)): 1}
+    for g in circuit.gates:
+        if g.kind != "h":
+            state = {apply_gate_classical(z, g): c for z, c in state.items()}
+            continue
+        t = 1 << g.target
+        out: dict[int, int] = defaultdict(int)
+        for z, c in state.items():
+            out[z & ~t] += c
+            out[z | t] += -c if z & t else c
+        state = {z: c for z, c in out.items() if c}
+    return state
+
+
+@hst.composite
+def _wide_circuits(draw):
+    """Widths 1-63 (63 drawn often, so wire 62 and index bytes 1-7 are reached),
+    at most 11 Hadamards, negated controls, and reversible gates drawn twice in
+    a row so that some runs leave their targets where they were."""
+    width = draw(hst.one_of(hst.just(63), hst.integers(1, 63)))
+    arity = {"h": 0, "x": 0, "cx": 1, "ccx": 2}
+    kinds = [k for k, n in arity.items() if n < width]
+    gates = []
+    for _ in range(draw(hst.integers(0, 24))):
+        kind = draw(hst.sampled_from(kinds))
+        n_ctl = arity[kind]
+        qs = draw(hst.lists(hst.integers(0, width - 1), min_size=n_ctl + 1,
+                            max_size=n_ctl + 1, unique=True))
+        if kind == "h":
+            if sum(g.kind == "h" for g in gates) < 11:
+                gates.append(h(qs[0]))
+            continue
+        negs = draw(hst.lists(hst.booleans(), min_size=n_ctl, max_size=n_ctl))
+        gates += [mcx(qs[:-1], qs[-1], negs)] * draw(hst.integers(1, 2))
+    bits = draw(hst.lists(hst.sampled_from("01"), min_size=width, max_size=width))
+    return Circuit(width, tuple(gates), 0), "".join(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_circuits())
+# support of 1: no Hadamard, gates on wires in index bytes 1, 5 and 7
+@example((Circuit(63, (x(62), cx(62, 40), ccx(40, 62, 9), cx(9, 0, neg=True)), 0), "0" * 63))
+# a run over 5 live entries, not a multiple of 8, with negated controls on wires 9 and 62
+@example((Circuit(63, (h(9), h(62), ccx(9, 62, 40, (True, False)), h(9), cx(62, 40, neg=True),
+                       ccx(9, 40, 62, (False, True))), 0), "0" * 63))
+# a run whose x, cx and ccx each fire twice: every target ends where it began
+@example((Circuit(63, (h(40), h(17), x(62), x(62), cx(40, 9), cx(40, 9),
+                       ccx(17, 40, 62), ccx(17, 40, 62)), 0), "1" * 63))
+# width 1: runs on the only wire, before and after an H
+@example((Circuit(1, (x(0), h(0), x(0)), 0), "1"))
+def test_wide_runs_match_dict_reference(case):
+    """run equals a per-index dict reference on every index byte."""
+    circuit, bits = case
+    st = run(circuit, bits)
+    assert st.m == circuit.h_count
+    assert len(set(st.indices.tolist())) == st.indices.size
+    assert dict(zip(st.indices.tolist(), st.coeffs.tolist())) == _dict_reference(circuit, bits)
 
 
 def test_object_dtype_fallback_for_many_hadamards():
