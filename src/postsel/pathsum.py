@@ -17,17 +17,17 @@ takes sign | ((sign ^ target) << n), marking the paths with an odd number of
 -1 factors.  A gate after k Hadamards costs one AND per control and one XOR
 on 2**k-bit planes, whatever its control count, so mcx needs no expansion.
 Planes are Python ints throughout; the constraint mask is the AND of the
-constrained planes.  Only then are the planes that matter turned into
-little-endian uint64 words, once, and only the kept paths are transposed
-back, into one uint64 key (z << 1) | sign each (z over the wires that vary),
-and one sort groups the paths that end in the same basis state: no two paths
-are merged before that final reduction.  Memory is about (width + 1) * 2**H
-/ 8 bytes of planes, as much again while they are turned into words, plus a
-few 8-byte words per kept path while the keys are built and sorted.  Only
-the gate kernel ``apply_gates_planes`` (tested against
-``apply_gate_classical``) is shared with the simulator: ``run`` merges
-amplitudes at every H and sees the ``expand_mcx`` ladder, while this sums
-all paths once at the end and applies mcx natively.
+constrained planes.  Only then are the kept paths transposed, once, into one
+uint64 key (z << 1) | sign each (z over the wires that vary), and one sort
+groups the paths that end in the same basis state: no two paths are merged
+before that final reduction.  Memory is about (width + 1) * 2**H / 8 bytes
+of planes, as much again while their bytes are gathered, plus a few 8-byte
+words per kept path while the keys are built and sorted.  Shared with the
+simulator are ``branch_planes``, the gate kernel ``apply_gates_planes``
+(tested against ``apply_gate_classical``) and the transpose ``_plane_keys``:
+``run`` merges at every H on a wire that varies, never groups at the end and
+sees the ``expand_mcx`` ladder, while this never merges, sorts once at the
+end and applies mcx natively.
 
 ``path_sum_slow`` is a deliberately naive per-path rewrite of the same
 definition, kept as a second opinion for tests.
@@ -40,22 +40,14 @@ from itertools import groupby
 
 import numpy as np
 
-from .circuit import (
-    Circuit,
-    apply_gate_classical,
-    apply_gates_planes,
-    branch_planes,
-)
+from .circuit import Circuit, _plane_keys, apply_gate_classical, apply_gates_planes, branch_planes
 from .errors import CapExceeded
-from .simulator import _basis_index, _constraint_mask
+from .simulator import _basis_index, _constraint_mask, _kept
 
 # At the cap the planes take at most (width + 1) * 2**20 / 8 bytes (8 MiB at
-# width 63) and as much again as words; building and sorting the keys of all
+# width 63) and as much again in bytes; building and sorting the keys of all
 # 2**20 paths adds about 48 MiB.
 DEFAULT_MAX_BRANCH = 20
-_WORD = np.dtype("<u8")  # plane words, little-endian so byte k holds bits 8k..8k+7
-# 8x8 bit-matrix transpose inside each uint64 word: (shift, mask) per round
-_TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
@@ -86,20 +78,12 @@ def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
             planes[-1] ^= flips  # H|1> = |0> - |1>: a 1 that stays 1 turns negative
             n <<= 1
 
-    ones = (1 << n) - 1
-    mask, val = pin
-    keep = ones
-    for q in range(circuit.width):
-        if (mask >> q) & 1:
-            keep &= planes[q] if (val >> q) & 1 else planes[q] ^ ones
+    keep = _kept(planes, (1 << n) - 1, *pin)
     if not keep:
         return 0, hcount
     # Wires constant on the kept paths, the pinned ones among them, cannot split a group.
-    rows = [keep, planes[-1]] + [p for p in planes[:-1] if p & keep not in (0, keep)]
-    words = np.empty((len(rows), -(-n // 64)), _WORD)
-    for row, p in zip(words, rows):
-        row[:] = np.frombuffer(p.to_bytes(8 * len(row), "little"), _WORD)
-    keys = np.sort(_kept_keys(words[1:], words[0]))
+    rows = [planes[-1]] + [p for p in planes[:-1] if p & keep not in (0, keep)]
+    keys = np.sort(_plane_keys(rows, n, keep))
     # Exact in int64: |path sum at z| <= 2**H as it adds at most 2**H signs, and
     # g == P * 2**H <= 2**H bounds every square and partial sum of squares, so
     # any H <= 62 is exact (memory caps H far lower).
@@ -107,29 +91,6 @@ def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
     starts = np.flatnonzero(np.concatenate(([True], z[1:] != z[:-1])))
     sums = np.add.reduceat(1 - 2 * (keys & np.uint64(1)).astype(np.int64), starts)
     return int(np.dot(sums, sums)), hcount
-
-
-def _kept_keys(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """One uint64 per path j set in ``keep`` whose bit i is bit j of rows[i].
-
-    ``rows`` holds at most 64 planes as little-endian uint64 words.  Only the
-    bytes where ``keep`` has a path are gathered; eight rows at a time, the
-    eight bytes at one byte position form an 8x8 bit matrix in one word, and
-    transposing it gives one byte per path.  Every word view is explicitly
-    little-endian, so byte k of a word holds bits 8k..8k+7 on any host.
-    """
-    kept = keep.view(np.uint8)
-    at = np.flatnonzero(kept)
-    blocks = -(-len(rows) // 8)
-    tiles = np.zeros((len(at), 8 * blocks), np.uint8)
-    tiles[:, : len(rows)] = rows.view(np.uint8)[:, at].T
-    words = tiles.view(_WORD)
-    for shift, m in _TRANSPOSE8:
-        t = (words ^ (words >> np.uint64(shift))) & np.uint64(m)
-        words ^= t ^ (t << np.uint64(shift))
-    keys = np.zeros((len(at), 8, 8), np.uint8)  # (byte position, path in byte, key byte)
-    keys[:, :, :blocks] = words.view(np.uint8).reshape(len(at), blocks, 8).transpose(0, 2, 1)
-    return keys.view(_WORD).reshape(-1)[np.unpackbits(kept[at], bitorder="little").view(bool)]
 
 
 def path_sum_slow(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:

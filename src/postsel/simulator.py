@@ -1,19 +1,19 @@
 """Exact sparse statevector simulation of {h, x, cx, ccx} circuits.
 
-A state over n qubits after m Hadamards is stored as its live support: aligned
-arrays ``indices`` (int64 basis states, bit i = qubit i) and ``coeffs`` (their
-nonzero integer coefficients), with amplitude(indices[j]) == coeffs[j] /
-sqrt(2)**m and every unlisted basis state at amplitude 0.  H splits each
-entry in two and merges the entries that meet.  A run of X/CX/CCX gates
-transposes the indices once into one bit-plane per wire it touches (bit j of
-wire q's plane = bit q of indices[j]) and the changed target planes back, and
-costs one AND per control and one XOR per gate on indices.size-bit planes
-(the ``apply_gates_planes`` kernel path_sum shares).  Cost follows the live
-support, at most min(2**n, 2**m), not 2**n (Jaques & Haener,
-arXiv:2105.01533).  Unitarity gives sum(coeffs**2) == 2**m, which bounds
-every coefficient by 2**(m/2): with at most ``_INT64_SAFE_H`` Hadamards
-every coefficient, square and partial sum of squares fits in int64; larger
-circuits use object-dtype Python ints.
+A state over n qubits after m Hadamards is stored as its live support: one
+Python-int bit-plane per wire (bit j of wire q's plane = qubit q of entry j)
+and the entries' nonzero integer ``coeffs``, entry j at amplitude coeffs[j] /
+sqrt(2)**m.  X/CX/CCX cost one AND per control and one XOR per gate on the
+planes.  An H on a wire constant across the support doubles the planes and
+the coefficients (negated if the wire reads 1): no two entries meet.  Only
+an H on a wire that varies transposes to int64 basis indices (bit i = qubit
+i), merges the entries that meet by one sort and transposes back.  Those
+plane kernels and transposes live in ``circuit``, shared with path_sum.
+Cost follows the live support, at most min(2**n, 2**m), not 2**n (Jaques &
+Haener, arXiv:2105.01533).  Unitarity gives sum(coeffs**2) == 2**m, which
+bounds every coefficient by 2**(m/2): with at most ``_INT64_SAFE_H``
+Hadamards every coefficient, square and partial sum of squares fits in
+int64; larger circuits use object-dtype Python ints.
 
 ``CapExceeded`` is raised when the live support outgrows
 ``DEFAULT_MAX_SUPPORT`` = 2**24 entries (so every circuit of width <= 24 runs)
@@ -23,14 +23,16 @@ shared with path_sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 from numbers import Integral
 
 import numpy as np
 
-from .circuit import Circuit, _pack_bits, apply_gates_planes
+from .circuit import Circuit, _pack_bits, apply_gates_planes, branch_planes
+from .circuit import _key_planes, _plane_keys
 from .errors import CapExceeded, ZeroPostselection
 from .exactring import DyadicRational
 
@@ -62,22 +64,39 @@ def _constraint_mask(width: int, constraints) -> tuple[int, int] | None:
     return sum(1 << q for q in pinned), sum(v << q for q, v in pinned.items())
 
 
+def _kept(planes: list[int], ones: int, mask: int, val: int) -> int:
+    """The entries that meet a ``_constraint_mask`` (mask, val): the AND of
+    the pinned planes, each XOR ``ones`` where pinned to 0."""
+    keep = ones
+    for q in range(mask.bit_length()):
+        if (mask >> q) & 1:
+            keep &= planes[q] if (val >> q) & 1 else planes[q] ^ ones
+    return keep
+
+
 @dataclass
 class QuantumState:
-    """coeffs[j] / sqrt(2)**m at basis state indices[j] (bit i = qubit i).
+    """coeffs[j] / sqrt(2)**m at the basis state whose qubit q is bit j of planes[q].
 
     Every listed coefficient is nonzero; unlisted basis states have amplitude 0.
     """
 
     width: int
-    indices: np.ndarray
+    planes: list[int] = field(repr=False)  # n-bit ints: repr could pass int's str limit
     coeffs: np.ndarray
     m: int
 
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """int64 basis state of each entry (bit i = qubit i), transposed on first use."""
+        return _plane_keys(self.planes, self.coeffs.size, (1 << self.coeffs.size) - 1).view(_INDEX)
+
     def amplitude(self, z: int) -> tuple[int, int]:
         """Exact (c, m) with amplitude(z) == c / sqrt(2)**m; c == 0 off the support."""
-        hit = self.coeffs[self.indices == z]
-        return (int(hit[0]) if hit.size else 0), self.m
+        if not isinstance(z, Integral) or isinstance(z, bool) or not 0 <= int(z) < 1 << self.width:
+            raise ValueError(f"basis state {z!r} is not an integer in [0, 2**{self.width})")
+        hit = _kept(self.planes, (1 << self.coeffs.size) - 1, (1 << self.width) - 1, int(z))
+        return (int(self.coeffs[hit.bit_length() - 1]) if hit else 0), self.m
 
     def norm_sq(self) -> int:
         return _dot(self.coeffs, self.coeffs)
@@ -90,7 +109,7 @@ class QuantumState:
         while m >= 2 and not np.any(coeffs & 1):
             coeffs >>= 1
             m -= 2
-        return QuantumState(self.width, self.indices[order], coeffs, m)
+        return QuantumState(self.width, _key_planes(self.indices[order], self.width), coeffs, m)
 
     def to_dense(self) -> np.ndarray:
         """The length-2**width coefficient vector (for small widths)."""
@@ -102,12 +121,8 @@ class QuantumState:
         if not isinstance(other, QuantumState):
             return NotImplemented
         a, b = self.canonical(), other.canonical()
-        return (
-            a.width == b.width
-            and a.m == b.m
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.coeffs, b.coeffs)
-        )
+        same = (a.width, a.m, a.planes) == (b.width, b.m, b.planes)
+        return same and np.array_equal(a.coeffs, b.coeffs)
 
 
 @dataclass(frozen=True)
@@ -127,12 +142,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> int:
 
 def _hadamard(idx: np.ndarray, coeffs: np.ndarray, t: np.int64):
     """H on bit t: |z> -> |z & ~t> + (-1)**z_t |z | t>, merged, zeros dropped."""
-    key = idx & ~t
-    hot = np.count_nonzero(idx & t)
-    if hot in (0, idx.size):  # one shared value of bit t: no two outputs meet
-        signed = -coeffs if hot else coeffs
-        return np.concatenate((key, key | t)), np.concatenate((coeffs, signed))
     # pair up z and z ^ t by sorting on the key z & ~t (groups of one or two)
+    key = idx & ~t
     order = np.argsort(key)
     key = key[order]
     c = coeffs[order]
@@ -143,27 +154,6 @@ def _hadamard(idx: np.ndarray, coeffs: np.ndarray, t: np.int64):
     out_c = np.concatenate((np.add.reduceat(c, starts), np.add.reduceat(signed, starts)))
     live = out_c != 0
     return out_idx[live], out_c[live]
-
-
-def _apply_reversible(idx: np.ndarray, gates: list) -> None:
-    """Apply x/cx/ccx gates to every index in place, on bit-planes read from
-    and XORed back into byte column q >> 3 of each touched wire q."""
-    cols = idx.view(np.uint8).reshape(-1, 8)
-    wires = {q for g in gates for q in (g.target, *g.controls)}
-    col = {k: cols[:, k].copy() for k in {q >> 3 for q in wires}}  # strided access is slow
-    planes = [0] * MAX_WIDTH
-    for q in wires:
-        packed = np.packbits(col[q >> 3] & (1 << (q & 7)), bitorder="little")
-        planes[q] = int.from_bytes(packed.tobytes(), "little")
-    old = planes.copy()
-    apply_gates_planes(planes, gates, (1 << idx.size) - 1)
-    for q in wires:
-        if flips := planes[q] ^ old[q]:  # only targets can change
-            packed = np.frombuffer(flips.to_bytes(-(-idx.size // 8), "little"), np.uint8)
-            bits = np.unpackbits(packed, count=idx.size, bitorder="little")
-            col[q >> 3] ^= bits * np.uint8(1 << (q & 7))  # not <<: uint8 shifts are slow
-    for k, c in col.items():
-        cols[:, k] = c
 
 
 def run(circuit: Circuit, input_bits) -> QuantumState:
@@ -182,41 +172,43 @@ def run(circuit: Circuit, input_bits) -> QuantumState:
         raise ValueError("circuit contains unexpanded mcx gates; run expand_mcx first")
 
     dtype = np.int64 if circuit.h_count <= _INT64_SAFE_H else object
-    idx = np.array([z0], dtype=np.int64)
+    planes = [(z0 >> q) & 1 for q in range(circuit.width)]
     coeffs = np.ones(1, dtype=dtype)
     m = 0
     for is_h, gates in groupby(circuit.gates, key=lambda g: g.kind == "h"):
         if not is_h:
-            idx = idx.astype(_INDEX, copy=False)  # a copy only on big-endian hosts
-            _apply_reversible(idx, list(gates))
+            apply_gates_planes(planes, gates, (1 << coeffs.size) - 1)
             continue
         for g in gates:
-            idx, coeffs = _hadamard(idx, coeffs, np.int64(1 << g.target))
+            n = coeffs.size
+            hot = planes[g.target]
+            if hot in (0, (1 << n) - 1):  # one shared value of the target: no two outputs meet
+                branch_planes(planes, n, g.target)
+                coeffs = np.concatenate((coeffs, -coeffs if hot else coeffs))
+            else:
+                idx = _plane_keys(planes, n, (1 << n) - 1).view(_INDEX)
+                idx, coeffs = _hadamard(idx, coeffs, np.int64(1 << g.target))
+                planes = _key_planes(idx, circuit.width)
             m += 1
-            if idx.size > DEFAULT_MAX_SUPPORT:
+            if coeffs.size > DEFAULT_MAX_SUPPORT:
                 raise CapExceeded(
-                    f"live support {idx.size} exceeds cap {DEFAULT_MAX_SUPPORT} at h {g.target}"
+                    f"live support {coeffs.size} exceeds cap {DEFAULT_MAX_SUPPORT} at h {g.target}"
                 )
-    return QuantumState(circuit.width, idx, coeffs, m)
-
-
-def _masked_square_sum(state: QuantumState, constraints) -> int:
-    pin = _constraint_mask(state.width, constraints)
-    if pin is None:
-        return 0
-    mask, val = pin
-    c = state.coeffs[(state.indices & mask) == val]
-    return _dot(c, c)
+    return QuantumState(circuit.width, planes, coeffs, m)
 
 
 def measure_prob(state: QuantumState, qubit: int, value: int) -> DyadicRational:
     """Exact probability that measuring ``qubit`` yields ``value``."""
-    return DyadicRational(_masked_square_sum(state, [(qubit, value)]), state.m)
+    return joint_prob(state, [(qubit, value)])
 
 
 def joint_prob(state: QuantumState, constraints) -> DyadicRational:
     """Exact probability that every (qubit, value) constraint holds at once."""
-    return DyadicRational(_masked_square_sum(state, constraints), state.m)
+    n, pin = state.coeffs.size, _constraint_mask(state.width, constraints)
+    keep = _kept(state.planes, (1 << n) - 1, *pin) if pin else 0
+    kept = np.frombuffer(keep.to_bytes(-(-n // 8), "little"), np.uint8)
+    c = state.coeffs[np.unpackbits(kept, count=n, bitorder="little").view(bool)]
+    return DyadicRational(_dot(c, c), state.m)
 
 
 def postselect_stats(circuit: Circuit, input_bits) -> PostselStats:
@@ -238,6 +230,8 @@ def postselect_stats(circuit: Circuit, input_bits) -> PostselStats:
 
 def ancillas_restored(circuit: Circuit, state: QuantumState) -> bool:
     """True when every declared ancilla is back at its declared value in every
-    basis state carrying nonzero amplitude."""
-    mask, val = _constraint_mask(circuit.width, circuit.ancillas)
-    return bool(np.all((state.indices & mask) == val))
+    basis state carrying nonzero amplitude: each ancilla plane is 0 or all-ones."""
+    if circuit.width != state.width:
+        raise ValueError(f"circuit width {circuit.width} does not match state width {state.width}")
+    ones = (1 << state.coeffs.size) - 1
+    return _kept(state.planes, ones, *_constraint_mask(circuit.width, circuit.ancillas)) == ones

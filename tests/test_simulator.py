@@ -15,6 +15,7 @@ from postsel import (
     CapExceeded,
     Circuit,
     DyadicRational,
+    QuantumState,
     ZeroPostselection,
     ancillas_restored,
     apply_gate_classical,
@@ -282,6 +283,91 @@ def test_wide_runs_match_dict_reference(case):
     assert dict(zip(st.indices.tolist(), st.coeffs.tolist())) == _dict_reference(circuit, bits)
 
 
+@hst.composite
+def _branch_merge_circuits(draw):
+    """Widths 1-63 and at most 9 Hadamards, each on a wire drawn from all wires
+    (at large widths mostly one no gate has touched, where H branches) or from
+    the wires gates have touched (where H usually merges).  Reversible gates
+    draw their controls from the touched wires too, so merges meet entries."""
+    width = draw(hst.integers(1, 63))
+    touched: list[int] = []
+    gates = []
+    for _ in range(draw(hst.integers(0, 20))):
+        kind = draw(hst.sampled_from(["h", "h", "x", "cx", "ccx"]))
+        n_ctl = {"h": 0, "x": 0, "cx": 1, "ccx": 2}[kind]
+        if n_ctl >= width or (kind == "h" and sum(g.kind == "h" for g in gates) >= 9):
+            continue
+        pool = draw(hst.sampled_from([range(width), sorted(set(touched)) or range(width)]))
+        qs = [draw(hst.sampled_from(pool))]
+        while len(qs) <= n_ctl:
+            q = draw(hst.integers(0, width - 1))
+            if q not in qs:
+                qs.append(q)
+        negs = draw(hst.lists(hst.booleans(), min_size=n_ctl, max_size=n_ctl))
+        gates.append(h(qs[0]) if kind == "h" else mcx(qs[1:], qs[0], negs))
+        touched += qs
+    bits = draw(hst.lists(hst.sampled_from("01"), min_size=width, max_size=width))
+    return Circuit(width, tuple(gates), 0), "".join(bits)
+
+
+# supports of 5 and 7 on wires 0-2, and of 9 and 13 on wires 3-6: side by side
+# they multiply, to 63 = 7 * 9 and 65 = 5 * 13 entries
+_SUPPORT_5 = (h(1), h(0), ccx(0, 1, 2, False, True), h(1))
+_SUPPORT_7 = (h(0), h(1), ccx(0, 1, 2, False, True), h(0), ccx(0, 2, 1), h(0),
+              cx(0, 1, neg=True))
+_SUPPORT_9 = (h(3), h(6), cx(6, 4, neg=True), cx(4, 3), ccx(3, 6, 5), h(3),
+              ccx(5, 3, 6, True, True), h(5), ccx(5, 6, 4, False, True), h(6), ccx(6, 3, 5))
+_SUPPORT_13 = (h(3), ccx(4, 6, 5, False, True), h(4), h(6), ccx(6, 4, 5, True, False),
+               ccx(3, 5, 6, False, True), ccx(5, 4, 3, True, False), h(5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_branch_merge_circuits())
+# supports of 128 (the last H is on a varying wire, yet no two entries meet) and of
+# 64 (branches only, every one on an all-ones wire)
+@example((Circuit(8, (*map(h, range(6)), ccx(0, 1, 6), h(6)), 0), "0" * 8))
+@example((Circuit(63, tuple(map(h, (0, 9, 17, 40, 55, 62))), 0), "1" * 63))
+# supports of 63 and 65, and of 5 alone
+@example((Circuit(7, _SUPPORT_7 + _SUPPORT_9, 0), "0" * 7))
+@example((Circuit(7, _SUPPORT_5 + _SUPPORT_13, 0), "0" * 7))
+@example((Circuit(3, _SUPPORT_5, 0), "000"))
+# H on an all-ones wire: the new half is negated
+@example((Circuit(4, (h(0), x(3), cx(0, 2), h(3), h(1)), 0), "0000"))
+@example((Circuit(2, (h(1),), 0), "11"))
+# merges that cancel entries: HH on a wire, and H on a wire entangled with another
+@example((Circuit(3, (h(0), h(1), h(0), h(1)), 0), "010"))
+@example((Circuit(3, (h(0), cx(0, 1), h(0), h(1)), 0), "000"))
+# more than 60 Hadamards: object-dtype coefficients
+@example((Circuit(3, tuple(h(q) for _ in range(31) for q in (0, 1)) + (h(2), cx(2, 0)), 0), "100"))
+def test_branch_and_merge_match_dict_reference(case):
+    """run's indices, coeffs, joint_prob per wire, canonical() and == against
+    the per-index dict reference, across Hadamards that branch and that merge."""
+    circuit, bits = case
+    st = run(circuit, bits)
+    ref = _dict_reference(circuit, bits)
+    assert st.m == circuit.h_count
+    assert st.indices.size == len(ref)
+    assert dict(zip(st.indices.tolist(), st.coeffs.tolist())) == ref
+    total = sum(c * c for c in ref.values())
+    for q in range(circuit.width):
+        ones = sum(c * c for z, c in ref.items() if (z >> q) & 1)
+        assert joint_prob(st, [(q, 1)]) == DyadicRational(ones, st.m)
+        assert joint_prob(st, [(q, 0)]) == DyadicRational(total - ones, st.m)
+    zs = sorted(ref)
+    coeffs, m = [ref[z] for z in zs], st.m
+    while m >= 2 and all(c % 2 == 0 for c in coeffs):
+        coeffs, m = [c // 2 for c in coeffs], m - 2
+    canon = st.canonical()
+    assert (canon.indices.tolist(), canon.coeffs.tolist(), canon.m) == (zs, coeffs, m)
+    # the same state listed backwards, its planes packed bit by bit
+    zs.reverse()
+    planes = [sum(((z >> q) & 1) << j for j, z in enumerate(zs)) for q in range(circuit.width)]
+    coeffs = np.array([ref[z] for z in zs], st.coeffs.dtype)
+    backwards = QuantumState(circuit.width, planes, coeffs, st.m)
+    assert st == backwards
+    assert st != QuantumState(circuit.width, planes, -backwards.coeffs, st.m)
+
+
 def test_object_dtype_fallback_for_many_hadamards():
     """More than 60 h gates switches to Python-int coefficients, still exact."""
     gates = tuple(h(q) for _ in range(31) for q in (0, 1)) + (h(0),)
@@ -300,6 +386,27 @@ def test_object_dtype_fallback_for_many_hadamards():
     mixed = Circuit(4, gates + mixed.gates, 2, postselect=3)
     assert mixed.h_count > 60
     _check_against_references(mixed, "0110", oracles=False)
+
+
+def test_repr_of_a_large_state_is_short():
+    """The planes (2**16-bit ints here) stay out of repr, which pytest and
+    Hypothesis call on failure: int's str limit would make it raise."""
+    st = run(Circuit(16, tuple(map(h, range(16))), 0), "0" * 16)
+    assert st.coeffs.size == 1 << 16
+    assert len(repr(st)) < 1000
+
+
+@pytest.mark.parametrize("z", ["1", 1.0, np.float64(1), True, None, 4, -1, 1 << 70])
+def test_amplitude_rejects_non_basis_states(z):
+    st = run(Circuit(2, (h(0),), 0), "11")
+    with pytest.raises(ValueError, match="basis state"):
+        st.amplitude(z)
+
+
+def test_amplitude_reads_every_basis_state():
+    st = run(Circuit(2, (h(0),), 0), "11")  # (|10> - |11>)/sqrt2 as (q1 q0)
+    assert [st.amplitude(z) for z in range(4)] == [(0, 1), (0, 1), (1, 1), (-1, 1)]
+    assert st.amplitude(np.int64(3)) == (-1, 1)
 
 
 def test_int64_path_for_few_hadamards():
@@ -412,6 +519,17 @@ def test_joint_prob_conflicting_constraints_is_zero():
     st = run(Circuit(2, (h(0),), 0), "00")
     assert joint_prob(st, [(0, 0), (0, 1)]) == DyadicRational(0, 0)
     assert joint_prob(st, [(0, 1), (0, 1)]) == DyadicRational(1, 1)
+
+
+def test_ancillas_restored_reads_planes_and_checks_width():
+    c = Circuit(3, (), 0, ancillas=((2, 0),))
+    clean = run(Circuit(3, (h(0), h(1)), 0), "000")
+    assert ancillas_restored(c, clean)
+    assert "indices" not in vars(clean)  # answered from the planes alone
+    assert not ancillas_restored(c, run(Circuit(3, (h(0), cx(0, 2)), 0), "000"))
+    assert not ancillas_restored(c, run(Circuit(3, (h(0), x(2)), 0), "000"))
+    with pytest.raises(ValueError, match="width"):
+        ancillas_restored(c, run(Circuit(2, (h(0),), 0), "00"))
 
 
 def test_ancillas_restored_detects_dirt():
