@@ -33,7 +33,7 @@ print("gaps:", g1, g2)
 
 # squared gap, read off a plain output qubit
 circ = compile_gap_squared(m1, "")
-flat = expand_mcx(circ)                      # expand multi-controlled gates
+flat = expand_mcx(circ)                      # the Toffoli ladders run lowers mcx to
 state = run(flat, default_input(flat))
 p = measure_prob(state, circ.output, 1)
 print("P(o=1) =", p, "   closed form:", gap_squared_prob(g1, q))
@@ -41,7 +41,7 @@ assert p == gap_squared_prob(g1, q)
 
 # the pair construction: postselect to divide one square by their sum
 pair = compile_pair_postsel(m1, m2, "", k=0)
-st = postselect_stats(expand_mcx(pair), default_input(pair))
+st = postselect_stats(pair, default_input(pair))
 want_post, want_cond = pair_stats(g1, g2, q, 0)
 print("P(p=1)        =", st.p_post, "   closed form:", want_post)
 print("P(o=1 | p=1)  =", st.p_cond, "   closed form:", want_cond)
@@ -52,7 +52,7 @@ assert st.p_cond == Fraction(g1 * g1, g1 * g1 + g2 * g2)
 
 # padding k only shrinks the postselection probability, never the ratio
 padded = compile_pair_postsel(m1, m2, "", k=2)
-st2 = postselect_stats(expand_mcx(padded), default_input(padded))
+st2 = postselect_stats(padded, default_input(padded))
 print("k=2 rescales P(p=1) to", st2.p_post, "; conditional stays", st2.p_cond)
 assert st2.p_cond == st.p_cond
 assert st2.p_post.as_fraction() == st.p_post.as_fraction() / 16

@@ -15,7 +15,6 @@ from fractions import Fraction
 from postsel import (
     compile_fqp_to_exp,
     default_input,
-    expand_mcx,
     gadget_biased_flag,
     measure_prob,
     mixed_conditional,
@@ -27,12 +26,12 @@ from postsel.scenarios import _uniform_circuit
 
 
 def stats(circ):
-    return postselect_stats(expand_mcx(circ), default_input(circ))
+    return postselect_stats(circ, default_input(circ))
 
 
 # a flag that is 1 with probability exactly 5/8
 flag = gadget_biased_flag(5, 3)
-state = run(expand_mcx(flag), default_input(flag))
+state = run(flag, default_input(flag))
 print("biased flag:", measure_prob(state, flag.output, 1))
 
 # start from a coin circuit: 4 coins, postselect on [coins < 10],

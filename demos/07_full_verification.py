@@ -14,7 +14,6 @@ from postsel import (
     SCENARIOS,
     compile_pp_instance,
     default_input,
-    expand_mcx,
     make_gap_machine,
     postselect_stats,
     run_scenario,
@@ -33,7 +32,7 @@ for label, g_val in (("in", 2), ("out", 0)):
     mg = make_gap_machine(g_val, 1)
     mf = make_gap_machine(2, 1)
     circ = compile_pp_instance(mg, mf, "")
-    st = postselect_stats(expand_mcx(circ), default_input(circ))
+    st = postselect_stats(circ, default_input(circ))
     print(f"{label}: P(p=1) = {st.p_post}  conditional = {st.p_cond}")
 print()
 

@@ -3,8 +3,8 @@
 A circuit is a fixed-width ordered gate list plus a designated output qubit,
 an optional postselection qubit (always postselected on value 1) and declared
 work-qubit initial values.  The multi-controlled X macro ``mcx`` is the only
-gate that is not simulated directly; ``expand_mcx`` rewrites it into CCX
-ladders before simulation.
+gate the statevector simulator does not apply directly: ``expand_mcx``
+rewrites it into CCX ladders, and ``simulator.run`` calls it itself.
 
 Text format, one statement per line, ``#`` starts a comment, indices are
 0-based, controls may carry a ``!`` prefix for a negated (fires-on-0)
@@ -35,14 +35,9 @@ from dataclasses import dataclass, replace
 from numbers import Integral
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import CircuitSyntaxError, InsufficientAncillas
 
 GATE_KINDS = ("h", "x", "cx", "ccx", "mcx")
-_WORD = np.dtype("<u8")  # little-endian words, so byte k holds bits 8k..8k+7 on any host
-# 8x8 bit-matrix transpose inside each uint64 word: (shift, mask) per round
-_TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 def _integer(value, role: str) -> int:
@@ -195,77 +190,6 @@ def apply_gate_classical(state: int, gate: Gate) -> int:
     return state ^ (1 << gate.target)
 
 
-def apply_gates_planes(planes: list, gates: Iterable[Gate], ones) -> None:
-    """Apply reversible (non-h) gates to every path at once, in place.
-
-    ``planes[q]`` is wire q's bit-plane: bit j is the wire's value on path j
-    (bitslicing, Biham FSE 1997).  A gate fires on the AND of its control
-    planes, a negated control being its plane XOR ``ones`` (the plane with a
-    bit set for every path), and XORs that into its target plane: one AND per
-    control and one XOR per gate.  Only ``&`` and ``^`` are used, so a plane
-    may be a Python int or a numpy uint64 word array.
-    """
-    for g in gates:
-        if g.kind == "h":
-            raise ValueError("h has no classical action")
-        fire = ones
-        for c, neg in zip(g.controls, g.negated):
-            fire = fire & (planes[c] ^ ones if neg else planes[c])
-        planes[g.target] = planes[g.target] ^ fire
-
-
-def branch_planes(planes: list[int], n: int, target: int) -> None:
-    """Double ``n`` paths to 2n in place, on Python int planes.
-
-    Path n + j copies path j, except that wire ``target`` reads 0 on the first
-    n paths and 1 on the other n, so branching on wires t_0, t_1, ... in turn
-    from one path sets wire t_i to bit i of the path index.
-    """
-    for q, p in enumerate(planes):
-        planes[q] = p | p << n
-    planes[target] = ((1 << n) - 1) << n
-
-
-def _transpose_bits(rows: np.ndarray) -> np.ndarray:
-    """Bit-matrix transpose of r little-endian bit strings of c bytes (uint8
-    ``rows``), as c x 8 x ceil(r / 8) bytes: out[k >> 3, k & 7] is the bit
-    string whose bit i is bit k of rows[i].  Eight rows at a time, the bytes
-    at one position form an 8x8 bit matrix in one word, transposed in place."""
-    n_rows, n_bytes = rows.shape
-    blocks = -(-n_rows // 8)
-    tiles = np.zeros((n_bytes, 8 * blocks), np.uint8)
-    tiles[:, :n_rows] = rows.T
-    words = tiles.view(_WORD)
-    for shift, m in _TRANSPOSE8:
-        t = (words ^ (words >> np.uint64(shift))) & np.uint64(m)
-        words ^= t ^ (t << np.uint64(shift))
-    return words.view(np.uint8).reshape(n_bytes, blocks, 8).transpose(0, 2, 1)
-
-
-def _plane_keys(planes: list[int], n: int, keep: int) -> np.ndarray:
-    """One uint64 per path j < n set in ``keep``, in order, whose bit i is bit j
-    of planes[i] (at most 64 planes); only bytes where keep has a path move."""
-    n_bytes = -(-n // 8)
-    kept = np.frombuffer(keep.to_bytes(n_bytes, "little"), np.uint8)
-    at = np.flatnonzero(kept)
-    data = bytearray()  # one copy of the planes: cheaper than joining a list of bytes
-    for p in planes:
-        data += p.to_bytes(n_bytes, "little")
-    rows = np.frombuffer(data, np.uint8).reshape(len(planes), n_bytes)
-    bits = _transpose_bits(rows if len(at) == n_bytes else rows[:, at])
-    keys = np.zeros((len(at), 8, 8), np.uint8)  # (byte position, path in byte, key byte)
-    keys[:, :, : bits.shape[2]] = bits
-    return keys.view(_WORD).reshape(-1)[np.unpackbits(kept[at], bitorder="little").view(bool)]
-
-
-def _key_planes(keys: np.ndarray, n_planes: int) -> list[int]:
-    """Inverse of ``_plane_keys``: plane i < n_planes has bit j = bit i of keys[j] >= 0."""
-    bits = _transpose_bits(keys.astype(_WORD).view(np.uint8).reshape(-1, 8))
-    k = bits.shape[2]
-    data = bits.reshape(64, k)[:n_planes].tobytes()
-    return [int.from_bytes(data[i : i + k], "little") for i in range(0, len(data), k)]
-
-
 def _ladder(controls: Sequence[int], target: int, anc: Sequence[int]) -> list[Gate]:
     """CCX network for an all-positive multi-controlled X on n >= 3 controls.
 
@@ -388,9 +312,6 @@ def _parse_ints(args: list[str], usage: str, line_no: int) -> list[int]:
     return values
 
 
-_CONTROL_COUNT = {"h": 0, "x": 0, "cx": 1, "ccx": 2}
-
-
 def _parse_gate(op: str, args: list[str], line_no: int) -> Gate:
     """One gate line; ``mcx`` takes one or more controls and is normalized by count."""
     if op not in GATE_KINDS:
@@ -401,15 +322,13 @@ def _parse_gate(op: str, args: list[str], line_no: int) -> Gate:
     tgt, neg = ctls.pop()
     if neg:
         raise CircuitSyntaxError("targets cannot be negated", line_no)
-    expected = _CONTROL_COUNT.get(op)
-    if expected is None and not ctls:
+    if op == "mcx" and not ctls:
         raise CircuitSyntaxError("mcx needs controls and a target", line_no)
-    if expected is not None and len(ctls) != expected:
-        raise CircuitSyntaxError(f"{op} takes {expected} controls", line_no)
-    if op == "h":
-        return h(tgt)
+    controls, negated = [c for c, _ in ctls], [n for _, n in ctls]
     try:
-        return mcx([c for c, _ in ctls], tgt, [n for _, n in ctls])
+        if op == "mcx":
+            return mcx(controls, tgt, negated)
+        return Gate(op, tgt, controls, negated)
     except ValueError as exc:
         raise CircuitSyntaxError(str(exc), line_no) from exc
 

@@ -19,7 +19,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .circuit import default_input, expand_mcx, parse_circuit, serialize_circuit
+from .circuit import default_input, parse_circuit, serialize_circuit
 from .constructions import (
     compile_fqp_to_exp,
     compile_gap_squared,
@@ -52,7 +52,7 @@ def _read(path: str) -> str:
 def _cmd_simulate(args) -> int:
     circ = parse_circuit(_read(args.circuit))
     bits = args.input if args.input is not None else default_input(circ)
-    state = run(expand_mcx(circ), bits)
+    state = run(circ, bits)
     # each event's constraints, read by the simulator and by the oracle alike
     events = {"prob_output": [(circ.output, 1)]}
     if circ.postselect is not None:
@@ -107,7 +107,7 @@ def _cmd_compile(args) -> int:
         elif kind == "fqp2exp":
             f, h_exp = args.f, args.h
             if f is None or h_exp is None:
-                st = postselect_stats(expand_mcx(circ), default_input(circ))
+                st = postselect_stats(circ, default_input(circ))
                 f, h_exp = st.p_post.n, st.p_post.k
             circ = compile_fqp_to_exp(circ, f, h_exp)
     with open(args.output, "w", encoding="ascii") as fh:
@@ -204,10 +204,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PostselError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (PostselError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

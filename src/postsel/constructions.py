@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .circuit import Circuit, Gate, _pack_bits, ccx, default_input, expand_mcx, h, mcx, x
+from .circuit import Circuit, Gate, _pack_bits, ccx, default_input, h, mcx, x
 from .counting import PredicateCircuit, emit_less_than, gap
 from .errors import StatsMismatch, ZeroPostselection
 from .exactring import DyadicRational
@@ -312,7 +312,7 @@ def mix_with_constant(circuit: Circuit, f: int, h_exp: int) -> Circuit:
     """
     if not 0 < f <= (1 << h_exp):
         raise ValueError("need 0 < f <= 2**h")
-    stats = postselect_stats(expand_mcx(circuit), default_input(circuit))
+    stats = postselect_stats(circuit, default_input(circuit))
     if stats.p_post != DyadicRational(f, h_exp):
         raise StatsMismatch(
             f"P(p=1) is {stats.p_post}, expected {DyadicRational(f, h_exp)}"
@@ -390,14 +390,8 @@ def compile_pp_instance(mg: PredicateCircuit, mf: PredicateCircuit, w) -> Circui
         b.add(h(qb))
     flag_g = b.alloc1()  # scales the g block by 2**-q'
     flag_f = b.alloc1()  # scales the f block by 2**-q
-    if qp_exp:
-        b.add(mcx(coins[:qp_exp], flag_g, [True] * qp_exp))
-    else:
-        b.add(x(flag_g))
-    if q_exp:
-        b.add(mcx(coins[:q_exp], flag_f, [True] * q_exp))
-    else:
-        b.add(x(flag_f))
+    b.add(mcx(coins[:qp_exp], flag_g, [True] * qp_exp))
+    b.add(mcx(coins[:q_exp], flag_f, [True] * q_exp))
 
     c1 = b.alloc1()
     c2 = b.alloc1()

@@ -24,14 +24,11 @@ scratch-or-last region.  A machine must leave the instance and path bits
 untouched and every scratch bit back at 0 after a forward pass; this is
 checked during evaluation.
 
-``gap`` counts all 2**q paths at once on bit-planes, one Python int of 2**q
-bits per machine bit (bitslicing applied to GapP evaluation): instance planes
-are all-0 or all-1, path bit j is the pattern of bit j of the path index, a
-gate costs one AND per control and one XOR on 2**q-bit planes, the accept
-count is the popcount of the accept plane, and the contract holds iff every
-other plane ends equal to its starting plane.  The planes and their starting
-copies take at most 2 * total_bits * 2**q / 8 bytes.  ``eval_machine`` runs
-one path and is the per-path reference.
+``gap`` runs all 2**q paths at once on bit-planes (see ``planes``): the
+accept count is the popcount of the accept plane, and the contract holds iff
+every other plane ends equal to its starting plane.  The planes and their
+starting copies take at most 2 * total_bits * 2**q / 8 bytes.
+``eval_machine`` runs one path and is the per-path reference.
 
 ``FPFunction`` wraps the two desk-scale ways this package supplies an
 efficiently-computable positive integer function: an explicit per-instance
@@ -47,17 +44,18 @@ from .circuit import (
     Gate,
     _body,
     _gate_line,
+    _integer,
     _pack_bits,
     _parse_gate,
     _parse_ints,
     _statements,
+    _tuple,
     apply_gate_classical,
-    apply_gates_planes,
-    branch_planes,
     mcx,
     x,
 )
 from .errors import CapExceeded, CircuitSyntaxError, MachineContractError
+from .planes import apply_gates_planes, branch_planes
 
 # At the cap a plane is 2**20 bits (128 KiB): at most 16 MiB with the starting
 # copies for a 64-bit machine.
@@ -73,7 +71,9 @@ class PredicateCircuit:
     accept_index: int
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "gates", _tuple(self.gates, "gates"))
+        for role in ("input_width", "path_width", "ancilla_count", "accept_index"):
+            _integer(getattr(self, role), role)
         if self.input_width < 0 or self.path_width < 0 or self.ancilla_count < 0:
             raise ValueError("widths must be >= 0")
         data = self.input_width + self.path_width

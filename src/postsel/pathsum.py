@@ -9,25 +9,18 @@ probability of a set of (qubit, value) constraints is then
     g / 2**m   with   g = sum over constrained z of (path sum at z)**2,
                and    m = number of Hadamard gates.
 
-``path_sum`` is bitsliced (one bit-plane per wire, bit j = the wire's value
-on path j) and evaluates the GapP-style sum over all paths at once.  It
-starts from the single input path.  Each Hadamard doubles the paths: the new
-half copies the old, the target plane becomes 0...0 1...1, and a sign plane
-takes sign | ((sign ^ target) << n), marking the paths with an odd number of
--1 factors.  A gate after k Hadamards costs one AND per control and one XOR
-on 2**k-bit planes, whatever its control count, so mcx needs no expansion.
-Planes are Python ints throughout; the constraint mask is the AND of the
-constrained planes.  Only then are the kept paths transposed, once, into one
-uint64 key (z << 1) | sign each (z over the wires that vary), and one sort
-groups the paths that end in the same basis state: no two paths are merged
-before that final reduction.  Memory is about (width + 1) * 2**H / 8 bytes
-of planes, as much again while their bytes are gathered, plus a few 8-byte
-words per kept path while the keys are built and sorted.  Shared with the
-simulator are ``branch_planes``, the gate kernel ``apply_gates_planes``
-(tested against ``apply_gate_classical``) and the transpose ``_plane_keys``:
-``run`` merges at every H on a wire that varies, never groups at the end and
-sees the ``expand_mcx`` ladder, while this never merges, sorts once at the
-end and applies mcx natively.
+``path_sum`` runs all paths at once on bit-planes (see ``planes``), plus a
+sign plane marking the paths with an odd number of -1 factors: each Hadamard
+branches the planes and sets sign |= (sign ^ target) << n.  Only at the end
+are the constrained paths transposed, once, into keys (z << 1) | sign (z
+over the wires that vary), and one sort groups the paths that end in the
+same basis state.  Memory is about (width + 1) * 2**H / 8 bytes of planes,
+as much again while their bytes are gathered, plus a few 8-byte words per
+kept path while the keys are built and sorted.
+
+Independent of ``simulator.run``: this never merges paths before the final
+sort and applies ``mcx`` natively, while ``run`` merges at every H on a wire
+that varies and sees the ``expand_mcx`` ladder.
 
 ``path_sum_slow`` is a deliberately naive per-path rewrite of the same
 definition, kept as a second opinion for tests.
@@ -40,9 +33,10 @@ from itertools import groupby
 
 import numpy as np
 
-from .circuit import Circuit, _plane_keys, apply_gate_classical, apply_gates_planes, branch_planes
+from .circuit import Circuit, apply_gate_classical
 from .errors import CapExceeded
-from .simulator import _basis_index, _constraint_mask, _kept
+from .planes import _basis_index, _constraint_mask, _kept, _plane_keys
+from .planes import apply_gates_planes, branch_planes
 
 # At the cap the planes take at most (width + 1) * 2**20 / 8 bytes (8 MiB at
 # width 63) and as much again in bytes; building and sorting the keys of all

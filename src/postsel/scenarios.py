@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuit import Circuit, ccx, cx, default_input, expand_mcx, h, mcx, x
+from .circuit import Circuit, ccx, cx, default_input, h, mcx, x
 from .classical import ProbTM, build_upcoup, run_ptm, wapp_witness
 from .constructions import (
     _Builder,
@@ -55,12 +55,12 @@ def _rng(seed: int, name: str) -> random.Random:
 
 
 def _stats(circuit: Circuit):
-    return postselect_stats(expand_mcx(circuit), default_input(circuit))
+    return postselect_stats(circuit, default_input(circuit))
 
 
 def _output_prob(circuit: Circuit):
     """P(o=1) of a circuit run on its default input."""
-    state = run(expand_mcx(circuit), default_input(circuit))
+    state = run(circuit, default_input(circuit))
     return measure_prob(state, circuit.output, 1)
 
 
@@ -196,7 +196,7 @@ def scenario_oracle_equivalence(seed: int, r: int) -> WitnessReport:
     report = WitnessReport("oracle-equivalence")
     for i in range(100):
         circ, bits = random_circuit(rng, allow_mcx=(i % 3 == 2))
-        state = run(expand_mcx(circ), bits)
+        state = run(circ, bits)
         if circ.postselect is not None:
             constraints = [(circ.output, 1), (circ.postselect, 1)]
             lhs = joint_prob(state, constraints)
@@ -401,7 +401,7 @@ def scenario_postsel_rescale(seed: int, r: int) -> WitnessReport:
         t = made % 4
         scaled = rescale_postsel(circ, t)
         wide_bits = bits + "0" * (scaled.width - circ.width)
-        st = postselect_stats(expand_mcx(scaled), wide_bits)
+        st = postselect_stats(scaled, wide_bits)
         report.check(
             f"circuit{made:02d}:postsel-t{t}",
             st.p_post,

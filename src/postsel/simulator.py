@@ -1,24 +1,18 @@
-"""Exact sparse statevector simulation of {h, x, cx, ccx} circuits.
+"""Exact sparse statevector simulation of Hadamard+Toffoli circuits.
 
-A state over n qubits after m Hadamards is stored as its live support: one
-Python-int bit-plane per wire (bit j of wire q's plane = qubit q of entry j)
-and the entries' nonzero integer ``coeffs``, entry j at amplitude coeffs[j] /
-sqrt(2)**m.  X/CX/CCX cost one AND per control and one XOR per gate on the
-planes.  An H on a wire constant across the support doubles the planes and
-the coefficients (negated if the wire reads 1): no two entries meet.  Only
-an H on a wire that varies transposes to int64 basis indices (bit i = qubit
-i), merges the entries that meet by one sort and transposes back.  Those
-plane kernels and transposes live in ``circuit``, shared with path_sum.
-Cost follows the live support, at most min(2**n, 2**m), not 2**n (Jaques &
-Haener, arXiv:2105.01533).  Unitarity gives sum(coeffs**2) == 2**m, which
-bounds every coefficient by 2**(m/2): with at most ``_INT64_SAFE_H``
-Hadamards every coefficient, square and partial sum of squares fits in
-int64; larger circuits use object-dtype Python ints.
-
-``CapExceeded`` is raised when the live support outgrows
-``DEFAULT_MAX_SUPPORT`` = 2**24 entries (so every circuit of width <= 24 runs)
-and for circuits wider than ``MAX_WIDTH`` = 63 qubits, the int64 index limit
-shared with path_sum.
+A state after m Hadamards is its live support on bit-planes (see ``planes``)
+with nonzero integer ``coeffs``, entry j at amplitude coeffs[j] / sqrt(2)**m.
+``run`` lowers ``mcx`` with ``expand_mcx``.  An H on a wire constant across
+the support branches the planes and doubles the coefficients (negated if the
+wire reads 1); only an H on a wire that varies transposes to int64 basis
+indices, merges the entries that meet by one sort and transposes back.  Cost
+follows the live support, at most min(2**n, 2**m) over n qubits, not 2**n
+(Jaques & Haener, arXiv:2105.01533).  Unitarity gives sum(coeffs**2) ==
+2**m: with at most ``_INT64_SAFE_H`` Hadamards every coefficient, square and
+partial sum of squares fits in int64; larger circuits use object-dtype
+Python ints.  ``CapExceeded`` is raised above ``DEFAULT_MAX_SUPPORT`` = 2**24
+live entries (so every circuit of width <= 24 runs) and above
+``planes.MAX_WIDTH`` = 63 qubits.
 """
 
 from __future__ import annotations
@@ -31,47 +25,15 @@ from numbers import Integral
 
 import numpy as np
 
-from .circuit import Circuit, _pack_bits, apply_gates_planes, branch_planes
-from .circuit import _key_planes, _plane_keys
+from .circuit import Circuit, expand_mcx
 from .errors import CapExceeded, ZeroPostselection
 from .exactring import DyadicRational
+from .planes import _basis_index, _constraint_mask, _kept, _key_planes, _plane_keys
+from .planes import apply_gates_planes, branch_planes
 
 DEFAULT_MAX_SUPPORT = 1 << 24
-MAX_WIDTH = 63  # qubit 63 would be the sign bit of an int64 basis index
 _INT64_SAFE_H = 60  # sum(coeffs**2) == 2**m <= 2**60 keeps all int64 math exact
 _INDEX = np.dtype("<i8")  # basis indices, little-endian so byte k holds qubits 8k..8k+7
-
-
-def _basis_index(circuit: Circuit, bits) -> int:
-    """Basis state of the input bits (bit i = qubit i); enforces ``MAX_WIDTH``."""
-    if circuit.width > MAX_WIDTH:
-        raise CapExceeded(f"width {circuit.width} exceeds the {MAX_WIDTH}-qubit index limit")
-    return _pack_bits(bits, circuit.width)
-
-
-def _constraint_mask(width: int, constraints) -> tuple[int, int] | None:
-    """Validated (mask, value): (z & mask) == value iff all constraints hold; None if two clash."""
-    pinned: dict[int, int] = {}
-    for q, v in constraints:
-        if not (isinstance(q, Integral) and isinstance(v, Integral)):
-            raise ValueError(f"constraint ({q!r}, {v!r}) is not a pair of integers")
-        if not 0 <= q < width:
-            raise ValueError(f"constraint qubit {q} outside width {width}")
-        if v not in (0, 1):
-            raise ValueError("constraint value must be 0 or 1")
-        if pinned.setdefault(int(q), int(v)) != v:
-            return None
-    return sum(1 << q for q in pinned), sum(v << q for q, v in pinned.items())
-
-
-def _kept(planes: list[int], ones: int, mask: int, val: int) -> int:
-    """The entries that meet a ``_constraint_mask`` (mask, val): the AND of
-    the pinned planes, each XOR ``ones`` where pinned to 0."""
-    keep = ones
-    for q in range(mask.bit_length()):
-        if (mask >> q) & 1:
-            keep &= planes[q] if (val >> q) & 1 else planes[q] ^ ones
-    return keep
 
 
 @dataclass
@@ -157,19 +119,20 @@ def _hadamard(idx: np.ndarray, coeffs: np.ndarray, t: np.int64):
 
 
 def run(circuit: Circuit, input_bits) -> QuantumState:
-    """Exactly simulate an mcx-free circuit on the given basis-state input.
+    """Exactly simulate a circuit on the given basis-state input.
 
-    Raises if the circuit still contains mcx macros (expand first), if the
-    circuit is wider than ``MAX_WIDTH`` or its live support outgrows
-    ``DEFAULT_MAX_SUPPORT`` entries (``CapExceeded``), or if an input bit
-    contradicts a declared ancilla value.
+    Raises ``CapExceeded`` if the circuit is wider than ``planes.MAX_WIDTH``
+    or its live support outgrows ``DEFAULT_MAX_SUPPORT`` entries,
+    ``InsufficientAncillas`` if an mcx cannot be lowered with the declared
+    ancillas, and ValueError if an input bit contradicts a declared ancilla
+    value.
     """
     z0 = _basis_index(circuit, input_bits)
     for q, v in circuit.ancillas:
         if (z0 >> q) & 1 != v:
             raise ValueError(f"ancilla qubit {q} requires input value {v}")
     if any(g.kind == "mcx" for g in circuit.gates):
-        raise ValueError("circuit contains unexpanded mcx gates; run expand_mcx first")
+        circuit = expand_mcx(circuit)
 
     dtype = np.int64 if circuit.h_count <= _INT64_SAFE_H else object
     planes = [(z0 >> q) & 1 for q in range(circuit.width)]

@@ -12,7 +12,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from numbers import Rational
 from typing import Callable, Mapping
+
+from .circuit import _integer
 
 _OPS = {
     "==": operator.eq,
@@ -24,8 +27,12 @@ _OPS = {
 
 
 def _frac(v) -> Fraction:
-    """An exact value (int, Fraction or anything with ``as_fraction``) as a Fraction."""
-    return v.as_fraction() if hasattr(v, "as_fraction") else Fraction(v)
+    """An exact value (a ``Rational`` or anything with ``as_fraction``) as a Fraction."""
+    if hasattr(v, "as_fraction"):
+        return v.as_fraction()
+    if not isinstance(v, Rational):
+        raise ValueError(f"expected an exact rational value, got {v!r}")
+    return Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -124,7 +131,7 @@ def check_awpp_witness(
     f(w) must be strictly positive everywhere; that is itself a reported
     condition.
     """
-    eps = r if isinstance(r, Fraction) else Fraction(1, 1 << r)
+    eps = r if isinstance(r, Fraction) else Fraction(1, 1 << _integer(r, "r"))
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("threshold width must satisfy 0 < eps < 1/2")
     report = WitnessReport("awpp-witness")
@@ -133,7 +140,7 @@ def check_awpp_witness(
         g_val = _lookup(g_of, w)
         if not report.check(f"w={w}:normalizer-positive", f_val, ">", 0):
             continue
-        ratio = Fraction(g_val, f_val)
+        ratio = _frac(g_val) / _frac(f_val)
         if labels[w]:
             ok = 1 - eps <= ratio <= 1
             report.add(
@@ -158,13 +165,14 @@ def check_wapp_witness(
         in the language:  (1 + epsilon) / 2 < ratio <= 1
         outside:          0 <= ratio < (1 - epsilon) / 2
     """
+    epsilon = _frac(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("need 0 < epsilon < 1")
     report = WitnessReport("wapp-witness")
     hi_gate = (1 + epsilon) / 2
     lo_gate = (1 - epsilon) / 2
     for w in sorted(labels):
-        ratio = ratio_of[w]
+        ratio = _frac(ratio_of[w])
         if labels[w]:
             ok = hi_gate < ratio <= 1
             report.add(
@@ -214,16 +222,16 @@ def classify_postsel_profile(
             report.check(f"{cid}:positive", pf, ">", 0)
             continue
         if profile in ("exp", "leexp"):
-            target = Fraction(1, 1 << (u(len(w)) if callable(u) else u))
+            target = Fraction(1, 1 << _integer(u(len(w)) if callable(u) else u, "u"))
         else:
             key = len(w) if profile.endswith("size") else w
-            target = Fraction(_lookup(f, key), 1 << q_exp)
+            target = _frac(_lookup(f, key)) / (1 << _integer(q_exp, "q_exp"))
         if profile == "leexp":
             report.check(f"{cid}:at-least", pf, ">=", target)
         elif profile in ("FP", "size", "exp"):
             report.check(f"{cid}:equals", pf, "==", target)
         else:  # aFP, asize
-            eps = Fraction(1, 1 << r2)
+            eps = Fraction(1, 1 << _integer(r2, "r2"))
             lo = (1 - eps) * target
             hi = (1 + eps) * target
             ok = lo <= pf <= hi

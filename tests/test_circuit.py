@@ -23,7 +23,7 @@ from postsel import (
     serialize_circuit,
     x,
 )
-from postsel.circuit import apply_gates_planes, branch_planes
+from postsel.planes import apply_gates_planes, branch_planes
 
 # ===================================================================
 # gate constructors

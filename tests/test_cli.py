@@ -104,6 +104,15 @@ def test_simulate_malformed_output_or_postselect_exits_2(tmp_path, capsys, direc
     assert "line 3" in capsys.readouterr().err
 
 
+def test_simulate_short_ancilla_pool_exits_2(tmp_path, capsys):
+    p = tmp_path / "short.circ"
+    p.write_text("qubits 6\nancilla 5 0\nmcx 0 1 2 3 4\noutput 4\n")
+    assert main(["simulate", "--circuit", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mcx with 4 controls needs 2 ancillas")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "oracle"])
 def test_width_64_exits_2_with_cap_error(tmp_path, capsys, command):
     p = tmp_path / "wide.circ"

@@ -48,6 +48,21 @@ def test_machine_validation():
         PredicateCircuit(0, 1, 0, (cx(0, 5),), 1)  # gate off the register
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("1", 0, 0, (), 1),  # a string width
+        (0, 1.0, 0, (), 1),  # a float width
+        (0, 1, None, (), 1),  # no scratch count
+        (0, 1, 0, 5, 1),  # gates that are not a sequence
+        (0, 1, 0, (x(0),), 1.0),  # a float accept index
+    ],
+)
+def test_machine_rejects_non_integer_fields(args):
+    with pytest.raises(ValueError, match="must be"):
+        PredicateCircuit(*args)
+
+
 def test_machine_rejects_hadamard():
     from postsel import h
 

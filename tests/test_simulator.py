@@ -15,6 +15,7 @@ from postsel import (
     CapExceeded,
     Circuit,
     DyadicRational,
+    InsufficientAncillas,
     QuantumState,
     ZeroPostselection,
     ancillas_restored,
@@ -32,6 +33,7 @@ from postsel import (
     run,
     x,
 )
+from postsel.scenarios import random_circuit
 
 # ===================================================================
 # known small states
@@ -456,11 +458,36 @@ def test_equality_ignores_support_order():
     assert a != run(Circuit(2, (h(0),), 0), "00")
 
 
-def test_rejects_unexpanded_mcx():
-    c = Circuit(6, (mcx([0, 1, 2], 3),), 0, ancillas=((4, 0), (5, 0)))
-    with pytest.raises(ValueError, match="expand_mcx"):
+@settings(max_examples=150, deadline=None)
+@given(
+    hst.one_of(
+        hst.integers(0, 2**32).map(lambda s: random_circuit(random.Random(s), allow_mcx=True)),
+        _circuits(),
+    )
+)
+@example((Circuit(6, (h(0), h(2), mcx([0, 1, 2], 3, [False, True, True])), 3, 0,
+                  ((4, 1), (5, 0))), "000010"))  # negated controls; the borrowed wire holds 1
+def test_run_lowers_mcx_like_expand_mcx(case):
+    """run lowers mcx itself: the same state and statistics as on the circuit
+    expand_mcx returns, negated controls included."""
+    circuit, bits = case
+    flat = expand_mcx(circuit)
+    assert run(circuit, bits) == run(flat, bits)
+    if circuit.postselect is None:
+        return
+    try:
+        expect = postselect_stats(flat, bits)
+    except ZeroPostselection:
+        with pytest.raises(ZeroPostselection):
+            postselect_stats(circuit, bits)
+    else:
+        assert postselect_stats(circuit, bits) == expect
+
+
+def test_run_raises_when_the_ancilla_pool_is_short():
+    c = Circuit(6, (mcx([0, 1, 2, 3], 4),), 4, ancillas=((5, 0),))
+    with pytest.raises(InsufficientAncillas, match="needs 2 ancillas"):
         run(c, "000000")
-    run(expand_mcx(c), "000000")  # expanded form is accepted
 
 
 def test_rejects_input_contradicting_ancilla():

@@ -160,6 +160,29 @@ def test_wapp_witness_validates_epsilon():
         check_wapp_witness({}, {}, Fraction(1))
 
 
+_STATS = {"1": Fraction(1, 2)}
+_INEXACT = {
+    "float-lhs": lambda: WitnessReport("t").check("a", 0.1, "==", Fraction(1, 10)),
+    "str-rhs": lambda: WitnessReport("t").check("a", Fraction(1, 10), "==", "1/10"),
+    "wapp-epsilon": lambda: check_wapp_witness({"1": Fraction(1)}, {"1": True}, 0.5),
+    "wapp-ratio": lambda: check_wapp_witness({"1": 0.9}, {"1": True}, Fraction(1, 2)),
+    "awpp-r": lambda: check_awpp_witness({"1": 1}, {"1": 1}, {"1": True}, r=2.0),
+    "awpp-g": lambda: check_awpp_witness({"1": 0.5}, {"1": 1}, {"1": True}, r=2),
+    "r2": lambda: classify_postsel_profile(_STATS, "aFP", f={"1": 1}, q_exp=1, r2=1.0),
+    "q_exp": lambda: classify_postsel_profile(_STATS, "FP", f={"1": 1}, q_exp=1.0),
+    "f": lambda: classify_postsel_profile(_STATS, "FP", f={"1": 0.5}, q_exp=0),
+    "u": lambda: classify_postsel_profile(_STATS, "exp", u=1.0),
+    "u-of-length": lambda: classify_postsel_profile(_STATS, "exp", u=lambda n: 1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_INEXACT))
+def test_witness_rows_reject_inexact_values(case):
+    """Floats, strings and non-integer exponents never reach a row."""
+    with pytest.raises(ValueError):
+        _INEXACT[case]()
+
+
 # ===================================================================
 # postselection-probability profiles
 # ===================================================================
