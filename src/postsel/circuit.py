@@ -161,6 +161,8 @@ class Circuit:
                 raise ValueError(f"qubit {q} declared ancilla twice")
             seen.add(q)
         for g in self.gates:
+            if not isinstance(g, Gate):
+                raise ValueError(f"gates must be Gate objects, got {g!r}")
             for q in g.qubits:
                 _chk(q, f"{g.kind} gate")
 

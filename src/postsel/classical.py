@@ -1,75 +1,67 @@
-"""Classical randomized machines with postselection, enumerated exactly.
+"""Classical randomized machines with postselection, counted exactly.
 
-A probabilistic machine here is a finite object: ``coin_width`` fair coins
-and a deterministic evaluator mapping (instance, coin outcome) to a
-(postselect, output) bit pair.  Enumerating all 2**t coin outcomes gives the
-exact postselection statistics as dyadic rationals, mirroring what the
-quantum simulator reports for circuits.
+A coin machine is a pair of counting machines on shared instance and coin
+registers: ``post`` accepts a coin outcome iff the run postselects (p = 1),
+and ``joint`` accepts iff it postselects with output 1 (p = 1 and o = 1).
+The coin register is the machines' path register, so the exact
+postselection statistics over all 2**t outcomes are two accept counts,
+``gap(post, w).accepts`` and ``gap(joint, w).accepts``, as dyadic
+rationals, mirroring what the quantum simulator reports for circuits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
-from .counting import PredicateCircuit, eval_machine, gap, tabulated_count_machine
+from .circuit import cx
+from .counting import PredicateCircuit, _shift_scratch, gap
 from .errors import PromiseViolation, StatsMismatch, ZeroPostselection
 from .exactring import DyadicRational
 from .simulator import PostselStats
 
 
-@dataclass
-class ProbTM:
-    """A coin-flipping machine plus optional declared statistics.
+@dataclass(frozen=True)
+class CoinMachine:
+    """``post`` accepts iff p = 1; ``joint`` accepts iff p = 1 and o = 1."""
 
-    ``evaluate(w, coins)`` must be deterministic and return the pair
-    (postselect_bit, output_bit).  The optional fields declare the machine's
-    postselection restriction — numerators ``fp_numerators[w]`` over
-    denominator 2**fp_exponent — and a labeled instance set for threshold
-    checks at margin ``epsilon``.
-    """
-
-    coin_width: int
-    evaluate: Callable[[str, int], tuple[int, int]]
-    fp_numerators: dict[str, int] | None = None
-    fp_exponent: int = 0
-    epsilon: Fraction | None = None
-    instances: dict[str, bool] = field(default_factory=dict)
+    post: PredicateCircuit
+    joint: PredicateCircuit
 
     def __post_init__(self):
-        if self.coin_width < 0:
-            raise ValueError("coin_width must be >= 0")
+        if self.post.input_width != self.joint.input_width:
+            raise ValueError("post and joint must read the same instance width")
+        if self.post.path_width != self.joint.path_width:
+            raise ValueError("post and joint must flip the same coins")
 
 
-def _count_outcomes(tm: ProbTM, w: str) -> tuple[int, int]:
+def _accept_counts(tm: CoinMachine, w: str) -> tuple[int, int]:
     """(n(p=1), n(o=1, p=1)) over every coin outcome of the machine on ``w``."""
-    n_post = 0
-    n_joint = 0
-    for coins in range(1 << tm.coin_width):
-        p_bit, o_bit = tm.evaluate(w, coins)
-        if p_bit not in (0, 1) or o_bit not in (0, 1):
-            raise ValueError("evaluator must return bit pairs")
-        n_post += p_bit
-        n_joint += p_bit & o_bit
+    n_post = gap(tm.post, w).accepts
+    n_joint = gap(tm.joint, w).accepts
+    if n_joint > n_post:
+        raise ValueError(
+            f"on {w!r}: joint accepts {n_joint} outcomes, more than post's {n_post}"
+        )
     return n_post, n_joint
 
 
-def run_ptm(tm: ProbTM, w: str) -> PostselStats:
-    """Exact statistics by enumerating every coin outcome."""
-    n_post, n_joint = _count_outcomes(tm, w)
+def run_ptm(tm: CoinMachine, w: str) -> PostselStats:
+    """Exact statistics from the accept counts of ``post`` and ``joint``."""
+    n_post, n_joint = _accept_counts(tm, w)
     if n_post == 0:
         raise ZeroPostselection(f"machine never postselects on {w!r}")
     return PostselStats(
-        DyadicRational(n_post, tm.coin_width),
-        DyadicRational(n_joint, tm.coin_width),
+        DyadicRational(n_post, tm.post.path_width),
+        DyadicRational(n_joint, tm.post.path_width),
         Fraction(n_joint, n_post),
     )
 
 
 def build_upcoup(
     n_machine: PredicateCircuit, m_machine: PredicateCircuit, w: str
-) -> ProbTM:
+) -> CoinMachine:
     """Couple two counting machines promised to hold one accepting path total.
 
     The coins pick a path x fed to both machines: if the first accepts, the
@@ -78,8 +70,11 @@ def build_upcoup(
 
         P(p=1) = 2**-q    and    P(o=1 | p=1) in {0, 1},
 
-    the conditional telling which machine owns the unique path.  Violating
-    the promise raises eagerly.
+    the conditional telling which machine owns the unique path.  ``post``
+    runs both machines on disjoint scratch blocks, XORs their accept bits
+    into one flag and uncomputes both; at most one accept bit is set under
+    the promise, so the XOR is their OR.  ``joint`` is the first machine.
+    Violating the promise raises eagerly.
     """
     if n_machine.input_width != m_machine.input_width:
         raise ValueError("machines must read the same instance width")
@@ -90,15 +85,16 @@ def build_upcoup(
         raise PromiseViolation(
             f"promise requires exactly one accepting path across both machines, got {total}"
         )
-
-    def evaluate(inst: str, coins: int) -> tuple[int, int]:
-        if eval_machine(n_machine, inst, coins):
-            return 1, 1
-        if eval_machine(m_machine, inst, coins):
-            return 1, 0
-        return 0, 0
-
-    return ProbTM(n_machine.path_width, evaluate, instances={w: True})
+    # layout: [w | x | n's scratch and accept | m's scratch and accept | flag]
+    shift = n_machine.ancilla_count + 1
+    compute = list(n_machine.gates) + _shift_scratch(m_machine, shift)
+    flag = m_machine.total_bits + shift
+    gates = compute + [cx(n_machine.accept_index, flag), cx(m_machine.accept_index + shift, flag)]
+    data = n_machine.input_width + n_machine.path_width
+    post = PredicateCircuit(
+        n_machine.input_width, n_machine.path_width, flag - data, tuple(gates + compute[::-1]), flag
+    )
+    return CoinMachine(post, n_machine)
 
 
 @dataclass(frozen=True)
@@ -120,32 +116,31 @@ class WappWitness:
         return Fraction(count, self.f_of[w] << self.p_exp)
 
 
-def wapp_witness(tm: ProbTM) -> WappWitness:
-    """Extract the counting witness from a machine with declared statistics.
+def wapp_witness(
+    tm: CoinMachine,
+    fp_numerators: Mapping[str, int],
+    fp_exponent: int,
+    epsilon: Fraction,
+) -> WappWitness:
+    """The counting witness of a machine whose postselection is declared.
 
-    Requires ``fp_numerators``, ``epsilon`` and a nonempty labeled instance
-    set.  Checks the declaration n_post(w) == f(w) * 2**(t - s) against the
-    enumerated counts and tabulates the joint counts n(o=1, p=1) into a
-    counting machine over t path bits.
+    The declaration says n_post(w) == f(w) * 2**(t - s) on every declared
+    instance w, with f(w) = ``fp_numerators[w]`` and s = ``fp_exponent``;
+    it is checked against the accept counts of ``post``.  The witness's
+    g-machine is ``joint`` itself: its accept count on w is n(o=1, p=1).
     """
-    if tm.fp_numerators is None or tm.epsilon is None or not tm.instances:
-        raise ValueError("machine carries no declared statistics to witness")
-    if tm.fp_exponent > tm.coin_width:
+    if not fp_numerators:
+        raise ValueError("no declared statistics to witness")
+    if fp_exponent > tm.post.path_width:
         raise ValueError("declared denominator exceeds the coin space")
-    lengths = {len(w) for w in tm.instances}
-    if len(lengths) != 1:
-        raise ValueError("witness extraction needs same-length instances")
-    p_exp = tm.coin_width - tm.fp_exponent
-    joint_counts: dict[str, int] = {}
-    for w in sorted(tm.instances):
-        n_post, n_joint = _count_outcomes(tm, w)
-        declared = tm.fp_numerators[w] << p_exp
+    p_exp = tm.post.path_width - fp_exponent
+    for w in sorted(fp_numerators):
+        if len(w) != tm.post.input_width:
+            raise ValueError(f"declared instance {w!r} is not {tm.post.input_width} bits")
+        n_post, _ = _accept_counts(tm, w)
+        declared = fp_numerators[w] << p_exp
         if n_post != declared:
             raise StatsMismatch(
                 f"on {w!r}: {n_post} postselecting outcomes, declaration implies {declared}"
             )
-        joint_counts[w] = n_joint
-    g_machine = tabulated_count_machine(
-        joint_counts, lengths.pop(), tm.coin_width
-    )
-    return WappWitness(g_machine, dict(tm.fp_numerators), p_exp, tm.epsilon)
+    return WappWitness(tm.joint, dict(fp_numerators), p_exp, epsilon)

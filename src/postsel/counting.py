@@ -80,6 +80,8 @@ class PredicateCircuit:
         if not data <= self.accept_index < self.total_bits:
             raise ValueError("accept bit must sit past the instance and path bits")
         for g in self.gates:
+            if not isinstance(g, Gate):
+                raise ValueError(f"gates must be Gate objects, got {g!r}")
             if g.kind == "h":
                 raise ValueError("predicate machines are reversible: no h gates")
             for q in g.qubits:
@@ -191,6 +193,19 @@ def make_gap_machine(v: int, q: int) -> PredicateCircuit:
     return PredicateCircuit(0, q, 0, tuple(gates), q)
 
 
+def _shift_scratch(machine: PredicateCircuit, shift: int) -> list[Gate]:
+    """The machine's gates with its scratch and accept bits moved ``shift`` bits up."""
+    data = machine.input_width + machine.path_width
+
+    def move(i: int) -> int:
+        return i if i < data else i + shift
+
+    return [
+        Gate(g.kind, move(g.target), tuple(map(move, g.controls)), g.negated)
+        for g in machine.gates
+    ]
+
+
 def scale_gap(machine: PredicateCircuit, c: int) -> PredicateCircuit:
     """Machine whose gap is exactly c times the input machine's gap (c >= 1).
 
@@ -207,15 +222,9 @@ def scale_gap(machine: PredicateCircuit, c: int) -> PredicateCircuit:
     extra = (c - 1).bit_length()
     in_w, q = machine.input_width, machine.path_width
     # new layout: [w | x (q) | y (extra) | old scratch | old accept slot | u | accept]
-    def remap(i: int) -> int:
-        return i if i < in_w + q else i + extra
-
-    base = [
-        Gate(g.kind, remap(g.target), tuple(remap(c_) for c_ in g.controls), g.negated)
-        for g in machine.gates
-    ]
+    base = _shift_scratch(machine, extra)
     y_bits = list(range(in_w + q, in_w + q + extra))
-    a_m = remap(machine.accept_index)
+    a_m = machine.accept_index + extra
     u = in_w + q + extra + machine.ancilla_count + 1
     accept = u + 1
     compare = emit_less_than(y_bits, c, u)

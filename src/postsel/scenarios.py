@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuit import Circuit, ccx, cx, default_input, h, mcx, x
-from .classical import ProbTM, build_upcoup, run_ptm, wapp_witness
+from .classical import CoinMachine, build_upcoup, run_ptm, wapp_witness
 from .constructions import (
     _Builder,
     compile_fqp_to_exp,
@@ -517,18 +517,12 @@ def scenario_classical_upcoup(seed: int, r: int) -> WitnessReport:
         lambda: build_upcoup(empty_machine(2), empty_machine(2), ""),
     )
 
-    def three_quarters(w: str, coins: int) -> tuple[int, int]:
-        return (1 if coins < 4 else 0, 1 if coins < 3 else 0)
+    def below(q: int, c: int) -> PredicateCircuit:
+        """One instance bit, q coins; accepts iff the coins read below c."""
+        return PredicateCircuit(1, q, 0, tuple(emit_less_than(range(1, q + 1), c, q + 1)), q + 1)
 
-    tm = ProbTM(
-        3,
-        three_quarters,
-        fp_numerators={"1": 1},
-        fp_exponent=1,
-        epsilon=Fraction(1, 3),
-        instances={"1": True},
-    )
-    wit = wapp_witness(tm)
+    three_quarters = CoinMachine(below(3, 4), below(3, 3))
+    wit = wapp_witness(three_quarters, {"1": 1}, 1, Fraction(1, 3))
     ratio = wit.ratio("1")
     report.check("witness-ratio", ratio, "==", Fraction(3, 4))
     report.merge(check_wapp_witness({"1": ratio}, {"1": True}, wit.epsilon), "eps1/3:")
@@ -537,31 +531,20 @@ def scenario_classical_upcoup(seed: int, r: int) -> WitnessReport:
     report.check("eps1/2-rejected", ratio, "<=", gate)
     report.check("sup-epsilon", 2 * ratio - 1, "==", Fraction(1, 2))
 
-    def coin_flip(w: str, coins: int) -> tuple[int, int]:
-        return (1, 1 if coins < 2 else 0)
-
-    st = run_ptm(ProbTM(2, coin_flip), "1")
+    st = run_ptm(CoinMachine(below(2, 4), below(2, 2)), "1")
     report.check("half-ratio", st.p_cond, "==", Fraction(1, 2))
     report.check("half-fails-in", st.p_cond, "<=", (1 + Fraction(1, 2)) / 2)
     report.check("half-fails-out", st.p_cond, ">=", (1 - Fraction(1, 2)) / 2)
 
-    bad = ProbTM(
-        3,
-        three_quarters,
-        fp_numerators={"1": 3},
-        fp_exponent=1,
-        epsilon=Fraction(1, 3),
-        instances={"1": True},
+    report.check_raises(
+        "wrong-declaration-raises",
+        StatsMismatch,
+        lambda: wapp_witness(three_quarters, {"1": 3}, 1, Fraction(1, 3)),
     )
-    report.check_raises("wrong-declaration-raises", StatsMismatch, lambda: wapp_witness(bad))
-
-    def never(w: str, coins: int) -> tuple[int, int]:
-        return (0, 0)
-
     report.check_raises(
         "no-postselection-raises",
         ZeroPostselection,
-        lambda: run_ptm(ProbTM(2, never), "1"),
+        lambda: run_ptm(CoinMachine(below(2, 0), below(2, 0)), "1"),
     )
     return report
 

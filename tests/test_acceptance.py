@@ -14,8 +14,8 @@ import pytest
 import sympy
 
 from postsel import (
+    CoinMachine,
     DyadicRational,
-    ProbTM,
     ZeroPostselection,
     build_upcoup,
     check_awpp_witness,
@@ -45,7 +45,7 @@ from postsel import (
 )
 from postsel.cli import main
 from postsel.counting import PredicateCircuit
-from postsel.circuit import mcx
+from postsel.circuit import cx, mcx, x
 from postsel.scenarios import _uniform_circuit, random_circuit, random_machine
 
 
@@ -316,14 +316,12 @@ def test_acceptance_09_unique_path_coupling():
             if first_owns
             else build_upcoup(_empty_machine(q), _point_machine(q, 5), "")
         )
-        tm.fp_numerators = {"": 1}
-        tm.fp_exponent = q
-        tm.epsilon = half
-        wit = wapp_witness(tm)
+        wit = wapp_witness(tm, {"": 1}, q, half)
         rep = check_wapp_witness({"": wit.ratio("")}, {"": first_owns}, half)
         ok = ok and rep.passed
     # ...and the borderline fair-coin conditional fails both orientations
-    coin = ProbTM(1, lambda w, c: (1, c))
+    always = PredicateCircuit(1, 1, 0, (x(2),), 2)
+    coin = CoinMachine(always, PredicateCircuit(1, 1, 0, (cx(1, 2),), 2))
     ratio = run_ptm(coin, "1").p_cond
     ok = ok and ratio == half
     ok = ok and not check_wapp_witness({"1": ratio}, {"1": True}, half).passed

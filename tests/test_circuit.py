@@ -12,6 +12,7 @@ from postsel import (
     CircuitSyntaxError,
     Gate,
     InsufficientAncillas,
+    PredicateCircuit,
     apply_gate_classical,
     ccx,
     cx,
@@ -93,6 +94,9 @@ NON_SEQUENCE_FIELDS = {
     "gates": lambda: Circuit(3, 5, 0),
     "controls": lambda: Gate("cx", 0, 1, (False,)),
     "negated": lambda: Gate("cx", 0, (1,), False),
+    # a gate list holding something that is not a Gate
+    "gate-entry": lambda: Circuit(2, (5,), 0),
+    "machine-gate-entry": lambda: PredicateCircuit(0, 1, 0, (5,), 1),
 }
 
 

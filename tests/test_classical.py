@@ -1,60 +1,86 @@
-"""Coin-flipping machines: exact enumeration, coupling, witness extraction."""
+"""Coin machines: exact counting, coupling, witness extraction."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from postsel import (
+    CoinMachine,
     DyadicRational,
+    MachineContractError,
+    PredicateCircuit,
     PromiseViolation,
-    ProbTM,
     StatsMismatch,
     ZeroPostselection,
     build_upcoup,
+    complement_machine,
+    cx,
+    emit_less_than,
+    eval_machine,
     gap,
-    make_gap_machine,
+    mcx,
     run_ptm,
+    scale_gap,
     tabulated_count_machine,
     wapp_witness,
+    x,
 )
+from postsel.scenarios import random_machine
 
 # ===================================================================
-# exact enumeration
+# exact counting
 # ===================================================================
 
 
-def _threshold_tm(coin_width: int, f_post: int, f_out: int) -> ProbTM:
-    """Postselect iff coins < f_post; output 1 iff coins < f_out."""
-
-    def evaluate(w: str, coins: int) -> tuple[int, int]:
-        return int(coins < f_post), int(coins < f_out)
-
-    return ProbTM(coin_width, evaluate)
+def _below(coin_width: int, c: int) -> PredicateCircuit:
+    """No instance bits; accepts iff the coins read below c."""
+    gates = emit_less_than(range(coin_width), c, coin_width)
+    return PredicateCircuit(0, coin_width, 0, tuple(gates), coin_width)
 
 
 def test_run_ptm_threshold():
-    st = run_ptm(_threshold_tm(4, 10, 9), "")
+    # postselect iff coins < 10; output 1 iff coins < 9
+    st = run_ptm(CoinMachine(_below(4, 10), _below(4, 9)), "")
     assert st.p_post == DyadicRational(10, 4)
     assert st.p_joint == DyadicRational(9, 4)
     assert st.p_cond == Fraction(9, 10)
 
 
 def test_run_ptm_zero_coins_is_deterministic():
-    tm = ProbTM(0, lambda w, c: (1, int(w == "1")))
+    # always postselect; output the instance bit
+    always, copy_w = PredicateCircuit(1, 0, 0, (x(1),), 1), PredicateCircuit(1, 0, 0, (cx(0, 1),), 1)
+    tm = CoinMachine(always, copy_w)
     assert run_ptm(tm, "1").p_cond == Fraction(1)
     assert run_ptm(tm, "0").p_cond == Fraction(0)
 
 
 def test_run_ptm_never_postselecting_raises():
     with pytest.raises(ZeroPostselection):
-        run_ptm(ProbTM(2, lambda w, c: (0, 1)), "")
+        run_ptm(CoinMachine(_below(2, 0), _below(2, 0)), "")
 
 
 def test_run_ptm_rejects_non_bits():
+    """A machine emits only bits, so what is left to reject is a negative coin count."""
     with pytest.raises(ValueError):
-        run_ptm(ProbTM(1, lambda w, c: (2, 0)), "")
-    with pytest.raises(ValueError):
-        ProbTM(-1, lambda w, c: (1, 1))
+        CoinMachine(_below(-1, 0), _below(-1, 0))
+
+
+def test_coin_machine_rejects_mismatched_widths():
+    with pytest.raises(ValueError, match="instance width"):
+        CoinMachine(PredicateCircuit(1, 2, 0, (), 3), _below(2, 1))
+    with pytest.raises(ValueError, match="same coins"):
+        CoinMachine(_below(3, 1), _below(2, 1))
+
+
+def test_joint_accepting_more_than_post_raises():
+    tm = CoinMachine(_below(2, 1), _below(2, 3))
+    with pytest.raises(ValueError, match="more than post"):
+        run_ptm(tm, "")
+    with pytest.raises(ValueError, match="more than post"):
+        wapp_witness(tm, {"": 1}, 1, Fraction(1, 4))
 
 
 # ===================================================================
@@ -62,19 +88,15 @@ def test_run_ptm_rejects_non_bits():
 # ===================================================================
 
 
-def _unique_path_machine(path_width: int, the_path: int, in_w: int = 1) -> "PredicateCircuit":
+def _unique_path_machine(path_width: int, the_path: int, in_w: int = 1) -> PredicateCircuit:
     """Accept exactly ``the_path``, whatever the instance says."""
-    from postsel import PredicateCircuit, mcx
-
     accept = in_w + path_width
     ctls = list(range(in_w, accept))
     negs = [not ((the_path >> i) & 1) for i in range(path_width)]
     return PredicateCircuit(in_w, path_width, 0, (mcx(ctls, accept, negs),), accept)
 
 
-def _never_machine(path_width: int, in_w: int = 1) -> "PredicateCircuit":
-    from postsel import PredicateCircuit
-
+def _never_machine(path_width: int, in_w: int = 1) -> PredicateCircuit:
     return PredicateCircuit(in_w, path_width, 0, (), in_w + path_width)
 
 
@@ -110,32 +132,75 @@ def test_upcoup_promise_violations_raise_eagerly():
     with pytest.raises(ValueError):
         build_upcoup(_never_machine(2), _never_machine(3), "0")  # width mismatch
 
+def _wrap(core: PredicateCircuit, ctls, negs) -> PredicateCircuit:
+    """Accept iff the bits ``ctls`` match ``negs`` (True for 0), read between
+    ``core``'s forward pass and its undoing; core's scratch and accept bits
+    become this machine's scratch."""
+    acc = core.total_bits
+    gates = core.gates + (mcx(ctls, acc, negs),) + tuple(reversed(core.gates))
+    return PredicateCircuit(core.input_width, core.path_width, core.ancilla_count + 1, gates, acc)
+
+
+@hst.composite
+def _promise_pairs(draw):
+    """(n, m, w): two machines with scratch bits and one accepting path between
+    them on w.  Each reads a scaled random core; the owner accepts path j on w,
+    the other accepts there only if its core does, which it does not.  So the
+    other's silence hangs on its scratch starting clean."""
+    in_w, q = draw(hst.integers(1, 2)), draw(hst.integers(1, 4))
+    w = "".join(draw(hst.sampled_from("01")) for _ in range(in_w))
+    j = draw(hst.integers(0, (1 << q) - 1))
+
+    def core() -> PredicateCircuit:
+        extra = draw(hst.integers(0, q - 1))
+        c = draw(hst.integers((1 << extra >> 1) + 1, 1 << extra))  # scale_gap adds `extra` bits
+        rng = random.Random(draw(hst.integers(0, 2**32)))
+        return scale_gap(random_machine(rng, in_w, q - extra), c)
+
+    data = list(range(in_w + q))
+    pattern = [b == "0" for b in w] + [not (j >> i) & 1 for i in range(q)]
+    owner = _wrap(core(), data, pattern)
+    other = core()
+    if eval_machine(other, w, j):
+        other = complement_machine(other)
+    never = _wrap(other, data + [other.accept_index], pattern + [False])
+    return (owner, never, w) if draw(hst.booleans()) else (never, owner, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_promise_pairs())
+def test_upcoup_matches_per_path_reference(case):
+    n, m, w = case
+    tm = build_upcoup(n, m, w)
+    try:
+        gap(tm.post, w)
+    except MachineContractError:
+        pytest.fail("the coupled post machine broke the machine contract")
+    for coin in range(1 << n.path_width):
+        first = eval_machine(n, w, coin)
+        assert eval_machine(tm.post, w, coin) == (first or eval_machine(m, w, coin))
+        assert eval_machine(tm.joint, w, coin) == first
+
 
 # ===================================================================
 # witness extraction
 # ===================================================================
 
+# 4 coins; on both instances post iff coins < 12, declared as 12 == 6 * 2**(4-3);
+# output iff coins < 11 on w="1" and iff coins < 2 on w="0"
+_FP, _S, _EPS = {"1": 6, "0": 6}, 3, Fraction(1, 4)
 
-def _declared_tm() -> ProbTM:
-    # 4 coins; on w="1": post iff coins < 12, out iff coins < 11
-    # on w="0": post iff coins < 12, out iff coins < 2
-    def evaluate(w: str, coins: int) -> tuple[int, int]:
-        cut = 11 if w == "1" else 2
-        return int(coins < 12), int(coins < cut)
 
-    return ProbTM(
-        4,
-        evaluate,
-        fp_numerators={"1": 6, "0": 6},  # 12 == 6 * 2**(4-3)
-        fp_exponent=3,
-        epsilon=Fraction(1, 4),
-        instances={"1": True, "0": False},
+def _declared_tm() -> CoinMachine:
+    return CoinMachine(
+        tabulated_count_machine({"1": 12, "0": 12}, 1, 4),
+        tabulated_count_machine({"1": 11, "0": 2}, 1, 4),
     )
 
 
 def test_wapp_witness_ratio_reproduces_conditional():
     tm = _declared_tm()
-    wit = wapp_witness(tm)
+    wit = wapp_witness(tm, _FP, _S, _EPS)
     assert wit.p_exp == 1
     for w in ("0", "1"):
         assert wit.ratio(w) == run_ptm(tm, w).p_cond
@@ -144,47 +209,30 @@ def test_wapp_witness_ratio_reproduces_conditional():
 
 
 def test_wapp_witness_is_a_counting_machine():
-    wit = wapp_witness(_declared_tm())
+    tm = _declared_tm()
+    wit = wapp_witness(tm, _FP, _S, _EPS)
+    assert wit.g_machine is tm.joint
     assert gap(wit.g_machine, "1").accepts == 11
     assert gap(wit.g_machine, "0").accepts == 2
 
 
 def test_wapp_witness_requires_declarations():
     with pytest.raises(ValueError):
-        wapp_witness(ProbTM(2, lambda w, c: (1, 1)))
-    tm = _declared_tm()
-    tm.instances = {}
+        wapp_witness(CoinMachine(_below(2, 4), _below(2, 4)), {}, 0, _EPS)
     with pytest.raises(ValueError):
-        wapp_witness(tm)
+        wapp_witness(_declared_tm(), {}, _S, _EPS)
 
 
 def test_wapp_witness_checks_declared_postselection():
-    tm = _declared_tm()
-    tm.fp_numerators = {"1": 5, "0": 6}  # 5 * 2 != 12
     with pytest.raises(StatsMismatch):
-        wapp_witness(tm)
+        wapp_witness(_declared_tm(), {"1": 5, "0": 6}, _S, _EPS)  # 5 * 2 != 12
 
 
 def test_wapp_witness_rejects_mixed_lengths():
-    tm = _declared_tm()
-    tm.instances = {"1": True, "00": False}
-    tm.fp_numerators = {"1": 6, "00": 6}
     with pytest.raises(ValueError):
-        wapp_witness(tm)
-
-
-@pytest.mark.parametrize("bad", [2, 3])
-def test_wapp_witness_rejects_non_bit_outputs_like_run_ptm(bad):
-    tm = _declared_tm()
-    tm.evaluate = lambda w, coins: (int(coins < 12), bad * int(coins < 2))
-    with pytest.raises(ValueError, match="bit pairs"):
-        run_ptm(tm, "0")
-    with pytest.raises(ValueError, match="bit pairs"):
-        wapp_witness(tm)
+        wapp_witness(_declared_tm(), {"1": 6, "00": 6}, _S, _EPS)
 
 
 def test_wapp_witness_rejects_oversized_denominator():
-    tm = _declared_tm()
-    tm.fp_exponent = 9
     with pytest.raises(ValueError):
-        wapp_witness(tm)
+        wapp_witness(_declared_tm(), _FP, 9, _EPS)
