@@ -20,6 +20,7 @@ from .counting import PredicateCircuit, _shift_scratch, gap
 from .errors import PromiseViolation, StatsMismatch, ZeroPostselection
 from .exactring import DyadicRational
 from .simulator import PostselStats
+from .witness import _frac
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,8 @@ class WappWitness:
     epsilon: Fraction
 
     def ratio(self, w: str) -> Fraction:
+        if w not in self.f_of:
+            raise ValueError(f"instance {w!r} is not declared")
         count = gap(self.g_machine, w).accepts
         return Fraction(count, self.f_of[w] << self.p_exp)
 
@@ -128,7 +131,9 @@ def wapp_witness(
     instance w, with f(w) = ``fp_numerators[w]`` and s = ``fp_exponent``;
     it is checked against the accept counts of ``post``.  The witness's
     g-machine is ``joint`` itself: its accept count on w is n(o=1, p=1).
+    ``epsilon`` must be exact (a ``Rational`` or a ``DyadicRational``).
     """
+    epsilon = _frac(epsilon)
     if not fp_numerators:
         raise ValueError("no declared statistics to witness")
     if fp_exponent > tm.post.path_width:

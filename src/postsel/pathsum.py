@@ -18,12 +18,18 @@ same basis state.  Memory is about (width + 1) * 2**H / 8 bytes of planes,
 as much again while their bytes are gathered, plus a few 8-byte words per
 kept path while the keys are built and sorted.
 
-Independent of ``simulator.run``: this never merges paths before the final
-sort and applies ``mcx`` natively, while ``run`` merges at every H on a wire
-that varies and sees the ``expand_mcx`` ladder.
+Gates other than H are bijections on basis states, so two paths can only
+meet at an H whose target wire varies across the live paths.  When every H
+finds its target plane 0 or all-ones, the 2**H paths end in distinct basis
+states, each with sign +-1, and g is the popcount of the kept paths: no
+transpose, no sort.
 
-``path_sum_slow`` is a deliberately naive per-path rewrite of the same
-definition, kept as a second opinion for tests.
+``simulator.run`` uses the same constant-wire argument for its branch-only
+Hadamards and the same native ``mcx`` kernel (``planes.apply_gates_planes``);
+it differs in merging at every H on a wire that varies, where this merges
+once at the end.  ``path_sum_slow``, a deliberately naive per-path rewrite of
+the same definition that shares no plane code, is the independent check of
+both.
 """
 
 from __future__ import annotations
@@ -62,19 +68,21 @@ def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
     # One Python-int plane per wire, then the sign plane.
     planes = [(z0 >> q) & 1 for q in range(circuit.width)] + [0]
     n = 1
+    meet = False  # did some H find its target wire varying, so two paths may meet?
     for is_h, run in groupby(circuit.gates, key=lambda g: g.kind == "h"):
         if not is_h:
             apply_gates_planes(planes, run, (1 << n) - 1)
             continue
         for g in run:
+            meet = meet or planes[g.target] not in (0, (1 << n) - 1)
             flips = planes[g.target] << n
             branch_planes(planes, n, g.target)
             planes[-1] ^= flips  # H|1> = |0> - |1>: a 1 that stays 1 turns negative
             n <<= 1
 
     keep = _kept(planes, (1 << n) - 1, *pin)
-    if not keep:
-        return 0, hcount
+    if not meet or not keep:  # distinct end states, each with sign +-1: g counts them
+        return keep.bit_count(), hcount
     # Wires constant on the kept paths, the pinned ones among them, cannot split a group.
     rows = [planes[-1]] + [p for p in planes[:-1] if p & keep not in (0, keep)]
     keys = np.sort(_plane_keys(rows, n, keep))

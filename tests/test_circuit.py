@@ -217,6 +217,45 @@ def test_expand_mcx_matches_direct_action_exhaustively():
                 assert _classical_run(ex, state) == apply_gate_classical(state, g)
 
 
+@st.composite
+def _mcx_circuits(draw):
+    """x/cx/ccx and 3-5-control mcx gates, controls possibly negated, on 5-9
+    wires, 1-3 of them declared ancillas anywhere in the register (so an
+    ancilla may also be a gate's control or target).  An mcx is kept only
+    when enough ancillas outside it are free to expand it."""
+    width = draw(st.integers(5, 9))
+    anc = draw(st.permutations(range(width)))[: draw(st.integers(1, 3))]
+    gates = []
+    for _ in range(draw(st.integers(1, 6))):
+        n_ctl = min(draw(st.integers(0, 5)), len(anc) + 2, width - 1)
+        qs = draw(st.permutations(range(width)))[: n_ctl + 1]
+        negs = draw(st.lists(st.booleans(), min_size=n_ctl, max_size=n_ctl))
+        g = mcx(qs[:-1], qs[-1], negs)
+        if g.kind != "mcx" or sum(q not in g.qubits for q in anc) >= n_ctl - 2:
+            gates.append(g)
+    ancillas = tuple((q, draw(st.integers(0, 1))) for q in anc)
+    return Circuit(width, tuple(gates), 0, ancillas=ancillas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mcx_circuits())
+def test_expand_mcx_acts_like_the_mcx_gates_on_every_assignment(circuit):
+    """On planes branched over every assignment of the touched wires,
+    borrowed ancillas included at either value (the ladder restores dirty
+    work qubits), the expanded gates give the planes of the native gates."""
+    flat = expand_mcx(circuit)
+    assert all(g.kind != "mcx" for g in flat.gates)
+    touched = sorted({q for g in circuit.gates + flat.gates for q in g.qubits})
+    planes = [0] * circuit.width
+    for i, q in enumerate(touched):
+        branch_planes(planes, 1 << i, q)
+    ones = (1 << (1 << len(touched))) - 1
+    native, lowered = list(planes), list(planes)
+    apply_gates_planes(native, circuit.gates, ones)
+    apply_gates_planes(lowered, flat.gates, ones)
+    assert lowered == native
+
+
 def test_expand_mcx_restores_dirty_ancillas():
     """Borrowed work qubits come back to their initial value, whatever it was."""
     g = mcx([0, 1, 2, 3], 4)

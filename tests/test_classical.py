@@ -236,3 +236,23 @@ def test_wapp_witness_rejects_mixed_lengths():
 def test_wapp_witness_rejects_oversized_denominator():
     with pytest.raises(ValueError):
         wapp_witness(_declared_tm(), _FP, 9, _EPS)
+
+
+def test_wapp_witness_ratio_rejects_an_undeclared_instance():
+    wit = wapp_witness(_declared_tm(), {"1": 6}, _S, _EPS)
+    assert wit.ratio("1") == Fraction(11, 12)
+    with pytest.raises(ValueError, match="'0' is not declared"):
+        wit.ratio("0")
+
+
+@pytest.mark.parametrize("eps", [0.25, "1/4", None])
+def test_wapp_witness_rejects_an_inexact_epsilon(eps):
+    with pytest.raises(ValueError, match="exact rational"):
+        wapp_witness(_declared_tm(), _FP, _S, eps)
+
+
+def test_wapp_witness_stores_epsilon_as_a_fraction():
+    for eps in (Fraction(1, 4), DyadicRational(1, 2)):
+        wit = wapp_witness(_declared_tm(), _FP, _S, eps)
+        assert type(wit.epsilon) is Fraction and wit.epsilon == Fraction(1, 4)
+    assert wapp_witness(_declared_tm(), _FP, _S, 0).epsilon == 0

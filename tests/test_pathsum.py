@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from postsel import pathsum
@@ -156,6 +156,47 @@ def test_oracles_match_simulator_on_layered_wide_circuits(case):
         assert m == circuit.h_count
         assert (g, m) == path_sum_slow(circuit, bits, c)
         assert DyadicRational(g, m) == joint_prob(state, c)
+
+
+@hst.composite
+def _fresh_or_meeting_circuits(draw):
+    """Both kinds of circuit ``path_sum`` tells apart.  In a fresh one every H
+    hits a wire no earlier gate touched, so the wire is constant on the live
+    paths, no two paths meet and g is a count of kept paths.  In a meeting
+    one, an H somewhere repeats at once on its wire, which then varies, so
+    paths meet and may cancel.  Gates are x/cx/ccx/mcx with up to 4 possibly
+    negated controls; at most 10 Hadamards keep path_sum_slow quick."""
+    width = draw(hst.integers(1, 7))
+    fresh = draw(hst.booleans())
+    gates, touched = [], set()
+    for _ in range(draw(hst.integers(0, 16))):
+        untouched = sorted(set(range(width)) - touched) if fresh else list(range(width))
+        if untouched and draw(hst.booleans()) and sum(g.kind == "h" for g in gates) < 8:
+            gates.append(h(draw(hst.sampled_from(untouched))))
+        else:
+            n_ctl = draw(hst.integers(0, min(4, width - 1)))
+            qs = draw(hst.permutations(range(width)))[: n_ctl + 1]
+            negs = draw(hst.lists(hst.booleans(), min_size=n_ctl, max_size=n_ctl))
+            gates.append(mcx(qs[:-1], qs[-1], negs))
+        touched.update(gates[-1].qubits)
+    if not fresh:
+        at = draw(hst.integers(0, len(gates)))
+        gates[at:at] = [h(draw(hst.integers(0, width - 1)))] * 2
+    bits = "".join(draw(hst.lists(hst.sampled_from("01"), min_size=width, max_size=width)))
+    pair = hst.tuples(hst.integers(0, width - 1), hst.integers(0, 1))
+    cons = draw(hst.lists(pair, max_size=4))
+    return Circuit(width, tuple(gates), 0), bits, cons
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fresh_or_meeting_circuits())
+@example((Circuit(3, (h(0), h(1), ccx(0, 1, 2, True)), 0), "000", [(2, 1)]))  # fresh: g = 1
+# meeting: H (x) H maps the Bell state to itself, g = 4 where 2 paths are kept
+@example((Circuit(2, (h(1), cx(1, 0), h(1), h(0)), 0), "00", [(0, 0), (1, 0)]))
+def test_path_sum_matches_the_slow_oracle_with_and_without_meeting_paths(case):
+    """Against path_sum_slow, which shares no plane code with path_sum."""
+    circuit, bits, cons = case
+    assert path_sum(circuit, bits, cons) == path_sum_slow(circuit, bits, cons)
 
 
 @pytest.mark.parametrize("h_exp", [1, 2, 3])
