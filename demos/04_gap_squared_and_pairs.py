@@ -33,7 +33,7 @@ print("gaps:", g1, g2)
 
 # squared gap, read off a plain output qubit
 circ = compile_gap_squared(m1, "")
-flat = expand_mcx(circ)                      # the same circuit in Toffolis; run takes either
+flat = expand_mcx(circ)                      # the Toffoli ladders run lowers mcx to
 state = run(flat, default_input(flat))
 p = measure_prob(state, circ.output, 1)
 print("P(o=1) =", p, "   closed form:", gap_squared_prob(g1, q))

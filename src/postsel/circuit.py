@@ -2,11 +2,9 @@
 
 A circuit is a fixed-width ordered gate list plus a designated output qubit,
 an optional postselection qubit (always postselected on value 1) and declared
-work-qubit initial values.  The multi-controlled X macro ``mcx`` with three
-or more controls is applied natively by every engine; ``expand_mcx`` rewrites
-it into CCX ladders on borrowed ancillas, and ``simulator.run`` refuses any
-``mcx`` that ``expand_mcx`` could not lower (``_mcx_ancillas`` is the one
-pool rule).
+work-qubit initial values.  The multi-controlled X macro ``mcx`` is the only
+gate the statevector simulator does not apply directly: ``expand_mcx``
+rewrites it into CCX ladders, and ``simulator.run`` calls it itself.
 
 Text format, one statement per line, ``#`` starts a comment, indices are
 0-based, controls may carry a ``!`` prefix for a negated (fires-on-0)
@@ -219,35 +217,29 @@ def _ladder(controls: Sequence[int], target: int, anc: Sequence[int]) -> list[Ga
     return seq
 
 
-def _mcx_ancillas(circuit: Circuit, g: Gate) -> list[int]:
-    """The n-2 ancillas an n-control mcx borrows: the first declared ancilla
-    qubits that do not participate in the gate.  Raises ``InsufficientAncillas``
-    when fewer are free."""
-    free = [q for q, _ in circuit.ancillas if q not in g.qubits]
-    need = len(g.controls) - 2
-    if len(free) < need:
-        raise InsufficientAncillas(
-            f"mcx with {len(g.controls)} controls needs {need} ancillas, "
-            f"only {len(free)} declared and free"
-        )
-    return free[:need]
-
-
 def expand_mcx(circuit: Circuit) -> Circuit:
     """Rewrite every mcx macro into {x, cx, ccx} using declared ancillas.
 
-    Negated controls are conjugated with X.  Each expansion borrows the
-    ``_mcx_ancillas`` of its gate; the ladder restores them, so the same pool
-    serves every mcx in the circuit.
+    Negated controls are conjugated with X.  Each expansion borrows the first
+    n-2 declared ancilla qubits that do not participate in the gate; the
+    ladder restores them, so the same pool serves every mcx in the circuit.
     """
+    anc_pool = [q for q, _ in circuit.ancillas]
     out: list[Gate] = []
     for g in circuit.gates:
         if g.kind != "mcx":
             out.append(g)
             continue
+        free = [q for q in anc_pool if q not in g.qubits]
+        need = len(g.controls) - 2
+        if len(free) < need:
+            raise InsufficientAncillas(
+                f"mcx with {len(g.controls)} controls needs {need} ancillas, "
+                f"only {len(free)} declared and free"
+            )
         flips = [x(c) for c, neg in zip(g.controls, g.negated) if neg]
         out.extend(flips)
-        out.extend(_ladder(g.controls, g.target, _mcx_ancillas(circuit, g)))
+        out.extend(_ladder(g.controls, g.target, free[:need]))
         out.extend(flips)
     return circuit.with_gates(out)
 

@@ -25,11 +25,11 @@ states, each with sign +-1, and g is the popcount of the kept paths: no
 transpose, no sort.
 
 ``simulator.run`` uses the same constant-wire argument for its branch-only
-Hadamards and the same native ``mcx`` kernel (``planes.apply_gates_planes``);
-it differs in merging at every H on a wire that varies, where this merges
-once at the end.  ``path_sum_slow``, a deliberately naive per-path rewrite of
-the same definition that shares no plane code, is the independent check of
-both.
+Hadamards.  It differs in merging at every H on a wire that varies, where
+this merges once at the end, and in seeing the ``expand_mcx`` ladder, where
+this applies ``mcx`` natively.  ``path_sum_slow``, a deliberately naive
+per-path rewrite of the same definition that shares no plane code, is the
+independent check of both.
 """
 
 from __future__ import annotations

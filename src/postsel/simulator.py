@@ -2,18 +2,17 @@
 
 A state after m Hadamards is its live support on bit-planes (see ``planes``)
 with nonzero integer ``coeffs``, entry j at amplitude coeffs[j] / sqrt(2)**m.
-``run`` applies ``mcx`` natively, one AND per control, but refuses one that
-``expand_mcx`` could not lower with the declared ancillas.  An H on a wire
-constant across the support branches the planes and doubles the coefficients
-(negated if the wire reads 1); only an H on a wire that varies transposes to
-int64 basis indices, merges the entries that meet by one sort and transposes
-back.  Cost follows the live support, at most min(2**n, 2**m) over n qubits,
-not 2**n (Jaques & Haener, arXiv:2105.01533).  Unitarity gives
-sum(coeffs**2) == 2**m: with at most ``_INT64_SAFE_H`` Hadamards every
-coefficient, square and partial sum of squares fits in int64; larger
-circuits use object-dtype Python ints.  ``CapExceeded`` is raised above
-``DEFAULT_MAX_SUPPORT`` = 2**24 live entries (so every circuit of width
-<= 24 runs) and above ``planes.MAX_WIDTH`` = 63 qubits.
+``run`` lowers ``mcx`` with ``expand_mcx``.  An H on a wire constant across
+the support branches the planes and doubles the coefficients (negated if the
+wire reads 1); only an H on a wire that varies transposes to int64 basis
+indices, merges the entries that meet by one sort and transposes back.  Cost
+follows the live support, at most min(2**n, 2**m) over n qubits, not 2**n
+(Jaques & Haener, arXiv:2105.01533).  Unitarity gives sum(coeffs**2) ==
+2**m: with at most ``_INT64_SAFE_H`` Hadamards every coefficient, square and
+partial sum of squares fits in int64; larger circuits use object-dtype
+Python ints.  ``CapExceeded`` is raised above ``DEFAULT_MAX_SUPPORT`` = 2**24
+live entries (so every circuit of width <= 24 runs) and above
+``planes.MAX_WIDTH`` = 63 qubits.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .circuit import Circuit, _mcx_ancillas
+from .circuit import Circuit, expand_mcx
 from .errors import CapExceeded, ZeroPostselection
 from .exactring import DyadicRational
 from .planes import _basis_index, _constraint_mask, _kept, _key_planes, _plane_keys
@@ -132,9 +131,8 @@ def run(circuit: Circuit, input_bits) -> QuantumState:
     for q, v in circuit.ancillas:
         if (z0 >> q) & 1 != v:
             raise ValueError(f"ancilla qubit {q} requires input value {v}")
-    for g in circuit.gates:
-        if g.kind == "mcx":
-            _mcx_ancillas(circuit, g)  # refuse what expand_mcx refuses; the kernel needs no ladder
+    if any(g.kind == "mcx" for g in circuit.gates):
+        circuit = expand_mcx(circuit)
 
     dtype = np.int64 if circuit.h_count <= _INT64_SAFE_H else object
     planes = [(z0 >> q) & 1 for q in range(circuit.width)]

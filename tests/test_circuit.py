@@ -199,8 +199,12 @@ def _classical_run(circuit: Circuit, state: int) -> int:
 
 
 def test_expand_mcx_matches_direct_action_exhaustively():
-    """Every control pattern and polarity; ladder vs direct mcx semantics."""
+    """Every control pattern and polarity; ladder vs direct mcx semantics on
+    every basis state, so borrowed ancillas start at both values.  Besides
+    single gates: circuits of several mcx sharing one pool, whose pool qubits
+    may also be other gates' controls or targets."""
     rng = random.Random(7)
+    circuits = []
     for n_ctl in (3, 4, 5):
         width = n_ctl + 1 + (n_ctl - 2)  # controls + target + borrowed pool
         anc = tuple((q, 0) for q in range(n_ctl + 1, width))
@@ -209,51 +213,23 @@ def test_expand_mcx_matches_direct_action_exhaustively():
             rng.shuffle(order)
             ctls, tgt = order[:-1], order[-1]
             negs = [rng.random() < 0.5 for _ in ctls]
-            g = mcx(ctls, tgt, negs)
-            c = Circuit(width, (g,), 0, ancillas=anc)
-            ex = expand_mcx(c)
-            assert all(gate.kind != "mcx" for gate in ex.gates)
-            for state in range(1 << width):
-                assert _classical_run(ex, state) == apply_gate_classical(state, g)
-
-
-@st.composite
-def _mcx_circuits(draw):
-    """x/cx/ccx and 3-5-control mcx gates, controls possibly negated, on 5-9
-    wires, 1-3 of them declared ancillas anywhere in the register (so an
-    ancilla may also be a gate's control or target).  An mcx is kept only
-    when enough ancillas outside it are free to expand it."""
-    width = draw(st.integers(5, 9))
-    anc = draw(st.permutations(range(width)))[: draw(st.integers(1, 3))]
-    gates = []
-    for _ in range(draw(st.integers(1, 6))):
-        n_ctl = min(draw(st.integers(0, 5)), len(anc) + 2, width - 1)
-        qs = draw(st.permutations(range(width)))[: n_ctl + 1]
-        negs = draw(st.lists(st.booleans(), min_size=n_ctl, max_size=n_ctl))
-        g = mcx(qs[:-1], qs[-1], negs)
-        if g.kind != "mcx" or sum(q not in g.qubits for q in anc) >= n_ctl - 2:
-            gates.append(g)
-    ancillas = tuple((q, draw(st.integers(0, 1))) for q in anc)
-    return Circuit(width, tuple(gates), 0, ancillas=ancillas)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_mcx_circuits())
-def test_expand_mcx_acts_like_the_mcx_gates_on_every_assignment(circuit):
-    """On planes branched over every assignment of the touched wires,
-    borrowed ancillas included at either value (the ladder restores dirty
-    work qubits), the expanded gates give the planes of the native gates."""
-    flat = expand_mcx(circuit)
-    assert all(g.kind != "mcx" for g in flat.gates)
-    touched = sorted({q for g in circuit.gates + flat.gates for q in g.qubits})
-    planes = [0] * circuit.width
-    for i, q in enumerate(touched):
-        branch_planes(planes, 1 << i, q)
-    ones = (1 << (1 << len(touched))) - 1
-    native, lowered = list(planes), list(planes)
-    apply_gates_planes(native, circuit.gates, ones)
-    apply_gates_planes(lowered, flat.gates, ones)
-    assert lowered == native
+            circuits.append(Circuit(width, (mcx(ctls, tgt, negs),), 0, ancillas=anc))
+    for _ in range(12):
+        width = rng.randint(6, 8)
+        pool = rng.sample(range(width), 3)
+        gates = []
+        while len(gates) < 3:
+            n_ctl = rng.randint(3, 5)
+            qs = rng.sample(range(width), n_ctl + 1)
+            if sum(q not in qs for q in pool) >= n_ctl - 2:
+                gates.append(mcx(qs[:-1], qs[-1], [rng.random() < 0.5 for _ in qs[:-1]]))
+        circuits.append(Circuit(width, tuple(gates), 0, ancillas=tuple((q, 0) for q in pool)))
+    assert any(q in g.qubits for c in circuits for g in c.gates for q, _ in c.ancillas)
+    for c in circuits:
+        ex = expand_mcx(c)
+        assert all(gate.kind != "mcx" for gate in ex.gates)
+        for state in range(1 << c.width):
+            assert _classical_run(ex, state) == _classical_run(c, state)
 
 
 def test_expand_mcx_restores_dirty_ancillas():

@@ -468,8 +468,8 @@ def test_equality_ignores_support_order():
 @example((Circuit(6, (h(0), h(2), mcx([0, 1, 2], 3, [False, True, True])), 3, 0,
                   ((4, 1), (5, 0))), "000010"))  # negated controls; the borrowed wire holds 1
 def test_run_lowers_mcx_like_expand_mcx(case):
-    """run applies mcx natively, with no ladder: the same state and statistics
-    as on the circuit expand_mcx returns, negated controls included."""
+    """run lowers mcx itself: the same state and statistics as on the circuit
+    expand_mcx returns, negated controls included."""
     circuit, bits = case
     flat = expand_mcx(circuit)
     assert run(circuit, bits) == run(flat, bits)
