@@ -31,6 +31,7 @@ from .counting import parse_machine
 from .errors import CircuitSyntaxError, PostselError
 from .exactring import DyadicRational
 from .pathsum import path_sum
+from .planes import _check_width
 from .scenarios import SUITES, run_suite
 from .simulator import joint_prob, postselect_stats, run
 
@@ -49,9 +50,14 @@ def _read(path: str) -> str:
         ) from exc
 
 
+def _input_bits(circ, given):
+    _check_width(circ.width)  # before default_input builds a width-long string
+    return given if given is not None else default_input(circ)
+
+
 def _cmd_simulate(args) -> int:
     circ = parse_circuit(_read(args.circuit))
-    bits = args.input if args.input is not None else default_input(circ)
+    bits = _input_bits(circ, args.input)
     state = run(circ, bits)
     # each event's constraints, read by the simulator and by the oracle alike
     events = {"prob_output": [(circ.output, 1)]}
@@ -121,7 +127,7 @@ def _cmd_compile(args) -> int:
 
 def _cmd_oracle(args) -> int:
     circ = parse_circuit(_read(args.circuit))
-    bits = args.input if args.input is not None else default_input(circ)
+    bits = _input_bits(circ, args.input)
     if args.constrain:
         constraints = [(int(q), int(v)) for q, v in args.constrain]
     else:

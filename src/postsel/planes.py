@@ -27,10 +27,14 @@ _WORD = np.dtype("<u8")  # little-endian words, so byte k holds bits 8k..8k+7 on
 _TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
+def _check_width(width: int) -> None:
+    if width > MAX_WIDTH:
+        raise CapExceeded(f"width {width} exceeds the {MAX_WIDTH}-qubit index limit")
+
+
 def _basis_index(circuit: Circuit, bits) -> int:
     """Basis state of the input bits (bit i = qubit i); enforces ``MAX_WIDTH``."""
-    if circuit.width > MAX_WIDTH:
-        raise CapExceeded(f"width {circuit.width} exceeds the {MAX_WIDTH}-qubit index limit")
+    _check_width(circuit.width)
     return _pack_bits(bits, circuit.width)
 
 

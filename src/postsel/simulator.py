@@ -10,7 +10,9 @@ follows the live support, at most min(2**n, 2**m) over n qubits, not 2**n
 (Jaques & Haener, arXiv:2105.01533).  Unitarity gives sum(coeffs**2) ==
 2**m: with at most ``_INT64_SAFE_H`` Hadamards every coefficient, square and
 partial sum of squares fits in int64; larger circuits use object-dtype
-Python ints.  ``CapExceeded`` is raised above ``DEFAULT_MAX_SUPPORT`` = 2**24
+Python ints.  ``joint_prob`` counts the kept entries when n == 2**m (every
+coefficient is then +-1) and otherwise sums the squares of the kept
+coefficients.  ``CapExceeded`` is raised above ``DEFAULT_MAX_SUPPORT`` = 2**24
 live entries (so every circuit of width <= 24 runs) and above
 ``planes.MAX_WIDTH`` = 63 qubits.
 """
@@ -41,6 +43,8 @@ class QuantumState:
     """coeffs[j] / sqrt(2)**m at the basis state whose qubit q is bit j of planes[q].
 
     Every listed coefficient is nonzero; unlisted basis states have amplitude 0.
+    Unitarity gives sum(coeffs**2) == 2**m, and ``canonical`` keeps it;
+    ``joint_prob`` relies on it.
     """
 
     width: int
@@ -169,6 +173,10 @@ def joint_prob(state: QuantumState, constraints) -> DyadicRational:
     """Exact probability that every (qubit, value) constraint holds at once."""
     n, pin = state.coeffs.size, _constraint_mask(state.width, constraints)
     keep = _kept(state.planes, (1 << n) - 1, *pin) if pin else 0
+    # n nonzero integers whose squares sum to 2**m: n == 2**m forces every
+    # square to be 1, so the kept squares sum to the number of kept entries
+    if n == 1 << state.m:
+        return DyadicRational(keep.bit_count(), state.m)
     kept = np.frombuffer(keep.to_bytes(-(-n // 8), "little"), np.uint8)
     c = state.coeffs[np.unpackbits(kept, count=n, bitorder="little").view(bool)]
     return DyadicRational(_dot(c, c), state.m)

@@ -121,6 +121,16 @@ def test_width_64_exits_2_with_cap_error(tmp_path, capsys, command):
     assert "63-qubit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_huge_width_exits_2_before_building_the_default_input(tmp_path, capsys, command):
+    """The width cap is checked before the width-long default input is built."""
+    p = tmp_path / "huge.circ"
+    p.write_text("qubits 1000000000000\noutput 0\n")
+    assert main([command, "--circuit", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: width 1000000000000 exceeds the 63-qubit index limit\n"
+
+
 # ===================================================================
 # oracle
 # ===================================================================

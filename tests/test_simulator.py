@@ -341,26 +341,38 @@ _SUPPORT_13 = (h(3), ccx(4, 6, 5, False, True), h(4), h(6), ccx(6, 4, 5, True, F
 @example((Circuit(3, (h(0), cx(0, 1), h(0), h(1)), 0), "000"))
 # more than 60 Hadamards: object-dtype coefficients
 @example((Circuit(3, tuple(h(q) for _ in range(31) for q in (0, 1)) + (h(2), cx(2, 0)), 0), "100"))
+# one entry with coefficient 2 at m = 2: every |coeff| is 1 only after canonical()
+@example((Circuit(1, (h(0), h(0)), 0), "0"))
 def test_branch_and_merge_match_dict_reference(case):
-    """run's indices, coeffs, joint_prob per wire, canonical() and == against
-    the per-index dict reference, across Hadamards that branch and that merge."""
+    """run's indices, coeffs, canonical() and == against the per-index dict
+    reference, across Hadamards that branch and that merge; joint_prob on one
+    wire and on two (q and q + 1, the same wire when the width is 1) for the
+    state and its canonical() form, both with every |coeff| 1 and without."""
     circuit, bits = case
     st = run(circuit, bits)
     ref = _dict_reference(circuit, bits)
     assert st.m == circuit.h_count
     assert st.indices.size == len(ref)
     assert dict(zip(st.indices.tolist(), st.coeffs.tolist())) == ref
-    total = sum(c * c for c in ref.values())
-    for q in range(circuit.width):
-        ones = sum(c * c for z, c in ref.items() if (z >> q) & 1)
-        assert joint_prob(st, [(q, 1)]) == DyadicRational(ones, st.m)
-        assert joint_prob(st, [(q, 0)]) == DyadicRational(total - ones, st.m)
     zs = sorted(ref)
     coeffs, m = [ref[z] for z in zs], st.m
     while m >= 2 and all(c % 2 == 0 for c in coeffs):
         coeffs, m = [c // 2 for c in coeffs], m - 2
     canon = st.canonical()
     assert (canon.indices.tolist(), canon.coeffs.tolist(), canon.m) == (zs, coeffs, m)
+    for s in (st, canon):  # joint_prob counts kept entries exactly when every |coeff| is 1
+        assert (s.coeffs.size == 1 << s.m) == bool(np.all(np.abs(s.coeffs) == 1))
+    for q in range(circuit.width):
+        r = (q + 1) % circuit.width
+        weight = defaultdict(int)  # (value of q, value of r) -> sum of squares
+        for z, c in ref.items():
+            weight[(z >> q) & 1, (z >> r) & 1] += c * c
+        for s in (st, canon):
+            for v in (0, 1):
+                one = weight[v, 0] + weight[v, 1]
+                assert joint_prob(s, [(q, v)]) == DyadicRational(one, st.m)
+                for u in (0, 1):  # q == r with u != v clashes: weight 0
+                    assert joint_prob(s, [(q, v), (r, u)]) == DyadicRational(weight[v, u], st.m)
     # the same state listed backwards, its planes packed bit by bit
     zs.reverse()
     planes = [sum(((z >> q) & 1) << j for j, z in enumerate(zs)) for q in range(circuit.width)]
