@@ -10,12 +10,14 @@ Subcommands:
 - ``verify``: run verification suites and report pass/fail conditions.
 
 Exit codes: 0 success, 1 a verification or cross-check failed, 2 bad input
-(syntax errors, missing files, inconsistent parameters).
+(syntax errors, missing files, inconsistent parameters).  The argument
+parser is built once per process, on first use, not at import.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -151,6 +153,7 @@ def _cmd_verify(args) -> int:
     return 0 if all(rep.passed for rep in reports) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="postsel",

@@ -20,6 +20,7 @@ from .circuit import Circuit, Gate, _pack_bits, ccx, default_input, h, mcx, x
 from .counting import PredicateCircuit, emit_less_than, gap
 from .errors import StatsMismatch, ZeroPostselection
 from .exactring import DyadicRational
+from .planes import _check_width
 from .simulator import postselect_stats
 from .witness import WitnessReport
 
@@ -37,6 +38,7 @@ class _Builder:
             self.anc = dict(base.ancillas)
 
     def alloc(self, n: int) -> list[int]:
+        _check_width(self.width + n)  # no engine runs a circuit past planes.MAX_WIDTH
         start = self.width
         self.width += n
         return list(range(start, start + n))

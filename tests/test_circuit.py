@@ -69,6 +69,23 @@ def test_circuit_validation():
         Circuit(2, (), 0, ancillas=((1, 0), (1, 1)))  # declared twice
 
 
+# the first gate qubit outside the register is named with its gate's kind
+OFF_REGISTER = [
+    ((cx(0, -1),), "cx gate qubit -1 outside width 3"),
+    ((h(0), ccx(0, 3, 1)), "ccx gate qubit 3 outside width 3"),
+    ((x(2), mcx([0, 1, -2], 2), cx(5, 1)), "mcx gate qubit -2 outside width 3"),
+    ((h(3), 5), "h gate qubit 3 outside width 3"),
+    ((h(0), 5, h(3)), "gates must be Gate objects, got 5"),
+]
+
+
+@pytest.mark.parametrize("gates, message", OFF_REGISTER)
+def test_off_register_gate_error_names_kind_and_qubit(gates, message):
+    with pytest.raises(ValueError) as e:
+        Circuit(3, gates, 0)
+    assert str(e.value) == message
+
+
 # one non-integer per field; each used to slip through or raise a raw TypeError
 NON_INTEGER_FIELDS = {
     "width": lambda: Circuit("2", (), 0),

@@ -318,6 +318,17 @@ def test_compile_zero_gap_pair_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_compile_huge_machine_exits_2_before_allocating(tmp_path, capsys):
+    """Widths are checked against the 63-qubit cap before any qubit list is built."""
+    m = tmp_path / "huge.machine"
+    m.write_text("machine 0 1000000000000 0\naccept 1000000000000\n")
+    argv = ["compile", "--construction", "gapsq", "--machine1", str(m)]
+    assert main([*argv, "-o", str(tmp_path / "x.circ")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: width 1000000000000 exceeds the 63-qubit index limit\n"
+    assert not (tmp_path / "x.circ").exists()
+
+
 # ===================================================================
 # verify
 # ===================================================================
@@ -345,4 +356,38 @@ def test_verify_seed_determinism(capsys):
     main(["verify", "--suite", "wpp", "--seed", "5", "--format", "machine"])
     first = capsys.readouterr().out
     main(["verify", "--suite", "wpp", "--seed", "5", "--format", "machine"])
+    assert capsys.readouterr().out == first
+
+
+# ===================================================================
+# one parser per process: no state carries from one main call to the next
+# ===================================================================
+
+
+def test_oracle_constraints_do_not_carry_over(bell_file, capsys):
+    argv = ["oracle", "--circuit", bell_file, "--input", "00"]
+    assert main([*argv, "--constrain", "0", "1", "--constrain", "1", "0"]) == 0
+    assert "prob=0/2^0" in capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "g=1\nm=1\nprob=1/2^1\n"
+
+
+@pytest.mark.parametrize("argv", [["oracle"], ["simulate", "--report", "xml"], []])
+def test_bad_argv_exits_2_every_time(argv, capsys):
+    errs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and errs[0].startswith("usage: postsel")
+
+
+def test_simulate_rows_unchanged_by_an_earlier_verify(bell_file, capsys):
+    argv = ["simulate", "--circuit", bell_file, "--oracle", "--report", "machine-readable"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(["verify", "--suite", "algebra", "--format", "machine"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
     assert capsys.readouterr().out == first

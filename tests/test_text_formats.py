@@ -11,7 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import postsel
-from postsel import CircuitSyntaxError, parse_circuit, parse_fp_table, parse_machine
+from postsel import (
+    Circuit,
+    CircuitSyntaxError,
+    Gate,
+    h,
+    mcx,
+    parse_circuit,
+    parse_fp_table,
+    parse_machine,
+    serialize_circuit,
+)
+from postsel.circuit import GATE_KINDS, _parse_index
 
 PARSERS = {
     "circuit": parse_circuit,
@@ -104,3 +115,83 @@ def test_cli_compile_reports_machine_syntax_error(tmp_path, gate):
     assert proc.returncode == 2
     assert "error: line 3:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# --- the gate-line reader against a per-token reference -----------------------
+
+READER_WIDTH = 12
+READER_TOKENS = hst.one_of(
+    hst.sampled_from(["0", "1", "2", "3", "5", "7", "11", "007", "12", "99"]),
+    hst.sampled_from(["!0", "!1", "!4", "!11", "!12", "!"]),
+    hst.sampled_from(["\u0662", "\u00b3", "\uff13", "1\u0662"]),  # isdigit(), not ASCII
+    hst.sampled_from(["+1", "-1"]),
+)
+
+
+def _reference_gate(op: str, args: list[str], line_no: int) -> Gate:
+    """A gate line read token by token, every token through ``_parse_index``."""
+    ctls = [_parse_index(tok, line_no) for tok in args]
+    if not ctls:
+        raise CircuitSyntaxError(f"{op} needs a target", line_no)
+    tgt, neg = ctls.pop()
+    if neg:
+        raise CircuitSyntaxError("targets cannot be negated", line_no)
+    if op == "mcx" and not ctls:
+        raise CircuitSyntaxError("mcx needs controls and a target", line_no)
+    controls, negated = [c for c, _ in ctls], [n for _, n in ctls]
+    try:
+        if op == "mcx":
+            return mcx(controls, tgt, negated)
+        return Gate(op, tgt, controls, negated)
+    except ValueError as exc:
+        raise CircuitSyntaxError(str(exc), line_no) from exc
+
+
+def _reference_circuit(op: str, args: list[str]) -> Circuit:
+    gate = _reference_gate(op, args, 2)
+    try:
+        return Circuit(READER_WIDTH, (gate,), 0)
+    except ValueError as exc:
+        raise CircuitSyntaxError(str(exc)) from exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(op=hst.sampled_from(GATE_KINDS), args=hst.lists(READER_TOKENS, max_size=5))
+def test_gate_reader_matches_per_token_reference(op, args):
+    text = f"qubits {READER_WIDTH}\n{' '.join([op, *args])}\noutput 0\n"
+    try:
+        expected = _reference_circuit(op, args)
+    except CircuitSyntaxError as exc:
+        with pytest.raises(CircuitSyntaxError) as got:
+            parse_circuit(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_circuit(text) == expected
+
+
+@hst.composite
+def _circuits(draw):
+    width = draw(hst.integers(3, 9))
+    gates = []
+    for _ in range(draw(hst.integers(0, 12))):
+        qs = draw(hst.permutations(range(width)))[: draw(hst.integers(1, min(5, width)))]
+        if len(qs) == 1 and draw(hst.booleans()):
+            gates.append(h(qs[0]))
+        else:
+            neg = draw(hst.lists(hst.booleans(), min_size=len(qs) - 1, max_size=len(qs) - 1))
+            gates.append(mcx(qs[:-1], qs[-1], neg))
+    out, post = draw(hst.permutations(range(width)))[:2]
+    ancillas = draw(
+        hst.lists(
+            hst.tuples(hst.integers(0, width - 1), hst.integers(0, 1)),
+            max_size=3,
+            unique_by=lambda pair: pair[0],
+        )
+    )
+    return Circuit(width, tuple(gates), out, draw(hst.sampled_from([None, post])), tuple(ancillas))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_circuits())
+def test_serialize_parse_roundtrip_with_negated_controls_and_mcx(circ):
+    assert parse_circuit(serialize_circuit(circ)) == circ
