@@ -27,8 +27,6 @@ borrow it.
 The statement reader, the index and gate-line parsers and the gate-line
 writer here also serve the machine and FP-table formats of ``counting``, and
 ``_pack_bits`` is the one rule for instance and input bit strings.
-A gate line of ASCII digits alone is read in one step; any other line goes
-token by token through ``_parse_index``, the one rule for what an index is.
 """
 
 from __future__ import annotations
@@ -39,8 +37,7 @@ from typing import Iterable, Sequence
 
 from .errors import CircuitSyntaxError, InsufficientAncillas
 
-_ARITY = {"h": 0, "x": 0, "cx": 1, "ccx": 2, "mcx": 3}  # controls taken (mcx: at least)
-GATE_KINDS = tuple(_ARITY)
+GATE_KINDS = ("h", "x", "cx", "ccx", "mcx")
 
 
 def _integer(value, role: str) -> int:
@@ -71,24 +68,20 @@ class Gate:
         if not type(self.controls) is type(self.negated) is tuple:
             object.__setattr__(self, "controls", _tuple(self.controls, "controls"))
             object.__setattr__(self, "negated", _tuple(self.negated, "negated"))
-        controls, arity = self.controls, _ARITY[self.kind]
-        if type(self.target) is not int:
-            _integer(self.target, "target")
-        for c in controls:
-            if type(c) is not int:
-                _integer(c, "control")
-        if self.kind == "mcx":
-            if len(controls) < arity:
-                raise ValueError("mcx gates carry >= 3 controls once normalized")
-        elif len(controls) != arity:
-            raise ValueError(f"{self.kind} takes {arity} controls")
-        if len(self.negated) != len(controls):
+        _integer(self.target, "target")
+        for c in self.controls:
+            _integer(c, "control")
+        expected = {"h": 0, "x": 0, "cx": 1, "ccx": 2}.get(self.kind)
+        if expected is not None and len(self.controls) != expected:
+            raise ValueError(f"{self.kind} takes {expected} controls")
+        if self.kind == "mcx" and len(self.controls) < 3:
+            raise ValueError("mcx gates carry >= 3 controls once normalized")
+        if len(self.negated) != len(self.controls):
             raise ValueError("one polarity flag per control")
-        if controls:
-            if self.target in controls:
-                raise ValueError("target may not also be a control")
-            if len(set(controls)) != len(controls):
-                raise ValueError("duplicate control qubit")
+        if self.target in self.controls:
+            raise ValueError("target may not also be a control")
+        if len(set(self.controls)) != len(self.controls):
+            raise ValueError("duplicate control qubit")
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -167,11 +160,7 @@ class Circuit:
             if q in seen:
                 raise ValueError(f"qubit {q} declared ancilla twice")
             seen.add(q)
-        if all(isinstance(g, Gate) for g in self.gates):
-            qs = [g.target for g in self.gates] + [c for g in self.gates for c in g.controls]
-            if 0 <= min(qs, default=0) and max(qs, default=0) < self.width:
-                return
-        for g in self.gates:  # walk gate by gate to name the first offender
+        for g in self.gates:
             if not isinstance(g, Gate):
                 raise ValueError(f"gates must be Gate objects, got {g!r}")
             for q in g.qubits:
@@ -329,19 +318,15 @@ def _parse_gate(op: str, args: list[str], line_no: int) -> Gate:
     """One gate line; ``mcx`` takes one or more controls and is normalized by count."""
     if op not in GATE_KINDS:
         raise CircuitSyntaxError(f"unknown statement {op!r}", line_no)
-    if (joined := "".join(args)).isascii() and joined.isdigit():  # all plain indices
-        ints = tuple(map(int, args))
-        controls, tgt, negated = ints[:-1], ints[-1], (False,) * (len(ints) - 1)
-    else:
-        ctls = [_parse_index(tok, line_no) for tok in args]
-        if not ctls:
-            raise CircuitSyntaxError(f"{op} needs a target", line_no)
-        tgt, neg = ctls.pop()
-        if neg:
-            raise CircuitSyntaxError("targets cannot be negated", line_no)
-        controls, negated = tuple(c for c, _ in ctls), tuple(n for _, n in ctls)
-    if op == "mcx" and not controls:
+    ctls = [_parse_index(tok, line_no) for tok in args]
+    if not ctls:
+        raise CircuitSyntaxError(f"{op} needs a target", line_no)
+    tgt, neg = ctls.pop()
+    if neg:
+        raise CircuitSyntaxError("targets cannot be negated", line_no)
+    if op == "mcx" and not ctls:
         raise CircuitSyntaxError("mcx needs controls and a target", line_no)
+    controls, negated = [c for c, _ in ctls], [n for _, n in ctls]
     try:
         if op == "mcx":
             return mcx(controls, tgt, negated)

@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification or cross-check failed, 2 bad input
 (syntax errors, missing files, inconsistent parameters).  The argument
-parser is built once per process, on first use, not at import.
+parser is built once per process, on the first ``main`` call, not at import;
+only a process that calls ``main`` more than once reuses it.
 """
 
 from __future__ import annotations

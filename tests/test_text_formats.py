@@ -118,6 +118,8 @@ def test_cli_compile_reports_machine_syntax_error(tmp_path, gate):
 
 
 # --- the gate-line reader against a per-token reference -----------------------
+# Every gate-line token goes through _parse_index; a faster reader must give the
+# same Gate or the same error text on digits, '!', signs and non-ASCII digits.
 
 READER_WIDTH = 12
 READER_TOKENS = hst.one_of(
