@@ -202,19 +202,11 @@ def _ladder(controls: Sequence[int], target: int, anc: Sequence[int]) -> list[Ga
     n = len(c)
     a = list(anc)
     assert len(a) >= n - 2
-    seq: list[Gate] = []
-
-    def half():
-        seq.append(ccx(c[n - 1], a[n - 3], target))
-        for i in range(n - 2, 1, -1):
-            seq.append(ccx(c[i], a[i - 2], a[i - 1]))
-        seq.append(ccx(c[0], c[1], a[0]))
-        for i in range(2, n - 1):
-            seq.append(ccx(c[i], a[i - 2], a[i - 1]))
-
-    half()
-    half()
-    return seq
+    seq = [ccx(c[n - 1], a[n - 3], target)]
+    seq += [ccx(c[i], a[i - 2], a[i - 1]) for i in range(n - 2, 1, -1)]
+    seq.append(ccx(c[0], c[1], a[0]))
+    seq += [ccx(c[i], a[i - 2], a[i - 1]) for i in range(2, n - 1)]
+    return seq + seq
 
 
 def expand_mcx(circuit: Circuit) -> Circuit:

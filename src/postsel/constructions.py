@@ -312,6 +312,7 @@ def mix_with_constant(circuit: Circuit, f: int, h_exp: int) -> Circuit:
     reads those qubits (selection happens through controlled swaps onto the
     tails-side qubits).
     """
+    _check_width(circuit.width + h_exp + 3)  # the result's width, before 1 << h_exp is built
     if not 0 < f <= (1 << h_exp):
         raise ValueError("need 0 < f <= 2**h")
     stats = postselect_stats(circuit, default_input(circuit))

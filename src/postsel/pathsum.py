@@ -11,10 +11,10 @@ probability of a set of (qubit, value) constraints is then
 
 ``path_sum`` runs all paths at once on bit-planes (see ``planes``), plus a
 sign plane marking the paths with an odd number of -1 factors: each Hadamard
-branches the planes and sets sign |= (sign ^ target) << n.  Only at the end
-are the constrained paths transposed, once, into keys (z << 1) | sign (z
-over the wires that vary), and one sort groups the paths that end in the
-same basis state.  Memory is about (width + 1) * 2**H / 8 bytes of planes,
+(``planes.branch_signed``) branches the planes and sets sign |= (sign ^
+target) << n.  Only at the end are the constrained paths transposed, once,
+into keys (z << 1) | sign (z over the wires that vary), and one sort groups
+the paths that end in the same basis state.  Memory is about (width + 1) * 2**H / 8 bytes of planes,
 as much again while their bytes are gathered, plus a few 8-byte words per
 kept path while the keys are built and sorted.
 
@@ -24,12 +24,13 @@ finds its target plane 0 or all-ones, the 2**H paths end in distinct basis
 states, each with sign +-1, and g is the popcount of the kept paths: no
 transpose, no sort.
 
-``simulator.run`` uses the same constant-wire argument for its branch-only
-Hadamards.  It differs in merging at every H on a wire that varies, where
-this merges once at the end, and in seeing the ``expand_mcx`` ladder, where
-this applies ``mcx`` natively.  ``path_sum_slow``, a deliberately naive
-per-path rewrite of the same definition that shares no plane code, is the
-independent check of both.
+``simulator.run`` uses the same constant-wire argument, and the same
+``branch_signed`` step and sign plane, for its branch-only Hadamards.  It
+differs in merging at every H on a wire that varies, where this merges once
+at the end, and in seeing the ``expand_mcx`` ladder, where this applies
+``mcx`` natively.  ``path_sum_slow``, a deliberately naive per-path rewrite
+of the same definition that shares no plane code, is the independent check
+of both.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from .circuit import Circuit, apply_gate_classical
 from .errors import CapExceeded
 from .planes import _basis_index, _constraint_mask, _kept, _plane_keys
-from .planes import apply_gates_planes, branch_planes
+from .planes import apply_gates_planes, branch_signed
 
 # At the cap the planes take at most (width + 1) * 2**20 / 8 bytes (8 MiB at
 # width 63) and as much again in bytes; building and sorting the keys of all
@@ -75,9 +76,7 @@ def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
             continue
         for g in run:
             meet = meet or planes[g.target] not in (0, (1 << n) - 1)
-            flips = planes[g.target] << n
-            branch_planes(planes, n, g.target)
-            planes[-1] ^= flips  # H|1> = |0> - |1>: a 1 that stays 1 turns negative
+            branch_signed(planes, n, g.target)
             n <<= 1
 
     keep = _kept(planes, (1 << n) - 1, *pin)

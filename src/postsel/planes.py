@@ -4,11 +4,12 @@
 A set of n entries (live basis states, or paths) is stored as one Python-int
 bit-plane per wire: bit j of ``planes[q]`` is wire q's value in entry j
 (bitslicing, Biham FSE 1997), and ``ones`` = 2**n - 1 has a bit for every
-entry.  A gate costs one AND per control and one XOR on n-bit ints, whatever
-its control count, and a set of (wire, value) constraints selects the AND of
-the pinned planes.  Numpy serves only to leave the layout: ``_plane_keys``
-transposes the planes into one uint64 key per entry, so a circuit has at
-most ``MAX_WIDTH`` = 63 qubits (qubit 63 would be an int64 index's sign bit).
+entry.  A gate XORs into its target the AND of its control planes (``ones``
+for an ``x``), a set of (wire, value) constraints selects the AND of the
+pinned planes, and ``branch_signed`` is a Hadamard on every entry at once.
+Numpy serves only to leave the layout: ``_plane_keys`` transposes the planes
+into one uint64 key per entry, so a circuit has at most ``MAX_WIDTH`` = 63
+qubits (qubit 63 would be an int64 index's sign bit).
 """
 
 from __future__ import annotations
@@ -55,25 +56,28 @@ def _constraint_mask(width: int, constraints) -> tuple[int, int] | None:
 
 def _kept(planes: list[int], ones: int, mask: int, val: int) -> int:
     """The entries that meet a ``_constraint_mask`` (mask, val): the AND of
-    the pinned planes, each XOR ``ones`` where pinned to 0."""
-    keep = ones
+    the pinned planes, each XOR ``ones`` where pinned to 0; ``ones`` if none is."""
+    keep = None
     for q in range(mask.bit_length()):
         if (mask >> q) & 1:
-            keep &= planes[q] if (val >> q) & 1 else planes[q] ^ ones
-    return keep
+            p = planes[q] if (val >> q) & 1 else planes[q] ^ ones
+            keep = p if keep is None else keep & p
+    return ones if keep is None else keep
 
 
 def apply_gates_planes(planes: list, gates: Iterable[Gate], ones) -> None:
     """Apply reversible (non-h) gates to every entry at once, in place.  Only
     ``&`` and ``^`` are used, so a plane may be a Python int or a numpy uint64
-    word array."""
+    word array.  No operator works in place: a caller's shallow copy of the
+    list keeps the planes it had."""
     for g in gates:
         if g.kind == "h":
             raise ValueError("h has no classical action")
-        fire = ones
+        fire = None
         for c, neg in zip(g.controls, g.negated):
-            fire = fire & (planes[c] ^ ones if neg else planes[c])
-        planes[g.target] = planes[g.target] ^ fire
+            p = planes[c] ^ ones if neg else planes[c]
+            fire = p if fire is None else fire & p
+        planes[g.target] = planes[g.target] ^ (ones if fire is None else fire)
 
 
 def branch_planes(planes: list[int], n: int, target: int) -> None:
@@ -86,6 +90,21 @@ def branch_planes(planes: list[int], n: int, target: int) -> None:
     for q, p in enumerate(planes):
         planes[q] = p | p << n
     planes[target] = ((1 << n) - 1) << n
+
+
+def branch_signed(planes: list[int], n: int, target: int) -> None:
+    """A Hadamard on wire ``target`` of ``n`` entries: ``branch_planes``, then
+    the new half of the last plane, the sign plane, is XORed with the target
+    plane, since H|1> = |0> - |1>: a 1 that stays 1 turns negative."""
+    flips = planes[target] << n
+    branch_planes(planes, n, target)
+    planes[-1] ^= flips
+
+
+def _plane_mask(plane: int, n: int) -> np.ndarray:
+    """Bit j of ``plane`` as entry j of a length-n bool array."""
+    packed = np.frombuffer(plane.to_bytes(-(-n // 8), "little"), np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").view(bool)
 
 
 def _transpose_bits(rows: np.ndarray) -> np.ndarray:

@@ -3,9 +3,12 @@
 A state after m Hadamards is its live support on bit-planes (see ``planes``)
 with nonzero integer ``coeffs``, entry j at amplitude coeffs[j] / sqrt(2)**m.
 ``run`` lowers ``mcx`` with ``expand_mcx``.  An H on a wire constant across
-the support branches the planes and doubles the coefficients (negated if the
-wire reads 1); only an H on a wire that varies transposes to int64 basis
-indices, merges the entries that meet by one sort and transposes back.  Cost
+the support branches the planes with ``planes.branch_signed``, as
+``pathsum`` does, and leaves the coefficients alone: entry j's is
+coeffs[j % coeffs.size], negated where the sign plane has bit j.  Only an H
+on a wire that varies writes them out in full, transposes to int64 basis
+indices, merges the entries that meet by one sort and transposes back; the
+end of ``run`` writes them out once more.  Cost
 follows the live support, at most min(2**n, 2**m) over n qubits, not 2**n
 (Jaques & Haener, arXiv:2105.01533).  Unitarity gives sum(coeffs**2) ==
 2**m: with at most ``_INT64_SAFE_H`` Hadamards every coefficient, square and
@@ -30,8 +33,8 @@ import numpy as np
 from .circuit import Circuit, expand_mcx
 from .errors import CapExceeded, ZeroPostselection
 from .exactring import DyadicRational
-from .planes import _basis_index, _constraint_mask, _kept, _key_planes, _plane_keys
-from .planes import apply_gates_planes, branch_planes
+from .planes import _basis_index, _constraint_mask, _kept, _key_planes, _plane_keys, _plane_mask
+from .planes import apply_gates_planes, branch_signed
 
 DEFAULT_MAX_SUPPORT = 1 << 24
 _INT64_SAFE_H = 60  # sum(coeffs**2) == 2**m <= 2**60 keeps all int64 math exact
@@ -122,6 +125,16 @@ def _hadamard(idx: np.ndarray, coeffs: np.ndarray, t: np.int64):
     return out_idx[live], out_c[live]
 
 
+def _write_out(coeffs: np.ndarray, sign: int, n: int) -> np.ndarray:
+    """The n coefficients: entry j's is coeffs[j % coeffs.size], negated where
+    ``sign`` has bit j (a branch copies entry j to entry n + j)."""
+    if coeffs.size < n:
+        coeffs = np.tile(coeffs, n // coeffs.size)
+    if sign:
+        np.negative(coeffs, out=coeffs, where=_plane_mask(sign, n))
+    return coeffs
+
+
 def run(circuit: Circuit, input_bits) -> QuantumState:
     """Exactly simulate a circuit on the given basis-state input.
 
@@ -139,29 +152,29 @@ def run(circuit: Circuit, input_bits) -> QuantumState:
         circuit = expand_mcx(circuit)
 
     dtype = np.int64 if circuit.h_count <= _INT64_SAFE_H else object
-    planes = [(z0 >> q) & 1 for q in range(circuit.width)]
+    planes = [(z0 >> q) & 1 for q in range(circuit.width)] + [0]  # then the sign plane
     coeffs = np.ones(1, dtype=dtype)
-    m = 0
+    n, m = 1, 0
     for is_h, gates in groupby(circuit.gates, key=lambda g: g.kind == "h"):
         if not is_h:
-            apply_gates_planes(planes, gates, (1 << coeffs.size) - 1)
+            apply_gates_planes(planes, gates, (1 << n) - 1)
             continue
         for g in gates:
-            n = coeffs.size
-            hot = planes[g.target]
-            if hot in (0, (1 << n) - 1):  # one shared value of the target: no two outputs meet
-                branch_planes(planes, n, g.target)
-                coeffs = np.concatenate((coeffs, -coeffs if hot else coeffs))
+            if planes[g.target] in (0, (1 << n) - 1):  # one shared value: no two outputs meet
+                branch_signed(planes, n, g.target)
+                n <<= 1
             else:
-                idx = _plane_keys(planes, n, (1 << n) - 1).view(_INDEX)
+                coeffs = _write_out(coeffs, planes[-1], n)
+                idx = _plane_keys(planes[:-1], n, (1 << n) - 1).view(_INDEX)
                 idx, coeffs = _hadamard(idx, coeffs, np.int64(1 << g.target))
-                planes = _key_planes(idx, circuit.width)
+                planes, n = _key_planes(idx, circuit.width) + [0], coeffs.size
             m += 1
-            if coeffs.size > DEFAULT_MAX_SUPPORT:
+            if n > DEFAULT_MAX_SUPPORT:
                 raise CapExceeded(
-                    f"live support {coeffs.size} exceeds cap {DEFAULT_MAX_SUPPORT} at h {g.target}"
+                    f"live support {n} exceeds cap {DEFAULT_MAX_SUPPORT} at h {g.target}"
                 )
-    return QuantumState(circuit.width, planes, coeffs, m)
+    sign = planes.pop()
+    return QuantumState(circuit.width, planes, _write_out(coeffs, sign, n), m)
 
 
 def measure_prob(state: QuantumState, qubit: int, value: int) -> DyadicRational:
@@ -177,8 +190,7 @@ def joint_prob(state: QuantumState, constraints) -> DyadicRational:
     # square to be 1, so the kept squares sum to the number of kept entries
     if n == 1 << state.m:
         return DyadicRational(keep.bit_count(), state.m)
-    kept = np.frombuffer(keep.to_bytes(-(-n // 8), "little"), np.uint8)
-    c = state.coeffs[np.unpackbits(kept, count=n, bitorder="little").view(bool)]
+    c = state.coeffs[_plane_mask(keep, n)]
     return DyadicRational(_dot(c, c), state.m)
 
 

@@ -329,6 +329,18 @@ def test_compile_huge_machine_exits_2_before_allocating(tmp_path, capsys):
     assert not (tmp_path / "x.circ").exists()
 
 
+def test_compile_fqp2exp_huge_exponent_exits_2_before_allocating(machine_files, tmp_path, capsys):
+    """The mixed circuit's width (7 pair wires, 3 new ones and h coins) is
+    checked against the 63-qubit cap before 2**h is built."""
+    m1, m2 = machine_files
+    argv = ["compile", "--construction", "fqp2exp", "--machine1", m1, "--machine2", m2]
+    out = tmp_path / "x.circ"
+    assert main([*argv, "--f", "1", "--h", "1000000000000", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: width 1000000000010 exceeds the 63-qubit index limit\n"
+    assert not out.exists()
+
+
 # ===================================================================
 # verify
 # ===================================================================

@@ -339,6 +339,12 @@ _SUPPORT_13 = (h(3), ccx(4, 6, 5, False, True), h(4), h(6), ccx(6, 4, 5, True, F
 # merges that cancel entries: HH on a wire, and H on a wire entangled with another
 @example((Circuit(3, (h(0), h(1), h(0), h(1)), 0), "010"))
 @example((Circuit(3, (h(0), cx(0, 1), h(0), h(1)), 0), "000"))
+# coefficients written out from a short array and a sign plane: mid-run, after a
+# branch on an all-ones wire; tiled from the 5 merged ones, then merged again;
+# and at the end of a run whose last Hadamards branch after a merge
+@example((Circuit(2, (h(0), h(1), h(0)), 0), "01"))
+@example((Circuit(4, _SUPPORT_5 + (h(3), h(0)), 0), "0001"))
+@example((Circuit(5, _SUPPORT_5 + (h(3), h(4)), 0), "00010"))
 # more than 60 Hadamards: object-dtype coefficients
 @example((Circuit(3, tuple(h(q) for _ in range(31) for q in (0, 1)) + (h(2), cx(2, 0)), 0), "100"))
 # one entry with coefficient 2 at m = 2: every |coeff| is 1 only after canonical()
