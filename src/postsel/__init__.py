@@ -45,7 +45,6 @@ from .counting import (
     eval_machine,
     gap,
     make_gap_machine,
-    parse_fp_table,
     parse_machine,
     scale_gap,
     serialize_machine,
@@ -135,7 +134,6 @@ __all__ = [
     "mixed_conditional",
     "pair_stats",
     "parse_circuit",
-    "parse_fp_table",
     "parse_machine",
     "path_sum",
     "path_sum_slow",

@@ -25,15 +25,17 @@ given input value V (0 or 1) and is returned to that value by the gates that
 borrow it.
 
 The statement reader, the index and gate-line parsers and the gate-line
-writer here also serve the machine and FP-table formats of ``counting``, and
+writer here also serve the machine format of ``counting``, and
 ``_pack_bits`` is the one rule for instance and input bit strings.
+``_placed`` is the one rule for moving a gate list onto other wires, and
+``_borrowed`` the one rule for the work qubits an ``mcx`` borrows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CircuitSyntaxError, InsufficientAncillas
 
@@ -182,6 +184,20 @@ def default_input(circuit: Circuit) -> str:
     return "".join(bits)
 
 
+def _placed(
+    gates: Iterable[Gate], wire: Callable[[int], int], control: tuple[int, bool] | None = None
+) -> list[Gate]:
+    """``gates`` with every wire q moved to ``wire(q)``.  A (qubit, negated)
+    ``control`` joins every gate but ``h`` as its last control; ``mcx``
+    renames the kind to fit the new control count."""
+    ctl, neg = ((control[0],), (control[1],)) if control else ((), ())
+    return [
+        h(wire(g.target)) if g.kind == "h"
+        else mcx([*map(wire, g.controls), *ctl], wire(g.target), g.negated + neg)
+        for g in gates
+    ]
+
+
 def apply_gate_classical(state: int, gate: Gate) -> int:
     """Apply a reversible (non-h) gate to a computational basis state."""
     if gate.kind == "h":
@@ -209,12 +225,20 @@ def _ladder(controls: Sequence[int], target: int, anc: Sequence[int]) -> list[Ga
     return seq + seq
 
 
+def _borrowed(g: Gate, pool: Iterable[int]) -> tuple[list[int], int]:
+    """The first n-2 ``pool`` qubits off an n-control mcx, which its ladder
+    borrows, and how many of the n-2 the pool lacks."""
+    need = len(g.controls) - 2
+    free = [q for q in pool if q not in g.qubits][:need]
+    return free, need - len(free)
+
+
 def expand_mcx(circuit: Circuit) -> Circuit:
     """Rewrite every mcx macro into {x, cx, ccx} using declared ancillas.
 
-    Negated controls are conjugated with X.  Each expansion borrows the first
-    n-2 declared ancilla qubits that do not participate in the gate; the
-    ladder restores them, so the same pool serves every mcx in the circuit.
+    Negated controls are conjugated with X.  Each expansion borrows
+    (``_borrowed``) declared ancilla qubits; the ladder restores them, so the
+    same pool serves every mcx in the circuit.
     """
     anc_pool = [q for q, _ in circuit.ancillas]
     out: list[Gate] = []
@@ -222,16 +246,15 @@ def expand_mcx(circuit: Circuit) -> Circuit:
         if g.kind != "mcx":
             out.append(g)
             continue
-        free = [q for q in anc_pool if q not in g.qubits]
-        need = len(g.controls) - 2
-        if len(free) < need:
+        free, short = _borrowed(g, anc_pool)
+        if short:
             raise InsufficientAncillas(
-                f"mcx with {len(g.controls)} controls needs {need} ancillas, "
+                f"mcx with {len(g.controls)} controls needs {len(free) + short} ancillas, "
                 f"only {len(free)} declared and free"
             )
         flips = [x(c) for c, neg in zip(g.controls, g.negated) if neg]
         out.extend(flips)
-        out.extend(_ladder(g.controls, g.target, free[:need]))
+        out.extend(_ladder(g.controls, g.target, free))
         out.extend(flips)
     return circuit.with_gates(out)
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .circuit import cx
-from .counting import PredicateCircuit, _shift_scratch, gap
+from .circuit import _placed, cx
+from .counting import PredicateCircuit, gap
 from .errors import PromiseViolation, StatsMismatch, ZeroPostselection
 from .exactring import DyadicRational
 from .simulator import PostselStats
@@ -87,11 +87,12 @@ def build_upcoup(
             f"promise requires exactly one accepting path across both machines, got {total}"
         )
     # layout: [w | x | n's scratch and accept | m's scratch and accept | flag]
+    data = n_machine.input_width + n_machine.path_width
     shift = n_machine.ancilla_count + 1
-    compute = list(n_machine.gates) + _shift_scratch(m_machine, shift)
+    moved = _placed(m_machine.gates, lambda i: i if i < data else i + shift)
+    compute = list(n_machine.gates) + moved
     flag = m_machine.total_bits + shift
     gates = compute + [cx(n_machine.accept_index, flag), cx(m_machine.accept_index + shift, flag)]
-    data = n_machine.input_width + n_machine.path_width
     post = PredicateCircuit(
         n_machine.input_width, n_machine.path_width, flag - data, tuple(gates + compute[::-1]), flag
     )

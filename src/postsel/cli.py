@@ -115,7 +115,9 @@ def _cmd_compile(args) -> int:
             circ = rescale_postsel(circ, args.t)
         elif kind == "fqp2exp":
             f, h_exp = args.f, args.h
-            if f is None or h_exp is None:
+            if (f is None) != (h_exp is None):
+                raise ValueError("--f and --h go together: give both or neither")
+            if f is None:
                 st = postselect_stats(circ, default_input(circ))
                 f, h_exp = st.p_post.n, st.p_post.k
             circ = compile_fqp_to_exp(circ, f, h_exp)
@@ -131,11 +133,7 @@ def _cmd_compile(args) -> int:
 def _cmd_oracle(args) -> int:
     circ = parse_circuit(_read(args.circuit))
     bits = _input_bits(circ, args.input)
-    if args.constrain:
-        constraints = [(int(q), int(v)) for q, v in args.constrain]
-    else:
-        constraints = [(circ.output, 1)]
-    g, m = path_sum(circ, bits, constraints)
+    g, m = path_sum(circ, bits, args.constrain or [(circ.output, 1)])
     print(f"g={g}")
     print(f"m={m}")
     print(f"prob={DyadicRational(g, m)}")
@@ -195,6 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument(
         "--constrain",
         nargs=2,
+        type=int,
         action="append",
         metavar=("Q", "V"),
         help="require qubit Q to equal V (repeatable; default: output 1)",

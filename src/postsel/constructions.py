@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .circuit import Circuit, Gate, _pack_bits, ccx, default_input, h, mcx, x
+from .circuit import Circuit, Gate, _borrowed, _pack_bits, _placed, ccx, default_input, h, mcx, x
 from .counting import PredicateCircuit, emit_less_than, gap
 from .errors import StatsMismatch, ZeroPostselection
 from .exactring import DyadicRational
@@ -57,32 +57,21 @@ class _Builder:
         z = _pack_bits(w, len(qubits))
         self.extend(x(q) for i, q in enumerate(qubits) if (z >> i) & 1)
 
-    def declare(self, qubits, value: int = 0) -> None:
-        if isinstance(qubits, int):
-            qubits = [qubits]
-        for q in qubits:
-            self.anc[q] = value
+    def declare(self, qubits: list[int]) -> None:
+        """Declare work qubits that start, and end, at 0."""
+        self.anc.update((q, 0) for q in qubits)
 
     def embed(self, sub: Circuit) -> int:
         """Splice a whole sub-circuit onto fresh qubits; returns the offset."""
         off = self.alloc(sub.width)[0]
-        for g in sub.gates:
-            self.add(
-                Gate(g.kind, g.target + off, tuple(c + off for c in g.controls), g.negated)
-            )
-        for q, v in sub.ancillas:
-            self.anc[q + off] = v
+        self.extend(_placed(sub.gates, lambda q: q + off))
+        self.anc.update((q + off, v) for q, v in sub.ancillas)
         return off
 
     def finish(self, output: int, postselect: int | None = None) -> Circuit:
-        # top up the declared work pool so every mcx can borrow n-2 free bits
-        deficit = 0
-        for g in self.gates:
-            if g.kind != "mcx":
-                continue
-            free = sum(1 for q in self.anc if q not in g.qubits)
-            deficit = max(deficit, len(g.controls) - 2 - free)
-        if deficit > 0:
+        # top up the declared work pool so every mcx can borrow its n-2 bits
+        deficit = max((_borrowed(g, self.anc)[1] for g in self.gates if g.kind == "mcx"), default=0)
+        if deficit:
             self.declare(self.alloc(deficit))
         return Circuit(
             self.width,
@@ -103,30 +92,11 @@ def _machine_gates(
 ) -> list[Gate]:
     """Map a machine's gate list onto circuit qubits, optionally adding one
     extra control to every gate."""
-    table: dict[int, int] = {}
-    for i, q in enumerate(w_map):
-        table[i] = q
-    for i, q in enumerate(x_map):
-        table[machine.input_width + i] = q
-    scratch_slots = [
-        i
-        for i in range(machine.input_width + machine.path_width, machine.total_bits)
-        if i != machine.accept_index
-    ]
-    assert len(scratch_slots) == len(scratch_map)
-    for i, q in zip(scratch_slots, scratch_map):
-        table[i] = q
-    table[machine.accept_index] = accept_q
-
-    out: list[Gate] = []
-    for g in machine.gates:
-        ctls = [table[c] for c in g.controls]
-        negs = list(g.negated)
-        if control is not None:
-            ctls.append(control[0])
-            negs.append(control[1])
-        out.append(mcx(ctls, table[g.target], negs))
-    return out
+    assert len(scratch_map) == machine.ancilla_count
+    # the accept bit sits among the scratch bits, past the instance and path bits
+    rest = list(scratch_map)
+    rest.insert(machine.accept_index - machine.input_width - machine.path_width, accept_q)
+    return _placed(machine.gates, (w_map + x_map + rest).__getitem__, control)
 
 
 def gap_squared_prob(g_val: int, q: int) -> DyadicRational:
@@ -177,8 +147,7 @@ def compile_gap_squared(machine: PredicateCircuit, w) -> Circuit:
     for qb in xq:
         b.add(h(qb))
     b.add(mcx(xq, out, [True] * q))
-    b.declare(scratch)
-    b.declare(acc)
+    b.declare(scratch + [acc])
     return b.finish(output=out)
 
 
@@ -244,8 +213,7 @@ def compile_pair_postsel(
         b.add(h(qb))
     b.add(mcx(plus_reg, post, [True] * len(plus_reg)))
 
-    b.declare(scratch)
-    b.declare(acc)
+    b.declare(scratch + [acc])
     return b.finish(output=sel, postselect=post)
 
 
@@ -313,8 +281,8 @@ def mix_with_constant(circuit: Circuit, f: int, h_exp: int) -> Circuit:
     tails-side qubits).
     """
     _check_width(circuit.width + h_exp + 3)  # the result's width, before 1 << h_exp is built
-    if not 0 < f <= (1 << h_exp):
-        raise ValueError("need 0 < f <= 2**h")
+    if h_exp < 0 or not 0 < f <= (1 << h_exp):
+        raise ValueError(f"need h >= 0 and 0 < f <= 2**h, got f = {f}, h = {h_exp}")
     stats = postselect_stats(circuit, default_input(circuit))
     if stats.p_post != DyadicRational(f, h_exp):
         raise StatsMismatch(
@@ -325,13 +293,8 @@ def mix_with_constant(circuit: Circuit, f: int, h_exp: int) -> Circuit:
 
     b = _Builder(circuit)
     coin = b.alloc1()
-    b.gates = []  # re-emit everything in order: coin flip first
-    b.add(h(coin))
-    for g in circuit.gates:
-        if g.kind == "h":
-            b.add(g)
-        else:
-            b.add(mcx(list(g.controls) + [coin], g.target, list(g.negated) + [False]))
+    # re-emit everything in order: coin flip first
+    b.gates = [h(coin)] + _placed(circuit.gates, lambda q: q, (coin, False))
     o_tails = b.alloc1()
     b.add(h(o_tails))
     coins = b.alloc(h_exp)

@@ -30,15 +30,14 @@ every other plane ends equal to its starting plane.  The planes and their
 starting copies take at most 2 * total_bits * 2**q / 8 bytes.
 ``eval_machine`` runs one path and is the per-path reference.
 
-``FPFunction`` wraps the two desk-scale ways this package supplies an
-efficiently-computable positive integer function: an explicit per-instance
-table, or a machine whose gap on the all-ones instance of matching length is
-taken as the value.
+``FPFunction`` is the length normalizer: an efficiently-computable positive
+integer function whose value on w is a machine's gap on the all-ones
+instance of length |w|.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import (
     Gate,
@@ -47,8 +46,7 @@ from .circuit import (
     _integer,
     _pack_bits,
     _parse_gate,
-    _parse_ints,
-    _statements,
+    _placed,
     _tuple,
     apply_gate_classical,
     mcx,
@@ -97,7 +95,6 @@ class PredicateCircuit:
 class GapValue:
     accepts: int
     rejects: int
-    path_width: int
 
     @property
     def gap(self) -> int:
@@ -151,7 +148,7 @@ def gap(machine: PredicateCircuit, w) -> GapValue:
     planes[machine.accept_index] = start[machine.accept_index]
     if planes != start:
         raise MachineContractError(_CONTRACT)
-    return GapValue(accepts, (1 << q) - accepts, q)
+    return GapValue(accepts, (1 << q) - accepts)
 
 
 def emit_less_than(bit_indices, constant: int, flag_index: int) -> list[Gate]:
@@ -193,19 +190,6 @@ def make_gap_machine(v: int, q: int) -> PredicateCircuit:
     return PredicateCircuit(0, q, 0, tuple(gates), q)
 
 
-def _shift_scratch(machine: PredicateCircuit, shift: int) -> list[Gate]:
-    """The machine's gates with its scratch and accept bits moved ``shift`` bits up."""
-    data = machine.input_width + machine.path_width
-
-    def move(i: int) -> int:
-        return i if i < data else i + shift
-
-    return [
-        Gate(g.kind, move(g.target), tuple(map(move, g.controls)), g.negated)
-        for g in machine.gates
-    ]
-
-
 def scale_gap(machine: PredicateCircuit, c: int) -> PredicateCircuit:
     """Machine whose gap is exactly c times the input machine's gap (c >= 1).
 
@@ -222,7 +206,7 @@ def scale_gap(machine: PredicateCircuit, c: int) -> PredicateCircuit:
     extra = (c - 1).bit_length()
     in_w, q = machine.input_width, machine.path_width
     # new layout: [w | x (q) | y (extra) | old scratch | old accept slot | u | accept]
-    base = _shift_scratch(machine, extra)
+    base = _placed(machine.gates, lambda i: i if i < in_w + q else i + extra)
     y_bits = list(range(in_w + q, in_w + q + extra))
     a_m = machine.accept_index + extra
     u = in_w + q + extra + machine.ancilla_count + 1
@@ -277,62 +261,24 @@ def tabulated_count_machine(
     return PredicateCircuit(input_width, path_width, 0, tuple(gates), accept)
 
 
-def _check_fp_value(val: int, w: str, bound_exp: int) -> int:
-    if not 0 < val <= (1 << bound_exp):
-        raise ValueError(f"f({w!r}) = {val} outside (0, 2**{bound_exp}]")
-    return val
-
-
 @dataclass(frozen=True)
 class FPFunction:
-    """Positive integer function with a declared bound 0 < f(w) <= 2**bound_exp.
+    """Positive integer function with a declared bound 0 < f(w) <= 2**bound_exp:
+    ``machine``'s gap on the all-ones instance of length |w|, so the value
+    depends only on |w|."""
 
-    ``fp_of_input`` variants tabulate values per instance; ``gap_of_length``
-    variants evaluate a machine's gap on the all-ones instance of the same
-    length, so the value depends only on |w|.
-    """
-
-    variant: str  # 'fp_of_input' | 'gap_of_length'
     bound_exp: int
-    table: dict[str, int] = field(default_factory=dict)
-    machine: PredicateCircuit | None = None
-
-    def __post_init__(self):
-        if self.variant not in ("fp_of_input", "gap_of_length"):
-            raise ValueError(f"unknown FPFunction variant {self.variant!r}")
-        if self.variant == "fp_of_input":
-            for w, val in self.table.items():
-                _check_fp_value(val, w, self.bound_exp)
-        elif self.machine is None:
-            raise ValueError("gap_of_length variant needs a machine")
+    machine: PredicateCircuit
 
     def __call__(self, w: str) -> int:
-        if self.variant == "fp_of_input":
-            if w not in self.table:
-                raise KeyError(f"no tabulated value for instance {w!r}")
-            return self.table[w]
-        assert self.machine is not None
-        ones = "1" * len(w)
         if self.machine.input_width != len(w):
             raise MachineContractError(
                 f"length machine reads {self.machine.input_width} bits, |w| = {len(w)}"
             )
-        return _check_fp_value(gap(self.machine, ones).gap, w, self.bound_exp)
-
-
-def parse_fp_table(text: str, bound_exp: int) -> FPFunction:
-    """Parse ``w_bits value`` lines into a tabulated FPFunction."""
-    table: dict[str, int] = {}
-    for line_no, w, args in _statements(text):
-        if w in table:
-            raise CircuitSyntaxError(f"instance {w} listed twice", line_no)
-        (value,) = _parse_ints(args, "BITS VALUE", line_no)
-        try:
-            _pack_bits(w, len(w))
-            table[w] = _check_fp_value(value, w, bound_exp)
-        except ValueError as exc:
-            raise CircuitSyntaxError(str(exc), line_no) from exc
-    return FPFunction("fp_of_input", bound_exp, table)
+        val = gap(self.machine, "1" * len(w)).gap
+        if not 0 < val <= (1 << self.bound_exp):
+            raise ValueError(f"f({w!r}) = {val} outside (0, 2**{self.bound_exp}]")
+        return val
 
 
 # --- machine text format ----------------------------------------------------

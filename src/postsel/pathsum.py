@@ -54,7 +54,8 @@ DEFAULT_MAX_BRANCH = 20
 def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
     """Exact (g, m) with P(constraints) == g / 2**m and m == Hadamard count.
 
-    Raises ``CapExceeded`` above ``DEFAULT_MAX_BRANCH`` Hadamards.
+    Raises ``CapExceeded`` above ``DEFAULT_MAX_BRANCH`` Hadamards, and
+    ValueError if an input bit contradicts a declared ancilla value.
     """
     hcount = circuit.h_count
     if hcount > DEFAULT_MAX_BRANCH:

@@ -34,9 +34,14 @@ def _check_width(width: int) -> None:
 
 
 def _basis_index(circuit: Circuit, bits) -> int:
-    """Basis state of the input bits (bit i = qubit i); enforces ``MAX_WIDTH``."""
+    """Basis state of the input bits (bit i = qubit i); enforces ``MAX_WIDTH``,
+    and ValueError if a bit contradicts a declared ancilla value."""
     _check_width(circuit.width)
-    return _pack_bits(bits, circuit.width)
+    z = _pack_bits(bits, circuit.width)
+    for q, v in circuit.ancillas:
+        if (z >> q) & 1 != v:
+            raise ValueError(f"ancilla qubit {q} requires input value {v}")
+    return z
 
 
 def _constraint_mask(width: int, constraints) -> tuple[int, int] | None:

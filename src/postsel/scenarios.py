@@ -345,7 +345,7 @@ def scenario_app_forward(seed: int, r: int) -> WitnessReport:
     fx = _toy_fixture()
     report = WitnessReport("app-forward")
     norm_machine = tabulated_count_machine({"11": ((1 << 7) + 64) // 2}, 2, 7)
-    f_fn = FPFunction("gap_of_length", 7, machine=norm_machine)
+    f_fn = FPFunction(7, norm_machine)
     stats = {}
     for w in sorted(fx.labels):
         report.check(f"w={w}:normalizer", f_fn(w), "==", fx.postsel_numerator(w))

@@ -145,9 +145,6 @@ def run(circuit: Circuit, input_bits) -> QuantumState:
     value.
     """
     z0 = _basis_index(circuit, input_bits)
-    for q, v in circuit.ancillas:
-        if (z0 >> q) & 1 != v:
-            raise ValueError(f"ancilla qubit {q} requires input value {v}")
     if any(g.kind == "mcx" for g in circuit.gates):
         circuit = expand_mcx(circuit)
 

@@ -9,7 +9,10 @@ from postsel import (
     expand_mcx,
     make_gap_machine,
     parse_circuit,
+    path_sum,
+    path_sum_slow,
     postselect_stats,
+    run,
     serialize_machine,
 )
 from postsel.cli import main
@@ -160,6 +163,31 @@ def test_oracle_explicit_constraints(bell_file, capsys):
     )
     assert rc == 0
     assert "prob=0/2^0" in capsys.readouterr().out
+
+
+def test_oracle_non_integer_constraint_names_the_flag(bell_file, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["oracle", "--circuit", bell_file, "--constrain", "a", "1"])
+    assert e.value.code == 2
+    assert "argument --constrain: invalid int value: 'a'" in capsys.readouterr().err
+
+
+def test_input_contradicting_an_ancilla_is_refused_by_every_engine(tmp_path, capsys):
+    """An input bit that contradicts a declared ancilla value is a ValueError
+    for ``run`` and both oracles, and exit 2 for ``simulate`` and ``oracle``."""
+    text = "qubits 3\nh 0\ncx 0 1\noutput 1\nancilla 2 1\n"
+    circ = parse_circuit(text)
+    for engine in (run, lambda c, bits: path_sum(c, bits, [(1, 1)]),
+                   lambda c, bits: path_sum_slow(c, bits, [(1, 1)])):
+        with pytest.raises(ValueError, match="ancilla qubit 2 requires input value 1"):
+            engine(circ, "000")
+    path = tmp_path / "anc.circ"
+    path.write_text(text)
+    for command in ("simulate", "oracle"):
+        assert main([command, "--circuit", str(path), "--input", "000"]) == 2
+        assert capsys.readouterr().err == "error: ancilla qubit 2 requires input value 1\n"
+    assert main(["oracle", "--circuit", str(path), "--input", "001"]) == 0
+    assert "prob=1/2^1" in capsys.readouterr().out
 
 
 # ===================================================================
@@ -338,6 +366,26 @@ def test_compile_fqp2exp_huge_exponent_exits_2_before_allocating(machine_files, 
     assert main([*argv, "--f", "1", "--h", "1000000000000", "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "error: width 1000000000010 exceeds the 63-qubit index limit\n"
+    assert not out.exists()
+
+
+def test_compile_fqp2exp_negative_exponent_exits_2_naming_h(machine_files, tmp_path, capsys):
+    m1, m2 = machine_files
+    argv = ["compile", "--construction", "fqp2exp", "--machine1", m1, "--machine2", m2]
+    out = tmp_path / "x.circ"
+    assert main([*argv, "--f", "1", "--h", "-1", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: need h >= 0 and 0 < f <= 2**h, got f = 1, h = -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [["--f", "1"], ["--h", "3"]])
+def test_compile_fqp2exp_needs_f_and_h_together(machine_files, tmp_path, capsys, override):
+    m1, m2 = machine_files
+    argv = ["compile", "--construction", "fqp2exp", "--machine1", m1, "--machine2", m2]
+    out = tmp_path / "x.circ"
+    assert main([*argv, *override, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --f and --h go together: give both or neither\n"
     assert not out.exists()
 
 

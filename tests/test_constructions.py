@@ -5,6 +5,7 @@ the machine's accept/reject counts (or the branch-sum oracle) and only then
 compared against the compiled circuit's simulated statistics.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -35,10 +36,12 @@ from postsel import (
     mix_with_constant,
     mixed_conditional,
     pair_stats,
+    parse_machine,
     path_sum,
     postselect_stats,
     rescale_postsel,
     run,
+    serialize_circuit,
     verify_error_algebra,
 )
 from postsel.scenarios import random_machine
@@ -355,6 +358,57 @@ def test_pp_instance_validation():
     mg = make_gap_machine(2, 1)
     with pytest.raises(ValueError):
         compile_pp_instance(mg, make_gap_machine(0, 1), "")  # f gap must be nonzero
+
+
+# ===================================================================
+# serialized circuits, pinned gate for gate
+# ===================================================================
+
+# the two machine files of the CI console-script step
+CI_M1 = parse_machine("machine 1 2 0\nccx 1 2 3\nx 3\nccx !0 1 3\naccept 3\n")
+CI_M2 = parse_machine("machine 1 2 1\nccx 0 1 3\ncx 3 4\nccx 2 3 4\nccx 0 1 3\naccept 4\n")
+
+
+def _fqp2exp(pair: Circuit) -> Circuit:
+    """``compile --construction fqp2exp`` without --f/--h: f and h read off the pair."""
+    p_post = postselect_stats(pair, default_input(pair)).p_post
+    return compile_fqp_to_exp(pair, p_post.n, p_post.k)
+
+
+PINNED_CIRCUITS = {
+    "gapsq": (
+        lambda: compile_gap_squared(CI_M1, "1"),
+        "9da3136d1c6d4a336bb5bce611174d54e407540563be0577913fb71e6eacf1eb",
+    ),
+    "pair": (
+        lambda: compile_pair_postsel(CI_M1, CI_M2, "1", 1),
+        "39f69753ec1476626d2b1eafdfc912c07202211f37cf5e2447e69d4d2ca30637",
+    ),
+    "rescale": (
+        lambda: rescale_postsel(compile_pair_postsel(CI_M1, CI_M2, "1", 1), 2),
+        "924099f9d695d1d1ad72d7a7208d2b0371290c009b67da28972dc8de8d52d735",
+    ),
+    "fqp2exp": (
+        lambda: _fqp2exp(compile_pair_postsel(CI_M1, CI_M2, "1", 1)),
+        "ec44048ef30a1f3bb39420257a55c5976def365ead7e0e652ae6c1bb4e0c053d",
+    ),
+    "pp": (
+        lambda: compile_pp_instance(CI_M1, CI_M2, "1"),
+        "60788d19a49be2448f7da4d46c67a98442293856e0ebf691dce8d7cb8ff19d13",
+    ),
+    "gapsq-m2-input-0": (
+        lambda: compile_gap_squared(CI_M2, "0"),
+        "7de503e5b0a1fe81a12e79db1b704594d53b41c226d0f4f0780d54838f3e1eee",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CIRCUITS)
+def test_compiled_circuit_text_is_pinned(name):
+    """The verify digests see only probabilities; these see every gate."""
+    build, digest = PINNED_CIRCUITS[name]
+    text = serialize_circuit(build())
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
 # ===================================================================

@@ -22,7 +22,6 @@ from postsel import (
     gap,
     make_gap_machine,
     mcx,
-    parse_fp_table,
     parse_machine,
     scale_gap,
     serialize_machine,
@@ -304,23 +303,8 @@ def test_tabulated_count_machine_rejects_overflow():
 
 
 # ===================================================================
-# integer-function wrappers
+# the length normalizer
 # ===================================================================
-
-
-def test_fp_function_from_table():
-    f = FPFunction("fp_of_input", 4, {"00": 3, "11": 16})
-    assert f("00") == 3
-    assert f("11") == 16
-    with pytest.raises(KeyError):
-        f("01")
-
-
-def test_fp_function_table_bound_checked_eagerly():
-    with pytest.raises(ValueError):
-        FPFunction("fp_of_input", 3, {"0": 9})  # 9 > 2**3
-    with pytest.raises(ValueError):
-        FPFunction("fp_of_input", 3, {"0": 0})  # must be positive
 
 
 def _with_ignored_instance(inner: PredicateCircuit, in_w: int) -> PredicateCircuit:
@@ -337,7 +321,7 @@ def _with_ignored_instance(inner: PredicateCircuit, in_w: int) -> PredicateCircu
 def test_fp_function_from_length_gap():
     # gap 6 on any 2-bit instance; value depends only on |w|
     m = _with_ignored_instance(make_gap_machine(6, 3), 2)
-    f = FPFunction("gap_of_length", 3, machine=m)
+    f = FPFunction(3, m)
     assert f("00") == 6
     assert f("10") == 6
     with pytest.raises(MachineContractError):
@@ -346,25 +330,9 @@ def test_fp_function_from_length_gap():
 
 def test_fp_function_gap_variant_rejects_nonpositive_gap():
     m = _with_ignored_instance(make_gap_machine(-2, 2), 1)
-    f = FPFunction("gap_of_length", 2, machine=m)
+    f = FPFunction(2, m)
     with pytest.raises(ValueError):
         f("1")
-
-
-def test_fp_function_unknown_variant():
-    with pytest.raises(ValueError):
-        FPFunction("bogus", 2)
-    with pytest.raises(ValueError):
-        FPFunction("gap_of_length", 2)  # machine required
-
-
-def test_parse_fp_table():
-    f = parse_fp_table("# values\n01 3\n10 7\n", 3)
-    assert f("01") == 3 and f("10") == 7
-    with pytest.raises(CircuitSyntaxError):
-        parse_fp_table("xx 3\n", 3)
-    with pytest.raises(CircuitSyntaxError):
-        parse_fp_table("01 zz\n", 3)
 
 
 # ===================================================================

@@ -1,4 +1,4 @@
-"""The three text formats share one reader: only CircuitSyntaxError escapes,
+"""The two text formats share one reader: only CircuitSyntaxError escapes,
 and every statement-level error carries its line number."""
 
 import os
@@ -18,7 +18,6 @@ from postsel import (
     h,
     mcx,
     parse_circuit,
-    parse_fp_table,
     parse_machine,
     serialize_circuit,
 )
@@ -27,7 +26,6 @@ from postsel.circuit import GATE_KINDS, _parse_index
 PARSERS = {
     "circuit": parse_circuit,
     "machine": parse_machine,
-    "fp-table": lambda text: parse_fp_table(text, 3),
 }
 
 KEYWORDS = [
@@ -73,11 +71,6 @@ BAD_FILES = [
     ("machine", "machine 0 1 1\n\nx ¹\naccept 2\n", 3),
     # only controls may be negated
     ("circuit", "qubits 2\nancilla !0 1\noutput 1\n", 2),
-    # an instance listed twice; values outside (0, 2**3]
-    ("fp-table", "01 3\n# again\n01 4\n", 3),
-    ("fp-table", "01 3\n01 0\n", 2),
-    ("fp-table", "01 9\n", 1),
-    ("fp-table", "01 -1\n", 1),
 ]
 
 
