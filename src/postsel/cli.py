@@ -98,21 +98,35 @@ def _cmd_simulate(args) -> int:
     return status
 
 
+# the options each construction reads besides --machine1 and --input
+_COMPILE_READS = {
+    "gapsq": set(),
+    "pp": {"machine2"},
+    "pair": {"machine2", "k"},
+    "rescale": {"machine2", "k", "t"},
+    "fqp2exp": {"machine2", "k", "f", "h"},
+}
+
+
 def _cmd_compile(args) -> int:
+    kind = args.construction
+    given = {opt for opt in ("machine2", "k", "t", "f", "h") if getattr(args, opt) is not None}
+    unread = sorted(given - _COMPILE_READS[kind])
+    if unread:
+        raise ValueError(f"construction {kind!r} does not read --{', --'.join(unread)}")
+    if "machine2" in _COMPILE_READS[kind] and args.machine2 is None:
+        raise ValueError(f"construction {kind!r} needs --machine2")
     m1 = parse_machine(_read(args.machine1))
     m2 = parse_machine(_read(args.machine2)) if args.machine2 else None
-    kind = args.construction
     w = args.input
-    if kind != "gapsq" and m2 is None:
-        raise ValueError(f"construction {kind!r} needs --machine2")
     if kind == "gapsq":
         circ = compile_gap_squared(m1, w)
     elif kind == "pp":
         circ = compile_pp_instance(m1, m2, w)
     else:
-        circ = compile_pair_postsel(m1, m2, w, args.k)
+        circ = compile_pair_postsel(m1, m2, w, 0 if args.k is None else args.k)
         if kind == "rescale":
-            circ = rescale_postsel(circ, args.t)
+            circ = rescale_postsel(circ, 1 if args.t is None else args.t)
         elif kind == "fqp2exp":
             f, h_exp = args.f, args.h
             if (f is None) != (h_exp is None):
@@ -178,10 +192,10 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["gapsq", "pair", "fqp2exp", "rescale", "pp"],
     )
     c.add_argument("--machine1", required=True, help="machine file")
-    c.add_argument("--machine2", help="second machine file")
+    c.add_argument("--machine2", help="second machine file (all but gapsq)")
     c.add_argument("--input", default="", help="instance bits baked into the circuit")
-    c.add_argument("--k", type=int, default=0, help="padding pairs (pair/fqp2exp/rescale)")
-    c.add_argument("--t", type=int, default=1, help="rescale exponent (rescale)")
+    c.add_argument("--k", type=int, help="padding pairs, default 0 (pair/fqp2exp/rescale)")
+    c.add_argument("--t", type=int, help="rescale exponent, default 1 (rescale)")
     c.add_argument("--f", type=int, help="postselection numerator override (fqp2exp)")
     c.add_argument("--h", type=int, help="postselection exponent override (fqp2exp)")
     c.add_argument("-o", "--output", required=True, help="circuit file to write")

@@ -25,10 +25,12 @@ states, each with sign +-1, and g is the popcount of the kept paths: no
 transpose, no sort.
 
 ``simulator.run`` uses the same constant-wire argument, and the same
-``branch_signed`` step and sign plane, for its branch-only Hadamards.  It
-differs in merging at every H on a wire that varies, where this merges once
-at the end, and in seeing the ``expand_mcx`` ladder, where this applies
-``mcx`` natively.  ``path_sum_slow``, a deliberately naive per-path rewrite
+``branch_signed`` step and sign plane, for its branch-only Hadamards, and
+returns its state in that branch form: short coefficients under a sign
+plane, written out in full only when a caller reads them.  It differs in
+merging at every H on a wire that varies, where this merges once at the
+end, and in seeing the ``expand_mcx`` ladder, where this applies ``mcx``
+natively.  ``path_sum_slow``, a deliberately naive per-path rewrite
 of the same definition that shares no plane code, is the independent check
 of both.
 """

@@ -1,23 +1,25 @@
 """Exact sparse statevector simulation of Hadamard+Toffoli circuits.
 
-A state after m Hadamards is its live support on bit-planes (see ``planes``)
-with nonzero integer ``coeffs``, entry j at amplitude coeffs[j] / sqrt(2)**m.
-``run`` lowers ``mcx`` with ``expand_mcx``.  An H on a wire constant across
-the support branches the planes with ``planes.branch_signed``, as
-``pathsum`` does, and leaves the coefficients alone: entry j's is
-coeffs[j % coeffs.size], negated where the sign plane has bit j.  Only an H
-on a wire that varies writes them out in full, transposes to int64 basis
-indices, merges the entries that meet by one sort and transposes back; the
-end of ``run`` writes them out once more.  Cost
-follows the live support, at most min(2**n, 2**m) over n qubits, not 2**n
-(Jaques & Haener, arXiv:2105.01533).  Unitarity gives sum(coeffs**2) ==
-2**m: with at most ``_INT64_SAFE_H`` Hadamards every coefficient, square and
-partial sum of squares fits in int64; larger circuits use object-dtype
+A state after m Hadamards is its n live entries on bit-planes (see
+``planes``) with nonzero integer coefficients, entry j at amplitude
+c_j / sqrt(2)**m.  ``run`` lowers ``mcx`` with ``expand_mcx``.  An H on a
+wire constant across the support branches the planes with
+``planes.branch_signed``, as ``pathsum`` does, and leaves the coefficients
+short: c_j is coeffs[j % coeffs.size], negated where the sign plane has
+bit j.  Only an H on a wire that varies writes them out in full, transposes
+to int64 basis indices, merges the entries that meet by one sort and
+transposes back.  ``run`` returns the state in this branch form (short
+coefficients, sign plane, n), and ``QuantumState`` writes the n
+coefficients out only when a caller reads ``coeffs`` or what needs it.
+Cost follows the live support, at most min(2**w, 2**m) over w qubits, not
+2**w (Jaques & Haener, arXiv:2105.01533).  Unitarity gives sum(c_j**2) ==
+2**m: with at most ``_INT64_SAFE_H`` Hadamards every coefficient, square
+and partial sum of squares fits in int64; larger circuits use object-dtype
 Python ints.  ``joint_prob`` counts the kept entries when n == 2**m (every
-coefficient is then +-1) and otherwise sums the squares of the kept
-coefficients.  ``CapExceeded`` is raised above ``DEFAULT_MAX_SUPPORT`` = 2**24
-live entries (so every circuit of width <= 24 runs) and above
-``planes.MAX_WIDTH`` = 63 qubits.
+coefficient is then +-1) and otherwise counts them per short coefficient
+and weighs each count by its square.  ``CapExceeded`` is raised above
+``DEFAULT_MAX_SUPPORT`` = 2**24 live entries (so every circuit of width
+<= 24 runs) and above ``planes.MAX_WIDTH`` = 63 qubits.
 """
 
 from __future__ import annotations
@@ -43,32 +45,51 @@ _INDEX = np.dtype("<i8")  # basis indices, little-endian so byte k holds qubits 
 
 @dataclass
 class QuantumState:
-    """coeffs[j] / sqrt(2)**m at the basis state whose qubit q is bit j of planes[q].
+    """n entries: entry j is c_j / sqrt(2)**m at the basis state whose qubit q
+    is bit j of planes[q]; every c_j is nonzero, other basis states are 0.
 
-    Every listed coefficient is nonzero; unlisted basis states have amplitude 0.
-    Unitarity gives sum(coeffs**2) == 2**m, and ``canonical`` keeps it;
-    ``joint_prob`` relies on it.
+    c_j is short[j % short.size], negated where ``sign`` has bit j: the branch
+    form ``run`` returns.  ``QuantumState(width, planes, coeffs, m)`` lists
+    every coefficient (short is coeffs, no sign).  ``coeffs``, and what reads
+    it (``canonical``, ``to_dense``, ``==``), writes the n coefficients out
+    once, on first use.  Unitarity gives sum(c_j**2) == 2**m, which
+    ``canonical`` keeps and ``joint_prob`` relies on.
     """
 
     width: int
     planes: list[int] = field(repr=False)  # n-bit ints: repr could pass int's str limit
-    coeffs: np.ndarray
+    short: np.ndarray
     m: int
+    sign: int = field(default=0, repr=False)
+    n: int | None = None  # None: short.size
+
+    def __post_init__(self):
+        if self.n is None:
+            self.n = self.short.size
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The n coefficients c_j, written out on first use."""
+        return _write_out(self.short, self.sign, self.n)
 
     @cached_property
     def indices(self) -> np.ndarray:
         """int64 basis state of each entry (bit i = qubit i), transposed on first use."""
-        return _plane_keys(self.planes, self.coeffs.size, (1 << self.coeffs.size) - 1).view(_INDEX)
+        return _plane_keys(self.planes, self.n, (1 << self.n) - 1).view(_INDEX)
 
     def amplitude(self, z: int) -> tuple[int, int]:
         """Exact (c, m) with amplitude(z) == c / sqrt(2)**m; c == 0 off the support."""
         if not isinstance(z, Integral) or isinstance(z, bool) or not 0 <= int(z) < 1 << self.width:
             raise ValueError(f"basis state {z!r} is not an integer in [0, 2**{self.width})")
-        hit = _kept(self.planes, (1 << self.coeffs.size) - 1, (1 << self.width) - 1, int(z))
-        return (int(self.coeffs[hit.bit_length() - 1]) if hit else 0), self.m
+        hit = _kept(self.planes, (1 << self.n) - 1, (1 << self.width) - 1, int(z))
+        if not hit:
+            return 0, self.m
+        j = hit.bit_length() - 1
+        c = int(self.short[j % self.short.size])
+        return (-c if (self.sign >> j) & 1 else c), self.m
 
     def norm_sq(self) -> int:
-        return _dot(self.coeffs, self.coeffs)
+        return self.n // self.short.size * _dot(self.short, self.short)
 
     def canonical(self) -> "QuantumState":
         """Sort the support and divide out common factors of 2 in sqrt(2)**2 steps."""
@@ -127,8 +148,10 @@ def _hadamard(idx: np.ndarray, coeffs: np.ndarray, t: np.int64):
 
 def _write_out(coeffs: np.ndarray, sign: int, n: int) -> np.ndarray:
     """The n coefficients: entry j's is coeffs[j % coeffs.size], negated where
-    ``sign`` has bit j (a branch copies entry j to entry n + j)."""
-    if coeffs.size < n:
+    ``sign`` has bit j (a branch copies entry j to entry n + j).  ``coeffs``
+    itself when there is nothing to write; otherwise a new array, so that
+    ``coeffs`` is never changed."""
+    if coeffs.size < n or sign:
         coeffs = np.tile(coeffs, n // coeffs.size)
     if sign:
         np.negative(coeffs, out=coeffs, where=_plane_mask(sign, n))
@@ -171,7 +194,7 @@ def run(circuit: Circuit, input_bits) -> QuantumState:
                     f"live support {n} exceeds cap {DEFAULT_MAX_SUPPORT} at h {g.target}"
                 )
     sign = planes.pop()
-    return QuantumState(circuit.width, planes, _write_out(coeffs, sign, n), m)
+    return QuantumState(circuit.width, planes, coeffs, m, sign, n)
 
 
 def measure_prob(state: QuantumState, qubit: int, value: int) -> DyadicRational:
@@ -181,14 +204,20 @@ def measure_prob(state: QuantumState, qubit: int, value: int) -> DyadicRational:
 
 def joint_prob(state: QuantumState, constraints) -> DyadicRational:
     """Exact probability that every (qubit, value) constraint holds at once."""
-    n, pin = state.coeffs.size, _constraint_mask(state.width, constraints)
+    n, pin = state.n, _constraint_mask(state.width, constraints)
     keep = _kept(state.planes, (1 << n) - 1, *pin) if pin else 0
     # n nonzero integers whose squares sum to 2**m: n == 2**m forces every
     # square to be 1, so the kept squares sum to the number of kept entries
-    if n == 1 << state.m:
+    # (as they do, 0, when no entry is kept)
+    if n == 1 << state.m or not keep:
         return DyadicRational(keep.bit_count(), state.m)
-    c = state.coeffs[_plane_mask(keep, n)]
-    return DyadicRational(_dot(c, c), state.m)
+    # a square ignores its sign, so count the kept entries j per residue
+    # j % size and weigh each count by short[j % size]**2.  A count is at most
+    # n // size, so the sum is at most sum(c_j**2) over all n entries, 2**m,
+    # and int64 coefficients mean m <= 60: every partial sum fits in int64
+    short = state.short
+    counts = np.count_nonzero(_plane_mask(keep, n).reshape(-1, short.size), axis=0)
+    return DyadicRational(_dot(short * short, counts), state.m)
 
 
 def postselect_stats(circuit: Circuit, input_bits) -> PostselStats:
@@ -213,5 +242,5 @@ def ancillas_restored(circuit: Circuit, state: QuantumState) -> bool:
     basis state carrying nonzero amplitude: each ancilla plane is 0 or all-ones."""
     if circuit.width != state.width:
         raise ValueError(f"circuit width {circuit.width} does not match state width {state.width}")
-    ones = (1 << state.coeffs.size) - 1
+    ones = (1 << state.n) - 1
     return _kept(state.planes, ones, *_constraint_mask(circuit.width, circuit.ancillas)) == ones

@@ -389,6 +389,34 @@ def test_compile_fqp2exp_needs_f_and_h_together(machine_files, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, flags, unread",
+    [
+        ("gapsq", ["--k", "3", "--t", "9"], "--k, --t"),
+        ("gapsq", ["--k", "0"], "--k"),
+        ("gapsq", ["--machine2", "M2"], "--machine2"),
+        ("gapsq", ["--f", "1", "--h", "3"], "--f, --h"),
+        ("pair", ["--f", "1", "--h", "3"], "--f, --h"),
+        ("pair", ["--t", "1"], "--t"),
+        ("rescale", ["--f", "1", "--h", "3"], "--f, --h"),
+        ("pp", ["--h", "3"], "--h"),
+        ("pp", ["--k", "1", "--t", "2"], "--k, --t"),
+        ("fqp2exp", ["--t", "2"], "--t"),
+    ],
+)
+def test_compile_refuses_options_the_construction_does_not_read(
+    machine_files, tmp_path, capsys, kind, flags, unread
+):
+    m1, m2 = machine_files
+    flags = [m2 if f == "M2" else f for f in flags]
+    if kind != "gapsq":
+        flags += ["--machine2", m2]
+    out = tmp_path / "x.circ"
+    assert main(["compile", "--construction", kind, "--machine1", m1, *flags, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: construction {kind!r} does not read {unread}\n"
+    assert not out.exists()
+
+
 # ===================================================================
 # verify
 # ===================================================================

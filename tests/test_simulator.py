@@ -388,6 +388,86 @@ def test_branch_and_merge_match_dict_reference(case):
     assert st != QuantumState(circuit.width, planes, -backwards.coeffs, st.m)
 
 
+@hst.composite
+def _branch_form_cases(draw):
+    """Widths 2-6: random h/x/cx/ccx gates on the data wires (so Hadamards
+    merge), then one H on each spare wire, which starts at 1 and no gate
+    touches: those branch last and leave the sign plane nonzero.  Plus
+    random constraint sets of one to three (qubit, value) pairs."""
+    data = draw(hst.integers(1, 4))
+    spare = draw(hst.integers(1, 2))
+    width = data + spare
+    gates = []
+    for _ in range(draw(hst.integers(0, 12))):
+        kind = draw(hst.sampled_from(["h", "h", "x", "cx", "ccx"][: 2 + min(data, 3)]))
+        qs = draw(hst.permutations(range(data)))[: {"h": 1, "x": 1, "cx": 2, "ccx": 3}[kind]]
+        negs = draw(hst.lists(hst.booleans(), min_size=len(qs) - 1, max_size=len(qs) - 1))
+        gates.append(h(qs[0]) if kind == "h" else mcx(qs[1:], qs[0], negs))
+    gates += [h(q) for q in range(data, width)]
+    bits = "".join(draw(hst.lists(hst.sampled_from("01"), min_size=data, max_size=data)))
+    pair = hst.tuples(hst.integers(0, width - 1), hst.integers(0, 1))
+    cons = draw(hst.lists(hst.lists(pair, min_size=1, max_size=3), min_size=1, max_size=4))
+    return Circuit(width, tuple(gates), 0), bits + "1" * spare, cons
+
+
+def _check_branch_form(st: QuantumState, written: dict, cons) -> None:
+    """amplitude on every basis state, joint_prob on each constraint set and
+    norm_sq, all against the written-out entries."""
+    for z in range(1 << st.width):
+        assert st.amplitude(z) == (written.get(z, 0), st.m)
+    for pins in cons:
+        kept = [c for z, c in written.items() if all((z >> q) & 1 == v for q, v in pins)]
+        assert joint_prob(st, pins) == DyadicRational(sum(c * c for c in kept), st.m)
+    assert st.norm_sq() == sum(c * c for c in written.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_branch_form_cases())
+# merges to 5 coefficients, 2 of them +-2, then branches on wires at 1: a
+# tiled short array under a sign plane
+@example((Circuit(5, _SUPPORT_5 + (h(3), h(4)), 0), "00011",
+          [[(0, 0)], [(1, 1), (3, 0)], [(2, 1), (4, 1)], [(0, 1), (1, 0)]]))
+# more than 60 Hadamards, 62 of them merging: object dtype
+@example((Circuit(3, tuple(h(q) for _ in range(31) for q in (0, 1)) + (h(2),), 0), "001",
+          [[(0, 0)], [(2, 1)], [(1, 0), (2, 0)]]))
+def test_branch_form_matches_its_written_out_entries(case):
+    """The branch form that run returns answers amplitude, joint_prob and
+    norm_sq as its written-out indices and coeffs do, before and after
+    coeffs is first read; so does the same state with its short array tiled
+    to full length under the same sign plane, where a write-out that
+    negated in place would change what amplitude reads."""
+    circuit, bits, cons = case
+    ref = run(circuit, bits)
+    written = dict(zip(ref.indices.tolist(), ref.coeffs.tolist()))
+    st = run(circuit, bits)
+    assert st.sign != 0  # the spare wires branch last, each on a 1
+    full = QuantumState(st.width, st.planes, np.tile(st.short, st.n // st.short.size), st.m,
+                        st.sign, st.n)
+    for s in (st, full):
+        _check_branch_form(s, written, cons)
+        assert "coeffs" not in vars(s)
+        assert dict(zip(s.indices.tolist(), s.coeffs.tolist())) == written
+        _check_branch_form(s, written, cons)
+
+
+def test_queries_leave_a_branch_only_state_unwritten():
+    """After an H layer, joint_prob (by popcount, and by counts per short
+    coefficient), amplitude and norm_sq read the short form: no n-entry
+    coefficient array or index array is built."""
+    layer = tuple(map(h, range(1, 17)))
+    for gates, bits, amp in (
+        (layer, "0" * 17, (1, 16)),  # every |coeff| is 1: popcount
+        # coefficient 2 at m = 2, then branches on wires at 1: qubit 1 set is -2
+        ((h(0), h(0)) + layer, "0" + "1" * 16, (-2, 18)),
+    ):
+        st = run(Circuit(17, gates, 0), bits)
+        assert (st.short.size, st.n) == (1, 1 << 16)
+        assert joint_prob(st, [(1, 1), (16, 0)]) == DyadicRational(1, 2)
+        assert st.amplitude(0b10) == amp
+        assert st.norm_sq() == 1 << st.m
+        assert "coeffs" not in vars(st) and "indices" not in vars(st)
+
+
 def test_object_dtype_fallback_for_many_hadamards():
     """More than 60 h gates switches to Python-int coefficients, still exact."""
     gates = tuple(h(q) for _ in range(31) for q in (0, 1)) + (h(0),)
