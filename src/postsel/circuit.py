@@ -43,8 +43,8 @@ GATE_KINDS = ("h", "x", "cx", "ccx", "mcx")
 
 
 def _integer(value, role: str) -> int:
-    """``value`` as an int; ValueError unless it is an ``Integral`` (numpy ints count)."""
-    if type(value) is not int and not isinstance(value, Integral):
+    """``value`` as an int; ValueError unless an ``Integral`` (numpy ints count) but not a bool."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise ValueError(f"{role} must be an integer, got {value!r}")
     return int(value)
 

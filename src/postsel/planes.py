@@ -14,12 +14,11 @@ qubits (qubit 63 would be an int64 index's sign bit).
 
 from __future__ import annotations
 
-from numbers import Integral
 from typing import Iterable
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _pack_bits
+from .circuit import Circuit, Gate, _integer, _pack_bits
 from .errors import CapExceeded
 
 MAX_WIDTH = 63
@@ -48,13 +47,12 @@ def _constraint_mask(width: int, constraints) -> tuple[int, int] | None:
     """Validated (mask, value): (z & mask) == value iff all constraints hold; None if two clash."""
     pinned: dict[int, int] = {}
     for q, v in constraints:
-        if not (isinstance(q, Integral) and isinstance(v, Integral)):
-            raise ValueError(f"constraint ({q!r}, {v!r}) is not a pair of integers")
+        q, v = _integer(q, "constraint qubit"), _integer(v, "constraint value")
         if not 0 <= q < width:
             raise ValueError(f"constraint qubit {q} outside width {width}")
         if v not in (0, 1):
             raise ValueError("constraint value must be 0 or 1")
-        if pinned.setdefault(int(q), int(v)) != v:
+        if pinned.setdefault(q, v) != v:
             return None
     return sum(1 << q for q in pinned), sum(v << q for q, v in pinned.items())
 

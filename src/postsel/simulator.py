@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from numbers import Integral
 
 import numpy as np
 
-from .circuit import Circuit, expand_mcx
+from .circuit import Circuit, _integer, expand_mcx
 from .errors import CapExceeded, ZeroPostselection
 from .exactring import DyadicRational
 from .planes import _basis_index, _constraint_mask, _kept, _key_planes, _plane_keys, _plane_mask
@@ -51,9 +50,9 @@ class QuantumState:
     c_j is short[j % short.size], negated where ``sign`` has bit j: the branch
     form ``run`` returns.  ``QuantumState(width, planes, coeffs, m)`` lists
     every coefficient (short is coeffs, no sign).  ``coeffs``, and what reads
-    it (``canonical``, ``to_dense``, ``==``), writes the n coefficients out
-    once, on first use.  Unitarity gives sum(c_j**2) == 2**m, which
-    ``canonical`` keeps and ``joint_prob`` relies on.
+    it (``canonical``, ``==``), writes the n coefficients out once, on first
+    use.  Unitarity gives sum(c_j**2) == 2**m, which ``canonical`` keeps and
+    ``joint_prob`` relies on.
     """
 
     width: int
@@ -79,17 +78,15 @@ class QuantumState:
 
     def amplitude(self, z: int) -> tuple[int, int]:
         """Exact (c, m) with amplitude(z) == c / sqrt(2)**m; c == 0 off the support."""
-        if not isinstance(z, Integral) or isinstance(z, bool) or not 0 <= int(z) < 1 << self.width:
-            raise ValueError(f"basis state {z!r} is not an integer in [0, 2**{self.width})")
-        hit = _kept(self.planes, (1 << self.n) - 1, (1 << self.width) - 1, int(z))
+        z = _integer(z, "basis state")
+        if not 0 <= z < 1 << self.width:
+            raise ValueError(f"basis state {z} is not an integer in [0, 2**{self.width})")
+        hit = _kept(self.planes, (1 << self.n) - 1, (1 << self.width) - 1, z)
         if not hit:
             return 0, self.m
         j = hit.bit_length() - 1
         c = int(self.short[j % self.short.size])
         return (-c if (self.sign >> j) & 1 else c), self.m
-
-    def norm_sq(self) -> int:
-        return self.n // self.short.size * _dot(self.short, self.short)
 
     def canonical(self) -> "QuantumState":
         """Sort the support and divide out common factors of 2 in sqrt(2)**2 steps."""
@@ -100,12 +97,6 @@ class QuantumState:
             coeffs >>= 1
             m -= 2
         return QuantumState(self.width, _key_planes(self.indices[order], self.width), coeffs, m)
-
-    def to_dense(self) -> np.ndarray:
-        """The length-2**width coefficient vector (for small widths)."""
-        vec = np.zeros(1 << self.width, dtype=self.coeffs.dtype)
-        vec[self.indices] = self.coeffs
-        return vec
 
     def __eq__(self, other):
         if not isinstance(other, QuantumState):

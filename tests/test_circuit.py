@@ -93,6 +93,8 @@ NON_INTEGER_FIELDS = {
     "h-target": lambda: h(1.0),
     "control": lambda: Circuit(2, (cx("0", 1),), 1),
     "output": lambda: Circuit(2, (), "0"),
+    "bool-target": lambda: Gate("x", True),
+    "bool-output": lambda: Circuit(2, (), True),
     "postselect": lambda: Circuit(2, (), 0, postselect=1.0),
     "ancilla": lambda: Circuit(3, (), 0, ancillas=(("2", 0),)),
 }
@@ -363,7 +365,7 @@ def test_parse_normalizes_wide_gates_spelled_short():
     assert c.gates[1].kind == "mcx"
 
 
-def _random_circuit_text(rng: random.Random) -> str:
+def _random_text(rng: random.Random) -> str:
     width = rng.randint(2, 6)
     lines = [f"qubits {width}"]
     for _ in range(rng.randint(0, 12)):
@@ -390,7 +392,7 @@ def _random_circuit_text(rng: random.Random) -> str:
 def test_roundtrip_many_random_circuits():
     rng = random.Random(11)
     for _ in range(200):
-        text = _random_circuit_text(rng)
+        text = _random_text(rng)
         try:
             c = parse_circuit(text)
         except CircuitSyntaxError:

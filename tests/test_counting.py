@@ -55,6 +55,7 @@ def test_machine_validation():
         (0, 1, None, (), 1),  # no scratch count
         (0, 1, 0, 5, 1),  # gates that are not a sequence
         (0, 1, 0, (x(0),), 1.0),  # a float accept index
+        (True, 1, 0, (), 2),  # a bool width, which would be written as "True"
     ],
 )
 def test_machine_rejects_non_integer_fields(args):

@@ -1,10 +1,10 @@
-"""Branch-enumeration oracle: pinned values, agreement with the simulator."""
+"""Branch-enumeration oracle: pinned values, and the differential harness on
+wide circuits and on narrow ones, where paths meet most often."""
 
 import random
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as hst
 
 from postsel import pathsum
 from postsel import (
@@ -25,7 +25,9 @@ from postsel import (
     run,
     x,
 )
-from postsel.scenarios import _uniform_circuit
+from postsel.scenarios import _uniform_circuit, random_circuit
+
+from engine_harness import check_engines, circuits
 
 # ===================================================================
 # pinned closed forms
@@ -74,129 +76,45 @@ def test_conflicting_constraints_give_zero():
 # ===================================================================
 
 
-def _random_circuit(rng: random.Random, width: int, with_mcx: bool) -> Circuit:
-    kinds = ["h", "x", "cx", "ccx"] + (["mcx"] if with_mcx and width >= 6 else [])
-    kinds = [k for k in kinds if {"h": 1, "x": 1, "cx": 2, "ccx": 3, "mcx": 4}[k] <= width]
-    gates = []
-    budget = 8  # keep 2**H small
-    for _ in range(rng.randint(1, 14)):
-        kind = rng.choice(kinds)
-        if kind == "h":
-            if budget == 0:
-                continue
-            budget -= 1
-        need = {"h": 1, "x": 1, "cx": 2, "ccx": 3, "mcx": 4}[kind]
-        qs = rng.sample(range(width), need)
-        gates.append(mcx(qs[:-1], qs[-1], [rng.random() < 0.5 for _ in qs[:-1]]))
-    return Circuit(width, tuple(gates), 0)
-
-
 def test_fast_oracle_matches_slow_oracle():
     rng = random.Random(21)
     for _ in range(40):
-        width = rng.randint(1, 6)
-        c = _random_circuit(rng, width, with_mcx=False)
-        bits = "".join(rng.choice("01") for _ in range(width))
-        cons = [(q, rng.randint(0, 1)) for q in rng.sample(range(width), rng.randint(0, width))]
+        c, bits = random_circuit(rng, allow_mcx=rng.random() < 0.5)
+        cons = [(q, rng.randint(0, 1)) for q in rng.sample(range(c.width), rng.randint(0, c.width))]
         assert path_sum(c, bits, cons) == path_sum_slow(c, bits, cons)
 
 
 def test_oracle_matches_simulator():
+    """check_engines on circuits of verify's own generator, mcx included,
+    pinned where verify pins them and at random."""
     rng = random.Random(22)
     for _ in range(40):
-        width = rng.randint(1, 6)
-        c = _random_circuit(rng, width, with_mcx=False)
-        bits = "".join(rng.choice("01") for _ in range(width))
-        cons = [(q, rng.randint(0, 1)) for q in rng.sample(range(width), rng.randint(0, width))]
-        g, m = path_sum(c, bits, cons)
-        assert DyadicRational(g, m) == joint_prob(run(c, bits), cons)
+        c, bits = random_circuit(rng, allow_mcx=rng.random() < 0.5)
+        pins = [(c.output, 1)] + ([(c.postselect, 1)] if c.postselect is not None else [])
+        drawn = [(q, rng.randint(0, 1)) for q in rng.sample(range(c.width), rng.randint(0, 3))]
+        check_engines(c, bits, [pins, drawn])
 
 
-@hst.composite
-def _layered_circuits(draw):
-    """Layers of x/cx/ccx/mcx gates (controls may be negated), each followed by
-    Hadamards, some repeated on one qubit, so that gates act on paths grown
-    mid-circuit; at most 10 Hadamards keep path_sum_slow quick.  Qubits come
-    from the whole index range; at width 63 qubit 62 (the top bit of a
-    nonnegative int64 index) is always a data qubit.  Two more qubits are
-    declared ancillas for expanding mcx with up to 4 controls.  Constraints
-    may repeat or contradict each other."""
-    width = draw(hst.sampled_from([7, 12, 63]))
-    others = hst.lists(hst.integers(0, width - 2), min_size=6, max_size=6, unique=True)
-    live = [width - 1] + draw(others)
-    data, anc = live[:5], live[5:]
-    gates = []
-    for _ in range(draw(hst.integers(1, 4))):
-        for _ in range(draw(hst.integers(0, 4))):
-            n_ctl = draw(hst.integers(0, 4))
-            qs = draw(hst.permutations(data))[: n_ctl + 1]
-            negs = draw(hst.lists(hst.booleans(), min_size=n_ctl, max_size=n_ctl))
-            gates.append(mcx(qs[:-1], qs[-1], negs))
-        for q in draw(hst.lists(hst.sampled_from(data), max_size=3)):
-            if sum(g.kind == "h" for g in gates) < 9:
-                gates += [h(q)] * draw(hst.integers(1, 2))
-    anc_vals = draw(hst.lists(hst.integers(0, 1), min_size=2, max_size=2))
-    bits = [draw(hst.integers(0, 1)) for _ in range(width)]
-    for q, v in zip(anc, anc_vals):
-        bits[q] = v
-    pair = hst.tuples(hst.sampled_from(live), hst.integers(0, 1))
-    cons = draw(hst.lists(pair, min_size=1, max_size=5))
-    circuit = Circuit(width, tuple(gates), data[0], ancillas=tuple(zip(anc, anc_vals)))
-    return circuit, "".join(map(str, bits)), cons
-
-
-@settings(max_examples=150, deadline=None)
-@given(_layered_circuits())
+@settings(max_examples=50, deadline=None)
+@given(circuits(widths=(7, 63)))
 def test_oracles_match_simulator_on_layered_wide_circuits(case):
-    """The drawn constraints, then each gate target alone."""
-    circuit, bits, cons = case
-    state = run(expand_mcx(circuit), bits)
-    for c in [cons] + [[(q, 1)] for q in sorted({g.target for g in circuit.gates})]:
-        g, m = path_sum(circuit, bits, c)
-        assert m == circuit.h_count
-        assert (g, m) == path_sum_slow(circuit, bits, c)
-        assert DyadicRational(g, m) == joint_prob(state, c)
+    """check_engines on widths 7-63, the top often: path_sum and
+    path_sum_slow on the unlowered circuit, with mcx of up to four negated
+    controls and Hadamards repeated on a wire, against run."""
+    check_engines(*case)
 
 
-@hst.composite
-def _fresh_or_meeting_circuits(draw):
-    """Both kinds of circuit ``path_sum`` tells apart.  In a fresh one every H
-    hits a wire no earlier gate touched, so the wire is constant on the live
-    paths, no two paths meet and g is a count of kept paths.  In a meeting
-    one, an H somewhere repeats at once on its wire, which then varies, so
-    paths meet and may cancel.  Gates are x/cx/ccx/mcx with up to 4 possibly
-    negated controls; at most 10 Hadamards keep path_sum_slow quick."""
-    width = draw(hst.integers(1, 7))
-    fresh = draw(hst.booleans())
-    gates, touched = [], set()
-    for _ in range(draw(hst.integers(0, 16))):
-        untouched = sorted(set(range(width)) - touched) if fresh else list(range(width))
-        if untouched and draw(hst.booleans()) and sum(g.kind == "h" for g in gates) < 8:
-            gates.append(h(draw(hst.sampled_from(untouched))))
-        else:
-            n_ctl = draw(hst.integers(0, min(4, width - 1)))
-            qs = draw(hst.permutations(range(width)))[: n_ctl + 1]
-            negs = draw(hst.lists(hst.booleans(), min_size=n_ctl, max_size=n_ctl))
-            gates.append(mcx(qs[:-1], qs[-1], negs))
-        touched.update(gates[-1].qubits)
-    if not fresh:
-        at = draw(hst.integers(0, len(gates)))
-        gates[at:at] = [h(draw(hst.integers(0, width - 1)))] * 2
-    bits = "".join(draw(hst.lists(hst.sampled_from("01"), min_size=width, max_size=width)))
-    pair = hst.tuples(hst.integers(0, width - 1), hst.integers(0, 1))
-    cons = draw(hst.lists(pair, max_size=4))
-    return Circuit(width, tuple(gates), 0), bits, cons
-
-
-@settings(max_examples=200, deadline=None)
-@given(_fresh_or_meeting_circuits())
-@example((Circuit(3, (h(0), h(1), ccx(0, 1, 2, True)), 0), "000", [(2, 1)]))  # fresh: g = 1
+@settings(max_examples=50, deadline=None)
+@given(circuits(widths=(1, 7)))
+@example((Circuit(3, (h(0), h(1), ccx(0, 1, 2, True)), 0), "000", [[(2, 1)]]))  # fresh: g = 1
 # meeting: H (x) H maps the Bell state to itself, g = 4 where 2 paths are kept
-@example((Circuit(2, (h(1), cx(1, 0), h(1), h(0)), 0), "00", [(0, 0), (1, 0)]))
+@example((Circuit(2, (h(1), cx(1, 0), h(1), h(0)), 0), "00", [[(0, 0), (1, 0)]]))
 def test_path_sum_matches_the_slow_oracle_with_and_without_meeting_paths(case):
-    """Against path_sum_slow, which shares no plane code with path_sum."""
-    circuit, bits, cons = case
-    assert path_sum(circuit, bits, cons) == path_sum_slow(circuit, bits, cons)
+    """check_engines on widths 1-7, where few wires stay fresh, so most
+    Hadamards hit varying wires and paths meet and cancel: path_sum against
+    path_sum_slow, which shares no plane code with it, and both against run
+    and the dict reference."""
+    check_engines(*case)
 
 
 @pytest.mark.parametrize("h_exp", [1, 2, 3])
@@ -300,8 +218,8 @@ _CONSTRAINT_READERS = {
 @pytest.mark.parametrize("reader", sorted(_CONSTRAINT_READERS))
 @pytest.mark.parametrize(
     "pair",
-    [("1", 1), (1, "1"), (1.0, 1), (1, 1.0), (None, 0)],
-    ids=["str-qubit", "str-value", "float-qubit", "float-value", "none-qubit"],
+    [("1", 1), (1, "1"), (1.0, 1), (1, 1.0), (None, 0), (True, 1)],
+    ids=["str-qubit", "str-value", "float-qubit", "float-value", "none-qubit", "bool-qubit"],
 )
 def test_every_constraint_reader_rejects_non_integers(reader, pair):
     c = Circuit(2, (h(0),), 0)
