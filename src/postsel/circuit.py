@@ -73,6 +73,9 @@ class Gate:
         _integer(self.target, "target")
         for c in self.controls:
             _integer(c, "control")
+        for flag in self.negated:
+            if type(flag) is not bool:
+                raise ValueError(f"negated flag must be a bool, got {flag!r}")
         expected = {"h": 0, "x": 0, "cx": 1, "ccx": 2}.get(self.kind)
         if expected is not None and len(self.controls) != expected:
             raise ValueError(f"{self.kind} takes {expected} controls")

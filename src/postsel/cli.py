@@ -10,9 +10,14 @@ Subcommands:
 - ``verify``: run verification suites and report pass/fail conditions.
 
 Exit codes: 0 success, 1 a verification or cross-check failed, 2 bad input
-(syntax errors, missing files, inconsistent parameters).  The argument
-parser is built once per process, on the first ``main`` call, not at import;
-only a process that calls ``main`` more than once reuses it.
+(syntax errors, missing files, inconsistent parameters, an unknown suite).
+The argument parser is built once per process, on the first ``main`` call,
+not at import; only a process that calls ``main`` more than once reuses it.
+
+Importing this module loads the circuit reader and the two engines that
+``simulate`` and ``oracle`` run (``simulator``, ``pathsum``, and numpy with
+them); ``compile`` imports ``counting`` and ``constructions`` when it runs,
+and ``verify`` imports ``scenarios``.
 """
 
 from __future__ import annotations
@@ -23,19 +28,10 @@ import sys
 from fractions import Fraction
 
 from .circuit import default_input, parse_circuit, serialize_circuit
-from .constructions import (
-    compile_fqp_to_exp,
-    compile_gap_squared,
-    compile_pair_postsel,
-    compile_pp_instance,
-    rescale_postsel,
-)
-from .counting import parse_machine
 from .errors import CircuitSyntaxError, PostselError
 from .exactring import DyadicRational
 from .pathsum import path_sum
 from .planes import _check_width
-from .scenarios import SUITES, run_suite
 from .simulator import joint_prob, postselect_stats, run
 
 
@@ -109,6 +105,15 @@ _COMPILE_READS = {
 
 
 def _cmd_compile(args) -> int:
+    from .constructions import (
+        compile_fqp_to_exp,
+        compile_gap_squared,
+        compile_pair_postsel,
+        compile_pp_instance,
+        rescale_postsel,
+    )
+    from .counting import parse_machine
+
     kind = args.construction
     given = {opt for opt in ("machine2", "k", "t", "f", "h") if getattr(args, opt) is not None}
     unread = sorted(given - _COMPILE_READS[kind])
@@ -155,6 +160,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .scenarios import run_suite
+
     reports = run_suite(args.suite, args.seed, args.r)
     chunks = []
     for rep in reports:
@@ -215,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o.set_defaults(func=_cmd_oracle)
 
     v = sub.add_parser("verify", help="run verification suites")
-    v.add_argument("--suite", choices=list(SUITES), default="all")
+    v.add_argument("--suite", default="all", help="suite to run (default: all)")
     v.add_argument("--seed", type=int, default=42)
     v.add_argument("--r", type=int, default=4, help="sharpness for parametric scenarios")
     v.add_argument("--format", choices=["text", "machine"], default="text")

@@ -60,12 +60,13 @@ def _constraint_mask(width: int, constraints) -> tuple[int, int] | None:
 def _kept(planes: list[int], ones: int, mask: int, val: int) -> int:
     """The entries that meet a ``_constraint_mask`` (mask, val): the AND of
     the pinned planes, each XOR ``ones`` where pinned to 0; ``ones`` if none is."""
-    keep = None
-    for q in range(mask.bit_length()):
-        if (mask >> q) & 1:
-            p = planes[q] if (val >> q) & 1 else planes[q] ^ ones
-            keep = p if keep is None else keep & p
-    return ones if keep is None else keep
+    keep = ones
+    while mask:
+        bit = mask & -mask  # the lowest pinned wire's bit
+        q = bit.bit_length() - 1
+        keep &= planes[q] if val & bit else planes[q] ^ ones
+        mask ^= bit
+    return keep
 
 
 def apply_gates_planes(planes: list, gates: Iterable[Gate], ones) -> None:

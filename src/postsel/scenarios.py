@@ -630,5 +630,5 @@ def run_scenario(name: str, seed: int = 42, r: int = 4) -> WitnessReport:
 
 def run_suite(suite: str, seed: int = 42, r: int = 4) -> list[WitnessReport]:
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
+        raise ValueError(f"unknown suite {suite!r}; known suites: {', '.join(SUITES)}")
     return [run_scenario(name, seed, r) for name in SUITES[suite]]

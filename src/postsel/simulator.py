@@ -227,11 +227,3 @@ def postselect_stats(circuit: Circuit, input_bits) -> PostselStats:
     p_cond = p_joint.as_fraction() / p_post.as_fraction()
     return PostselStats(p_post, p_joint, p_cond)
 
-
-def ancillas_restored(circuit: Circuit, state: QuantumState) -> bool:
-    """True when every declared ancilla is back at its declared value in every
-    basis state carrying nonzero amplitude: each ancilla plane is 0 or all-ones."""
-    if circuit.width != state.width:
-        raise ValueError(f"circuit width {circuit.width} does not match state width {state.width}")
-    ones = (1 << state.n) - 1
-    return _kept(state.planes, ones, *_constraint_mask(circuit.width, circuit.ancillas)) == ones

@@ -52,6 +52,14 @@ def test_gate_rejects_malformed():
         Gate("ccx", 2, (1, 1), (False, False))  # duplicate control
     with pytest.raises(ValueError):
         Gate("cx", 0, (1,), ())  # missing polarity flag
+    # a polarity flag that is not a bool: a truthy tuple or int used to be kept
+    # as is, serialized as "!" and read back as True, unequal to the original
+    for bad in (lambda: ccx(9, 62, 40, (True, False)), lambda: cx(0, 1, neg=2),
+                lambda: Gate("cx", 0, (1,), (1,)), lambda: Gate("cx", 0, (1,), (None,))):
+        with pytest.raises(ValueError, match="negated flag must be a bool"):
+            bad()
+    good = Circuit(63, (ccx(9, 62, 40, True, False), cx(62, 9, neg=True)), 0)
+    assert parse_circuit(serialize_circuit(good)) == good
 
 
 def test_circuit_validation():

@@ -440,6 +440,13 @@ def test_verify_machine_format_is_pure_rows(capsys):
         assert line.endswith("result=pass")
 
 
+def test_verify_unknown_suite_exits_2(capsys):
+    assert main(["verify", "--suite", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown suite 'nope'" in err
+    assert "known suites: all, " in err
+
+
 def test_verify_seed_determinism(capsys):
     main(["verify", "--suite", "wpp", "--seed", "5", "--format", "machine"])
     first = capsys.readouterr().out

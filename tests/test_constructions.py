@@ -18,7 +18,6 @@ from postsel import (
     PredicateCircuit,
     StatsMismatch,
     ZeroPostselection,
-    ancillas_restored,
     compile_fqp_to_exp,
     compile_gap_squared,
     compile_pair_postsel,
@@ -117,7 +116,7 @@ def test_gap_squared_restores_scratch():
     m = make_gap_machine(4, 3)
     c = compile_gap_squared(m, "")
     flat = expand_mcx(c)
-    assert ancillas_restored(flat, run(flat, default_input(flat)))
+    assert joint_prob(run(flat, default_input(flat)), flat.ancillas) == DyadicRational(1, 0)
 
 
 def test_gap_squared_instance_width_checked():
