@@ -270,6 +270,7 @@ def _pack_bits(bits, width: int) -> int:
 
     Raises ValueError unless there are exactly ``width`` bits, each 0 or 1.
     """
+    bits = _tuple(bits, "bits")
     if len(bits) != width:
         raise ValueError(f"expected {width} bits, got {len(bits)}")
     z = 0

@@ -53,17 +53,23 @@ from .planes import apply_gates_planes, branch_signed
 DEFAULT_MAX_BRANCH = 20
 
 
+def _branch_count(circuit: Circuit) -> int:
+    """The Hadamard count; ``CapExceeded`` above ``DEFAULT_MAX_BRANCH``."""
+    hcount = circuit.h_count
+    if hcount > DEFAULT_MAX_BRANCH:
+        raise CapExceeded(
+            f"{hcount} Hadamard branchings exceed oracle cap {DEFAULT_MAX_BRANCH}"
+        )
+    return hcount
+
+
 def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
     """Exact (g, m) with P(constraints) == g / 2**m and m == Hadamard count.
 
     Raises ``CapExceeded`` above ``DEFAULT_MAX_BRANCH`` Hadamards, and
     ValueError if an input bit contradicts a declared ancilla value.
     """
-    hcount = circuit.h_count
-    if hcount > DEFAULT_MAX_BRANCH:
-        raise CapExceeded(
-            f"{hcount} Hadamard branchings exceed oracle cap {DEFAULT_MAX_BRANCH}"
-        )
+    hcount = _branch_count(circuit)
     z0 = _basis_index(circuit, input_bits)
     pin = _constraint_mask(circuit.width, constraints)
     if pin is None:
@@ -98,11 +104,15 @@ def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
 
 
 def path_sum_slow(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
-    """Reference implementation: explicit depth-first path enumeration."""
+    """Reference implementation: explicit depth-first path enumeration.
+
+    Raises as ``path_sum`` does, at the same branch cap.
+    """
+    hcount = _branch_count(circuit)
     z0 = _basis_index(circuit, input_bits)
     pin = _constraint_mask(circuit.width, constraints)
     if pin is None:
-        return 0, circuit.h_count
+        return 0, hcount
     mask, val = pin
     gates = circuit.gates
     amps: dict[int, int] = defaultdict(int)
@@ -122,4 +132,4 @@ def path_sum_slow(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
                 gi += 1
         if (z & mask) == val:
             amps[z] += s
-    return sum(v * v for v in amps.values()), circuit.h_count
+    return sum(v * v for v in amps.values()), hcount

@@ -10,7 +10,7 @@ bit j.  Only an H on a wire that varies writes them out in full, transposes
 to int64 basis indices, merges the entries that meet by one sort and
 transposes back.  ``run`` returns the state in this branch form (short
 coefficients, sign plane, n), and ``QuantumState`` writes the n
-coefficients out only when a caller reads ``coeffs`` or what needs it.
+coefficients out only when a caller reads ``coeffs``.
 Cost follows the live support, at most min(2**w, 2**m) over w qubits, not
 2**w (Jaques & Haener, arXiv:2105.01533).  Unitarity gives sum(c_j**2) ==
 2**m: with at most ``_INT64_SAFE_H`` Hadamards every coefficient, square
@@ -42,29 +42,23 @@ _INT64_SAFE_H = 60  # sum(coeffs**2) == 2**m <= 2**60 keeps all int64 math exact
 _INDEX = np.dtype("<i8")  # basis indices, little-endian so byte k holds qubits 8k..8k+7
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantumState:
     """n entries: entry j is c_j / sqrt(2)**m at the basis state whose qubit q
     is bit j of planes[q]; every c_j is nonzero, other basis states are 0.
 
     c_j is short[j % short.size], negated where ``sign`` has bit j: the branch
-    form ``run`` returns.  ``QuantumState(width, planes, coeffs, m)`` lists
-    every coefficient (short is coeffs, no sign).  ``coeffs``, and what reads
-    it (``canonical``, ``==``), writes the n coefficients out once, on first
-    use.  Unitarity gives sum(c_j**2) == 2**m, which ``canonical`` keeps and
-    ``joint_prob`` relies on.
+    form ``run`` returns.  ``coeffs`` writes the n coefficients out once, on
+    first use.  Unitarity gives sum(c_j**2) == 2**m, which ``joint_prob``
+    relies on.
     """
 
     width: int
     planes: list[int] = field(repr=False)  # n-bit ints: repr could pass int's str limit
     short: np.ndarray
     m: int
-    sign: int = field(default=0, repr=False)
-    n: int | None = None  # None: short.size
-
-    def __post_init__(self):
-        if self.n is None:
-            self.n = self.short.size
+    sign: int = field(repr=False)
+    n: int
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -88,23 +82,6 @@ class QuantumState:
         c = int(self.short[j % self.short.size])
         return (-c if (self.sign >> j) & 1 else c), self.m
 
-    def canonical(self) -> "QuantumState":
-        """Sort the support and divide out common factors of 2 in sqrt(2)**2 steps."""
-        order = np.argsort(self.indices)
-        coeffs = self.coeffs[order]
-        m = self.m
-        while m >= 2 and not np.any(coeffs & 1):
-            coeffs >>= 1
-            m -= 2
-        return QuantumState(self.width, _key_planes(self.indices[order], self.width), coeffs, m)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuantumState):
-            return NotImplemented
-        a, b = self.canonical(), other.canonical()
-        same = (a.width, a.m, a.planes) == (b.width, b.m, b.planes)
-        return same and np.array_equal(a.coeffs, b.coeffs)
-
 
 @dataclass(frozen=True)
 class PostselStats:
@@ -113,12 +90,6 @@ class PostselStats:
     p_post: DyadicRational  # P(p = 1)
     p_joint: DyadicRational  # P(o = 1, p = 1)
     p_cond: Fraction  # P(o = 1 | p = 1)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> int:
-    if a.dtype == object:
-        return int((a * b).sum()) if a.size else 0
-    return int(np.dot(a, b))
 
 
 def _hadamard(idx: np.ndarray, coeffs: np.ndarray, t: np.int64):
@@ -208,7 +179,7 @@ def joint_prob(state: QuantumState, constraints) -> DyadicRational:
     # and int64 coefficients mean m <= 60: every partial sum fits in int64
     short = state.short
     counts = np.count_nonzero(_plane_mask(keep, n).reshape(-1, short.size), axis=0)
-    return DyadicRational(_dot(short * short, counts), state.m)
+    return DyadicRational(int(np.dot(short * short, counts)), state.m)
 
 
 def postselect_stats(circuit: Circuit, input_bits) -> PostselStats:

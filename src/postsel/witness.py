@@ -62,6 +62,8 @@ class WitnessReport:
     def check(self, cid: str, lhs, op: str, rhs) -> bool:
         """Add the exact comparison ``lhs op rhs`` (op one of == <= >= < >),
         both sides rendered as Fractions; returns whether it held."""
+        if op not in _OPS:
+            raise ValueError(f"unknown comparison {op!r}; expected one of {' '.join(_OPS)}")
         a, b = _frac(lhs), _frac(rhs)
         ok = _OPS[op](a, b)
         self.add(Condition(cid, str(a), op, str(b), ok))

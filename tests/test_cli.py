@@ -172,6 +172,14 @@ def test_oracle_non_integer_constraint_names_the_flag(bell_file, capsys):
     assert "argument --constrain: invalid int value: 'a'" in capsys.readouterr().err
 
 
+def test_oracle_past_the_branch_cap_exits_2(tmp_path, capsys):
+    p = tmp_path / "h21.circ"
+    p.write_text("qubits 1\n" + "h 0\n" * 21 + "output 0\n")
+    assert main(["oracle", "--circuit", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: 21 Hadamard branchings exceed oracle cap 20\n"
+
+
 def test_input_contradicting_an_ancilla_is_refused_by_every_engine(tmp_path, capsys):
     """An input bit that contradicts a declared ancilla value is a ValueError
     for ``run`` and both oracles, and exit 2 for ``simulate`` and ``oracle``."""

@@ -73,6 +73,13 @@ def test_report_row_rule_check_raises_and_merge():
     ]
 
 
+def test_report_check_rejects_unknown_op():
+    rep = WitnessReport("ops")
+    with pytest.raises(ValueError, match="unknown comparison '='; expected one of == <= >= < >"):
+        rep.check("a", 1, "=", 1)
+    assert rep.conditions == []
+
+
 # ===================================================================
 # two-sided ratio thresholds
 # ===================================================================
