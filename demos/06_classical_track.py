@@ -47,7 +47,7 @@ assert run_ptm(flipped, "").p_cond == Fraction(0)
 
 # declared postselection counts let us extract a counting witness and check the
 # strict majority margins at epsilon = 1/2
-wit = wapp_witness(coupled, fp_numerators={"": 1}, fp_exponent=q, epsilon=Fraction(1, 2))
+wit = wapp_witness(coupled, fp_numerators={"": 1}, fp_exponent=q)
 print("witness ratio:", wit.ratio(""))
 report = check_wapp_witness({"": wit.ratio("")}, {"": True}, Fraction(1, 2))
 print(report.to_text())

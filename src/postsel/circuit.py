@@ -33,6 +33,7 @@ writer here also serve the machine format of ``counting``, and
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, replace
 from numbers import Integral
 from typing import Callable, Iterable, Sequence
@@ -50,7 +51,11 @@ def _integer(value, role: str) -> int:
 
 
 def _tuple(value, role: str) -> tuple:
-    """``value`` as a tuple; ValueError unless it is iterable."""
+    """``value`` as a tuple; ValueError unless it is an ordered iterable
+    (a set or a mapping would hand over its items in hash order).  Lists
+    and strings, what the parsers pass, skip the slower ABC test."""
+    if type(value) not in (list, str) and isinstance(value, (abc.Set, abc.Mapping)):
+        raise ValueError(f"{role} must be a sequence, got unordered {type(value).__name__}")
     try:
         return tuple(value)
     except TypeError:

@@ -20,7 +20,6 @@ from .counting import PredicateCircuit, gap
 from .errors import PromiseViolation, StatsMismatch, ZeroPostselection
 from .exactring import DyadicRational
 from .simulator import PostselStats
-from .witness import _frac
 
 
 @dataclass(frozen=True)
@@ -104,14 +103,12 @@ class WappWitness:
     """Counting-machine form of a coin machine's conditional acceptance.
 
     The ratio accepts(g_machine, w) / (f(w) * 2**p_exp) reproduces the
-    machine's conditional probability exactly; ``epsilon`` is the margin the
-    surrounding thresholds are checked at.
+    machine's conditional probability exactly.
     """
 
     g_machine: PredicateCircuit
     f_of: Mapping[str, int]
     p_exp: int
-    epsilon: Fraction
 
     def ratio(self, w: str) -> Fraction:
         if w not in self.f_of:
@@ -124,7 +121,6 @@ def wapp_witness(
     tm: CoinMachine,
     fp_numerators: Mapping[str, int],
     fp_exponent: int,
-    epsilon: Fraction,
 ) -> WappWitness:
     """The counting witness of a machine whose postselection is declared.
 
@@ -132,9 +128,7 @@ def wapp_witness(
     instance w, with f(w) = ``fp_numerators[w]`` and s = ``fp_exponent``;
     it is checked against the accept counts of ``post``.  The witness's
     g-machine is ``joint`` itself: its accept count on w is n(o=1, p=1).
-    ``epsilon`` must be exact (a ``Rational`` or a ``DyadicRational``).
     """
-    epsilon = _frac(epsilon)
     if not fp_numerators:
         raise ValueError("no declared statistics to witness")
     if fp_exponent > tm.post.path_width:
@@ -149,4 +143,4 @@ def wapp_witness(
             raise StatsMismatch(
                 f"on {w!r}: {n_post} postselecting outcomes, declaration implies {declared}"
             )
-    return WappWitness(tm.joint, dict(fp_numerators), p_exp, epsilon)
+    return WappWitness(tm.joint, dict(fp_numerators), p_exp)

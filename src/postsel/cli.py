@@ -100,7 +100,7 @@ _COMPILE_READS = {
     "pp": {"machine2"},
     "pair": {"machine2", "k"},
     "rescale": {"machine2", "k", "t"},
-    "fqp2exp": {"machine2", "k", "f", "h"},
+    "fqp2exp": {"machine2", "k", "h"},
 }
 
 
@@ -115,7 +115,7 @@ def _cmd_compile(args) -> int:
     from .counting import parse_machine
 
     kind = args.construction
-    given = {opt for opt in ("machine2", "k", "t", "f", "h") if getattr(args, opt) is not None}
+    given = {opt for opt in ("machine2", "k", "t", "h") if getattr(args, opt) is not None}
     unread = sorted(given - _COMPILE_READS[kind])
     if unread:
         raise ValueError(f"construction {kind!r} does not read --{', --'.join(unread)}")
@@ -133,13 +133,14 @@ def _cmd_compile(args) -> int:
         if kind == "rescale":
             circ = rescale_postsel(circ, 1 if args.t is None else args.t)
         elif kind == "fqp2exp":
-            f, h_exp = args.f, args.h
-            if (f is None) != (h_exp is None):
-                raise ValueError("--f and --h go together: give both or neither")
-            if f is None:
-                st = postselect_stats(circ, default_input(circ))
-                f, h_exp = st.p_post.n, st.p_post.k
-            circ = compile_fqp_to_exp(circ, f, h_exp)
+            p = postselect_stats(circ, default_input(circ)).p_post
+            h_exp = p.k if args.h is None else args.h
+            _check_width(circ.width + h_exp + 3)  # the mixed circuit's, before f ~ 2**h is built
+            if h_exp < p.k:
+                raise ValueError(
+                    f"need h >= 0 and P(p=1) * 2**h an integer, got P(p=1) = {p}, h = {h_exp}"
+                )
+            circ = compile_fqp_to_exp(circ, p.n << (h_exp - p.k), h_exp)
     with open(args.output, "w", encoding="ascii") as fh:
         fh.write(serialize_circuit(circ))
     print(
@@ -203,8 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--input", default="", help="instance bits baked into the circuit")
     c.add_argument("--k", type=int, help="padding pairs, default 0 (pair/fqp2exp/rescale)")
     c.add_argument("--t", type=int, help="rescale exponent, default 1 (rescale)")
-    c.add_argument("--f", type=int, help="postselection numerator override (fqp2exp)")
-    c.add_argument("--h", type=int, help="postselection exponent override (fqp2exp)")
+    c.add_argument("--h", type=int, help="make P(p=1) exactly 2**-h (fqp2exp; default: its own h)")
     c.add_argument("-o", "--output", required=True, help="circuit file to write")
     c.set_defaults(func=_cmd_compile)
 

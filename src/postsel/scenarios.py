@@ -249,9 +249,9 @@ def scenario_awpp_forward(seed: int, r: int) -> WitnessReport:
     """Witness pair -> pair compiler: exact statistics and sharp conditionals."""
     fx = _toy_fixture()
     report = WitnessReport("awpp-forward")
-    report.merge(check_awpp_witness(fx.g1, fx.f1, fx.labels, 5), "w1:")
+    report.merge(check_awpp_witness(fx.g1, fx.f1, fx.labels, Fraction(1, 32)), "w1:")
     flipped = {w: not v for w, v in fx.labels.items()}
-    report.merge(check_awpp_witness(fx.g2, fx.f2, flipped, 5), "w2:")
+    report.merge(check_awpp_witness(fx.g2, fx.f2, flipped, Fraction(1, 32)), "w2:")
 
     stats = {}
     for w in sorted(fx.labels):
@@ -275,8 +275,9 @@ def scenario_awpp_forward(seed: int, r: int) -> WitnessReport:
     padded = compile_pair_postsel(fx.m1, fx.m2, "11", k=1)
     _check_pair(report, "padded-k1", padded, fx.big_g1["11"], fx.big_g2["11"], fx.q, k=1)
 
-    # boundary instance sitting exactly on the in-language threshold at r=5
-    report.merge(check_awpp_witness({"1": 31}, {"1": 32}, {"1": True}, 5), "boundary:")
+    # boundary instance sitting exactly on the in-language threshold 1 - 2**-5
+    boundary = check_awpp_witness({"1": 31}, {"1": 32}, {"1": True}, Fraction(1, 32))
+    report.merge(boundary, "boundary:")
     mb1 = make_gap_machine(2 * 31 * 2, 7)
     mb2 = make_gap_machine(2 * 1 * 32, 7)
     _check_pair(report, "boundary", compile_pair_postsel(mb1, mb2, ""), 124, 64, 7)
@@ -522,10 +523,10 @@ def scenario_classical_upcoup(seed: int, r: int) -> WitnessReport:
         return PredicateCircuit(1, q, 0, tuple(emit_less_than(range(1, q + 1), c, q + 1)), q + 1)
 
     three_quarters = CoinMachine(below(3, 4), below(3, 3))
-    wit = wapp_witness(three_quarters, {"1": 1}, 1, Fraction(1, 3))
+    wit = wapp_witness(three_quarters, {"1": 1}, 1)
     ratio = wit.ratio("1")
     report.check("witness-ratio", ratio, "==", Fraction(3, 4))
-    report.merge(check_wapp_witness({"1": ratio}, {"1": True}, wit.epsilon), "eps1/3:")
+    report.merge(check_wapp_witness({"1": ratio}, {"1": True}, Fraction(1, 3)), "eps1/3:")
     # margin 1/2 puts the acceptance gate exactly at the ratio; strict fails
     gate = (1 + Fraction(1, 2)) / 2
     report.check("eps1/2-rejected", ratio, "<=", gate)
@@ -539,7 +540,7 @@ def scenario_classical_upcoup(seed: int, r: int) -> WitnessReport:
     report.check_raises(
         "wrong-declaration-raises",
         StatsMismatch,
-        lambda: wapp_witness(three_quarters, {"1": 3}, 1, Fraction(1, 3)),
+        lambda: wapp_witness(three_quarters, {"1": 3}, 1),
     )
     report.check_raises(
         "no-postselection-raises",

@@ -2,9 +2,13 @@
 
 A report is an ordered list of conditions, each carrying both sides of an
 exact comparison rendered as text (Fractions, dyadics or integers — never
-floats).  Reports serialize two ways: a human-readable block, and a
-line-oriented machine form that is byte-deterministic for fixed inputs so
-repeated runs can be diffed directly.
+floats).  Every row is ``lhs op rhs`` with ``op`` one of ``== <= >= < >``
+(``check``) or ``in`` (``within``), whose rhs is an interval such as
+``[1/2,1)``: a square bracket is a closed bound, a round one an open bound.
+The witness checks below build all of their rows that way.  Reports
+serialize two ways: a human-readable block, and a line-oriented machine
+form that is byte-deterministic for fixed inputs so repeated runs can be
+diffed directly.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .circuit import _integer
 
@@ -69,6 +73,18 @@ class WitnessReport:
         self.add(Condition(cid, str(a), op, str(b), ok))
         return ok
 
+    def within(self, cid: str, x, lo, hi, brackets: str = "[]") -> bool:
+        """Add the exact interval test ``x in [lo,hi]``; a ``(`` or ``)`` in
+        ``brackets`` makes that bound strict.  Returns whether it held."""
+        if len(brackets) != 2 or brackets[0] not in "[(" or brackets[1] not in "])":
+            raise ValueError(f"brackets must be one of [] [) (] (), got {brackets!r}")
+        x, lo, hi = _frac(x), _frac(lo), _frac(hi)
+        ok = (lo < x if brackets[0] == "(" else lo <= x) and (
+            x < hi if brackets[1] == ")" else x <= hi
+        )
+        self.add(Condition(cid, str(x), "in", f"{brackets[0]}{lo},{hi}{brackets[1]}", ok))
+        return ok
+
     def check_raises(self, cid: str, exc_type: type[BaseException], fn) -> None:
         """Add a condition that passes when ``fn()`` raises ``exc_type``."""
         try:
@@ -107,25 +123,16 @@ class WitnessReport:
         return "\n".join(lines) + "\n"
 
 
-def _lookup(table, key):
-    if isinstance(table, Mapping):
-        return table[key]
-    if callable(table):
-        return table(key)
-    return table  # a bare constant
-
-
 def check_awpp_witness(
-    g_of,
-    f_of,
+    g_of: Mapping[str, int],
+    f_of: Mapping[str, int],
     labels: Mapping[str, bool],
-    r: int | Fraction,
+    eps: Fraction,
 ) -> WitnessReport:
     """Check the two-sided acceptance-ratio thresholds of a gap/normalizer
     witness pair.
 
-    For every instance w, with ratio g(w)/f(w) and eps = 2**-r (or an
-    explicit Fraction):
+    For every instance w, with ratio g(w)/f(w) and an exact 0 < eps < 1/2:
 
         in the language:  1 - eps <= ratio <= 1
         outside:          0 <= ratio <= eps
@@ -133,26 +140,18 @@ def check_awpp_witness(
     f(w) must be strictly positive everywhere; that is itself a reported
     condition.
     """
-    eps = r if isinstance(r, Fraction) else Fraction(1, 1 << _integer(r, "r"))
+    eps = _frac(eps)
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("threshold width must satisfy 0 < eps < 1/2")
     report = WitnessReport("awpp-witness")
     for w in sorted(labels):
-        f_val = _lookup(f_of, w)
-        g_val = _lookup(g_of, w)
-        if not report.check(f"w={w}:normalizer-positive", f_val, ">", 0):
+        if not report.check(f"w={w}:normalizer-positive", f_of[w], ">", 0):
             continue
-        ratio = _frac(g_val) / _frac(f_val)
+        ratio = _frac(g_of[w]) / _frac(f_of[w])
         if labels[w]:
-            ok = 1 - eps <= ratio <= 1
-            report.add(
-                Condition(f"w={w}:in-range", str(ratio), "in", f"[{1 - eps},1]", ok)
-            )
+            report.within(f"w={w}:in-range", ratio, 1 - eps, 1)
         else:
-            ok = 0 <= ratio <= eps
-            report.add(
-                Condition(f"w={w}:out-range", str(ratio), "in", f"[0,{eps}]", ok)
-            )
+            report.within(f"w={w}:out-range", ratio, 0, eps)
     return report
 
 
@@ -171,39 +170,32 @@ def check_wapp_witness(
     if not 0 < epsilon < 1:
         raise ValueError("need 0 < epsilon < 1")
     report = WitnessReport("wapp-witness")
-    hi_gate = (1 + epsilon) / 2
-    lo_gate = (1 - epsilon) / 2
     for w in sorted(labels):
-        ratio = _frac(ratio_of[w])
         if labels[w]:
-            ok = hi_gate < ratio <= 1
-            report.add(
-                Condition(f"w={w}:in-range", str(ratio), "in", f"({hi_gate},1]", ok)
-            )
+            report.within(f"w={w}:in-range", ratio_of[w], (1 + epsilon) / 2, 1, "(]")
         else:
-            ok = 0 <= ratio < lo_gate
-            report.add(
-                Condition(f"w={w}:out-range", str(ratio), "in", f"[0,{lo_gate})", ok)
-            )
+            report.within(f"w={w}:out-range", ratio_of[w], 0, (1 - epsilon) / 2, "[)")
     return report
 
 
-PROFILE_KINDS = ("post", "FP", "size", "aFP", "asize", "exp", "leexp")
+PROFILE_KINDS = ("post", "FP", "size", "aFP", "asize", "exp")
 
 
 def classify_postsel_profile(
     stats_by_instance: Mapping,
     profile: str,
     *,
-    f=None,
+    f: Mapping | None = None,
     q_exp: int | None = None,
-    u: int | Callable[[int], int] | None = None,
+    u: int | None = None,
     r2: int | None = None,
 ) -> WitnessReport:
     """Check that postselection probabilities fit a declared restriction.
 
     ``stats_by_instance`` maps each instance string to its stats (anything
-    with a ``p_post`` attribute, or a bare exact probability).  Profiles:
+    with a ``p_post`` attribute, or a bare exact probability).  ``f`` maps
+    each instance (or, for the size profiles, each length) to its
+    numerator.  Profiles:
 
     - ``post``:   P(p=1) > 0
     - ``FP``:     P(p=1) == f(w) / 2**q_exp exactly
@@ -211,31 +203,25 @@ def classify_postsel_profile(
     - ``aFP``:    P(p=1) within (1 +- 2**-r2) * f(w) / 2**q_exp
     - ``asize``:  same window with f a function of |w| alone
     - ``exp``:    P(p=1) == 2**-u exactly
-    - ``leexp``:  P(p=1) >= 2**-u
     """
     if profile not in PROFILE_KINDS:
         raise ValueError(f"unknown profile {profile!r}")
     report = WitnessReport(f"postsel-profile-{profile}")
     for w in sorted(stats_by_instance):
         p = stats_by_instance[w]
-        pf = _frac(getattr(p, "p_post", p))
+        pf = getattr(p, "p_post", p)
         cid = f"w={w}"
         if profile == "post":
             report.check(f"{cid}:positive", pf, ">", 0)
             continue
-        if profile in ("exp", "leexp"):
-            target = Fraction(1, 1 << _integer(u(len(w)) if callable(u) else u, "u"))
+        if profile == "exp":
+            target = Fraction(1, 1 << _integer(u, "u"))
         else:
             key = len(w) if profile.endswith("size") else w
-            target = _frac(_lookup(f, key)) / (1 << _integer(q_exp, "q_exp"))
-        if profile == "leexp":
-            report.check(f"{cid}:at-least", pf, ">=", target)
-        elif profile in ("FP", "size", "exp"):
+            target = _frac(f[key]) / (1 << _integer(q_exp, "q_exp"))
+        if profile in ("FP", "size", "exp"):
             report.check(f"{cid}:equals", pf, "==", target)
         else:  # aFP, asize
             eps = Fraction(1, 1 << _integer(r2, "r2"))
-            lo = (1 - eps) * target
-            hi = (1 + eps) * target
-            ok = lo <= pf <= hi
-            report.add(Condition(f"{cid}:window", str(pf), "in", f"[{lo},{hi}]", ok))
+            report.within(f"{cid}:window", pf, (1 - eps) * target, (1 + eps) * target)
     return report

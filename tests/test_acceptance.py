@@ -316,7 +316,7 @@ def test_acceptance_09_unique_path_coupling():
             if first_owns
             else build_upcoup(_empty_machine(q), _point_machine(q, 5), "")
         )
-        wit = wapp_witness(tm, {"": 1}, q, half)
+        wit = wapp_witness(tm, {"": 1}, q)
         rep = check_wapp_witness({"": wit.ratio("")}, {"": first_owns}, half)
         ok = ok and rep.passed
     # ...and the borderline fair-coin conditional fails both orientations

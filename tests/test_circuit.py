@@ -62,6 +62,15 @@ def test_gate_rejects_malformed():
     assert parse_circuit(serialize_circuit(good)) == good
 
 
+def test_gates_and_controls_refuse_unordered_collections():
+    """A set or a mapping would hand over its items in hash order."""
+    for bad, role in ((lambda: Gate("ccx", 2, {0, 1}, (False, False)), "controls"),
+                      (lambda: Circuit(2, {x(0)}, 0), "gates"),
+                      (lambda: PredicateCircuit(0, 1, 0, {x(1): 0}, 1), "gates")):
+        with pytest.raises(ValueError, match=f"{role} must be a sequence, got unordered"):
+            bad()
+
+
 def test_circuit_validation():
     with pytest.raises(ValueError):
         Circuit(0, (), 0)

@@ -16,6 +16,7 @@ from postsel import (
     StatsMismatch,
     ZeroPostselection,
     build_upcoup,
+    check_wapp_witness,
     complement_machine,
     cx,
     emit_less_than,
@@ -80,7 +81,7 @@ def test_joint_accepting_more_than_post_raises():
     with pytest.raises(ValueError, match="more than post"):
         run_ptm(tm, "")
     with pytest.raises(ValueError, match="more than post"):
-        wapp_witness(tm, {"": 1}, 1, Fraction(1, 4))
+        wapp_witness(tm, {"": 1}, 1)
 
 
 # ===================================================================
@@ -188,7 +189,7 @@ def test_upcoup_matches_per_path_reference(case):
 
 # 4 coins; on both instances post iff coins < 12, declared as 12 == 6 * 2**(4-3);
 # output iff coins < 11 on w="1" and iff coins < 2 on w="0"
-_FP, _S, _EPS = {"1": 6, "0": 6}, 3, Fraction(1, 4)
+_FP, _S = {"1": 6, "0": 6}, 3
 
 
 def _declared_tm() -> CoinMachine:
@@ -200,7 +201,7 @@ def _declared_tm() -> CoinMachine:
 
 def test_wapp_witness_ratio_reproduces_conditional():
     tm = _declared_tm()
-    wit = wapp_witness(tm, _FP, _S, _EPS)
+    wit = wapp_witness(tm, _FP, _S)
     assert wit.p_exp == 1
     for w in ("0", "1"):
         assert wit.ratio(w) == run_ptm(tm, w).p_cond
@@ -210,7 +211,7 @@ def test_wapp_witness_ratio_reproduces_conditional():
 
 def test_wapp_witness_is_a_counting_machine():
     tm = _declared_tm()
-    wit = wapp_witness(tm, _FP, _S, _EPS)
+    wit = wapp_witness(tm, _FP, _S)
     assert wit.g_machine is tm.joint
     assert gap(wit.g_machine, "1").accepts == 11
     assert gap(wit.g_machine, "0").accepts == 2
@@ -218,28 +219,28 @@ def test_wapp_witness_is_a_counting_machine():
 
 def test_wapp_witness_requires_declarations():
     with pytest.raises(ValueError):
-        wapp_witness(CoinMachine(_below(2, 4), _below(2, 4)), {}, 0, _EPS)
+        wapp_witness(CoinMachine(_below(2, 4), _below(2, 4)), {}, 0)
     with pytest.raises(ValueError):
-        wapp_witness(_declared_tm(), {}, _S, _EPS)
+        wapp_witness(_declared_tm(), {}, _S)
 
 
 def test_wapp_witness_checks_declared_postselection():
     with pytest.raises(StatsMismatch):
-        wapp_witness(_declared_tm(), {"1": 5, "0": 6}, _S, _EPS)  # 5 * 2 != 12
+        wapp_witness(_declared_tm(), {"1": 5, "0": 6}, _S)  # 5 * 2 != 12
 
 
 def test_wapp_witness_rejects_mixed_lengths():
     with pytest.raises(ValueError):
-        wapp_witness(_declared_tm(), {"1": 6, "00": 6}, _S, _EPS)
+        wapp_witness(_declared_tm(), {"1": 6, "00": 6}, _S)
 
 
 def test_wapp_witness_rejects_oversized_denominator():
     with pytest.raises(ValueError):
-        wapp_witness(_declared_tm(), _FP, 9, _EPS)
+        wapp_witness(_declared_tm(), _FP, 9)
 
 
 def test_wapp_witness_ratio_rejects_an_undeclared_instance():
-    wit = wapp_witness(_declared_tm(), {"1": 6}, _S, _EPS)
+    wit = wapp_witness(_declared_tm(), {"1": 6}, _S)
     assert wit.ratio("1") == Fraction(11, 12)
     with pytest.raises(ValueError, match="'0' is not declared"):
         wit.ratio("0")
@@ -247,12 +248,7 @@ def test_wapp_witness_ratio_rejects_an_undeclared_instance():
 
 @pytest.mark.parametrize("eps", [0.25, "1/4", None])
 def test_wapp_witness_rejects_an_inexact_epsilon(eps):
+    """The margin enters only at the threshold check, which takes it exactly."""
+    wit = wapp_witness(_declared_tm(), _FP, _S)
     with pytest.raises(ValueError, match="exact rational"):
-        wapp_witness(_declared_tm(), _FP, _S, eps)
-
-
-def test_wapp_witness_stores_epsilon_as_a_fraction():
-    for eps in (Fraction(1, 4), DyadicRational(1, 2)):
-        wit = wapp_witness(_declared_tm(), _FP, _S, eps)
-        assert type(wit.epsilon) is Fraction and wit.epsilon == Fraction(1, 4)
-    assert wapp_witness(_declared_tm(), _FP, _S, 0).epsilon == 0
+        check_wapp_witness({"1": wit.ratio("1")}, {"1": True}, eps)

@@ -134,6 +134,58 @@ def test_huge_width_exits_2_before_building_the_default_input(tmp_path, capsys, 
     assert err == "error: width 1000000000000 exceeds the 63-qubit index limit\n"
 
 
+def test_simulate_non_ascii_digit_exits_2_naming_its_line(tmp_path, capsys):
+    """A digit outside ASCII on a gate line: the file reader rejects its byte."""
+    p = tmp_path / "digit.circ"
+    p.write_text("qubits 3\nccx 0 1 \u0662\noutput 2\n", encoding="utf-8")
+    assert main(["simulate", "--circuit", str(p)]) == 2
+    assert capsys.readouterr().err == "error: line 2: non-ASCII byte 0xd9; files are 7-bit ASCII\n"
+
+
+_ORACLE_CIRCUITS = {
+    # width 63, with gates in index bytes 1, 5 and 7
+    "wide": "qubits 63\nh 9\nh 40\nccx 9 !40 62\nh 62\ncx 62 9\nccx !9 62 40\nh 9\n"
+    "postselect 62\noutput 40\n",
+    # an H layer branches on fresh wires; the last three Hadamards hit wires
+    # that vary, so they merge (and cancel) through the sort
+    "merge": "qubits 12\n" + "".join(f"h {q}\n" for q in range(10))
+    + "ccx 0 1 10\ncx 10 2\nccx !3 4 11\ncx 11 5\nccx 6 !7 10\ncx 8 9\nh 10\nh 2\nh 9\n"
+    "postselect 11\noutput 10\n",
+    # every Hadamard hits a fresh wire, so no two paths meet and the oracle
+    # counts kept paths; simulate lowers the mcx gates, the oracle does not
+    "fresh": "qubits 10\n" + "".join(f"h {q}\n" for q in range(5))
+    + "mcx 0 !1 2 5\nmcx !3 4 5 6\nmcx 0 1 !5 6 7\nccx !2 7 5\npostselect 5\noutput 6\n"
+    "ancilla 8 0\nancilla 9 1\n",
+    # a merge, then Hadamards on wires declared at 1: the state ends with short
+    # coefficients under a nonzero sign plane, queried unwritten
+    "signed": "qubits 7\nh 0\nh 1\nccx 0 1 2\nh 0\nh 3\nh 4\nh 6\ncx 3 5\nccx !4 2 5\n"
+    "ccx 6 0 2\npostselect 5\noutput 2\nancilla 3 1\nancilla 4 1\nancilla 6 1\n",
+}
+_PAIR_MACHINES = (
+    "machine 1 2 0\nccx 1 2 3\nx 3\nccx !0 1 3\naccept 3\n",
+    "machine 1 2 1\nccx 0 1 3\ncx 3 4\nccx 2 3 4\nccx 0 1 3\naccept 4\n",
+)
+
+
+@pytest.mark.parametrize("name", ["wide", "merge", "pair", "fresh", "signed"])
+def test_simulate_oracle_matches_on_edge_circuits(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.circ"
+    if name == "pair":
+        # compile writes mcx gates; simulate lowers them itself, the oracle does not
+        flags = []
+        for i, text in enumerate(_PAIR_MACHINES, start=1):
+            (tmp_path / f"m{i}.machine").write_text(text)
+            flags += [f"--machine{i}", str(tmp_path / f"m{i}.machine")]
+        argv = ["compile", "--construction", "pair", *flags, "--input", "1", "--k", "1"]
+        assert main([*argv, "-o", str(path)]) == 0
+        assert any(line.startswith("mcx ") for line in path.read_text().splitlines())
+    else:
+        path.write_text(_ORACLE_CIRCUITS[name])
+    capsys.readouterr()
+    assert main(["simulate", "--circuit", str(path), "--oracle", "--report", "machine-readable"]) == 0
+    assert "oracle=match" in capsys.readouterr().out.splitlines()
+
+
 # ===================================================================
 # oracle
 # ===================================================================
@@ -371,7 +423,7 @@ def test_compile_fqp2exp_huge_exponent_exits_2_before_allocating(machine_files, 
     m1, m2 = machine_files
     argv = ["compile", "--construction", "fqp2exp", "--machine1", m1, "--machine2", m2]
     out = tmp_path / "x.circ"
-    assert main([*argv, "--f", "1", "--h", "1000000000000", "-o", str(out)]) == 2
+    assert main([*argv, "--h", "1000000000000", "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "error: width 1000000000010 exceeds the 63-qubit index limit\n"
     assert not out.exists()
@@ -381,20 +433,35 @@ def test_compile_fqp2exp_negative_exponent_exits_2_naming_h(machine_files, tmp_p
     m1, m2 = machine_files
     argv = ["compile", "--construction", "fqp2exp", "--machine1", m1, "--machine2", m2]
     out = tmp_path / "x.circ"
-    assert main([*argv, "--f", "1", "--h", "-1", "-o", str(out)]) == 2
+    assert main([*argv, "--h", "-1", "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: need h >= 0 and 0 < f <= 2**h, got f = 1, h = -1\n"
+    assert err == "error: need h >= 0 and P(p=1) * 2**h an integer, got P(p=1) = 1/2^3, h = -1\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("override", [["--f", "1"], ["--h", "3"]])
-def test_compile_fqp2exp_needs_f_and_h_together(machine_files, tmp_path, capsys, override):
+def test_compile_fqp2exp_exponent_below_p_post_exits_2_naming_h(machine_files, tmp_path, capsys):
+    """P(p=1) is 1/2^3 here, so no integer f gives f / 2**2."""
     m1, m2 = machine_files
     argv = ["compile", "--construction", "fqp2exp", "--machine1", m1, "--machine2", m2]
     out = tmp_path / "x.circ"
-    assert main([*argv, *override, "-o", str(out)]) == 2
-    assert capsys.readouterr().err == "error: --f and --h go together: give both or neither\n"
+    assert main([*argv, "--h", "2", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: need h >= 0 and P(p=1) * 2**h an integer, got P(p=1) = 1/2^3, h = 2\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("h_exp", [3, 4, 6])
+def test_compile_fqp2exp_h_sets_the_postselection_exponent(machine_files, tmp_path, h_exp):
+    """--h alone picks the target: P(p=1) becomes exactly 2**-h, the
+    conditional that of the pair (1/2) whatever h is."""
+    m1, m2 = machine_files
+    out = tmp_path / "x.circ"
+    argv = ["compile", "--construction", "fqp2exp", "--machine1", m1, "--machine2", m2]
+    assert main([*argv, "--h", str(h_exp), "-o", str(out)]) == 0
+    circ = parse_circuit(out.read_text())
+    st = postselect_stats(expand_mcx(circ), default_input(circ))
+    assert st.p_post.as_fraction() == Fraction(1, 1 << h_exp)
+    assert st.p_cond == Fraction(1, 2)
 
 
 @pytest.mark.parametrize(
@@ -403,10 +470,10 @@ def test_compile_fqp2exp_needs_f_and_h_together(machine_files, tmp_path, capsys,
         ("gapsq", ["--k", "3", "--t", "9"], "--k, --t"),
         ("gapsq", ["--k", "0"], "--k"),
         ("gapsq", ["--machine2", "M2"], "--machine2"),
-        ("gapsq", ["--f", "1", "--h", "3"], "--f, --h"),
-        ("pair", ["--f", "1", "--h", "3"], "--f, --h"),
+        ("gapsq", ["--h", "3"], "--h"),
+        ("pair", ["--h", "3"], "--h"),
         ("pair", ["--t", "1"], "--t"),
-        ("rescale", ["--f", "1", "--h", "3"], "--f, --h"),
+        ("rescale", ["--h", "3"], "--h"),
         ("pp", ["--h", "3"], "--h"),
         ("pp", ["--k", "1", "--t", "2"], "--k, --t"),
         ("fqp2exp", ["--t", "2"], "--t"),
@@ -475,7 +542,15 @@ def test_oracle_constraints_do_not_carry_over(bell_file, capsys):
     assert capsys.readouterr().out == "g=1\nm=1\nprob=1/2^1\n"
 
 
-@pytest.mark.parametrize("argv", [["oracle"], ["simulate", "--report", "xml"], []])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle"],
+        ["simulate", "--report", "xml"],
+        [],
+        ["compile", "--construction", "fqp2exp", "--machine1", "m", "--f", "1", "-o", "x"],
+    ],
+)
 def test_bad_argv_exits_2_every_time(argv, capsys):
     errs = []
     for _ in range(2):

@@ -334,7 +334,7 @@ def test_rejects_bad_bits():
         run(Circuit(2, (), 0), "0")
     with pytest.raises(ValueError):
         run(Circuit(2, (), 0), "0z")
-    for bits in (5, None):
+    for bits in (5, None, {"1", "0"}, frozenset("01"), {0: "1", 1: "0"}):
         with pytest.raises(ValueError, match="bits must be a sequence"):
             run(Circuit(2, (), 0), bits)
     with pytest.raises(MachineContractError, match="bits must be a sequence"):

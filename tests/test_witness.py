@@ -80,6 +80,36 @@ def test_report_check_rejects_unknown_op():
     assert rep.conditions == []
 
 
+@pytest.mark.parametrize("brackets", ["[]", "[)", "(]", "()"])
+def test_report_within_brackets(brackets):
+    """An ``in`` row: a square bracket admits its bound, a round one does not."""
+    lo, hi = Fraction(1, 4), Fraction(3, 4)
+    xs = {"at-lo": lo, "at-hi": hi, "inside": Fraction(1, 2),
+          "below": Fraction(1, 8), "above": Fraction(7, 8)}
+    rep = WitnessReport("within")
+    got = {cid: rep.within(cid, x, lo, hi, brackets) for cid, x in xs.items()}
+    assert got == {"at-lo": brackets[0] == "[", "at-hi": brackets[1] == "]",
+                   "inside": True, "below": False, "above": False}
+    rhs = f"{brackets[0]}1/4,3/4{brackets[1]}"
+    assert rep.conditions == [
+        Condition(cid, str(x), "in", rhs, got[cid]) for cid, x in xs.items()
+    ]
+    assert rep.to_machine().splitlines()[0] == (
+        f"scenario=within condition=at-lo lhs=1/4 op=in rhs={rhs} "
+        f"result={'pass' if got['at-lo'] else 'fail'}"
+    )
+
+
+def test_report_within_default_is_closed_and_rejects_bad_brackets():
+    rep = WitnessReport("within")
+    assert rep.within("dyadic", DyadicRational(1, 1), 0, Fraction(1, 2))
+    assert rep.conditions == [Condition("dyadic", "1/2", "in", "[0,1/2]", True)]
+    for brackets in ("", "[", "]]", "{}", "[]]"):
+        with pytest.raises(ValueError, match="brackets must be one of"):
+            rep.within("bad", 0, 0, 1, brackets)
+    assert len(rep.conditions) == 1
+
+
 # ===================================================================
 # two-sided ratio thresholds
 # ===================================================================
@@ -90,52 +120,46 @@ def test_awpp_witness_accepts_clean_instances():
         g_of={"1": 15, "0": 1},
         f_of={"1": 16, "0": 16},
         labels={"1": True, "0": False},
-        r=4,
+        eps=Fraction(1, 16),
     )
     assert rep.passed
     assert len(rep.conditions) == 4  # positivity + range per instance
 
 
 def test_awpp_witness_boundary_values_pass():
-    # ratio exactly 1 - 2**-r in the language, exactly 2**-r outside
-    rep = check_awpp_witness({"1": 15, "0": 1}, 16, {"1": True, "0": False}, 4)
+    # ratio exactly 1 - eps in the language, exactly eps outside
+    f, labels, eps = {"1": 16, "0": 16}, {"1": True, "0": False}, Fraction(1, 16)
+    rep = check_awpp_witness({"1": 15, "0": 1}, f, labels, eps)
     assert rep.passed
     # one notch past the threshold fails
-    rep_bad = check_awpp_witness({"1": 14, "0": 2}, 16, {"1": True, "0": False}, 4)
+    rep_bad = check_awpp_witness({"1": 14, "0": 2}, f, labels, eps)
     assert not rep_bad.passed
     bad = [c for c in rep_bad.conditions if not c.passed]
     assert {c.cid for c in bad} == {"w=0:out-range", "w=1:in-range"}
 
 
 def test_awpp_witness_ratio_above_one_fails():
-    rep = check_awpp_witness({"1": 17}, 16, {"1": True}, 4)
+    rep = check_awpp_witness({"1": 17}, {"1": 16}, {"1": True}, Fraction(1, 16))
     assert not rep.passed
 
 
 def test_awpp_witness_reports_nonpositive_normalizer():
-    rep = check_awpp_witness({"1": 1}, 0, {"1": True}, 4)
+    rep = check_awpp_witness({"1": 1}, {"1": 0}, {"1": True}, Fraction(1, 16))
     assert not rep.passed
     assert rep.conditions[0].cid == "w=1:normalizer-positive"
     assert len(rep.conditions) == 1  # no range row for a broken normalizer
 
 
 def test_awpp_witness_fraction_threshold():
-    rep = check_awpp_witness({"1": 8, "0": 3}, 9, {"1": True, "0": False}, Fraction(1, 3))
+    f = {"1": 9, "0": 9}
+    rep = check_awpp_witness({"1": 8, "0": 3}, f, {"1": True, "0": False}, Fraction(1, 3))
     assert rep.passed
     with pytest.raises(ValueError):
-        check_awpp_witness({}, 1, {}, Fraction(1, 2))  # eps must be < 1/2
+        check_awpp_witness({}, {}, {}, Fraction(1, 2))  # eps must be < 1/2
     with pytest.raises(ValueError):
-        check_awpp_witness({}, 1, {}, Fraction(0))
-
-
-def test_awpp_witness_callable_tables():
-    rep = check_awpp_witness(
-        lambda w: 31 if w == "1" else 0,
-        lambda w: 32,
-        {"1": True, "0": False},
-        5,
-    )
-    assert rep.passed
+        check_awpp_witness({}, {}, {}, Fraction(0))
+    with pytest.raises(ValueError):
+        check_awpp_witness({}, {}, {}, 5)  # an exponent is not a width
 
 
 # ===================================================================
@@ -171,15 +195,15 @@ _STATS = {"1": Fraction(1, 2)}
 _INEXACT = {
     "float-lhs": lambda: WitnessReport("t").check("a", 0.1, "==", Fraction(1, 10)),
     "str-rhs": lambda: WitnessReport("t").check("a", Fraction(1, 10), "==", "1/10"),
+    "within-bound": lambda: WitnessReport("t").within("a", Fraction(1, 2), 0, 1.0),
     "wapp-epsilon": lambda: check_wapp_witness({"1": Fraction(1)}, {"1": True}, 0.5),
     "wapp-ratio": lambda: check_wapp_witness({"1": 0.9}, {"1": True}, Fraction(1, 2)),
-    "awpp-r": lambda: check_awpp_witness({"1": 1}, {"1": 1}, {"1": True}, r=2.0),
-    "awpp-g": lambda: check_awpp_witness({"1": 0.5}, {"1": 1}, {"1": True}, r=2),
+    "awpp-eps": lambda: check_awpp_witness({"1": 1}, {"1": 1}, {"1": True}, 0.25),
+    "awpp-g": lambda: check_awpp_witness({"1": 0.5}, {"1": 1}, {"1": True}, Fraction(1, 4)),
     "r2": lambda: classify_postsel_profile(_STATS, "aFP", f={"1": 1}, q_exp=1, r2=1.0),
     "q_exp": lambda: classify_postsel_profile(_STATS, "FP", f={"1": 1}, q_exp=1.0),
     "f": lambda: classify_postsel_profile(_STATS, "FP", f={"1": 0.5}, q_exp=0),
     "u": lambda: classify_postsel_profile(_STATS, "exp", u=1.0),
-    "u-of-length": lambda: classify_postsel_profile(_STATS, "exp", u=lambda n: 1.0),
 }
 
 
@@ -200,7 +224,7 @@ def _p(n: int, k: int) -> DyadicRational:
 
 
 def test_profile_kinds_frozen():
-    assert PROFILE_KINDS == ("post", "FP", "size", "aFP", "asize", "exp", "leexp")
+    assert PROFILE_KINDS == ("post", "FP", "size", "aFP", "asize", "exp")
 
 
 def test_profile_post():
@@ -245,11 +269,10 @@ def test_profile_exp_and_leexp():
     stats = {"0": _p(1, 3)}
     assert classify_postsel_profile(stats, "exp", u=3).passed
     assert not classify_postsel_profile(stats, "exp", u=2).passed
-    assert classify_postsel_profile(stats, "leexp", u=3).passed
-    assert classify_postsel_profile(stats, "leexp", u=4).passed
-    assert not classify_postsel_profile(stats, "leexp", u=2).passed
-    # u as a function of |w|
-    assert classify_postsel_profile(stats, "exp", u=lambda n: 3 * n).passed
+    assert not classify_postsel_profile(stats, "exp", u=4).passed
+    # the one-sided P(p=1) >= 2**-u profile is gone; asking for it is an error
+    with pytest.raises(ValueError, match="unknown profile 'leexp'"):
+        classify_postsel_profile(stats, "leexp", u=3)
 
 
 def test_profile_accepts_stats_objects():
