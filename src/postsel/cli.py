@@ -15,9 +15,10 @@ The argument parser is built once per process, on the first ``main`` call,
 not at import; only a process that calls ``main`` more than once reuses it.
 
 Importing this module loads the circuit reader and the two engines that
-``simulate`` and ``oracle`` run (``simulator``, ``pathsum``, and numpy with
-them); ``compile`` imports ``counting`` and ``constructions`` when it runs,
-and ``verify`` imports ``scenarios``.
+``simulate`` and ``oracle`` run (``simulator`` and ``pathsum``, but not
+numpy); ``compile`` imports ``counting`` and ``constructions`` when it runs,
+and ``verify`` imports ``scenarios``.  numpy is loaded only when an engine
+first merges entries that meet (see ``_keys``).
 """
 
 from __future__ import annotations

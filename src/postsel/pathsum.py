@@ -22,17 +22,13 @@ Gates other than H are bijections on basis states, so two paths can only
 meet at an H whose target wire varies across the live paths.  When every H
 finds its target plane 0 or all-ones, the 2**H paths end in distinct basis
 states, each with sign +-1, and g is the popcount of the kept paths: no
-transpose, no sort.
+transpose, no sort, and no numpy, which only the sort imports (``_keys``).
 
-``simulator.run`` uses the same constant-wire argument, and the same
-``branch_signed`` step and sign plane, for its branch-only Hadamards, and
-returns its state in that branch form: short coefficients under a sign
-plane, written out in full only when a caller reads them.  It differs in
-merging at every H on a wire that varies, where this merges once at the
-end, and in seeing the ``expand_mcx`` ladder, where this applies ``mcx``
-natively.  ``path_sum_slow``, a deliberately naive per-path rewrite
-of the same definition that shares no plane code, is the independent check
-of both.
+``simulator.run`` takes the same ``branch_signed`` step at an H on a
+constant wire, but merges at every H on a wire that varies, where this
+merges once at the end, and it sees the ``expand_mcx`` ladder, where this
+applies ``mcx`` natively.  ``path_sum_slow``, a deliberately naive per-path
+rewrite that shares no plane code, is the independent check of both.
 """
 
 from __future__ import annotations
@@ -40,12 +36,9 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import groupby
 
-import numpy as np
-
 from .circuit import Circuit, apply_gate_classical
 from .errors import CapExceeded
-from .planes import _basis_index, _constraint_mask, _kept, _plane_keys
-from .planes import apply_gates_planes, branch_signed
+from .planes import _basis_index, _constraint_mask, _kept, apply_gates_planes, branch_signed
 
 # At the cap the planes take at most (width + 1) * 2**20 / 8 bytes (8 MiB at
 # width 63) and as much again in bytes; building and sorting the keys of all
@@ -93,14 +86,8 @@ def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
         return keep.bit_count(), hcount
     # Wires constant on the kept paths, the pinned ones among them, cannot split a group.
     rows = [planes[-1]] + [p for p in planes[:-1] if p & keep not in (0, keep)]
-    keys = np.sort(_plane_keys(rows, n, keep))
-    # Exact in int64: |path sum at z| <= 2**H as it adds at most 2**H signs, and
-    # g == P * 2**H <= 2**H bounds every square and partial sum of squares, so
-    # any H <= 62 is exact (memory caps H far lower).
-    z = keys >> np.uint64(1)
-    starts = np.flatnonzero(np.concatenate(([True], z[1:] != z[:-1])))
-    sums = np.add.reduceat(1 - 2 * (keys & np.uint64(1)).astype(np.int64), starts)
-    return int(np.dot(sums, sums)), hcount
+    from . import _keys  # the sort, the only step that needs numpy
+    return _keys._squared_path_sums(rows, n, keep), hcount
 
 
 def path_sum_slow(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:

@@ -7,24 +7,19 @@ bit-plane per wire: bit j of ``planes[q]`` is wire q's value in entry j
 entry.  A gate XORs into its target the AND of its control planes (``ones``
 for an ``x``), a set of (wire, value) constraints selects the AND of the
 pinned planes, and ``branch_signed`` is a Hadamard on every entry at once.
-Numpy serves only to leave the layout: ``_plane_keys`` transposes the planes
-into one uint64 key per entry, so a circuit has at most ``MAX_WIDTH`` = 63
-qubits (qubit 63 would be an int64 index's sign bit).
+This module is pure Python; only leaving the layout needs numpy, in ``_keys``,
+which transposes the planes into one uint64 key per entry, so a circuit has
+at most ``MAX_WIDTH`` = 63 qubits (qubit 63 would be an int64 index's sign bit).
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from .circuit import Circuit, Gate, _integer, _pack_bits
 from .errors import CapExceeded
 
 MAX_WIDTH = 63
-_WORD = np.dtype("<u8")  # little-endian words, so byte k holds bits 8k..8k+7 on any host
-# 8x8 bit-matrix transpose inside each uint64 word: (shift, mask) per round
-_TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 def _check_width(width: int) -> None:
@@ -103,49 +98,3 @@ def branch_signed(planes: list[int], n: int, target: int) -> None:
     flips = planes[target] << n
     branch_planes(planes, n, target)
     planes[-1] ^= flips
-
-
-def _plane_mask(plane: int, n: int) -> np.ndarray:
-    """Bit j of ``plane`` as entry j of a length-n bool array."""
-    packed = np.frombuffer(plane.to_bytes(-(-n // 8), "little"), np.uint8)
-    return np.unpackbits(packed, count=n, bitorder="little").view(bool)
-
-
-def _transpose_bits(rows: np.ndarray) -> np.ndarray:
-    """Bit-matrix transpose of r little-endian bit strings of c bytes (uint8
-    ``rows``), as c x 8 x ceil(r / 8) bytes: out[k >> 3, k & 7] is the bit
-    string whose bit i is bit k of rows[i].  Eight rows at a time, the bytes
-    at one position form an 8x8 bit matrix in one word, transposed in place."""
-    n_rows, n_bytes = rows.shape
-    blocks = -(-n_rows // 8)
-    tiles = np.zeros((n_bytes, 8 * blocks), np.uint8)
-    tiles[:, :n_rows] = rows.T
-    words = tiles.view(_WORD)
-    for shift, m in _TRANSPOSE8:
-        t = (words ^ (words >> np.uint64(shift))) & np.uint64(m)
-        words ^= t ^ (t << np.uint64(shift))
-    return words.view(np.uint8).reshape(n_bytes, blocks, 8).transpose(0, 2, 1)
-
-
-def _plane_keys(planes: list[int], n: int, keep: int) -> np.ndarray:
-    """One uint64 per entry j < n set in ``keep``, in order, whose bit i is bit j
-    of planes[i] (at most 64 planes); only bytes where keep has an entry move."""
-    n_bytes = -(-n // 8)
-    kept = np.frombuffer(keep.to_bytes(n_bytes, "little"), np.uint8)
-    at = np.flatnonzero(kept)
-    data = bytearray()  # one copy of the planes: cheaper than joining a list of bytes
-    for p in planes:
-        data += p.to_bytes(n_bytes, "little")
-    rows = np.frombuffer(data, np.uint8).reshape(len(planes), n_bytes)
-    bits = _transpose_bits(rows if len(at) == n_bytes else rows[:, at])
-    keys = np.zeros((len(at), 8, 8), np.uint8)  # (byte position, entry in byte, key byte)
-    keys[:, :, : bits.shape[2]] = bits
-    return keys.view(_WORD).reshape(-1)[np.unpackbits(kept[at], bitorder="little").view(bool)]
-
-
-def _key_planes(keys: np.ndarray, n_planes: int) -> list[int]:
-    """Inverse of ``_plane_keys``: plane i < n_planes has bit j = bit i of keys[j] >= 0."""
-    bits = _transpose_bits(keys.astype(_WORD).view(np.uint8).reshape(-1, 8))
-    k = bits.shape[2]
-    data = bits.reshape(64, k)[:n_planes].tobytes()
-    return [int.from_bytes(data[i : i + k], "little") for i in range(0, len(data), k)]

@@ -8,12 +8,13 @@ wire constant across the support branches the planes with
 short: c_j is coeffs[j % coeffs.size], negated where the sign plane has
 bit j.  Only an H on a wire that varies writes them out in full, transposes
 to int64 basis indices, merges the entries that meet by one sort and
-transposes back.  ``run`` returns the state in this branch form (short
+transposes back: the first merge imports numpy (``_keys``), which nothing
+else in ``run`` needs.  ``run`` returns the state in this branch form (short
 coefficients, sign plane, n), and ``QuantumState`` writes the n
 coefficients out only when a caller reads ``coeffs``.
 Cost follows the live support, at most min(2**w, 2**m) over w qubits, not
 2**w (Jaques & Haener, arXiv:2105.01533).  Unitarity gives sum(c_j**2) ==
-2**m: with at most ``_INT64_SAFE_H`` Hadamards every coefficient, square
+2**m: with at most ``_keys._INT64_SAFE_H`` Hadamards every coefficient, square
 and partial sum of squares fits in int64; larger circuits use object-dtype
 Python ints.  ``joint_prob`` counts the kept entries when n == 2**m (every
 coefficient is then +-1) and otherwise counts them per short coefficient
@@ -29,17 +30,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 
-import numpy as np
-
 from .circuit import Circuit, _integer, expand_mcx
 from .errors import CapExceeded, ZeroPostselection
 from .exactring import DyadicRational
-from .planes import _basis_index, _constraint_mask, _kept, _key_planes, _plane_keys, _plane_mask
-from .planes import apply_gates_planes, branch_signed
+from .planes import _basis_index, _constraint_mask, _kept, apply_gates_planes, branch_signed
 
 DEFAULT_MAX_SUPPORT = 1 << 24
-_INT64_SAFE_H = 60  # sum(coeffs**2) == 2**m <= 2**60 keeps all int64 math exact
-_INDEX = np.dtype("<i8")  # basis indices, little-endian so byte k holds qubits 8k..8k+7
 
 
 @dataclass(eq=False)
@@ -48,27 +44,35 @@ class QuantumState:
     is bit j of planes[q]; every c_j is nonzero, other basis states are 0.
 
     c_j is short[j % short.size], negated where ``sign`` has bit j: the branch
-    form ``run`` returns.  ``coeffs`` writes the n coefficients out once, on
-    first use.  Unitarity gives sum(c_j**2) == 2**m, which ``joint_prob``
-    relies on.
+    form ``run`` returns; before any merge ``_short`` is None, every c_j is +-1
+    and only reading ``short``, ``coeffs`` or ``indices`` loads numpy.
+    Unitarity gives sum(c_j**2) == 2**m, which ``joint_prob`` relies on.
     """
 
     width: int
     planes: list[int] = field(repr=False)  # n-bit ints: repr could pass int's str limit
-    short: np.ndarray
+    _short: object  # numpy array, or None before the first merge
     m: int
     sign: int = field(repr=False)
     n: int
 
     @cached_property
-    def coeffs(self) -> np.ndarray:
-        """The n coefficients c_j, written out on first use."""
-        return _write_out(self.short, self.sign, self.n)
+    def short(self):
+        """The short coefficients: ``_short``, or before any merge one 1."""
+        from . import _keys
+        return _keys._ones(self.m) if self._short is None else self._short
 
     @cached_property
-    def indices(self) -> np.ndarray:
+    def coeffs(self):
+        """The n coefficients c_j, written out on first use."""
+        from . import _keys
+        return _keys._write_out(self.short, self.sign, self.n)
+
+    @cached_property
+    def indices(self):
         """int64 basis state of each entry (bit i = qubit i), transposed on first use."""
-        return _plane_keys(self.planes, self.n, (1 << self.n) - 1).view(_INDEX)
+        from . import _keys
+        return _keys._plane_keys(self.planes, self.n, (1 << self.n) - 1).view(_keys._INDEX)
 
     def amplitude(self, z: int) -> tuple[int, int]:
         """Exact (c, m) with amplitude(z) == c / sqrt(2)**m; c == 0 off the support."""
@@ -79,7 +83,7 @@ class QuantumState:
         if not hit:
             return 0, self.m
         j = hit.bit_length() - 1
-        c = int(self.short[j % self.short.size])
+        c = 1 if self._short is None else int(self._short[j % self._short.size])
         return (-c if (self.sign >> j) & 1 else c), self.m
 
 
@@ -90,34 +94,6 @@ class PostselStats:
     p_post: DyadicRational  # P(p = 1)
     p_joint: DyadicRational  # P(o = 1, p = 1)
     p_cond: Fraction  # P(o = 1 | p = 1)
-
-
-def _hadamard(idx: np.ndarray, coeffs: np.ndarray, t: np.int64):
-    """H on bit t: |z> -> |z & ~t> + (-1)**z_t |z | t>, merged, zeros dropped."""
-    # pair up z and z ^ t by sorting on the key z & ~t (groups of one or two)
-    key = idx & ~t
-    order = np.argsort(key)
-    key = key[order]
-    c = coeffs[order]
-    signed = np.where((idx[order] & t) != 0, -c, c)
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    key = key[starts]
-    out_idx = np.concatenate((key, key | t))
-    out_c = np.concatenate((np.add.reduceat(c, starts), np.add.reduceat(signed, starts)))
-    live = out_c != 0
-    return out_idx[live], out_c[live]
-
-
-def _write_out(coeffs: np.ndarray, sign: int, n: int) -> np.ndarray:
-    """The n coefficients: entry j's is coeffs[j % coeffs.size], negated where
-    ``sign`` has bit j (a branch copies entry j to entry n + j).  ``coeffs``
-    itself when there is nothing to write; otherwise a new array, so that
-    ``coeffs`` is never changed."""
-    if coeffs.size < n or sign:
-        coeffs = np.tile(coeffs, n // coeffs.size)
-    if sign:
-        np.negative(coeffs, out=coeffs, where=_plane_mask(sign, n))
-    return coeffs
 
 
 def run(circuit: Circuit, input_bits) -> QuantumState:
@@ -133,10 +109,8 @@ def run(circuit: Circuit, input_bits) -> QuantumState:
     if any(g.kind == "mcx" for g in circuit.gates):
         circuit = expand_mcx(circuit)
 
-    dtype = np.int64 if circuit.h_count <= _INT64_SAFE_H else object
     planes = [(z0 >> q) & 1 for q in range(circuit.width)] + [0]  # then the sign plane
-    coeffs = np.ones(1, dtype=dtype)
-    n, m = 1, 0
+    short, n, m = None, 1, 0
     for is_h, gates in groupby(circuit.gates, key=lambda g: g.kind == "h"):
         if not is_h:
             apply_gates_planes(planes, gates, (1 << n) - 1)
@@ -145,18 +119,17 @@ def run(circuit: Circuit, input_bits) -> QuantumState:
             if planes[g.target] in (0, (1 << n) - 1):  # one shared value: no two outputs meet
                 branch_signed(planes, n, g.target)
                 n <<= 1
-            else:
-                coeffs = _write_out(coeffs, planes[-1], n)
-                idx = _plane_keys(planes[:-1], n, (1 << n) - 1).view(_INDEX)
-                idx, coeffs = _hadamard(idx, coeffs, np.int64(1 << g.target))
-                planes, n = _key_planes(idx, circuit.width) + [0], coeffs.size
+            else:  # the first merge loads numpy and picks the dtype (_keys._ones)
+                from . import _keys
+                short, planes = _keys._merge(short, planes, n, g.target, circuit.h_count)
+                n = short.size
             m += 1
             if n > DEFAULT_MAX_SUPPORT:
                 raise CapExceeded(
                     f"live support {n} exceeds cap {DEFAULT_MAX_SUPPORT} at h {g.target}"
                 )
     sign = planes.pop()
-    return QuantumState(circuit.width, planes, coeffs, m, sign, n)
+    return QuantumState(circuit.width, planes, short, m, sign, n)
 
 
 def measure_prob(state: QuantumState, qubit: int, value: int) -> DyadicRational:
@@ -173,13 +146,8 @@ def joint_prob(state: QuantumState, constraints) -> DyadicRational:
     # (as they do, 0, when no entry is kept)
     if n == 1 << state.m or not keep:
         return DyadicRational(keep.bit_count(), state.m)
-    # a square ignores its sign, so count the kept entries j per residue
-    # j % size and weigh each count by short[j % size]**2.  A count is at most
-    # n // size, so the sum is at most sum(c_j**2) over all n entries, 2**m,
-    # and int64 coefficients mean m <= 60: every partial sum fits in int64
-    short = state.short
-    counts = np.count_nonzero(_plane_mask(keep, n).reshape(-1, short.size), axis=0)
-    return DyadicRational(int(np.dot(short * short, counts)), state.m)
+    from . import _keys  # only a merge makes a coefficient other than +-1
+    return DyadicRational(_keys._weighed_count(state._short, keep, n), state.m)
 
 
 def postselect_stats(circuit: Circuit, input_bits) -> PostselStats:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import postsel
 
 # modules that only compile and verify need
@@ -32,17 +34,75 @@ def test_every_exported_name_resolves_once():
     assert missing == []
 
 
-def test_import_loads_only_what_a_command_uses():
+def _fresh(probe: str) -> str:
+    """stdout of ``probe`` run in a new interpreter that imports this checkout."""
     src = str(Path(postsel.__file__).parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{_PROBE}"],
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{probe}"],
         capture_output=True,
         text=True,
         check=True,
     )
-    after_package, missing, listed, after_cli = json.loads(proc.stdout)
+    return proc.stdout
+
+
+def test_import_loads_only_what_a_command_uses():
+    after_package, missing, listed, after_cli = json.loads(_fresh(_PROBE))
     assert after_package == []  # neither numpy nor any submodule
     assert missing == "module 'postsel' has no attribute 'nope'"
     assert listed
     assert "postsel.simulator" in after_cli and "postsel.pathsum" in after_cli
     assert [m for m in after_cli if m.split(".")[1] in _NOT_FOR_SIMULATE] == []
+
+
+# An H layer on fresh wires, then an x/cx/ccx/mcx network: no H meets a
+# varying wire, so nothing merges (the shape of the oracle-dense circuits).
+_LAYER = """\
+qubits 6
+h 0
+h 1
+h 2
+h 3
+ccx 0 !1 2
+mcx 0 1 !2 3
+cx 3 0
+x 1
+output 2
+postselect 3
+ancilla 4 0
+ancilla 5 1
+"""
+# the second h meets wire 0 varying: run merges
+_MERGE = "qubits 1\nh 0\nh 0\noutput 0\n"
+# the two machine files the CI console-script step compiles
+_M1 = "machine 1 2 0\nccx 1 2 3\nx 3\nccx !0 1 3\naccept 3\n"
+_M2 = "machine 1 2 1\nccx 0 1 3\ncx 3 4\nccx 2 3 4\nccx 0 1 3\naccept 4\n"
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["simulate", "--circuit", "{layer}", "--oracle"], False),
+        (["oracle", "--circuit", "{layer}"], False),
+        (["compile", "--construction", "pair", "--machine1", "{m1}", "--machine2", "{m2}",
+          "--input", "1", "--k", "1", "-o", "{out}"], False),
+        (["simulate", "--circuit", "{merge}", "--oracle"], True),
+    ],
+    ids=["simulate-oracle", "oracle", "compile-pair", "simulate-merging"],
+)
+def test_a_command_loads_numpy_only_when_it_merges(tmp_path, argv, loads_numpy):
+    """In a fresh interpreter, a command whose engines never leave the
+    bit-plane layout exits 0 with numpy unloaded; one that merges loads it."""
+    files = {"layer": _LAYER, "merge": _MERGE, "m1": _M1, "m2": _M2}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = {name: str(tmp_path / name) for name in [*files, "out"]}
+    argv = [arg.format(**paths) for arg in argv]
+    out = _fresh(
+        "import contextlib, io, json\n"
+        "from postsel import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+    )
+    assert json.loads(out) == [0, loads_numpy]

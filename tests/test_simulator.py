@@ -209,8 +209,9 @@ def test_branch_form_matches_its_written_out_entries(case):
 
 def test_queries_leave_a_branch_only_state_unwritten():
     """After an H layer, joint_prob (by popcount, and by counts per short
-    coefficient; with no constraint too) and amplitude read the short form:
-    no n-entry coefficient array or index array is built."""
+    coefficient; with no constraint too), measure_prob and amplitude read the
+    branch form: no n-entry coefficient array or index array is built, nor,
+    before any merge, the one-entry short array."""
     layer = tuple(map(h, range(1, 17)))
     for gates, bits, amp in (
         (layer, "0" * 17, (1, 16)),  # every |coeff| is 1: popcount
@@ -218,11 +219,12 @@ def test_queries_leave_a_branch_only_state_unwritten():
         ((h(0), h(0)) + layer, "0" + "1" * 16, (-2, 18)),
     ):
         st = run(Circuit(17, gates, 0), bits)
-        assert (st.short.size, st.n) == (1, 1 << 16)
         assert joint_prob(st, [(1, 1), (16, 0)]) == DyadicRational(1, 2)
+        assert measure_prob(st, 16, 1) == DyadicRational(1, 1)
         assert st.amplitude(0b10) == amp
         assert joint_prob(st, []) == DyadicRational(1, 0)
-        assert "coeffs" not in vars(st) and "indices" not in vars(st)
+        assert {"coeffs", "indices", "short"}.isdisjoint(vars(st))
+        assert (st.short.size, st.n) == (1, 1 << 16)
 
 
 def test_object_dtype_fallback_for_many_hadamards():
