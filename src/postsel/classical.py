@@ -137,6 +137,8 @@ def wapp_witness(
     for w in sorted(fp_numerators):
         if len(w) != tm.post.input_width:
             raise ValueError(f"declared instance {w!r} is not {tm.post.input_width} bits")
+        if fp_numerators[w] < 1:
+            raise ValueError(f"declared numerator {fp_numerators[w]} on {w!r} is below 1")
         n_post, _ = _accept_counts(tm, w)
         declared = fp_numerators[w] << p_exp
         if n_post != declared:

@@ -33,7 +33,7 @@ from .errors import CircuitSyntaxError, PostselError
 from .exactring import DyadicRational
 from .pathsum import path_sum
 from .planes import _check_width
-from .simulator import joint_prob, postselect_stats, run
+from .simulator import joint_prob, run
 
 
 def _read(path: str) -> str:
@@ -111,9 +111,10 @@ def _cmd_compile(args) -> int:
         compile_gap_squared,
         compile_pair_postsel,
         compile_pp_instance,
+        pair_stats,
         rescale_postsel,
     )
-    from .counting import parse_machine
+    from .counting import gap, parse_machine
 
     kind = args.construction
     given = {opt for opt in ("machine2", "k", "t", "h") if getattr(args, opt) is not None}
@@ -130,11 +131,13 @@ def _cmd_compile(args) -> int:
     elif kind == "pp":
         circ = compile_pp_instance(m1, m2, w)
     else:
-        circ = compile_pair_postsel(m1, m2, w, 0 if args.k is None else args.k)
+        k = 0 if args.k is None else args.k
+        circ = compile_pair_postsel(m1, m2, w, k)
         if kind == "rescale":
             circ = rescale_postsel(circ, 1 if args.t is None else args.t)
         elif kind == "fqp2exp":
-            p = postselect_stats(circ, default_input(circ)).p_post
+            # the closed form; mix_with_constant checks it against one simulation
+            p = pair_stats(gap(m1, w).gap, gap(m2, w).gap, m1.path_width, k)[0]
             h_exp = p.k if args.h is None else args.h
             _check_width(circ.width + h_exp + 3)  # the mixed circuit's, before f ~ 2**h is built
             if h_exp < p.k:

@@ -1,12 +1,22 @@
-"""Acceptance gate: one exact check per required capability.
+"""Acceptance gate: one exact check per required capability, in one home.
 
-Each test prints a single ``[pass]``/``[FAIL]`` line naming its criterion;
-run with ``pytest -s tests/test_acceptance.py`` to see the summary inline.
-All comparisons are exact — integers, dyadics and Fractions, zero tolerance.
+Where a ``postsel verify`` scenario makes a check, its criterion reads the
+scenario's rows from the seed-42 ``all`` suite, built once per session by
+the ``seed42_reports`` fixture: every row must pass, and the rows the claim
+rests on must be there, by name and count.  Direct code stays only for
+what no scenario checks: 01's generator size bounds, 03's random and
+pinned pairs and gap-parity identity, 04's derived witnesses, 06's h = 0
+case, mixed-conditional bounds and low-fixture rescale, 08's promise sweep,
+09's point-machine witness, 10's gap-machine instances and 11's digests.
+Those are rows of a local report, so every failing criterion names the
+rows that failed.  Each test prints one ``[pass]``/``[FAIL]`` line; run
+``pytest -s tests/test_acceptance.py`` to see them.  All comparisons are
+exact: integers, dyadics and Fractions, zero tolerance.
 """
 
 import hashlib
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -14,48 +24,50 @@ import pytest
 import sympy
 
 from postsel import (
-    CoinMachine,
-    DyadicRational,
+    WitnessReport,
     ZeroPostselection,
     build_upcoup,
     check_awpp_witness,
     check_wapp_witness,
     classify_postsel_profile,
     compile_fqp_to_exp,
-    compile_gap_squared,
     compile_pair_postsel,
     compile_pp_instance,
     default_input,
-    expand_mcx,
     gap,
-    gap_squared_prob,
-    joint_prob,
     make_gap_machine,
-    measure_prob,
     mixed_conditional,
     pair_stats,
     path_sum,
     postselect_stats,
-    rescale_postsel,
-    run,
-    run_ptm,
-    run_scenario,
-    verify_error_algebra,
+    run_suite,
     wapp_witness,
 )
 from postsel.cli import main
 from postsel.counting import PredicateCircuit
-from postsel.circuit import cx, mcx, x
-from postsel.scenarios import _uniform_circuit, random_circuit, random_machine
+from postsel.circuit import mcx
+from postsel.scenarios import _rng, _uniform_circuit, random_circuit, random_machine
 
 
-def _verdict(tag: str, ok: bool) -> None:
-    print(f"[{'pass' if ok else 'FAIL'}] {tag}")
-    assert ok, tag
+def _problems(report: WitnessReport, counts: dict[str, int] | None = None) -> list[str]:
+    """The report's failing rows by name, then each row-name pattern (a
+    regular expression) that does not match exactly ``counts[pattern]`` rows."""
+    problems = [f"{report.name}:{c.cid}" for c in report.conditions if not c.passed]
+    for pattern, want in (counts or {}).items():
+        got = sum(1 for c in report.conditions if re.fullmatch(pattern, c.cid))
+        if got != want:
+            problems.append(f"{report.name}:/{pattern}/ matches {got} rows, not {want}")
+    return problems
+
+
+def _verdict(tag: str, problems: list[str]) -> None:
+    shown = ", ".join(problems[:8]) + (f" and {len(problems) - 8} more" if problems[8:] else "")
+    print(f"[FAIL] {tag}: {shown}" if problems else f"[pass] {tag}")
+    assert not problems, f"{tag}: {shown}"
 
 
 def _stats(circuit):
-    return postselect_stats(expand_mcx(circuit), default_input(circuit))
+    return postselect_stats(circuit, default_input(circuit))
 
 
 # -------------------------------------------------------------------
@@ -63,28 +75,25 @@ def _stats(circuit):
 # -------------------------------------------------------------------
 
 
-def test_acceptance_01_oracle_equivalence():
-    rng = random.Random(42)
-    t0 = time.monotonic()
-    checked = 0
-    ok = True
+def test_acceptance_01_oracle_equivalence(seed42_reports):
+    # the scenario's 100 circuits, drawn again from its generator for their sizes
+    rng = _rng(42, "oracle-equivalence")
+    sizes = WitnessReport("criterion-01")
+    postselecting = 0
     for i in range(100):
-        circ, bits = random_circuit(rng, allow_mcx=(i % 3 == 0))
-        ok = ok and circ.width <= 8 and len(circ.gates) <= 24 and circ.h_count <= 12
-        state = run(expand_mcx(circ), bits)
-        g, m = path_sum(circ, bits, [(circ.output, 1)])
-        ok = ok and DyadicRational(g, m) == measure_prob(state, circ.output, 1)
-        if circ.postselect is not None:
-            cons = [(circ.output, 1), (circ.postselect, 1)]
-            g2, m2 = path_sum(circ, bits, cons)
-            ok = ok and DyadicRational(g2, m2) == joint_prob(state, cons)
-        checked += 1
-    elapsed = time.monotonic() - t0
-    ok = ok and checked >= 100 and elapsed < 60.0
+        circ, _ = random_circuit(rng, allow_mcx=(i % 3 == 2))
+        sizes.check(f"circuit{i:03d}:width", circ.width, "<=", 8)
+        sizes.check(f"circuit{i:03d}:gates", len(circ.gates), "<=", 24)
+        sizes.check(f"circuit{i:03d}:hadamards", circ.h_count, "<=", 12)
+        postselecting += circ.postselect is not None
+    rows = {
+        r"circuit\d{3}:prob": 100,
+        r"circuit\d{3}:marginal": postselecting,
+        r"circuit0[01]\d:slow": 20,
+    }
     _verdict(
-        f"criterion 01: oracle equivalence on {checked} circuits "
-        f"({elapsed:.1f}s, exact)",
-        ok,
+        "criterion 01: oracle equivalence on 100 circuits (exact)",
+        _problems(seed42_reports["oracle-equivalence"], rows) + _problems(sizes),
     )
 
 
@@ -93,23 +102,12 @@ def test_acceptance_01_oracle_equivalence():
 # -------------------------------------------------------------------
 
 
-def test_acceptance_02_gap_squared_closed_form():
-    rng = random.Random(43)
-    ok = True
-    for _ in range(50):
-        q = rng.randint(1, 4)
-        m = random_machine(rng, rng.randint(0, 2), q)
-        w = "".join(rng.choice("01") for _ in range(m.input_width))
-        expected = gap_squared_prob(gap(m, w).gap, q)
-        circ = compile_gap_squared(m, w)
-        flat = expand_mcx(circ)
-        got = measure_prob(run(flat, default_input(flat)), circ.output, 1)
-        ok = ok and got == expected
-    pinned = compile_gap_squared(make_gap_machine(2, 2), "")
-    flat = expand_mcx(pinned)
-    got = measure_prob(run(flat, default_input(flat)), pinned.output, 1)
-    ok = ok and got == DyadicRational(1, 2) == gap_squared_prob(2, 2)
-    _verdict("criterion 02: 50 random machines + pinned G=2,q=2 -> 1/4", ok)
+def test_acceptance_02_gap_squared_closed_form(seed42_reports):
+    rows = {"pinned-gap2-q2": 1, "pinned-all-accept": 1, r"machine\d\d:(prob|oracle)": 100}
+    _verdict(
+        "criterion 02: 50 random machines + pinned G=2,q=2 -> 1/4",
+        _problems(seed42_reports["gap-squared"], rows),
+    )
 
 
 # -------------------------------------------------------------------
@@ -119,7 +117,7 @@ def test_acceptance_02_gap_squared_closed_form():
 
 def test_acceptance_03_pair_closed_forms():
     rng = random.Random(44)
-    ok = True
+    report = WitnessReport("criterion-03")
     made = 0
     while made < 50:
         in_w = rng.randint(0, 2)
@@ -130,20 +128,30 @@ def test_acceptance_03_pair_closed_forms():
         w = "".join(rng.choice("01") for _ in range(in_w))
         g1, g2 = gap(m1, w).gap, gap(m2, w).gap
         if g1 == 0 and g2 == 0:
-            with pytest.raises(ZeroPostselection):
-                compile_pair_postsel(m1, m2, w, k)
+            report.check_raises(
+                f"pair{made:02d}:zero-gaps-raise",
+                ZeroPostselection,
+                lambda: compile_pair_postsel(m1, m2, w, k),
+            )
             continue
         p_ref, cond_ref = pair_stats(g1, g2, q, k)
         st = _stats(compile_pair_postsel(m1, m2, w, k))
-        ok = ok and st.p_post == p_ref and st.p_cond == cond_ref
+        report.check(f"pair{made:02d}:postsel", st.p_post, "==", p_ref)
+        report.check(f"pair{made:02d}:conditional", st.p_cond, "==", cond_ref)
         made += 1
     pinned = _stats(compile_pair_postsel(make_gap_machine(2, 2), make_gap_machine(-2, 2), ""))
-    ok = ok and pinned.p_post == DyadicRational(1, 3) and pinned.p_cond == Fraction(1, 2)
-    h1, h2 = sympy.symbols("h1 h2")
-    identity = (2 * h1) ** 2 + (2 * h2) ** 2 - 4 * (h1**2 + h2**2)
-    ok = ok and sympy.simplify(identity) == 0
+    report.check("pinned:postsel", pinned.p_post, "==", Fraction(1, 8))
+    report.check("pinned:conditional", pinned.p_cond, "==", Fraction(1, 2))
+    # gap parity bookkeeping: G == 2h gives G1**2 + G2**2 == 4(h1**2 + h2**2)
+    a1, a2 = sympy.symbols("a1 a2", integer=True)
+    q = sympy.symbols("q", positive=True, integer=True)
+    g1, g2 = 2 * a1 - 2**q, 2 * a2 - 2**q
+    h1, h2 = a1 - 2 ** (q - 1), a2 - 2 ** (q - 1)
+    identity = sympy.simplify(g1**2 + g2**2 - 4 * (h1**2 + h2**2))
+    report.check("gap-parity-identity", identity, "==", 0)
     _verdict(
-        "criterion 03: 50 random pairs + pinned 1/8 & 1/2 + G=2h identity", ok
+        "criterion 03: 50 random pairs + pinned 1/8 & 1/2 + G=2h identity",
+        _problems(report),
     )
 
 
@@ -152,44 +160,41 @@ def test_acceptance_03_pair_closed_forms():
 # -------------------------------------------------------------------
 
 
-def test_acceptance_04_derived_witness_thresholds():
+def test_acceptance_04_derived_witness_thresholds(seed42_reports):
     rng = random.Random(45)
     r1 = r2 = 3
     q = 5
     u = 2 * q + 2
-    labels: dict[str, bool] = {}
-    g_wit: dict[str, int] = {}
-    f_wit: dict[str, int] = {}
-    stats = {}
-    f_table: dict[str, int] = {}
-    ok = True
+    report = WitnessReport("criterion-04")
+    labels, g_wit, f_wit, stats, f_table = {}, {}, {}, {}, {}
+    cond_gate = 1 - Fraction(1, 1 << r1)
     for i in range(10):
         in_l = i % 2 == 0
         small = rng.choice([2, 4])
         big = rng.randrange(3 * small, 33, 2)  # big**2 >= 9 small**2 > 7 small**2
         gg1, gg2 = (big, small) if in_l else (small, big)
         circ = compile_pair_postsel(make_gap_machine(gg1, q), make_gap_machine(gg2, q), "")
-        st = _stats(circ)
         label = f"{i:02d}"
+        st = stats[label] = _stats(circ)
         labels[label] = in_l
-        stats[label] = st
-        f_num = gg1 * gg1 + gg2 * gg2
-        f_table[label] = f_num
-        ok = ok and st.p_post == DyadicRational(f_num, u)  # inside every aFP window
+        f_num = f_table[label] = gg1 * gg1 + gg2 * gg2
+        # inside every aFP window
+        report.check(f"{label}:postsel", st.p_post, "==", Fraction(f_num, 1 << u))
         gj, mj = path_sum(circ, default_input(circ), [(circ.output, 1), (circ.postselect, 1)])
         g_wit[label] = gj << r2
         f_wit[label] = f_num * ((1 << r2) + 1) << (mj - u)
-        cond_gate = 1 - Fraction(1, 1 << r1)
-        ok = ok and (st.p_cond >= cond_gate if in_l else st.p_cond <= 1 - cond_gate)
+        if in_l:
+            report.check(f"{label}:cond-high", st.p_cond, ">=", cond_gate)
+        else:
+            report.check(f"{label}:cond-low", st.p_cond, "<=", 1 - cond_gate)
     profile = classify_postsel_profile(stats, "aFP", f=f_table, q_exp=u, r2=r2)
-    ok = ok and profile.passed
-    ok = ok and check_awpp_witness(g_wit, f_wit, labels, Fraction(1, 3)).passed
-    lower = (1 - Fraction(1, 8)) ** 2 / (1 + Fraction(1, 8))
-    ok = ok and lower == Fraction(49, 72) and lower >= Fraction(2, 3)
-    ok = ok and run_scenario("awpp-backward", seed=42, r=4).passed
+    report.merge(profile, "profile:")
+    report.merge(check_awpp_witness(g_wit, f_wit, labels, Fraction(1, 3)), "witness:")
+    # 49/72 == (1 - 1/8)**2 / (1 + 1/8) >= 2/3
+    bounds = {"bound-value": 1, "bound-instantiation": 1}
     _verdict(
         "criterion 04: derived witness from 10 sharp circuits, eps=1/3, 49/72>=2/3",
-        ok,
+        _problems(seed42_reports["awpp-backward"], bounds) + _problems(report),
     )
 
 
@@ -198,9 +203,13 @@ def test_acceptance_04_derived_witness_thresholds():
 # -------------------------------------------------------------------
 
 
-def test_acceptance_05_error_algebra():
-    ok = all(verify_error_algebra(r).passed for r in range(2, 17))
-    _verdict("criterion 05: exact error algebra for r = 2..16", ok)
+def test_acceptance_05_error_algebra(seed42_reports):
+    names = ("inflate-upper", "deflate-lower", "square-lower", "cross-upper")
+    rows = {rf"r=([2-9]|1[0-6]):{name}": 15 for name in names}
+    _verdict(
+        "criterion 05: exact error algebra for r = 2..16",
+        _problems(seed42_reports["error-algebra"], rows),
+    )
 
 
 # -------------------------------------------------------------------
@@ -208,29 +217,28 @@ def test_acceptance_05_error_algebra():
 # -------------------------------------------------------------------
 
 
-def test_acceptance_06_exact_postselection_adjustment():
-    ok = True
-    for h_exp in range(0, 7):
-        for f in range(1, (1 << h_exp) + 1):
-            base = (
-                _uniform_circuit(0, 1, 1)
-                if h_exp == 0
-                else _uniform_circuit(h_exp, f, None)
-            )
-            final = compile_fqp_to_exp(base, f, h_exp)
-            gj, mj = path_sum(final, default_input(final), [(final.postselect, 1)])
-            ok = ok and Fraction(gj, 1 << mj) == Fraction(1, 1 << h_exp)
-            t = f.bit_length() - 1
-            ok = ok and mixed_conditional(f, t, Fraction(9, 10)) >= Fraction(7, 10)
-            ok = ok and mixed_conditional(f, t, Fraction(1, 10)) <= Fraction(3, 10)
-    hi = _stats(compile_fqp_to_exp(_uniform_circuit(4, 10, 9), 10, 4))
+def test_acceptance_06_exact_postselection_adjustment(seed42_reports):
+    report = WitnessReport("criterion-06")
+    # h = 0, below the scenario's h = 1..6 sweep
+    final = compile_fqp_to_exp(_uniform_circuit(0, 1, 1), 1, 0)
+    gj, mj = path_sum(final, default_input(final), [(final.postselect, 1)])
+    report.check("h=0:f=1:postsel", Fraction(gj, 1 << mj), "==", 1)
+    for f in range(1, 65):
+        t = f.bit_length() - 1
+        hi, lo = mixed_conditional(f, t, Fraction(9, 10)), mixed_conditional(f, t, Fraction(1, 10))
+        report.check(f"f={f}:cond-floor", hi, ">=", Fraction(7, 10))
+        report.check(f"f={f}:cond-ceiling", lo, "<=", Fraction(3, 10))
     lo = _stats(compile_fqp_to_exp(_uniform_circuit(4, 10, 1), 10, 4))
-    ok = ok and hi.p_post == DyadicRational(1, 4) == lo.p_post
-    ok = ok and hi.p_cond == Fraction(3, 4) >= Fraction(7, 10)
-    ok = ok and lo.p_cond == Fraction(1, 4) <= Fraction(3, 10)
+    report.check("fixture-lo:final-postsel", lo.p_post, "==", Fraction(1, 16))
+    report.check("fixture-lo:final-cond", lo.p_cond, "==", Fraction(1, 4))
+    report.check("fixture-lo:final-cond-ceiling", lo.p_cond, "<=", Fraction(3, 10))
+    rows = {
+        r"h=[1-6]:f=\d+:postsel": 126,
+        r"fixture-hi:(final-postsel|final-cond|cond-floor)|fixture-lo:cond-ceiling": 4,
+    }
     _verdict(
         "criterion 06: P(p=1)=2**-h for all h<=6, 0<f<=2**h; 7/10 & 3/10 bounds",
-        ok,
+        _problems(seed42_reports["exact-postsel-adjust"], rows) + _problems(report),
     )
 
 
@@ -239,25 +247,12 @@ def test_acceptance_06_exact_postselection_adjustment():
 # -------------------------------------------------------------------
 
 
-def test_acceptance_07_rescale_preserves_conditional():
-    rng = random.Random(46)
-    ok = True
-    made = 0
-    while made < 20:
-        circ, bits = random_circuit(rng)
-        if circ.postselect is None:
-            continue
-        try:
-            st0 = postselect_stats(circ, bits)
-        except ZeroPostselection:
-            continue
-        t = rng.randint(1, 3)
-        scaled = rescale_postsel(circ, t)
-        st = postselect_stats(expand_mcx(scaled), bits + "0" * (scaled.width - circ.width))
-        ok = ok and st.p_post.as_fraction() == st0.p_post.as_fraction() / (1 << t)
-        ok = ok and st.p_cond == st0.p_cond
-        made += 1
-    _verdict("criterion 07: 2**-t rescale on 20 random circuits, exact", ok)
+def test_acceptance_07_rescale_preserves_conditional(seed42_reports):
+    rows = {r"circuit\d\d:(postsel|conditional)-t[0-3]": 40, r"biased-flag:m=[0-4]:a=\d+": 36}
+    _verdict(
+        "criterion 07: 2**-t rescale on 20 random circuits, exact",
+        _problems(seed42_reports["postsel-rescale"], rows),
+    )
 
 
 # -------------------------------------------------------------------
@@ -266,19 +261,21 @@ def test_acceptance_07_rescale_preserves_conditional():
 
 
 def test_acceptance_08_promise_fixtures():
-    ok = True
+    report = WitnessReport("criterion-08")
     for q in (1, 2, 3):
-        floor = Fraction(1, 1 << (2 * q))
         for v in range(2, (1 << q) + 1, 2):
             for in_l in (True, False):
                 v1, v2 = (v, 0) if in_l else (0, v)
                 st = _stats(
                     compile_pair_postsel(make_gap_machine(v1, q), make_gap_machine(v2, q), "")
                 )
-                ok = ok and st.p_post.as_fraction() >= floor
-                ok = ok and st.p_cond * (1 - st.p_cond) == 0
-                ok = ok and st.p_cond == (Fraction(1) if in_l else Fraction(0))
-    _verdict("criterion 08: promise pairs, P(p=1) >= 2**-2q and {0,1} conditional", ok)
+                name = f"q={q}:v={v}:{'in' if in_l else 'out'}"
+                report.check(f"{name}:floor", st.p_post, ">=", Fraction(1, 1 << (2 * q)))
+                report.check(f"{name}:conditional", st.p_cond, "==", int(in_l))
+    _verdict(
+        "criterion 08: promise pairs, P(p=1) >= 2**-2q and {0,1} conditional",
+        _problems(report),
+    )
 
 
 # -------------------------------------------------------------------
@@ -291,43 +288,22 @@ def _point_machine(q: int, j: int) -> PredicateCircuit:
     return PredicateCircuit(0, q, 0, (mcx(list(range(q)), q, negs),), q)
 
 
-def _empty_machine(q: int) -> PredicateCircuit:
-    return PredicateCircuit(0, q, 0, (), q)
-
-
-def test_acceptance_09_unique_path_coupling():
-    ok = True
-    for q in range(1, 7):
-        for j in range(1 << q):
-            for first_owns in (True, False):
-                if first_owns:
-                    tm = build_upcoup(_point_machine(q, j), _empty_machine(q), "")
-                else:
-                    tm = build_upcoup(_empty_machine(q), _point_machine(q, j), "")
-                st = run_ptm(tm, "")
-                ok = ok and st.p_post == DyadicRational(1, q)
-                ok = ok and st.p_cond == (Fraction(1) if first_owns else Fraction(0))
-    # witness extraction at margin 1/2: exact 0/1 ratios validate...
-    half = Fraction(1, 2)
-    for first_owns in (True, False):
-        q = 3
-        tm = (
-            build_upcoup(_point_machine(q, 5), _empty_machine(q), "")
-            if first_owns
-            else build_upcoup(_empty_machine(q), _point_machine(q, 5), "")
+def test_acceptance_09_unique_path_coupling(seed42_reports):
+    # witness extraction at margin 1/2: exact 0/1 ratios validate
+    report = WitnessReport("criterion-09")
+    q = 3
+    pair = (_point_machine(q, 5), PredicateCircuit(0, q, 0, (), q))
+    for owner, machines in (("first", pair), ("second", pair[::-1])):
+        wit = wapp_witness(build_upcoup(*machines, ""), {"": 1}, q)
+        ratio = {"": wit.ratio("")}
+        report.merge(
+            check_wapp_witness(ratio, {"": owner == "first"}, Fraction(1, 2)), f"{owner}-owner:"
         )
-        wit = wapp_witness(tm, {"": 1}, q)
-        rep = check_wapp_witness({"": wit.ratio("")}, {"": first_owns}, half)
-        ok = ok and rep.passed
-    # ...and the borderline fair-coin conditional fails both orientations
-    always = PredicateCircuit(1, 1, 0, (x(2),), 2)
-    coin = CoinMachine(always, PredicateCircuit(1, 1, 0, (cx(1, 2),), 2))
-    ratio = run_ptm(coin, "1").p_cond
-    ok = ok and ratio == half
-    ok = ok and not check_wapp_witness({"1": ratio}, {"1": True}, half).passed
-    ok = ok and not check_wapp_witness({"1": ratio}, {"1": False}, half).passed
+    # the coupling exhaustively for q <= 6; the fair-coin conditional fails both orientations
+    rows = {r"q=[1-6]:(first|second)-owner": 12, r"half-(ratio|fails-in|fails-out)": 3}
     _verdict(
-        "criterion 09: unique-path coupling exhaustive q<=6; eps=1/2 witness", ok
+        "criterion 09: unique-path coupling exhaustive q<=6; eps=1/2 witness",
+        _problems(seed42_reports["classical-upcoup"], rows) + _problems(report),
     )
 
 
@@ -336,26 +312,28 @@ def test_acceptance_09_unique_path_coupling():
 # -------------------------------------------------------------------
 
 
-def test_acceptance_10_majority_instance_bounds():
-    r = 4
-    in_bound = Fraction(1, 2) + Fraction(1, 22) - Fraction(12, 11) / (1 << r)
-    out_bound = Fraction(3, 1 << (2 * r))
-    ok = in_bound == Fraction(21, 44)
+def test_acceptance_10_majority_instance_bounds(seed42_reports):
+    # the r = 4 bounds; rows bound-value-r4 and bound-instantiation derive them
+    in_bound, out_bound = Fraction(21, 44), Fraction(3, 256)
+    report = WitnessReport("criterion-10")
     for in_l in (True, False):
-        mg = make_gap_machine(2 if in_l else 0, 1)
-        mf = make_gap_machine(2, 1)
-        circ = compile_pp_instance(mg, mf, "")
-        st = _stats(circ)
-        strict_floor = Fraction(1, 1 << (2 * 1 + 2 * 1 + 2))
-        ok = ok and st.p_post.as_fraction() > strict_floor
+        mg, mf = make_gap_machine(2 if in_l else 0, 1), make_gap_machine(2, 1)
+        st = _stats(compile_pp_instance(mg, mf, ""))
+        name = "in" if in_l else "out"
+        report.check(f"{name}:strict-floor", st.p_post, ">", Fraction(1, 1 << 6))
+        report.check(f"{name}:conditional", st.p_cond, "==", Fraction(3, 4) if in_l else 0)
         if in_l:
-            ok = ok and st.p_cond == Fraction(3, 4) and st.p_cond >= in_bound
+            report.check("in:cond-high", st.p_cond, ">=", in_bound)
         else:
-            ok = ok and st.p_cond == Fraction(0) and st.p_cond <= out_bound
-    rho = 1 - Fraction(1, 1 << r)
-    ok = ok and 3 * rho**2 / (3 * rho**2 + 1) >= in_bound
-    ok = ok and run_scenario("pp-to-postsel", seed=42, r=4).passed
-    _verdict("criterion 10: majority instances, strict floor, 21/44 & 3/256 bounds", ok)
+            report.check("out:cond-low", st.p_cond, "<=", out_bound)
+    rows = {
+        r"w=[01]:(postsel|conditional|floor|oracle-joint)": 8,
+        r"w=1:cond-high|w=0:cond-low|bound-value-r4|bound-instantiation": 4,
+    }
+    _verdict(
+        "criterion 10: majority instances, strict floor, 21/44 & 3/256 bounds",
+        _problems(seed42_reports["pp-to-postsel"], rows) + _problems(report),
+    )
 
 
 # -------------------------------------------------------------------
@@ -372,23 +350,29 @@ SUITE_DIGESTS = {
 
 
 @pytest.mark.parametrize("seed", [42, 7])
-def test_acceptance_11_suite_determinism(capsys, seed):
+def test_acceptance_11_suite_determinism(capsys, request, seed):
+    """One CLI run against the in-process suite: the same bytes, pinned."""
+    if seed == 42:
+        reports = request.getfixturevalue("seed42_reports").values()
+    else:
+        reports = run_suite("all", seed=seed, r=4)
+    in_process = "".join(rep.to_machine() for rep in reports)
     argv = ["verify", "--suite", "all", "--seed", str(seed), "--format", "machine"]
     t0 = time.monotonic()
-    rc1 = main(argv)
-    first = capsys.readouterr().out
-    t1 = time.monotonic()
-    rc2 = main(argv)
-    second = capsys.readouterr().out
-    t2 = time.monotonic()
-    digest = hashlib.sha256(first.encode("ascii")).hexdigest()
-    ok = rc1 == 0 and rc2 == 0 and first == second and first.count("\n") > 100
-    ok = ok and digest == SUITE_DIGESTS[seed]
-    ok = ok and (t1 - t0) < 300.0 and (t2 - t1) < 300.0
+    rc = main(argv)
+    out = capsys.readouterr().out
+    elapsed = time.monotonic() - t0
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    held = {
+        "exit-code-0": rc == 0,
+        "cli-matches-run_suite": out == in_process,
+        "over-100-rows": out.count("\n") > 100,
+        "digest-pinned": digest == SUITE_DIGESTS[seed],
+        "under-300s": elapsed < 300.0,
+    }
     with capsys.disabled():
         _verdict(
-            f"criterion 11: seed-{seed} suite byte-identical twice and pinned "
-            f"({t1 - t0:.1f}s / {t2 - t1:.1f}s, {first.count(chr(10))} rows, "
-            f"sha256 {digest[:12]})",
-            ok,
+            f"criterion 11: seed-{seed} suite byte-identical in-process and from the CLI "
+            f"({elapsed:.1f}s, {out.count(chr(10))} rows, sha256 {digest[:12]})",
+            [name for name, ok in held.items() if not ok],
         )

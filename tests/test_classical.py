@@ -229,6 +229,15 @@ def test_wapp_witness_checks_declared_postselection():
         wapp_witness(_declared_tm(), {"1": 5, "0": 6}, _S)  # 5 * 2 != 12
 
 
+def test_wapp_witness_refuses_a_numerator_below_one():
+    """A machine that never postselects matches a declared f(w) = 0, whose
+    witness ratio would divide by zero; the declaration is refused first."""
+    never = CoinMachine(_below(1, 0), _below(1, 0))
+    for f in (0, -1):
+        with pytest.raises(ValueError, match=f"declared numerator {f} on '' is below 1"):
+            wapp_witness(never, {"": f}, 1)
+
+
 def test_wapp_witness_rejects_mixed_lengths():
     with pytest.raises(ValueError):
         wapp_witness(_declared_tm(), {"1": 6, "00": 6}, _S)

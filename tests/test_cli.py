@@ -1,12 +1,12 @@
 """Command-line interface: outputs, exit codes, file round-trips."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from postsel import (
     default_input,
-    expand_mcx,
     make_gap_machine,
     parse_circuit,
     path_sum,
@@ -15,6 +15,7 @@ from postsel import (
     run,
     serialize_machine,
 )
+from postsel import simulator
 from postsel.cli import main
 
 BELL = """\
@@ -266,7 +267,7 @@ def test_compile_gapsq_roundtrip(machine_files, tmp_path, capsys):
     circ = parse_circuit(open(out_path).read())
     from postsel import measure_prob, run
 
-    state = run(expand_mcx(circ), default_input(circ))
+    state = run(circ, default_input(circ))
     assert measure_prob(state, circ.output, 1).as_fraction() == Fraction(1, 4)
 
 
@@ -288,7 +289,7 @@ def test_compile_pair_statistics(machine_files, tmp_path):
     )
     assert rc == 0
     circ = parse_circuit(open(out_path).read())
-    st = postselect_stats(expand_mcx(circ), default_input(circ))
+    st = postselect_stats(circ, default_input(circ))
     assert st.p_post.as_fraction() == Fraction(1, 8)
     assert st.p_cond == Fraction(1, 2)
 
@@ -313,7 +314,7 @@ def test_compile_pair_honors_k(machine_files, tmp_path):
     )
     assert rc == 0
     circ = parse_circuit(open(out_path).read())
-    st = postselect_stats(expand_mcx(circ), default_input(circ))
+    st = postselect_stats(circ, default_input(circ))
     # each padding pair divides P(p=1) by 4: 1/8 at k = 0
     assert st.p_post.as_fraction() == Fraction(1, 32)
 
@@ -341,7 +342,7 @@ def test_compile_rescale_and_fqp2exp(machine_files, tmp_path):
         )
         assert rc == 0
         circ = parse_circuit(open(out_path).read())
-        st = postselect_stats(expand_mcx(circ), default_input(circ))
+        st = postselect_stats(circ, default_input(circ))
         assert st.p_post.as_fraction() == expect_post
 
 
@@ -363,7 +364,7 @@ def test_compile_pp(machine_files, tmp_path):
     )
     assert rc == 0
     circ = parse_circuit(open(out_path).read())
-    st = postselect_stats(expand_mcx(circ), default_input(circ))
+    st = postselect_stats(circ, default_input(circ))
     # Gg = Gf = 2, q_exp = q'_exp = 4: P(p) = (3*4+4)/2**10 = 1/64
     assert st.p_post.as_fraction() == Fraction(1, 64)
     assert st.p_cond == Fraction(3, 4)
@@ -450,6 +451,28 @@ def test_compile_fqp2exp_exponent_below_p_post_exits_2_naming_h(machine_files, t
     assert not out.exists()
 
 
+def test_compile_fqp2exp_simulates_the_pair_once(tmp_path, monkeypatch):
+    """P(p=1) of the pair is read off the machine gaps' closed form, so the
+    one simulation is mix_with_constant's check of it.  The machine files
+    are the CI console-script step's, and the circuit is the pinned one."""
+    machines = {
+        "m1": "machine 1 2 0\nccx 1 2 3\nx 3\nccx !0 1 3\naccept 3\n",
+        "m2": "machine 1 2 1\nccx 0 1 3\ncx 3 4\nccx 2 3 4\nccx 0 1 3\naccept 4\n",
+    }
+    for name, text in machines.items():
+        (tmp_path / name).write_text(text)
+    real_run = simulator.run
+    calls = []
+    monkeypatch.setattr(simulator, "run", lambda *a: calls.append(a) or real_run(*a))
+    out = tmp_path / "x.circ"
+    argv = ["compile", "--construction", "fqp2exp", "--input", "1", "--k", "1", "-o", str(out)]
+    argv += ["--machine1", str(tmp_path / "m1"), "--machine2", str(tmp_path / "m2")]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "ec44048ef30a1f3bb39420257a55c5976def365ead7e0e652ae6c1bb4e0c053d"
+
+
 @pytest.mark.parametrize("h_exp", [3, 4, 6])
 def test_compile_fqp2exp_h_sets_the_postselection_exponent(machine_files, tmp_path, h_exp):
     """--h alone picks the target: P(p=1) becomes exactly 2**-h, the
@@ -459,7 +482,7 @@ def test_compile_fqp2exp_h_sets_the_postselection_exponent(machine_files, tmp_pa
     argv = ["compile", "--construction", "fqp2exp", "--machine1", m1, "--machine2", m2]
     assert main([*argv, "--h", str(h_exp), "-o", str(out)]) == 0
     circ = parse_circuit(out.read_text())
-    st = postselect_stats(expand_mcx(circ), default_input(circ))
+    st = postselect_stats(circ, default_input(circ))
     assert st.p_post.as_fraction() == Fraction(1, 1 << h_exp)
     assert st.p_cond == Fraction(1, 2)
 

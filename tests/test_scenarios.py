@@ -1,10 +1,14 @@
-"""End-to-end verification scenarios: all pass, deterministically."""
+"""End-to-end verification scenarios: all pass, deterministically.
+
+The pass tests read the seed-42 ``all`` suite from the session's
+``seed42_reports`` fixture rather than running the scenarios again.
+"""
 
 import pytest
 
 from postsel import SCENARIOS, SUITES, run_scenario, run_suite
 
-# the slowest scenarios get their own test so -x failures localize
+# exact-postsel-adjust and pp-to-postsel have tests of their own below
 FAST = [
     "oracle-equivalence",
     "gap-squared",
@@ -20,19 +24,19 @@ FAST = [
 
 
 @pytest.mark.parametrize("name", FAST)
-def test_fast_scenarios_pass(name):
-    report = run_scenario(name, seed=42, r=4)
+def test_fast_scenarios_pass(name, seed42_reports):
+    report = seed42_reports[name]
     assert report.passed, report.to_text()
     assert report.conditions, "scenario produced no conditions"
 
 
-def test_exact_postsel_adjust_passes():
-    report = run_scenario("exact-postsel-adjust", seed=42, r=4)
+def test_exact_postsel_adjust_passes(seed42_reports):
+    report = seed42_reports["exact-postsel-adjust"]
     assert report.passed, report.to_text()
 
 
-def test_pp_to_postsel_passes():
-    report = run_scenario("pp-to-postsel", seed=42, r=4)
+def test_pp_to_postsel_passes(seed42_reports):
+    report = seed42_reports["pp-to-postsel"]
     assert report.passed, report.to_text()
 
 
@@ -62,10 +66,9 @@ def test_unknown_names_raise():
         run_suite("nope")
 
 
-def test_seeded_runs_are_byte_identical():
-    a = run_scenario("gap-squared", seed=7, r=4).to_machine()
-    b = run_scenario("gap-squared", seed=7, r=4).to_machine()
-    assert a == b
+def test_seeded_runs_are_byte_identical(seed42_reports):
+    again = run_scenario("gap-squared", seed=42, r=4).to_machine()
+    assert again == seed42_reports["gap-squared"].to_machine()
 
 
 def test_different_seeds_vary_the_sampled_conditions():
