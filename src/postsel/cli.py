@@ -33,7 +33,7 @@ from .errors import CircuitSyntaxError, PostselError
 from .exactring import DyadicRational
 from .pathsum import path_sum
 from .planes import _check_width
-from .simulator import joint_prob, run
+from .simulator import _events, joint_prob, run
 
 
 def _read(path: str) -> str:
@@ -59,11 +59,7 @@ def _cmd_simulate(args) -> int:
     circ = parse_circuit(_read(args.circuit))
     bits = _input_bits(circ, args.input)
     state = run(circ, bits)
-    # each event's constraints, read by the simulator and by the oracle alike
-    events = {"prob_output": [(circ.output, 1)]}
-    if circ.postselect is not None:
-        events["prob_postselect"] = [(circ.postselect, 1)]
-        events["prob_joint"] = [(circ.output, 1), (circ.postselect, 1)]
+    events = _events(circ)  # read by the simulator and by the oracle alike
     probs = {key: joint_prob(state, cons) for key, cons in events.items()}
     rows = [(key, str(p)) for key, p in probs.items()]
     if circ.postselect is not None:
@@ -157,7 +153,7 @@ def _cmd_compile(args) -> int:
 def _cmd_oracle(args) -> int:
     circ = parse_circuit(_read(args.circuit))
     bits = _input_bits(circ, args.input)
-    g, m = path_sum(circ, bits, args.constrain or [(circ.output, 1)])
+    g, m = path_sum(circ, bits, args.constrain or _events(circ)["prob_output"])
     print(f"g={g}")
     print(f"m={m}")
     print(f"prob={DyadicRational(g, m)}")

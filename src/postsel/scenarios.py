@@ -2,16 +2,19 @@
 
 Each scenario compiles fixture machines or circuits, measures them with the
 sparse statevector simulator and the branch-enumeration oracle, and reports exact
-comparisons against closed forms as a WitnessReport.  Scenario functions all
-take (seed, r); the seed drives any randomized fixtures through a private
-generator so repeated runs are byte-identical, and r adjusts the sharpness
-exponent where a scenario is parametric in it.
+comparisons against closed forms as a WitnessReport.  Both engines read a
+circuit's events (P(o=1), P(p=1), P(o=1, p=1)) as ``simulator._events``
+defines them.  Scenario functions all take (seed, r).  Only
+``oracle-equivalence``, ``gap-squared`` and ``postsel-rescale`` read the
+seed: it drives their random circuits and machines through a private
+generator, so repeated runs are byte-identical.  Only ``pp-to-postsel``
+reads r, the sharpness exponent of its bounds, and ``error-algebra`` checks
+r = 2..max(16, r), so r changes it only above 16.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuit import Circuit, ccx, cx, default_input, h, mcx, x
@@ -41,7 +44,7 @@ from .counting import (
 )
 from .errors import PromiseViolation, StatsMismatch, ZeroPostselection
 from .pathsum import path_sum, path_sum_slow
-from .simulator import joint_prob, measure_prob, postselect_stats, run
+from .simulator import _events, joint_prob, measure_prob, postselect_stats, run
 from .witness import (
     WitnessReport,
     check_awpp_witness,
@@ -78,8 +81,7 @@ def _check_pair(
 
 def _check_oracle_joint(report: WitnessReport, prefix: str, circuit: Circuit, st) -> None:
     """Row ``prefix:oracle-joint``: simulated P(o=1, p=1) against branch enumeration."""
-    constraints = [(circuit.output, 1), (circuit.postselect, 1)]
-    gj, mj = path_sum(circuit, default_input(circuit), constraints)
+    gj, mj = path_sum(circuit, default_input(circuit), _events(circuit)["prob_joint"])
     report.check(f"{prefix}:oracle-joint", st.p_joint, "==", Fraction(gj, 1 << mj))
 
 
@@ -141,50 +143,29 @@ def random_machine(rng: random.Random, input_width: int, path_width: int) -> Pre
 
 # --- shared fixture for the gap-pair scenarios --------------------------------
 
-
-@dataclass(frozen=True)
-class _ToyFixture:
-    labels: dict[str, bool]
-    g1: dict[str, int]
-    f1: dict[str, int]
-    g2: dict[str, int]
-    f2: dict[str, int]
-    q: int
-    big_g1: dict[str, int]
-    big_g2: dict[str, int]
-    m1: PredicateCircuit
-    m2: PredicateCircuit
-
-    def postsel_numerator(self, w: str) -> int:
-        return 4 * (self.f1[w] * self.f2[w]) ** 2
-
-    @property
-    def postsel_exp(self) -> int:
-        return 2 * self.q + 2
+# Two-bit toy language (in iff the first bit is 1) with sharp witnesses g/f:
+# g1 is f on the language and 0 off it, g2 = f - g1, and f = 2 everywhere.
+# The cross products g1*f and g2*f put both ratios over the common
+# denominator f*f; the machines realize twice those values, 4*g1 and 4*g2,
+# as raw gaps G1, G2 over q = 3 path bits, so every instance has
+# P(p=1) = (G1**2 + G2**2) / 2**(2q+2) = 64 / 2**8.
+_TOY_LABELS = {w: w[0] == "1" for w in ("00", "01", "10", "11")}
+_TOY_Q = 3
+_TOY_F = 2
+_TOY_G1 = {w: _TOY_F if in_l else 0 for w, in_l in _TOY_LABELS.items()}
+_TOY_G2 = {w: _TOY_F - g for w, g in _TOY_G1.items()}
+_TOY_GAPS = {w: (4 * _TOY_G1[w], 4 * _TOY_G2[w]) for w in _TOY_LABELS}
+_TOY_POST, _TOY_POST_EXP = 64, 2 * _TOY_Q + 2
 
 
-def _toy_fixture() -> _ToyFixture:
-    """Two-bit toy language (in iff the first bit is 1) with sharp witnesses.
-
-    The cross products h1 = g1*f2 and h2 = g2*f1 put both witness ratios over
-    the common denominator f1*f2; the machines realize twice those values as
-    raw gaps over q = 3 path bits.
-    """
-    labels = {w: w[0] == "1" for w in ("00", "01", "10", "11")}
-    g1 = {w: 2 if labels[w] else 0 for w in labels}
-    f1 = {w: 2 for w in labels}
-    g2 = {w: f1[w] - g1[w] for w in labels}
-    f2 = {w: 2 for w in labels}
-    q = 3
-    big_g1 = {w: 2 * g1[w] * f2[w] for w in labels}
-    big_g2 = {w: 2 * g2[w] * f1[w] for w in labels}
-    m1 = tabulated_count_machine(
-        {w: ((1 << q) + big_g1[w]) // 2 for w in labels}, 2, q
+def _toy_machines() -> tuple[PredicateCircuit, PredicateCircuit]:
+    """The two machines whose gaps on instance w are ``_TOY_GAPS[w]``."""
+    return tuple(
+        tabulated_count_machine(
+            {w: ((1 << _TOY_Q) + gaps[i]) // 2 for w, gaps in _TOY_GAPS.items()}, 2, _TOY_Q
+        )
+        for i in (0, 1)
     )
-    m2 = tabulated_count_machine(
-        {w: ((1 << q) + big_g2[w]) // 2 for w in labels}, 2, q
-    )
-    return _ToyFixture(labels, g1, f1, g2, f2, q, big_g1, big_g2, m1, m2)
 
 
 # --- scenarios ----------------------------------------------------------------
@@ -197,24 +178,13 @@ def scenario_oracle_equivalence(seed: int, r: int) -> WitnessReport:
     for i in range(100):
         circ, bits = random_circuit(rng, allow_mcx=(i % 3 == 2))
         state = run(circ, bits)
-        if circ.postselect is not None:
-            constraints = [(circ.output, 1), (circ.postselect, 1)]
-            lhs = joint_prob(state, constraints)
-        else:
-            constraints = [(circ.output, 1)]
-            lhs = measure_prob(state, circ.output, 1)
-        g, m = path_sum(circ, bits, constraints)
-        report.check(f"circuit{i:03d}:prob", lhs, "==", Fraction(g, 1 << m))
-        if circ.postselect is not None:
-            gm, mm = path_sum(circ, bits, [(circ.postselect, 1)])
+        for event, cons in _events(circ).items():
+            g, m = path_sum(circ, bits, cons)
             report.check(
-                f"circuit{i:03d}:marginal",
-                measure_prob(state, circ.postselect, 1),
-                "==",
-                Fraction(gm, 1 << mm),
+                f"circuit{i:03d}:{event}", joint_prob(state, cons), "==", Fraction(g, 1 << m)
             )
-        if i < 20:
-            gs, ms = path_sum_slow(circ, bits, constraints)
+        if i < 20:  # the last event: P(o=1, p=1), or P(o=1) with no postselect qubit
+            gs, ms = path_sum_slow(circ, bits, cons)
             report.check(
                 f"circuit{i:03d}:slow", Fraction(gs, 1 << ms), "==", Fraction(g, 1 << m)
             )
@@ -240,40 +210,37 @@ def scenario_gap_squared(seed: int, r: int) -> WitnessReport:
         want = gap_squared_prob(gap(mach, w).gap, q)
         circ = compile_gap_squared(mach, w)
         report.check(f"machine{i:02d}:prob", _output_prob(circ), "==", want)
-        go, mo = path_sum(circ, default_input(circ), [(circ.output, 1)])
+        go, mo = path_sum(circ, default_input(circ), _events(circ)["prob_output"])
         report.check(f"machine{i:02d}:oracle", Fraction(go, 1 << mo), "==", want)
     return report
 
 
 def scenario_awpp_forward(seed: int, r: int) -> WitnessReport:
     """Witness pair -> pair compiler: exact statistics and sharp conditionals."""
-    fx = _toy_fixture()
+    m1, m2 = _toy_machines()
+    f = dict.fromkeys(_TOY_LABELS, _TOY_F)
     report = WitnessReport("awpp-forward")
-    report.merge(check_awpp_witness(fx.g1, fx.f1, fx.labels, Fraction(1, 32)), "w1:")
-    flipped = {w: not v for w, v in fx.labels.items()}
-    report.merge(check_awpp_witness(fx.g2, fx.f2, flipped, Fraction(1, 32)), "w2:")
+    report.merge(check_awpp_witness(_TOY_G1, f, _TOY_LABELS, Fraction(1, 32)), "w1:")
+    flipped = {w: not v for w, v in _TOY_LABELS.items()}
+    report.merge(check_awpp_witness(_TOY_G2, f, flipped, Fraction(1, 32)), "w2:")
 
     stats = {}
-    for w in sorted(fx.labels):
-        circ = compile_pair_postsel(fx.m1, fx.m2, w, k=0)
-        st = stats[w] = _check_pair(report, f"w={w}", circ, fx.big_g1[w], fx.big_g2[w], fx.q)
+    for w, in_l in _TOY_LABELS.items():
+        circ = compile_pair_postsel(m1, m2, w, k=0)
+        st = stats[w] = _check_pair(report, f"w={w}", circ, *_TOY_GAPS[w], _TOY_Q)
         _check_oracle_joint(report, f"w={w}", circ, st)
-        if fx.labels[w]:
+        if in_l:
             report.check(f"w={w}:cond-high", st.p_cond, ">=", 1 - Fraction(1, 8))
         else:
             report.check(f"w={w}:cond-low", st.p_cond, "<=", Fraction(1, 8))
 
     prof = classify_postsel_profile(
-        stats,
-        "aFP",
-        f={w: fx.postsel_numerator(w) for w in fx.labels},
-        q_exp=fx.postsel_exp,
-        r2=3,
+        stats, "aFP", f=dict.fromkeys(_TOY_LABELS, _TOY_POST), q_exp=_TOY_POST_EXP, r2=3
     )
     report.merge(prof, "profile:")
 
-    padded = compile_pair_postsel(fx.m1, fx.m2, "11", k=1)
-    _check_pair(report, "padded-k1", padded, fx.big_g1["11"], fx.big_g2["11"], fx.q, k=1)
+    padded = compile_pair_postsel(m1, m2, "11", k=1)
+    _check_pair(report, "padded-k1", padded, *_TOY_GAPS["11"], _TOY_Q, k=1)
 
     # boundary instance sitting exactly on the in-language threshold 1 - 2**-5
     boundary = check_awpp_witness({"1": 31}, {"1": 32}, {"1": True}, Fraction(1, 32))
@@ -286,26 +253,22 @@ def scenario_awpp_forward(seed: int, r: int) -> WitnessReport:
 
 def scenario_awpp_forward_complement(seed: int, r: int) -> WitnessReport:
     """Complementation: swapping the machines flips the conditional."""
-    fx = _toy_fixture()
+    m1, m2 = _toy_machines()
     report = WitnessReport("awpp-forward-complement")
-    for w in sorted(fx.labels):
-        report.check(
-            f"w={w}:complement-gap",
-            gap(complement_machine(fx.m1), w).gap,
-            "==",
-            -fx.big_g1[w],
-        )
-        p_ref, cond_ref = pair_stats(fx.big_g1[w], fx.big_g2[w], fx.q, 0)
-        st = _stats(compile_pair_postsel(fx.m2, fx.m1, w))
+    for w, in_l in _TOY_LABELS.items():
+        g1, g2 = _TOY_GAPS[w]
+        report.check(f"w={w}:complement-gap", gap(complement_machine(m1), w).gap, "==", -g1)
+        p_ref, cond_ref = pair_stats(g1, g2, _TOY_Q, 0)
+        st = _stats(compile_pair_postsel(m2, m1, w))
         report.check(f"w={w}:swap-postsel", st.p_post, "==", p_ref)
         report.check(f"w={w}:swap-conditional", st.p_cond, "==", 1 - cond_ref)
-        if fx.labels[w]:
+        if in_l:
             report.check(f"w={w}:swap-cond-low", st.p_cond, "<=", Fraction(1, 8))
         else:
             report.check(f"w={w}:swap-cond-high", st.p_cond, ">=", 1 - Fraction(1, 8))
         # a gap's sign never shows in the statistics
-        if fx.big_g1[w] != 0:
-            stn = _stats(compile_pair_postsel(complement_machine(fx.m1), fx.m2, w))
+        if g1 != 0:
+            stn = _stats(compile_pair_postsel(complement_machine(m1), m2, w))
             report.check(f"w={w}:sign-invariant", stn.p_cond, "==", cond_ref)
     zero = make_gap_machine(0, 3)
     report.check_raises(
@@ -322,19 +285,17 @@ def scenario_awpp_backward(seed: int, r: int) -> WitnessReport:
     or [0, eps] at eps = 1/3 whenever the circuit statistics are within the
     declared windows at r1 = r2 = 3.
     """
-    fx = _toy_fixture()
+    m1, m2 = _toy_machines()
     r2 = 3
     report = WitnessReport("awpp-backward")
     g_wit: dict[str, int] = {}
     f_wit: dict[str, int] = {}
-    for w in sorted(fx.labels):
-        circ = compile_pair_postsel(fx.m1, fx.m2, w)
-        gj, mj = path_sum(
-            circ, default_input(circ), [(circ.output, 1), (circ.postselect, 1)]
-        )
+    for w in _TOY_LABELS:
+        circ = compile_pair_postsel(m1, m2, w)
+        gj, mj = path_sum(circ, default_input(circ), _events(circ)["prob_joint"])
         g_wit[w] = gj << r2
-        f_wit[w] = fx.postsel_numerator(w) * ((1 << r2) + 1) << (mj - fx.postsel_exp)
-    report.merge(check_awpp_witness(g_wit, f_wit, fx.labels, Fraction(1, 3)))
+        f_wit[w] = _TOY_POST * ((1 << r2) + 1) << (mj - _TOY_POST_EXP)
+    report.merge(check_awpp_witness(g_wit, f_wit, _TOY_LABELS, Fraction(1, 3)))
     lower = (1 - Fraction(1, 8)) ** 2 / (1 + Fraction(1, 8))
     report.check("bound-value", lower, "==", Fraction(49, 72))
     report.check("bound-instantiation", lower, ">=", Fraction(2, 3))
@@ -343,22 +304,22 @@ def scenario_awpp_backward(seed: int, r: int) -> WitnessReport:
 
 def scenario_app_forward(seed: int, r: int) -> WitnessReport:
     """Length-indexed normalizer: statistics fit the size-only profiles."""
-    fx = _toy_fixture()
+    m1, m2 = _toy_machines()
     report = WitnessReport("app-forward")
-    norm_machine = tabulated_count_machine({"11": ((1 << 7) + 64) // 2}, 2, 7)
+    norm_machine = tabulated_count_machine({"11": ((1 << 7) + _TOY_POST) // 2}, 2, 7)
     f_fn = FPFunction(7, norm_machine)
     stats = {}
-    for w in sorted(fx.labels):
-        report.check(f"w={w}:normalizer", f_fn(w), "==", fx.postsel_numerator(w))
-        circ = compile_pair_postsel(fx.m1, fx.m2, w, k=0)
-        stats[w] = _check_pair(report, f"w={w}", circ, fx.big_g1[w], fx.big_g2[w], fx.q)
+    for w in _TOY_LABELS:
+        report.check(f"w={w}:normalizer", f_fn(w), "==", _TOY_POST)
+        circ = compile_pair_postsel(m1, m2, w, k=0)
+        stats[w] = _check_pair(report, f"w={w}", circ, *_TOY_GAPS[w], _TOY_Q)
     report.merge(classify_postsel_profile(stats, "post"), "profile-post:")
     report.merge(
-        classify_postsel_profile(stats, "size", f={2: 64}, q_exp=fx.postsel_exp),
+        classify_postsel_profile(stats, "size", f={2: _TOY_POST}, q_exp=_TOY_POST_EXP),
         "profile-size:",
     )
     report.merge(
-        classify_postsel_profile(stats, "asize", f={2: 64}, q_exp=fx.postsel_exp, r2=3),
+        classify_postsel_profile(stats, "asize", f={2: _TOY_POST}, q_exp=_TOY_POST_EXP, r2=3),
         "profile-asize:",
     )
     return report
@@ -399,7 +360,7 @@ def scenario_postsel_rescale(seed: int, r: int) -> WitnessReport:
             base = postselect_stats(circ, bits)
         except ZeroPostselection:
             continue
-        t = made % 4
+        t = 1 + made % 3
         scaled = rescale_postsel(circ, t)
         wide_bits = bits + "0" * (scaled.width - circ.width)
         st = postselect_stats(scaled, wide_bits)
@@ -443,7 +404,7 @@ def scenario_exact_postsel_adjust(seed: int, r: int) -> WitnessReport:
         for f in range(1, (1 << h_exp) + 1):
             v = _uniform_circuit(h_exp, f, None)
             w2 = compile_fqp_to_exp(v, f, h_exp)
-            gj, mj = path_sum(w2, default_input(w2), [(w2.postselect, 1)])
+            gj, mj = path_sum(w2, default_input(w2), _events(w2)["prob_postselect"])
             report.check(
                 f"h={h_exp}:f={f}:postsel",
                 Fraction(gj, 1 << mj),

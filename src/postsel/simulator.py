@@ -150,6 +150,18 @@ def joint_prob(state: QuantumState, constraints) -> DyadicRational:
     return DyadicRational(_keys._weighed_count(state._short, keep, n), state.m)
 
 
+def _events(circuit: Circuit) -> dict[str, list[tuple[int, int]]]:
+    """The (qubit, value) constraints of each event of a circuit, by the name
+    ``simulate`` prints: P(o=1) as ``prob_output`` and, when a postselect
+    qubit is declared, P(p=1) as ``prob_postselect`` and P(o=1, p=1) as
+    ``prob_joint``, last."""
+    events = {"prob_output": [(circuit.output, 1)]}
+    if circuit.postselect is not None:
+        events["prob_postselect"] = [(circuit.postselect, 1)]
+        events["prob_joint"] = [(circuit.output, 1), (circuit.postselect, 1)]
+    return events
+
+
 def postselect_stats(circuit: Circuit, input_bits) -> PostselStats:
     """Run the circuit and return exact (P(p=1), P(o=1,p=1), P(o=1|p=1)).
 
@@ -158,11 +170,12 @@ def postselect_stats(circuit: Circuit, input_bits) -> PostselStats:
     """
     if circuit.postselect is None:
         raise ValueError("circuit declares no postselect qubit")
+    events = _events(circuit)
     state = run(circuit, input_bits)
-    p_post = measure_prob(state, circuit.postselect, 1)
+    p_post = joint_prob(state, events["prob_postselect"])
     if p_post.is_zero():
         raise ZeroPostselection("P(postselect=1) is exactly zero")
-    p_joint = joint_prob(state, [(circuit.output, 1), (circuit.postselect, 1)])
+    p_joint = joint_prob(state, events["prob_joint"])
     p_cond = p_joint.as_fraction() / p_post.as_fraction()
     return PostselStats(p_post, p_joint, p_cond)
 

@@ -39,6 +39,15 @@ def _frac(v) -> Fraction:
     return Fraction(v)
 
 
+def _entry(table: Mapping | None, key, role: str):
+    """``table[key]``, or a ValueError that names the missing table or entry."""
+    if table is None:
+        raise ValueError(f"{role} not given")
+    if key not in table:
+        raise ValueError(f"{role} has no entry for {key!r}")
+    return table[key]
+
+
 @dataclass(frozen=True)
 class Condition:
     cid: str
@@ -138,16 +147,17 @@ def check_awpp_witness(
         outside:          0 <= ratio <= eps
 
     f(w) must be strictly positive everywhere; that is itself a reported
-    condition.
+    condition.  A label with no g or f entry raises ValueError.
     """
     eps = _frac(eps)
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("threshold width must satisfy 0 < eps < 1/2")
     report = WitnessReport("awpp-witness")
     for w in sorted(labels):
-        if not report.check(f"w={w}:normalizer-positive", f_of[w], ">", 0):
+        f_w = _entry(f_of, w, "f_of")
+        if not report.check(f"w={w}:normalizer-positive", f_w, ">", 0):
             continue
-        ratio = _frac(g_of[w]) / _frac(f_of[w])
+        ratio = _frac(_entry(g_of, w, "g_of")) / _frac(f_w)
         if labels[w]:
             report.within(f"w={w}:in-range", ratio, 1 - eps, 1)
         else:
@@ -165,16 +175,19 @@ def check_wapp_witness(
 
         in the language:  (1 + epsilon) / 2 < ratio <= 1
         outside:          0 <= ratio < (1 - epsilon) / 2
+
+    A label with no ratio entry raises ValueError.
     """
     epsilon = _frac(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("need 0 < epsilon < 1")
     report = WitnessReport("wapp-witness")
     for w in sorted(labels):
+        ratio = _entry(ratio_of, w, "ratio_of")
         if labels[w]:
-            report.within(f"w={w}:in-range", ratio_of[w], (1 + epsilon) / 2, 1, "(]")
+            report.within(f"w={w}:in-range", ratio, (1 + epsilon) / 2, 1, "(]")
         else:
-            report.within(f"w={w}:out-range", ratio_of[w], 0, (1 - epsilon) / 2, "[)")
+            report.within(f"w={w}:out-range", ratio, 0, (1 - epsilon) / 2, "[)")
     return report
 
 
@@ -203,6 +216,9 @@ def classify_postsel_profile(
     - ``aFP``:    P(p=1) within (1 +- 2**-r2) * f(w) / 2**q_exp
     - ``asize``:  same window with f a function of |w| alone
     - ``exp``:    P(p=1) == 2**-u exactly
+
+    A profile that reads ``f`` raises ValueError when ``f`` is not given or
+    has no entry for an instance (or its length).
     """
     if profile not in PROFILE_KINDS:
         raise ValueError(f"unknown profile {profile!r}")
@@ -218,7 +234,7 @@ def classify_postsel_profile(
             target = Fraction(1, 1 << _integer(u, "u"))
         else:
             key = len(w) if profile.endswith("size") else w
-            target = _frac(f[key]) / (1 << _integer(q_exp, "q_exp"))
+            target = _frac(_entry(f, key, "f")) / (1 << _integer(q_exp, "q_exp"))
         if profile in ("FP", "size", "exp"):
             report.check(f"{cid}:equals", pf, "==", target)
         else:  # aFP, asize

@@ -86,9 +86,12 @@ def test_acceptance_01_oracle_equivalence(seed42_reports):
         sizes.check(f"circuit{i:03d}:gates", len(circ.gates), "<=", 24)
         sizes.check(f"circuit{i:03d}:hadamards", circ.h_count, "<=", 12)
         postselecting += circ.postselect is not None
+    # one row per event of simulator._events: P(o=1) on every circuit, P(p=1)
+    # and P(o=1, p=1) on the postselecting ones
     rows = {
-        r"circuit\d{3}:prob": 100,
-        r"circuit\d{3}:marginal": postselecting,
+        r"circuit\d{3}:prob_output": 100,
+        r"circuit\d{3}:prob_postselect": postselecting,
+        r"circuit\d{3}:prob_joint": postselecting,
         r"circuit0[01]\d:slow": 20,
     }
     _verdict(
@@ -248,7 +251,7 @@ def test_acceptance_06_exact_postselection_adjustment(seed42_reports):
 
 
 def test_acceptance_07_rescale_preserves_conditional(seed42_reports):
-    rows = {r"circuit\d\d:(postsel|conditional)-t[0-3]": 40, r"biased-flag:m=[0-4]:a=\d+": 36}
+    rows = {r"circuit\d\d:(postsel|conditional)-t[1-3]": 40, r"biased-flag:m=[0-4]:a=\d+": 36}
     _verdict(
         "criterion 07: 2**-t rescale on 20 random circuits, exact",
         _problems(seed42_reports["postsel-rescale"], rows),
@@ -344,8 +347,8 @@ def test_acceptance_10_majority_instance_bounds(seed42_reports):
 # sha256 of `postsel verify --suite all --format machine --seed S`: a change
 # that alters any row must update its digest and name the rows in CHANGES.md
 SUITE_DIGESTS = {
-    42: "c44aed62222a41a264799237ed8b9deba5a6c9db3be966359ea934a1b04b2a3b",
-    7: "09f40d66bb418d2e7bf89f11f07e2286060d811b1a4c66c75f704a33aee3323c",
+    42: "98ec62c705da43366192a1a2403be33d396ff34aa72f0bbb2f123c514aeb4679",
+    7: "e75f633095b72024d8ed09502fe023e919e248dde8f0cd84592f775f8570000a",
 }
 
 

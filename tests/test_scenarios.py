@@ -77,9 +77,12 @@ def test_different_seeds_vary_the_sampled_conditions():
     assert a != b
 
 
-def test_sharper_threshold_still_passes():
-    for name in ("awpp-forward", "error-algebra"):
-        assert run_scenario(name, seed=42, r=6).passed
+def test_sharper_threshold_still_passes(seed42_reports):
+    # pp-to-postsel's bounds read r; error-algebra reads it only above 16
+    for name, r in (("pp-to-postsel", 6), ("error-algebra", 20)):
+        report = run_scenario(name, seed=42, r=r)
+        assert report.passed, report.to_text()
+        assert report.to_machine() != seed42_reports[name].to_machine(), name
 
 
 def test_suite_runner_returns_one_report_per_scenario():

@@ -214,6 +214,39 @@ def test_witness_rows_reject_inexact_values(case):
         _INEXACT[case]()
 
 
+# each call omits one entry; the ValueError's message names it
+_MISSING = {
+    "awpp-f": (
+        lambda: check_awpp_witness({"0": 1}, {"0": 2}, {"1": True}, Fraction(1, 3)),
+        "f_of has no entry for '1'",
+    ),
+    "awpp-g": (
+        lambda: check_awpp_witness({"0": 1}, {"1": 2}, {"1": True}, Fraction(1, 3)),
+        "g_of has no entry for '1'",
+    ),
+    "wapp-ratio": (
+        lambda: check_wapp_witness({"0": 1}, {"1": True}, Fraction(1, 3)),
+        "ratio_of has no entry for '1'",
+    ),
+    "fp-no-f": (lambda: classify_postsel_profile(_STATS, "FP", q_exp=1), "f not given"),
+    "fp-instance": (
+        lambda: classify_postsel_profile(_STATS, "FP", f={"0": 1}, q_exp=1),
+        "f has no entry for '1'",
+    ),
+    "asize-length": (
+        lambda: classify_postsel_profile(_STATS, "asize", f={2: 1}, q_exp=1, r2=1),
+        "f has no entry for 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISSING))
+def test_witness_tables_missing_an_entry_raise(case):
+    fn, message = _MISSING[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fn()
+
+
 # ===================================================================
 # postselection-probability profiles
 # ===================================================================
