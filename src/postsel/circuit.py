@@ -20,9 +20,15 @@ control::
     postselect Q
     ancilla Q V
 
-Files are plain 7-bit ASCII.  ``ancilla Q V`` declares that qubit Q must be
-given input value V (0 or 1) and is returned to that value by the gates that
-borrow it.
+Files are plain 7-bit ASCII, and only LF, CRLF and CR end a line (``\\v``,
+``\\f`` and ``\\x1c``-``\\x1e`` are whitespace inside a line).  ``ancilla Q V``
+declares that qubit Q must be given input value V (0 or 1) and is returned to
+that value by the gates that borrow it.
+
+Each fact is checked in one place: a ``Gate`` checks its structure (kind,
+integer qubits, bool flags, control count, distinct qubits), a ``Circuit``
+(or ``counting.PredicateCircuit``) that each qubit lies in its register, and
+the reader the tokens (ASCII digits, ``!`` on controls only).
 
 The statement reader, the index and gate-line parsers and the gate-line
 writer here also serve the machine format of ``counting``, and
@@ -40,7 +46,9 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import CircuitSyntaxError, InsufficientAncillas
 
-GATE_KINDS = ("h", "x", "cx", "ccx", "mcx")
+# controls per kind; an mcx gate carries at least _ARITY["mcx"]
+_ARITY = {"h": 0, "x": 0, "cx": 1, "ccx": 2, "mcx": 3}
+GATE_KINDS = tuple(_ARITY)
 
 
 def _integer(value, role: str) -> int:
@@ -52,9 +60,9 @@ def _integer(value, role: str) -> int:
 
 def _tuple(value, role: str) -> tuple:
     """``value`` as a tuple; ValueError unless it is an ordered iterable
-    (a set or a mapping would hand over its items in hash order).  Lists
-    and strings, what the parsers pass, skip the slower ABC test."""
-    if type(value) not in (list, str) and isinstance(value, (abc.Set, abc.Mapping)):
+    (a set or a mapping would hand over its items in hash order).  Tuples,
+    lists and strings skip the slower ABC test."""
+    if type(value) not in (tuple, list, str) and isinstance(value, (abc.Set, abc.Mapping)):
         raise ValueError(f"{role} must be a sequence, got unordered {type(value).__name__}")
     try:
         return tuple(value)
@@ -62,36 +70,43 @@ def _tuple(value, role: str) -> tuple:
         raise ValueError(f"{role} must be a sequence, got {value!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Gate:
     kind: str
     target: int
     controls: tuple[int, ...] = ()
     negated: tuple[bool, ...] = ()
 
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if not type(self.controls) is type(self.negated) is tuple:
-            object.__setattr__(self, "controls", _tuple(self.controls, "controls"))
-            object.__setattr__(self, "negated", _tuple(self.negated, "negated"))
-        _integer(self.target, "target")
-        for c in self.controls:
-            _integer(c, "control")
-        for flag in self.negated:
+    def __init__(self, kind: str, target: int, controls=(), negated=()):
+        # The generated frozen __init__ would set each field through
+        # object.__setattr__, which costs as much as all the checks below.
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if not type(controls) is type(negated) is tuple:
+            controls, negated = _tuple(controls, "controls"), _tuple(negated, "negated")
+        if type(target) is not int:
+            target = _integer(target, "target")
+        for c in controls:  # qubits are stored as ints; build a new tuple only if one is not
+            if type(c) is not int:
+                controls = tuple([_integer(c, "control") for c in controls])
+                break
+        for flag in negated:
             if type(flag) is not bool:
                 raise ValueError(f"negated flag must be a bool, got {flag!r}")
-        expected = {"h": 0, "x": 0, "cx": 1, "ccx": 2}.get(self.kind)
-        if expected is not None and len(self.controls) != expected:
-            raise ValueError(f"{self.kind} takes {expected} controls")
-        if self.kind == "mcx" and len(self.controls) < 3:
-            raise ValueError("mcx gates carry >= 3 controls once normalized")
-        if len(self.negated) != len(self.controls):
+        n = len(controls)
+        if kind == "mcx":
+            if n < _ARITY["mcx"]:
+                raise ValueError(f"mcx gates carry >= {_ARITY['mcx']} controls once normalized")
+        elif n != _ARITY[kind]:
+            raise ValueError(f"{kind} takes {_ARITY[kind]} controls")
+        if len(negated) != n:
             raise ValueError("one polarity flag per control")
-        if self.target in self.controls:
+        if target in controls:
             raise ValueError("target may not also be a control")
-        if len(set(self.controls)) != len(self.controls):
+        if len(set(controls)) != n:
             raise ValueError("duplicate control qubit")
+        d = self.__dict__
+        d["kind"], d["target"], d["controls"], d["negated"] = kind, target, controls, negated
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -118,8 +133,8 @@ def mcx(
     controls: Sequence[int], target: int, negated: Sequence[bool] | None = None
 ) -> Gate:
     """Multi-controlled X, normalized by control count (0->x, 1->cx, 2->ccx)."""
-    controls = tuple(controls)
-    negated = tuple(negated) if negated is not None else (False,) * len(controls)
+    controls = _tuple(controls, "controls")
+    negated = _tuple(negated, "negated") if negated is not None else (False,) * len(controls)
     kind = {0: "x", 1: "cx", 2: "ccx"}.get(len(controls), "mcx")
     return Gate(kind, target, controls, negated)
 
@@ -149,9 +164,6 @@ class Circuit:
         except TypeError:
             raise ValueError(f"ancillas must be (qubit, value) pairs, got {self.ancillas!r}") from None
         object.__setattr__(self, "ancillas", tuple(ancillas))
-        self._validate()
-
-    def _validate(self):
         if _integer(self.width, "width") < 1:
             raise ValueError("width must be >= 1")
         def _chk(q, role):
@@ -179,9 +191,6 @@ class Circuit:
     @property
     def h_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "h")
-
-    def with_gates(self, gates: Iterable[Gate]) -> "Circuit":
-        return replace(self, gates=tuple(gates))
 
 
 def default_input(circuit: Circuit) -> str:
@@ -216,15 +225,13 @@ def apply_gate_classical(state: int, gate: Gate) -> int:
     return state ^ (1 << gate.target)
 
 
-def _ladder(controls: Sequence[int], target: int, anc: Sequence[int]) -> list[Gate]:
-    """CCX network for an all-positive multi-controlled X on n >= 3 controls.
+def _ladder(c: Sequence[int], target: int, a: Sequence[int]) -> list[Gate]:
+    """CCX network for an all-positive multi-controlled X on the n >= 3 controls ``c``.
 
-    Uses n-2 work qubits that may hold anything (each is returned to its
-    initial value), at a cost of 4*(n-2) CCX gates.
+    Uses the n-2 work qubits ``a``, which may hold anything (each is returned
+    to its initial value), at a cost of 4*(n-2) CCX gates.
     """
-    c = list(controls)
     n = len(c)
-    a = list(anc)
     assert len(a) >= n - 2
     seq = [ccx(c[n - 1], a[n - 3], target)]
     seq += [ccx(c[i], a[i - 2], a[i - 1]) for i in range(n - 2, 1, -1)]
@@ -264,7 +271,7 @@ def expand_mcx(circuit: Circuit) -> Circuit:
         out.extend(flips)
         out.extend(_ladder(g.controls, g.target, free))
         out.extend(flips)
-    return circuit.with_gates(out)
+    return replace(circuit, gates=tuple(out))
 
 
 # --- text format -----------------------------------------------------------
@@ -286,16 +293,14 @@ def _pack_bits(bits, width: int) -> int:
     return z
 
 
-def _statements(text: str):
-    """(line_no, op, args) per statement: ``#`` comments and blank lines dropped."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
-        if parts:
-            yield line_no, parts[0].lower(), parts[1:]
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``: only LF, CRLF and CR end a line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _body(text: str, usages: Sequence[str], found: dict[str, list[int]]):
-    """The statements of a headed file other than its integer directives.
+    """(line_no, op, args) per statement of a headed file other than its
+    integer directives; ``#`` comments and blank lines are dropped.
 
     ``usages`` spell the directives (``"qubits N"``, ``"output Q"``); the
     first is the header, which must open the file.  Each directive may appear
@@ -303,7 +308,11 @@ def _body(text: str, usages: Sequence[str], found: dict[str, list[int]]):
     """
     usage = {u.split()[0]: u for u in usages}
     header = usages[0].split()[0]
-    for line_no, op, args in _statements(text):
+    for line_no, raw in enumerate(_lines(text), start=1):
+        args = raw.split("#", 1)[0].split()
+        if not args:
+            continue
+        op = args.pop(0).lower()
         if op != header and header not in found:
             raise CircuitSyntaxError(f"{header} line must come first", line_no)
         if op not in usage:
@@ -342,15 +351,19 @@ def _parse_gate(op: str, args: list[str], line_no: int) -> Gate:
     """One gate line; ``mcx`` takes one or more controls and is normalized by count."""
     if op not in GATE_KINDS:
         raise CircuitSyntaxError(f"unknown statement {op!r}", line_no)
-    ctls = [_parse_index(tok, line_no) for tok in args]
-    if not ctls:
+    controls, negated = [], []
+    for tok in args:
+        q, neg = _parse_index(tok, line_no)
+        controls.append(q)
+        negated.append(neg)
+    if not controls:
         raise CircuitSyntaxError(f"{op} needs a target", line_no)
-    tgt, neg = ctls.pop()
-    if neg:
+    tgt = controls.pop()
+    if negated.pop():
         raise CircuitSyntaxError("targets cannot be negated", line_no)
-    if op == "mcx" and not ctls:
+    if op == "mcx" and not controls:
         raise CircuitSyntaxError("mcx needs controls and a target", line_no)
-    controls, negated = [c for c, _ in ctls], [n for _, n in ctls]
+    controls, negated = tuple(controls), tuple(negated)
     try:
         if op == "mcx":
             return mcx(controls, tgt, negated)

@@ -28,7 +28,7 @@ import functools
 import sys
 from fractions import Fraction
 
-from .circuit import default_input, parse_circuit, serialize_circuit
+from .circuit import _lines, default_input, parse_circuit, serialize_circuit
 from .errors import CircuitSyntaxError, PostselError
 from .exactring import DyadicRational
 from .pathsum import path_sum
@@ -44,7 +44,7 @@ def _read(path: str) -> str:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
         # the bad byte's line, with line breaks as the statement reader sees them
-        line_no = len((data[: exc.start].decode("ascii") + "?").splitlines())
+        line_no = len(_lines(data[: exc.start].decode("ascii")))
         raise CircuitSyntaxError(
             f"non-ASCII byte 0x{data[exc.start]:02x}; files are 7-bit ASCII", line_no
         ) from exc

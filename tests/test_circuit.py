@@ -1,6 +1,7 @@
 """Circuit IR: text grammar, validation, classical action, mcx expansion."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from postsel import (
     ccx,
     cx,
     default_input,
+    eval_machine,
     expand_mcx,
     h,
     mcx,
@@ -24,6 +26,7 @@ from postsel import (
     serialize_circuit,
     x,
 )
+from postsel.circuit import GATE_KINDS, _integer, _tuple
 from postsel.planes import apply_gates_planes, branch_planes
 
 # ===================================================================
@@ -65,6 +68,8 @@ def test_gate_rejects_malformed():
 def test_gates_and_controls_refuse_unordered_collections():
     """A set or a mapping would hand over its items in hash order."""
     for bad, role in ((lambda: Gate("ccx", 2, {0, 1}, (False, False)), "controls"),
+                      (lambda: mcx({5, 1, 2}, 0), "controls"),
+                      (lambda: mcx([1, 2, 3], 0, {True, False}), "negated"),
                       (lambda: Circuit(2, {x(0)}, 0), "gates"),
                       (lambda: PredicateCircuit(0, 1, 0, {x(1): 0}, 1), "gates")):
         with pytest.raises(ValueError, match=f"{role} must be a sequence, got unordered"):
@@ -93,6 +98,10 @@ OFF_REGISTER = [
     ((x(2), mcx([0, 1, -2], 2), cx(5, 1)), "mcx gate qubit -2 outside width 3"),
     ((h(3), 5), "h gate qubit 3 outside width 3"),
     ((h(0), 5, h(3)), "gates must be Gate objects, got 5"),
+    # a control and the target both off the register: the control is named
+    ((cx(5, 7),), "cx gate qubit 5 outside width 3"),
+    ((ccx(0, -1, 9),), "ccx gate qubit -1 outside width 3"),
+    ((mcx([1, 4, 2], 3),), "mcx gate qubit 4 outside width 3"),
 ]
 
 
@@ -130,6 +139,8 @@ NON_SEQUENCE_FIELDS = {
     "gates": lambda: Circuit(3, 5, 0),
     "controls": lambda: Gate("cx", 0, 1, (False,)),
     "negated": lambda: Gate("cx", 0, (1,), False),
+    "mcx-controls": lambda: mcx(5, 0),
+    "mcx-negated": lambda: mcx([1, 2, 3], 0, 7),
     # a gate list holding something that is not a Gate
     "gate-entry": lambda: Circuit(2, (5,), 0),
     "machine-gate-entry": lambda: PredicateCircuit(0, 1, 0, (5,), 1),
@@ -140,6 +151,92 @@ NON_SEQUENCE_FIELDS = {
 def test_non_sequence_containers_raise_value_error(field):
     with pytest.raises(ValueError):
         NON_SEQUENCE_FIELDS[field]()
+
+
+# --- Gate checks against a check-by-check reference ---------------------------
+# Each draw must give the same fields, or the same error type and text, as
+# these checks made one by one in order; a qubit is stored as a plain int.
+
+
+def _reference_gate_fields(kind, target, controls=(), negated=()):
+    """(kind, target, controls, negated) as a Gate stores them, or its error."""
+    if kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    if not type(controls) is type(negated) is tuple:
+        controls, negated = _tuple(controls, "controls"), _tuple(negated, "negated")
+    target = _integer(target, "target")
+    controls = tuple(_integer(c, "control") for c in controls)
+    for flag in negated:
+        if type(flag) is not bool:
+            raise ValueError(f"negated flag must be a bool, got {flag!r}")
+    expected = {"h": 0, "x": 0, "cx": 1, "ccx": 2}.get(kind)
+    if expected is not None and len(controls) != expected:
+        raise ValueError(f"{kind} takes {expected} controls")
+    if kind == "mcx" and len(controls) < 3:
+        raise ValueError("mcx gates carry >= 3 controls once normalized")
+    if len(negated) != len(controls):
+        raise ValueError("one polarity flag per control")
+    if target in controls:
+        raise ValueError("target may not also be a control")
+    if len(set(controls)) != len(controls):
+        raise ValueError("duplicate control qubit")
+    return kind, target, controls, negated
+
+
+# few small qubits, so that duplicates and a target among the controls are common
+QUBIT = st.one_of(
+    st.integers(-1, 4),
+    st.integers(0, 4).map(np.int64),
+    st.booleans(),
+    st.sampled_from(["1", "x", 1.0, 2.5]),
+)
+FLAG = st.one_of(st.booleans(), st.sampled_from([0, 1, None, np.True_]))
+
+
+def _sequences(elements):
+    """Tuples mostly, and lists, sets, strings and bare scalars."""
+    items = st.lists(elements, max_size=4)
+    return st.one_of(
+        items.map(tuple), items, st.sets(elements, max_size=3), st.text("01x", max_size=3),
+        elements,
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    kind=st.sampled_from([*GATE_KINDS, "cz", "H", ""]),
+    target=QUBIT,
+    controls=_sequences(QUBIT),
+    negated=st.one_of(_sequences(FLAG), st.integers(0, 4).map(lambda n: (False,) * n)),
+)
+def test_gate_matches_check_by_check_reference(kind, target, controls, negated):
+    try:
+        expected = _reference_gate_fields(kind, target, controls, negated)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            Gate(kind, target, controls, negated)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        g = Gate(kind, target, controls, negated)
+        fields = (g.kind, g.target, g.controls, g.negated)
+        assert fields == expected and repr(fields) == repr(expected)
+        assert all(type(q) is int for q in g.qubits)
+
+
+def test_numpy_integer_qubits_are_stored_as_python_ints():
+    # an np.int64 qubit kept as such would make later shifts overflow int64
+    g = cx(np.int64(69), np.int64(70))
+    assert g == cx(69, 70) and repr(g) == repr(cx(69, 70))
+    assert eval_machine(PredicateCircuit(0, 70, 0, (g,), 70), "", 1 << 69)
+
+
+def test_gate_is_a_frozen_value_unequal_to_its_fields():
+    g = ccx(0, 1, 2, True)
+    assert repr(g) == "Gate(kind='ccx', target=2, controls=(0, 1), negated=(True, False))"
+    assert g == Gate("ccx", 2, [0, 1], [True, False]) and g != ("ccx", 2, (0, 1), (True, False))
+    assert hash(g) == hash(("ccx", 2, (0, 1), (True, False)))
+    with pytest.raises(FrozenInstanceError):
+        g.target = 3
 
 
 def test_gate_stores_controls_as_tuples():

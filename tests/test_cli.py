@@ -143,6 +143,17 @@ def test_simulate_non_ascii_digit_exits_2_naming_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2: non-ASCII byte 0xd9; files are 7-bit ASCII\n"
 
 
+@pytest.mark.parametrize(
+    "head", [b"qubits 3\n\x0b\x0c\n", b"qubits 3\r\n\x1c\r", b"qubits 3\r\r"]
+)
+def test_non_ascii_line_counts_only_lf_crlf_and_cr(tmp_path, capsys, head):
+    """The file reader places a bad byte on the line the statement reader sees."""
+    p = tmp_path / "digit.circ"
+    p.write_bytes(head + "ccx 0 1 \u0662\noutput 2\n".encode("utf-8"))
+    assert main(["simulate", "--circuit", str(p)]) == 2
+    assert capsys.readouterr().err == "error: line 3: non-ASCII byte 0xd9; files are 7-bit ASCII\n"
+
+
 _ORACLE_CIRCUITS = {
     # width 63, with gates in index bytes 1, 5 and 7
     "wide": "qubits 63\nh 9\nh 40\nccx 9 !40 62\nh 62\ncx 62 9\nccx !9 62 40\nh 9\n"

@@ -71,6 +71,8 @@ BAD_FILES = [
     ("machine", "machine 0 1 1\n\nx ¹\naccept 2\n", 3),
     # only controls may be negated
     ("circuit", "qubits 2\nancilla !0 1\noutput 1\n", 2),
+    # \v is whitespace, not a line break: both gates sit on line 2
+    ("circuit", "qubits 2\nh 0\vh 1\nq 1\noutput 0\n", 2),
 ]
 
 
@@ -79,6 +81,25 @@ def test_bad_statement_names_its_line(fmt, text, line_no):
     with pytest.raises(CircuitSyntaxError, match=f"^line {line_no}: ") as e:
         PARSERS[fmt](text)
     assert e.value.line_no == line_no
+
+
+# only LF, CRLF and CR end a line; str.splitlines() also breaks at these
+NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+LINE_BREAK_FILES = {
+    "circuit": "qubits 2{sep}\nh 0 {sep}\nbad 1\noutput 0\n",
+    "machine": "machine 0 1 1\n{sep}x 1\nbad 1\naccept 2\n",
+}
+
+
+@pytest.mark.parametrize("sep", NOT_LINE_BREAKS)
+@pytest.mark.parametrize("fmt", LINE_BREAK_FILES)
+def test_only_lf_crlf_and_cr_end_a_line(fmt, sep):
+    text = LINE_BREAK_FILES[fmt].format(sep=sep)
+    with pytest.raises(CircuitSyntaxError, match="^line 3: unknown statement 'bad'$"):
+        PARSERS[fmt](text)
+    for newline in ("\r\n", "\r"):
+        with pytest.raises(CircuitSyntaxError, match="^line 3: unknown statement 'bad'$"):
+            PARSERS[fmt](text.replace("\n", newline))
 
 
 @pytest.mark.parametrize("gate", ["cx 0 1 2", "x 0 1", "ccx 0 1", "mcx 1"])
