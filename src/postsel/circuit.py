@@ -33,7 +33,8 @@ the reader the tokens (ASCII digits, ``!`` on controls only).
 The statement reader, the index and gate-line parsers and the gate-line
 writer here also serve the machine format of ``counting``, and
 ``_pack_bits`` is the one rule for instance and input bit strings.
-``_placed`` is the one rule for moving a gate list onto other wires, and
+``_placed`` is the one rule for moving a gate list onto other wires,
+``_uncomputed`` the one rule for computing, copying out and uncomputing, and
 ``_borrowed`` the one rule for the work qubits an ``mcx`` borrows.
 """
 
@@ -164,14 +165,17 @@ class Circuit:
         except TypeError:
             raise ValueError(f"ancillas must be (qubit, value) pairs, got {self.ancillas!r}") from None
         object.__setattr__(self, "ancillas", tuple(ancillas))
-        if _integer(self.width, "width") < 1:
+        object.__setattr__(self, "width", _integer(self.width, "width"))
+        if self.width < 1:
             raise ValueError("width must be >= 1")
         def _chk(q, role):
             if not 0 <= q < self.width:
                 raise ValueError(f"{role} qubit {q} outside width {self.width}")
-        _chk(_integer(self.output, "output qubit"), "output")
+            return q
+        object.__setattr__(self, "output", _chk(_integer(self.output, "output qubit"), "output"))
         if self.postselect is not None:
-            _chk(_integer(self.postselect, "postselect qubit"), "postselect")
+            q = _integer(self.postselect, "postselect qubit")
+            object.__setattr__(self, "postselect", _chk(q, "postselect"))
             if self.postselect == self.output:
                 raise ValueError("output and postselect qubits must differ")
         seen = set()
@@ -215,6 +219,12 @@ def _placed(
     ]
 
 
+def _uncomputed(compute: Sequence[Gate], copy: Iterable[Gate]) -> list[Gate]:
+    """``compute``, then ``copy``, then ``compute`` undone: every gate is its
+    own inverse, so the undoing is ``compute`` in reverse order."""
+    return [*compute, *copy, *reversed(compute)]
+
+
 def apply_gate_classical(state: int, gate: Gate) -> int:
     """Apply a reversible (non-h) gate to a computational basis state."""
     if gate.kind == "h":
@@ -251,9 +261,10 @@ def _borrowed(g: Gate, pool: Iterable[int]) -> tuple[list[int], int]:
 def expand_mcx(circuit: Circuit) -> Circuit:
     """Rewrite every mcx macro into {x, cx, ccx} using declared ancillas.
 
-    Negated controls are conjugated with X.  Each expansion borrows
-    (``_borrowed``) declared ancilla qubits; the ladder restores them, so the
-    same pool serves every mcx in the circuit.
+    Negated controls are flipped by X before the ladder and back after it
+    (``_uncomputed``).  Each expansion borrows (``_borrowed``) declared
+    ancilla qubits; the ladder restores them, so the same pool serves every
+    mcx in the circuit.
     """
     anc_pool = [q for q, _ in circuit.ancillas]
     out: list[Gate] = []
@@ -268,9 +279,7 @@ def expand_mcx(circuit: Circuit) -> Circuit:
                 f"only {len(free)} declared and free"
             )
         flips = [x(c) for c, neg in zip(g.controls, g.negated) if neg]
-        out.extend(flips)
-        out.extend(_ladder(g.controls, g.target, free))
-        out.extend(flips)
+        out.extend(_uncomputed(flips, _ladder(g.controls, g.target, free)))
     return replace(circuit, gates=tuple(out))
 
 

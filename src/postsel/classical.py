@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .circuit import _placed, cx
+from .circuit import _placed, _uncomputed, cx
 from .counting import PredicateCircuit, gap
 from .errors import PromiseViolation, StatsMismatch, ZeroPostselection
 from .exactring import DyadicRational
@@ -72,9 +72,9 @@ def build_upcoup(
 
     the conditional telling which machine owns the unique path.  ``post``
     runs both machines on disjoint scratch blocks, XORs their accept bits
-    into one flag and uncomputes both; at most one accept bit is set under
-    the promise, so the XOR is their OR.  ``joint`` is the first machine.
-    Violating the promise raises eagerly.
+    into one flag and uncomputes both (``_uncomputed``); at most one accept
+    bit is set under the promise, so the XOR is their OR.  ``joint`` is the
+    first machine.  Violating the promise raises eagerly.
     """
     if n_machine.input_width != m_machine.input_width:
         raise ValueError("machines must read the same instance width")
@@ -89,12 +89,10 @@ def build_upcoup(
     data = n_machine.input_width + n_machine.path_width
     shift = n_machine.ancilla_count + 1
     moved = _placed(m_machine.gates, lambda i: i if i < data else i + shift)
-    compute = list(n_machine.gates) + moved
     flag = m_machine.total_bits + shift
-    gates = compute + [cx(n_machine.accept_index, flag), cx(m_machine.accept_index + shift, flag)]
-    post = PredicateCircuit(
-        n_machine.input_width, n_machine.path_width, flag - data, tuple(gates + compute[::-1]), flag
-    )
+    copy = [cx(n_machine.accept_index, flag), cx(m_machine.accept_index + shift, flag)]
+    gates = _uncomputed([*n_machine.gates, *moved], copy)
+    post = PredicateCircuit(n_machine.input_width, n_machine.path_width, flag - data, gates, flag)
     return CoinMachine(post, n_machine)
 
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .circuit import Circuit, Gate, _borrowed, _pack_bits, _placed, ccx, default_input, h, mcx, x
+from .circuit import (
+    Circuit, Gate, _borrowed, _pack_bits, _placed, _uncomputed, ccx, default_input, h, mcx, x,
+)
 from .counting import PredicateCircuit, emit_less_than, gap
 from .errors import StatsMismatch, ZeroPostselection
 from .exactring import DyadicRational
@@ -134,16 +136,10 @@ def compile_gap_squared(machine: PredicateCircuit, w) -> Circuit:
     b.load(wq, w)
     for qb in xq:
         b.add(h(qb))
-    forward = _machine_gates(machine, wq, xq, scratch, acc)
-    b.extend(forward)
     # phase (-1) exactly on rejecting paths: flip acc into a reject flag,
     # apply Z = H X H, flip back
-    b.add(x(acc))
-    b.add(h(acc))
-    b.add(x(acc))
-    b.add(h(acc))
-    b.add(x(acc))
-    b.extend(reversed(forward))
+    phase = [x(acc), h(acc), x(acc), h(acc), x(acc)]
+    b.extend(_uncomputed(_machine_gates(machine, wq, xq, scratch, acc), phase))
     for qb in xq:
         b.add(h(qb))
     b.add(mcx(xq, out, [True] * q))
@@ -194,14 +190,10 @@ def compile_pair_postsel(
     for qb in xq:
         b.add(h(qb))
 
-    fw1 = _machine_gates(m1, wq, xq, scratch[: m1.ancilla_count], acc, (sel, False))
-    b.extend(fw1)
-    b.add(ccx(sel, acc, flag, neg2=True))  # flag ^= sel & not-accept
-    b.extend(reversed(fw1))
-    fw2 = _machine_gates(m2, wq, xq, scratch[: m2.ancilla_count], acc, (sel, True))
-    b.extend(fw2)
-    b.add(ccx(sel, acc, flag, neg1=True, neg2=True))
-    b.extend(reversed(fw2))
+    for m, neg in ((m1, False), (m2, True)):  # machine 1 on sel = 1, machine 2 on sel = 0
+        fw = _machine_gates(m, wq, xq, scratch[: m.ancilla_count], acc, (sel, neg))
+        # flag ^= [sel selects m] & not-accept
+        b.extend(_uncomputed(fw, [ccx(sel, acc, flag, neg1=neg, neg2=True)]))
 
     # phase (-1) on rejecting paths of whichever machine was selected
     b.add(h(flag))

@@ -48,6 +48,7 @@ from .circuit import (
     _parse_gate,
     _placed,
     _tuple,
+    _uncomputed,
     apply_gate_classical,
     mcx,
     x,
@@ -71,7 +72,7 @@ class PredicateCircuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", _tuple(self.gates, "gates"))
         for role in ("input_width", "path_width", "ancilla_count", "accept_index"):
-            _integer(getattr(self, role), role)
+            object.__setattr__(self, role, _integer(getattr(self, role), role))
         if self.input_width < 0 or self.path_width < 0 or self.ancilla_count < 0:
             raise ValueError("widths must be >= 0")
         data = self.input_width + self.path_width
@@ -195,8 +196,11 @@ def scale_gap(machine: PredicateCircuit, c: int) -> PredicateCircuit:
 
     Appends ceil(log2 c) extra path bits y.  Branches with y < c replay the
     base machine; the remaining branches accept exactly half the time and
-    contribute nothing to the gap.
+    contribute nothing to the gap.  The base machine and the comparator
+    y < c are computed, the accept bit is copied out of them, and both are
+    uncomputed (``_uncomputed``).
     """
+    c = _integer(c, "scale factor")
     if c < 1:
         raise ValueError("scale factor must be >= 1")
     if c == 1:
@@ -211,15 +215,9 @@ def scale_gap(machine: PredicateCircuit, c: int) -> PredicateCircuit:
     a_m = machine.accept_index + extra
     u = in_w + q + extra + machine.ancilla_count + 1
     accept = u + 1
-    compare = emit_less_than(y_bits, c, u)
-    gates: list[Gate] = []
-    gates += base
-    gates += compare
-    gates.append(mcx([u, a_m], accept))
-    gates.append(mcx([u, in_w], accept, [True, True]))
-    gates += reversed(compare)
-    gates += reversed(base)
-    return PredicateCircuit(in_w, q + extra, machine.ancilla_count + 2, tuple(gates), accept)
+    compute = base + emit_less_than(y_bits, c, u)
+    gates = _uncomputed(compute, [mcx([u, a_m], accept), mcx([u, in_w], accept, [True, True])])
+    return PredicateCircuit(in_w, q + extra, machine.ancilla_count + 2, gates, accept)
 
 
 def complement_machine(machine: PredicateCircuit) -> PredicateCircuit:

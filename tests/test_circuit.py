@@ -20,7 +20,9 @@ from postsel import (
     default_input,
     eval_machine,
     expand_mcx,
+    gap,
     h,
+    make_gap_machine,
     mcx,
     parse_circuit,
     serialize_circuit,
@@ -224,10 +226,16 @@ def test_gate_matches_check_by_check_reference(kind, target, controls, negated):
 
 
 def test_numpy_integer_qubits_are_stored_as_python_ints():
-    # an np.int64 qubit kept as such would make later shifts overflow int64
+    # an np.int64 qubit or register index kept as such would make later shifts overflow int64
     g = cx(np.int64(69), np.int64(70))
     assert g == cx(69, 70) and repr(g) == repr(cx(69, 70))
     assert eval_machine(PredicateCircuit(0, 70, 0, (g,), 70), "", 1 << 69)
+    assert eval_machine(PredicateCircuit(0, 70, 0, (x(70),), np.int64(70)), "", 1 << 69)
+    assert repr(Circuit(np.int64(3), (h(0),), np.int64(1))) == repr(Circuit(3, (h(0),), 1))
+    c = Circuit(np.int64(3), (h(0),), np.int64(1), np.int64(2))
+    assert repr(c) == repr(Circuit(3, (h(0),), 1, 2))
+    got = gap(make_gap_machine(np.int64(2), np.int64(2)), "")
+    assert (got.accepts, got.rejects) == (3, 1) and type(got.rejects) is int
 
 
 def test_gate_is_a_frozen_value_unequal_to_its_fields():

@@ -101,7 +101,7 @@ def _never_machine(path_width: int, in_w: int = 1) -> PredicateCircuit:
     return PredicateCircuit(in_w, path_width, 0, (), in_w + path_width)
 
 
-def test_upcoup_unique_path_statistics():
+def test_upcoup_unique_path_statistics(self_reading_machine):
     q = 3
     tm = build_upcoup(_unique_path_machine(q, 5), _never_machine(q), "1")
     st = run_ptm(tm, "1")
@@ -111,6 +111,12 @@ def test_upcoup_unique_path_statistics():
     st2 = run_ptm(tm2, "0")
     assert st2.p_post == DyadicRational(1, q)
     assert st2.p_cond == Fraction(0)
+    # the self-reading machine owns path 11 of two
+    never = _never_machine(2, in_w=0)
+    st = run_ptm(build_upcoup(self_reading_machine, never, ""), "")
+    assert (st.p_post, st.p_cond) == (DyadicRational(1, 2), Fraction(1))
+    st = run_ptm(build_upcoup(never, self_reading_machine, ""), "")
+    assert (st.p_post, st.p_cond) == (DyadicRational(1, 2), Fraction(0))
 
 
 def test_upcoup_exhaustive_over_path_owners():

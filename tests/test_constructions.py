@@ -70,10 +70,13 @@ def test_gap_squared_pinned():
     assert _oracle_output_prob(c) == DyadicRational(1, 2)
 
 
-def test_gap_squared_sign_irrelevant():
+def test_gap_squared_sign_irrelevant(self_reading_machine):
     for v in (-4, -2, 0, 2, 4):
         c = compile_gap_squared(make_gap_machine(v, 2), "")
         assert _sim_output_prob(c) == gap_squared_prob(v, 2)
+    assert gap(self_reading_machine, "").gap == -2
+    c = compile_gap_squared(self_reading_machine, "")
+    assert _sim_output_prob(c) == _oracle_output_prob(c) == DyadicRational(1, 2)  # 4/2**4
 
 
 def test_gap_squared_all_accept_is_certain():
@@ -82,10 +85,10 @@ def test_gap_squared_all_accept_is_certain():
     assert _sim_output_prob(c) == DyadicRational(1, 0)
 
 
-def test_gap_squared_restores_scratch():
-    m = make_gap_machine(4, 3)
-    c = compile_gap_squared(m, "")
-    assert joint_prob(run(c, default_input(c)), c.ancillas) == DyadicRational(1, 0)
+def test_gap_squared_restores_scratch(self_reading_machine):
+    for m in (make_gap_machine(4, 3), self_reading_machine):
+        c = compile_gap_squared(m, "")
+        assert joint_prob(run(c, default_input(c)), c.ancillas) == DyadicRational(1, 0)
 
 
 def test_gap_squared_instance_width_checked():
@@ -98,18 +101,20 @@ def test_gap_squared_instance_width_checked():
 # ===================================================================
 
 
-def test_pair_pinned():
-    m1 = make_gap_machine(2, 2)
-    m2 = make_gap_machine(-2, 2)
-    c = compile_pair_postsel(m1, m2, "")
-    st = postselect_stats(c, default_input(c))
-    assert st.p_post == DyadicRational(1, 3)  # (4+4)/2**6 == 1/8
-    assert st.p_cond == Fraction(1, 2)
-    assert st.p_joint == DyadicRational(1, 4)
-    # oracle route for the same joint event
-    flat = expand_mcx(c)
-    g, m = path_sum(flat, default_input(flat), [(flat.output, 1), (flat.postselect, 1)])
-    assert DyadicRational(g, m) == DyadicRational(1, 4)
+def test_pair_pinned(self_reading_machine):
+    # the self-reading machine has gap -2 too, so it may stand in for m2, or
+    # for m1 with the conditional unchanged
+    plus, minus = make_gap_machine(2, 2), make_gap_machine(-2, 2)
+    for m1, m2 in ((plus, minus), (plus, self_reading_machine), (self_reading_machine, plus)):
+        c = compile_pair_postsel(m1, m2, "")
+        st = postselect_stats(c, default_input(c))
+        assert st.p_post == DyadicRational(1, 3)  # (4+4)/2**6 == 1/8
+        assert st.p_cond == Fraction(1, 2)
+        assert st.p_joint == DyadicRational(1, 4)
+        # oracle route for the same joint event
+        flat = expand_mcx(c)
+        g, m = path_sum(flat, default_input(flat), [(flat.output, 1), (flat.postselect, 1)])
+        assert DyadicRational(g, m) == DyadicRational(1, 4)
 
 
 def test_pair_padding_scales_postselection_only():

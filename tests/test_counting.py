@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -246,7 +247,7 @@ def test_complement_negates_gap():
         assert gap(complement_machine(m), "").gap == -v
 
 
-def test_scale_gap_multiplies_exactly():
+def test_scale_gap_multiplies_exactly(self_reading_machine):
     rng = random.Random(13)
     for _ in range(20):
         q = rng.randint(1, 3)
@@ -257,6 +258,8 @@ def test_scale_gap_multiplies_exactly():
         got = gap(scaled, "")
         assert got.gap == c * v, (v, q, c)
         assert got.accepts + got.rejects == 1 << scaled.path_width
+    for c in (2, 3, 4, 7):
+        assert gap(scale_gap(self_reading_machine, c), "").gap == -2 * c
 
 
 def test_scale_gap_preserves_instance_dependence():
@@ -276,6 +279,9 @@ def test_scale_gap_validation():
         scale_gap(PredicateCircuit(0, 0, 0, (), 0), 2)  # no path bits
     m = make_gap_machine(2, 1)
     assert scale_gap(m, 1) is m
+    assert scale_gap(m, np.int64(3)) == scale_gap(m, 3)
+    with pytest.raises(ValueError, match="scale factor must be an integer, got True"):
+        scale_gap(m, True)
 
 
 # ===================================================================
