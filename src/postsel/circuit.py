@@ -40,11 +40,10 @@ writer here also serve the machine format of ``counting``, and
 
 from __future__ import annotations
 
-from collections import abc
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable, Mapping, Sequence, Set
 from numbers import Integral
-from typing import Callable, Iterable, Sequence
 
+from ._value import _Value
 from .errors import CircuitSyntaxError, InsufficientAncillas
 
 # controls per kind; an mcx gate carries at least _ARITY["mcx"]
@@ -63,7 +62,7 @@ def _tuple(value, role: str) -> tuple:
     """``value`` as a tuple; ValueError unless it is an ordered iterable
     (a set or a mapping would hand over its items in hash order).  Tuples,
     lists and strings skip the slower ABC test."""
-    if type(value) not in (tuple, list, str) and isinstance(value, (abc.Set, abc.Mapping)):
+    if type(value) not in (tuple, list, str) and isinstance(value, (Set, Mapping)):
         raise ValueError(f"{role} must be a sequence, got unordered {type(value).__name__}")
     try:
         return tuple(value)
@@ -71,16 +70,8 @@ def _tuple(value, role: str) -> tuple:
         raise ValueError(f"{role} must be a sequence, got {value!r}") from None
 
 
-@dataclass(frozen=True, init=False)
-class Gate:
-    kind: str
-    target: int
-    controls: tuple[int, ...] = ()
-    negated: tuple[bool, ...] = ()
-
+class Gate(_Value):
     def __init__(self, kind: str, target: int, controls=(), negated=()):
-        # The generated frozen __init__ would set each field through
-        # object.__setattr__, which costs as much as all the checks below.
         if kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {kind!r}")
         if not type(controls) is type(negated) is tuple:
@@ -106,7 +97,7 @@ class Gate:
             raise ValueError("target may not also be a control")
         if len(set(controls)) != n:
             raise ValueError("duplicate control qubit")
-        d = self.__dict__
+        d = self.__dict__  # written directly, not by _set: the hot path
         d["kind"], d["target"], d["controls"], d["negated"] = kind, target, controls, negated
 
     @property
@@ -140,8 +131,7 @@ def mcx(
     return Gate(kind, target, controls, negated)
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(_Value):
     """Immutable gate list over ``width`` qubits.
 
     ``output`` is the qubit whose value-1 probability is the circuit's answer;
@@ -149,48 +139,43 @@ class Circuit:
     holds (qubit, initial value) pairs for declared work qubits.
     """
 
-    width: int
-    gates: tuple[Gate, ...]
-    output: int
-    postselect: int | None = None
-    ancillas: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "gates", _tuple(self.gates, "gates"))
+    def __init__(
+        self, width: int, gates: Iterable[Gate], output: int, postselect: int | None = None,
+        ancillas: Iterable[tuple[int, int]] = (),
+    ):
+        gates = _tuple(gates, "gates")
         try:
-            ancillas = sorted(
-                (_integer(q, "ancilla qubit"), _integer(v, "ancilla value"))
-                for q, v in self.ancillas
-            )
+            ancillas = tuple(sorted(
+                (_integer(q, "ancilla qubit"), _integer(v, "ancilla value")) for q, v in ancillas
+            ))
         except TypeError:
-            raise ValueError(f"ancillas must be (qubit, value) pairs, got {self.ancillas!r}") from None
-        object.__setattr__(self, "ancillas", tuple(ancillas))
-        object.__setattr__(self, "width", _integer(self.width, "width"))
-        if self.width < 1:
+            raise ValueError(f"ancillas must be (qubit, value) pairs, got {ancillas!r}") from None
+        width = _integer(width, "width")
+        if width < 1:
             raise ValueError("width must be >= 1")
         def _chk(q, role):
-            if not 0 <= q < self.width:
-                raise ValueError(f"{role} qubit {q} outside width {self.width}")
+            if not 0 <= q < width:
+                raise ValueError(f"{role} qubit {q} outside width {width}")
             return q
-        object.__setattr__(self, "output", _chk(_integer(self.output, "output qubit"), "output"))
-        if self.postselect is not None:
-            q = _integer(self.postselect, "postselect qubit")
-            object.__setattr__(self, "postselect", _chk(q, "postselect"))
-            if self.postselect == self.output:
+        output = _chk(_integer(output, "output qubit"), "output")
+        if postselect is not None:
+            postselect = _chk(_integer(postselect, "postselect qubit"), "postselect")
+            if postselect == output:
                 raise ValueError("output and postselect qubits must differ")
         seen = set()
-        for q, v in self.ancillas:
+        for q, v in ancillas:
             _chk(q, "ancilla")
             if v not in (0, 1):
                 raise ValueError("ancilla initial value must be 0 or 1")
             if q in seen:
                 raise ValueError(f"qubit {q} declared ancilla twice")
             seen.add(q)
-        for g in self.gates:
+        for g in gates:
             if not isinstance(g, Gate):
                 raise ValueError(f"gates must be Gate objects, got {g!r}")
             for q in g.qubits:
                 _chk(q, f"{g.kind} gate")
+        self._set(width, gates, output, postselect, ancillas)
 
     @property
     def h_count(self) -> int:
@@ -280,7 +265,7 @@ def expand_mcx(circuit: Circuit) -> Circuit:
             )
         flips = [x(c) for c, neg in zip(g.controls, g.negated) if neg]
         out.extend(_uncomputed(flips, _ladder(g.controls, g.target, free)))
-    return replace(circuit, gates=tuple(out))
+    return Circuit(circuit.width, out, circuit.output, circuit.postselect, circuit.ancillas)
 
 
 # --- text format -----------------------------------------------------------

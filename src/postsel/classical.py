@@ -11,10 +11,10 @@ rationals, mirroring what the quantum simulator reports for circuits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
+from ._value import _Value
 from .circuit import _placed, _uncomputed, cx
 from .counting import PredicateCircuit, gap
 from .errors import PromiseViolation, StatsMismatch, ZeroPostselection
@@ -22,18 +22,15 @@ from .exactring import DyadicRational
 from .simulator import PostselStats
 
 
-@dataclass(frozen=True)
-class CoinMachine:
+class CoinMachine(_Value):
     """``post`` accepts iff p = 1; ``joint`` accepts iff p = 1 and o = 1."""
 
-    post: PredicateCircuit
-    joint: PredicateCircuit
-
-    def __post_init__(self):
-        if self.post.input_width != self.joint.input_width:
+    def __init__(self, post: PredicateCircuit, joint: PredicateCircuit):
+        if post.input_width != joint.input_width:
             raise ValueError("post and joint must read the same instance width")
-        if self.post.path_width != self.joint.path_width:
+        if post.path_width != joint.path_width:
             raise ValueError("post and joint must flip the same coins")
+        self._set(post, joint)
 
 
 def _accept_counts(tm: CoinMachine, w: str) -> tuple[int, int]:
@@ -96,17 +93,15 @@ def build_upcoup(
     return CoinMachine(post, n_machine)
 
 
-@dataclass(frozen=True)
-class WappWitness:
+class WappWitness(_Value):
     """Counting-machine form of a coin machine's conditional acceptance.
 
     The ratio accepts(g_machine, w) / (f(w) * 2**p_exp) reproduces the
     machine's conditional probability exactly.
     """
 
-    g_machine: PredicateCircuit
-    f_of: Mapping[str, int]
-    p_exp: int
+    def __init__(self, g_machine: PredicateCircuit, f_of: Mapping[str, int], p_exp: int):
+        self._set(g_machine, f_of, p_exp)
 
     def ratio(self, w: str) -> Fraction:
         if w not in self.f_of:

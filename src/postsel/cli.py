@@ -18,7 +18,8 @@ Importing this module loads the circuit reader and the two engines that
 ``simulate`` and ``oracle`` run (``simulator`` and ``pathsum``, but not
 numpy); ``compile`` imports ``counting`` and ``constructions`` when it runs,
 and ``verify`` imports ``scenarios``.  numpy is loaded only when an engine
-first merges entries that meet (see ``_keys``).
+first merges entries that meet (see ``_keys``).  No command loads
+``dataclasses``, ``inspect`` or ``typing`` (see ``_value``).
 """
 
 from __future__ import annotations

@@ -37,8 +37,7 @@ instance of length |w|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import _Value
 from .circuit import (
     Gate,
     _body,
@@ -61,18 +60,16 @@ from .planes import apply_gates_planes, branch_planes
 DEFAULT_MAX_PATH_BITS = 20
 
 
-@dataclass(frozen=True)
-class PredicateCircuit:
-    input_width: int
-    path_width: int
-    ancilla_count: int
-    gates: tuple[Gate, ...]
-    accept_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "gates", _tuple(self.gates, "gates"))
-        for role in ("input_width", "path_width", "ancilla_count", "accept_index"):
-            object.__setattr__(self, role, _integer(getattr(self, role), role))
+class PredicateCircuit(_Value):
+    def __init__(
+        self, input_width: int, path_width: int, ancilla_count: int,
+        gates: tuple[Gate, ...], accept_index: int,
+    ):
+        gates = _tuple(gates, "gates")
+        self._set(
+            _integer(input_width, "input_width"), _integer(path_width, "path_width"),
+            _integer(ancilla_count, "ancilla_count"), gates, _integer(accept_index, "accept_index"),
+        )
         if self.input_width < 0 or self.path_width < 0 or self.ancilla_count < 0:
             raise ValueError("widths must be >= 0")
         data = self.input_width + self.path_width
@@ -92,10 +89,9 @@ class PredicateCircuit:
         return self.input_width + self.path_width + self.ancilla_count + 1
 
 
-@dataclass(frozen=True)
-class GapValue:
-    accepts: int
-    rejects: int
+class GapValue(_Value):
+    def __init__(self, accepts: int, rejects: int):
+        self._set(accepts, rejects)
 
     @property
     def gap(self) -> int:
@@ -259,14 +255,13 @@ def tabulated_count_machine(
     return PredicateCircuit(input_width, path_width, 0, tuple(gates), accept)
 
 
-@dataclass(frozen=True)
-class FPFunction:
+class FPFunction(_Value):
     """Positive integer function with a declared bound 0 < f(w) <= 2**bound_exp:
     ``machine``'s gap on the all-ones instance of length |w|, so the value
     depends only on |w|."""
 
-    bound_exp: int
-    machine: PredicateCircuit
+    def __init__(self, bound_exp: int, machine: PredicateCircuit):
+        self._set(bound_exp, machine)
 
     def __call__(self, w: str) -> int:
         if self.machine.input_width != len(w):

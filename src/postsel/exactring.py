@@ -12,9 +12,10 @@ c / sqrt(2)**m.  No value here ever touches a float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
+
+from ._value import _Value
 
 
 def _reduce_dyadic(n: int, k: int) -> tuple[int, int]:
@@ -31,17 +32,11 @@ def _reduce_dyadic(n: int, k: int) -> tuple[int, int]:
     return n, k
 
 
-@dataclass(frozen=True)
-class DyadicRational:
+class DyadicRational(_Value):
     """Exact n / 2**k, stored canonically (n odd, or n == 0 with k == 0)."""
 
-    n: int
-    k: int
-
-    def __post_init__(self):
-        n, k = _reduce_dyadic(self.n, self.k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
+    def __init__(self, n: int, k: int):
+        self._set(*_reduce_dyadic(n, k))
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.n, 1 << self.k)

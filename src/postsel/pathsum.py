@@ -28,7 +28,8 @@ transpose, no sort, and no numpy, which only the sort imports (``_keys``).
 constant wire, but merges at every H on a wire that varies, where this
 merges once at the end, and it sees the ``expand_mcx`` ladder, where this
 applies ``mcx`` natively.  ``path_sum_slow``, a deliberately naive per-path
-rewrite that shares no plane code, is the independent check of both.
+rewrite that shares no plane code (``_amplitudes``), is the independent
+check of both.
 """
 
 from __future__ import annotations
@@ -91,16 +92,21 @@ def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
 
 
 def path_sum_slow(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
-    """Reference implementation: explicit depth-first path enumeration.
-
-    Raises as ``path_sum`` does, at the same branch cap.
-    """
+    """Reference implementation: the squares of ``_amplitudes`` at the basis
+    states that meet the constraints.  Raises as ``path_sum`` does."""
     hcount = _branch_count(circuit)
     z0 = _basis_index(circuit, input_bits)
     pin = _constraint_mask(circuit.width, constraints)
     if pin is None:
         return 0, hcount
     mask, val = pin
+    return sum(c * c for z, c in _amplitudes(circuit, z0).items() if (z & mask) == val), hcount
+
+
+def _amplitudes(circuit: Circuit, z0: int) -> dict[int, int]:
+    """{z: c} with amplitude(z) == c / sqrt(2)**H at every basis state z
+    where c != 0, from basis state ``z0``, by explicit depth-first path
+    enumeration: the naive reference for ``path_sum`` and ``run``."""
     gates = circuit.gates
     amps: dict[int, int] = defaultdict(int)
     stack = [(0, z0, 1)]
@@ -117,6 +123,5 @@ def path_sum_slow(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
             else:
                 z = apply_gate_classical(z, g)
                 gi += 1
-        if (z & mask) == val:
-            amps[z] += s
-    return sum(v * v for v in amps.values()), hcount
+        amps[z] += s
+    return {z: c for z, c in amps.items() if c}

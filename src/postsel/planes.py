@@ -14,7 +14,7 @@ at most ``MAX_WIDTH`` = 63 qubits (qubit 63 would be an int64 index's sign bit).
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .circuit import Circuit, Gate, _integer, _pack_bits
 from .errors import CapExceeded

@@ -25,11 +25,11 @@ and weighs each count by its square.  ``CapExceeded`` is raised above
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 
+from ._value import _Value
 from .circuit import Circuit, _integer, expand_mcx
 from .errors import CapExceeded, ZeroPostselection
 from .exactring import DyadicRational
@@ -38,8 +38,7 @@ from .planes import _basis_index, _constraint_mask, _kept, apply_gates_planes, b
 DEFAULT_MAX_SUPPORT = 1 << 24
 
 
-@dataclass(eq=False)
-class QuantumState:
+class QuantumState(_Value):
     """n entries: entry j is c_j / sqrt(2)**m at the basis state whose qubit q
     is bit j of planes[q]; every c_j is nonzero, other basis states are 0.
 
@@ -47,14 +46,16 @@ class QuantumState:
     form ``run`` returns; before any merge ``_short`` is None, every c_j is +-1
     and only reading ``short``, ``coeffs`` or ``indices`` loads numpy.
     Unitarity gives sum(c_j**2) == 2**m, which ``joint_prob`` relies on.
+    A state is mutable and compares by identity.
     """
 
-    width: int
-    planes: list[int] = field(repr=False)  # n-bit ints: repr could pass int's str limit
-    _short: object  # numpy array, or None before the first merge
-    m: int
-    sign: int = field(repr=False)
-    n: int
+    # planes and sign are n-bit ints: a repr of them could pass int's str limit
+    _shown = ("width", "_short", "m", "n")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, width: int, planes: list[int], _short, m: int, sign: int, n: int):
+        self._set(width, planes, _short, m, sign, n)
 
     @cached_property
     def short(self):
@@ -87,13 +88,12 @@ class QuantumState:
         return (-c if (self.sign >> j) & 1 else c), self.m
 
 
-@dataclass(frozen=True)
-class PostselStats:
-    """Exact statistics of a postselecting circuit on one input."""
+class PostselStats(_Value):
+    """Exact statistics of a postselecting circuit on one input: P(p = 1),
+    P(o = 1, p = 1) and P(o = 1 | p = 1)."""
 
-    p_post: DyadicRational  # P(p = 1)
-    p_joint: DyadicRational  # P(o = 1, p = 1)
-    p_cond: Fraction  # P(o = 1 | p = 1)
+    def __init__(self, p_post: DyadicRational, p_joint: DyadicRational, p_cond: Fraction):
+        self._set(p_post, p_joint, p_cond)
 
 
 def run(circuit: Circuit, input_bits) -> QuantumState:

@@ -14,11 +14,11 @@ diffed directly.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
 from fractions import Fraction
 from numbers import Rational
-from typing import Mapping
 
+from ._value import _Value
 from .circuit import _integer
 
 _OPS = {
@@ -48,23 +48,21 @@ def _entry(table: Mapping | None, key, role: str):
     return table[key]
 
 
-@dataclass(frozen=True)
-class Condition:
-    cid: str
-    lhs: str
-    op: str
-    rhs: str
-    passed: bool
+class Condition(_Value):
+    def __init__(self, cid: str, lhs: str, op: str, rhs: str, passed: bool):
+        self._set(cid, lhs, op, rhs, passed)
 
 
-@dataclass
-class WitnessReport:
-    name: str
-    conditions: list[Condition] = field(default_factory=list)
+class WitnessReport(_Value):
+    """A report is mutable, unhashable and compared by value."""
 
-    def __post_init__(self):
-        if " " in self.name:
+    __hash__ = None
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, name: str, conditions: list[Condition] | None = None):
+        if " " in name:
             raise ValueError("report names must not contain spaces")
+        self._set(name, [] if conditions is None else conditions)
 
     def add(self, condition: Condition) -> None:
         for part in (condition.cid, condition.lhs, condition.op, condition.rhs):
@@ -107,7 +105,7 @@ class WitnessReport:
     def merge(self, sub: "WitnessReport", prefix: str = "") -> None:
         """Append every condition of ``sub``, each id prefixed with ``prefix``."""
         for c in sub.conditions:
-            self.add(replace(c, cid=prefix + c.cid))
+            self.add(Condition(prefix + c.cid, c.lhs, c.op, c.rhs, c.passed))
 
     @property
     def passed(self) -> bool:

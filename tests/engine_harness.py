@@ -3,8 +3,10 @@
 ``circuits`` is the one Hypothesis strategy for engine circuits, and
 ``check_engines`` compares, on one draw, ``run`` read every way it can be
 read (``amplitude``, ``joint_prob``, ``measure_prob``, ``indices`` and
-``coeffs``), ``path_sum`` and ``path_sum_slow`` against
-``_dict_reference``, the one naive reference for ``run``.
+``coeffs``), ``path_sum`` and the signed amplitudes that ``path_sum_slow``
+sums (``pathsum._amplitudes``) against ``_dict_reference``.  That per-index
+reference merges at every Hadamard, so it also reaches the examples with
+more than 60 Hadamards, far past the 20-H branch cap of the path oracles.
 """
 
 from collections import defaultdict
@@ -22,14 +24,14 @@ from postsel import (
     mcx,
     measure_prob,
     path_sum,
-    path_sum_slow,
     run,
 )
+from postsel.pathsum import _amplitudes
 
-# path_sum_slow walks every one of the 2**H paths through the gate list in
+# _amplitudes walks every one of the 2**H paths through the gate list in
 # Python: about 3 ms a call at H = 10 and 30 gates, and the time doubles with
-# each Hadamard more.  check_engines calls it once per constraint set, so
-# above this bound it leaves both path oracles out.
+# each Hadamard more.  Above this bound check_engines leaves both path
+# oracles out.
 _ORACLE_MAX_H = 10
 
 
@@ -142,8 +144,9 @@ def check_engines(circuit: Circuit, bits: str, constraints) -> None:
     n == 2**m exactly when every |coeff| is 1.  ``run``'s state before the
     write-out also answers ``measure_prob`` on every wire and ``joint_prob``
     on each pair of wires q, q + 1.  Up to ``_ORACLE_MAX_H``
-    Hadamards, ``path_sum`` and ``path_sum_slow`` on the unlowered circuit
-    give the (g, m) of ``[]`` and of each constraint set.
+    Hadamards, ``path_sum`` on the unlowered circuit gives the (g, m) of
+    ``[]`` and of each constraint set, and ``_amplitudes`` the reference's
+    entries.
     """
     width = circuit.width
     ref = _dict_reference(circuit, bits)
@@ -194,7 +197,7 @@ def check_engines(circuit: Circuit, bits: str, constraints) -> None:
         check_queries(s, False)
 
     if m <= _ORACLE_MAX_H:
+        assert _amplitudes(circuit, int(bits[::-1], 2)) == ref
         for pins, p in drawn:
             g = path_sum(circuit, bits, pins)
             assert g[1] == m and DyadicRational(*g) == p
-            assert path_sum_slow(circuit, bits, pins) == g

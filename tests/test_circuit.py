@@ -1,7 +1,10 @@
 """Circuit IR: text grammar, validation, classical action, mcx expansion."""
 
+import copy
+import pickle
 import random
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,9 +14,15 @@ from hypothesis import strategies as st
 from postsel import (
     Circuit,
     CircuitSyntaxError,
+    CoinMachine,
+    Condition,
+    DyadicRational,
+    FPFunction,
     Gate,
     InsufficientAncillas,
+    PostselStats,
     PredicateCircuit,
+    WitnessReport,
     apply_gate_classical,
     ccx,
     cx,
@@ -25,10 +34,13 @@ from postsel import (
     make_gap_machine,
     mcx,
     parse_circuit,
+    run,
     serialize_circuit,
     x,
 )
 from postsel.circuit import GATE_KINDS, _integer, _tuple
+from postsel.classical import WappWitness
+from postsel.counting import GapValue
 from postsel.planes import apply_gates_planes, branch_planes
 
 # ===================================================================
@@ -238,13 +250,91 @@ def test_numpy_integer_qubits_are_stored_as_python_ints():
     assert (got.accepts, got.rejects) == (3, 1) and type(got.rejects) is int
 
 
-def test_gate_is_a_frozen_value_unequal_to_its_fields():
-    g = ccx(0, 1, 2, True)
-    assert repr(g) == "Gate(kind='ccx', target=2, controls=(0, 1), negated=(True, False))"
-    assert g == Gate("ccx", 2, [0, 1], [True, False]) and g != ("ccx", 2, (0, 1), (True, False))
-    assert hash(g) == hash(("ccx", 2, (0, 1), (True, False)))
-    with pytest.raises(FrozenInstanceError):
-        g.target = 3
+_M = PredicateCircuit(1, 1, 0, (ccx(0, 1, 2),), 2)
+_M_REPR = (
+    "PredicateCircuit(input_width=1, path_width=1, ancilla_count=0, gates=(Gate(kind='ccx', "
+    "target=2, controls=(0, 1), negated=(False, False)),), accept_index=2)"
+)
+# one value of each immutable record type: its fields by keyword, in order,
+# and the repr that the type printed when it was a frozen dataclass
+_VALUES = {
+    "Gate": (Gate, dict(kind="ccx", target=2, controls=(0, 1), negated=(True, False)),
+             "Gate(kind='ccx', target=2, controls=(0, 1), negated=(True, False))"),
+    "Circuit": (
+        Circuit, dict(width=3, gates=(h(0), cx(0, 1)), output=1, postselect=0, ancillas=((2, 1),)),
+        "Circuit(width=3, gates=(Gate(kind='h', target=0, controls=(), negated=()), "
+        "Gate(kind='cx', target=1, controls=(0,), negated=(False,))), output=1, postselect=0, "
+        "ancillas=((2, 1),))",
+    ),
+    "PostselStats": (
+        PostselStats,
+        dict(p_post=DyadicRational(1, 1), p_joint=DyadicRational(1, 2), p_cond=Fraction(1, 2)),
+        "PostselStats(p_post=DyadicRational(n=1, k=1), p_joint=DyadicRational(n=1, k=2), "
+        "p_cond=Fraction(1, 2))",
+    ),
+    "DyadicRational": (DyadicRational, dict(n=9, k=4), "DyadicRational(n=9, k=4)"),
+    "PredicateCircuit": (
+        PredicateCircuit,
+        dict(input_width=1, path_width=1, ancilla_count=0, gates=(ccx(0, 1, 2),), accept_index=2),
+        _M_REPR,
+    ),
+    "GapValue": (GapValue, dict(accepts=3, rejects=1), "GapValue(accepts=3, rejects=1)"),
+    "FPFunction": (FPFunction, dict(bound_exp=2, machine=_M),
+                   f"FPFunction(bound_exp=2, machine={_M_REPR})"),
+    "CoinMachine": (CoinMachine, dict(post=_M, joint=_M),
+                    f"CoinMachine(post={_M_REPR}, joint={_M_REPR})"),
+    "WappWitness": (WappWitness, dict(g_machine=_M, f_of={"1": 2}, p_exp=1),
+                    f"WappWitness(g_machine={_M_REPR}, f_of={{'1': 2}}, p_exp=1)"),
+    "Condition": (Condition, dict(cid="c1", lhs="1", op="==", rhs="1", passed=True),
+                  "Condition(cid='c1', lhs='1', op='==', rhs='1', passed=True)"),
+}
+
+
+def _hash(value):
+    """hash(value), or the message of the TypeError it raises (a dict field)."""
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", list(_VALUES))
+def test_gate_is_a_frozen_value_unequal_to_its_fields(name):
+    """Each record type is the value its frozen dataclass was: the same repr,
+    equal to an equal value but not to its field tuple or to the same fields
+    in another class, hashed as its field tuple, frozen, and unchanged by a
+    pickle, copy or deepcopy round trip.  It is built by keyword or by
+    position."""
+    cls, kwargs, pinned = _VALUES[name]
+    v, fields = cls(**kwargs), tuple(kwargs.values())
+    assert repr(v) == pinned
+    assert v == cls(*fields) and v != fields and v.__eq__(fields) is NotImplemented
+    assert v != type("Twin", (cls,), {})(**kwargs)
+    assert _hash(v) == _hash(fields)
+    field = next(iter(kwargs))
+    with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{field}'"):
+        setattr(v, field, None)
+    with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{field}'"):
+        delattr(v, field)
+    for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+        assert type(twin) is cls and twin == v and repr(twin) == pinned
+
+
+def test_a_state_compares_by_identity_and_a_report_by_value():
+    circuit = Circuit(2, (h(0),), 0)
+    st = run(circuit, "00")
+    assert repr(st) == "QuantumState(width=2, _short=None, m=1, n=2)"
+    assert st == st and st != run(circuit, "00") and hash(st) == object.__hash__(st)
+    assert st.coeffs.tolist() == [1, 1] and "coeffs" in vars(st)  # cached on first read
+    rows = [Condition("c1", "1", "==", "1", True)]
+    rep = WitnessReport("r", rows)
+    assert repr(rep) == (
+        "WitnessReport(name='r', conditions=[Condition(cid='c1', lhs='1', op='==', rhs='1', "
+        "passed=True)])"
+    )
+    assert rep == WitnessReport(name="r", conditions=list(rows)) and rep != WitnessReport("r")
+    with pytest.raises(TypeError, match="unhashable type: 'WitnessReport'"):
+        hash(rep)
 
 
 def test_gate_stores_controls_as_tuples():

@@ -12,8 +12,11 @@ import postsel
 # modules that only compile and verify need
 _NOT_FOR_SIMULATE = ("scenarios", "constructions", "counting", "classical", "witness")
 
-_PROBE = """
-import json, sys
+# standard-library modules no postsel module imports; site may load typing
+_UNUSED = ("dataclasses", "inspect", "typing")
+
+_PROBE = f"""
+import json, os, sys
 import postsel
 after_package = sorted(m for m in sys.modules if m == "numpy" or m.startswith("postsel."))
 try:
@@ -24,7 +27,12 @@ except AttributeError as exc:
 listed = set(postsel.__all__) <= set(dir(postsel))
 import postsel.cli
 after_cli = sorted(m for m in sys.modules if m.startswith("postsel."))
-print(json.dumps([after_package, missing, listed, after_cli]))
+unused = [[m for m in {_UNUSED!r} if m in sys.modules]]
+for name in sorted(os.listdir(postsel.__path__[0])):
+    if name.endswith(".py") and name != "_keys.py":
+        __import__("postsel." + name[:-3])
+unused.append([m for m in {_UNUSED!r} if m in sys.modules])
+print(json.dumps([after_package, missing, listed, after_cli, unused]))
 """
 
 
@@ -34,11 +42,11 @@ def test_every_exported_name_resolves_once():
     assert missing == []
 
 
-def _fresh(probe: str) -> str:
+def _fresh(probe: str, *flags: str) -> str:
     """stdout of ``probe`` run in a new interpreter that imports this checkout."""
     src = str(Path(postsel.__file__).parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{probe}"],
+        [sys.executable, *flags, "-c", f"import sys; sys.path.insert(0, {src!r})\n{probe}"],
         capture_output=True,
         text=True,
         check=True,
@@ -47,12 +55,16 @@ def _fresh(probe: str) -> str:
 
 
 def test_import_loads_only_what_a_command_uses():
-    after_package, missing, listed, after_cli = json.loads(_fresh(_PROBE))
+    """Without site (-S), which may load typing itself: ``import postsel``
+    loads no submodule, ``import postsel.cli`` only what simulate needs, and
+    neither it nor every module but ``_keys`` (numpy's) loads ``_UNUSED``."""
+    after_package, missing, listed, after_cli, unused = json.loads(_fresh(_PROBE, "-S"))
     assert after_package == []  # neither numpy nor any submodule
     assert missing == "module 'postsel' has no attribute 'nope'"
     assert listed
     assert "postsel.simulator" in after_cli and "postsel.pathsum" in after_cli
     assert [m for m in after_cli if m.split(".")[1] in _NOT_FOR_SIMULATE] == []
+    assert unused == [[], []]  # after import postsel.cli, then after every module
 
 
 # An H layer on fresh wires, then an x/cx/ccx/mcx network: no H meets a
