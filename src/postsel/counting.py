@@ -26,7 +26,8 @@ checked during evaluation.
 
 ``gap`` runs all 2**q paths at once on bit-planes (see ``planes``): the
 accept count is the popcount of the accept plane, and the contract holds iff
-every other plane ends equal to its starting plane.  The planes and their
+every other plane ends equal to its starting plane.  Only the planes that the
+gates or the accept count read are grown to 2**q bits; they and their
 starting copies take at most 2 * total_bits * 2**q / 8 bytes.
 ``eval_machine`` runs one path and is the per-path reference.
 
@@ -53,10 +54,11 @@ from .circuit import (
     x,
 )
 from .errors import CapExceeded, CircuitSyntaxError, MachineContractError
-from .planes import apply_gates_planes, branch_planes
+from .planes import Planes, _wires, apply_gates_planes
 
-# At the cap a plane is 2**20 bits (128 KiB): at most 16 MiB with the starting
-# copies for a 64-bit machine.
+# At the cap a plane grown to full length is 2**20 bits (128 KiB): at most
+# 16 MiB with the starting copies for a 64-bit machine whose gates read every
+# bit.  A bit no gate reads keeps the length of its branch, or one bit.
 DEFAULT_MAX_PATH_BITS = 20
 
 
@@ -136,11 +138,12 @@ def gap(machine: PredicateCircuit, w) -> GapValue:
     if q > DEFAULT_MAX_PATH_BITS:
         raise CapExceeded(f"enumerating 2**{q} paths exceeds cap 2**{DEFAULT_MAX_PATH_BITS}")
     w_int = _instance(machine, w)
-    planes = [(w_int >> i) & 1 for i in range(machine.total_bits)]
-    for j in range(q):
-        branch_planes(planes, 1 << j, machine.input_width + j)
+    st = Planes(w_int, machine.total_bits)
+    for j in range(q):  # path bit j starts at 0: no sign is written
+        st.branch_signed(machine.input_width + j)
+    planes = st.grown({machine.accept_index} | _wires(machine.gates))
     start = planes.copy()
-    apply_gates_planes(planes, machine.gates, (1 << (1 << q)) - 1)
+    apply_gates_planes(planes, machine.gates, (1 << st.n) - 1)
     accepts = planes[machine.accept_index].bit_count()
     planes[machine.accept_index] = start[machine.accept_index]
     if planes != start:

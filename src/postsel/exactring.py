@@ -26,10 +26,9 @@ def _reduce_dyadic(n: int, k: int) -> tuple[int, int]:
         raise ValueError("denominator exponent must be >= 0")
     if n == 0:
         return 0, 0
-    while k > 0 and n % 2 == 0:
-        n //= 2
-        k -= 1
-    return n, k
+    n, k = int(n), int(k)  # numpy integers count, but have no bit_length
+    shift = min((n & -n).bit_length() - 1, k)  # n's trailing zero bits, at most k
+    return n >> shift, k - shift
 
 
 class DyadicRational(_Value):

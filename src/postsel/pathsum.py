@@ -11,12 +11,16 @@ probability of a set of (qubit, value) constraints is then
 
 ``path_sum`` runs all paths at once on bit-planes (see ``planes``), plus a
 sign plane marking the paths with an odd number of -1 factors: each Hadamard
-(``planes.branch_signed``) branches the planes and sets sign |= (sign ^
-target) << n.  Only at the end are the constrained paths transposed, once,
-into keys (z << 1) | sign (z over the wires that vary), and one sort groups
-the paths that end in the same basis state.  Memory is about (width + 1) * 2**H / 8 bytes of planes,
-as much again while their bytes are gathered, plus a few 8-byte words per
-kept path while the keys are built and sorted.
+(``Planes.branch_signed``) branches the paths and sets sign |= (sign ^
+target) << n.  A plane is tiled up to the path count only where it is read
+after its last write, so memory follows the planes read after their last
+growth: at worst (width + 1) * 2**H / 8 bytes, when every wire is read after
+the last Hadamard.  Only at the end are the pinned planes grown and the
+constrained paths transposed, once, into keys (z << 1) | sign (z over the
+wires that vary, the only planes grown for it), and one sort groups the paths
+that end in the same basis state; the gathered bytes take as much again as
+the planes they read, plus a few 8-byte words per kept path while the keys
+are built and sorted.
 
 Gates other than H are bijections on basis states, so two paths can only
 meet at an H whose target wire varies across the live paths.  When every H
@@ -24,26 +28,26 @@ finds its target plane 0 or all-ones, the 2**H paths end in distinct basis
 states, each with sign +-1, and g is the popcount of the kept paths: no
 transpose, no sort, and no numpy, which only the sort imports (``_keys``).
 
-``simulator.run`` takes the same ``branch_signed`` step at an H on a
-constant wire, but merges at every H on a wire that varies, where this
-merges once at the end, and it sees the ``expand_mcx`` ladder, where this
-applies ``mcx`` natively.  ``path_sum_slow``, a deliberately naive per-path
-rewrite that shares no plane code (``_amplitudes``), is the independent
-check of both.
+``simulator.run`` runs the same gate loop (``Planes.drive``), but merges at
+every H on a wire that varies, where this never merges two paths before its
+final sort, and it sees the ``expand_mcx`` ladder, where this applies ``mcx``
+natively.  ``path_sum_slow``, a deliberately naive per-path rewrite that
+shares no plane code (``_amplitudes``), is the independent check of both.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import groupby
 
 from .circuit import Circuit, apply_gate_classical
 from .errors import CapExceeded
-from .planes import _basis_index, _constraint_mask, _kept, apply_gates_planes, branch_signed
+from .planes import Planes, _basis_index, _constraint_mask
 
 # At the cap the planes take at most (width + 1) * 2**20 / 8 bytes (8 MiB at
-# width 63) and as much again in bytes; building and sorting the keys of all
-# 2**20 paths adds about 48 MiB.
+# width 63), when every wire is read after the last Hadamard; otherwise only
+# the planes read after their last growth count.  The bytes gathered for the
+# sort take as much again, and building and sorting the keys of all 2**20
+# paths adds about 48 MiB.
 DEFAULT_MAX_BRANCH = 20
 
 
@@ -69,26 +73,17 @@ def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
     if pin is None:
         return 0, hcount
 
-    # One Python-int plane per wire, then the sign plane.
-    planes = [(z0 >> q) & 1 for q in range(circuit.width)] + [0]
-    n = 1
-    meet = False  # did some H find its target wire varying, so two paths may meet?
-    for is_h, run in groupby(circuit.gates, key=lambda g: g.kind == "h"):
-        if not is_h:
-            apply_gates_planes(planes, run, (1 << n) - 1)
-            continue
-        for g in run:
-            meet = meet or planes[g.target] not in (0, (1 << n) - 1)
-            branch_signed(planes, n, g.target)
-            n <<= 1
-
-    keep = _kept(planes, (1 << n) - 1, *pin)
+    st = Planes(z0, circuit.width)
+    meet = st.drive(circuit.gates)  # did some H find its target varying, so two paths may meet?
+    keep = st.kept(*pin)
     if not meet or not keep:  # distinct end states, each with sign +-1: g counts them
         return keep.bit_count(), hcount
     # Wires constant on the kept paths, the pinned ones among them, cannot split a group.
-    rows = [planes[-1]] + [p for p in planes[:-1] if p & keep not in (0, keep)]
+    varying = [q for q in range(circuit.width) if not st.constant(q)]
+    planes = st.grown([-1, *varying])
+    rows = [planes[-1]] + [planes[q] for q in varying if planes[q] & keep not in (0, keep)]
     from . import _keys  # the sort, the only step that needs numpy
-    return _keys._squared_path_sums(rows, n, keep), hcount
+    return _keys._squared_path_sums(rows, st.n, keep), hcount
 
 
 def path_sum_slow(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:

@@ -2,15 +2,18 @@
 
 A state after m Hadamards is its n live entries on bit-planes (see
 ``planes``) with nonzero integer coefficients, entry j at amplitude
-c_j / sqrt(2)**m.  ``run`` lowers ``mcx`` with ``expand_mcx``.  An H on a
-wire constant across the support branches the planes with
-``planes.branch_signed``, as ``pathsum`` does, and leaves the coefficients
-short: c_j is coeffs[j % coeffs.size], negated where the sign plane has
-bit j.  Only an H on a wire that varies writes them out in full, transposes
-to int64 basis indices, merges the entries that meet by one sort and
-transposes back: the first merge imports numpy (``_keys``), which nothing
-else in ``run`` needs.  ``run`` returns the state in this branch form (short
-coefficients, sign plane, n), and ``QuantumState`` writes the n
+c_j / sqrt(2)**m.  ``run`` lowers ``mcx`` with ``expand_mcx`` and then runs
+the gate loop it shares with ``pathsum`` (``planes.Planes.drive``).  An H on
+a wire constant across the support branches the entries with
+``Planes.branch_signed`` and leaves the coefficients short: c_j is
+coeffs[j % coeffs.size], negated where the sign plane has bit j.  A branch
+writes only its target and sign planes; the others are tiled up to n where
+they are next read.  Only an H on a wire that varies grows every plane,
+writes the coefficients out in full, transposes to int64 basis indices,
+merges the entries that meet by one sort and transposes back: the first
+merge imports numpy (``_keys``), which nothing else in ``run`` needs.
+``run`` grows every plane to n and returns the state in this branch form
+(short coefficients, sign plane, n), and ``QuantumState`` writes the n
 coefficients out only when a caller reads ``coeffs``.
 Cost follows the live support, at most min(2**w, 2**m) over w qubits, not
 2**w (Jaques & Haener, arXiv:2105.01533).  Unitarity gives sum(c_j**2) ==
@@ -27,13 +30,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
 
 from ._value import _Value
 from .circuit import Circuit, _integer, expand_mcx
-from .errors import CapExceeded, ZeroPostselection
+from .errors import ZeroPostselection
 from .exactring import DyadicRational
-from .planes import _basis_index, _constraint_mask, _kept, apply_gates_planes, branch_signed
+from .planes import Planes, _basis_index, _constraint_mask, _kept
 
 DEFAULT_MAX_SUPPORT = 1 << 24
 
@@ -109,27 +111,19 @@ def run(circuit: Circuit, input_bits) -> QuantumState:
     if any(g.kind == "mcx" for g in circuit.gates):
         circuit = expand_mcx(circuit)
 
-    planes = [(z0 >> q) & 1 for q in range(circuit.width)] + [0]  # then the sign plane
-    short, n, m = None, 1, 0
-    for is_h, gates in groupby(circuit.gates, key=lambda g: g.kind == "h"):
-        if not is_h:
-            apply_gates_planes(planes, gates, (1 << n) - 1)
-            continue
-        for g in gates:
-            if planes[g.target] in (0, (1 << n) - 1):  # one shared value: no two outputs meet
-                branch_signed(planes, n, g.target)
-                n <<= 1
-            else:  # the first merge loads numpy and picks the dtype (_keys._ones)
-                from . import _keys
-                short, planes = _keys._merge(short, planes, n, g.target, circuit.h_count)
-                n = short.size
-            m += 1
-            if n > DEFAULT_MAX_SUPPORT:
-                raise CapExceeded(
-                    f"live support {n} exceeds cap {DEFAULT_MAX_SUPPORT} at h {g.target}"
-                )
+    short = None
+
+    def merge(planes: list[int], n: int, target: int):
+        nonlocal short  # the first merge loads numpy and picks the dtype (_keys._ones)
+        from . import _keys
+        short, planes = _keys._merge(short, planes, n, target, circuit.h_count)
+        return planes, short.size
+
+    st = Planes(z0, circuit.width)
+    st.drive(circuit.gates, merge, DEFAULT_MAX_SUPPORT)
+    planes = st.grown(range(circuit.width + 1))
     sign = planes.pop()
-    return QuantumState(circuit.width, planes, short, m, sign, n)
+    return QuantumState(circuit.width, planes, short, circuit.h_count, sign, st.n)
 
 
 def measure_prob(state: QuantumState, qubit: int, value: int) -> DyadicRational:

@@ -41,7 +41,7 @@ from postsel import (
 from postsel.circuit import GATE_KINDS, _integer, _tuple
 from postsel.classical import WappWitness
 from postsel.counting import GapValue
-from postsel.planes import apply_gates_planes, branch_planes
+from postsel.planes import Planes, apply_gates_planes
 
 # ===================================================================
 # gate constructors
@@ -411,11 +411,15 @@ def test_plane_kernel_rejects_h():
 
 
 def test_branch_planes_sets_each_branched_wire_to_a_path_index_bit():
-    planes = [1, 0, 0, 0]  # one path: wire 0 at 1
-    for i, wire in enumerate((2, 1, 3)):
-        branch_planes(planes, 1 << i, wire)
+    """Branching writes only the target plane; the others, wire 0 among them,
+    read their value on every path once grown, and no sign is written."""
+    st = Planes(1, 4)  # one path: wire 0 at 1
+    for wire in (2, 1, 3):
+        st.branch_signed(wire)
+    planes = st.grown(range(5))
+    assert st.n == 8
     for j in range(8):
-        assert [(p >> j) & 1 for p in planes] == [1, (j >> 1) & 1, j & 1, (j >> 2) & 1]
+        assert [(p >> j) & 1 for p in planes] == [1, (j >> 1) & 1, j & 1, (j >> 2) & 1, 0]
 
 
 # ===================================================================

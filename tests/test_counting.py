@@ -174,6 +174,26 @@ def test_gap_at_the_path_bit_cap():
         assert gap(make_gap_machine(v, q), "").gap == v
 
 
+@pytest.mark.parametrize(
+    "gates, want",
+    [
+        ((ccx(1, 3, 5),), {"0": (2, 6), "1": (2, 6)}),  # accepts on x0 & x2, skips x1
+        ((ccx(1, 3, 4),), {"0": "contract", "1": "contract"}),  # scratch left set
+        ((cx(3, 2),), {"0": "contract", "1": "contract"}),  # x1 ^= x2, x0 unread
+        ((cx(0, 5), cx(0, 4)), {"0": (0, 8), "1": "contract"}),  # scratch = w
+        ((x(4),), {"0": "contract", "1": "contract"}),  # reads no path bit at all
+    ],
+)
+def test_gap_grows_only_the_bits_its_gates_read(gates, want):
+    """One instance bit, path bits 1-3 and scratch bit 4: gates that skip
+    some path bits leave those planes at the length of their branch, the
+    instance plane at one bit, and the contract is still checked on every
+    path, as eval_machine checks it."""
+    m = PredicateCircuit(1, 3, 1, gates, 5)
+    for w, expected in want.items():
+        assert _bitsliced(m, w) == _per_path(m, w) == expected, w
+
+
 def test_gap_with_no_path_bits():
     m = PredicateCircuit(1, 0, 0, (cx(0, 1),), 1)  # accept iff w = 1
     assert _bitsliced(m, "1") == _per_path(m, "1") == (1, 0)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +26,13 @@ def test_dyadic_str_is_n_slash_two_caret_k():
     assert str(DyadicRational(1, 0)) == "1/2^0"
     assert str(DyadicRational(0, 0)) == "0/2^0"
     assert str(DyadicRational(-3, 2)) == "-3/2^2"
+
+
+def test_dyadic_strips_trailing_zero_bits_only_down_to_an_integer():
+    assert (DyadicRational(-40, 5).n, DyadicRational(-40, 5).k) == (-5, 2)
+    assert (DyadicRational(1 << 70, 3).n, DyadicRational(1 << 70, 3).k) == (1 << 67, 0)
+    big = DyadicRational(np.int64(12), np.uint8(3))  # numpy integers are integers
+    assert (big.n, big.k) == (3, 1) and type(big.n) is type(big.k) is int
 
 
 def test_dyadic_rejects_negative_exponent():

@@ -2,6 +2,7 @@
 wide circuits and on narrow ones, where paths meet most often."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -125,6 +126,69 @@ def test_fast_oracle_matches_slow_oracle_on_postsel_adjust_circuits(h_exp):
         bits = default_input(w2)
         for cons in ([(w2.postselect, 1)], [(w2.output, 1), (w2.postselect, 1)]):
             assert path_sum(w2, bits, cons) == path_sum_slow(w2, bits, cons)
+
+
+# Planes are tiled up to the entry count only where they are read: each case
+# names the plane that comes back short, and the constraint sets pin it.
+_TILING_CASES = {
+    # wire 1 written at 2 entries (and wire 2 set at 2), read at 8 by the ccx
+    "written-early-read-late": (
+        Circuit(5, (h(0), cx(0, 1), x(2), h(3), h(4), ccx(1, 2, 3)), 3), "00000",
+        [[(3, 1)], [(1, 1), (4, 0)], [(3, 0), (1, 0), (2, 1)]],
+    ),
+    # the same, then an H on the varying wire 1: path_sum sorts, run merges
+    "written-early-read-late-meeting": (
+        Circuit(5, (h(0), cx(0, 1), x(2), h(3), h(4), ccx(1, 2, 3), h(1)), 3), "00000",
+        [[(3, 1)], [(1, 1), (4, 0)], [(3, 0), (1, 0), (2, 1)]],
+    ),
+    # wire 1 is never read after the layer on wires 2 and 3, only pinned
+    "cold-and-pinned": (
+        Circuit(4, (h(0), cx(0, 1), h(2), h(3)), 1), "0000",
+        [[(1, 1)], [(1, 0), (3, 1)], [(1, 1), (0, 0)], [(1, 1), (0, 1), (2, 0)]],
+    ),
+    # the sign plane is set at 2 entries by h(2) on a 1; h(3), on a wire set
+    # to 1 at 2 entries, grows both to 8 entries; the last H meets, so
+    # path_sum sorts on the sign plane and run merges on it
+    "sign-grown-from-short": (
+        Circuit(4, (x(2), h(2), x(3), h(0), h(1), h(3), cx(0, 1), h(1)), 0), "0000",
+        [[(2, 1)], [(3, 0), (1, 1)], [(0, 1), (2, 0), (3, 1)]],
+    ),
+    # run merges at the last h(0) with wires 1, 4 (at 2 entries), 2 (at 4)
+    # and 3 (at 8) behind n
+    "merge-after-cold-planes": (
+        Circuit(5, (h(0), cx(0, 1), x(4), h(2), h(3), h(0)), 0), "00000",
+        [[(0, 0)], [(1, 1), (4, 1)], [(0, 1), (2, 1), (3, 0)]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TILING_CASES))
+def test_planes_grown_where_read_match_both_references(name):
+    """check_engines (run, path_sum and _amplitudes against _dict_reference)
+    and path_sum against path_sum_slow, on circuits whose planes are read
+    after later Hadamards than their last write, or never read again."""
+    circuit, bits, constraints = _TILING_CASES[name]
+    check_engines(circuit, bits, constraints)
+    for pins in [[]] + constraints:
+        assert path_sum(circuit, bits, pins) == path_sum_slow(circuit, bits, pins), pins
+
+
+def test_path_sum_memory_follows_the_planes_read_after_their_last_growth():
+    """The heaviest path sum of the exact-postsel-adjust scenario: 20
+    Hadamards on 28 wires, but only 9 wires are read after the last layer.
+    Doubling every plane at every Hadamard peaked at 3.46 MiB; growing them
+    where read keeps it near 1.5 MiB."""
+    w2 = compile_fqp_to_exp(_uniform_circuit(6, 64, None), 64, 6)
+    bits, pins = default_input(w2), [(w2.postselect, 1)]
+    assert (w2.width, w2.h_count) == (28, 20)
+    path_sum(w2, bits, pins)  # imports and first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        assert path_sum(w2, bits, pins) == (1 << 14, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 _ANC = 7  # an ancilla held at 1, read as a control and never written
