@@ -27,6 +27,14 @@ st = run(Circuit(1, (h(0),), 0), "0")
 c, m = st.amplitude(0)
 print(f"H|0>: amplitude of |0> = {c}/sqrt2^{m}, probability", DyadicRational(c * c, m))
 
+# a sign: H|1> = (|0> - |1>)/sqrt2, so an H on each qubit of |q0 q1> = |10>
+# (input "10": qubit 0 is 1) gives |11> the amplitude -1/sqrt2^2; the state
+# keeps that sign on a plane that stays two entries long until it is read
+st = run(Circuit(2, (h(0), h(1)), 0), "10")
+c, m = st.amplitude(0b11)
+print(f"(H x H)|10>: amplitude of |11> = {c}/sqrt2^{m}, probability", DyadicRational(c * c, m))
+assert (c, m) == (-1, 2)
+
 # interference: after H H the two paths into |1> cancel (+1 - 1 = 0) and the
 # two into |0> add up (+1 + 1 = 2); squaring gives c*c/2^m exactly
 st = run(Circuit(1, (h(0), h(0)), 0), "0")

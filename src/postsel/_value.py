@@ -11,7 +11,6 @@ class, the hash of the field tuple, ``Name(field=value, ...)``.  Assignment and
 
 class _Value:
     _fields: tuple[str, ...] = ()
-    _shown: tuple[str, ...] = ()  # the fields ``repr`` prints, when not all of them
 
     def __init_subclass__(cls):
         code = cls.__init__.__code__
@@ -32,7 +31,7 @@ class _Value:
         return hash(self._astuple())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._shown or self._fields)
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -8,10 +8,12 @@ entry.  A gate XORs into its target the AND of its control planes (``ones``
 for an ``x``), a set of (wire, value) constraints selects the AND of the
 pinned planes, and ``Planes.branch_signed`` is a Hadamard on every entry at
 once.  ``Planes`` grows a plane to n entries only where it is read, and
-``Planes.drive`` is the one gate loop of ``run`` and ``path_sum``.  This
-module is pure Python; only leaving the layout needs numpy, in ``_keys``,
-which transposes the planes into one uint64 key per entry, so a circuit has
-at most ``MAX_WIDTH`` = 63 qubits (qubit 63 would be an int64 index's sign bit).
+``Planes.drive`` is the one gate loop of ``run`` and ``path_sum``; the state
+``run`` returns keeps its ``Planes``, so a query grows only the planes it
+reads.  This module is pure Python; only leaving the layout needs numpy, in
+``_keys``, which transposes the planes into one uint64 key per entry, so a
+circuit has at most ``MAX_WIDTH`` = 63 qubits (qubit 63 would be an int64
+index's sign bit).
 """
 
 from __future__ import annotations
@@ -55,18 +57,6 @@ def _constraint_mask(width: int, constraints) -> tuple[int, int] | None:
         if pinned.setdefault(q, v) != v:
             return None
     return sum(1 << q for q in pinned), sum(v << q for q, v in pinned.items())
-
-
-def _kept(planes: list[int], ones: int, mask: int, val: int) -> int:
-    """The entries that meet a ``_constraint_mask`` (mask, val): the AND of
-    the pinned planes, each XOR ``ones`` where pinned to 0; ``ones`` if none is."""
-    keep = ones
-    while mask:
-        bit = mask & -mask  # the lowest pinned wire's bit
-        q = bit.bit_length() - 1
-        keep &= planes[q] if val & bit else planes[q] ^ ones
-        mask ^= bit
-    return keep
 
 
 def apply_gates_planes(planes: list, gates: Iterable[Gate], ones) -> None:
@@ -134,9 +124,17 @@ class Planes:
         return self.planes[q] in (0, (1 << self.sizes[q]) - 1)
 
     def kept(self, mask: int, val: int) -> int:
-        """``_kept`` over the n entries, once the pinned planes are grown."""
-        self.grown(q for q in range(len(self.planes) - 1) if mask >> q & 1)
-        return _kept(self.planes, (1 << self.n) - 1, mask, val)
+        """The entries that meet a ``_constraint_mask`` (mask, val): the AND of
+        the pinned planes, each grown and XOR ``ones`` where pinned to 0;
+        ``ones`` if none is."""
+        keep = ones = (1 << self.n) - 1
+        while mask:
+            bit = mask & -mask  # the lowest pinned wire's bit
+            q = bit.bit_length() - 1
+            p = self.grown((q,))[q]
+            keep &= p if val & bit else p ^ ones
+            mask ^= bit
+        return keep
 
     def branch_signed(self, target: int) -> None:
         """A Hadamard on wire ``target``: entry n + j copies entry j, except

@@ -12,8 +12,8 @@ they are next read.  Only an H on a wire that varies grows every plane,
 writes the coefficients out in full, transposes to int64 basis indices,
 merges the entries that meet by one sort and transposes back: the first
 merge imports numpy (``_keys``), which nothing else in ``run`` needs.
-``run`` grows every plane to n and returns the state in this branch form
-(short coefficients, sign plane, n), and ``QuantumState`` writes the n
+``run`` returns the state in this branch form, on the ``Planes`` it drove:
+a query grows only the planes it reads, and ``QuantumState`` writes the n
 coefficients out only when a caller reads ``coeffs``.
 Cost follows the live support, at most min(2**w, 2**m) over w qubits, not
 2**w (Jaques & Haener, arXiv:2105.01533).  Unitarity gives sum(c_j**2) ==
@@ -35,29 +35,33 @@ from ._value import _Value
 from .circuit import Circuit, _integer, expand_mcx
 from .errors import ZeroPostselection
 from .exactring import DyadicRational
-from .planes import Planes, _basis_index, _constraint_mask, _kept
+from .planes import Planes, _basis_index, _constraint_mask
 
 DEFAULT_MAX_SUPPORT = 1 << 24
 
 
-class QuantumState(_Value):
+class QuantumState:
     """n entries: entry j is c_j / sqrt(2)**m at the basis state whose qubit q
-    is bit j of planes[q]; every c_j is nonzero, other basis states are 0.
+    is bit j of wire q's plane; every c_j is nonzero, other basis states are 0.
 
-    c_j is short[j % short.size], negated where ``sign`` has bit j: the branch
-    form ``run`` returns; before any merge ``_short`` is None, every c_j is +-1
-    and only reading ``short``, ``coeffs`` or ``indices`` loads numpy.
+    c_j is short[j % short.size], negated where the sign plane has bit j: the
+    branch form ``run`` returns, on the ``Planes`` it drove, whose planes grow
+    only when a query reads them.  Before any merge ``_short`` is None, every
+    c_j is +-1 and only reading ``short``, ``coeffs`` or ``indices`` loads numpy.
     Unitarity gives sum(c_j**2) == 2**m, which ``joint_prob`` relies on.
     A state is mutable and compares by identity.
     """
 
-    # planes and sign are n-bit ints: a repr of them could pass int's str limit
-    _shown = ("width", "_short", "m", "n")
-    __eq__, __hash__ = object.__eq__, object.__hash__
-    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    def __init__(self, width: int, planes: Planes, _short, m: int):
+        self.width, self.planes, self._short, self.m = width, planes, _short, m
 
-    def __init__(self, width: int, planes: list[int], _short, m: int, sign: int, n: int):
-        self._set(width, planes, _short, m, sign, n)
+    def __repr__(self) -> str:
+        # the planes are n-bit ints: a repr of them could pass int's str limit
+        return f"QuantumState(width={self.width}, _short={self._short!r}, m={self.m}, n={self.n})"
+
+    @property
+    def n(self) -> int:
+        return self.planes.n
 
     @cached_property
     def short(self):
@@ -69,25 +73,26 @@ class QuantumState(_Value):
     def coeffs(self):
         """The n coefficients c_j, written out on first use."""
         from . import _keys
-        return _keys._write_out(self.short, self.sign, self.n)
+        return _keys._write_out(self.short, self.planes.grown((-1,))[-1], self.n)
 
     @cached_property
     def indices(self):
         """int64 basis state of each entry (bit i = qubit i), transposed on first use."""
         from . import _keys
-        return _keys._plane_keys(self.planes, self.n, (1 << self.n) - 1).view(_keys._INDEX)
+        planes = self.planes.grown(range(self.width))[: self.width]
+        return _keys._plane_keys(planes, self.n, (1 << self.n) - 1).view(_keys._INDEX)
 
     def amplitude(self, z: int) -> tuple[int, int]:
         """Exact (c, m) with amplitude(z) == c / sqrt(2)**m; c == 0 off the support."""
         z = _integer(z, "basis state")
         if not 0 <= z < 1 << self.width:
             raise ValueError(f"basis state {z} is not an integer in [0, 2**{self.width})")
-        hit = _kept(self.planes, (1 << self.n) - 1, (1 << self.width) - 1, z)
+        hit = self.planes.kept((1 << self.width) - 1, z)
         if not hit:
             return 0, self.m
         j = hit.bit_length() - 1
         c = 1 if self._short is None else int(self._short[j % self._short.size])
-        return (-c if (self.sign >> j) & 1 else c), self.m
+        return (-c if (self.planes.grown((-1,))[-1] >> j) & 1 else c), self.m
 
 
 class PostselStats(_Value):
@@ -111,19 +116,17 @@ def run(circuit: Circuit, input_bits) -> QuantumState:
     if any(g.kind == "mcx" for g in circuit.gates):
         circuit = expand_mcx(circuit)
 
-    short = None
+    short, m = None, circuit.h_count
 
     def merge(planes: list[int], n: int, target: int):
         nonlocal short  # the first merge loads numpy and picks the dtype (_keys._ones)
         from . import _keys
-        short, planes = _keys._merge(short, planes, n, target, circuit.h_count)
+        short, planes = _keys._merge(short, planes, n, target, m)
         return planes, short.size
 
     st = Planes(z0, circuit.width)
     st.drive(circuit.gates, merge, DEFAULT_MAX_SUPPORT)
-    planes = st.grown(range(circuit.width + 1))
-    sign = planes.pop()
-    return QuantumState(circuit.width, planes, short, circuit.h_count, sign, st.n)
+    return QuantumState(circuit.width, st, short, m)
 
 
 def measure_prob(state: QuantumState, qubit: int, value: int) -> DyadicRational:
@@ -134,7 +137,7 @@ def measure_prob(state: QuantumState, qubit: int, value: int) -> DyadicRational:
 def joint_prob(state: QuantumState, constraints) -> DyadicRational:
     """Exact probability that every (qubit, value) constraint holds at once."""
     n, pin = state.n, _constraint_mask(state.width, constraints)
-    keep = _kept(state.planes, (1 << n) - 1, *pin) if pin else 0
+    keep = state.planes.kept(*pin) if pin else 0
     # n nonzero integers whose squares sum to 2**m: n == 2**m forces every
     # square to be 1, so the kept squares sum to the number of kept entries
     # (as they do, 0, when no entry is kept)

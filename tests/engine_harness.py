@@ -134,9 +134,11 @@ def check_engines(circuit: Circuit, bits: str, constraints) -> None:
     """Every engine and every reading of ``run``'s state against the dict
     reference, on one circuit, input and list of constraint sets.
 
-    ``run`` returns a branch form.  It, and the same state with its short
-    coefficients tiled to full length under the same sign plane (where a
-    write-out that negated in place would change what ``amplitude`` reads),
+    ``run`` returns a branch form on the ``Planes`` it drove, whose planes
+    grow only when a query reads them.  It, and the same state with its
+    short coefficients tiled to full length on the ``Planes`` of a second
+    ``run`` (where a write-out that negated in place would change what
+    ``amplitude`` reads, and whose reads also start from short planes),
     answer ``amplitude`` on and off the support (every basis state of the
     low six wires) and ``joint_prob`` on ``[]`` (unitarity: 1) and on each
     constraint set, both before ``coeffs`` is first read and after; then
@@ -186,8 +188,8 @@ def check_engines(circuit: Circuit, bits: str, constraints) -> None:
         for q, v, p in marginals if every_wire else ():
             assert measure_prob(s, q, v) == p
 
-    full = QuantumState(width, st.planes, np.tile(st.short, st.n // st.short.size), m,
-                        st.sign, st.n)
+    tiled = np.tile(st.short, st.n // st.short.size)
+    full = QuantumState(width, run(circuit, bits).planes, tiled, m)  # planes as short as st's
     for s in (st, full):
         check_queries(s, s is st)
         assert "coeffs" not in vars(s)

@@ -159,6 +159,12 @@ _TILING_CASES = {
         Circuit(5, (h(0), cx(0, 1), x(4), h(2), h(3), h(0)), 0), "00000",
         [[(0, 0)], [(1, 1), (4, 1)], [(0, 1), (2, 1), (3, 0)]],
     ),
+    # the sign plane is set at 2 entries by h(0) on a 1 and no later H grows
+    # it: run's state still holds it short when amplitude and coeffs read it
+    "sign-short-at-the-end": (
+        Circuit(2, (h(0), h(1)), 0), "10",
+        [[(0, 1)], [(0, 1), (1, 1)]],
+    ),
 }
 
 
@@ -173,18 +179,24 @@ def test_planes_grown_where_read_match_both_references(name):
         assert path_sum(circuit, bits, pins) == path_sum_slow(circuit, bits, pins), pins
 
 
-def test_path_sum_memory_follows_the_planes_read_after_their_last_growth():
+@pytest.mark.parametrize("engine, expected", [
+    (path_sum, (1 << 14, 20)),
+    (lambda c, bits, pins: joint_prob(run(c, bits), pins), DyadicRational(1 << 14, 20)),
+], ids=["path_sum", "run"])
+def test_path_sum_memory_follows_the_planes_read_after_their_last_growth(engine, expected):
     """The heaviest path sum of the exact-postsel-adjust scenario: 20
     Hadamards on 28 wires, but only 9 wires are read after the last layer.
-    Doubling every plane at every Hadamard peaked at 3.46 MiB; growing them
-    where read keeps it near 1.5 MiB."""
+    Doubling every plane at every Hadamard peaked at 3.46 MiB in path_sum;
+    growing them where read keeps it near 1.5 MiB.  run's state keeps the
+    same short planes, so run + joint_prob (3.21 MiB when run grew every
+    plane before it returned) stays near 1.7 MiB."""
     w2 = compile_fqp_to_exp(_uniform_circuit(6, 64, None), 64, 6)
     bits, pins = default_input(w2), [(w2.postselect, 1)]
     assert (w2.width, w2.h_count) == (28, 20)
-    path_sum(w2, bits, pins)  # imports and first-call caches stay out of the peak
+    engine(w2, bits, pins)  # imports and first-call caches stay out of the peak
     tracemalloc.start()
     try:
-        assert path_sum(w2, bits, pins) == (1 << 14, 20)
+        assert engine(w2, bits, pins) == expected
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
