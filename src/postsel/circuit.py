@@ -26,9 +26,9 @@ declares that qubit Q must be given input value V (0 or 1) and is returned to
 that value by the gates that borrow it.
 
 Each fact is checked in one place: a ``Gate`` checks its structure (kind,
-integer qubits, bool flags, control count, distinct qubits), a ``Circuit``
-(or ``counting.PredicateCircuit``) that each qubit lies in its register, and
-the reader the tokens (ASCII digits, ``!`` on controls only).
+integer qubits, bool flags, control count, distinct qubits) and keeps the
+span that a ``Circuit`` (or ``counting.PredicateCircuit``) tests against its
+register, and the reader the tokens (ASCII digits, ``!`` on controls only).
 
 The statement reader, the index and gate-line parsers and the gate-line
 writer here also serve the machine format of ``counting``, and
@@ -99,10 +99,9 @@ class Gate(_Value):
             raise ValueError("duplicate control qubit")
         d = self.__dict__  # written directly, not by _set: the hot path
         d["kind"], d["target"], d["controls"], d["negated"] = kind, target, controls, negated
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return self.controls + (self.target,)
+        # not fields: controls then target, and the range a register tests once
+        d["qubits"] = qubits = controls + (target,)
+        d["span"] = min(qubits), max(qubits)
 
 
 def h(q: int) -> Gate:
@@ -173,8 +172,9 @@ class Circuit(_Value):
         for g in gates:
             if not isinstance(g, Gate):
                 raise ValueError(f"gates must be Gate objects, got {g!r}")
-            for q in g.qubits:
-                _chk(q, f"{g.kind} gate")
+            if g.span[0] < 0 or g.span[1] >= width:  # name the first qubit off the register
+                for q in g.qubits:
+                    _chk(q, f"{g.kind} gate")
         self._set(width, gates, output, postselect, ancillas)
 
     @property
@@ -325,7 +325,10 @@ def _parse_index(token: str, line_no: int) -> tuple[int, bool]:
     body = token[1:] if neg else token
     if not (body.isascii() and body.isdigit()):
         raise CircuitSyntaxError(f"expected a non-negative integer, got {token!r}", line_no)
-    return int(body), neg
+    try:
+        return int(body), neg
+    except ValueError:  # past sys.get_int_max_str_digits(); the token is not echoed
+        raise CircuitSyntaxError(f"index of {len(body)} digits is too long", line_no) from None
 
 
 def _parse_ints(args: list[str], usage: str, line_no: int) -> list[int]:

@@ -74,17 +74,17 @@ class PredicateCircuit(_Value):
         )
         if self.input_width < 0 or self.path_width < 0 or self.ancilla_count < 0:
             raise ValueError("widths must be >= 0")
-        data = self.input_width + self.path_width
-        if not data <= self.accept_index < self.total_bits:
+        data, total = self.input_width + self.path_width, self.total_bits
+        if not data <= self.accept_index < total:
             raise ValueError("accept bit must sit past the instance and path bits")
         for g in self.gates:
             if not isinstance(g, Gate):
                 raise ValueError(f"gates must be Gate objects, got {g!r}")
             if g.kind == "h":
                 raise ValueError("predicate machines are reversible: no h gates")
-            for q in g.qubits:
-                if not 0 <= q < self.total_bits:
-                    raise ValueError(f"gate touches bit {q} outside machine")
+            if g.span[0] < 0 or g.span[1] >= total:
+                q = next(q for q in g.qubits if not 0 <= q < total)
+                raise ValueError(f"gate touches bit {q} outside machine")
 
     @property
     def total_bits(self) -> int:

@@ -9,11 +9,11 @@ for an ``x``), a set of (wire, value) constraints selects the AND of the
 pinned planes, and ``Planes.branch_signed`` is a Hadamard on every entry at
 once.  ``Planes`` grows a plane to n entries only where it is read, and
 ``Planes.drive`` is the one gate loop of ``run`` and ``path_sum``; the state
-``run`` returns keeps its ``Planes``, so a query grows only the planes it
-reads.  This module is pure Python; only leaving the layout needs numpy, in
-``_keys``, which transposes the planes into one uint64 key per entry, so a
-circuit has at most ``MAX_WIDTH`` = 63 qubits (qubit 63 would be an int64
-index's sign bit).
+``run`` returns keeps its ``Planes``, and a constraint tiles the planes it
+pins for its AND alone, leaving them as they were.  This module is pure
+Python; only leaving the layout needs numpy, in ``_keys``, which transposes
+the planes into one uint64 key per entry, so a circuit has at most
+``MAX_WIDTH`` = 63 qubits (qubit 63 would be an int64 index's sign bit).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .circuit import Circuit, Gate, _integer, _pack_bits
 from .errors import CapExceeded
 
 MAX_WIDTH = 63
-_TARGET, _CONTROLS = attrgetter("target"), attrgetter("controls")
+_QUBITS = attrgetter("qubits")
 
 
 def _check_width(width: int) -> None:
@@ -75,11 +75,8 @@ def apply_gates_planes(planes: list, gates: Iterable[Gate], ones) -> None:
 
 
 def _wires(gates: list[Gate]) -> set[int]:
-    """The wires that ``gates`` read: every target and control.  No tuple of
-    the gates' length is built (see ``Planes.drive``)."""
-    wires = set(map(_TARGET, gates))
-    wires.update(chain.from_iterable(map(_CONTROLS, gates)))
-    return wires
+    """Every wire that ``gates`` read, with no tuple of their length (see ``Planes.drive``)."""
+    return set(chain.from_iterable(map(_QUBITS, gates)))
 
 
 def _tiled(p: int, size: int, n: int) -> int:
@@ -96,10 +93,10 @@ class Planes:
 
     Plane q holds ``sizes[q]`` entries, the count at its last write, and
     stands for its bits repeated up to n: every branch since then copied all
-    entries.  ``grown`` tiles it up to n where a gate, a constraint, a merge
-    or the caller reads it, so memory follows the planes read after their
-    last growth (at worst (width + 1) * n / 8 bytes), not every wire.  Only
-    this class reads ``sizes``.
+    entries.  ``grown`` tiles it up to n where a gate, a merge or the caller
+    reads it (``kept`` tiles a copy), so memory follows the planes read
+    after their last growth (at worst (width + 1) * n / 8 bytes), not every
+    wire.  Only this class reads ``sizes``.
     """
 
     __slots__ = ("planes", "sizes", "n")
@@ -125,13 +122,13 @@ class Planes:
 
     def kept(self, mask: int, val: int) -> int:
         """The entries that meet a ``_constraint_mask`` (mask, val): the AND of
-        the pinned planes, each grown and XOR ``ones`` where pinned to 0;
-        ``ones`` if none is."""
+        the pinned planes, each tiled to n for it alone (the planes stay as
+        they are) and XOR ``ones`` where pinned to 0; ``ones`` if none is."""
         keep = ones = (1 << self.n) - 1
         while mask:
             bit = mask & -mask  # the lowest pinned wire's bit
             q = bit.bit_length() - 1
-            p = self.grown((q,))[q]
+            p = _tiled(self.planes[q], self.sizes[q], self.n)
             keep &= p if val & bit else p ^ ones
             mask ^= bit
         return keep

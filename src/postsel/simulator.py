@@ -13,8 +13,8 @@ writes the coefficients out in full, transposes to int64 basis indices,
 merges the entries that meet by one sort and transposes back: the first
 merge imports numpy (``_keys``), which nothing else in ``run`` needs.
 ``run`` returns the state in this branch form, on the ``Planes`` it drove:
-a query grows only the planes it reads, and ``QuantumState`` writes the n
-coefficients out only when a caller reads ``coeffs``.
+a query tiles the planes it pins only for itself, and ``QuantumState``
+writes the n coefficients out only when a caller reads ``coeffs``.
 Cost follows the live support, at most min(2**w, 2**m) over w qubits, not
 2**w (Jaques & Haener, arXiv:2105.01533).  Unitarity gives sum(c_j**2) ==
 2**m: with at most ``_keys._INT64_SAFE_H`` Hadamards every coefficient, square

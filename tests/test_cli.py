@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -275,7 +276,7 @@ def test_compile_gapsq_roundtrip(machine_files, tmp_path, capsys):
     )
     assert rc == 0
     assert f"wrote {out_path}" in capsys.readouterr().out
-    circ = parse_circuit(open(out_path).read())
+    circ = parse_circuit(Path(out_path).read_text())
     from postsel import measure_prob, run
 
     state = run(circ, default_input(circ))
@@ -299,7 +300,7 @@ def test_compile_pair_statistics(machine_files, tmp_path):
         ]
     )
     assert rc == 0
-    circ = parse_circuit(open(out_path).read())
+    circ = parse_circuit(Path(out_path).read_text())
     st = postselect_stats(circ, default_input(circ))
     assert st.p_post.as_fraction() == Fraction(1, 8)
     assert st.p_cond == Fraction(1, 2)
@@ -324,7 +325,7 @@ def test_compile_pair_honors_k(machine_files, tmp_path):
         ]
     )
     assert rc == 0
-    circ = parse_circuit(open(out_path).read())
+    circ = parse_circuit(Path(out_path).read_text())
     st = postselect_stats(circ, default_input(circ))
     # each padding pair divides P(p=1) by 4: 1/8 at k = 0
     assert st.p_post.as_fraction() == Fraction(1, 32)
@@ -352,7 +353,7 @@ def test_compile_rescale_and_fqp2exp(machine_files, tmp_path):
             ]
         )
         assert rc == 0
-        circ = parse_circuit(open(out_path).read())
+        circ = parse_circuit(Path(out_path).read_text())
         st = postselect_stats(circ, default_input(circ))
         assert st.p_post.as_fraction() == expect_post
 
@@ -374,7 +375,7 @@ def test_compile_pp(machine_files, tmp_path):
         ]
     )
     assert rc == 0
-    circ = parse_circuit(open(out_path).read())
+    circ = parse_circuit(Path(out_path).read_text())
     st = postselect_stats(circ, default_input(circ))
     # Gg = Gf = 2, q_exp = q'_exp = 4: P(p) = (3*4+4)/2**10 = 1/64
     assert st.p_post.as_fraction() == Fraction(1, 64)

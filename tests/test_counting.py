@@ -9,7 +9,6 @@ from hypothesis import strategies as hst
 
 from postsel import (
     CapExceeded,
-    Circuit,
     CircuitSyntaxError,
     FPFunction,
     MachineContractError,
@@ -21,6 +20,7 @@ from postsel import (
     emit_less_than,
     eval_machine,
     gap,
+    h,
     make_gap_machine,
     mcx,
     parse_machine,
@@ -38,14 +38,29 @@ from postsel.scenarios import random_machine
 
 
 def test_machine_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="accept bit must sit past"):
         PredicateCircuit(1, 1, 0, (), 0)  # accept inside instance bits
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="accept bit must sit past"):
         PredicateCircuit(1, 1, 0, (), 3)  # accept past the register
-    with pytest.raises(ValueError):
-        PredicateCircuit(0, 1, 0, (Circuit(1, (), 0).gates or (x(5),)), 1)
-    with pytest.raises(ValueError):
-        PredicateCircuit(0, 1, 0, (cx(0, 5),), 1)  # gate off the register
+
+
+# checked per gate in order: not a Gate, then h, then the register range
+MACHINE_OFF_REGISTER = [
+    ((cx(0, -1),), "gate touches bit -1 outside machine"),
+    ((cx(0, 3),), "gate touches bit 3 outside machine"),  # the first bit past it
+    # a control and the target both off the register: the control is named
+    ((ccx(0, 7, -1),), "gate touches bit 7 outside machine"),
+    ((x(1), 5), "gates must be Gate objects, got 5"),
+    ((h(0), cx(0, 5)), "predicate machines are reversible: no h gates"),
+    ((cx(0, 5), h(0)), "gate touches bit 5 outside machine"),
+]
+
+
+@pytest.mark.parametrize("gates, message", MACHINE_OFF_REGISTER)
+def test_machine_off_register_gate_error_names_the_bit(gates, message):
+    with pytest.raises(ValueError) as e:
+        PredicateCircuit(0, 2, 0, gates, 2)
+    assert str(e.value) == message
 
 
 @pytest.mark.parametrize(
@@ -65,8 +80,6 @@ def test_machine_rejects_non_integer_fields(args):
 
 
 def test_machine_rejects_hadamard():
-    from postsel import h
-
     with pytest.raises(ValueError, match="reversible"):
         PredicateCircuit(0, 1, 0, (h(0),), 1)
 

@@ -182,14 +182,17 @@ def test_planes_grown_where_read_match_both_references(name):
 @pytest.mark.parametrize("engine, expected", [
     (path_sum, (1 << 14, 20)),
     (lambda c, bits, pins: joint_prob(run(c, bits), pins), DyadicRational(1 << 14, 20)),
-], ids=["path_sum", "run"])
+    # pins all 28 wires: a constraint tiles each pinned plane only for its AND
+    (lambda c, bits, pins: run(c, bits).amplitude(4194303), (1, 20)),
+], ids=["path_sum", "run", "amplitude"])
 def test_path_sum_memory_follows_the_planes_read_after_their_last_growth(engine, expected):
     """The heaviest path sum of the exact-postsel-adjust scenario: 20
     Hadamards on 28 wires, but only 9 wires are read after the last layer.
     Doubling every plane at every Hadamard peaked at 3.46 MiB in path_sum;
     growing them where read keeps it near 1.5 MiB.  run's state keeps the
     same short planes, so run + joint_prob (3.21 MiB when run grew every
-    plane before it returned) stays near 1.7 MiB."""
+    plane before it returned) stays near 1.7 MiB, and so does run +
+    amplitude (3.47 MiB when a constraint grew the planes it pinned)."""
     w2 = compile_fqp_to_exp(_uniform_circuit(6, 64, None), 64, 6)
     bits, pins = default_input(w2), [(w2.postselect, 1)]
     assert (w2.width, w2.h_count) == (28, 20)

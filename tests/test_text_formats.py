@@ -63,6 +63,7 @@ def test_only_syntax_errors_escape_any_parser(header, lines):
             pass
 
 
+_LONG = "1" * (sys.get_int_max_str_digits() + 1)  # one digit past the runtime limit
 BAD_FILES = [
     # str.isdigit() accepts superscript digits, which int() rejects
     ("circuit", "qubits ¹\noutput 0\n", 1),
@@ -73,6 +74,9 @@ BAD_FILES = [
     ("circuit", "qubits 2\nancilla !0 1\noutput 1\n", 2),
     # \v is whitespace, not a line break: both gates sit on line 2
     ("circuit", "qubits 2\nh 0\vh 1\nq 1\noutput 0\n", 2),
+    # an index past int()'s digit limit, in a gate line and in a header
+    pytest.param("circuit", f"qubits 2\nh 0\nx {_LONG}\noutput 0\n", 3, id="circuit-long-index"),
+    pytest.param("machine", f"machine 0 {_LONG} 0\naccept 1\n", 1, id="machine-long-index"),
 ]
 
 
@@ -81,6 +85,12 @@ def test_bad_statement_names_its_line(fmt, text, line_no):
     with pytest.raises(CircuitSyntaxError, match=f"^line {line_no}: ") as e:
         PARSERS[fmt](text)
     assert e.value.line_no == line_no
+
+
+def test_an_over_long_index_is_named_by_its_digit_count_not_echoed():
+    with pytest.raises(CircuitSyntaxError) as e:
+        parse_circuit(f"qubits 2\nx {_LONG}\noutput 0\n")
+    assert str(e.value) == f"line 2: index of {len(_LONG)} digits is too long"
 
 
 # only LF, CRLF and CR end a line; str.splitlines() also breaks at these
