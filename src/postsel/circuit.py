@@ -29,6 +29,8 @@ Each fact is checked in one place: a ``Gate`` checks its structure (kind,
 integer qubits, bool flags, control count, distinct qubits) and keeps the
 span that a ``Circuit`` (or ``counting.PredicateCircuit``) tests against its
 register, and the reader the tokens (ASCII digits, ``!`` on controls only).
+A gate's cost follows its control count (an ``h`` or ``x`` skips the control
+checks), and a gate line's tokens are read inline, as ``_parse_index`` reads one.
 
 The statement reader, the index and gate-line parsers and the gate-line
 writer here also serve the machine format of ``counting``, and
@@ -46,8 +48,9 @@ from numbers import Integral
 from ._value import _Value
 from .errors import CircuitSyntaxError, InsufficientAncillas
 
-# controls per kind; an mcx gate carries at least _ARITY["mcx"]
+# controls per kind, at least _ARITY["mcx"] for an mcx; _MCX_KINDS renames an mcx with fewer
 _ARITY = {"h": 0, "x": 0, "cx": 1, "ccx": 2, "mcx": 3}
+_MCX_KINDS = {0: "x", 1: "cx", 2: "ccx"}
 GATE_KINDS = tuple(_ARITY)
 
 
@@ -59,9 +62,8 @@ def _integer(value, role: str) -> int:
 
 
 def _tuple(value, role: str) -> tuple:
-    """``value`` as a tuple; ValueError unless it is an ordered iterable
-    (a set or a mapping would hand over its items in hash order).  Tuples,
-    lists and strings skip the slower ABC test."""
+    """``value`` as a tuple; ValueError unless it is an ordered iterable (a set or a mapping
+    would hand over its items in hash order).  Tuples, lists and strings skip the ABC test."""
     if type(value) not in (tuple, list, str) and isinstance(value, (Set, Mapping)):
         raise ValueError(f"{role} must be a sequence, got unordered {type(value).__name__}")
     try:
@@ -72,36 +74,45 @@ def _tuple(value, role: str) -> tuple:
 
 class Gate(_Value):
     def __init__(self, kind: str, target: int, controls=(), negated=()):
-        if kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {kind!r}")
+        try:
+            arity = _ARITY[kind]
+        except (KeyError, TypeError):  # TypeError: an unhashable kind
+            raise ValueError(f"unknown gate kind {kind!r}") from None
         if not type(controls) is type(negated) is tuple:
             controls, negated = _tuple(controls, "controls"), _tuple(negated, "negated")
         if type(target) is not int:
             target = _integer(target, "target")
-        for c in controls:  # qubits are stored as ints; build a new tuple only if one is not
-            if type(c) is not int:
-                controls = tuple([_integer(c, "control") for c in controls])
-                break
-        for flag in negated:
-            if type(flag) is not bool:
-                raise ValueError(f"negated flag must be a bool, got {flag!r}")
-        n = len(controls)
-        if kind == "mcx":
-            if n < _ARITY["mcx"]:
-                raise ValueError(f"mcx gates carry >= {_ARITY['mcx']} controls once normalized")
-        elif n != _ARITY[kind]:
-            raise ValueError(f"{kind} takes {_ARITY[kind]} controls")
-        if len(negated) != n:
-            raise ValueError("one polarity flag per control")
-        if target in controls:
-            raise ValueError("target may not also be a control")
-        if len(set(controls)) != n:
-            raise ValueError("duplicate control qubit")
+        if arity or controls or negated:  # an h or x with no controls has none to check
+            for c in controls:  # qubits are stored as ints; build a new tuple only if one is not
+                if type(c) is not int:
+                    controls = tuple([_integer(c, "control") for c in controls])
+                    break
+            for flag in negated:
+                if type(flag) is not bool:
+                    raise ValueError(f"negated flag must be a bool, got {flag!r}")
+            n = len(controls)
+            if kind == "mcx":
+                if n < arity:
+                    raise ValueError(f"mcx gates carry >= {arity} controls once normalized")
+            elif n != arity:
+                raise ValueError(f"{kind} takes {arity} controls")
+            if len(negated) != n:
+                raise ValueError("one polarity flag per control")
+            if target in controls:
+                raise ValueError("target may not also be a control")
+            if n > 1 and len(set(controls)) != n:
+                raise ValueError("duplicate control qubit")
         d = self.__dict__  # written directly, not by _set: the hot path
         d["kind"], d["target"], d["controls"], d["negated"] = kind, target, controls, negated
         # not fields: controls then target, and the range a register tests once
-        d["qubits"] = qubits = controls + (target,)
-        d["span"] = min(qubits), max(qubits)
+        d["qubits"] = controls + (target,)
+        lo = hi = target  # a loop: min() and max() cost more on so few qubits
+        for c in controls:
+            if c < lo:
+                lo = c
+            elif c > hi:
+                hi = c
+        d["span"] = lo, hi
 
 
 def h(q: int) -> Gate:
@@ -120,14 +131,11 @@ def ccx(c1: int, c2: int, t: int, neg1: bool = False, neg2: bool = False) -> Gat
     return Gate("ccx", t, (c1, c2), (neg1, neg2))
 
 
-def mcx(
-    controls: Sequence[int], target: int, negated: Sequence[bool] | None = None
-) -> Gate:
+def mcx(controls: Sequence[int], target: int, negated: Sequence[bool] | None = None) -> Gate:
     """Multi-controlled X, normalized by control count (0->x, 1->cx, 2->ccx)."""
     controls = _tuple(controls, "controls")
     negated = _tuple(negated, "negated") if negated is not None else (False,) * len(controls)
-    kind = {0: "x", 1: "cx", 2: "ccx"}.get(len(controls), "mcx")
-    return Gate(kind, target, controls, negated)
+    return Gate(_MCX_KINDS.get(len(controls), "mcx"), target, controls, negated)
 
 
 class Circuit(_Value):
@@ -135,13 +143,10 @@ class Circuit(_Value):
 
     ``output`` is the qubit whose value-1 probability is the circuit's answer;
     ``postselect``, when present, is the qubit conditioned to 1.  ``ancillas``
-    holds (qubit, initial value) pairs for declared work qubits.
-    """
+    holds (qubit, initial value) pairs for declared work qubits."""
 
-    def __init__(
-        self, width: int, gates: Iterable[Gate], output: int, postselect: int | None = None,
-        ancillas: Iterable[tuple[int, int]] = (),
-    ):
+    def __init__(self, width: int, gates: Iterable[Gate], output: int,
+                 postselect: int | None = None, ancillas: Iterable[tuple[int, int]] = ()):
         gates = _tuple(gates, "gates")
         try:
             ancillas = tuple(sorted(
@@ -190,9 +195,8 @@ def default_input(circuit: Circuit) -> str:
     return "".join(bits)
 
 
-def _placed(
-    gates: Iterable[Gate], wire: Callable[[int], int], control: tuple[int, bool] | None = None
-) -> list[Gate]:
+def _placed(gates: Iterable[Gate], wire: Callable[[int], int],
+            control: tuple[int, bool] | None = None) -> list[Gate]:
     """``gates`` with every wire q moved to ``wire(q)``.  A (qubit, negated)
     ``control`` joins every gate but ``h`` as its last control; ``mcx``
     renames the kind to fit the new control count."""
@@ -221,11 +225,9 @@ def apply_gate_classical(state: int, gate: Gate) -> int:
 
 
 def _ladder(c: Sequence[int], target: int, a: Sequence[int]) -> list[Gate]:
-    """CCX network for an all-positive multi-controlled X on the n >= 3 controls ``c``.
-
-    Uses the n-2 work qubits ``a``, which may hold anything (each is returned
-    to its initial value), at a cost of 4*(n-2) CCX gates.
-    """
+    """CCX network for an all-positive multi-controlled X on the n >= 3 controls
+    ``c``, using the n-2 work qubits ``a``, which may hold anything (each is
+    returned to its initial value), at a cost of 4*(n-2) CCX gates."""
     n = len(c)
     assert len(a) >= n - 2
     seq = [ccx(c[n - 1], a[n - 3], target)]
@@ -244,13 +246,10 @@ def _borrowed(g: Gate, pool: Iterable[int]) -> tuple[list[int], int]:
 
 
 def expand_mcx(circuit: Circuit) -> Circuit:
-    """Rewrite every mcx macro into {x, cx, ccx} using declared ancillas.
-
-    Negated controls are flipped by X before the ladder and back after it
-    (``_uncomputed``).  Each expansion borrows (``_borrowed``) declared
-    ancilla qubits; the ladder restores them, so the same pool serves every
-    mcx in the circuit.
-    """
+    """Rewrite every mcx macro into {x, cx, ccx} using declared ancillas.  Negated
+    controls are flipped by X before the ladder and back after it (``_uncomputed``).
+    Each expansion borrows (``_borrowed``) declared ancilla qubits; the ladder
+    restores them, so the same pool serves every mcx in the circuit."""
     anc_pool = [q for q, _ in circuit.ancillas]
     out: list[Gate] = []
     for g in circuit.gates:
@@ -261,8 +260,7 @@ def expand_mcx(circuit: Circuit) -> Circuit:
         if short:
             raise InsufficientAncillas(
                 f"mcx with {len(g.controls)} controls needs {len(free) + short} ancillas, "
-                f"only {len(free)} declared and free"
-            )
+                f"only {len(free)} declared and free")
         flips = [x(c) for c, neg in zip(g.controls, g.negated) if neg]
         out.extend(_uncomputed(flips, _ladder(g.controls, g.target, free)))
     return Circuit(circuit.width, out, circuit.output, circuit.postselect, circuit.ancillas)
@@ -272,10 +270,8 @@ def expand_mcx(circuit: Circuit) -> Circuit:
 
 
 def _pack_bits(bits, width: int) -> int:
-    """0/1 bits (a string or a sequence) as an int, bit i at position i.
-
-    Raises ValueError unless there are exactly ``width`` bits, each 0 or 1.
-    """
+    """0/1 bits (a string or a sequence) as an int, bit i at position i; ValueError
+    unless there are exactly ``width`` bits, each 0 or 1."""
     bits = _tuple(bits, "bits")
     if len(bits) != width:
         raise ValueError(f"expected {width} bits, got {len(bits)}")
@@ -294,20 +290,18 @@ def _lines(text: str) -> list[str]:
 
 def _body(text: str, usages: Sequence[str], found: dict[str, list[int]]):
     """(line_no, op, args) per statement of a headed file other than its
-    integer directives; ``#`` comments and blank lines are dropped.
-
-    ``usages`` spell the directives (``"qubits N"``, ``"output Q"``); the
-    first is the header, which must open the file.  Each directive may appear
-    once, and its parsed arguments land in ``found`` under its keyword.
-    """
+    integer directives; ``#`` comments and blank lines are dropped.  ``usages``
+    spell the directives (``"qubits N"``, ``"output Q"``); the first is the
+    header, which must open the file.  Each directive may appear once, and its
+    parsed arguments land in ``found`` under its keyword."""
     usage = {u.split()[0]: u for u in usages}
     header = usages[0].split()[0]
     for line_no, raw in enumerate(_lines(text), start=1):
-        args = raw.split("#", 1)[0].split()
+        args = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not args:
             continue
         op = args.pop(0).lower()
-        if op != header and header not in found:
+        if header not in found and op != header:
             raise CircuitSyntaxError(f"{header} line must come first", line_no)
         if op not in usage:
             yield line_no, op, args
@@ -345,26 +339,30 @@ def _parse_ints(args: list[str], usage: str, line_no: int) -> list[int]:
 
 
 def _parse_gate(op: str, args: list[str], line_no: int) -> Gate:
-    """One gate line; ``mcx`` takes one or more controls and is normalized by count."""
-    if op not in GATE_KINDS:
+    """One gate line, each token read as ``_parse_index`` would; ``mcx`` normalized by count."""
+    if op not in _ARITY:
         raise CircuitSyntaxError(f"unknown statement {op!r}", line_no)
     controls, negated = [], []
     for tok in args:
-        q, neg = _parse_index(tok, line_no)
-        controls.append(q)
-        negated.append(neg)
+        body = tok.removeprefix("!")
+        if not (body.isdigit() and body.isascii()):
+            raise CircuitSyntaxError(f"expected a non-negative integer, got {tok!r}", line_no)
+        try:
+            controls.append(int(body))
+        except ValueError:  # past sys.get_int_max_str_digits(); the token is not echoed
+            raise CircuitSyntaxError(f"index of {len(body)} digits is too long", line_no) from None
+        negated.append(len(body) < len(tok))
     if not controls:
         raise CircuitSyntaxError(f"{op} needs a target", line_no)
     tgt = controls.pop()
     if negated.pop():
         raise CircuitSyntaxError("targets cannot be negated", line_no)
-    if op == "mcx" and not controls:
-        raise CircuitSyntaxError("mcx needs controls and a target", line_no)
-    controls, negated = tuple(controls), tuple(negated)
+    if op == "mcx":
+        if not controls:
+            raise CircuitSyntaxError("mcx needs controls and a target", line_no)
+        op = _MCX_KINDS.get(len(controls), "mcx")
     try:
-        if op == "mcx":
-            return mcx(controls, tgt, negated)
-        return Gate(op, tgt, controls, negated)
+        return Gate(op, tgt, tuple(controls), tuple(negated))
     except ValueError as exc:
         raise CircuitSyntaxError(str(exc), line_no) from exc
 
@@ -392,6 +390,8 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def _gate_line(g: Gate) -> str:
+    if not g.controls:  # h, x
+        return f"{g.kind} {g.target}"
     ctls = [("!" if neg else "") + str(c) for c, neg in zip(g.controls, g.negated)]
     return " ".join([g.kind, *ctls, str(g.target)])
 

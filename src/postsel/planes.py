@@ -9,8 +9,8 @@ for an ``x``), a set of (wire, value) constraints selects the AND of the
 pinned planes, and ``Planes.branch_signed`` is a Hadamard on every entry at
 once.  ``Planes`` grows a plane to n entries only where it is read, and
 ``Planes.drive`` is the one gate loop of ``run`` and ``path_sum``; the state
-``run`` returns keeps its ``Planes``, and a constraint tiles the planes it
-pins for its AND alone, leaving them as they were.  This module is pure
+``run`` returns keeps its ``Planes``, and a constraint ANDs the planes it
+pins at their own sizes, leaving them as they were.  This module is pure
 Python; only leaving the layout needs numpy, in ``_keys``, which transposes
 the planes into one uint64 key per entry, so a circuit has at most
 ``MAX_WIDTH`` = 63 qubits (qubit 63 would be an int64 index's sign bit).
@@ -94,7 +94,7 @@ class Planes:
     Plane q holds ``sizes[q]`` entries, the count at its last write, and
     stands for its bits repeated up to n: every branch since then copied all
     entries.  ``grown`` tiles it up to n where a gate, a merge or the caller
-    reads it (``kept`` tiles a copy), so memory follows the planes read
+    reads it (``kept`` tiles only its AND), so memory follows the planes read
     after their last growth (at worst (width + 1) * n / 8 bytes), not every
     wire.  Only this class reads ``sizes``.
     """
@@ -121,17 +121,17 @@ class Planes:
         return self.planes[q] in (0, (1 << self.sizes[q]) - 1)
 
     def kept(self, mask: int, val: int) -> int:
-        """The entries that meet a ``_constraint_mask`` (mask, val): the AND of
-        the pinned planes, each tiled to n for it alone (the planes stay as
-        they are) and XOR ``ones`` where pinned to 0; ``ones`` if none is."""
-        keep = ones = (1 << self.n) - 1
-        while mask:
-            bit = mask & -mask  # the lowest pinned wire's bit
-            q = bit.bit_length() - 1
-            p = _tiled(self.planes[q], self.sizes[q], self.n)
-            keep &= p if val & bit else p ^ ones
-            mask ^= bit
-        return keep
+        """The entries that meet a ``_constraint_mask`` (mask, val), ``ones`` if
+        no wire is pinned: the pinned planes ANDed in order of size, each at its
+        own (``keep ^ (keep & p)`` clears a plane pinned to 0), and only the
+        result tiled to n, as tiling commutes with AND; the planes stay as they are."""
+        pinned = sorted((self.sizes[q], q) for q in range(mask.bit_length()) if mask >> q & 1)
+        size = pinned[0][0] if pinned else self.n  # after a merge n need not be a power of 2
+        keep = (1 << size) - 1
+        for s, q in pinned:
+            keep, size = _tiled(keep, size, s), s
+            keep = keep & self.planes[q] if val >> q & 1 else keep ^ (keep & self.planes[q])
+        return _tiled(keep, size, self.n)
 
     def branch_signed(self, target: int) -> None:
         """A Hadamard on wire ``target``: entry n + j copies entry j, except

@@ -178,6 +178,10 @@ def scenario_oracle_equivalence(seed: int, r: int) -> WitnessReport:
     for i in range(100):
         circ, bits = random_circuit(rng, allow_mcx=(i % 3 == 2))
         state = run(circ, bits)
+        # P(o=0) pins a wire to 0, which no event does; the two engines share
+        # that pin (planes.Planes.kept), so the check is P(o=0) + P(o=1) = 1
+        p0, p1 = (measure_prob(state, circ.output, v).as_fraction() for v in (0, 1))
+        report.check(f"circuit{i:03d}:prob_output0", p0, "==", 1 - p1)
         for event, cons in _events(circ).items():
             g, m = path_sum(circ, bits, cons)
             report.check(

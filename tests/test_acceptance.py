@@ -87,9 +87,11 @@ def test_acceptance_01_oracle_equivalence(seed42_reports):
         sizes.check(f"circuit{i:03d}:hadamards", circ.h_count, "<=", 12)
         postselecting += circ.postselect is not None
     # one row per event of simulator._events: P(o=1) on every circuit, P(p=1)
-    # and P(o=1, p=1) on the postselecting ones
+    # and P(o=1, p=1) on the postselecting ones; and P(o=0) = 1 - P(o=1) on
+    # every circuit, the one row that pins a wire to 0
     rows = {
         r"circuit\d{3}:prob_output": 100,
+        r"circuit\d{3}:prob_output0": 100,
         r"circuit\d{3}:prob_postselect": postselecting,
         r"circuit\d{3}:prob_joint": postselecting,
         r"circuit0[01]\d:slow": 20,
@@ -347,8 +349,8 @@ def test_acceptance_10_majority_instance_bounds(seed42_reports):
 # sha256 of `postsel verify --suite all --format machine --seed S`: a change
 # that alters any row must update its digest and name the rows in CHANGES.md
 SUITE_DIGESTS = {
-    42: "98ec62c705da43366192a1a2403be33d396ff34aa72f0bbb2f123c514aeb4679",
-    7: "e75f633095b72024d8ed09502fe023e919e248dde8f0cd84592f775f8570000a",
+    42: "2d266db86b0852371ec5656e5ca79270132d9791da259e5f363707e84adb95c0",
+    7: "65c96c660102c49ffe53d76bfd36e071608360902fa2ea6927254b68dd3c7a48",
 }
 
 

@@ -216,9 +216,13 @@ def _sequences(elements):
     )
 
 
+class _Kind(str):
+    """A str subclass: equal to, and hashed as, the plain string."""
+
+
 @settings(max_examples=600, deadline=None)
 @given(
-    kind=st.sampled_from([*GATE_KINDS, "cz", "H", ""]),
+    kind=st.sampled_from([*GATE_KINDS, "cz", "H", "", None, ["h"], _Kind("h")]),
     target=QUBIT,
     controls=_sequences(QUBIT),
     negated=st.one_of(_sequences(FLAG), st.integers(0, 4).map(lambda n: (False,) * n)),
@@ -235,6 +239,8 @@ def test_gate_matches_check_by_check_reference(kind, target, controls, negated):
         fields = (g.kind, g.target, g.controls, g.negated)
         assert fields == expected and repr(fields) == repr(expected)
         assert all(type(q) is int for q in g.qubits)
+        assert g.qubits == g.controls + (g.target,)
+        assert g.span == (min(g.qubits), max(g.qubits))
 
 
 def test_numpy_integer_qubits_are_stored_as_python_ints():

@@ -182,7 +182,7 @@ def test_planes_grown_where_read_match_both_references(name):
 @pytest.mark.parametrize("engine, expected", [
     (path_sum, (1 << 14, 20)),
     (lambda c, bits, pins: joint_prob(run(c, bits), pins), DyadicRational(1 << 14, 20)),
-    # pins all 28 wires: a constraint tiles each pinned plane only for its AND
+    # pins all 28 wires: a constraint ANDs the pinned planes at their own sizes
     (lambda c, bits, pins: run(c, bits).amplitude(4194303), (1, 20)),
 ], ids=["path_sum", "run", "amplitude"])
 def test_path_sum_memory_follows_the_planes_read_after_their_last_growth(engine, expected):
