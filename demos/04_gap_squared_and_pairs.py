@@ -32,7 +32,7 @@ g1, g2 = gap(m1, "").gap, gap(m2, "").gap
 print("gaps:", g1, g2)
 
 # squared gap, read off a plain output qubit
-circ = compile_gap_squared(m1, "")
+circ = compile_gap_squared(m1)
 flat = expand_mcx(circ)                      # the Toffoli ladders run lowers mcx to
 state = run(flat, default_input(flat))
 p = measure_prob(state, circ.output, 1)
@@ -40,7 +40,7 @@ print("P(o=1) =", p, "   closed form:", gap_squared_prob(g1, q))
 assert p == gap_squared_prob(g1, q)
 
 # the pair construction: postselect to divide one square by their sum
-pair = compile_pair_postsel(m1, m2, "", k=0)
+pair = compile_pair_postsel(m1, m2, k=0)
 st = postselect_stats(pair, default_input(pair))
 want_post, want_cond = pair_stats(g1, g2, q, 0)
 print("P(p=1)        =", st.p_post, "   closed form:", want_post)
@@ -51,7 +51,7 @@ assert (st.p_post, st.p_cond) == (want_post, want_cond)
 assert st.p_cond == Fraction(g1 * g1, g1 * g1 + g2 * g2)
 
 # padding k only shrinks the postselection probability, never the ratio
-padded = compile_pair_postsel(m1, m2, "", k=2)
+padded = compile_pair_postsel(m1, m2, k=2)
 st2 = postselect_stats(padded, default_input(padded))
 print("k=2 rescales P(p=1) to", st2.p_post, "; conditional stays", st2.p_cond)
 assert st2.p_cond == st.p_cond

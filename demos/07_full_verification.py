@@ -31,7 +31,7 @@ print()
 for label, g_val in (("in", 2), ("out", 0)):
     mg = make_gap_machine(g_val, 1)
     mf = make_gap_machine(2, 1)
-    circ = compile_pp_instance(mg, mf, "")
+    circ = compile_pp_instance(mg, mf)
     st = postselect_stats(circ, default_input(circ))
     print(f"{label}: P(p=1) = {st.p_post}  conditional = {st.p_cond}")
 print()

@@ -5,12 +5,15 @@ Subcommands:
 - ``simulate``: exact statistics of a circuit file on an input assignment,
   optionally cross-checked against the branch-enumeration oracle.
 - ``compile``: build one of the machine-to-circuit constructions from
-  machine files and write the circuit in the text format.
+  machine files and write the circuit in the text format.  It serves every
+  instance: the instance bits open ``simulate``'s and ``oracle``'s ``--input``.
+  Only ``fqp2exp`` reads ``compile --input``, the instance it forces.
 - ``oracle``: branch-enumeration probability of a constraint set.
 - ``verify``: run verification suites and report pass/fail conditions.
 
 Exit codes: 0 success, 1 a verification or cross-check failed, 2 bad input
-(syntax errors, missing files, inconsistent parameters, an unknown suite).
+(syntax errors, missing files, inconsistent parameters, an unknown suite, a
+simulated input on which nothing is postselected).
 The argument parser is built once per process, on the first ``main`` call,
 not at import; only a process that calls ``main`` more than once reuses it.
 
@@ -30,7 +33,7 @@ import sys
 from fractions import Fraction
 
 from .circuit import _lines, default_input, parse_circuit, serialize_circuit
-from .errors import CircuitSyntaxError, PostselError
+from .errors import CircuitSyntaxError, PostselError, ZeroPostselection
 from .exactring import DyadicRational
 from .pathsum import path_sum
 from .planes import _check_width
@@ -64,8 +67,9 @@ def _cmd_simulate(args) -> int:
     probs = {key: joint_prob(state, cons) for key, cons in events.items()}
     rows = [(key, str(p)) for key, p in probs.items()]
     if circ.postselect is not None:
-        p_post = probs["prob_postselect"].as_fraction()
-        cond = probs["prob_joint"].as_fraction() / p_post if p_post else "undefined"
+        if probs["prob_postselect"].is_zero():  # as postselect_stats refuses it
+            raise ZeroPostselection("P(postselect=1) is exactly zero")
+        cond = probs["prob_joint"].as_fraction() / probs["prob_postselect"].as_fraction()
         rows.append(("conditional", str(cond)))
     status = 0
     if args.oracle:
@@ -92,18 +96,19 @@ def _cmd_simulate(args) -> int:
     return status
 
 
-# the options each construction reads besides --machine1 and --input
+# the options each construction reads besides --machine1
 _COMPILE_READS = {
     "gapsq": set(),
     "pp": {"machine2"},
     "pair": {"machine2", "k"},
     "rescale": {"machine2", "k", "t"},
-    "fqp2exp": {"machine2", "k", "h"},
+    "fqp2exp": {"machine2", "k", "h", "input"},
 }
 
 
 def _cmd_compile(args) -> int:
     from .constructions import (
+        _instance_input,
         compile_fqp_to_exp,
         compile_gap_squared,
         compile_pair_postsel,
@@ -114,7 +119,7 @@ def _cmd_compile(args) -> int:
     from .counting import gap, parse_machine
 
     kind = args.construction
-    given = {opt for opt in ("machine2", "k", "t", "h") if getattr(args, opt) is not None}
+    given = {opt for opt in set().union(*_COMPILE_READS.values()) if getattr(args, opt) is not None}
     unread = sorted(given - _COMPILE_READS[kind])
     if unread:
         raise ValueError(f"construction {kind!r} does not read --{', --'.join(unread)}")
@@ -122,18 +127,18 @@ def _cmd_compile(args) -> int:
         raise ValueError(f"construction {kind!r} needs --machine2")
     m1 = parse_machine(_read(args.machine1))
     m2 = parse_machine(_read(args.machine2)) if args.machine2 else None
-    w = args.input
     if kind == "gapsq":
-        circ = compile_gap_squared(m1, w)
+        circ = compile_gap_squared(m1)
     elif kind == "pp":
-        circ = compile_pp_instance(m1, m2, w)
+        circ = compile_pp_instance(m1, m2)
     else:
         k = 0 if args.k is None else args.k
-        circ = compile_pair_postsel(m1, m2, w, k)
+        circ = compile_pair_postsel(m1, m2, k)
         if kind == "rescale":
             circ = rescale_postsel(circ, 1 if args.t is None else args.t)
         elif kind == "fqp2exp":
             # the closed form; mix_with_constant checks it against one simulation
+            w = args.input or ""
             p = pair_stats(gap(m1, w).gap, gap(m2, w).gap, m1.path_width, k)[0]
             h_exp = p.k if args.h is None else args.h
             _check_width(circ.width + h_exp + 3)  # the mixed circuit's, before f ~ 2**h is built
@@ -141,7 +146,7 @@ def _cmd_compile(args) -> int:
                 raise ValueError(
                     f"need h >= 0 and P(p=1) * 2**h an integer, got P(p=1) = {p}, h = {h_exp}"
                 )
-            circ = compile_fqp_to_exp(circ, p.n << (h_exp - p.k), h_exp)
+            circ = compile_fqp_to_exp(circ, p.n << (h_exp - p.k), h_exp, _instance_input(circ, w))
     with open(args.output, "w", encoding="ascii") as fh:
         fh.write(serialize_circuit(circ))
     print(
@@ -185,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="exact statistics of a circuit file")
     s.add_argument("--circuit", required=True, help="circuit file")
-    s.add_argument("--input", help="input bitstring (default: declared ancillas, else 0)")
+    s.add_argument("--input", help="input bits, instance first (default: ancilla values, else 0)")
     s.add_argument(
         "--oracle", action="store_true", help="cross-check against branch enumeration"
     )
@@ -202,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--machine1", required=True, help="machine file")
     c.add_argument("--machine2", help="second machine file (all but gapsq)")
-    c.add_argument("--input", default="", help="instance bits baked into the circuit")
+    c.add_argument("--input", help="instance whose P(p=1) is forced (fqp2exp; default: empty)")
     c.add_argument("--k", type=int, help="padding pairs, default 0 (pair/fqp2exp/rescale)")
     c.add_argument("--t", type=int, help="rescale exponent, default 1 (rescale)")
     c.add_argument("--h", type=int, help="make P(p=1) exactly 2**-h (fqp2exp; default: its own h)")

@@ -6,6 +6,12 @@ Analyses that normalize a gap to half its value (h = G/2) are reconciled by
 the identity (G1**2 + G2**2) == 4*(h1**2 + h2**2); the compilers here keep
 the raw form so no divisions ever happen.
 
+A machine compiler (``compile_gap_squared``, ``compile_pair_postsel``,
+``compile_pp_instance``) builds one circuit for every instance: wires 0..n-1
+are the machines' instance register, left as they came in, and instance w
+runs on ``_instance_input(c, w)`` = ``w + default_input(c)[n:]``.  The gadgets
+``mix_with_constant`` and ``compile_fqp_to_exp`` force P(p=1) on one input.
+
 Every compiler returns an ordinary Circuit whose mcx macros are still
 unexpanded; enough work qubits are declared that ``expand_mcx`` always
 succeeds.  Probabilities quoted in the docstrings are exact, not bounds,
@@ -17,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .circuit import (
-    Circuit, Gate, _borrowed, _pack_bits, _placed, _uncomputed, ccx, default_input, h, mcx, x,
+    Circuit, Gate, _borrowed, _placed, _uncomputed, ccx, default_input, h, mcx, x,
 )
-from .counting import PredicateCircuit, emit_less_than, gap
+from .counting import PredicateCircuit, emit_less_than
 from .errors import StatsMismatch, ZeroPostselection
 from .exactring import DyadicRational
 from .planes import _check_width
@@ -31,13 +37,10 @@ class _Builder:
     """Mutable helper that allocates qubits and finishes into a Circuit."""
 
     def __init__(self, base: Circuit | None = None):
-        self.width = 0
-        self.gates: list[Gate] = []
-        self.anc: dict[int, int] = {}
-        if base is not None:
-            self.width = base.width
-            self.gates = list(base.gates)
-            self.anc = dict(base.ancillas)
+        """An empty circuit, or a copy of ``base`` to grow."""
+        self.width = 0 if base is None else base.width
+        self.gates: list[Gate] = [] if base is None else list(base.gates)
+        self.anc: dict[int, int] = {} if base is None else dict(base.ancillas)
 
     def alloc(self, n: int) -> list[int]:
         _check_width(self.width + n)  # no engine runs a circuit past planes.MAX_WIDTH
@@ -54,21 +57,17 @@ class _Builder:
     def extend(self, gates) -> None:
         self.gates.extend(gates)
 
-    def load(self, qubits: list[int], w) -> None:
-        """X each qubit whose instance bit in ``w`` is 1 (``len(w)`` must match)."""
-        z = _pack_bits(w, len(qubits))
-        self.extend(x(q) for i, q in enumerate(qubits) if (z >> i) & 1)
-
     def declare(self, qubits: list[int]) -> None:
         """Declare work qubits that start, and end, at 0."""
         self.anc.update((q, 0) for q in qubits)
 
-    def embed(self, sub: Circuit) -> int:
-        """Splice a whole sub-circuit onto fresh qubits; returns the offset."""
-        off = self.alloc(sub.width)[0]
-        self.extend(_placed(sub.gates, lambda q: q + off))
-        self.anc.update((q + off, v) for q, v in sub.ancillas)
-        return off
+    def embed(self, sub: Circuit, shared: list[int]) -> list[int]:
+        """Splice a whole sub-circuit in, its first wires onto ``shared`` and the
+        rest onto fresh qubits; returns the wire each of its wires landed on."""
+        wires = shared + self.alloc(sub.width - len(shared))
+        self.extend(_placed(sub.gates, wires.__getitem__))
+        self.anc.update((wires[q], v) for q, v in sub.ancillas)
+        return wires
 
     def finish(self, output: int, postselect: int | None = None) -> Circuit:
         # top up the declared work pool so every mcx can borrow its n-2 bits
@@ -82,6 +81,11 @@ class _Builder:
             postselect,
             tuple(sorted(self.anc.items())),
         )
+
+
+def _instance_input(circuit: Circuit, w: str = "") -> str:
+    """The input that runs a compiled circuit on instance w, on its first wires."""
+    return w + default_input(circuit)[len(w):]
 
 
 def _machine_gates(
@@ -118,8 +122,9 @@ def pair_stats(g1: int, g2: int, q: int, k: int) -> tuple[DyadicRational, Fracti
     return DyadicRational(ss, 2 * q + 2 + 2 * k), Fraction(g1 * g1, ss)
 
 
-def compile_gap_squared(machine: PredicateCircuit, w) -> Circuit:
-    """Circuit without postselection whose P(output=1) == G**2 / 2**2q.
+def compile_gap_squared(machine: PredicateCircuit) -> Circuit:
+    """Circuit without postselection whose P(output=1) == G**2 / 2**2q on
+    instance w, with G = gap(machine, w).
 
     Walks all paths in superposition, imprints the sign (-1) on every
     rejecting path through a computed flag bit, interferes the paths back and
@@ -133,29 +138,21 @@ def compile_gap_squared(machine: PredicateCircuit, w) -> Circuit:
     acc = b.alloc1()
     out = b.alloc1()
 
-    b.load(wq, w)
-    for qb in xq:
-        b.add(h(qb))
+    b.extend(map(h, xq))
     # phase (-1) exactly on rejecting paths: flip acc into a reject flag,
     # apply Z = H X H, flip back
     phase = [x(acc), h(acc), x(acc), h(acc), x(acc)]
     b.extend(_uncomputed(_machine_gates(machine, wq, xq, scratch, acc), phase))
-    for qb in xq:
-        b.add(h(qb))
+    b.extend(map(h, xq))
     b.add(mcx(xq, out, [True] * q))
     b.declare(scratch + [acc])
     return b.finish(output=out)
 
 
-def compile_pair_postsel(
-    m1: PredicateCircuit,
-    m2: PredicateCircuit,
-    w,
-    k: int = 0,
-) -> Circuit:
+def compile_pair_postsel(m1: PredicateCircuit, m2: PredicateCircuit, k: int = 0) -> Circuit:
     """Postselected circuit encoding two machine gaps at once.
 
-    With G_i = gap(m_i, w) and q their shared path width:
+    On instance w, with G_i = gap(m_i, w) and q their shared path width:
 
         P(p=1)       = (G1**2 + G2**2) / 2**(2q+2+2k)
         P(o=1 | p=1) = G1**2 / (G1**2 + G2**2)
@@ -164,7 +161,8 @@ def compile_pair_postsel(
     (selector 0) in superposition; each branch picks up the sign (-1) on its
     rejecting paths and records its reject flag.  Postselection projects the
     2k padding qubits, the path register and the flag onto the uniform state
-    via a Hadamard layer and an all-zeros detector.
+    via a Hadamard layer and an all-zeros detector.  Running an instance on
+    which both gaps vanish raises ``ZeroPostselection``.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -172,11 +170,6 @@ def compile_pair_postsel(
         raise ValueError("machines must share instance and path widths")
     b = _Builder()
     wq = b.alloc(m1.input_width)
-    b.load(wq, w)  # a malformed instance is a ValueError before any gap is counted
-    g1, g2 = gap(m1, w).gap, gap(m2, w).gap
-    if g1 == 0 and g2 == 0:
-        raise ZeroPostselection("both machine gaps vanish on this instance")
-
     q = m1.path_width
     pad = b.alloc(2 * k)
     xq = b.alloc(q)
@@ -186,9 +179,7 @@ def compile_pair_postsel(
     acc = b.alloc1()
     post = b.alloc1()
 
-    b.add(h(sel))
-    for qb in xq:
-        b.add(h(qb))
+    b.extend(map(h, [sel, *xq]))
 
     for m, neg in ((m1, False), (m2, True)):  # machine 1 on sel = 1, machine 2 on sel = 0
         fw = _machine_gates(m, wq, xq, scratch[: m.ancilla_count], acc, (sel, neg))
@@ -196,13 +187,10 @@ def compile_pair_postsel(
         b.extend(_uncomputed(fw, [ccx(sel, acc, flag, neg1=neg, neg2=True)]))
 
     # phase (-1) on rejecting paths of whichever machine was selected
-    b.add(h(flag))
-    b.add(x(flag))
-    b.add(h(flag))
+    b.extend([h(flag), x(flag), h(flag)])
 
     plus_reg = pad + xq + [flag]
-    for qb in plus_reg:
-        b.add(h(qb))
+    b.extend(map(h, plus_reg))
     b.add(mcx(plus_reg, post, [True] * len(plus_reg)))
 
     b.declare(scratch + [acc])
@@ -216,8 +204,7 @@ def gadget_biased_flag(a: int, m: int) -> Circuit:
     b = _Builder()
     coins = b.alloc(m)
     flag = b.alloc1()
-    for qb in coins:
-        b.add(h(qb))
+    b.extend(map(h, coins))
     b.extend(emit_less_than(coins, a, flag))
     return b.finish(output=flag)
 
@@ -238,8 +225,7 @@ def rescale_postsel(circuit: Circuit, t: int) -> Circuit:
     coins = b.alloc(t)
     flag = b.alloc1()
     p_new = b.alloc1()
-    for qb in coins:
-        b.add(h(qb))
+    b.extend(map(h, coins))
     b.add(mcx(coins, flag, [True] * t))
     b.add(ccx(flag, circuit.postselect, p_new))
     return b.finish(output=circuit.output, postselect=p_new)
@@ -255,10 +241,12 @@ def mixed_conditional(f: int, t: int, inner: Fraction) -> Fraction:
     )
 
 
-def mix_with_constant(circuit: Circuit, f: int, h_exp: int) -> Circuit:
+def mix_with_constant(circuit: Circuit, f: int, h_exp: int, bits=None) -> Circuit:
     """Mix a postselecting circuit with a constant-statistics branch.
 
-    Requires P(p=1) == f / 2**h exactly (checked by simulation).  With
+    Requires P(p=1) == f / 2**h exactly on the input ``bits`` (default:
+    ``default_input(circuit)``), checked by simulating it; the statistics
+    below hold on that input, padded with the new wires' zeros.  With
     t = floor(log2 f), a fair coin selects on heads the given circuit and on
     tails a branch whose output is 1 with probability 1/2 and whose
     postselection bit fires with probability (2**(t+1) - f) / 2**h,
@@ -275,7 +263,7 @@ def mix_with_constant(circuit: Circuit, f: int, h_exp: int) -> Circuit:
     _check_width(circuit.width + h_exp + 3)  # the result's width, before 1 << h_exp is built
     if h_exp < 0 or not 0 < f <= (1 << h_exp):
         raise ValueError(f"need h >= 0 and 0 < f <= 2**h, got f = {f}, h = {h_exp}")
-    stats = postselect_stats(circuit, default_input(circuit))
+    stats = postselect_stats(circuit, default_input(circuit) if bits is None else bits)
     if stats.p_post != DyadicRational(f, h_exp):
         raise StatsMismatch(
             f"P(p=1) is {stats.p_post}, expected {DyadicRational(f, h_exp)}"
@@ -291,8 +279,7 @@ def mix_with_constant(circuit: Circuit, f: int, h_exp: int) -> Circuit:
     b.add(h(o_tails))
     coins = b.alloc(h_exp)
     p_tails = b.alloc1()
-    for qb in coins:
-        b.add(h(qb))
+    b.extend(map(h, coins))
     b.extend(emit_less_than(coins, a, p_tails))
     _cswap(b, coin, circuit.output, o_tails)
     _cswap(b, coin, circuit.postselect, p_tails)
@@ -305,47 +292,50 @@ def _cswap(b: _Builder, c: int, u: int, v: int) -> None:
     b.add(ccx(c, u, v))
 
 
-def compile_fqp_to_exp(circuit: Circuit, f: int, h_exp: int) -> Circuit:
-    """Force P(p=1) to exactly 2**-h, whatever f was.
+def compile_fqp_to_exp(circuit: Circuit, f: int, h_exp: int, bits=None) -> Circuit:
+    """Force P(p=1) to exactly 2**-h, whatever f was, on the input ``bits``
+    that ``mix_with_constant`` checks.
 
     Chains the constant mix (bringing P(p=1) to 2**t / 2**h) with a 2**-t
     rescale.  The final postselection probability depends only on h; the
     conditional is the mixed conditional of the input circuit's.
     """
-    mixed = mix_with_constant(circuit, f, h_exp)
+    mixed = mix_with_constant(circuit, f, h_exp, bits)
     t = f.bit_length() - 1
     return rescale_postsel(mixed, t)
 
 
-def compile_pp_instance(mg: PredicateCircuit, mf: PredicateCircuit, w) -> Circuit:
+def compile_pp_instance(mg: PredicateCircuit, mf: PredicateCircuit) -> Circuit:
     """Postselected circuit for a majority-vote style gap pair (g, f).
 
-    Builds the two squared-gap blocks, downscales each by the other's path
-    budget and routes them through a two-coin selector: both coins heads
-    simulates the f block (output forced to 0), anything else simulates the
-    g block (output mirrors it).  With q = 2 * mg.path_width and
-    q' = 2 * mf.path_width:
+    Builds the two squared-gap blocks on one shared instance register (each
+    block uncomputes its machine, so the register leaves a block as it came
+    in), downscales each by the other's path budget and routes them through a
+    two-coin selector: both coins heads simulates the f block (output forced
+    to 0), anything else simulates the g block (output mirrors it).  With
+    q = 2 * mg.path_width and q' = 2 * mf.path_width, on instance w:
 
         P_V(o=1) = G_g**2 / 2**(q+q')      P_W(o=1) = G_f**2 / 2**(q+q')
         P(p=1)   = (3 * P_V + P_W) / 4     P(o=1 | p=1) = 3 P_V / (3 P_V + P_W)
 
-    Requires gap(mf, w) != 0, which makes P(p=1) >= 2**-(q+q'+2) with
-    equality only in the degenerate all-zero-g, unit-f case.
+    Where gap(mf, w) != 0, P(p=1) >= 2**-(q+q'+2), with equality only in
+    the degenerate all-zero-g, unit-f case; running an instance on which
+    both gaps vanish raises ``ZeroPostselection``.
     """
-    if gap(mf, w).gap == 0:
-        raise ValueError("the f machine must have a nonzero gap")
+    if mg.input_width != mf.input_width:
+        raise ValueError("machines must share an instance width")
     q_exp = 2 * mg.path_width
     qp_exp = 2 * mf.path_width
 
     b = _Builder()
-    block_g = compile_gap_squared(mg, w)
-    block_f = compile_gap_squared(mf, w)
-    o_g = b.embed(block_g) + block_g.output
-    o_f = b.embed(block_f) + block_f.output
+    wq = b.alloc(mg.input_width)
+    block_g = compile_gap_squared(mg)
+    block_f = compile_gap_squared(mf)
+    o_g = b.embed(block_g, wq)[block_g.output]
+    o_f = b.embed(block_f, wq)[block_f.output]
 
     coins = b.alloc(max(q_exp, qp_exp))
-    for qb in coins:
-        b.add(h(qb))
+    b.extend(map(h, coins))
     flag_g = b.alloc1()  # scales the g block by 2**-q'
     flag_f = b.alloc1()  # scales the f block by 2**-q
     b.add(mcx(coins[:qp_exp], flag_g, [True] * qp_exp))
@@ -354,9 +344,7 @@ def compile_pp_instance(mg: PredicateCircuit, mf: PredicateCircuit, w) -> Circui
     c1 = b.alloc1()
     c2 = b.alloc1()
     sel = b.alloc1()
-    b.add(h(c1))
-    b.add(h(c2))
-    b.add(ccx(c1, c2, sel))
+    b.extend([h(c1), h(c2), ccx(c1, c2, sel)])
 
     out = b.alloc1()
     post = b.alloc1()

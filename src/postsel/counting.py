@@ -143,7 +143,7 @@ def gap(machine: PredicateCircuit, w) -> GapValue:
         st.branch_signed(machine.input_width + j)
     planes = st.grown({machine.accept_index} | _wires(machine.gates))
     start = planes.copy()
-    apply_gates_planes(planes, machine.gates, (1 << st.n) - 1)
+    apply_gates_planes(planes, machine.gates, st.ones)
     accepts = planes[machine.accept_index].bit_count()
     planes[machine.accept_index] = start[machine.accept_index]
     if planes != start:

@@ -3,8 +3,8 @@
 
 A set of n entries (live basis states, or paths) is stored as one Python-int
 bit-plane per wire: bit j of ``planes[q]`` is wire q's value in entry j
-(bitslicing, Biham FSE 1997), and ``ones`` = 2**n - 1 has a bit for every
-entry.  A gate XORs into its target the AND of its control planes (``ones``
+(bitslicing, Biham FSE 1997), and ``Planes.ones`` = 2**n - 1 has a bit for
+every entry.  A gate XORs into its target the AND of its control planes (``ones``
 for an ``x``), a set of (wire, value) constraints selects the AND of the
 pinned planes, and ``Planes.branch_signed`` is a Hadamard on every entry at
 once.  ``Planes`` grows a plane to n entries only where it is read, and
@@ -96,16 +96,16 @@ class Planes:
     entries.  ``grown`` tiles it up to n where a gate, a merge or the caller
     reads it (``kept`` tiles only its AND), so memory follows the planes read
     after their last growth (at worst (width + 1) * n / 8 bytes), not every
-    wire.  Only this class reads ``sizes``.
+    wire.  Only this class reads ``sizes``.  A branch doubles ``ones`` = 2**n - 1 in place.
     """
 
-    __slots__ = ("planes", "sizes", "n")
+    __slots__ = ("planes", "sizes", "n", "ones")
 
     def __init__(self, z0: int, width: int):
         """The one entry ``z0`` (bit q = wire q), with a clear sign plane."""
         self.planes = [(z0 >> q) & 1 for q in range(width)] + [0]
         self.sizes = [1] * (width + 1)
-        self.n = 1
+        self.n = self.ones = 1
 
     def grown(self, wires: Iterable[int]) -> list[int]:
         """The planes, once each of ``wires`` (-1 is the sign plane) is tiled
@@ -145,8 +145,9 @@ class Planes:
             self.grown((target, -1))
             s = planes[-1]
             planes[-1], sizes[-1] = s | (s ^ planes[target]) << n, n << 1
-        planes[target], sizes[target] = ((1 << n) - 1) << n, n << 1
-        self.n = n << 1
+        high = self.ones << n
+        planes[target], sizes[target] = high, n << 1
+        self.n, self.ones = n << 1, self.ones | high
 
     def drive(self, gates: Iterable[Gate], merge=None, cap: int | None = None) -> bool:
         """Run ``gates`` on every entry; True iff some H found its target
@@ -166,13 +167,14 @@ class Planes:
                 # interpreter's per-length tuple free lists, which then pin
                 # allocator arenas (about 2 MB of peak RSS over a verify run).
                 run = list(run)
-                apply_gates_planes(self.grown(_wires(run)), run, (1 << self.n) - 1)
+                apply_gates_planes(self.grown(_wires(run)), run, self.ones)
                 continue
             for g in run:
                 varies = not self.constant(g.target)
                 if varies and merge is not None:
                     self.planes, self.n = merge(self.grown(range(len(self.planes))), self.n, g.target)
                     self.sizes = [self.n] * len(self.planes)
+                    self.ones = (1 << self.n) - 1  # a merge leaves any n, not a power of 2
                 else:
                     self.branch_signed(g.target)
                 meet = meet or varies

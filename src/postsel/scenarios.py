@@ -2,7 +2,9 @@
 
 Each scenario compiles fixture machines or circuits, measures them with the
 sparse statevector simulator and the branch-enumeration oracle, and reports exact
-comparisons against closed forms as a WitnessReport.  Both engines read a
+comparisons against closed forms as a WitnessReport.  A machine pair is
+compiled once, and instance w runs through that one circuit on the input
+``constructions._instance_input(circuit, w)``.  Both engines read a
 circuit's events (P(o=1), P(p=1), P(o=1, p=1)) as ``simulator._events``
 defines them.  Scenario functions all take (seed, r).  Only
 ``oracle-equivalence``, ``gap-squared`` and ``postsel-rescale`` read the
@@ -17,10 +19,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .circuit import Circuit, ccx, cx, default_input, h, mcx, x
+from .circuit import Circuit, ccx, cx, h, mcx, x
 from .classical import CoinMachine, build_upcoup, run_ptm, wapp_witness
 from .constructions import (
     _Builder,
+    _instance_input,
     compile_fqp_to_exp,
     compile_gap_squared,
     compile_pair_postsel,
@@ -57,31 +60,31 @@ def _rng(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
 
 
-def _stats(circuit: Circuit):
-    return postselect_stats(circuit, default_input(circuit))
+def _stats(circuit: Circuit, w: str = ""):
+    return postselect_stats(circuit, _instance_input(circuit, w))
 
 
-def _output_prob(circuit: Circuit):
-    """P(o=1) of a circuit run on its default input."""
-    state = run(circuit, default_input(circuit))
+def _output_prob(circuit: Circuit, w: str = ""):
+    """P(o=1) of a circuit run on instance w."""
+    state = run(circuit, _instance_input(circuit, w))
     return measure_prob(state, circuit.output, 1)
 
 
 def _check_pair(
-    report: WitnessReport, prefix: str, circuit: Circuit, g1: int, g2: int, q: int, k: int = 0
+    report: WitnessReport, prefix: str, circuit: Circuit, w: str, gaps, q: int, k: int = 0
 ):
     """Rows ``prefix:postsel`` and ``prefix:conditional``: a compiled gap pair's
-    statistics against the closed form ``pair_stats``.  Returns the stats."""
-    st = _stats(circuit)
-    p_ref, cond_ref = pair_stats(g1, g2, q, k)
+    statistics on instance w against the closed form ``pair_stats``.  Returns the stats."""
+    st = _stats(circuit, w)
+    p_ref, cond_ref = pair_stats(*gaps, q, k)
     report.check(f"{prefix}:postsel", st.p_post, "==", p_ref)
     report.check(f"{prefix}:conditional", st.p_cond, "==", cond_ref)
     return st
 
 
-def _check_oracle_joint(report: WitnessReport, prefix: str, circuit: Circuit, st) -> None:
-    """Row ``prefix:oracle-joint``: simulated P(o=1, p=1) against branch enumeration."""
-    gj, mj = path_sum(circuit, default_input(circuit), _events(circuit)["prob_joint"])
+def _check_oracle_joint(report: WitnessReport, prefix: str, circuit: Circuit, w: str, st) -> None:
+    """Row ``prefix:oracle-joint``: P(o=1, p=1) on instance w, simulated and enumerated."""
+    gj, mj = path_sum(circuit, _instance_input(circuit, w), _events(circuit)["prob_joint"])
     report.check(f"{prefix}:oracle-joint", st.p_joint, "==", Fraction(gj, 1 << mj))
 
 
@@ -200,10 +203,10 @@ def scenario_gap_squared(seed: int, r: int) -> WitnessReport:
     rng = _rng(seed, "gap-squared")
     report = WitnessReport("gap-squared")
 
-    pinned = compile_gap_squared(make_gap_machine(2, 2), "")
+    pinned = compile_gap_squared(make_gap_machine(2, 2))
     report.check("pinned-gap2-q2", _output_prob(pinned), "==", Fraction(1, 4))
     all_accept = PredicateCircuit(0, 2, 0, (x(2),), 2)
-    certain = compile_gap_squared(all_accept, "")
+    certain = compile_gap_squared(all_accept)
     report.check("pinned-all-accept", _output_prob(certain), "==", 1)
 
     for i in range(50):
@@ -212,9 +215,9 @@ def scenario_gap_squared(seed: int, r: int) -> WitnessReport:
         mach = random_machine(rng, in_w, q)
         w = "".join(rng.choice("01") for _ in range(in_w))
         want = gap_squared_prob(gap(mach, w).gap, q)
-        circ = compile_gap_squared(mach, w)
-        report.check(f"machine{i:02d}:prob", _output_prob(circ), "==", want)
-        go, mo = path_sum(circ, default_input(circ), _events(circ)["prob_output"])
+        circ = compile_gap_squared(mach)
+        report.check(f"machine{i:02d}:prob", _output_prob(circ, w), "==", want)
+        go, mo = path_sum(circ, _instance_input(circ, w), _events(circ)["prob_output"])
         report.check(f"machine{i:02d}:oracle", Fraction(go, 1 << mo), "==", want)
     return report
 
@@ -229,10 +232,10 @@ def scenario_awpp_forward(seed: int, r: int) -> WitnessReport:
     report.merge(check_awpp_witness(_TOY_G2, f, flipped, Fraction(1, 32)), "w2:")
 
     stats = {}
+    circ = compile_pair_postsel(m1, m2)
     for w, in_l in _TOY_LABELS.items():
-        circ = compile_pair_postsel(m1, m2, w, k=0)
-        st = stats[w] = _check_pair(report, f"w={w}", circ, *_TOY_GAPS[w], _TOY_Q)
-        _check_oracle_joint(report, f"w={w}", circ, st)
+        st = stats[w] = _check_pair(report, f"w={w}", circ, w, _TOY_GAPS[w], _TOY_Q)
+        _check_oracle_joint(report, f"w={w}", circ, w, st)
         if in_l:
             report.check(f"w={w}:cond-high", st.p_cond, ">=", 1 - Fraction(1, 8))
         else:
@@ -243,15 +246,15 @@ def scenario_awpp_forward(seed: int, r: int) -> WitnessReport:
     )
     report.merge(prof, "profile:")
 
-    padded = compile_pair_postsel(m1, m2, "11", k=1)
-    _check_pair(report, "padded-k1", padded, *_TOY_GAPS["11"], _TOY_Q, k=1)
+    padded = compile_pair_postsel(m1, m2, k=1)
+    _check_pair(report, "padded-k1", padded, "11", _TOY_GAPS["11"], _TOY_Q, k=1)
 
     # boundary instance sitting exactly on the in-language threshold 1 - 2**-5
     boundary = check_awpp_witness({"1": 31}, {"1": 32}, {"1": True}, Fraction(1, 32))
     report.merge(boundary, "boundary:")
     mb1 = make_gap_machine(2 * 31 * 2, 7)
     mb2 = make_gap_machine(2 * 1 * 32, 7)
-    _check_pair(report, "boundary", compile_pair_postsel(mb1, mb2, ""), 124, 64, 7)
+    _check_pair(report, "boundary", compile_pair_postsel(mb1, mb2), "", (124, 64), 7)
     return report
 
 
@@ -259,11 +262,13 @@ def scenario_awpp_forward_complement(seed: int, r: int) -> WitnessReport:
     """Complementation: swapping the machines flips the conditional."""
     m1, m2 = _toy_machines()
     report = WitnessReport("awpp-forward-complement")
+    swapped = compile_pair_postsel(m2, m1)
+    signed = compile_pair_postsel(complement_machine(m1), m2)
     for w, in_l in _TOY_LABELS.items():
         g1, g2 = _TOY_GAPS[w]
         report.check(f"w={w}:complement-gap", gap(complement_machine(m1), w).gap, "==", -g1)
         p_ref, cond_ref = pair_stats(g1, g2, _TOY_Q, 0)
-        st = _stats(compile_pair_postsel(m2, m1, w))
+        st = _stats(swapped, w)
         report.check(f"w={w}:swap-postsel", st.p_post, "==", p_ref)
         report.check(f"w={w}:swap-conditional", st.p_cond, "==", 1 - cond_ref)
         if in_l:
@@ -272,11 +277,11 @@ def scenario_awpp_forward_complement(seed: int, r: int) -> WitnessReport:
             report.check(f"w={w}:swap-cond-high", st.p_cond, ">=", 1 - Fraction(1, 8))
         # a gap's sign never shows in the statistics
         if g1 != 0:
-            stn = _stats(compile_pair_postsel(complement_machine(m1), m2, w))
+            stn = _stats(signed, w)
             report.check(f"w={w}:sign-invariant", stn.p_cond, "==", cond_ref)
     zero = make_gap_machine(0, 3)
     report.check_raises(
-        "zero-gaps-raise", ZeroPostselection, lambda: compile_pair_postsel(zero, zero, "")
+        "zero-gaps-raise", ZeroPostselection, lambda: _stats(compile_pair_postsel(zero, zero))
     )
     return report
 
@@ -294,9 +299,9 @@ def scenario_awpp_backward(seed: int, r: int) -> WitnessReport:
     report = WitnessReport("awpp-backward")
     g_wit: dict[str, int] = {}
     f_wit: dict[str, int] = {}
+    circ = compile_pair_postsel(m1, m2)
     for w in _TOY_LABELS:
-        circ = compile_pair_postsel(m1, m2, w)
-        gj, mj = path_sum(circ, default_input(circ), _events(circ)["prob_joint"])
+        gj, mj = path_sum(circ, _instance_input(circ, w), _events(circ)["prob_joint"])
         g_wit[w] = gj << r2
         f_wit[w] = _TOY_POST * ((1 << r2) + 1) << (mj - _TOY_POST_EXP)
     report.merge(check_awpp_witness(g_wit, f_wit, _TOY_LABELS, Fraction(1, 3)))
@@ -313,10 +318,10 @@ def scenario_app_forward(seed: int, r: int) -> WitnessReport:
     norm_machine = tabulated_count_machine({"11": ((1 << 7) + _TOY_POST) // 2}, 2, 7)
     f_fn = FPFunction(7, norm_machine)
     stats = {}
+    circ = compile_pair_postsel(m1, m2)
     for w in _TOY_LABELS:
         report.check(f"w={w}:normalizer", f_fn(w), "==", _TOY_POST)
-        circ = compile_pair_postsel(m1, m2, w, k=0)
-        stats[w] = _check_pair(report, f"w={w}", circ, *_TOY_GAPS[w], _TOY_Q)
+        stats[w] = _check_pair(report, f"w={w}", circ, w, _TOY_GAPS[w], _TOY_Q)
     report.merge(classify_postsel_profile(stats, "post"), "profile-post:")
     report.merge(
         classify_postsel_profile(stats, "size", f={2: _TOY_POST}, q_exp=_TOY_POST_EXP),
@@ -337,11 +342,11 @@ def scenario_wpp_promise(seed: int, r: int) -> WitnessReport:
     stats = {}
     for label in sorted(fixtures):
         v1, v2 = fixtures[label]
-        circ = compile_pair_postsel(make_gap_machine(v1, q), make_gap_machine(v2, q), "", k=0)
-        st = stats[label] = _check_pair(report, f"w={label}", circ, v1, v2, q)
+        circ = compile_pair_postsel(make_gap_machine(v1, q), make_gap_machine(v2, q))
+        st = stats[label] = _check_pair(report, f"w={label}", circ, "", (v1, v2), q)
         report.check(f"w={label}:two-valued", st.p_cond * (1 - st.p_cond), "==", 0)
         report.check(f"w={label}:floor", st.p_post, ">=", Fraction(1, 1 << (2 * q)))
-        _check_oracle_joint(report, f"w={label}", circ, st)
+        _check_oracle_joint(report, f"w={label}", circ, "", st)
     table = {label: 4 for label in fixtures}
     report.merge(
         classify_postsel_profile(stats, "FP", f=table, q_exp=2 * q + 2), "profile-fp:"
@@ -390,8 +395,7 @@ def _uniform_circuit(h_exp: int, f_post: int, f_out: int | None) -> Circuit:
     b = _Builder()
     coins = b.alloc(h_exp)
     p_flag = b.alloc1()
-    for qb in coins:
-        b.add(h(qb))
+    b.extend(map(h, coins))
     b.extend(emit_less_than(coins, f_post, p_flag))
     if f_out is None:
         out = coins[0]
@@ -408,7 +412,7 @@ def scenario_exact_postsel_adjust(seed: int, r: int) -> WitnessReport:
         for f in range(1, (1 << h_exp) + 1):
             v = _uniform_circuit(h_exp, f, None)
             w2 = compile_fqp_to_exp(v, f, h_exp)
-            gj, mj = path_sum(w2, default_input(w2), _events(w2)["prob_postselect"])
+            gj, mj = path_sum(w2, _instance_input(w2), _events(w2)["prob_postselect"])
             report.check(
                 f"h={h_exp}:f={f}:postsel",
                 Fraction(gj, 1 << mj),
@@ -525,16 +529,15 @@ def scenario_pp_to_postsel(seed: int, r: int) -> WitnessReport:
     labels = {"1": True, "0": False}
     in_bound = Fraction(1, 2) + Fraction(1, 22) - Fraction(12, 11) / (1 << r)
     out_bound = Fraction(3, 1 << (2 * r))
+    circ = compile_pp_instance(mg, mf)
     for w in sorted(labels):
-        circ = compile_pp_instance(mg, mf, w)
-        st = _stats(circ)
-        gg = gap(mg, w).gap
-        gf = gap(mf, w).gap
+        st = _stats(circ, w)
+        gg, gf = gap(mg, w).gap, gap(mf, w).gap
         denom = 3 * gg * gg + gf * gf
         report.check(f"w={w}:postsel", st.p_post, "==", Fraction(denom, 1 << 10))
         report.check(f"w={w}:conditional", st.p_cond, "==", Fraction(3 * gg * gg, denom))
         report.check(f"w={w}:floor", st.p_post, ">=", Fraction(1, 1 << 10))
-        _check_oracle_joint(report, f"w={w}", circ, st)
+        _check_oracle_joint(report, f"w={w}", circ, w, st)
         if labels[w]:
             report.check(f"w={w}:cond-high", st.p_cond, ">=", in_bound)
         else:
@@ -547,8 +550,9 @@ def scenario_pp_to_postsel(seed: int, r: int) -> WitnessReport:
         "==",
         Fraction(21, 44),
     )
-    zero_f = tabulated_count_machine({"1": 2, "0": 2}, 1, 2)
-    report.check_raises("zero-f-raises", ValueError, lambda: compile_pp_instance(mg, zero_f, "1"))
+    # on w = 0 the g gap vanishes too, so nothing is postselected
+    zero_f = compile_pp_instance(mg, tabulated_count_machine({"1": 2, "0": 2}, 1, 2))
+    report.check_raises("zero-gaps-raise", ZeroPostselection, lambda: _stats(zero_f, "0"))
     return report
 
 

@@ -80,7 +80,7 @@ class QuantumState:
         """int64 basis state of each entry (bit i = qubit i), transposed on first use."""
         from . import _keys
         planes = self.planes.grown(range(self.width))[: self.width]
-        return _keys._plane_keys(planes, self.n, (1 << self.n) - 1).view(_keys._INDEX)
+        return _keys._plane_keys(planes, self.n, self.planes.ones).view(_keys._INDEX)
 
     def amplitude(self, z: int) -> tuple[int, int]:
         """Exact (c, m) with amplitude(z) == c / sqrt(2)**m; c == 0 off the support."""

@@ -39,14 +39,13 @@ from postsel import (
     mixed_conditional,
     pair_stats,
     path_sum,
-    postselect_stats,
     run_suite,
     wapp_witness,
 )
 from postsel.cli import main
 from postsel.counting import PredicateCircuit
 from postsel.circuit import mcx
-from postsel.scenarios import _rng, _uniform_circuit, random_circuit, random_machine
+from postsel.scenarios import _rng, _stats, _uniform_circuit, random_circuit, random_machine
 
 
 def _problems(report: WitnessReport, counts: dict[str, int] | None = None) -> list[str]:
@@ -64,10 +63,6 @@ def _verdict(tag: str, problems: list[str]) -> None:
     shown = ", ".join(problems[:8]) + (f" and {len(problems) - 8} more" if problems[8:] else "")
     print(f"[FAIL] {tag}: {shown}" if problems else f"[pass] {tag}")
     assert not problems, f"{tag}: {shown}"
-
-
-def _stats(circuit):
-    return postselect_stats(circuit, default_input(circuit))
 
 
 # -------------------------------------------------------------------
@@ -132,19 +127,18 @@ def test_acceptance_03_pair_closed_forms():
         m2 = random_machine(rng, in_w, q)
         w = "".join(rng.choice("01") for _ in range(in_w))
         g1, g2 = gap(m1, w).gap, gap(m2, w).gap
+        circ = compile_pair_postsel(m1, m2, k)
         if g1 == 0 and g2 == 0:
             report.check_raises(
-                f"pair{made:02d}:zero-gaps-raise",
-                ZeroPostselection,
-                lambda: compile_pair_postsel(m1, m2, w, k),
+                f"pair{made:02d}:zero-gaps-raise", ZeroPostselection, lambda: _stats(circ, w)
             )
             continue
         p_ref, cond_ref = pair_stats(g1, g2, q, k)
-        st = _stats(compile_pair_postsel(m1, m2, w, k))
+        st = _stats(circ, w)
         report.check(f"pair{made:02d}:postsel", st.p_post, "==", p_ref)
         report.check(f"pair{made:02d}:conditional", st.p_cond, "==", cond_ref)
         made += 1
-    pinned = _stats(compile_pair_postsel(make_gap_machine(2, 2), make_gap_machine(-2, 2), ""))
+    pinned = _stats(compile_pair_postsel(make_gap_machine(2, 2), make_gap_machine(-2, 2)))
     report.check("pinned:postsel", pinned.p_post, "==", Fraction(1, 8))
     report.check("pinned:conditional", pinned.p_cond, "==", Fraction(1, 2))
     # gap parity bookkeeping: G == 2h gives G1**2 + G2**2 == 4(h1**2 + h2**2)
@@ -178,7 +172,7 @@ def test_acceptance_04_derived_witness_thresholds(seed42_reports):
         small = rng.choice([2, 4])
         big = rng.randrange(3 * small, 33, 2)  # big**2 >= 9 small**2 > 7 small**2
         gg1, gg2 = (big, small) if in_l else (small, big)
-        circ = compile_pair_postsel(make_gap_machine(gg1, q), make_gap_machine(gg2, q), "")
+        circ = compile_pair_postsel(make_gap_machine(gg1, q), make_gap_machine(gg2, q))
         label = f"{i:02d}"
         st = stats[label] = _stats(circ)
         labels[label] = in_l
@@ -272,7 +266,7 @@ def test_acceptance_08_promise_fixtures():
             for in_l in (True, False):
                 v1, v2 = (v, 0) if in_l else (0, v)
                 st = _stats(
-                    compile_pair_postsel(make_gap_machine(v1, q), make_gap_machine(v2, q), "")
+                    compile_pair_postsel(make_gap_machine(v1, q), make_gap_machine(v2, q))
                 )
                 name = f"q={q}:v={v}:{'in' if in_l else 'out'}"
                 report.check(f"{name}:floor", st.p_post, ">=", Fraction(1, 1 << (2 * q)))
@@ -323,7 +317,7 @@ def test_acceptance_10_majority_instance_bounds(seed42_reports):
     report = WitnessReport("criterion-10")
     for in_l in (True, False):
         mg, mf = make_gap_machine(2 if in_l else 0, 1), make_gap_machine(2, 1)
-        st = _stats(compile_pp_instance(mg, mf, ""))
+        st = _stats(compile_pp_instance(mg, mf))
         name = "in" if in_l else "out"
         report.check(f"{name}:strict-floor", st.p_post, ">", Fraction(1, 1 << 6))
         report.check(f"{name}:conditional", st.p_cond, "==", Fraction(3, 4) if in_l else 0)
@@ -349,8 +343,8 @@ def test_acceptance_10_majority_instance_bounds(seed42_reports):
 # sha256 of `postsel verify --suite all --format machine --seed S`: a change
 # that alters any row must update its digest and name the rows in CHANGES.md
 SUITE_DIGESTS = {
-    42: "2d266db86b0852371ec5656e5ca79270132d9791da259e5f363707e84adb95c0",
-    7: "65c96c660102c49ffe53d76bfd36e071608360902fa2ea6927254b68dd3c7a48",
+    42: "65ca8a510977ae32a8ae5c766dc3846ab1e31d0df70347a303292d6ea72cdbfa",
+    7: "184cc8edceae0f77eac96a116a16d193ee318cd402862b9c15f3579a6c1487a3",
 }
 
 

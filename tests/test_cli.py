@@ -189,13 +189,17 @@ def test_simulate_oracle_matches_on_edge_circuits(tmp_path, capsys, name):
         for i, text in enumerate(_PAIR_MACHINES, start=1):
             (tmp_path / f"m{i}.machine").write_text(text)
             flags += [f"--machine{i}", str(tmp_path / f"m{i}.machine")]
-        argv = ["compile", "--construction", "pair", *flags, "--input", "1", "--k", "1"]
+        argv = ["compile", "--construction", "pair", *flags, "--k", "1"]
         assert main([*argv, "-o", str(path)]) == 0
         assert any(line.startswith("mcx ") for line in path.read_text().splitlines())
+        # instance 1 on the instance wire, which comes first
+        bits = ["--input", "1" + default_input(parse_circuit(path.read_text()))[1:]]
     else:
         path.write_text(_ORACLE_CIRCUITS[name])
+        bits = []
     capsys.readouterr()
-    assert main(["simulate", "--circuit", str(path), "--oracle", "--report", "machine-readable"]) == 0
+    argv = ["simulate", "--circuit", str(path), *bits, "--oracle", "--report", "machine-readable"]
+    assert main(argv) == 0
     assert "oracle=match" in capsys.readouterr().out.splitlines()
 
 
@@ -400,23 +404,18 @@ def test_compile_pair_needs_second_machine(machine_files, tmp_path, capsys):
 
 
 def test_compile_zero_gap_pair_exits_2(tmp_path, capsys):
+    """One circuit serves every instance, so an instance with both gaps zero
+    is refused when it is simulated, not when the pair is compiled."""
     z = tmp_path / "zero.machine"
     z.write_text(serialize_machine(make_gap_machine(0, 2)))
-    rc = main(
-        [
-            "compile",
-            "--construction",
-            "pair",
-            "--machine1",
-            str(z),
-            "--machine2",
-            str(z),
-            "-o",
-            str(tmp_path / "x.circ"),
-        ]
-    )
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    out = str(tmp_path / "x.circ")
+    assert main(["compile", "--construction", "pair", "--machine1", str(z), "--machine2", str(z),
+                 "-o", out]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--circuit", out, "--report", "machine-readable"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: P(postselect=1) is exactly zero\n"
+    assert captured.out == ""
 
 
 def test_compile_huge_machine_exits_2_before_allocating(tmp_path, capsys):
@@ -482,7 +481,7 @@ def test_compile_fqp2exp_simulates_the_pair_once(tmp_path, monkeypatch):
     assert main(argv) == 0
     assert len(calls) == 1
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "ec44048ef30a1f3bb39420257a55c5976def365ead7e0e652ae6c1bb4e0c053d"
+    assert digest == "9444971706fcf14aa3d94ef7df32a90d5aa41d8cea7936f17571e402aa7b8ff7"
 
 
 @pytest.mark.parametrize("h_exp", [3, 4, 6])
@@ -512,6 +511,11 @@ def test_compile_fqp2exp_h_sets_the_postselection_exponent(machine_files, tmp_pa
         ("pp", ["--h", "3"], "--h"),
         ("pp", ["--k", "1", "--t", "2"], "--k, --t"),
         ("fqp2exp", ["--t", "2"], "--t"),
+        # the instance is simulate's --input; only fqp2exp forces P(p=1) on one
+        ("gapsq", ["--input", "1"], "--input"),
+        ("pair", ["--input", "1"], "--input"),
+        ("pp", ["--input", ""], "--input"),
+        ("rescale", ["--input", "0", "--h", "3"], "--h, --input"),
     ],
 )
 def test_compile_refuses_options_the_construction_does_not_read(

@@ -6,17 +6,22 @@ compared against the compiled circuit's simulated statistics.
 """
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as hst
 
 from postsel import (
     Circuit,
     DyadicRational,
+    PredicateCircuit,
     StatsMismatch,
     ZeroPostselection,
+    ccx,
     compile_fqp_to_exp,
     compile_gap_squared,
     compile_pair_postsel,
@@ -28,9 +33,11 @@ from postsel import (
     gap_squared_prob,
     joint_prob,
     make_gap_machine,
+    mcx,
     measure_prob,
     mix_with_constant,
     mixed_conditional,
+    pair_stats,
     parse_machine,
     path_sum,
     postselect_stats,
@@ -39,7 +46,9 @@ from postsel import (
     serialize_circuit,
     verify_error_algebra,
 )
+from postsel.constructions import _instance_input
 from postsel.scenarios import _uniform_circuit
+from postsel.simulator import _events
 
 # ===================================================================
 # helpers
@@ -65,35 +74,37 @@ def _oracle_output_prob(circuit: Circuit) -> DyadicRational:
 def test_gap_squared_pinned():
     m = make_gap_machine(2, 2)
     assert gap(m, "").gap == 2
-    c = compile_gap_squared(m, "")
+    c = compile_gap_squared(m)
     assert _sim_output_prob(c) == DyadicRational(1, 2)  # 2**2 / 2**4 == 1/4
     assert _oracle_output_prob(c) == DyadicRational(1, 2)
 
 
 def test_gap_squared_sign_irrelevant(self_reading_machine):
     for v in (-4, -2, 0, 2, 4):
-        c = compile_gap_squared(make_gap_machine(v, 2), "")
+        c = compile_gap_squared(make_gap_machine(v, 2))
         assert _sim_output_prob(c) == gap_squared_prob(v, 2)
     assert gap(self_reading_machine, "").gap == -2
-    c = compile_gap_squared(self_reading_machine, "")
+    c = compile_gap_squared(self_reading_machine)
     assert _sim_output_prob(c) == _oracle_output_prob(c) == DyadicRational(1, 2)  # 4/2**4
 
 
 def test_gap_squared_all_accept_is_certain():
     m = make_gap_machine(8, 3)
-    c = compile_gap_squared(m, "")
+    c = compile_gap_squared(m)
     assert _sim_output_prob(c) == DyadicRational(1, 0)
 
 
 def test_gap_squared_restores_scratch(self_reading_machine):
     for m in (make_gap_machine(4, 3), self_reading_machine):
-        c = compile_gap_squared(m, "")
+        c = compile_gap_squared(m)
         assert joint_prob(run(c, default_input(c)), c.ancillas) == DyadicRational(1, 0)
 
 
 def test_gap_squared_instance_width_checked():
+    """The instance is part of the input, whose width run checks."""
+    c = compile_gap_squared(make_gap_machine(2, 2))
     with pytest.raises(ValueError):
-        compile_gap_squared(make_gap_machine(2, 2), "01")
+        run(c, "01" + default_input(c))
 
 
 # ===================================================================
@@ -106,7 +117,7 @@ def test_pair_pinned(self_reading_machine):
     # for m1 with the conditional unchanged
     plus, minus = make_gap_machine(2, 2), make_gap_machine(-2, 2)
     for m1, m2 in ((plus, minus), (plus, self_reading_machine), (self_reading_machine, plus)):
-        c = compile_pair_postsel(m1, m2, "")
+        c = compile_pair_postsel(m1, m2)
         st = postselect_stats(c, default_input(c))
         assert st.p_post == DyadicRational(1, 3)  # (4+4)/2**6 == 1/8
         assert st.p_cond == Fraction(1, 2)
@@ -119,28 +130,29 @@ def test_pair_pinned(self_reading_machine):
 
 def test_pair_padding_scales_postselection_only():
     m1, m2 = make_gap_machine(2, 2), make_gap_machine(2, 2)
-    c0 = compile_pair_postsel(m1, m2, "", 0)
+    c0 = compile_pair_postsel(m1, m2, 0)
     base = postselect_stats(c0, default_input(c0))
     for k in (1, 2):
-        c = compile_pair_postsel(m1, m2, "", k)
+        c = compile_pair_postsel(m1, m2, k)
         st = postselect_stats(c, default_input(c))
         assert st.p_post.as_fraction() == base.p_post.as_fraction() / (1 << (2 * k))
         assert st.p_cond == base.p_cond
 
 
-def test_pair_zero_postselection_is_eager():
+def test_pair_zero_postselection_raises_when_run():
     m = make_gap_machine(0, 2)
+    c = compile_pair_postsel(m, m)
     with pytest.raises(ZeroPostselection):
-        compile_pair_postsel(m, m, "")
+        postselect_stats(c, default_input(c))
 
 
 def test_pair_validation():
     m1 = make_gap_machine(2, 2)
     m2 = make_gap_machine(2, 3)
     with pytest.raises(ValueError):
-        compile_pair_postsel(m1, m2, "")  # path widths differ
+        compile_pair_postsel(m1, m2)  # path widths differ
     with pytest.raises(ValueError):
-        compile_pair_postsel(m1, m1, "", k=-1)
+        compile_pair_postsel(m1, m1, k=-1)
 
 
 # ===================================================================
@@ -254,7 +266,7 @@ def test_fqp_to_exp_power_of_two_input_skips_rescale():
 def test_pp_instance_pinned():
     mg = make_gap_machine(2, 1)  # gap 2, q_exp = 2
     mf = make_gap_machine(2, 1)
-    c = compile_pp_instance(mg, mf, "")
+    c = compile_pp_instance(mg, mf)
     st = postselect_stats(c, default_input(c))
     # P_V = P_W = 4/2**4 = 1/4; P(p) = (3+1)/4 * 1/4 = 1/4; cond = 3/4
     assert st.p_post == DyadicRational(1, 2)
@@ -270,7 +282,7 @@ def test_pp_instance_closed_forms():
         gf = rng.choice([v for v in range(-(1 << qf), (1 << qf) + 1, 2) if v])
         mg = make_gap_machine(gg, qg)
         mf = make_gap_machine(gf, qf)
-        c = compile_pp_instance(mg, mf, "")
+        c = compile_pp_instance(mg, mf)
         denom = 1 << (2 * qg + 2 * qf + 2)
         p_exp = Fraction(3 * gg * gg + gf * gf, denom)
         st = postselect_stats(c, default_input(c))
@@ -281,7 +293,76 @@ def test_pp_instance_closed_forms():
 def test_pp_instance_validation():
     mg = make_gap_machine(2, 1)
     with pytest.raises(ValueError):
-        compile_pp_instance(mg, make_gap_machine(0, 1), "")  # f gap must be nonzero
+        compile_pp_instance(mg, CI_M1)  # the blocks share one instance register
+    zero = make_gap_machine(0, 1)
+    c = compile_pp_instance(zero, zero)
+    with pytest.raises(ZeroPostselection):
+        postselect_stats(c, default_input(c))
+
+
+# ===================================================================
+# one circuit per machine pair, run on every instance
+# ===================================================================
+
+
+@hst.composite
+def machine_pairs(draw):
+    """Two machines on one instance width (1-2 bits) and one path width (1-2),
+    each an XOR of polarized terms into its accept bit.  Some open with a gate
+    that reads the accept bit into their scratch bit while it is still 0, so
+    a pass run twice, rather than forward and then in reverse, leaves it set."""
+    n, q = draw(hst.integers(1, 2)), draw(hst.integers(1, 2))
+    scratch, accept = n + q, n + q + 1
+
+    def machine():
+        gates = []
+        if draw(hst.booleans()):  # reads the accept bit before any gate writes it
+            gates.append(ccx(draw(hst.integers(0, scratch - 1)), accept, scratch))
+        for _ in range(draw(hst.integers(1, 4))):
+            ctls = draw(hst.lists(hst.integers(0, scratch - 1), max_size=3, unique=True))
+            gates.append(mcx(ctls, accept, draw(hst.lists(
+                hst.booleans(), min_size=len(ctls), max_size=len(ctls)))))
+        return PredicateCircuit(n, q, 1, tuple(gates), accept)
+
+    return machine(), machine()
+
+
+def _oracle_last_event(circuit: Circuit, bits: str) -> DyadicRational:
+    """P(o=1, p=1), or P(o=1) with no postselect qubit, by branch enumeration."""
+    return DyadicRational(*path_sum(circuit, bits, list(_events(circuit).values())[-1]))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pair=machine_pairs(), k=hst.integers(0, 2))
+@example(pair=None, k=1)  # the self-reading machine against make_gap_machine(2, 2)
+def test_one_circuit_per_pair_matches_closed_forms_on_every_instance(
+    self_reading_machine, pair, k
+):
+    """gapsq, pair and pp, each compiled once, run on every instance w:
+    closed forms from ``gap(m, w)``, and ``path_sum`` on the joint event
+    (P(o=1) for gapsq)."""
+    m1, m2 = pair or (self_reading_machine, make_gap_machine(2, 2))
+    q = m1.path_width
+    gapsq, two = compile_gap_squared(m1), compile_pair_postsel(m1, m2, k)
+    pp = compile_pp_instance(m1, m2)
+    for w in map("".join, itertools.product("01", repeat=m1.input_width)):
+        g1, g2 = gap(m1, w).gap, gap(m2, w).gap
+        bits = _instance_input(gapsq, w)
+        p_out = measure_prob(run(gapsq, bits), gapsq.output, 1)
+        assert p_out == gap_squared_prob(g1, q) == _oracle_last_event(gapsq, bits)
+        if g1 == g2 == 0:  # neither circuit postselects anything
+            for circ in (two, pp):
+                with pytest.raises(ZeroPostselection):
+                    postselect_stats(circ, _instance_input(circ, w))
+            continue
+        pp_post = DyadicRational(3 * g1 * g1 + g2 * g2, 4 * q + 2)  # both blocks have q path bits
+        pp_cond = Fraction(3 * g1 * g1, 3 * g1 * g1 + g2 * g2)
+        for circ, want in ((two, pair_stats(g1, g2, q, k)), (pp, (pp_post, pp_cond))):
+            bits = _instance_input(circ, w)
+            st = postselect_stats(circ, bits)
+            assert (st.p_post, st.p_cond) == want
+            assert _oracle_last_event(circ, bits) == st.p_joint
 
 
 # ===================================================================
@@ -293,35 +374,36 @@ CI_M1 = parse_machine("machine 1 2 0\nccx 1 2 3\nx 3\nccx !0 1 3\naccept 3\n")
 CI_M2 = parse_machine("machine 1 2 1\nccx 0 1 3\ncx 3 4\nccx 2 3 4\nccx 0 1 3\naccept 4\n")
 
 
-def _fqp2exp(pair: Circuit) -> Circuit:
-    """``compile --construction fqp2exp`` without --f/--h: f and h read off the pair."""
-    p_post = postselect_stats(pair, default_input(pair)).p_post
-    return compile_fqp_to_exp(pair, p_post.n, p_post.k)
+def _fqp2exp(pair: Circuit, w: str) -> Circuit:
+    """``compile --construction fqp2exp --input w`` without --h: f and h read off the pair."""
+    bits = _instance_input(pair, w)
+    p_post = postselect_stats(pair, bits).p_post
+    return compile_fqp_to_exp(pair, p_post.n, p_post.k, bits)
 
 
 PINNED_CIRCUITS = {
     "gapsq": (
-        lambda: compile_gap_squared(CI_M1, "1"),
-        "9da3136d1c6d4a336bb5bce611174d54e407540563be0577913fb71e6eacf1eb",
+        lambda: compile_gap_squared(CI_M1),
+        "7fc7255fc2ae8dff3eb60417391435839ba8da46de0fc24155b7093b9931c15b",
     ),
     "pair": (
-        lambda: compile_pair_postsel(CI_M1, CI_M2, "1", 1),
-        "39f69753ec1476626d2b1eafdfc912c07202211f37cf5e2447e69d4d2ca30637",
+        lambda: compile_pair_postsel(CI_M1, CI_M2, 1),
+        "f15c32005e22be1cbb6ec58480e22d9bcf1b2957862793dbb86161b64857d3c3",
     ),
     "rescale": (
-        lambda: rescale_postsel(compile_pair_postsel(CI_M1, CI_M2, "1", 1), 2),
-        "924099f9d695d1d1ad72d7a7208d2b0371290c009b67da28972dc8de8d52d735",
+        lambda: rescale_postsel(compile_pair_postsel(CI_M1, CI_M2, 1), 2),
+        "1033042db9f396f8087d67286af72be3dd7d07b6397e2a84431eac30e42be65d",
     ),
     "fqp2exp": (
-        lambda: _fqp2exp(compile_pair_postsel(CI_M1, CI_M2, "1", 1)),
-        "ec44048ef30a1f3bb39420257a55c5976def365ead7e0e652ae6c1bb4e0c053d",
+        lambda: _fqp2exp(compile_pair_postsel(CI_M1, CI_M2, 1), "1"),
+        "9444971706fcf14aa3d94ef7df32a90d5aa41d8cea7936f17571e402aa7b8ff7",
     ),
     "pp": (
-        lambda: compile_pp_instance(CI_M1, CI_M2, "1"),
-        "60788d19a49be2448f7da4d46c67a98442293856e0ebf691dce8d7cb8ff19d13",
+        lambda: compile_pp_instance(CI_M1, CI_M2),
+        "f44eb4163c0a8655b0375c30ca8daee960532f94c8e4d78fafc3608d2f4a499c",
     ),
-    "gapsq-m2-input-0": (
-        lambda: compile_gap_squared(CI_M2, "0"),
+    "gapsq-m2": (
+        lambda: compile_gap_squared(CI_M2),
         "7de503e5b0a1fe81a12e79db1b704594d53b41c226d0f4f0780d54838f3e1eee",
     ),
 }

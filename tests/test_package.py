@@ -97,7 +97,7 @@ _M2 = "machine 1 2 1\nccx 0 1 3\ncx 3 4\nccx 2 3 4\nccx 0 1 3\naccept 4\n"
         (["simulate", "--circuit", "{layer}", "--oracle"], False),
         (["oracle", "--circuit", "{layer}"], False),
         (["compile", "--construction", "pair", "--machine1", "{m1}", "--machine2", "{m2}",
-          "--input", "1", "--k", "1", "-o", "{out}"], False),
+          "--k", "1", "-o", "{out}"], False),
         (["simulate", "--circuit", "{merge}", "--oracle"], True),
     ],
     ids=["simulate-oracle", "oracle", "compile-pair", "simulate-merging"],
