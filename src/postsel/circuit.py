@@ -35,9 +35,10 @@ checks), and a gate line's tokens are read inline, as ``_parse_index`` reads one
 The statement reader, the index and gate-line parsers and the gate-line
 writer here also serve the machine format of ``counting``, and
 ``_pack_bits`` is the one rule for instance and input bit strings.
-``_placed`` is the one rule for moving a gate list onto other wires,
-``_uncomputed`` the one rule for computing, copying out and uncomputing, and
-``_borrowed`` the one rule for the work qubits an ``mcx`` borrows.
+``_placed`` is the one rule for moving a gate list onto other wires (a
+relabelling: a placed gate gains no control), ``_uncomputed`` the one rule
+for computing, copying out and uncomputing, and ``_borrowed`` the one rule
+for the work qubits an ``mcx`` borrows.
 """
 
 from __future__ import annotations
@@ -195,17 +196,9 @@ def default_input(circuit: Circuit) -> str:
     return "".join(bits)
 
 
-def _placed(gates: Iterable[Gate], wire: Callable[[int], int],
-            control: tuple[int, bool] | None = None) -> list[Gate]:
-    """``gates`` with every wire q moved to ``wire(q)``.  A (qubit, negated)
-    ``control`` joins every gate but ``h`` as its last control; ``mcx``
-    renames the kind to fit the new control count."""
-    ctl, neg = ((control[0],), (control[1],)) if control else ((), ())
-    return [
-        h(wire(g.target)) if g.kind == "h"
-        else mcx([*map(wire, g.controls), *ctl], wire(g.target), g.negated + neg)
-        for g in gates
-    ]
+def _placed(gates: Iterable[Gate], wire: Callable[[int], int]) -> list[Gate]:
+    """``gates`` with every wire q moved to ``wire(q)``; kinds and polarities are kept."""
+    return [Gate(g.kind, wire(g.target), tuple(map(wire, g.controls)), g.negated) for g in gates]
 
 
 def _uncomputed(compute: Sequence[Gate], copy: Iterable[Gate]) -> list[Gate]:

@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from ._value import _Value
-from .circuit import _placed, _uncomputed, cx
+from .circuit import _uncomputed, cx
 from .counting import PredicateCircuit, gap
 from .errors import PromiseViolation, StatsMismatch, ZeroPostselection
 from .exactring import DyadicRational
@@ -68,10 +68,11 @@ def build_upcoup(
         P(p=1) = 2**-q    and    P(o=1 | p=1) in {0, 1},
 
     the conditional telling which machine owns the unique path.  ``post``
-    runs both machines on disjoint scratch blocks, XORs their accept bits
-    into one flag and uncomputes both (``_uncomputed``); at most one accept
-    bit is set under the promise, so the XOR is their OR.  ``joint`` is the
-    first machine.  Violating the promise raises eagerly.
+    runs the two machines one at a time on one scratch block, each XORing its
+    accept bit into one flag past both machines' bits and then uncomputed
+    (``_uncomputed``) before the next; at most one accept bit is set under
+    the promise, so the XOR is their OR.  ``joint`` is the first machine.
+    Violating the promise raises eagerly.
     """
     if n_machine.input_width != m_machine.input_width:
         raise ValueError("machines must read the same instance width")
@@ -82,13 +83,11 @@ def build_upcoup(
         raise PromiseViolation(
             f"promise requires exactly one accepting path across both machines, got {total}"
         )
-    # layout: [w | x | n's scratch and accept | m's scratch and accept | flag]
+    # layout: [w | x | the scratch and accept bits of either machine | flag]
     data = n_machine.input_width + n_machine.path_width
-    shift = n_machine.ancilla_count + 1
-    moved = _placed(m_machine.gates, lambda i: i if i < data else i + shift)
-    flag = m_machine.total_bits + shift
-    copy = [cx(n_machine.accept_index, flag), cx(m_machine.accept_index + shift, flag)]
-    gates = _uncomputed([*n_machine.gates, *moved], copy)
+    flag = max(n_machine.total_bits, m_machine.total_bits)
+    gates = [*_uncomputed(n_machine.gates, [cx(n_machine.accept_index, flag)]),
+             *_uncomputed(m_machine.gates, [cx(m_machine.accept_index, flag)])]
     post = PredicateCircuit(n_machine.input_width, n_machine.path_width, flag - data, gates, flag)
     return CoinMachine(post, n_machine)
 

@@ -94,15 +94,13 @@ def _machine_gates(
     x_map: list[int],
     scratch_map: list[int],
     accept_q: int,
-    control: tuple[int, bool] | None = None,
 ) -> list[Gate]:
-    """Map a machine's gate list onto circuit qubits, optionally adding one
-    extra control to every gate."""
+    """Map a machine's gate list onto circuit qubits, gate for gate."""
     assert len(scratch_map) == machine.ancilla_count
     # the accept bit sits among the scratch bits, past the instance and path bits
     rest = list(scratch_map)
     rest.insert(machine.accept_index - machine.input_width - machine.path_width, accept_q)
-    return _placed(machine.gates, (w_map + x_map + rest).__getitem__, control)
+    return _placed(machine.gates, (w_map + x_map + rest).__getitem__)
 
 
 def gap_squared_prob(g_val: int, q: int) -> DyadicRational:
@@ -158,10 +156,13 @@ def compile_pair_postsel(m1: PredicateCircuit, m2: PredicateCircuit, k: int = 0)
         P(o=1 | p=1) = G1**2 / (G1**2 + G2**2)
 
     A selector qubit chooses machine 1 (selector 1, the output) or machine 2
-    (selector 0) in superposition; each branch picks up the sign (-1) on its
-    rejecting paths and records its reject flag.  Postselection projects the
-    2k padding qubits, the path register and the flag onto the uniform state
-    via a Hadamard layer and an all-zeros detector.  Running an instance on
+    (selector 0) in superposition.  Both machines run on every branch, one
+    after the other on the shared scratch, and each is uncomputed before the
+    next; only the copy of a reject flag reads the selector, so the flag holds
+    the selected machine's, and the branch picks up the sign (-1) on its
+    rejecting paths.  Postselection projects the 2k padding qubits, the path
+    register and the flag onto the uniform state via a Hadamard layer and an
+    all-zeros detector.  Running an instance on
     which both gaps vanish raises ``ZeroPostselection``.
     """
     if k < 0:
@@ -182,7 +183,7 @@ def compile_pair_postsel(m1: PredicateCircuit, m2: PredicateCircuit, k: int = 0)
     b.extend(map(h, [sel, *xq]))
 
     for m, neg in ((m1, False), (m2, True)):  # machine 1 on sel = 1, machine 2 on sel = 0
-        fw = _machine_gates(m, wq, xq, scratch[: m.ancilla_count], acc, (sel, neg))
+        fw = _machine_gates(m, wq, xq, scratch[: m.ancilla_count], acc)
         # flag ^= [sel selects m] & not-accept
         b.extend(_uncomputed(fw, [ccx(sel, acc, flag, neg1=neg, neg2=True)]))
 
@@ -255,10 +256,9 @@ def mix_with_constant(circuit: Circuit, f: int, h_exp: int, bits=None) -> Circui
         P_W(p=1) = 2**t / 2**h
         P_W(o=1 | p=1) = mixed_conditional(f, t, P(o=1 | p=1)).
 
-    Gates of the given circuit other than Hadamards are conditioned on the
-    coin; the Hadamards run unconditionally and the tails branch simply never
-    reads those qubits (selection happens through controlled swaps onto the
-    tails-side qubits).
+    The given circuit runs unconditionally; the tails branch simply never
+    reads its qubits, since selection happens through controlled swaps of
+    its output and postselection bits onto the tails-side qubits.
     """
     _check_width(circuit.width + h_exp + 3)  # the result's width, before 1 << h_exp is built
     if h_exp < 0 or not 0 < f <= (1 << h_exp):
@@ -273,8 +273,7 @@ def mix_with_constant(circuit: Circuit, f: int, h_exp: int, bits=None) -> Circui
 
     b = _Builder(circuit)
     coin = b.alloc1()
-    # re-emit everything in order: coin flip first
-    b.gates = [h(coin)] + _placed(circuit.gates, lambda q: q, (coin, False))
+    b.add(h(coin))
     o_tails = b.alloc1()
     b.add(h(o_tails))
     coins = b.alloc(h_exp)

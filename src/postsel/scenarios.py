@@ -525,7 +525,7 @@ def scenario_pp_to_postsel(seed: int, r: int) -> WitnessReport:
         raise ValueError("r must be >= 2")
     report = WitnessReport("pp-to-postsel")
     mg = tabulated_count_machine({"1": 3, "0": 2}, 1, 2)
-    mf = tabulated_count_machine({"1": 3, "0": 3}, 1, 2)
+    mf = tabulated_count_machine({"1": 3, "0": 4}, 1, 2)  # gaps 2 and 4: f reads w
     labels = {"1": True, "0": False}
     in_bound = Fraction(1, 2) + Fraction(1, 22) - Fraction(12, 11) / (1 << r)
     out_bound = Fraction(3, 1 << (2 * r))

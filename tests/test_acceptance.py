@@ -343,8 +343,8 @@ def test_acceptance_10_majority_instance_bounds(seed42_reports):
 # sha256 of `postsel verify --suite all --format machine --seed S`: a change
 # that alters any row must update its digest and name the rows in CHANGES.md
 SUITE_DIGESTS = {
-    42: "65ca8a510977ae32a8ae5c766dc3846ab1e31d0df70347a303292d6ea72cdbfa",
-    7: "184cc8edceae0f77eac96a116a16d193ee318cd402862b9c15f3579a6c1487a3",
+    42: "7b7b6345f4bb9a381730224236a4f70c051145cb9b893fd8041c0ff64a015705",
+    7: "1c436c42612d7ff078fc34fc35a8e93f3034dc9b5998f52391d00679ccaa68d4",
 }
 
 

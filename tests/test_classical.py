@@ -179,6 +179,8 @@ def _promise_pairs(draw):
 def test_upcoup_matches_per_path_reference(case):
     n, m, w = case
     tm = build_upcoup(n, m, w)
+    # the machines take turns on one scratch block, with the flag past both
+    assert tm.post.total_bits == max(n.total_bits, m.total_bits) + 1
     try:
         gap(tm.post, w)
     except MachineContractError:

@@ -430,14 +430,14 @@ def test_compile_huge_machine_exits_2_before_allocating(tmp_path, capsys):
 
 
 def test_compile_fqp2exp_huge_exponent_exits_2_before_allocating(machine_files, tmp_path, capsys):
-    """The mixed circuit's width (7 pair wires, 3 new ones and h coins) is
+    """The mixed circuit's width (6 pair wires, 3 new ones and h coins) is
     checked against the 63-qubit cap before 2**h is built."""
     m1, m2 = machine_files
     argv = ["compile", "--construction", "fqp2exp", "--machine1", m1, "--machine2", m2]
     out = tmp_path / "x.circ"
     assert main([*argv, "--h", "1000000000000", "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: width 1000000000010 exceeds the 63-qubit index limit\n"
+    assert err == "error: width 1000000000009 exceeds the 63-qubit index limit\n"
     assert not out.exists()
 
 
@@ -481,7 +481,7 @@ def test_compile_fqp2exp_simulates_the_pair_once(tmp_path, monkeypatch):
     assert main(argv) == 0
     assert len(calls) == 1
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "9444971706fcf14aa3d94ef7df32a90d5aa41d8cea7936f17571e402aa7b8ff7"
+    assert digest == "2acc0a80597f50666d4c7e3075268feda572cc7bc2245289450d9e4a29f41aaa"
 
 
 @pytest.mark.parametrize("h_exp", [3, 4, 6])

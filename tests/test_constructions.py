@@ -31,6 +31,7 @@ from postsel import (
     gadget_biased_flag,
     gap,
     gap_squared_prob,
+    h,
     joint_prob,
     make_gap_machine,
     mcx,
@@ -118,6 +119,11 @@ def test_pair_pinned(self_reading_machine):
     plus, minus = make_gap_machine(2, 2), make_gap_machine(-2, 2)
     for m1, m2 in ((plus, minus), (plus, self_reading_machine), (self_reading_machine, plus)):
         c = compile_pair_postsel(m1, m2)
+        # both machines run unconditionally: only the flag copies read the selector
+        sel_gates = [g for g in c.gates if c.output in g.qubits]
+        assert sel_gates[0] == h(c.output)
+        assert [(g.kind, g.controls[0], g.negated) for g in sel_gates[1:]] == [
+            ("ccx", c.output, (False, True)), ("ccx", c.output, (True, True))]
         st = postselect_stats(c, default_input(c))
         assert st.p_post == DyadicRational(1, 3)  # (4+4)/2**6 == 1/8
         assert st.p_cond == Fraction(1, 2)
@@ -210,6 +216,11 @@ def test_mixed_conditional_symbolic_form():
 def test_mix_with_constant_pinned():
     base = _uniform_circuit(4, 10, 9)  # P(p) = 10/16, cond = 9/10
     mixed = mix_with_constant(base, 10, 4)
+    # the base runs unconditionally: the coin is read only by the two cswaps
+    coin = base.width
+    coin_gates = [g for g in mixed.gates if coin in g.qubits]
+    assert coin_gates[0] == h(coin)
+    assert [(g.kind, g.controls[0]) for g in coin_gates[1:]] == [("ccx", coin)] * 6
     st = postselect_stats(mixed, default_input(mixed))
     assert st.p_post == DyadicRational(1, 1)  # 2**3 / 2**4
     assert st.p_cond == Fraction(3, 4)
@@ -388,15 +399,15 @@ PINNED_CIRCUITS = {
     ),
     "pair": (
         lambda: compile_pair_postsel(CI_M1, CI_M2, 1),
-        "f15c32005e22be1cbb6ec58480e22d9bcf1b2957862793dbb86161b64857d3c3",
+        "9e6a65335a3d66a338155cc3292faa3be774034ba36bf79c088f0adaaa11116f",
     ),
     "rescale": (
         lambda: rescale_postsel(compile_pair_postsel(CI_M1, CI_M2, 1), 2),
-        "1033042db9f396f8087d67286af72be3dd7d07b6397e2a84431eac30e42be65d",
+        "92de1c749cde2540ff6a42af39322723a000d84df47546fa0f9f4eeb10cfa5ea",
     ),
     "fqp2exp": (
         lambda: _fqp2exp(compile_pair_postsel(CI_M1, CI_M2, 1), "1"),
-        "9444971706fcf14aa3d94ef7df32a90d5aa41d8cea7936f17571e402aa7b8ff7",
+        "2acc0a80597f50666d4c7e3075268feda572cc7bc2245289450d9e4a29f41aaa",
     ),
     "pp": (
         lambda: compile_pp_instance(CI_M1, CI_M2),
