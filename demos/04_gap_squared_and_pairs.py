@@ -42,10 +42,10 @@ assert p == gap_squared_prob(g1, q)
 # the pair construction: postselect to divide one square by their sum
 pair = compile_pair_postsel(m1, m2, k=0)
 st = postselect_stats(pair, default_input(pair))
-want_post, want_cond = pair_stats(g1, g2, q, 0)
-print("P(p=1)        =", st.p_post, "   closed form:", want_post)
-print("P(o=1 | p=1)  =", st.p_cond, "   closed form:", want_cond)
-assert (st.p_post, st.p_cond) == (want_post, want_cond)
+want = pair_stats(g1, g2, q, 0)               # P(p=1) and P(o=1, p=1) in closed form
+print("P(p=1)        =", st.p_post, "   closed form:", want.p_post)
+print("P(o=1 | p=1)  =", st.p_cond, "   closed form:", want.p_cond)
+assert st == want
 
 # the conditional is the ratio of squares — here 36 / (36 + 4)
 assert st.p_cond == Fraction(g1 * g1, g1 * g1 + g2 * g2)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from ._value import _Value
 from .circuit import _uncomputed, cx
 from .counting import PredicateCircuit, gap
-from .errors import PromiseViolation, StatsMismatch, ZeroPostselection
+from .errors import PromiseViolation, StatsMismatch
 from .exactring import DyadicRational
 from .simulator import PostselStats
 
@@ -45,15 +45,11 @@ def _accept_counts(tm: CoinMachine, w: str) -> tuple[int, int]:
 
 
 def run_ptm(tm: CoinMachine, w: str) -> PostselStats:
-    """Exact statistics from the accept counts of ``post`` and ``joint``."""
+    """Exact statistics from the accept counts of ``post`` and ``joint`` over
+    all 2**t coin outcomes; raises ``ZeroPostselection`` if none postselects."""
     n_post, n_joint = _accept_counts(tm, w)
-    if n_post == 0:
-        raise ZeroPostselection(f"machine never postselects on {w!r}")
-    return PostselStats(
-        DyadicRational(n_post, tm.post.path_width),
-        DyadicRational(n_joint, tm.post.path_width),
-        Fraction(n_joint, n_post),
-    )
+    t = tm.post.path_width
+    return PostselStats(DyadicRational(n_post, t), DyadicRational(n_joint, t))
 
 
 def build_upcoup(

@@ -13,7 +13,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification or cross-check failed, 2 bad input
 (syntax errors, missing files, inconsistent parameters, an unknown suite, a
-simulated input on which nothing is postselected).
+simulated or forced instance on which nothing is postselected).
 The argument parser is built once per process, on the first ``main`` call,
 not at import; only a process that calls ``main`` more than once reuses it.
 
@@ -33,11 +33,11 @@ import sys
 from fractions import Fraction
 
 from .circuit import _lines, default_input, parse_circuit, serialize_circuit
-from .errors import CircuitSyntaxError, PostselError, ZeroPostselection
+from .errors import CircuitSyntaxError, PostselError
 from .exactring import DyadicRational
 from .pathsum import path_sum
 from .planes import _check_width
-from .simulator import _events, joint_prob, run
+from .simulator import PostselStats, _events, joint_prob, run
 
 
 def _read(path: str) -> str:
@@ -67,10 +67,8 @@ def _cmd_simulate(args) -> int:
     probs = {key: joint_prob(state, cons) for key, cons in events.items()}
     rows = [(key, str(p)) for key, p in probs.items()]
     if circ.postselect is not None:
-        if probs["prob_postselect"].is_zero():  # as postselect_stats refuses it
-            raise ZeroPostselection("P(postselect=1) is exactly zero")
-        cond = probs["prob_joint"].as_fraction() / probs["prob_postselect"].as_fraction()
-        rows.append(("conditional", str(cond)))
+        st = PostselStats(probs["prob_postselect"], probs["prob_joint"])
+        rows.append(("conditional", str(st.p_cond)))
     status = 0
     if args.oracle:
         matched = True
@@ -139,14 +137,15 @@ def _cmd_compile(args) -> int:
         elif kind == "fqp2exp":
             # the closed form; mix_with_constant checks it against one simulation
             w = args.input or ""
-            p = pair_stats(gap(m1, w).gap, gap(m2, w).gap, m1.path_width, k)[0]
+            p = pair_stats(gap(m1, w).gap, gap(m2, w).gap, m1.path_width, k).p_post
             h_exp = p.k if args.h is None else args.h
             _check_width(circ.width + h_exp + 3)  # the mixed circuit's, before f ~ 2**h is built
             if h_exp < p.k:
                 raise ValueError(
                     f"need h >= 0 and P(p=1) * 2**h an integer, got P(p=1) = {p}, h = {h_exp}"
                 )
-            circ = compile_fqp_to_exp(circ, p.n << (h_exp - p.k), h_exp, _instance_input(circ, w))
+            bits = _instance_input(circ, w, m1.input_width)
+            circ = compile_fqp_to_exp(circ, p.n << (h_exp - p.k), h_exp, bits)
     with open(args.output, "w", encoding="ascii") as fh:
         fh.write(serialize_circuit(circ))
     print(

@@ -9,7 +9,8 @@ the raw form so no divisions ever happen.
 A machine compiler (``compile_gap_squared``, ``compile_pair_postsel``,
 ``compile_pp_instance``) builds one circuit for every instance: wires 0..n-1
 are the machines' instance register, left as they came in, and instance w
-runs on ``_instance_input(c, w)`` = ``w + default_input(c)[n:]``.  The gadgets
+runs on ``_instance_input(c, w, n)`` = ``w + default_input(c)[n:]``, which
+refuses a w that is not n bits (``MachineContractError``).  The gadgets
 ``mix_with_constant`` and ``compile_fqp_to_exp`` force P(p=1) on one input.
 
 Every compiler returns an ordinary Circuit whose mcx macros are still
@@ -26,10 +27,10 @@ from .circuit import (
     Circuit, Gate, _borrowed, _placed, _uncomputed, ccx, default_input, h, mcx, x,
 )
 from .counting import PredicateCircuit, emit_less_than
-from .errors import StatsMismatch, ZeroPostselection
+from .errors import MachineContractError, StatsMismatch
 from .exactring import DyadicRational
 from .planes import _check_width
-from .simulator import postselect_stats
+from .simulator import PostselStats, postselect_stats
 from .witness import WitnessReport
 
 
@@ -83,9 +84,11 @@ class _Builder:
         )
 
 
-def _instance_input(circuit: Circuit, w: str = "") -> str:
-    """The input that runs a compiled circuit on instance w, on its first wires."""
-    return w + default_input(circuit)[len(w):]
+def _instance_input(circuit: Circuit, w: str, width: int) -> str:
+    """The input that runs a compiled circuit on instance w, ``width`` bits, on its first wires."""
+    if len(w) != width:
+        raise MachineContractError(f"instance {w!r} is not {width} bits")
+    return w + default_input(circuit)[width:]
 
 
 def _machine_gates(
@@ -108,16 +111,15 @@ def gap_squared_prob(g_val: int, q: int) -> DyadicRational:
     return DyadicRational(g_val * g_val, 2 * q)
 
 
-def pair_stats(g1: int, g2: int, q: int, k: int) -> tuple[DyadicRational, Fraction]:
-    """Closed forms for the two-machine compiler:
+def pair_stats(g1: int, g2: int, q: int, k: int) -> PostselStats:
+    """Closed forms for the two-machine compiler, with e = 2q+2+2k:
 
-    P(p=1) = (G1**2 + G2**2) / 2**(2q+2+2k)
-    P(o=1 | p=1) = G1**2 / (G1**2 + G2**2)
+    P(p=1) = (G1**2 + G2**2) / 2**e      P(o=1, p=1) = G1**2 / 2**e
+
+    so P(o=1 | p=1) = G1**2 / (G1**2 + G2**2); G1 == G2 == 0 raises ``ZeroPostselection``.
     """
-    ss = g1 * g1 + g2 * g2
-    if ss == 0:
-        raise ZeroPostselection("both gaps are zero")
-    return DyadicRational(ss, 2 * q + 2 + 2 * k), Fraction(g1 * g1, ss)
+    e = 2 * q + 2 + 2 * k
+    return PostselStats(DyadicRational(g1 * g1 + g2 * g2, e), DyadicRational(g1 * g1, e))
 
 
 def compile_gap_squared(machine: PredicateCircuit) -> Circuit:
@@ -162,8 +164,8 @@ def compile_pair_postsel(m1: PredicateCircuit, m2: PredicateCircuit, k: int = 0)
     the selected machine's, and the branch picks up the sign (-1) on its
     rejecting paths.  Postselection projects the 2k padding qubits, the path
     register and the flag onto the uniform state via a Hadamard layer and an
-    all-zeros detector.  Running an instance on
-    which both gaps vanish raises ``ZeroPostselection``.
+    all-zeros detector.  ``pair_stats`` states these closed forms; on an instance
+    where both gaps vanish, ``postselect_stats`` raises ``ZeroPostselection``.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -318,8 +320,8 @@ def compile_pp_instance(mg: PredicateCircuit, mf: PredicateCircuit) -> Circuit:
         P(p=1)   = (3 * P_V + P_W) / 4     P(o=1 | p=1) = 3 P_V / (3 P_V + P_W)
 
     Where gap(mf, w) != 0, P(p=1) >= 2**-(q+q'+2), with equality only in
-    the degenerate all-zero-g, unit-f case; running an instance on which
-    both gaps vanish raises ``ZeroPostselection``.
+    the degenerate all-zero-g, unit-f case; on an instance where both gaps
+    vanish, ``postselect_stats`` raises ``ZeroPostselection``.
     """
     if mg.input_width != mf.input_width:
         raise ValueError("machines must share an instance width")

@@ -3,10 +3,10 @@
 Each scenario compiles fixture machines or circuits, measures them with the
 sparse statevector simulator and the branch-enumeration oracle, and reports exact
 comparisons against closed forms as a WitnessReport.  A machine pair is
-compiled once, and instance w runs through that one circuit on the input
-``constructions._instance_input(circuit, w)``.  Both engines read a
-circuit's events (P(o=1), P(p=1), P(o=1, p=1)) as ``simulator._events``
-defines them.  Scenario functions all take (seed, r).  Only
+compiled once, and instance w of its n instance bits runs through that one
+circuit on the input ``constructions._instance_input(circuit, w, n)``.  Both
+engines read a circuit's events (P(o=1), P(p=1), P(o=1, p=1)) as
+``simulator._events`` defines them.  Scenario functions all take (seed, r).  Only
 ``oracle-equivalence``, ``gap-squared`` and ``postsel-rescale`` read the
 seed: it drives their random circuits and machines through a private
 generator, so repeated runs are byte-identical.  Only ``pp-to-postsel``
@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .circuit import Circuit, ccx, cx, h, mcx, x
+from .circuit import Circuit, ccx, cx, default_input, h, mcx, x
 from .classical import CoinMachine, build_upcoup, run_ptm, wapp_witness
 from .constructions import (
     _Builder,
@@ -60,31 +60,30 @@ def _rng(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
 
 
-def _stats(circuit: Circuit, w: str = ""):
-    return postselect_stats(circuit, _instance_input(circuit, w))
+def _stats(circuit: Circuit, w: str = "", width: int = 0):
+    return postselect_stats(circuit, _instance_input(circuit, w, width))
 
 
-def _output_prob(circuit: Circuit, w: str = ""):
-    """P(o=1) of a circuit run on instance w."""
-    state = run(circuit, _instance_input(circuit, w))
+def _output_prob(circuit: Circuit, w: str = "", width: int = 0):
+    """P(o=1) of a circuit run on instance w of ``width`` bits."""
+    state = run(circuit, _instance_input(circuit, w, width))
     return measure_prob(state, circuit.output, 1)
 
 
 def _check_pair(
-    report: WitnessReport, prefix: str, circuit: Circuit, w: str, gaps, q: int, k: int = 0
+    report: WitnessReport, prefix: str, circuit: Circuit, w: str, gaps, q: int, k=0, width=0
 ):
     """Rows ``prefix:postsel`` and ``prefix:conditional``: a compiled gap pair's
     statistics on instance w against the closed form ``pair_stats``.  Returns the stats."""
-    st = _stats(circuit, w)
-    p_ref, cond_ref = pair_stats(*gaps, q, k)
-    report.check(f"{prefix}:postsel", st.p_post, "==", p_ref)
-    report.check(f"{prefix}:conditional", st.p_cond, "==", cond_ref)
+    st, ref = _stats(circuit, w, width), pair_stats(*gaps, q, k)
+    report.check(f"{prefix}:postsel", st.p_post, "==", ref.p_post)
+    report.check(f"{prefix}:conditional", st.p_cond, "==", ref.p_cond)
     return st
 
 
-def _check_oracle_joint(report: WitnessReport, prefix: str, circuit: Circuit, w: str, st) -> None:
+def _check_oracle_joint(report: WitnessReport, prefix: str, circuit: Circuit, w: str, st, width=0):
     """Row ``prefix:oracle-joint``: P(o=1, p=1) on instance w, simulated and enumerated."""
-    gj, mj = path_sum(circuit, _instance_input(circuit, w), _events(circuit)["prob_joint"])
+    gj, mj = path_sum(circuit, _instance_input(circuit, w, width), _events(circuit)["prob_joint"])
     report.check(f"{prefix}:oracle-joint", st.p_joint, "==", Fraction(gj, 1 << mj))
 
 
@@ -153,7 +152,7 @@ def random_machine(rng: random.Random, input_width: int, path_width: int) -> Pre
 # as raw gaps G1, G2 over q = 3 path bits, so every instance has
 # P(p=1) = (G1**2 + G2**2) / 2**(2q+2) = 64 / 2**8.
 _TOY_LABELS = {w: w[0] == "1" for w in ("00", "01", "10", "11")}
-_TOY_Q = 3
+_TOY_N, _TOY_Q = 2, 3
 _TOY_F = 2
 _TOY_G1 = {w: _TOY_F if in_l else 0 for w, in_l in _TOY_LABELS.items()}
 _TOY_G2 = {w: _TOY_F - g for w, g in _TOY_G1.items()}
@@ -165,7 +164,7 @@ def _toy_machines() -> tuple[PredicateCircuit, PredicateCircuit]:
     """The two machines whose gaps on instance w are ``_TOY_GAPS[w]``."""
     return tuple(
         tabulated_count_machine(
-            {w: ((1 << _TOY_Q) + gaps[i]) // 2 for w, gaps in _TOY_GAPS.items()}, 2, _TOY_Q
+            {w: ((1 << _TOY_Q) + gaps[i]) // 2 for w, gaps in _TOY_GAPS.items()}, _TOY_N, _TOY_Q
         )
         for i in (0, 1)
     )
@@ -190,7 +189,9 @@ def scenario_oracle_equivalence(seed: int, r: int) -> WitnessReport:
             report.check(
                 f"circuit{i:03d}:{event}", joint_prob(state, cons), "==", Fraction(g, 1 << m)
             )
-        if i < 20:  # the last event: P(o=1, p=1), or P(o=1) with no postselect qubit
+        # the last event (P(o=1, p=1), or P(o=1) with no postselect qubit) on the first 20
+        # and on every state still all +-1, where joint_prob counts on path_sum's planes
+        if i < 20 or state.n == 1 << state.m:
             gs, ms = path_sum_slow(circ, bits, cons)
             report.check(
                 f"circuit{i:03d}:slow", Fraction(gs, 1 << ms), "==", Fraction(g, 1 << m)
@@ -216,8 +217,8 @@ def scenario_gap_squared(seed: int, r: int) -> WitnessReport:
         w = "".join(rng.choice("01") for _ in range(in_w))
         want = gap_squared_prob(gap(mach, w).gap, q)
         circ = compile_gap_squared(mach)
-        report.check(f"machine{i:02d}:prob", _output_prob(circ, w), "==", want)
-        go, mo = path_sum(circ, _instance_input(circ, w), _events(circ)["prob_output"])
+        report.check(f"machine{i:02d}:prob", _output_prob(circ, w, in_w), "==", want)
+        go, mo = path_sum(circ, _instance_input(circ, w, in_w), _events(circ)["prob_output"])
         report.check(f"machine{i:02d}:oracle", Fraction(go, 1 << mo), "==", want)
     return report
 
@@ -234,8 +235,8 @@ def scenario_awpp_forward(seed: int, r: int) -> WitnessReport:
     stats = {}
     circ = compile_pair_postsel(m1, m2)
     for w, in_l in _TOY_LABELS.items():
-        st = stats[w] = _check_pair(report, f"w={w}", circ, w, _TOY_GAPS[w], _TOY_Q)
-        _check_oracle_joint(report, f"w={w}", circ, w, st)
+        st = stats[w] = _check_pair(report, f"w={w}", circ, w, _TOY_GAPS[w], _TOY_Q, 0, _TOY_N)
+        _check_oracle_joint(report, f"w={w}", circ, w, st, _TOY_N)
         if in_l:
             report.check(f"w={w}:cond-high", st.p_cond, ">=", 1 - Fraction(1, 8))
         else:
@@ -247,7 +248,7 @@ def scenario_awpp_forward(seed: int, r: int) -> WitnessReport:
     report.merge(prof, "profile:")
 
     padded = compile_pair_postsel(m1, m2, k=1)
-    _check_pair(report, "padded-k1", padded, "11", _TOY_GAPS["11"], _TOY_Q, k=1)
+    _check_pair(report, "padded-k1", padded, "11", _TOY_GAPS["11"], _TOY_Q, 1, _TOY_N)
 
     # boundary instance sitting exactly on the in-language threshold 1 - 2**-5
     boundary = check_awpp_witness({"1": 31}, {"1": 32}, {"1": True}, Fraction(1, 32))
@@ -267,18 +268,17 @@ def scenario_awpp_forward_complement(seed: int, r: int) -> WitnessReport:
     for w, in_l in _TOY_LABELS.items():
         g1, g2 = _TOY_GAPS[w]
         report.check(f"w={w}:complement-gap", gap(complement_machine(m1), w).gap, "==", -g1)
-        p_ref, cond_ref = pair_stats(g1, g2, _TOY_Q, 0)
-        st = _stats(swapped, w)
-        report.check(f"w={w}:swap-postsel", st.p_post, "==", p_ref)
-        report.check(f"w={w}:swap-conditional", st.p_cond, "==", 1 - cond_ref)
+        ref, st = pair_stats(g1, g2, _TOY_Q, 0), _stats(swapped, w, _TOY_N)
+        report.check(f"w={w}:swap-postsel", st.p_post, "==", ref.p_post)
+        report.check(f"w={w}:swap-conditional", st.p_cond, "==", 1 - ref.p_cond)
         if in_l:
             report.check(f"w={w}:swap-cond-low", st.p_cond, "<=", Fraction(1, 8))
         else:
             report.check(f"w={w}:swap-cond-high", st.p_cond, ">=", 1 - Fraction(1, 8))
         # a gap's sign never shows in the statistics
         if g1 != 0:
-            stn = _stats(signed, w)
-            report.check(f"w={w}:sign-invariant", stn.p_cond, "==", cond_ref)
+            stn = _stats(signed, w, _TOY_N)
+            report.check(f"w={w}:sign-invariant", stn.p_cond, "==", ref.p_cond)
     zero = make_gap_machine(0, 3)
     report.check_raises(
         "zero-gaps-raise", ZeroPostselection, lambda: _stats(compile_pair_postsel(zero, zero))
@@ -301,7 +301,7 @@ def scenario_awpp_backward(seed: int, r: int) -> WitnessReport:
     f_wit: dict[str, int] = {}
     circ = compile_pair_postsel(m1, m2)
     for w in _TOY_LABELS:
-        gj, mj = path_sum(circ, _instance_input(circ, w), _events(circ)["prob_joint"])
+        gj, mj = path_sum(circ, _instance_input(circ, w, _TOY_N), _events(circ)["prob_joint"])
         g_wit[w] = gj << r2
         f_wit[w] = _TOY_POST * ((1 << r2) + 1) << (mj - _TOY_POST_EXP)
     report.merge(check_awpp_witness(g_wit, f_wit, _TOY_LABELS, Fraction(1, 3)))
@@ -315,13 +315,13 @@ def scenario_app_forward(seed: int, r: int) -> WitnessReport:
     """Length-indexed normalizer: statistics fit the size-only profiles."""
     m1, m2 = _toy_machines()
     report = WitnessReport("app-forward")
-    norm_machine = tabulated_count_machine({"11": ((1 << 7) + _TOY_POST) // 2}, 2, 7)
+    norm_machine = tabulated_count_machine({"11": ((1 << 7) + _TOY_POST) // 2}, _TOY_N, 7)
     f_fn = FPFunction(7, norm_machine)
     stats = {}
     circ = compile_pair_postsel(m1, m2)
     for w in _TOY_LABELS:
         report.check(f"w={w}:normalizer", f_fn(w), "==", _TOY_POST)
-        stats[w] = _check_pair(report, f"w={w}", circ, w, _TOY_GAPS[w], _TOY_Q)
+        stats[w] = _check_pair(report, f"w={w}", circ, w, _TOY_GAPS[w], _TOY_Q, 0, _TOY_N)
     report.merge(classify_postsel_profile(stats, "post"), "profile-post:")
     report.merge(
         classify_postsel_profile(stats, "size", f={2: _TOY_POST}, q_exp=_TOY_POST_EXP),
@@ -412,7 +412,7 @@ def scenario_exact_postsel_adjust(seed: int, r: int) -> WitnessReport:
         for f in range(1, (1 << h_exp) + 1):
             v = _uniform_circuit(h_exp, f, None)
             w2 = compile_fqp_to_exp(v, f, h_exp)
-            gj, mj = path_sum(w2, _instance_input(w2), _events(w2)["prob_postselect"])
+            gj, mj = path_sum(w2, default_input(w2), _events(w2)["prob_postselect"])
             report.check(
                 f"h={h_exp}:f={f}:postsel",
                 Fraction(gj, 1 << mj),
@@ -531,13 +531,13 @@ def scenario_pp_to_postsel(seed: int, r: int) -> WitnessReport:
     out_bound = Fraction(3, 1 << (2 * r))
     circ = compile_pp_instance(mg, mf)
     for w in sorted(labels):
-        st = _stats(circ, w)
+        st = _stats(circ, w, mg.input_width)
         gg, gf = gap(mg, w).gap, gap(mf, w).gap
         denom = 3 * gg * gg + gf * gf
         report.check(f"w={w}:postsel", st.p_post, "==", Fraction(denom, 1 << 10))
         report.check(f"w={w}:conditional", st.p_cond, "==", Fraction(3 * gg * gg, denom))
         report.check(f"w={w}:floor", st.p_post, ">=", Fraction(1, 1 << 10))
-        _check_oracle_joint(report, f"w={w}", circ, w, st)
+        _check_oracle_joint(report, f"w={w}", circ, w, st, mg.input_width)
         if labels[w]:
             report.check(f"w={w}:cond-high", st.p_cond, ">=", in_bound)
         else:
@@ -552,7 +552,7 @@ def scenario_pp_to_postsel(seed: int, r: int) -> WitnessReport:
     )
     # on w = 0 the g gap vanishes too, so nothing is postselected
     zero_f = compile_pp_instance(mg, tabulated_count_machine({"1": 2, "0": 2}, 1, 2))
-    report.check_raises("zero-gaps-raise", ZeroPostselection, lambda: _stats(zero_f, "0"))
+    report.check_raises("zero-gaps-raise", ZeroPostselection, lambda: _stats(zero_f, "0", 1))
     return report
 
 

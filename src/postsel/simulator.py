@@ -96,11 +96,18 @@ class QuantumState:
 
 
 class PostselStats(_Value):
-    """Exact statistics of a postselecting circuit on one input: P(p = 1),
-    P(o = 1, p = 1) and P(o = 1 | p = 1)."""
+    """Exact P(p = 1) and P(o = 1, p = 1) of a postselecting run, from which
+    ``p_cond`` derives P(o = 1 | p = 1); P(p = 1) == 0 raises ``ZeroPostselection``."""
 
-    def __init__(self, p_post: DyadicRational, p_joint: DyadicRational, p_cond: Fraction):
-        self._set(p_post, p_joint, p_cond)
+    def __init__(self, p_post: DyadicRational, p_joint: DyadicRational):
+        if p_post.is_zero():
+            raise ZeroPostselection("P(postselect=1) is exactly zero")
+        self._set(p_post, p_joint)
+
+    @property
+    def p_cond(self) -> Fraction:
+        """P(o = 1 | p = 1), an exact Fraction: never rounded."""
+        return self.p_joint.as_fraction() / self.p_post.as_fraction()
 
 
 def run(circuit: Circuit, input_bits) -> QuantumState:
@@ -160,19 +167,13 @@ def _events(circuit: Circuit) -> dict[str, list[tuple[int, int]]]:
 
 
 def postselect_stats(circuit: Circuit, input_bits) -> PostselStats:
-    """Run the circuit and return exact (P(p=1), P(o=1,p=1), P(o=1|p=1)).
-
-    The conditional is never rounded: it is returned as an exact Fraction.
-    Raises ZeroPostselection when P(p=1) == 0.
-    """
+    """Run the circuit once: the ``PostselStats`` of its ``prob_postselect`` and
+    ``prob_joint`` events.  Raises ValueError when the circuit declares no
+    postselect qubit and ``ZeroPostselection`` when P(p=1) == 0."""
     if circuit.postselect is None:
         raise ValueError("circuit declares no postselect qubit")
     events = _events(circuit)
     state = run(circuit, input_bits)
-    p_post = joint_prob(state, events["prob_postselect"])
-    if p_post.is_zero():
-        raise ZeroPostselection("P(postselect=1) is exactly zero")
-    p_joint = joint_prob(state, events["prob_joint"])
-    p_cond = p_joint.as_fraction() / p_post.as_fraction()
-    return PostselStats(p_post, p_joint, p_cond)
-
+    return PostselStats(
+        joint_prob(state, events["prob_postselect"]), joint_prob(state, events["prob_joint"])
+    )

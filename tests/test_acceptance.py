@@ -39,6 +39,7 @@ from postsel import (
     mixed_conditional,
     pair_stats,
     path_sum,
+    run,
     run_suite,
     wapp_witness,
 )
@@ -74,22 +75,28 @@ def test_acceptance_01_oracle_equivalence(seed42_reports):
     # the scenario's 100 circuits, drawn again from its generator for their sizes
     rng = _rng(42, "oracle-equivalence")
     sizes = WitnessReport("criterion-01")
-    postselecting = 0
+    postselecting = slow = 0
     for i in range(100):
-        circ, _ = random_circuit(rng, allow_mcx=(i % 3 == 2))
+        circ, bits = random_circuit(rng, allow_mcx=(i % 3 == 2))
         sizes.check(f"circuit{i:03d}:width", circ.width, "<=", 8)
         sizes.check(f"circuit{i:03d}:gates", len(circ.gates), "<=", 24)
         sizes.check(f"circuit{i:03d}:hadamards", circ.h_count, "<=", 12)
         postselecting += circ.postselect is not None
+        state = run(circ, bits)
+        slow += i < 20 or state.n == 1 << state.m
+    sizes.check("slow-rows", slow, "==", 52)  # 20 + 32 later states with every coefficient +-1
     # one row per event of simulator._events: P(o=1) on every circuit, P(p=1)
     # and P(o=1, p=1) on the postselecting ones; and P(o=0) = 1 - P(o=1) on
-    # every circuit, the one row that pins a wire to 0
+    # every circuit, the one row that pins a wire to 0; path_sum_slow on the
+    # last event of the first 20 circuits and of every later state that no
+    # merge left with a coefficient other than +-1
     rows = {
         r"circuit\d{3}:prob_output": 100,
         r"circuit\d{3}:prob_output0": 100,
         r"circuit\d{3}:prob_postselect": postselecting,
         r"circuit\d{3}:prob_joint": postselecting,
         r"circuit0[01]\d:slow": 20,
+        r"circuit\d{3}:slow": slow,
     }
     _verdict(
         "criterion 01: oracle equivalence on 100 circuits (exact)",
@@ -130,13 +137,13 @@ def test_acceptance_03_pair_closed_forms():
         circ = compile_pair_postsel(m1, m2, k)
         if g1 == 0 and g2 == 0:
             report.check_raises(
-                f"pair{made:02d}:zero-gaps-raise", ZeroPostselection, lambda: _stats(circ, w)
+                f"pair{made:02d}:zero-gaps-raise", ZeroPostselection, lambda: _stats(circ, w, in_w)
             )
             continue
-        p_ref, cond_ref = pair_stats(g1, g2, q, k)
-        st = _stats(circ, w)
-        report.check(f"pair{made:02d}:postsel", st.p_post, "==", p_ref)
-        report.check(f"pair{made:02d}:conditional", st.p_cond, "==", cond_ref)
+        ref, st = pair_stats(g1, g2, q, k), _stats(circ, w, in_w)
+        report.check(f"pair{made:02d}:postsel", st.p_post, "==", ref.p_post)
+        report.check(f"pair{made:02d}:joint", st.p_joint, "==", ref.p_joint)
+        report.check(f"pair{made:02d}:conditional", st.p_cond, "==", ref.p_cond)
         made += 1
     pinned = _stats(compile_pair_postsel(make_gap_machine(2, 2), make_gap_machine(-2, 2)))
     report.check("pinned:postsel", pinned.p_post, "==", Fraction(1, 8))
@@ -343,8 +350,8 @@ def test_acceptance_10_majority_instance_bounds(seed42_reports):
 # sha256 of `postsel verify --suite all --format machine --seed S`: a change
 # that alters any row must update its digest and name the rows in CHANGES.md
 SUITE_DIGESTS = {
-    42: "7b7b6345f4bb9a381730224236a4f70c051145cb9b893fd8041c0ff64a015705",
-    7: "1c436c42612d7ff078fc34fc35a8e93f3034dc9b5998f52391d00679ccaa68d4",
+    42: "04cf130a27b5bfbfe3ebc70880c7c376010de105f4af7c3486dfb6d931e5cca1",
+    7: "daecb9eedc3e863041bb36e217c3a33360b9460306af566c610ef282c4601f53",
 }
 
 

@@ -4,7 +4,6 @@ import copy
 import pickle
 import random
 from dataclasses import FrozenInstanceError
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,9 +273,8 @@ _VALUES = {
     ),
     "PostselStats": (
         PostselStats,
-        dict(p_post=DyadicRational(1, 1), p_joint=DyadicRational(1, 2), p_cond=Fraction(1, 2)),
-        "PostselStats(p_post=DyadicRational(n=1, k=1), p_joint=DyadicRational(n=1, k=2), "
-        "p_cond=Fraction(1, 2))",
+        dict(p_post=DyadicRational(1, 1), p_joint=DyadicRational(1, 2)),
+        "PostselStats(p_post=DyadicRational(n=1, k=1), p_joint=DyadicRational(n=1, k=2))",
     ),
     "DyadicRational": (DyadicRational, dict(n=9, k=4), "DyadicRational(n=9, k=4)"),
     "PredicateCircuit": (

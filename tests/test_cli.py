@@ -405,17 +405,21 @@ def test_compile_pair_needs_second_machine(machine_files, tmp_path, capsys):
 
 def test_compile_zero_gap_pair_exits_2(tmp_path, capsys):
     """One circuit serves every instance, so an instance with both gaps zero
-    is refused when it is simulated, not when the pair is compiled."""
+    is refused when it is simulated, not when the pair is compiled; fqp2exp
+    forces P(p=1) on one instance, so it refuses such an instance when it
+    compiles, with the same message."""
     z = tmp_path / "zero.machine"
     z.write_text(serialize_machine(make_gap_machine(0, 2)))
     out = str(tmp_path / "x.circ")
-    assert main(["compile", "--construction", "pair", "--machine1", str(z), "--machine2", str(z),
-                 "-o", out]) == 0
+    pair = ["--machine1", str(z), "--machine2", str(z), "-o", out]
+    assert main(["compile", "--construction", "pair", *pair]) == 0
     capsys.readouterr()
     assert main(["simulate", "--circuit", out, "--report", "machine-readable"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: P(postselect=1) is exactly zero\n"
     assert captured.out == ""
+    assert main(["compile", "--construction", "fqp2exp", *pair]) == 2
+    assert capsys.readouterr() == ("", "error: P(postselect=1) is exactly zero\n")
 
 
 def test_compile_huge_machine_exits_2_before_allocating(tmp_path, capsys):

@@ -18,6 +18,8 @@ from hypothesis import strategies as hst
 from postsel import (
     Circuit,
     DyadicRational,
+    MachineContractError,
+    PostselStats,
     PredicateCircuit,
     StatsMismatch,
     ZeroPostselection,
@@ -359,20 +361,21 @@ def test_one_circuit_per_pair_matches_closed_forms_on_every_instance(
     pp = compile_pp_instance(m1, m2)
     for w in map("".join, itertools.product("01", repeat=m1.input_width)):
         g1, g2 = gap(m1, w).gap, gap(m2, w).gap
-        bits = _instance_input(gapsq, w)
+        bits = _instance_input(gapsq, w, m1.input_width)
         p_out = measure_prob(run(gapsq, bits), gapsq.output, 1)
         assert p_out == gap_squared_prob(g1, q) == _oracle_last_event(gapsq, bits)
         if g1 == g2 == 0:  # neither circuit postselects anything
             for circ in (two, pp):
                 with pytest.raises(ZeroPostselection):
-                    postselect_stats(circ, _instance_input(circ, w))
+                    postselect_stats(circ, _instance_input(circ, w, m1.input_width))
             continue
-        pp_post = DyadicRational(3 * g1 * g1 + g2 * g2, 4 * q + 2)  # both blocks have q path bits
-        pp_cond = Fraction(3 * g1 * g1, 3 * g1 * g1 + g2 * g2)
-        for circ, want in ((two, pair_stats(g1, g2, q, k)), (pp, (pp_post, pp_cond))):
-            bits = _instance_input(circ, w)
+        pp_ref = PostselStats(  # both blocks have q path bits
+            DyadicRational(3 * g1 * g1 + g2 * g2, 4 * q + 2), DyadicRational(3 * g1 * g1, 4 * q + 2)
+        )
+        for circ, want in ((two, pair_stats(g1, g2, q, k)), (pp, pp_ref)):
+            bits = _instance_input(circ, w, m1.input_width)
             st = postselect_stats(circ, bits)
-            assert (st.p_post, st.p_cond) == want
+            assert st == want
             assert _oracle_last_event(circ, bits) == st.p_joint
 
 
@@ -387,7 +390,7 @@ CI_M2 = parse_machine("machine 1 2 1\nccx 0 1 3\ncx 3 4\nccx 2 3 4\nccx 0 1 3\na
 
 def _fqp2exp(pair: Circuit, w: str) -> Circuit:
     """``compile --construction fqp2exp --input w`` without --h: f and h read off the pair."""
-    bits = _instance_input(pair, w)
+    bits = _instance_input(pair, w, CI_M1.input_width)
     p_post = postselect_stats(pair, bits).p_post
     return compile_fqp_to_exp(pair, p_post.n, p_post.k, bits)
 
@@ -426,6 +429,15 @@ def test_compiled_circuit_text_is_pinned(name):
     build, digest = PINNED_CIRCUITS[name]
     text = serialize_circuit(build())
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+def test_an_instance_of_the_wrong_length_is_refused():
+    """The CI pair reads 1 instance bit: "11" would overwrite its first pad wire."""
+    pair = compile_pair_postsel(CI_M1, CI_M2, 1)
+    assert _instance_input(pair, "1", CI_M1.input_width) == "1" + default_input(pair)[1:]
+    for w in ("", "11"):
+        with pytest.raises(MachineContractError, match=f"instance '{w}' is not 1 bits"):
+            _instance_input(pair, w, CI_M1.input_width)
 
 
 # ===================================================================

@@ -15,6 +15,7 @@ from postsel import (
     DyadicRational,
     InsufficientAncillas,
     MachineContractError,
+    PostselStats,
     ZeroPostselection,
     ccx,
     cx,
@@ -372,8 +373,11 @@ def test_postselect_stats_conditional_is_exact_fraction():
 
 def test_postselect_stats_zero_raises():
     c = Circuit(2, (), output=0, postselect=1)
-    with pytest.raises(ZeroPostselection):
+    with pytest.raises(ZeroPostselection, match=r"^P\(postselect=1\) is exactly zero$"):
         postselect_stats(c, "00")
+    # the record itself refuses P(p=1) = 0, whichever engine built it
+    with pytest.raises(ZeroPostselection, match=r"^P\(postselect=1\) is exactly zero$"):
+        PostselStats(DyadicRational(0, 0), DyadicRational(0, 0))
 
 
 def test_postselect_stats_requires_postselect_qubit():

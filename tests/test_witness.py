@@ -311,7 +311,7 @@ def test_profile_exp_and_leexp():
 def test_profile_accepts_stats_objects():
     from postsel import PostselStats
 
-    st = PostselStats(_p(1, 2), _p(1, 3), Fraction(1, 2))
+    st = PostselStats(_p(1, 2), _p(1, 3))
     rep = classify_postsel_profile({"0": st}, "exp", u=2)
     assert rep.passed
 
