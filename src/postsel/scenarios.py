@@ -235,7 +235,7 @@ def scenario_awpp_forward(seed: int, r: int) -> WitnessReport:
     stats = {}
     circ = compile_pair_postsel(m1, m2)
     for w, in_l in _TOY_LABELS.items():
-        st = stats[w] = _check_pair(report, f"w={w}", circ, w, _TOY_GAPS[w], _TOY_Q, 0, _TOY_N)
+        st = stats[w] = _check_pair(report, f"w={w}", circ, w, _TOY_GAPS[w], _TOY_Q, width=_TOY_N)
         _check_oracle_joint(report, f"w={w}", circ, w, st, _TOY_N)
         if in_l:
             report.check(f"w={w}:cond-high", st.p_cond, ">=", 1 - Fraction(1, 8))
@@ -248,7 +248,7 @@ def scenario_awpp_forward(seed: int, r: int) -> WitnessReport:
     report.merge(prof, "profile:")
 
     padded = compile_pair_postsel(m1, m2, k=1)
-    _check_pair(report, "padded-k1", padded, "11", _TOY_GAPS["11"], _TOY_Q, 1, _TOY_N)
+    _check_pair(report, "padded-k1", padded, "11", _TOY_GAPS["11"], _TOY_Q, k=1, width=_TOY_N)
 
     # boundary instance sitting exactly on the in-language threshold 1 - 2**-5
     boundary = check_awpp_witness({"1": 31}, {"1": 32}, {"1": True}, Fraction(1, 32))
@@ -321,7 +321,7 @@ def scenario_app_forward(seed: int, r: int) -> WitnessReport:
     circ = compile_pair_postsel(m1, m2)
     for w in _TOY_LABELS:
         report.check(f"w={w}:normalizer", f_fn(w), "==", _TOY_POST)
-        stats[w] = _check_pair(report, f"w={w}", circ, w, _TOY_GAPS[w], _TOY_Q, 0, _TOY_N)
+        stats[w] = _check_pair(report, f"w={w}", circ, w, _TOY_GAPS[w], _TOY_Q, width=_TOY_N)
     report.merge(classify_postsel_profile(stats, "post"), "profile-post:")
     report.merge(
         classify_postsel_profile(stats, "size", f={2: _TOY_POST}, q_exp=_TOY_POST_EXP),
