@@ -6,7 +6,9 @@ and ``joint`` accepts iff it postselects with output 1 (p = 1 and o = 1).
 The coin register is the machines' path register, so the exact
 postselection statistics over all 2**t outcomes are two accept counts,
 ``gap(post, w).accepts`` and ``gap(joint, w).accepts``, as dyadic
-rationals, mirroring what the quantum simulator reports for circuits.
+rationals in the ``PostselStats`` record the quantum simulator reports for
+circuits; that record, not this module, refuses a ``joint`` that accepts
+more outcomes than ``post``.
 """
 
 from __future__ import annotations
@@ -33,23 +35,15 @@ class CoinMachine(_Value):
         self._set(post, joint)
 
 
-def _accept_counts(tm: CoinMachine, w: str) -> tuple[int, int]:
-    """(n(p=1), n(o=1, p=1)) over every coin outcome of the machine on ``w``."""
-    n_post = gap(tm.post, w).accepts
-    n_joint = gap(tm.joint, w).accepts
-    if n_joint > n_post:
-        raise ValueError(
-            f"on {w!r}: joint accepts {n_joint} outcomes, more than post's {n_post}"
-        )
-    return n_post, n_joint
-
-
 def run_ptm(tm: CoinMachine, w: str) -> PostselStats:
     """Exact statistics from the accept counts of ``post`` and ``joint`` over
-    all 2**t coin outcomes; raises ``ZeroPostselection`` if none postselects."""
-    n_post, n_joint = _accept_counts(tm, w)
+    all 2**t coin outcomes.  The record refuses what no machine run can give:
+    ``ZeroPostselection`` if no outcome postselects, ``StatsMismatch`` if
+    ``joint`` accepts more outcomes than ``post``."""
     t = tm.post.path_width
-    return PostselStats(DyadicRational(n_post, t), DyadicRational(n_joint, t))
+    return PostselStats(
+        DyadicRational(gap(tm.post, w).accepts, t), DyadicRational(gap(tm.joint, w).accepts, t)
+    )
 
 
 def build_upcoup(
@@ -112,25 +106,21 @@ def wapp_witness(
 ) -> WappWitness:
     """The counting witness of a machine whose postselection is declared.
 
-    The declaration says n_post(w) == f(w) * 2**(t - s) on every declared
-    instance w, with f(w) = ``fp_numerators[w]`` and s = ``fp_exponent``;
-    it is checked against the accept counts of ``post``.  The witness's
-    g-machine is ``joint`` itself: its accept count on w is n(o=1, p=1).
+    The declaration is P(p=1) = f(w) / 2**s on every declared instance w,
+    with f(w) = ``fp_numerators[w]`` and s = ``fp_exponent``: the FP
+    equality of ``classify_postsel_profile("FP")``, checked against
+    ``run_ptm(tm, w).p_post`` and refused with ``StatsMismatch``.  The
+    witness's g-machine is ``joint`` itself: its accept count on w is
+    n(o=1, p=1) = P(o=1, p=1) * 2**t, and f(w) * 2**(t - s) = n(p=1).
     """
     if not fp_numerators:
         raise ValueError("no declared statistics to witness")
-    if fp_exponent > tm.post.path_width:
-        raise ValueError("declared denominator exceeds the coin space")
-    p_exp = tm.post.path_width - fp_exponent
+    t = tm.post.path_width
+    if not 0 <= fp_exponent <= t:
+        raise ValueError(f"declared denominator 2**{fp_exponent} is outside 2**0 .. 2**{t}")
     for w in sorted(fp_numerators):
-        if len(w) != tm.post.input_width:
-            raise ValueError(f"declared instance {w!r} is not {tm.post.input_width} bits")
-        if fp_numerators[w] < 1:
-            raise ValueError(f"declared numerator {fp_numerators[w]} on {w!r} is below 1")
-        n_post, _ = _accept_counts(tm, w)
-        declared = fp_numerators[w] << p_exp
-        if n_post != declared:
-            raise StatsMismatch(
-                f"on {w!r}: {n_post} postselecting outcomes, declaration implies {declared}"
-            )
-    return WappWitness(tm.joint, dict(fp_numerators), p_exp)
+        p_post = run_ptm(tm, w).p_post
+        declared = DyadicRational(fp_numerators[w], fp_exponent)
+        if p_post != declared:
+            raise StatsMismatch(f"on {w!r}: P(p=1) = {p_post}, declaration says {declared}")
+    return WappWitness(tm.joint, dict(fp_numerators), t - fp_exponent)

@@ -267,10 +267,7 @@ class FPFunction(_Value):
         self._set(bound_exp, machine)
 
     def __call__(self, w: str) -> int:
-        if self.machine.input_width != len(w):
-            raise MachineContractError(
-                f"length machine reads {self.machine.input_width} bits, |w| = {len(w)}"
-            )
+        _instance(self.machine, w)  # w must be bits the length machine can read
         val = gap(self.machine, "1" * len(w)).gap
         if not 0 < val <= (1 << self.bound_exp):
             raise ValueError(f"f({w!r}) = {val} outside (0, 2**{self.bound_exp}]")

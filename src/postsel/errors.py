@@ -42,4 +42,5 @@ class MachineContractError(PostselError):
 
 
 class StatsMismatch(PostselError):
-    """A construction precondition on exact output statistics does not hold."""
+    """A construction precondition on exact output statistics does not hold,
+    or a postselection record is impossible (not 0 <= P(o=1, p=1) <= P(p=1) <= 1)."""

@@ -33,7 +33,7 @@ from functools import cached_property
 
 from ._value import _Value
 from .circuit import Circuit, _integer, expand_mcx
-from .errors import ZeroPostselection
+from .errors import StatsMismatch, ZeroPostselection
 from .exactring import DyadicRational
 from .planes import Planes, _basis_index, _constraint_mask
 
@@ -97,11 +97,17 @@ class QuantumState:
 
 class PostselStats(_Value):
     """Exact P(p = 1) and P(o = 1, p = 1) of a postselecting run, from which
-    ``p_cond`` derives P(o = 1 | p = 1); P(p = 1) == 0 raises ``ZeroPostselection``."""
+    ``p_cond`` derives P(o = 1 | p = 1).  This is the one check of the
+    probability axioms: P(p = 1) == 0 raises ``ZeroPostselection``, and any
+    other pair outside 0 <= P(o = 1, p = 1) <= P(p = 1) <= 1 raises
+    ``StatsMismatch``."""
 
     def __init__(self, p_post: DyadicRational, p_joint: DyadicRational):
         if p_post.is_zero():
             raise ZeroPostselection("P(postselect=1) is exactly zero")
+        k = max(p_post.k, p_joint.k)  # both numerators over 2**k
+        if not 0 <= p_joint.n << (k - p_joint.k) <= p_post.n << (k - p_post.k) <= 1 << k:
+            raise StatsMismatch(f"impossible record: P(p=1) = {p_post}, P(o=1, p=1) = {p_joint}")
         self._set(p_post, p_joint)
 
     @property

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
 from postsel import (
@@ -78,10 +78,47 @@ def test_coin_machine_rejects_mismatched_widths():
 
 def test_joint_accepting_more_than_post_raises():
     tm = CoinMachine(_below(2, 1), _below(2, 3))
-    with pytest.raises(ValueError, match="more than post"):
+    with pytest.raises(StatsMismatch, match=r"P\(p=1\) = 1/2\^2, P\(o=1, p=1\) = 3/2\^2"):
         run_ptm(tm, "")
-    with pytest.raises(ValueError, match="more than post"):
+    with pytest.raises(StatsMismatch, match="impossible record"):
         wapp_witness(tm, {"": 1}, 1)
+
+
+@hst.composite
+def _coin_pairs(draw):
+    """(post, joint, w): random machines of one width, 0-2 instance bits and
+    1-4 coins; None stands for the self-reading machine (0 bits, 2 coins)."""
+    readers = draw(hst.sampled_from([(), ("post",), ("joint",), ("post", "joint")]))
+    in_w, t = (0, 2) if readers else (draw(hst.integers(0, 2)), draw(hst.integers(1, 4)))
+
+    def machine(role: str):
+        if role in readers:
+            return None
+        return random_machine(random.Random(draw(hst.integers(0, 2**32))), in_w, t)
+
+    w = "".join(draw(hst.sampled_from("01")) for _ in range(in_w))
+    return machine("post"), machine("joint"), w
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_coin_pairs())
+def test_run_ptm_matches_per_path_counts(self_reading_machine, case):
+    """run_ptm against counts taken coin by coin with ``eval_machine``: the
+    record holds them over 2**t, or refuses the pair no run can give."""
+    post, joint = (m or self_reading_machine for m in case[:2])
+    w, t = case[2], post.path_width
+    n_post, n_joint = (sum(eval_machine(m, w, c) for c in range(1 << t)) for m in (post, joint))
+    tm = CoinMachine(post, joint)
+    if n_post == 0:
+        with pytest.raises(ZeroPostselection):
+            run_ptm(tm, w)
+    elif n_joint > n_post:
+        with pytest.raises(StatsMismatch):
+            run_ptm(tm, w)
+    else:
+        st = run_ptm(tm, w)
+        assert (st.p_post, st.p_joint) == (DyadicRational(n_post, t), DyadicRational(n_joint, t))
 
 
 # ===================================================================
@@ -238,22 +275,28 @@ def test_wapp_witness_checks_declared_postselection():
 
 
 def test_wapp_witness_refuses_a_numerator_below_one():
-    """A machine that never postselects matches a declared f(w) = 0, whose
-    witness ratio would divide by zero; the declaration is refused first."""
+    """A declared f(w) < 1 would make the witness ratio divide by zero or go
+    negative.  A machine that never postselects is refused by its record; one
+    that does cannot match f(w) <= 0."""
     never = CoinMachine(_below(1, 0), _below(1, 0))
     for f in (0, -1):
-        with pytest.raises(ValueError, match=f"declared numerator {f} on '' is below 1"):
+        with pytest.raises(ZeroPostselection):
             wapp_witness(never, {"": f}, 1)
+    half = CoinMachine(_below(1, 1), _below(1, 1))
+    for f in (0, -1):
+        with pytest.raises(StatsMismatch, match=f"declaration says {f}/2\\^"):
+            wapp_witness(half, {"": f}, 1)
 
 
 def test_wapp_witness_rejects_mixed_lengths():
-    with pytest.raises(ValueError):
+    with pytest.raises(MachineContractError):
         wapp_witness(_declared_tm(), {"1": 6, "00": 6}, _S)
 
 
 def test_wapp_witness_rejects_oversized_denominator():
-    with pytest.raises(ValueError):
-        wapp_witness(_declared_tm(), _FP, 9)
+    for s in (9, -1):  # 2**s must lie in 2**0 .. 2**t
+        with pytest.raises(ValueError, match=f"2\\*\\*{s} is outside"):
+            wapp_witness(_declared_tm(), _FP, s)
 
 
 def test_wapp_witness_ratio_rejects_an_undeclared_instance():

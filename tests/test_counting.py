@@ -364,8 +364,9 @@ def test_fp_function_from_length_gap():
     f = FPFunction(3, m)
     assert f("00") == 6
     assert f("10") == 6
-    with pytest.raises(MachineContractError):
-        f("000")  # wrong length for the machine
+    for w in ("000", "ab", "2x"):  # the wrong length, and not bits at all
+        with pytest.raises(MachineContractError):
+            f(w)
 
 
 def test_fp_function_gap_variant_rejects_nonpositive_gap():

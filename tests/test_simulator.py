@@ -2,6 +2,7 @@
 and the differential harness on circuits up to 63 qubits wide."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from postsel import (
     InsufficientAncillas,
     MachineContractError,
     PostselStats,
+    StatsMismatch,
     ZeroPostselection,
     ccx,
     cx,
@@ -378,6 +380,18 @@ def test_postselect_stats_zero_raises():
     # the record itself refuses P(p=1) = 0, whichever engine built it
     with pytest.raises(ZeroPostselection, match=r"^P\(postselect=1\) is exactly zero$"):
         PostselStats(DyadicRational(0, 0), DyadicRational(0, 0))
+
+
+def test_postsel_stats_refuses_an_impossible_pair():
+    """Only 0 <= P(o=1, p=1) <= P(p=1) <= 1 is a record; the message names both."""
+    for post, joint in [((1, 1), (3, 1)), ((1, 1), (-1, 1)), ((3, 1), (1, 1)), ((-1, 1), (0, 0))]:
+        p_post, p_joint = DyadicRational(*post), DyadicRational(*joint)
+        names = re.escape(f"P(p=1) = {p_post}, P(o=1, p=1) = {p_joint}")
+        with pytest.raises(StatsMismatch, match=names + "$"):
+            PostselStats(p_post, p_joint)
+    # the bounds themselves make a record, over mixed denominators too
+    assert PostselStats(DyadicRational(1, 0), DyadicRational(3, 2)).p_cond == Fraction(3, 4)
+    assert PostselStats(DyadicRational(1, 2), DyadicRational(2, 3)).p_cond == Fraction(1)
 
 
 def test_postselect_stats_requires_postselect_qubit():
