@@ -80,25 +80,23 @@ def _write_out(coeffs: np.ndarray, sign: int, n: int) -> np.ndarray:
     return coeffs
 
 
-def _merge(short, planes: list[int], n: int, target: int, h_count: int):
-    """``run``'s H on a wire t that varies: |z> -> |z & ~t> + (-1)**z_t |z | t>,
-    merged, zeros dropped, as (short, planes) under a cleared sign plane.
-    ``short`` is None before the first merge, when every c_j is +-1."""
+def _consolidate(short, planes: list[int], n: int, h_count: int):
+    """``run``'s n entries with the entries at one basis state summed and zeros
+    dropped, as (short, planes) under a cleared sign plane.  ``short`` is None
+    before the first consolidation, when every c_j is +-1."""
     coeffs = _write_out(_ones(h_count) if short is None else short, planes[-1], n)
-    idx = _plane_keys(planes[:-1], n, (1 << n) - 1).view(_INDEX)
-    t = np.int64(1 << target)
-    # pair up z and z ^ t by sorting on the key z & ~t (groups of one or two)
-    key = idx & ~t
-    order = np.argsort(key)
-    key = key[order]
-    c = coeffs[order]
-    signed = np.where((idx[order] & t) != 0, -c, c)
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    key = key[starts]
-    out_idx = np.concatenate((key, key | t))
-    out_c = np.concatenate((np.add.reduceat(c, starts), np.add.reduceat(signed, starts)))
-    live = out_c != 0
-    return out_c[live], _key_planes(out_idx[live], len(planes) - 1) + [0]
+    keys = _plane_keys(planes[:-1], n, (1 << n) - 1)
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    # Exact in int64 for h_count <= _INT64_SAFE_H: each short coefficient is
+    # a nonzero integer, so |c| <= c**2, and their squares sum to 2**m0 after
+    # the last consolidation, m0 Hadamards in (or 1 == 2**0).  The k Hadamards
+    # since then each doubled the entries, so every partial sum is at most
+    # sum(|c_j|) <= 2**k * 2**m0 <= 2**h_count.
+    c = np.add.reduceat(coeffs[order], starts)
+    live = c != 0
+    return c[live], _key_planes(keys[starts][live], len(planes) - 1) + [0]
 
 
 def _weighed_count(short: np.ndarray, keep: int, n: int) -> int:

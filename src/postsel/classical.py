@@ -19,7 +19,7 @@ from fractions import Fraction
 from ._value import _Value
 from .circuit import _uncomputed, cx
 from .counting import PredicateCircuit, gap
-from .errors import PromiseViolation, StatsMismatch
+from .errors import MachineContractError, PromiseViolation, StatsMismatch
 from .exactring import DyadicRational
 from .simulator import PostselStats
 
@@ -29,9 +29,9 @@ class CoinMachine(_Value):
 
     def __init__(self, post: PredicateCircuit, joint: PredicateCircuit):
         if post.input_width != joint.input_width:
-            raise ValueError("post and joint must read the same instance width")
+            raise MachineContractError("post and joint must read the same instance width")
         if post.path_width != joint.path_width:
-            raise ValueError("post and joint must flip the same coins")
+            raise MachineContractError("post and joint must flip the same coins")
         self._set(post, joint)
 
 
@@ -65,9 +65,9 @@ def build_upcoup(
     Violating the promise raises eagerly.
     """
     if n_machine.input_width != m_machine.input_width:
-        raise ValueError("machines must read the same instance width")
+        raise MachineContractError("machines must read the same instance width")
     if n_machine.path_width != m_machine.path_width:
-        raise ValueError("machines must share a path width")
+        raise MachineContractError("machines must share a path width")
     total = gap(n_machine, w).accepts + gap(m_machine, w).accepts
     if total != 1:
         raise PromiseViolation(

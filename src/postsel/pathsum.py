@@ -28,11 +28,13 @@ finds its target plane 0 or all-ones, the 2**H paths end in distinct basis
 states, each with sign +-1, and g is the popcount of the kept paths: no
 transpose, no sort, and no numpy, which only the sort imports (``_keys``).
 
-``simulator.run`` runs the same gate loop (``Planes.drive``), but merges at
-every H on a wire that varies, where this never merges two paths before its
-final sort, and it sees the ``expand_mcx`` ladder, where this applies ``mcx``
-natively.  ``path_sum_slow``, a deliberately naive per-path rewrite that
-shares no plane code (``_amplitudes``), is the independent check of both.
+``simulator.run`` runs the same gate loop (``Planes.drive``), but once an H
+on a varying wire may have made entries meet, it merges them when its entry
+count reaches max(``planes._FLOOR``, twice the count after its last merge)
+or the support cap, and at the end; this never merges two paths before its
+final sort.  ``run`` also sees the ``expand_mcx`` ladder, where this applies
+``mcx`` natively.  ``path_sum_slow``, a deliberately naive per-path rewrite
+that shares no plane code (``_amplitudes``), is the independent check of both.
 """
 
 from __future__ import annotations

@@ -26,6 +26,9 @@ from .circuit import Circuit, Gate, _integer, _pack_bits
 from .errors import CapExceeded
 
 MAX_WIDTH = 63
+# ``drive`` merges no earlier than at this many entries: a merge's numpy calls
+# cost about as much on 10 entries as on 1000 (2**10-2**12 measured best).
+_FLOOR = 1 << 10
 _QUBITS = attrgetter("qubits")
 
 
@@ -154,13 +157,19 @@ class Planes:
         varying, so that two entries may meet.
 
         A run of reversible gates grows the planes it reads and is then
-        ``apply_gates_planes``.  An H on a constant wire is ``branch_signed``,
-        and so is one on a varying wire unless ``merge`` is given: then every
-        plane is grown and ``merge(planes, n, target)`` returns the planes and
-        count that replace them.  ``CapExceeded`` is raised once an H leaves
-        more than ``cap`` entries.
+        ``apply_gates_planes``.  Every H is ``branch_signed``.  With ``merge``
+        given, once an H on a varying wire has left entries that may meet,
+        every plane is grown and ``merge(planes, n)`` returns the planes and
+        count that replace them, the entries at one basis state summed: when
+        n reaches max(``_FLOOR``, twice the count after the last merge), when
+        n passes ``cap``, and after the last gate, so the entries end
+        distinct.  ``CapExceeded`` is raised once an H leaves more than
+        ``cap`` entries after that merge.  So at most ``cap`` entries are
+        left after every H, and before a merge the planes hold at most
+        2 * max(``_FLOOR``, ``cap``).
         """
-        meet = False
+        meet = pending = False
+        due = _FLOOR
         for is_h, run in groupby(gates, key=lambda g: g.kind == "h"):
             if not is_h:
                 # A list: tuples of every run length would fill the
@@ -171,13 +180,20 @@ class Planes:
                 continue
             for g in run:
                 varies = not self.constant(g.target)
-                if varies and merge is not None:
-                    self.planes, self.n = merge(self.grown(range(len(self.planes))), self.n, g.target)
-                    self.sizes = [self.n] * len(self.planes)
-                    self.ones = (1 << self.n) - 1  # a merge leaves any n, not a power of 2
-                else:
-                    self.branch_signed(g.target)
+                self.branch_signed(g.target)
                 meet = meet or varies
+                pending = merge is not None and (pending or varies)
+                if pending and (self.n >= due or cap is not None and self.n > cap):
+                    self._merged(merge)
+                    pending, due = False, max(_FLOOR, 2 * self.n)
                 if cap is not None and self.n > cap:
                     raise CapExceeded(f"live support {self.n} exceeds cap {cap} at h {g.target}")
+        if pending:
+            self._merged(merge)
         return meet
+
+    def _merged(self, merge) -> None:
+        """Replace every plane by ``merge``'s, on every entry."""
+        self.planes, self.n = merge(self.grown(range(len(self.planes))), self.n)
+        self.sizes = [self.n] * len(self.planes)
+        self.ones = (1 << self.n) - 1  # a merge leaves any n, not a power of 2

@@ -8,15 +8,21 @@ a wire constant across the support branches the entries with
 ``Planes.branch_signed`` and leaves the coefficients short: c_j is
 coeffs[j % coeffs.size], negated where the sign plane has bit j.  A branch
 writes only its target and sign planes; the others are tiled up to n where
-they are next read.  Only an H on a wire that varies grows every plane,
-writes the coefficients out in full, transposes to int64 basis indices,
-merges the entries that meet by one sort and transposes back: the first
-merge imports numpy (``_keys``), which nothing else in ``run`` needs.
-``run`` returns the state in this branch form, on the ``Planes`` it drove:
-a query tiles the planes it pins only for itself, and ``QuantumState``
-writes the n coefficients out only when a caller reads ``coeffs``.
-Cost follows the live support, at most min(2**w, 2**m) over w qubits, not
-2**w (Jaques & Haener, arXiv:2105.01533).  Unitarity gives sum(c_j**2) ==
+they are next read.  An H on a wire that varies branches too, and then two
+entries may hold one basis state.  A merge (``_keys._consolidate``) grows
+every plane, writes the coefficients out in full, transposes to int64 basis
+indices, sums the entries at one basis state by one sort, drops zeros and
+transposes back: the first merge imports numpy, which nothing else in
+``run`` needs.  Since a merge of 10 entries costs about what one of 1000
+does, ``drive`` merges only once n reaches max(``planes._FLOOR``, twice the
+count after the last merge), once n passes the support cap, and after the
+last gate.  ``run`` returns the state in this branch form, on the
+``Planes`` it drove, with no basis state twice: a query tiles the planes it
+pins only for itself, and ``QuantumState`` writes the n coefficients out
+only when a caller reads ``coeffs``.  Cost follows the live support, not
+2**w (Jaques & Haener, arXiv:2105.01533): over w qubits a merge leaves at
+most min(2**w, 2**m) entries, and between merges n stays at most 2**m and
+below max(2 * ``planes._FLOOR``, 2**(w + 2)).  Unitarity gives sum(c_j**2) ==
 2**m: with at most ``_keys._INT64_SAFE_H`` Hadamards every coefficient, square
 and partial sum of squares fits in int64; larger circuits use object-dtype
 Python ints.  ``joint_prob`` counts the kept entries when n == 2**m (every
@@ -131,10 +137,10 @@ def run(circuit: Circuit, input_bits) -> QuantumState:
 
     short, m = None, circuit.h_count
 
-    def merge(planes: list[int], n: int, target: int):
+    def merge(planes: list[int], n: int):
         nonlocal short  # the first merge loads numpy and picks the dtype (_keys._ones)
         from . import _keys
-        short, planes = _keys._merge(short, planes, n, target, m)
+        short, planes = _keys._consolidate(short, planes, n, m)
         return planes, short.size
 
     st = Planes(z0, circuit.width)

@@ -70,10 +70,15 @@ def test_run_ptm_rejects_non_bits():
 
 
 def test_coin_machine_rejects_mismatched_widths():
-    with pytest.raises(ValueError, match="instance width"):
-        CoinMachine(PredicateCircuit(1, 2, 0, (), 3), _below(2, 1))
-    with pytest.raises(ValueError, match="same coins"):
+    """Bad widths are a broken machine contract, in the coin machine and in
+    the coupling that builds one."""
+    wide = PredicateCircuit(1, 2, 0, (), 3)  # one instance bit, where _below reads none
+    with pytest.raises(MachineContractError, match="post and joint must read the same instance"):
+        CoinMachine(wide, _below(2, 1))
+    with pytest.raises(MachineContractError, match="post and joint must flip the same coins"):
         CoinMachine(_below(3, 1), _below(2, 1))
+    with pytest.raises(MachineContractError, match="machines must read the same instance width"):
+        build_upcoup(wide, _below(2, 1), "0")
 
 
 def test_joint_accepting_more_than_post_raises():
@@ -173,7 +178,7 @@ def test_upcoup_promise_violations_raise_eagerly():
         build_upcoup(
             _unique_path_machine(q, 1), _unique_path_machine(q, 2), "0"
         )  # two accepts
-    with pytest.raises(ValueError):
+    with pytest.raises(MachineContractError, match="machines must share a path width"):
         build_upcoup(_never_machine(2), _never_machine(3), "0")  # width mismatch
 
 def _wrap(core: PredicateCircuit, ctls, negs) -> PredicateCircuit:

@@ -169,8 +169,8 @@ _ORACLE_CIRCUITS = {
     "fresh": "qubits 10\n" + "".join(f"h {q}\n" for q in range(5))
     + "mcx 0 !1 2 5\nmcx !3 4 5 6\nmcx 0 1 !5 6 7\nccx !2 7 5\npostselect 5\noutput 6\n"
     "ancilla 8 0\nancilla 9 1\n",
-    # a merge, then Hadamards on wires declared at 1: the state ends with short
-    # coefficients under a nonzero sign plane, queried unwritten
+    # entries that meet, then Hadamards on wires declared at 1: the one merge,
+    # at the end, writes the coefficients out from a nonzero sign plane
     "signed": "qubits 7\nh 0\nh 1\nccx 0 1 2\nh 0\nh 3\nh 4\nh 6\ncx 3 5\nccx !4 2 5\n"
     "ccx 6 0 2\npostselect 5\noutput 2\nancilla 3 1\nancilla 4 1\nancilla 6 1\n",
 }

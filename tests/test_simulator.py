@@ -9,7 +9,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings
 
-from postsel import simulator
+from postsel import planes, simulator
 from postsel import (
     CapExceeded,
     Circuit,
@@ -33,6 +33,7 @@ from postsel import (
     run,
     x,
 )
+from postsel.pathsum import DEFAULT_MAX_BRANCH
 from postsel.scenarios import random_circuit
 
 from engine_harness import check_engines, circuits
@@ -174,9 +175,9 @@ def test_wide_runs_match_dict_reference(case):
 # merges that cancel entries: HH on a wire, and H on a wire entangled with another
 @example((Circuit(3, (h(0), h(1), h(0), h(1)), 0), "010", []))
 @example((Circuit(3, (h(0), cx(0, 1), h(0), h(1)), 0), "000", []))
-# coefficients written out from a short array and a sign plane: mid-run, after a
-# branch on an all-ones wire; tiled from the 5 merged ones, then merged again;
-# and at the end of a run whose last Hadamards branch after a merge
+# coefficients written out from a sign plane at the one merge, at the end:
+# after a branch on an all-ones wire, and after Hadamards that branch on
+# fresh or all-ones wires once entries may meet
 @example((Circuit(2, (h(0), h(1), h(0)), 0), "01", []))
 @example((Circuit(4, _SUPPORT_5 + (h(3), h(0)), 0), "0001", []))
 @example((Circuit(5, _SUPPORT_5 + (h(3), h(4)), 0), "00010", []))
@@ -193,8 +194,10 @@ def test_branch_and_merge_match_dict_reference(case):
 
 @settings(max_examples=50, deadline=None)
 @given(circuits(widths=(2, 8)))
-# merges to 5 coefficients, 2 of them +-2, then branches on wires at 1: a
-# tiled short array under a sign plane
+# _SUPPORT_5's 5 coefficients, 2 of them +-2, then branches on wires at 1:
+# one merge at the end sums them under the sign plane, and at _FLOOR = 1 a
+# merge before the branches leaves a tiled short array under a sign plane
+# (test_run_is_the_same_whenever_it_merges)
 @example((Circuit(5, _SUPPORT_5 + (h(3), h(4)), 0), "00011",
           [[(0, 0)], [(1, 1), (3, 0)], [(2, 1), (4, 1)], [(0, 1), (1, 0)]]))
 # more than 60 Hadamards, 62 of them merging, then a branch, alone or followed
@@ -204,10 +207,57 @@ def test_branch_and_merge_match_dict_reference(case):
                              ccx(2, 3, 1, True), h(1)), 2, 3), "0110", [[(2, 1), (3, 1)]]))
 def test_branch_form_matches_its_written_out_entries(case):
     """check_engines on widths 2-8, whose spare wires at 1 take the last
-    Hadamards, so run returns a short array under a nonzero sign plane:
-    the branch form, and the same state tiled to full length, answer as
-    their written-out entries do, before and after coeffs is first read."""
+    Hadamards, so run returns a nonzero sign plane unless entries meet and
+    its last merge clears it: the branch form, and the same state tiled to
+    full length, answer as their written-out entries do, before and after
+    coeffs is first read."""
     check_engines(*case)
+
+
+# ===================================================================
+# when run merges: at _FLOOR entries and at twice the last merge's,
+# past the support cap, and at the end
+# ===================================================================
+
+_W = planes._FLOOR.bit_length()  # an H layer on _W wires leaves 2 * _FLOOR entries
+
+
+def _entries(st) -> dict[int, int]:
+    return dict(zip(st.indices.tolist(), st.coeffs.tolist()))
+
+
+@settings(max_examples=50, deadline=None)
+@given(circuits())
+# the support passes _FLOOR before an H on a varying wire: merges mid-run at
+# 4 * _FLOOR, 2 * _FLOOR and _FLOOR entries, each halving the support; the
+# last H then leaves _FLOOR / 2 entries, pairs of which meet only at the end
+@example((Circuit(_W + 1, (*map(h, range(_W)), h(0), h(1), h(2), ccx(4, 5, 0), h(3)), 0),
+          "0" * (_W + 1), [[(0, 0)], [(3, 1), (4, 1)], [(1, 0), (_W - 1, 1)]]))
+# at _FLOOR = 1, coefficients written out from a short array and a sign
+# plane: mid-run, after a branch on an all-ones wire; tiled from the 5 merged
+# ones, then merged again; and a short array of 5 under a sign plane at the
+# end, as the last Hadamards branch on wires at 1 after a merge
+@example((Circuit(2, (h(0), h(1), h(0)), 0), "01", []))
+@example((Circuit(4, _SUPPORT_5 + (h(3), h(0)), 0), "0001", []))
+@example((Circuit(5, _SUPPORT_5 + (h(3), h(4)), 0), "00011",
+          [[(0, 0)], [(1, 1), (3, 0)], [(2, 1), (4, 1)], [(0, 1), (1, 0)]]))
+def test_run_is_the_same_whenever_it_merges(case):
+    """run at _FLOOR = 1, merging after every H on a varying wire, passes
+    check_engines and lists the same entries and probabilities as run at
+    the default _FLOOR, which on these draws (at most 10 Hadamards) merges
+    once, at the end; both match path_sum."""
+    circuit, bits, constraints = case
+    lazy = run(circuit, bits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planes, "_FLOOR", 1)
+        eager = run(circuit, bits)
+        check_engines(circuit, bits, constraints)
+    assert _entries(eager) == _entries(lazy)
+    for pins in [[]] + constraints:
+        p = joint_prob(lazy, pins)
+        assert joint_prob(eager, pins) == p
+        if circuit.h_count <= DEFAULT_MAX_BRANCH:
+            assert DyadicRational(*path_sum(circuit, bits, pins)) == p
 
 
 def test_queries_leave_a_branch_only_state_unwritten():
@@ -215,11 +265,14 @@ def test_queries_leave_a_branch_only_state_unwritten():
     coefficient; with no constraint too), measure_prob and amplitude read the
     branch form: no n-entry coefficient array or index array is built, nor,
     before any merge, the one-entry short array."""
+    assert 1 << 2 <= planes._FLOOR <= 1 << 18  # where the sizes below hold
     layer = tuple(map(h, range(1, 17)))
-    for gates, bits, amp in (
-        (layer, "0" * 17, (1, 16)),  # every |coeff| is 1: popcount
-        # coefficient 2 at m = 2, then branches on wires at 1: qubit 1 set is -2
-        ((h(0), h(0)) + layer, "0" + "1" * 16, (-2, 18)),
+    for gates, bits, amp, size in (
+        (layer, "0" * 17, (1, 16), 1),  # every |coeff| is 1: popcount
+        # coefficient 2 at m = 2, then branches on wires at 1: qubit 1 set is
+        # -2.  The two H(0)s meet at the first merge, at _FLOOR entries, which
+        # it sums in fours; the layer's last Hadamards then only branch.
+        ((h(0), h(0)) + layer, "0" + "1" * 16, (-2, 18), planes._FLOOR >> 2),
     ):
         st = run(Circuit(17, gates, 0), bits)
         assert joint_prob(st, [(1, 1), (16, 0)]) == DyadicRational(1, 2)
@@ -227,7 +280,7 @@ def test_queries_leave_a_branch_only_state_unwritten():
         assert st.amplitude(0b10) == amp
         assert joint_prob(st, []) == DyadicRational(1, 0)
         assert {"coeffs", "indices", "short"}.isdisjoint(vars(st))
-        assert (st.short.size, st.n) == (1, 1 << 16)
+        assert (st.short.size, st.n) == (size, 1 << 16)
 
 
 def test_object_dtype_fallback_for_many_hadamards():
@@ -288,6 +341,15 @@ def test_support_cap(monkeypatch):
     monkeypatch.setattr(simulator, "DEFAULT_MAX_SUPPORT", 4)
     merged = run(Circuit(2, (h(0), h(1), h(0)), 0), "00")
     assert sorted(merged.indices.tolist()) == [0, 2]
+    # a support past the cap merges there, long before _FLOOR: 16 entries sum
+    # to 4 at the fourth h and 16 to 1 at the sixth; entries that do not meet
+    # still raise
+    twice = Circuit(3, tuple(map(h, range(3))) * 2, 0)
+    monkeypatch.setattr(simulator, "DEFAULT_MAX_SUPPORT", 8)
+    assert _entries(run(twice, "000")) == {0: 8}
+    monkeypatch.setattr(simulator, "DEFAULT_MAX_SUPPORT", 7)
+    with pytest.raises(CapExceeded, match="live support 8 exceeds cap 7 at h 2"):
+        run(twice, "000")
     # width alone costs nothing: 40 qubits with two live entries
     wide = run(Circuit(40, (h(0), cx(0, 39)), 0), "0" * 40)
     assert sorted(wide.indices.tolist()) == [0, 1 | 1 << 39]
