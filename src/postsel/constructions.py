@@ -13,10 +13,10 @@ runs on ``_instance_input(c, w, n)`` = ``w + default_input(c)[n:]``, which
 refuses a w that is not n bits (``MachineContractError``).  The gadgets
 ``mix_with_constant`` and ``compile_fqp_to_exp`` force P(p=1) on one input.
 
-Every compiler returns an ordinary Circuit whose mcx macros are still
-unexpanded; enough work qubits are declared that ``expand_mcx`` always
-succeeds.  Probabilities quoted in the docstrings are exact, not bounds,
-unless explicitly written as inequalities.
+A compiler composes ``_Builder`` steps and finishes once, into a Circuit with
+one borrow pool whose mcx macros are still unexpanded; enough work qubits are
+declared that ``expand_mcx`` always succeeds.  Probabilities quoted in the
+docstrings are exact, not bounds, unless explicitly written as inequalities.
 """
 
 from __future__ import annotations
@@ -62,13 +62,13 @@ class _Builder:
         """Declare work qubits that start, and end, at 0."""
         self.anc.update((q, 0) for q in qubits)
 
-    def embed(self, sub: Circuit, shared: list[int]) -> list[int]:
-        """Splice a whole sub-circuit in, its first wires onto ``shared`` and the
-        rest onto fresh qubits; returns the wire each of its wires landed on."""
-        wires = shared + self.alloc(sub.width - len(shared))
-        self.extend(_placed(sub.gates, wires.__getitem__))
-        self.anc.update((wires[q], v) for q, v in sub.ancillas)
-        return wires
+    def biased_flag(self, a: int, m: int) -> int:
+        """A flag on m fresh fair coins that is 1 with probability a / 2**m."""
+        coins = self.alloc(m)
+        flag = self.alloc1()
+        self.extend(map(h, coins))
+        self.extend(emit_less_than(coins, a, flag))
+        return flag
 
     def finish(self, output: int, postselect: int | None = None) -> Circuit:
         # top up the declared work pool so every mcx can borrow its n-2 bits
@@ -122,17 +122,13 @@ def pair_stats(g1: int, g2: int, q: int, k: int) -> PostselStats:
     return PostselStats(DyadicRational(g1 * g1 + g2 * g2, e), DyadicRational(g1 * g1, e))
 
 
-def compile_gap_squared(machine: PredicateCircuit) -> Circuit:
-    """Circuit without postselection whose P(output=1) == G**2 / 2**2q on
-    instance w, with G = gap(machine, w).
-
-    Walks all paths in superposition, imprints the sign (-1) on every
-    rejecting path through a computed flag bit, interferes the paths back and
-    detects the all-zero path register.
-    """
+def _gap_squared_block(b: _Builder, machine: PredicateCircuit, wq: list[int]) -> int:
+    """Append ``compile_gap_squared``'s block on the instance wires ``wq``, which
+    it leaves as it came in, and return its output wire.  Walks all paths in
+    superposition, imprints the sign (-1) on every rejecting path through a
+    computed flag bit, interferes the paths back and detects the all-zero path
+    register."""
     q = machine.path_width
-    b = _Builder()
-    wq = b.alloc(machine.input_width)
     xq = b.alloc(q)
     scratch = b.alloc(machine.ancilla_count)
     acc = b.alloc1()
@@ -146,7 +142,15 @@ def compile_gap_squared(machine: PredicateCircuit) -> Circuit:
     b.extend(map(h, xq))
     b.add(mcx(xq, out, [True] * q))
     b.declare(scratch + [acc])
-    return b.finish(output=out)
+    return out
+
+
+def compile_gap_squared(machine: PredicateCircuit) -> Circuit:
+    """Circuit without postselection whose P(output=1) == G**2 / 2**2q on
+    instance w, with G = gap(machine, w): one ``_gap_squared_block``."""
+    b = _Builder()
+    wq = b.alloc(machine.input_width)
+    return b.finish(output=_gap_squared_block(b, machine, wq))
 
 
 def compile_pair_postsel(m1: PredicateCircuit, m2: PredicateCircuit, k: int = 0) -> Circuit:
@@ -170,7 +174,7 @@ def compile_pair_postsel(m1: PredicateCircuit, m2: PredicateCircuit, k: int = 0)
     if k < 0:
         raise ValueError("k must be >= 0")
     if m1.input_width != m2.input_width or m1.path_width != m2.path_width:
-        raise ValueError("machines must share instance and path widths")
+        raise MachineContractError("machines must share instance and path widths")
     b = _Builder()
     wq = b.alloc(m1.input_width)
     q = m1.path_width
@@ -202,14 +206,11 @@ def compile_pair_postsel(m1: PredicateCircuit, m2: PredicateCircuit, k: int = 0)
 
 def gadget_biased_flag(a: int, m: int) -> Circuit:
     """Circuit whose output flag is 1 with probability exactly a / 2**m."""
+    _check_width(m + 1)  # the circuit's width, before 1 << m is built
     if m < 0 or not 0 <= a <= (1 << m):
         raise ValueError("need 0 <= a <= 2**m")
     b = _Builder()
-    coins = b.alloc(m)
-    flag = b.alloc1()
-    b.extend(map(h, coins))
-    b.extend(emit_less_than(coins, a, flag))
-    return b.finish(output=flag)
+    return b.finish(output=b.biased_flag(a, m))
 
 
 def rescale_postsel(circuit: Circuit, t: int) -> Circuit:
@@ -278,10 +279,7 @@ def mix_with_constant(circuit: Circuit, f: int, h_exp: int, bits=None) -> Circui
     b.add(h(coin))
     o_tails = b.alloc1()
     b.add(h(o_tails))
-    coins = b.alloc(h_exp)
-    p_tails = b.alloc1()
-    b.extend(map(h, coins))
-    b.extend(emit_less_than(coins, a, p_tails))
+    p_tails = b.biased_flag(a, h_exp)
     _cswap(b, coin, circuit.output, o_tails)
     _cswap(b, coin, circuit.postselect, p_tails)
     return b.finish(output=o_tails, postselect=p_tails)
@@ -309,9 +307,9 @@ def compile_fqp_to_exp(circuit: Circuit, f: int, h_exp: int, bits=None) -> Circu
 def compile_pp_instance(mg: PredicateCircuit, mf: PredicateCircuit) -> Circuit:
     """Postselected circuit for a majority-vote style gap pair (g, f).
 
-    Builds the two squared-gap blocks on one shared instance register (each
-    block uncomputes its machine, so the register leaves a block as it came
-    in), downscales each by the other's path budget and routes them through a
+    Appends two squared-gap blocks (``_gap_squared_block``) on one instance
+    register, which each leaves as it came in, with one borrow pool between
+    them; downscales each by the other's path budget and routes them through a
     two-coin selector: both coins heads simulates the f block (output forced
     to 0), anything else simulates the g block (output mirrors it).  With
     q = 2 * mg.path_width and q' = 2 * mf.path_width, on instance w:
@@ -324,16 +322,14 @@ def compile_pp_instance(mg: PredicateCircuit, mf: PredicateCircuit) -> Circuit:
     vanish, ``postselect_stats`` raises ``ZeroPostselection``.
     """
     if mg.input_width != mf.input_width:
-        raise ValueError("machines must share an instance width")
+        raise MachineContractError("machines must share an instance width")
     q_exp = 2 * mg.path_width
     qp_exp = 2 * mf.path_width
 
     b = _Builder()
     wq = b.alloc(mg.input_width)
-    block_g = compile_gap_squared(mg)
-    block_f = compile_gap_squared(mf)
-    o_g = b.embed(block_g, wq)[block_g.output]
-    o_f = b.embed(block_f, wq)[block_f.output]
+    o_g = _gap_squared_block(b, mg, wq)
+    o_f = _gap_squared_block(b, mf, wq)
 
     coins = b.alloc(max(q_exp, qp_exp))
     b.extend(map(h, coins))

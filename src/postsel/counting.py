@@ -176,8 +176,8 @@ def emit_less_than(bit_indices, constant: int, flag_index: int) -> list[Gate]:
 def make_gap_machine(v: int, q: int) -> PredicateCircuit:
     """Machine with q path bits whose gap on the empty instance is exactly v.
 
-    Accepts the paths x < (2**q + v) / 2, so v must satisfy |v| <= 2**q and
-    v == 2**q (mod 2).
+    The ``tabulated_count_machine`` that accepts the paths x < (2**q + v) / 2,
+    so v must satisfy |v| <= 2**q and v == 2**q (mod 2).
     """
     if q < 0:
         raise ValueError("path width must be >= 0")
@@ -185,9 +185,7 @@ def make_gap_machine(v: int, q: int) -> PredicateCircuit:
         raise ValueError(f"|gap| {abs(v)} needs more than {q} path bits")
     if (v - (1 << q)) % 2:
         raise ValueError(f"gap {v} has wrong parity for {q} path bits")
-    threshold = ((1 << q) + v) // 2
-    gates = emit_less_than(list(range(q)), threshold, q)
-    return PredicateCircuit(0, q, 0, tuple(gates), q)
+    return tabulated_count_machine({"": ((1 << q) + v) // 2}, 0, q)
 
 
 def scale_gap(machine: PredicateCircuit, c: int) -> PredicateCircuit:

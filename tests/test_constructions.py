@@ -8,6 +8,7 @@ compared against the compiled circuit's simulated statistics.
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
 
 from postsel import (
+    CapExceeded,
     Circuit,
     DyadicRational,
     MachineContractError,
@@ -47,6 +49,7 @@ from postsel import (
     rescale_postsel,
     run,
     serialize_circuit,
+    tabulated_count_machine,
     verify_error_algebra,
 )
 from postsel.constructions import _instance_input
@@ -157,7 +160,9 @@ def test_pair_zero_postselection_raises_when_run():
 def test_pair_validation():
     m1 = make_gap_machine(2, 2)
     m2 = make_gap_machine(2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        MachineContractError, match="^machines must share instance and path widths$"
+    ):
         compile_pair_postsel(m1, m2)  # path widths differ
     with pytest.raises(ValueError):
         compile_pair_postsel(m1, m1, k=-1)
@@ -179,6 +184,18 @@ def test_biased_flag_sweep():
         gadget_biased_flag(9, 3)
     with pytest.raises(ValueError):
         gadget_biased_flag(-1, 3)
+
+
+def test_biased_flag_checks_the_width_before_building_2_to_the_m():
+    """At m = 10**8, 1 << m alone would be a 12.5 MB integer."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="^width 100000001 exceeds the 63-qubit index limit$"):
+            gadget_biased_flag(1, 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_rescale_divides_postselection_only():
@@ -305,7 +322,7 @@ def test_pp_instance_closed_forms():
 
 def test_pp_instance_validation():
     mg = make_gap_machine(2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(MachineContractError, match="^machines must share an instance width$"):
         compile_pp_instance(mg, CI_M1)  # the blocks share one instance register
     zero = make_gap_machine(0, 1)
     c = compile_pp_instance(zero, zero)
@@ -386,6 +403,10 @@ def test_one_circuit_per_pair_matches_closed_forms_on_every_instance(
 # the two machine files of the CI console-script step
 CI_M1 = parse_machine("machine 1 2 0\nccx 1 2 3\nx 3\nccx !0 1 3\naccept 3\n")
 CI_M2 = parse_machine("machine 1 2 1\nccx 0 1 3\ncx 3 4\nccx 2 3 4\nccx 0 1 3\naccept 4\n")
+# the pp-to-postsel scenario's machines, gaps (2, 2) on instance 1 and (0, 4) on 0
+PP_MACHINES = (
+    tabulated_count_machine({"1": 3, "0": 2}, 1, 2), tabulated_count_machine({"1": 3, "0": 4}, 1, 2)
+)
 
 
 def _fqp2exp(pair: Circuit, w: str) -> Circuit:
@@ -420,6 +441,10 @@ PINNED_CIRCUITS = {
         lambda: compile_gap_squared(CI_M2),
         "7de503e5b0a1fe81a12e79db1b704594d53b41c226d0f4f0780d54838f3e1eee",
     ),
+    "pp-pool": (  # the pp-to-postsel scenario's pair: its blocks borrow for 3-control mcx
+        lambda: compile_pp_instance(*PP_MACHINES),
+        "632faae0baefc519205575fd8d0907c42795d1177d6e67dd966ecb62578d778a",
+    ),
 }
 
 
@@ -429,6 +454,12 @@ def test_compiled_circuit_text_is_pinned(name):
     build, digest = PINNED_CIRCUITS[name]
     text = serialize_circuit(build())
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+def test_pp_blocks_share_one_borrow_pool():
+    """Each block declares one work qubit, which the other block's mcx may
+    borrow: no wire is added for the borrowing, where a pool per block adds two."""
+    assert compile_pp_instance(*PP_MACHINES).width == 20
 
 
 def test_an_instance_of_the_wrong_length_is_refused():
