@@ -30,9 +30,10 @@ integer qubits, bool flags, control count, distinct qubits) and keeps the
 span that a ``Circuit`` (or ``counting.PredicateCircuit``) tests against its
 register, and the reader the tokens (ASCII digits, ``!`` on controls only).
 A gate's cost follows its control count (an ``h`` or ``x`` skips the control
-checks), and a gate line's tokens are read inline, as ``_parse_index`` reads one.
+checks).  One token loop, ``_indices``, reads a gate line's tokens and a
+directive's arguments alike.
 
-The statement reader, the index and gate-line parsers and the gate-line
+The statement reader, the token loop, the gate-line parser and the gate-line
 writer here also serve the machine format of ``counting``, and
 ``_pack_bits`` is the one rule for instance and input bit strings.
 ``_placed`` is the one rule for moving a gate list onto other wires (a
@@ -306,45 +307,36 @@ def _body(text: str, usages: Sequence[str], found: dict[str, list[int]]):
         raise CircuitSyntaxError(f"missing {header} line")
 
 
-def _parse_index(token: str, line_no: int) -> tuple[int, bool]:
-    """An ASCII-digit index with an optional ``!`` (negated) prefix."""
-    neg = token.startswith("!")
-    body = token[1:] if neg else token
-    if not (body.isascii() and body.isdigit()):
-        raise CircuitSyntaxError(f"expected a non-negative integer, got {token!r}", line_no)
-    try:
-        return int(body), neg
-    except ValueError:  # past sys.get_int_max_str_digits(); the token is not echoed
-        raise CircuitSyntaxError(f"index of {len(body)} digits is too long", line_no) from None
+def _indices(args: list[str], line_no: int) -> tuple[list[int], list[bool]]:
+    """The ASCII-digit indices of ``args``, and which carry a ``!`` (negated) prefix."""
+    values, negated = [], []
+    for tok in args:
+        body = tok.removeprefix("!")
+        if not (body.isdigit() and body.isascii()):
+            raise CircuitSyntaxError(f"expected a non-negative integer, got {tok!r}", line_no)
+        try:
+            values.append(int(body))
+        except ValueError:  # past sys.get_int_max_str_digits(); the token is not echoed
+            raise CircuitSyntaxError(f"index of {len(body)} digits is too long", line_no) from None
+        negated.append(len(body) < len(tok))
+    return values, negated
 
 
 def _parse_ints(args: list[str], usage: str, line_no: int) -> list[int]:
     """The un-negated integer arguments of a directive spelled ``usage``."""
     if len(args) != len(usage.split()) - 1:
         raise CircuitSyntaxError(f"usage: {usage}", line_no)
-    values = []
-    for tok in args:
-        value, neg = _parse_index(tok, line_no)
-        if neg:
-            raise CircuitSyntaxError(f"{usage.split()[0]} arguments cannot be negated", line_no)
-        values.append(value)
+    values, negated = _indices(args, line_no)
+    if any(negated):
+        raise CircuitSyntaxError(f"{usage.split()[0]} arguments cannot be negated", line_no)
     return values
 
 
 def _parse_gate(op: str, args: list[str], line_no: int) -> Gate:
-    """One gate line, each token read as ``_parse_index`` would; ``mcx`` normalized by count."""
+    """One gate line, its tokens read by ``_indices``; ``mcx`` normalized by count."""
     if op not in _ARITY:
         raise CircuitSyntaxError(f"unknown statement {op!r}", line_no)
-    controls, negated = [], []
-    for tok in args:
-        body = tok.removeprefix("!")
-        if not (body.isdigit() and body.isascii()):
-            raise CircuitSyntaxError(f"expected a non-negative integer, got {tok!r}", line_no)
-        try:
-            controls.append(int(body))
-        except ValueError:  # past sys.get_int_max_str_digits(); the token is not echoed
-            raise CircuitSyntaxError(f"index of {len(body)} digits is too long", line_no) from None
-        negated.append(len(body) < len(tok))
+    controls, negated = _indices(args, line_no)
     if not controls:
         raise CircuitSyntaxError(f"{op} needs a target", line_no)
     tgt = controls.pop()

@@ -9,9 +9,9 @@ engines read a circuit's events (P(o=1), P(p=1), P(o=1, p=1)) as
 ``simulator._events`` defines them.  Scenario functions all take (seed, r).  Only
 ``oracle-equivalence``, ``gap-squared`` and ``postsel-rescale`` read the
 seed: it drives their random circuits and machines through a private
-generator, so repeated runs are byte-identical.  Only ``pp-to-postsel``
-reads r, the sharpness exponent of its bounds, and ``error-algebra`` checks
-r = 2..max(16, r), so r changes it only above 16.
+generator, so repeated runs are byte-identical.  ``run_scenario`` takes r
+from 2 to ``_MAX_R`` = 1024.  Only ``pp-to-postsel`` reads r, the sharpness
+exponent of its bounds; ``error-algebra`` checks r = 2..max(16, r).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .counting import (
     make_gap_machine,
     tabulated_count_machine,
 )
-from .errors import PromiseViolation, StatsMismatch, ZeroPostselection
+from .errors import CapExceeded, PromiseViolation, StatsMismatch, ZeroPostselection
 from .pathsum import path_sum, path_sum_slow
 from .simulator import _events, joint_prob, measure_prob, postselect_stats, run
 from .witness import (
@@ -209,6 +209,9 @@ def scenario_gap_squared(seed: int, r: int) -> WitnessReport:
     all_accept = PredicateCircuit(0, 2, 0, (x(2),), 2)
     certain = compile_gap_squared(all_accept)
     report.check("pinned-all-accept", _output_prob(certain), "==", 1)
+    self_reading = PredicateCircuit(0, 2, 1, (ccx(0, 3, 2), ccx(0, 1, 3)), 3)  # reads bit 3 first
+    want = gap_squared_prob(gap(self_reading, "").gap, 2)
+    report.check("pinned-self-reading", _output_prob(compile_gap_squared(self_reading)), "==", want)
 
     for i in range(50):
         in_w = rng.randint(0, 2)
@@ -521,8 +524,6 @@ def scenario_classical_upcoup(seed: int, r: int) -> WitnessReport:
 
 def scenario_pp_to_postsel(seed: int, r: int) -> WitnessReport:
     """Majority-vote gap pair routed through the two-coin selector."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
     report = WitnessReport("pp-to-postsel")
     mg = tabulated_count_machine({"1": 3, "0": 2}, 1, 2)
     mf = tabulated_count_machine({"1": 3, "0": 4}, 1, 2)  # gaps 2 and 4: f reads w
@@ -564,6 +565,8 @@ def scenario_error_algebra(seed: int, r: int) -> WitnessReport:
     return report
 
 
+_MAX_R = 1024  # the largest sharpness exponent a scenario is run at
+
 SCENARIOS = {
     "oracle-equivalence": scenario_oracle_equivalence,
     "gap-squared": scenario_gap_squared,
@@ -595,6 +598,10 @@ SUITES = {
 def run_scenario(name: str, seed: int = 42, r: int = 4) -> WitnessReport:
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}")
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    if r > _MAX_R:  # pp-to-postsel builds 1 << r; error-algebra prints 4r rows of r-bit values
+        raise CapExceeded(f"r = {r} is above the cap of {_MAX_R}")
     return SCENARIOS[name](seed, r)
 
 

@@ -110,7 +110,10 @@ def test_acceptance_01_oracle_equivalence(seed42_reports):
 
 
 def test_acceptance_02_gap_squared_closed_form(seed42_reports):
-    rows = {"pinned-gap2-q2": 1, "pinned-all-accept": 1, r"machine\d\d:(prob|oracle)": 100}
+    rows = {
+        "pinned-gap2-q2": 1, "pinned-all-accept": 1, "pinned-self-reading": 1,
+        r"machine\d\d:(prob|oracle)": 100,
+    }
     _verdict(
         "criterion 02: 50 random machines + pinned G=2,q=2 -> 1/4",
         _problems(seed42_reports["gap-squared"], rows),
@@ -350,8 +353,8 @@ def test_acceptance_10_majority_instance_bounds(seed42_reports):
 # sha256 of `postsel verify --suite all --format machine --seed S`: a change
 # that alters any row must update its digest and name the rows in CHANGES.md
 SUITE_DIGESTS = {
-    42: "04cf130a27b5bfbfe3ebc70880c7c376010de105f4af7c3486dfb6d931e5cca1",
-    7: "daecb9eedc3e863041bb36e217c3a33360b9460306af566c610ef282c4601f53",
+    42: "caef6ccea14554422915c620e04830f4320922741bcfcf75f61e03e333f6cf56",
+    7: "fbda02eb3a2a83a109661542d824cfbe2e701ddd611d0318c7ffa4cb20bb362b",
 }
 
 

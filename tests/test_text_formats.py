@@ -15,13 +15,14 @@ from postsel import (
     Circuit,
     CircuitSyntaxError,
     Gate,
+    PredicateCircuit,
     h,
     mcx,
     parse_circuit,
     parse_machine,
     serialize_circuit,
 )
-from postsel.circuit import GATE_KINDS, _parse_index
+from postsel.circuit import GATE_KINDS
 
 PARSERS = {
     "circuit": parse_circuit,
@@ -141,9 +142,11 @@ def test_cli_compile_reports_machine_syntax_error(tmp_path, gate):
     assert "Traceback" not in proc.stderr
 
 
-# --- the gate-line reader against a per-token reference -----------------------
-# Every gate-line token goes through _parse_index; a faster reader must give the
-# same Gate or the same error text on digits, '!', signs and non-ASCII digits.
+# --- the token loop against a per-token reference ------------------------------
+# The parsers read every token of a gate line or a directive in one loop.  The
+# reference below reads each token alone, through _parse_index; both parsers must
+# give the same value or the same error text on digits, '!', signs and non-ASCII
+# digits, in gate lines and in every directive of both formats.
 
 READER_WIDTH = 12
 READER_TOKENS = hst.one_of(
@@ -152,6 +155,18 @@ READER_TOKENS = hst.one_of(
     hst.sampled_from(["\u0662", "\u00b3", "\uff13", "1\u0662"]),  # isdigit(), not ASCII
     hst.sampled_from(["+1", "-1"]),
 )
+
+
+def _parse_index(token: str, line_no: int) -> tuple[int, bool]:
+    """An ASCII-digit index with an optional ``!`` (negated) prefix."""
+    neg = token.startswith("!")
+    body = token[1:] if neg else token
+    if not (body.isascii() and body.isdigit()):
+        raise CircuitSyntaxError(f"expected a non-negative integer, got {token!r}", line_no)
+    try:
+        return int(body), neg
+    except ValueError:  # past sys.get_int_max_str_digits(); the token is not echoed
+        raise CircuitSyntaxError(f"index of {len(body)} digits is too long", line_no) from None
 
 
 def _reference_gate(op: str, args: list[str], line_no: int) -> Gate:
@@ -193,6 +208,60 @@ def test_gate_reader_matches_per_token_reference(op, args):
         assert str(got.value) == str(exc)
     else:
         assert parse_circuit(text) == expected
+
+
+def _reference_ints(args: list[str], usage: str, line_no: int) -> list[int]:
+    """A directive's arguments: the count, then every token through ``_parse_index``,
+    then no ``!`` on any of them."""
+    if len(args) != len(usage.split()) - 1:
+        raise CircuitSyntaxError(f"usage: {usage}", line_no)
+    parsed = [_parse_index(tok, line_no) for tok in args]
+    if any(neg for _, neg in parsed):
+        raise CircuitSyntaxError(f"{usage.split()[0]} arguments cannot be negated", line_no)
+    return [value for value, _ in parsed]
+
+
+def _reference_ancilla(q: int, v: int) -> Circuit:
+    if v not in (0, 1):
+        raise CircuitSyntaxError("ancilla value must be 0 or 1", 2)
+    return Circuit(READER_WIDTH, (), 0, None, ((q, v),))
+
+
+# directive -> (parser, file with the directive's arguments at {args}, the line it
+# sits on, its usage, and the object its parsed arguments make)
+DIRECTIVES = {
+    "qubits": (parse_circuit, "qubits {args}\noutput 0\n", 1, "qubits N",
+               lambda n: Circuit(n, (), 0)),
+    "output": (parse_circuit, f"qubits {READER_WIDTH}\noutput {{args}}\n", 2, "output Q",
+               lambda q: Circuit(READER_WIDTH, (), q)),
+    "postselect": (parse_circuit, f"qubits {READER_WIDTH}\npostselect {{args}}\noutput 0\n", 2,
+                   "postselect Q", lambda q: Circuit(READER_WIDTH, (), 0, q)),
+    "ancilla": (parse_circuit, f"qubits {READER_WIDTH}\nancilla {{args}}\noutput 0\n", 2,
+                "ancilla Q V", _reference_ancilla),
+    "machine": (parse_machine, "machine {args}\naccept 5\n", 1, "machine IN PATH ANC",
+                lambda n, p, a: PredicateCircuit(n, p, a, (), 5)),
+    "accept": (parse_machine, "machine 1 2 3\naccept {args}\n", 2, "accept BITINDEX",
+               lambda a: PredicateCircuit(1, 2, 3, (), a)),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=hst.sampled_from(sorted(DIRECTIVES)), args=hst.lists(READER_TOKENS, max_size=4))
+def test_directive_reader_matches_per_token_reference(name, args):
+    parse, template, line_no, usage, build = DIRECTIVES[name]
+    text = template.format(args=" ".join(args))
+    try:
+        values = _reference_ints(args, usage, line_no)
+        try:
+            expected = build(*values)
+        except ValueError as exc:
+            raise CircuitSyntaxError(str(exc)) from exc
+    except CircuitSyntaxError as exc:
+        with pytest.raises(CircuitSyntaxError) as got:
+            parse(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert parse(text) == expected
 
 
 @hst.composite
