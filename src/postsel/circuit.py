@@ -63,6 +63,14 @@ def _integer(value, role: str) -> int:
     return int(value)
 
 
+def _exponent(value, role: str) -> int:
+    """``value`` as an int >= 0, checked before any ``1 << value`` is built."""
+    value = _integer(value, role)
+    if value < 0:
+        raise ValueError(f"{role} must be >= 0, got {value}")
+    return value
+
+
 def _tuple(value, role: str) -> tuple:
     """``value`` as a tuple; ValueError unless it is an ordered iterable (a set or a mapping
     would hand over its items in hash order).  Tuples, lists and strings skip the ABC test."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .circuit import (
-    Circuit, Gate, _borrowed, _placed, _uncomputed, ccx, default_input, h, mcx, x,
+    Circuit, Gate, _borrowed, _exponent, _placed, _uncomputed, ccx, default_input, h, mcx, x,
 )
 from .counting import PredicateCircuit, emit_less_than
 from .errors import MachineContractError, StatsMismatch
@@ -240,6 +240,7 @@ def mixed_conditional(f: int, t: int, inner: Fraction) -> Fraction:
 
     cond_W = (f / 2**(t+1)) * cond_V + (1/2) * (2**(t+1) - f) / 2**(t+1)
     """
+    t = _exponent(t, "t")
     return Fraction(f, 1 << (t + 1)) * inner + Fraction(1, 2) * Fraction(
         (1 << (t + 1)) - f, 1 << (t + 1)
     )

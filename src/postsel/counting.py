@@ -42,6 +42,7 @@ from ._value import _Value
 from .circuit import (
     Gate,
     _body,
+    _exponent,
     _gate_line,
     _integer,
     _pack_bits,
@@ -262,12 +263,12 @@ class FPFunction(_Value):
     depends only on |w|."""
 
     def __init__(self, bound_exp: int, machine: PredicateCircuit):
-        self._set(bound_exp, machine)
+        self._set(_exponent(bound_exp, "bound_exp"), machine)
 
     def __call__(self, w: str) -> int:
         _instance(self.machine, w)  # w must be bits the length machine can read
         val = gap(self.machine, "1" * len(w)).gap
-        if not 0 < val <= (1 << self.bound_exp):
+        if not (val > 0 and (val - 1).bit_length() <= self.bound_exp):
             raise ValueError(f"f({w!r}) = {val} outside (0, 2**{self.bound_exp}]")
         return val
 

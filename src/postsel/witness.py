@@ -19,7 +19,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from ._value import _Value
-from .circuit import _integer
+from .circuit import _exponent
 
 _OPS = {
     "==": operator.eq,
@@ -229,13 +229,13 @@ def classify_postsel_profile(
             report.check(f"{cid}:positive", pf, ">", 0)
             continue
         if profile == "exp":
-            target = Fraction(1, 1 << _integer(u, "u"))
+            target = Fraction(1, 1 << _exponent(u, "u"))
         else:
             key = len(w) if profile.endswith("size") else w
-            target = _frac(_entry(f, key, "f")) / (1 << _integer(q_exp, "q_exp"))
+            target = _frac(_entry(f, key, "f")) / (1 << _exponent(q_exp, "q_exp"))
         if profile in ("FP", "size", "exp"):
             report.check(f"{cid}:equals", pf, "==", target)
         else:  # aFP, asize
-            eps = Fraction(1, 1 << _integer(r2, "r2"))
+            eps = Fraction(1, 1 << _exponent(r2, "r2"))
             report.within(f"{cid}:window", pf, (1 - eps) * target, (1 + eps) * target)
     return report

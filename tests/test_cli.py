@@ -179,10 +179,21 @@ _ORACLE_CIRCUITS = {
     "signed": "qubits 7\nh 0\nh 1\nccx 0 1 2\nh 0\nh 3\nh 4\nh 6\ncx 3 5\nccx !4 2 5\n"
     "ccx 6 0 2\npostselect 5\noutput 2\nancilla 3 1\nancilla 4 1\nancilla 6 1\n",
 }
+# the pair machines of the console checks below: gaps (2, -4) on instance 0
+# and (2, -2) on instance 1
 _PAIR_MACHINES = (
     "machine 1 2 0\nccx 1 2 3\nx 3\nccx !0 1 3\naccept 3\n",
     "machine 1 2 1\nccx 0 1 3\ncx 3 4\nccx 2 3 4\nccx 0 1 3\naccept 4\n",
 )
+
+
+def _compile(tmp_path, machines, construction, path):
+    """``compile --construction KIND FLAGS`` on machine files holding ``machines``."""
+    flags = []
+    for i, text in enumerate(machines, start=1):
+        (tmp_path / f"m{i}.machine").write_text(text)
+        flags += [f"--machine{i}", str(tmp_path / f"m{i}.machine")]
+    assert main(["compile", "--construction", *construction, *flags, "-o", str(path)]) == 0
 
 
 @pytest.mark.parametrize("name", ["wide", "merge", "pair", "fresh", "signed"])
@@ -190,12 +201,7 @@ def test_simulate_oracle_matches_on_edge_circuits(tmp_path, capsys, name):
     path = tmp_path / f"{name}.circ"
     if name == "pair":
         # compile writes mcx gates; simulate lowers them itself, the oracle does not
-        flags = []
-        for i, text in enumerate(_PAIR_MACHINES, start=1):
-            (tmp_path / f"m{i}.machine").write_text(text)
-            flags += [f"--machine{i}", str(tmp_path / f"m{i}.machine")]
-        argv = ["compile", "--construction", "pair", *flags, "--k", "1"]
-        assert main([*argv, "-o", str(path)]) == 0
+        _compile(tmp_path, _PAIR_MACHINES, ["pair", "--k", "1"], path)
         assert any(line.startswith("mcx ") for line in path.read_text().splitlines())
         # instance 1 on the instance wire, which comes first
         bits = ["--input", "1" + default_input(parse_circuit(path.read_text()))[1:]]
@@ -292,103 +298,75 @@ def test_compile_gapsq_roundtrip(machine_files, tmp_path, capsys):
     assert measure_prob(state, circ.output, 1).as_fraction() == Fraction(1, 4)
 
 
-def test_compile_pair_statistics(machine_files, tmp_path):
-    m1, m2 = machine_files
-    out_path = str(tmp_path / "pair.circ")
-    rc = main(
-        [
-            "compile",
-            "--construction",
-            "pair",
-            "--machine1",
-            m1,
-            "--machine2",
-            m2,
-            "-o",
-            out_path,
-        ]
-    )
-    assert rc == 0
-    circ = parse_circuit(Path(out_path).read_text())
-    st = postselect_stats(circ, default_input(circ))
-    assert st.p_post.as_fraction() == Fraction(1, 8)
-    assert st.p_cond == Fraction(1, 2)
+# The console checks, one row each: the machines compiled (or, with no
+# construction, the circuit text), the construction and its flags, the
+# simulate or oracle argv, and the lines its output must hold exactly.  The
+# instance is simulate's and oracle's --input, instance bits first.
+_SIM = ["simulate", "--oracle", "--report", "machine-readable"]
+# gap -2 on two path bits, and its first gate reads the accept bit
+_LOOP = "machine 0 2 1\nccx 0 3 2\nccx 0 1 3\naccept 3\n"
+_AND = "machine 0 2 0\nccx 0 1 2\naccept 2\n"  # gap -2
+# instance-free machines with gaps 2 and -2, read at the default input
+_GAPS = (serialize_machine(make_gap_machine(2, 2)), serialize_machine(make_gap_machine(-2, 2)))
+_CONSOLE = {
+    # gaps (2, -2) on instance 1; instance 0's (2, -4) would give 1/5
+    "pair": (_PAIR_MACHINES, ["pair", "--k", "1"], [*_SIM, "--input", "1" + "0" * 10],
+             ["conditional=1/2", "oracle=match"]),
+    "pair-oracle": (_PAIR_MACHINES, ["pair", "--k", "1"], ["oracle", "--input", "1" + "0" * 10],
+                    ["prob=1/2^1"]),
+    # instance 1, then the other 20 wires; instance 0 would give 7/2^8 and 3/7
+    "pp": (_PAIR_MACHINES, ["pp"], [*_SIM, "--input", "1" + "0" * 20],
+           ["prob_postselect=1/2^6", "conditional=3/4", "oracle=match"]),
+    # instance 0: the pair alone gives P(p=1) = 5/2^4 and conditional 1/5, and
+    # --t 2 keeps the conditional at 2^-2 of that P(p=1)
+    "rescale": (_PAIR_MACHINES, ["rescale", "--t", "2"], _SIM,
+                ["prob_postselect=5/2^6", "conditional=1/5", "oracle=match"]),
+    # P(p=1) forced to 2^-4 on instance 0 (19 wires, 16 H)
+    "fqp2exp": (_PAIR_MACHINES, ["fqp2exp", "--input", "0", "--h", "4"], _SIM,
+                ["prob_postselect=1/2^4", "conditional=5/16", "oracle=match"]),
+    # the two H(0)s meet only at run's last merge, after the branch on wire 1:
+    # without that merge the popcount reads 1/2^1 and the oracle differs
+    "pending": ("qubits 2\nh 0\nh 0\nh 1\noutput 0\n", None, _SIM,
+                ["prob_output=0/2^0", "oracle=match"]),
+    # gapsq gives 4/2^4 only if the machine is uncomputed in reverse; both
+    # engines run the same circuit, so the oracle alone would not catch a wrong order
+    "loop": ((_LOOP,), ["gapsq"], _SIM, ["prob_output=1/2^2", "oracle=match"]),
+    # both machines run on every selector branch, so a forward-replayed
+    # uncompute leaves the shared scratch dirty and reads 5/2^4
+    "loop-pair": ((_LOOP, _AND), ["pair"], _SIM,
+                  ["prob_postselect=1/2^3", "conditional=1/2", "oracle=match"]),
+    "gaps-pair": (_GAPS, ["pair"], _SIM,
+                  ["prob_postselect=1/2^3", "conditional=1/2", "oracle=match"]),
+    # each padding pair divides P(p=1) by 4
+    "gaps-pair-k1": (_GAPS, ["pair", "--k", "1"], _SIM, ["prob_postselect=1/2^5", "oracle=match"]),
+    "gaps-rescale": (_GAPS, ["rescale", "--t", "2"], _SIM,
+                     ["prob_postselect=1/2^5", "oracle=match"]),
+    # the pair's own P(p=1) = 1/2^3, forced to 2^-3
+    "gaps-fqp2exp": (_GAPS, ["fqp2exp"], _SIM, ["prob_postselect=1/2^3", "oracle=match"]),
+    # Gg = Gf = 2, q_exp = q'_exp = 4: P(p=1) = (3*4+4)/2**10
+    "gaps-pp": (_GAPS, ["pp"], _SIM,
+                ["prob_postselect=1/2^6", "conditional=3/4", "oracle=match"]),
+}
 
 
-def test_compile_pair_honors_k(machine_files, tmp_path):
-    m1, m2 = machine_files
-    out_path = str(tmp_path / "pair.circ")
-    rc = main(
-        [
-            "compile",
-            "--construction",
-            "pair",
-            "--machine1",
-            m1,
-            "--machine2",
-            m2,
-            "--k",
-            "1",
-            "-o",
-            out_path,
-        ]
-    )
-    assert rc == 0
-    circ = parse_circuit(Path(out_path).read_text())
-    st = postselect_stats(circ, default_input(circ))
-    # each padding pair divides P(p=1) by 4: 1/8 at k = 0
-    assert st.p_post.as_fraction() == Fraction(1, 32)
-
-
-def test_compile_rescale_and_fqp2exp(machine_files, tmp_path):
-    m1, m2 = machine_files
-    for kind, flags, expect_post in (
-        ("rescale", ["--t", "2"], Fraction(1, 32)),
-        ("fqp2exp", [], Fraction(1, 8)),  # base P(p)=1/2^3 -> forced to 2**-3
-    ):
-        out_path = str(tmp_path / f"{kind}.circ")
-        rc = main(
-            [
-                "compile",
-                "--construction",
-                kind,
-                "--machine1",
-                m1,
-                "--machine2",
-                m2,
-                "-o",
-                out_path,
-                *flags,
-            ]
-        )
-        assert rc == 0
-        circ = parse_circuit(Path(out_path).read_text())
-        st = postselect_stats(circ, default_input(circ))
-        assert st.p_post.as_fraction() == expect_post
-
-
-def test_compile_pp(machine_files, tmp_path):
-    m1, m2 = machine_files
-    out_path = str(tmp_path / "pp.circ")
-    rc = main(
-        [
-            "compile",
-            "--construction",
-            "pp",
-            "--machine1",
-            m1,
-            "--machine2",
-            m2,
-            "-o",
-            out_path,
-        ]
-    )
-    assert rc == 0
-    circ = parse_circuit(Path(out_path).read_text())
-    st = postselect_stats(circ, default_input(circ))
-    # Gg = Gf = 2, q_exp = q'_exp = 4: P(p) = (3*4+4)/2**10 = 1/64
-    assert st.p_post.as_fraction() == Fraction(1, 64)
-    assert st.p_cond == Fraction(3, 4)
+@pytest.mark.parametrize("name", _CONSOLE)
+def test_console_prints_the_pinned_lines(tmp_path, capsys, name):
+    source, construction, argv, lines = _CONSOLE[name]
+    path = tmp_path / "x.circ"
+    if construction is None:
+        path.write_text(source)
+    else:
+        _compile(tmp_path, source, construction, path)
+    # only LF, CRLF and CR end a line: a CRLF copy of the circuit reads the same
+    crlf = tmp_path / "crlf.circ"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    outs = []
+    for circuit in (path, crlf):
+        capsys.readouterr()
+        assert main([*argv, "--circuit", str(circuit)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert [line for line in lines if line not in outs[0].splitlines()] == []
+    assert outs[1] == outs[0]
 
 
 def test_compile_pair_needs_second_machine(machine_files, tmp_path, capsys):
@@ -473,21 +451,13 @@ def test_compile_fqp2exp_exponent_below_p_post_exits_2_naming_h(machine_files, t
 
 def test_compile_fqp2exp_simulates_the_pair_once(tmp_path, monkeypatch):
     """P(p=1) of the pair is read off the machine gaps' closed form, so the
-    one simulation is mix_with_constant's check of it.  The machine files
-    are the CI console-script step's, and the circuit is the pinned one."""
-    machines = {
-        "m1": "machine 1 2 0\nccx 1 2 3\nx 3\nccx !0 1 3\naccept 3\n",
-        "m2": "machine 1 2 1\nccx 0 1 3\ncx 3 4\nccx 2 3 4\nccx 0 1 3\naccept 4\n",
-    }
-    for name, text in machines.items():
-        (tmp_path / name).write_text(text)
+    one simulation is mix_with_constant's check of it.  The machines are
+    the console checks' pair, and the circuit is the pinned one."""
     real_run = simulator.run
     calls = []
     monkeypatch.setattr(simulator, "run", lambda *a: calls.append(a) or real_run(*a))
     out = tmp_path / "x.circ"
-    argv = ["compile", "--construction", "fqp2exp", "--input", "1", "--k", "1", "-o", str(out)]
-    argv += ["--machine1", str(tmp_path / "m1"), "--machine2", str(tmp_path / "m2")]
-    assert main(argv) == 0
+    _compile(tmp_path, _PAIR_MACHINES, ["fqp2exp", "--input", "1", "--k", "1"], out)
     assert len(calls) == 1
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "2acc0a80597f50666d4c7e3075268feda572cc7bc2245289450d9e4a29f41aaa"

@@ -232,6 +232,13 @@ def test_mixed_conditional_symbolic_form():
     assert sympy.simplify(w - (sympy.Rational(1, 2) + f * (2 * v - 1) / 2 ** (t + 2))) == 0
 
 
+def test_mixed_conditional_refuses_a_negative_t():
+    # t = -1 shifted by 0 and returned a value; t = -2 shifted by -1
+    for t in (-1, -2):
+        with pytest.raises(ValueError, match=f"^t must be >= 0, got {t}$"):
+            mixed_conditional(4, t, Fraction(1, 2))
+
+
 def test_mix_with_constant_pinned():
     base = _uniform_circuit(4, 10, 9)  # P(p) = 10/16, cond = 9/10
     mixed = mix_with_constant(base, 10, 4)
@@ -400,7 +407,7 @@ def test_one_circuit_per_pair_matches_closed_forms_on_every_instance(
 # serialized circuits, pinned gate for gate
 # ===================================================================
 
-# the two machine files of the CI console-script step
+# the pair machines of the console checks in tests/test_cli.py
 CI_M1 = parse_machine("machine 1 2 0\nccx 1 2 3\nx 3\nccx !0 1 3\naccept 3\n")
 CI_M2 = parse_machine("machine 1 2 1\nccx 0 1 3\ncx 3 4\nccx 2 3 4\nccx 0 1 3\naccept 4\n")
 # the pp-to-postsel scenario's machines, gaps (2, 2) on instance 1 and (0, 4) on 0
@@ -463,7 +470,7 @@ def test_pp_blocks_share_one_borrow_pool():
 
 
 def test_an_instance_of_the_wrong_length_is_refused():
-    """The CI pair reads 1 instance bit: "11" would overwrite its first pad wire."""
+    """The console pair reads 1 instance bit: "11" would overwrite its first pad wire."""
     pair = compile_pair_postsel(CI_M1, CI_M2, 1)
     assert _instance_input(pair, "1", CI_M1.input_width) == "1" + default_input(pair)[1:]
     for w in ("", "11"):

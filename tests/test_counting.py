@@ -376,6 +376,19 @@ def test_fp_function_gap_variant_rejects_nonpositive_gap():
         f("1")
 
 
+def test_fp_function_checks_its_bound_before_any_shift():
+    """bound_exp is an int >= 0, and the range test builds no 2**bound_exp."""
+    m = make_gap_machine(2, 2)  # instance-free, gap 2
+    with pytest.raises(ValueError, match="^bound_exp must be an integer, got '7'$"):
+        FPFunction("7", m)
+    with pytest.raises(ValueError, match="^bound_exp must be >= 0, got -1$"):
+        FPFunction(-1, m)
+    assert FPFunction(10**12, m)("") == 2
+    assert FPFunction(1, m)("") == 2  # 2**bound_exp itself is in range
+    with pytest.raises(ValueError, match=r"^f\(''\) = 2 outside \(0, 2\*\*0\]$"):
+        FPFunction(0, m)("")
+
+
 # ===================================================================
 # text format
 # ===================================================================

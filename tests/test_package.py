@@ -86,7 +86,7 @@ ancilla 5 1
 """
 # the second h meets wire 0 varying: run merges
 _MERGE = "qubits 1\nh 0\nh 0\noutput 0\n"
-# the two machine files the CI console-script step compiles
+# the pair machines of the console checks in tests/test_cli.py
 _M1 = "machine 1 2 0\nccx 1 2 3\nx 3\nccx !0 1 3\naccept 3\n"
 _M2 = "machine 1 2 1\nccx 0 1 3\ncx 3 4\nccx 2 3 4\nccx 0 1 3\naccept 4\n"
 
@@ -118,3 +118,43 @@ def test_a_command_loads_numpy_only_when_it_merges(tmp_path, argv, loads_numpy):
         "print(json.dumps([code, 'numpy' in sys.modules]))\n"
     )
     assert json.loads(out) == [0, loads_numpy]
+
+
+# an H layer on fresh wires, then a classical gate: simulate --oracle never merges
+_NOMERGE = "qubits 3\nh 0\nh 1\nccx 0 1 2\noutput 2\n"
+# Console commands, run in this order in one interpreter, each with the
+# top-level modules that must not be among those loaded since before
+# ``import postsel.cli``.  verify merges, so it loads numpy, and numpy 2
+# imports inspect itself; the classical track never merges a state.
+_FOOTPRINT = [
+    (["simulate", "--circuit", "{nomerge}", "--oracle"], {"numpy"}),
+    (["compile", "--construction", "pair", "--machine1", "{m1}", "--machine2", "{m2}",
+      "--k", "1", "-o", "{out}"], {"numpy", "dataclasses", "inspect"}),
+    (["verify", "--suite", "classical", "--format", "machine"], {"numpy"}),
+    (["verify", "--suite", "awpp", "--format", "machine"], {"dataclasses"}),
+]
+
+
+def test_console_commands_load_only_what_they_run(tmp_path):
+    """With site on, as the installed script runs: site may load typing
+    itself, so only the modules loaded after the snapshot count."""
+    files = {"nomerge": _NOMERGE, "m1": _M1, "m2": _M2}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = {name: str(tmp_path / name) for name in [*files, "out"]}
+    argvs = [[arg.format(**paths) for arg in argv] for argv, _ in _FOOTPRINT]
+    out = _fresh(
+        "before = set(sys.modules)\n"
+        "import contextlib, io, json\n"
+        "from postsel import cli\n"
+        "steps = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "    steps.append([code, sorted(loaded)])\n"
+        "print(json.dumps(steps))\n"
+    )
+    for (argv, barred), (code, loaded) in zip(_FOOTPRINT, json.loads(out), strict=True):
+        assert code == 0, argv
+        assert barred.isdisjoint(loaded), (argv, sorted(barred & set(loaded)))

@@ -247,6 +247,20 @@ def test_witness_tables_missing_an_entry_raise(case):
         fn()
 
 
+# each call gives one exponent below 0, which would be a shift by -1
+_NEGATIVE_EXPONENT = {
+    "u": lambda: classify_postsel_profile(_STATS, "exp", u=-1),
+    "q_exp": lambda: classify_postsel_profile(_STATS, "FP", f={"1": 1}, q_exp=-1),
+    "r2": lambda: classify_postsel_profile(_STATS, "aFP", f={"1": 1}, q_exp=1, r2=-1),
+}
+
+
+@pytest.mark.parametrize("name", list(_NEGATIVE_EXPONENT))
+def test_profile_exponent_below_0_is_named(name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
+        _NEGATIVE_EXPONENT[name]()
+
+
 # ===================================================================
 # postselection-probability profiles
 # ===================================================================
