@@ -36,7 +36,7 @@ _EXPORTS = {
         "serialize_machine", "tabulated_count_machine",
     ),
     "errors": (
-        "CapExceeded", "CircuitSyntaxError", "InsufficientAncillas",
+        "BadArgument", "CapExceeded", "CircuitSyntaxError", "InsufficientAncillas",
         "MachineContractError", "PostselError", "PromiseViolation", "StatsMismatch",
         "ZeroPostselection",
     ),

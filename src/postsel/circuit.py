@@ -48,7 +48,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence, Set
 from numbers import Integral
 
 from ._value import _Value
-from .errors import CircuitSyntaxError, InsufficientAncillas
+from .errors import BadArgument, CircuitSyntaxError, InsufficientAncillas
 
 # controls per kind, at least _ARITY["mcx"] for an mcx; _MCX_KINDS renames an mcx with fewer
 _ARITY = {"h": 0, "x": 0, "cx": 1, "ccx": 2, "mcx": 3}
@@ -57,9 +57,9 @@ GATE_KINDS = tuple(_ARITY)
 
 
 def _integer(value, role: str) -> int:
-    """``value`` as an int; ValueError unless an ``Integral`` (numpy ints count) but not a bool."""
+    """``value`` as an int; ``BadArgument`` unless an ``Integral`` (numpy ints too), not a bool."""
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
-        raise ValueError(f"{role} must be an integer, got {value!r}")
+        raise BadArgument(f"{role} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -67,19 +67,19 @@ def _exponent(value, role: str) -> int:
     """``value`` as an int >= 0, checked before any ``1 << value`` is built."""
     value = _integer(value, role)
     if value < 0:
-        raise ValueError(f"{role} must be >= 0, got {value}")
+        raise BadArgument(f"{role} must be >= 0, got {value}")
     return value
 
 
 def _tuple(value, role: str) -> tuple:
-    """``value`` as a tuple; ValueError unless it is an ordered iterable (a set or a mapping
+    """``value`` as a tuple; ``BadArgument`` unless it is an ordered iterable (a set or a mapping
     would hand over its items in hash order).  Tuples, lists and strings skip the ABC test."""
     if type(value) not in (tuple, list, str) and isinstance(value, (Set, Mapping)):
-        raise ValueError(f"{role} must be a sequence, got unordered {type(value).__name__}")
+        raise BadArgument(f"{role} must be a sequence, got unordered {type(value).__name__}")
     try:
         return tuple(value)
     except TypeError:
-        raise ValueError(f"{role} must be a sequence, got {value!r}") from None
+        raise BadArgument(f"{role} must be a sequence, got {value!r}") from None
 
 
 class Gate(_Value):
@@ -87,7 +87,7 @@ class Gate(_Value):
         try:
             arity = _ARITY[kind]
         except (KeyError, TypeError):  # TypeError: an unhashable kind
-            raise ValueError(f"unknown gate kind {kind!r}") from None
+            raise BadArgument(f"unknown gate kind {kind!r}") from None
         if not type(controls) is type(negated) is tuple:
             controls, negated = _tuple(controls, "controls"), _tuple(negated, "negated")
         if type(target) is not int:
@@ -99,19 +99,19 @@ class Gate(_Value):
                     break
             for flag in negated:
                 if type(flag) is not bool:
-                    raise ValueError(f"negated flag must be a bool, got {flag!r}")
+                    raise BadArgument(f"negated flag must be a bool, got {flag!r}")
             n = len(controls)
             if kind == "mcx":
                 if n < arity:
-                    raise ValueError(f"mcx gates carry >= {arity} controls once normalized")
+                    raise BadArgument(f"mcx gates carry >= {arity} controls once normalized")
             elif n != arity:
-                raise ValueError(f"{kind} takes {arity} controls")
+                raise BadArgument(f"{kind} takes {arity} controls")
             if len(negated) != n:
-                raise ValueError("one polarity flag per control")
+                raise BadArgument("one polarity flag per control")
             if target in controls:
-                raise ValueError("target may not also be a control")
+                raise BadArgument("target may not also be a control")
             if n > 1 and len(set(controls)) != n:
-                raise ValueError("duplicate control qubit")
+                raise BadArgument("duplicate control qubit")
         d = self.__dict__  # written directly, not by _set: the hot path
         d["kind"], d["target"], d["controls"], d["negated"] = kind, target, controls, negated
         # not fields: controls then target, and the range a register tests once
@@ -163,30 +163,30 @@ class Circuit(_Value):
                 (_integer(q, "ancilla qubit"), _integer(v, "ancilla value")) for q, v in ancillas
             ))
         except TypeError:
-            raise ValueError(f"ancillas must be (qubit, value) pairs, got {ancillas!r}") from None
+            raise BadArgument(f"ancillas must be (qubit, value) pairs, got {ancillas!r}") from None
         width = _integer(width, "width")
         if width < 1:
-            raise ValueError("width must be >= 1")
+            raise BadArgument("width must be >= 1")
         def _chk(q, role):
             if not 0 <= q < width:
-                raise ValueError(f"{role} qubit {q} outside width {width}")
+                raise BadArgument(f"{role} qubit {q} outside width {width}")
             return q
         output = _chk(_integer(output, "output qubit"), "output")
         if postselect is not None:
             postselect = _chk(_integer(postselect, "postselect qubit"), "postselect")
             if postselect == output:
-                raise ValueError("output and postselect qubits must differ")
+                raise BadArgument("output and postselect qubits must differ")
         seen = set()
         for q, v in ancillas:
             _chk(q, "ancilla")
             if v not in (0, 1):
-                raise ValueError("ancilla initial value must be 0 or 1")
+                raise BadArgument("ancilla initial value must be 0 or 1")
             if q in seen:
-                raise ValueError(f"qubit {q} declared ancilla twice")
+                raise BadArgument(f"qubit {q} declared ancilla twice")
             seen.add(q)
         for g in gates:
             if not isinstance(g, Gate):
-                raise ValueError(f"gates must be Gate objects, got {g!r}")
+                raise BadArgument(f"gates must be Gate objects, got {g!r}")
             if g.span[0] < 0 or g.span[1] >= width:  # name the first qubit off the register
                 for q in g.qubits:
                     _chk(q, f"{g.kind} gate")
@@ -219,7 +219,7 @@ def _uncomputed(compute: Sequence[Gate], copy: Iterable[Gate]) -> list[Gate]:
 def apply_gate_classical(state: int, gate: Gate) -> int:
     """Apply a reversible (non-h) gate to a computational basis state."""
     if gate.kind == "h":
-        raise ValueError("h has no classical action")
+        raise BadArgument("h has no classical action")
     for c, neg in zip(gate.controls, gate.negated):
         if ((state >> c) & 1) == (1 if neg else 0):
             return state
@@ -272,15 +272,15 @@ def expand_mcx(circuit: Circuit) -> Circuit:
 
 
 def _pack_bits(bits, width: int) -> int:
-    """0/1 bits (a string or a sequence) as an int, bit i at position i; ValueError
+    """0/1 bits (a string or a sequence) as an int, bit i at position i; ``BadArgument``
     unless there are exactly ``width`` bits, each 0 or 1."""
     bits = _tuple(bits, "bits")
     if len(bits) != width:
-        raise ValueError(f"expected {width} bits, got {len(bits)}")
+        raise BadArgument(f"expected {width} bits, got {len(bits)}")
     z = 0
     for i, b in enumerate(bits):
         if b not in (0, 1, "0", "1"):
-            raise ValueError(f"bits must be 0/1, got {b!r}")
+            raise BadArgument(f"bits must be 0/1, got {b!r}")
         z |= int(b) << i
     return z
 
@@ -356,7 +356,7 @@ def _parse_gate(op: str, args: list[str], line_no: int) -> Gate:
         op = _MCX_KINDS.get(len(controls), "mcx")
     try:
         return Gate(op, tgt, tuple(controls), tuple(negated))
-    except ValueError as exc:
+    except BadArgument as exc:
         raise CircuitSyntaxError(str(exc), line_no) from exc
 
 
@@ -378,7 +378,7 @@ def parse_circuit(text: str) -> Circuit:
     postselect = found["postselect"][0] if "postselect" in found else None
     try:
         return Circuit(width, tuple(gates), output, postselect, tuple(ancillas))
-    except ValueError as exc:
+    except BadArgument as exc:
         raise CircuitSyntaxError(str(exc)) from exc
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from ._value import _Value
 from .circuit import _uncomputed, cx
 from .counting import PredicateCircuit, gap
-from .errors import MachineContractError, PromiseViolation, StatsMismatch
+from .errors import BadArgument, MachineContractError, PromiseViolation, StatsMismatch
 from .exactring import DyadicRational
 from .simulator import PostselStats
 
@@ -94,7 +94,7 @@ class WappWitness(_Value):
 
     def ratio(self, w: str) -> Fraction:
         if w not in self.f_of:
-            raise ValueError(f"instance {w!r} is not declared")
+            raise BadArgument(f"instance {w!r} is not declared")
         count = gap(self.g_machine, w).accepts
         return Fraction(count, self.f_of[w] << self.p_exp)
 
@@ -114,10 +114,10 @@ def wapp_witness(
     n(o=1, p=1) = P(o=1, p=1) * 2**t, and f(w) * 2**(t - s) = n(p=1).
     """
     if not fp_numerators:
-        raise ValueError("no declared statistics to witness")
+        raise BadArgument("no declared statistics to witness")
     t = tm.post.path_width
     if not 0 <= fp_exponent <= t:
-        raise ValueError(f"declared denominator 2**{fp_exponent} is outside 2**0 .. 2**{t}")
+        raise BadArgument(f"declared denominator 2**{fp_exponent} is outside 2**0 .. 2**{t}")
     for w in sorted(fp_numerators):
         p_post = run_ptm(tm, w).p_post
         declared = DyadicRational(fp_numerators[w], fp_exponent)

@@ -11,9 +11,10 @@ Subcommands:
 - ``oracle``: branch-enumeration probability of a constraint set.
 - ``verify``: run verification suites and report pass/fail conditions.
 
-Exit codes: 0 success, 1 a verification or cross-check failed, 2 bad input
-(syntax errors, missing files, inconsistent parameters, an unknown suite, a
-simulated or forced instance on which nothing is postselected).
+Exit codes: 0 success, 1 a verification or cross-check failed, 2 bad input:
+a ``PostselError`` (syntax errors, inconsistent parameters, an unknown suite,
+a simulated or forced instance on which nothing is postselected) or a file
+that cannot be read.  Any other exception is a bug and ends in a traceback.
 The argument parser is built once per process, on the first ``main`` call,
 not at import; only a process that calls ``main`` more than once reuses it.
 
@@ -33,7 +34,7 @@ import sys
 from fractions import Fraction
 
 from .circuit import _lines, default_input, parse_circuit, serialize_circuit
-from .errors import CircuitSyntaxError, PostselError
+from .errors import BadArgument, CircuitSyntaxError, PostselError
 from .exactring import DyadicRational
 from .pathsum import path_sum
 from .planes import _check_width
@@ -120,9 +121,9 @@ def _cmd_compile(args) -> int:
     given = {opt for opt in set().union(*_COMPILE_READS.values()) if getattr(args, opt) is not None}
     unread = sorted(given - _COMPILE_READS[kind])
     if unread:
-        raise ValueError(f"construction {kind!r} does not read --{', --'.join(unread)}")
+        raise BadArgument(f"construction {kind!r} does not read --{', --'.join(unread)}")
     if "machine2" in _COMPILE_READS[kind] and args.machine2 is None:
-        raise ValueError(f"construction {kind!r} needs --machine2")
+        raise BadArgument(f"construction {kind!r} needs --machine2")
     m1 = parse_machine(_read(args.machine1))
     m2 = parse_machine(_read(args.machine2)) if args.machine2 else None
     if kind == "gapsq":
@@ -141,7 +142,7 @@ def _cmd_compile(args) -> int:
             h_exp = p.k if args.h is None else args.h
             _check_width(circ.width + h_exp + 3)  # the mixed circuit's, before f ~ 2**h is built
             if h_exp < p.k:
-                raise ValueError(
+                raise BadArgument(
                     f"need h >= 0 and P(p=1) * 2**h an integer, got P(p=1) = {p}, h = {h_exp}"
                 )
             bits = _instance_input(circ, w, m1.input_width)
@@ -239,7 +240,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PostselError, OSError, ValueError) as exc:
+    except (PostselError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

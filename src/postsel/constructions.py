@@ -27,7 +27,7 @@ from .circuit import (
     Circuit, Gate, _borrowed, _exponent, _placed, _uncomputed, ccx, default_input, h, mcx, x,
 )
 from .counting import PredicateCircuit, emit_less_than
-from .errors import MachineContractError, StatsMismatch
+from .errors import BadArgument, MachineContractError, StatsMismatch
 from .exactring import DyadicRational
 from .planes import _check_width
 from .simulator import PostselStats, postselect_stats
@@ -171,8 +171,7 @@ def compile_pair_postsel(m1: PredicateCircuit, m2: PredicateCircuit, k: int = 0)
     all-zeros detector.  ``pair_stats`` states these closed forms; on an instance
     where both gaps vanish, ``postselect_stats`` raises ``ZeroPostselection``.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _exponent(k, "k")
     if m1.input_width != m2.input_width or m1.path_width != m2.path_width:
         raise MachineContractError("machines must share instance and path widths")
     b = _Builder()
@@ -208,7 +207,7 @@ def gadget_biased_flag(a: int, m: int) -> Circuit:
     """Circuit whose output flag is 1 with probability exactly a / 2**m."""
     _check_width(m + 1)  # the circuit's width, before 1 << m is built
     if m < 0 or not 0 <= a <= (1 << m):
-        raise ValueError("need 0 <= a <= 2**m")
+        raise BadArgument("need 0 <= a <= 2**m")
     b = _Builder()
     return b.finish(output=b.biased_flag(a, m))
 
@@ -219,10 +218,9 @@ def rescale_postsel(circuit: Circuit, t: int) -> Circuit:
     ANDs the old postselection bit with an independent all-zeros test on t
     fresh coins.  t == 0 returns the circuit unchanged.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = _exponent(t, "t")
     if circuit.postselect is None:
-        raise ValueError("circuit declares no postselect qubit")
+        raise BadArgument("circuit declares no postselect qubit")
     if t == 0:
         return circuit
     b = _Builder(circuit)
@@ -266,7 +264,7 @@ def mix_with_constant(circuit: Circuit, f: int, h_exp: int, bits=None) -> Circui
     """
     _check_width(circuit.width + h_exp + 3)  # the result's width, before 1 << h_exp is built
     if h_exp < 0 or not 0 < f <= (1 << h_exp):
-        raise ValueError(f"need h >= 0 and 0 < f <= 2**h, got f = {f}, h = {h_exp}")
+        raise BadArgument(f"need h >= 0 and 0 < f <= 2**h, got f = {f}, h = {h_exp}")
     stats = postselect_stats(circuit, default_input(circuit) if bits is None else bits)
     if stats.p_post != DyadicRational(f, h_exp):
         raise StatsMismatch(
@@ -358,7 +356,7 @@ def verify_error_algebra(r: int) -> WitnessReport:
     condition carries its exact Fraction sides; nothing is rounded.
     """
     if r < 2:
-        raise ValueError("r must be >= 2")
+        raise BadArgument("r must be >= 2")
     eps1 = Fraction(1, 1 << (r - 1))  # 2**-(r+1-2) = 2**-(r-1)
     eps2 = Fraction(1, 1 << (r - 2))  # 2**-(r-2)
     eps = Fraction(1, 1 << r)

@@ -54,7 +54,7 @@ from .circuit import (
     mcx,
     x,
 )
-from .errors import CapExceeded, CircuitSyntaxError, MachineContractError
+from .errors import BadArgument, CapExceeded, CircuitSyntaxError, MachineContractError
 from .planes import Planes, _wires, apply_gates_planes
 
 # At the cap a plane grown to full length is 2**20 bits (128 KiB): at most
@@ -74,18 +74,18 @@ class PredicateCircuit(_Value):
             _integer(ancilla_count, "ancilla_count"), gates, _integer(accept_index, "accept_index"),
         )
         if self.input_width < 0 or self.path_width < 0 or self.ancilla_count < 0:
-            raise ValueError("widths must be >= 0")
+            raise BadArgument("widths must be >= 0")
         data, total = self.input_width + self.path_width, self.total_bits
         if not data <= self.accept_index < total:
-            raise ValueError("accept bit must sit past the instance and path bits")
+            raise BadArgument("accept bit must sit past the instance and path bits")
         for g in self.gates:
             if not isinstance(g, Gate):
-                raise ValueError(f"gates must be Gate objects, got {g!r}")
+                raise BadArgument(f"gates must be Gate objects, got {g!r}")
             if g.kind == "h":
-                raise ValueError("predicate machines are reversible: no h gates")
+                raise BadArgument("predicate machines are reversible: no h gates")
             if g.span[0] < 0 or g.span[1] >= total:
                 q = next(q for q in g.qubits if not 0 <= q < total)
-                raise ValueError(f"gate touches bit {q} outside machine")
+                raise BadArgument(f"gate touches bit {q} outside machine")
 
     @property
     def total_bits(self) -> int:
@@ -105,7 +105,7 @@ def _instance(machine: PredicateCircuit, w) -> int:
     """The packed instance bits, or MachineContractError if the machine cannot read them."""
     try:
         return _pack_bits(w, machine.input_width)
-    except ValueError as exc:
+    except BadArgument as exc:
         raise MachineContractError(f"bad instance for the machine: {exc}") from exc
 
 
@@ -120,7 +120,7 @@ def eval_machine(machine: PredicateCircuit, w, x_val: int) -> bool:
     """
     w_int = _instance(machine, w)
     if not 0 <= x_val < (1 << machine.path_width):
-        raise ValueError("path index out of range")
+        raise BadArgument("path index out of range")
     start = state = w_int | x_val << machine.input_width
     for g in machine.gates:
         state = apply_gate_classical(state, g)
@@ -180,12 +180,11 @@ def make_gap_machine(v: int, q: int) -> PredicateCircuit:
     The ``tabulated_count_machine`` that accepts the paths x < (2**q + v) / 2,
     so v must satisfy |v| <= 2**q and v == 2**q (mod 2).
     """
-    if q < 0:
-        raise ValueError("path width must be >= 0")
+    q = _exponent(q, "path width")
     if abs(v) > (1 << q):
-        raise ValueError(f"|gap| {abs(v)} needs more than {q} path bits")
+        raise BadArgument(f"|gap| {abs(v)} needs more than {q} path bits")
     if (v - (1 << q)) % 2:
-        raise ValueError(f"gap {v} has wrong parity for {q} path bits")
+        raise BadArgument(f"gap {v} has wrong parity for {q} path bits")
     return tabulated_count_machine({"": ((1 << q) + v) // 2}, 0, q)
 
 
@@ -200,11 +199,11 @@ def scale_gap(machine: PredicateCircuit, c: int) -> PredicateCircuit:
     """
     c = _integer(c, "scale factor")
     if c < 1:
-        raise ValueError("scale factor must be >= 1")
+        raise BadArgument("scale factor must be >= 1")
     if c == 1:
         return machine
     if machine.path_width < 1:
-        raise ValueError("base machine needs at least one path bit")
+        raise BadArgument("base machine needs at least one path bit")
     extra = (c - 1).bit_length()
     in_w, q = machine.input_width, machine.path_width
     # new layout: [w | x (q) | y (extra) | old scratch | old accept slot | u | accept]
@@ -243,7 +242,7 @@ def tabulated_count_machine(
     for w, count in sorted(table.items()):
         w_int = _pack_bits(w, input_width)
         if not 0 <= count <= (1 << path_width):
-            raise ValueError(f"count {count} does not fit in {path_width} path bits")
+            raise BadArgument(f"count {count} does not fit in {path_width} path bits")
         guard_ctls = list(range(input_width))
         guard_negs = [(w_int >> i) & 1 == 0 for i in guard_ctls]
         for term in emit_less_than(x_bits, count, accept):
@@ -269,7 +268,7 @@ class FPFunction(_Value):
         _instance(self.machine, w)  # w must be bits the length machine can read
         val = gap(self.machine, "1" * len(w)).gap
         if not (val > 0 and (val - 1).bit_length() <= self.bound_exp):
-            raise ValueError(f"f({w!r}) = {val} outside (0, 2**{self.bound_exp}]")
+            raise BadArgument(f"f({w!r}) = {val} outside (0, 2**{self.bound_exp}]")
         return val
 
 
@@ -287,7 +286,7 @@ def parse_machine(text: str) -> PredicateCircuit:
         raise CircuitSyntaxError("missing accept line")
     try:
         return PredicateCircuit(*found["machine"], tuple(gates), *found["accept"])
-    except ValueError as exc:
+    except BadArgument as exc:
         raise CircuitSyntaxError(str(exc)) from exc
 
 

@@ -1,7 +1,8 @@
 """Shared exception types.
 
-Everything raised on purpose by this package derives from PostselError so
-callers (and the CLI) can tell domain failures apart from plain bugs.
+Everything raised on purpose by this package derives from PostselError; no module
+raises a builtin exception (``__getattr__``'s AttributeError aside).  So the CLI
+exits 2 on a PostselError or an unreadable file, and any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -9,6 +10,10 @@ from __future__ import annotations
 
 class PostselError(Exception):
     """Base class for all errors raised deliberately by this package."""
+
+
+class BadArgument(PostselError, ValueError):
+    """An argument of the wrong type or out of range; ``except ValueError`` catches it too."""
 
 
 class CircuitSyntaxError(PostselError):

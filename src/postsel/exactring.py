@@ -16,14 +16,15 @@ from fractions import Fraction
 from numbers import Integral
 
 from ._value import _Value
+from .errors import BadArgument
 
 
 def _reduce_dyadic(n: int, k: int) -> tuple[int, int]:
     """Lower (n, k) to the canonical representative of n / 2**k."""
     if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in (n, k)):
-        raise ValueError(f"DyadicRational({n!r}, {k!r}) needs two integers")
+        raise BadArgument(f"DyadicRational({n!r}, {k!r}) needs two integers")
     if k < 0:
-        raise ValueError("denominator exponent must be >= 0")
+        raise BadArgument("denominator exponent must be >= 0")
     if n == 0:
         return 0, 0
     n, k = int(n), int(k)  # numpy integers count, but have no bit_length

@@ -67,7 +67,7 @@ def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
     """Exact (g, m) with P(constraints) == g / 2**m and m == Hadamard count.
 
     Raises ``CapExceeded`` above ``DEFAULT_MAX_BRANCH`` Hadamards, and
-    ValueError if an input bit contradicts a declared ancilla value.
+    ``BadArgument`` if an input bit contradicts a declared ancilla value.
     """
     hcount = _branch_count(circuit)
     z0 = _basis_index(circuit, input_bits)

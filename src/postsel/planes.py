@@ -23,7 +23,7 @@ from itertools import chain, groupby
 from operator import attrgetter
 
 from .circuit import Circuit, Gate, _integer, _pack_bits
-from .errors import CapExceeded
+from .errors import BadArgument, CapExceeded
 
 MAX_WIDTH = 63
 # ``drive`` merges no earlier than at this many entries: a merge's numpy calls
@@ -39,12 +39,12 @@ def _check_width(width: int) -> None:
 
 def _basis_index(circuit: Circuit, bits) -> int:
     """Basis state of the input bits (bit i = qubit i); enforces ``MAX_WIDTH``,
-    and ValueError if a bit contradicts a declared ancilla value."""
+    and ``BadArgument`` if a bit contradicts a declared ancilla value."""
     _check_width(circuit.width)
     z = _pack_bits(bits, circuit.width)
     for q, v in circuit.ancillas:
         if (z >> q) & 1 != v:
-            raise ValueError(f"ancilla qubit {q} requires input value {v}")
+            raise BadArgument(f"ancilla qubit {q} requires input value {v}")
     return z
 
 
@@ -54,9 +54,9 @@ def _constraint_mask(width: int, constraints) -> tuple[int, int] | None:
     for q, v in constraints:
         q, v = _integer(q, "constraint qubit"), _integer(v, "constraint value")
         if not 0 <= q < width:
-            raise ValueError(f"constraint qubit {q} outside width {width}")
+            raise BadArgument(f"constraint qubit {q} outside width {width}")
         if v not in (0, 1):
-            raise ValueError("constraint value must be 0 or 1")
+            raise BadArgument("constraint value must be 0 or 1")
         if pinned.setdefault(q, v) != v:
             return None
     return sum(1 << q for q in pinned), sum(v << q for q, v in pinned.items())
@@ -69,7 +69,7 @@ def apply_gates_planes(planes: list, gates: Iterable[Gate], ones) -> None:
     list keeps the planes it had."""
     for g in gates:
         if g.kind == "h":
-            raise ValueError("h has no classical action")
+            raise BadArgument("h has no classical action")
         fire = None
         for c, neg in zip(g.controls, g.negated):
             p = planes[c] ^ ones if neg else planes[c]

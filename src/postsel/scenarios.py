@@ -45,7 +45,7 @@ from .counting import (
     make_gap_machine,
     tabulated_count_machine,
 )
-from .errors import CapExceeded, PromiseViolation, StatsMismatch, ZeroPostselection
+from .errors import BadArgument, CapExceeded, PromiseViolation, StatsMismatch, ZeroPostselection
 from .pathsum import path_sum, path_sum_slow
 from .simulator import _events, joint_prob, measure_prob, postselect_stats, run
 from .witness import (
@@ -597,9 +597,9 @@ SUITES = {
 
 def run_scenario(name: str, seed: int = 42, r: int = 4) -> WitnessReport:
     if name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}")
+        raise BadArgument(f"unknown scenario {name!r}")
     if r < 2:
-        raise ValueError("r must be >= 2")
+        raise BadArgument("r must be >= 2")
     if r > _MAX_R:  # pp-to-postsel builds 1 << r; error-algebra prints 4r rows of r-bit values
         raise CapExceeded(f"r = {r} is above the cap of {_MAX_R}")
     return SCENARIOS[name](seed, r)
@@ -607,5 +607,5 @@ def run_scenario(name: str, seed: int = 42, r: int = 4) -> WitnessReport:
 
 def run_suite(suite: str, seed: int = 42, r: int = 4) -> list[WitnessReport]:
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; known suites: {', '.join(SUITES)}")
+        raise BadArgument(f"unknown suite {suite!r}; known suites: {', '.join(SUITES)}")
     return [run_scenario(name, seed, r) for name in SUITES[suite]]

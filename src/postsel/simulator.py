@@ -39,7 +39,7 @@ from functools import cached_property
 
 from ._value import _Value
 from .circuit import Circuit, _integer, expand_mcx
-from .errors import StatsMismatch, ZeroPostselection
+from .errors import BadArgument, StatsMismatch, ZeroPostselection
 from .exactring import DyadicRational
 from .planes import Planes, _basis_index, _constraint_mask
 
@@ -92,7 +92,7 @@ class QuantumState:
         """Exact (c, m) with amplitude(z) == c / sqrt(2)**m; c == 0 off the support."""
         z = _integer(z, "basis state")
         if not 0 <= z < 1 << self.width:
-            raise ValueError(f"basis state {z} is not an integer in [0, 2**{self.width})")
+            raise BadArgument(f"basis state {z} is not an integer in [0, 2**{self.width})")
         hit = self.planes.kept((1 << self.width) - 1, z)
         if not hit:
             return 0, self.m
@@ -128,7 +128,7 @@ def run(circuit: Circuit, input_bits) -> QuantumState:
     Raises ``CapExceeded`` if the circuit is wider than ``planes.MAX_WIDTH``
     or its live support outgrows ``DEFAULT_MAX_SUPPORT`` entries,
     ``InsufficientAncillas`` if an mcx cannot be lowered with the declared
-    ancillas, and ValueError if an input bit contradicts a declared ancilla
+    ancillas, and ``BadArgument`` if an input bit contradicts a declared ancilla
     value.
     """
     z0 = _basis_index(circuit, input_bits)
@@ -180,10 +180,10 @@ def _events(circuit: Circuit) -> dict[str, list[tuple[int, int]]]:
 
 def postselect_stats(circuit: Circuit, input_bits) -> PostselStats:
     """Run the circuit once: the ``PostselStats`` of its ``prob_postselect`` and
-    ``prob_joint`` events.  Raises ValueError when the circuit declares no
+    ``prob_joint`` events.  Raises ``BadArgument`` when the circuit declares no
     postselect qubit and ``ZeroPostselection`` when P(p=1) == 0."""
     if circuit.postselect is None:
-        raise ValueError("circuit declares no postselect qubit")
+        raise BadArgument("circuit declares no postselect qubit")
     events = _events(circuit)
     state = run(circuit, input_bits)
     return PostselStats(

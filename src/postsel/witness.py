@@ -20,6 +20,7 @@ from numbers import Rational
 
 from ._value import _Value
 from .circuit import _exponent
+from .errors import BadArgument
 
 _OPS = {
     "==": operator.eq,
@@ -35,16 +36,16 @@ def _frac(v) -> Fraction:
     if hasattr(v, "as_fraction"):
         return v.as_fraction()
     if not isinstance(v, Rational):
-        raise ValueError(f"expected an exact rational value, got {v!r}")
+        raise BadArgument(f"expected an exact rational value, got {v!r}")
     return Fraction(v)
 
 
 def _entry(table: Mapping | None, key, role: str):
-    """``table[key]``, or a ValueError that names the missing table or entry."""
+    """``table[key]``, or a ``BadArgument`` that names the missing table or entry."""
     if table is None:
-        raise ValueError(f"{role} not given")
+        raise BadArgument(f"{role} not given")
     if key not in table:
-        raise ValueError(f"{role} has no entry for {key!r}")
+        raise BadArgument(f"{role} has no entry for {key!r}")
     return table[key]
 
 
@@ -61,20 +62,20 @@ class WitnessReport(_Value):
 
     def __init__(self, name: str, conditions: list[Condition] | None = None):
         if " " in name:
-            raise ValueError("report names must not contain spaces")
+            raise BadArgument("report names must not contain spaces")
         self._set(name, [] if conditions is None else conditions)
 
     def add(self, condition: Condition) -> None:
         for part in (condition.cid, condition.lhs, condition.op, condition.rhs):
             if " " in part:
-                raise ValueError(f"condition fields must not contain spaces: {part!r}")
+                raise BadArgument(f"condition fields must not contain spaces: {part!r}")
         self.conditions.append(condition)
 
     def check(self, cid: str, lhs, op: str, rhs) -> bool:
         """Add the exact comparison ``lhs op rhs`` (op one of == <= >= < >),
         both sides rendered as Fractions; returns whether it held."""
         if op not in _OPS:
-            raise ValueError(f"unknown comparison {op!r}; expected one of {' '.join(_OPS)}")
+            raise BadArgument(f"unknown comparison {op!r}; expected one of {' '.join(_OPS)}")
         a, b = _frac(lhs), _frac(rhs)
         ok = _OPS[op](a, b)
         self.add(Condition(cid, str(a), op, str(b), ok))
@@ -84,7 +85,7 @@ class WitnessReport(_Value):
         """Add the exact interval test ``x in [lo,hi]``; a ``(`` or ``)`` in
         ``brackets`` makes that bound strict.  Returns whether it held."""
         if len(brackets) != 2 or brackets[0] not in "[(" or brackets[1] not in "])":
-            raise ValueError(f"brackets must be one of [] [) (] (), got {brackets!r}")
+            raise BadArgument(f"brackets must be one of [] [) (] (), got {brackets!r}")
         x, lo, hi = _frac(x), _frac(lo), _frac(hi)
         ok = (lo < x if brackets[0] == "(" else lo <= x) and (
             x < hi if brackets[1] == ")" else x <= hi
@@ -145,11 +146,11 @@ def check_awpp_witness(
         outside:          0 <= ratio <= eps
 
     f(w) must be strictly positive everywhere; that is itself a reported
-    condition.  A label with no g or f entry raises ValueError.
+    condition.  A label with no g or f entry raises ``BadArgument``.
     """
     eps = _frac(eps)
     if not 0 < eps < Fraction(1, 2):
-        raise ValueError("threshold width must satisfy 0 < eps < 1/2")
+        raise BadArgument("threshold width must satisfy 0 < eps < 1/2")
     report = WitnessReport("awpp-witness")
     for w in sorted(labels):
         f_w = _entry(f_of, w, "f_of")
@@ -174,11 +175,11 @@ def check_wapp_witness(
         in the language:  (1 + epsilon) / 2 < ratio <= 1
         outside:          0 <= ratio < (1 - epsilon) / 2
 
-    A label with no ratio entry raises ValueError.
+    A label with no ratio entry raises ``BadArgument``.
     """
     epsilon = _frac(epsilon)
     if not 0 < epsilon < 1:
-        raise ValueError("need 0 < epsilon < 1")
+        raise BadArgument("need 0 < epsilon < 1")
     report = WitnessReport("wapp-witness")
     for w in sorted(labels):
         ratio = _entry(ratio_of, w, "ratio_of")
@@ -215,11 +216,11 @@ def classify_postsel_profile(
     - ``asize``:  same window with f a function of |w| alone
     - ``exp``:    P(p=1) == 2**-u exactly
 
-    A profile that reads ``f`` raises ValueError when ``f`` is not given or
+    A profile that reads ``f`` raises ``BadArgument`` when ``f`` is not given or
     has no entry for an instance (or its length).
     """
     if profile not in PROFILE_KINDS:
-        raise ValueError(f"unknown profile {profile!r}")
+        raise BadArgument(f"unknown profile {profile!r}")
     report = WitnessReport(f"postsel-profile-{profile}")
     for w in sorted(stats_by_instance):
         p = stats_by_instance[w]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postsel import (
+    BadArgument,
     Circuit,
     CircuitSyntaxError,
     CoinMachine,
@@ -174,25 +175,25 @@ def test_non_sequence_containers_raise_value_error(field):
 def _reference_gate_fields(kind, target, controls=(), negated=()):
     """(kind, target, controls, negated) as a Gate stores them, or its error."""
     if kind not in GATE_KINDS:
-        raise ValueError(f"unknown gate kind {kind!r}")
+        raise BadArgument(f"unknown gate kind {kind!r}")
     if not type(controls) is type(negated) is tuple:
         controls, negated = _tuple(controls, "controls"), _tuple(negated, "negated")
     target = _integer(target, "target")
     controls = tuple(_integer(c, "control") for c in controls)
     for flag in negated:
         if type(flag) is not bool:
-            raise ValueError(f"negated flag must be a bool, got {flag!r}")
+            raise BadArgument(f"negated flag must be a bool, got {flag!r}")
     expected = {"h": 0, "x": 0, "cx": 1, "ccx": 2}.get(kind)
     if expected is not None and len(controls) != expected:
-        raise ValueError(f"{kind} takes {expected} controls")
+        raise BadArgument(f"{kind} takes {expected} controls")
     if kind == "mcx" and len(controls) < 3:
-        raise ValueError("mcx gates carry >= 3 controls once normalized")
+        raise BadArgument("mcx gates carry >= 3 controls once normalized")
     if len(negated) != len(controls):
-        raise ValueError("one polarity flag per control")
+        raise BadArgument("one polarity flag per control")
     if target in controls:
-        raise ValueError("target may not also be a control")
+        raise BadArgument("target may not also be a control")
     if len(set(controls)) != len(controls):
-        raise ValueError("duplicate control qubit")
+        raise BadArgument("duplicate control qubit")
     return kind, target, controls, negated
 
 

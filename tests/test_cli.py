@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import postsel
 from postsel import (
@@ -22,7 +24,7 @@ from postsel import (
     serialize_machine,
 )
 from postsel import simulator
-from postsel.cli import main
+from postsel.cli import _COMPILE_READS, main
 
 BELL = """\
 qubits 2
@@ -93,6 +95,19 @@ def test_simulate_default_input_is_ancilla_canonical(tmp_path, capsys):
 def test_simulate_missing_file_exits_2(capsys):
     assert main(["simulate", "--circuit", "/nonexistent.circ"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_an_unexpected_value_error_is_a_traceback(bell_file, monkeypatch):
+    """Exit 2 is a PostselError or an unreadable file: a ValueError from an
+    engine is a bug, and it leaves main as it was raised."""
+
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(postsel.cli, "run", boom)
+    with pytest.raises(ValueError, match="^boom$") as got:
+        main(["simulate", "--circuit", bell_file])
+    assert type(got.value) is ValueError
 
 
 def test_simulate_syntax_error_exits_2(tmp_path, capsys):
@@ -367,6 +382,38 @@ def test_console_prints_the_pinned_lines(tmp_path, capsys, name):
         outs.append(capsys.readouterr().out)
     assert [line for line in lines if line not in outs[0].splitlines()] == []
     assert outs[1] == outs[0]
+
+
+_EDGE = hst.one_of(hst.none(), hst.sampled_from([-5, -1, 0, 1, 2, 64, 10**11]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=hst.sampled_from(sorted(_COMPILE_READS)),
+    machines=hst.lists(hst.sampled_from([*_PAIR_MACHINES, *_GAPS, _LOOP, _AND]), min_size=2,
+                       max_size=2),
+    values=hst.fixed_dictionaries(
+        {"k": _EDGE, "t": _EDGE, "h": _EDGE,
+         "input": hst.one_of(hst.none(), hst.sampled_from(["", "0", "01", "2"]))}
+    ),
+)
+def test_compile_at_edge_values_exits_0_or_2(tmp_path_factory, kind, machines, values):
+    """Every construction, each option it reads absent or at an edge value:
+    compile refuses with exit 2 or writes a circuit that simulate --oracle
+    refuses or reads, matching; no exception leaves main."""
+    tmp = tmp_path_factory.mktemp("edge")
+    flags = []
+    for i, text in enumerate(machines[: 1 if kind == "gapsq" else 2], start=1):
+        (tmp / f"m{i}.machine").write_text(text)
+        flags += [f"--machine{i}", str(tmp / f"m{i}.machine")]
+    for opt in sorted(_COMPILE_READS[kind] - {"machine2"}):
+        if values[opt] is not None:
+            flags += [f"--{opt}", str(values[opt])]
+    out = tmp / "x.circ"
+    rc = main(["compile", "--construction", kind, *flags, "-o", str(out)])
+    assert rc in (0, 2)
+    if rc == 0:
+        assert main(["simulate", "--circuit", str(out), "--oracle"]) in (0, 2)
 
 
 def test_compile_pair_needs_second_machine(machine_files, tmp_path, capsys):

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
 
 from postsel import (
+    BadArgument,
     CapExceeded,
     Circuit,
     DyadicRational,
@@ -164,7 +165,7 @@ def test_pair_validation():
         MachineContractError, match="^machines must share instance and path widths$"
     ):
         compile_pair_postsel(m1, m2)  # path widths differ
-    with pytest.raises(ValueError):
+    with pytest.raises(BadArgument, match="^k must be >= 0, got -1$"):
         compile_pair_postsel(m1, m1, k=-1)
 
 
@@ -213,10 +214,20 @@ def test_rescale_divides_postselection_only():
 def test_rescale_zero_is_identity():
     base = _uniform_circuit(3, 5, 2)
     assert rescale_postsel(base, 0) is base
-    with pytest.raises(ValueError):
+    with pytest.raises(BadArgument, match="^t must be >= 0, got -1$"):
         rescale_postsel(base, -1)
     with pytest.raises(ValueError):
         rescale_postsel(Circuit(2, (), 0), 1)  # no postselect qubit
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_pair_k_and_rescale_t_must_be_integers(bad):
+    # 1.5 was a raw TypeError, and True was read as 1
+    m = make_gap_machine(2, 2)
+    with pytest.raises(BadArgument, match=f"^k must be an integer, got {bad!r}$"):
+        compile_pair_postsel(m, m, bad)
+    with pytest.raises(BadArgument, match=f"^t must be an integer, got {bad!r}$"):
+        rescale_postsel(compile_pair_postsel(m, m), bad)
 
 
 # ===================================================================

@@ -270,8 +270,11 @@ def test_make_gap_machine_rejects_bad_values():
         make_gap_machine(3, 2)  # parity: 3 != 4 mod 2
     with pytest.raises(ValueError):
         make_gap_machine(10, 2)  # too big for 2 path bits
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^path width must be >= 0, got -1$"):
         make_gap_machine(0, -1)
+    for q in (1.5, True):
+        with pytest.raises(ValueError, match=f"^path width must be an integer, got {q!r}$"):
+            make_gap_machine(0, q)
 
 
 def test_complement_negates_gap():

@@ -1,5 +1,7 @@
 """The package's public surface, and what importing it loads."""
 
+import ast
+import builtins
 import json
 import subprocess
 import sys
@@ -40,6 +42,22 @@ def test_every_exported_name_resolves_once():
     assert len(postsel.__all__) == len(set(postsel.__all__))
     missing = [name for name in postsel.__all__ if not hasattr(postsel, name)]
     assert missing == []
+
+
+def test_no_module_raises_a_builtin_exception():
+    """A deliberate refusal is a PostselError (``BadArgument`` where a ValueError
+    fits), so the CLI can let any builtin exception, a bug, end in a traceback.
+    The one builtin raised is ``__getattr__``'s AttributeError, which PEP 562 asks for."""
+    names = {n for n, obj in vars(builtins).items() if isinstance(obj, type)
+             and issubclass(obj, BaseException)}
+    raised = []
+    for path in sorted(Path(postsel.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(exc, ast.Name) and exc.id in names:
+                raised.append((path.name, exc.id, node.lineno))
+    assert [r[:2] for r in raised] == [("__init__.py", "AttributeError")], raised
 
 
 def _fresh(probe: str, *flags: str) -> str:
