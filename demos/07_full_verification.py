@@ -37,11 +37,11 @@ for label, g_val in (("in", 2), ("out", 0)):
 print()
 
 # one scenario by name...
-print(run_scenario("gap-squared", seed=42, r=4).to_text().splitlines()[0])
+print(run_scenario("gap-squared", seed=42).to_text().splitlines()[0])
 
 # ...and the full registry, twice, byte-identical
 print("scenarios registered:", ", ".join(SCENARIOS))
-reports = run_suite("all", seed=42, r=4)
+reports = run_suite("all", seed=42)
 print("suite:", sum(r.passed for r in reports), "of", len(reports), "passed")
 
 buf1, buf2 = io.StringIO(), io.StringIO()

@@ -169,7 +169,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     from .scenarios import run_suite
 
-    reports = run_suite(args.suite, args.seed, args.r)
+    reports = run_suite(args.suite, args.seed)
     chunks = []
     for rep in reports:
         chunks.append(rep.to_machine() if args.format == "machine" else rep.to_text())
@@ -230,7 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("--suite", default="all", help="suite to run (default: all)")
     v.add_argument("--seed", type=int, default=42)
-    v.add_argument("--r", type=int, default=4, help="sharpness for parametric scenarios")
     v.add_argument("--format", choices=["text", "machine"], default="text")
     v.set_defaults(func=_cmd_verify)
     return parser

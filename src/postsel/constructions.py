@@ -24,7 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .circuit import (
-    Circuit, Gate, _borrowed, _exponent, _placed, _uncomputed, ccx, default_input, h, mcx, x,
+    Circuit, Gate, _borrowed, _exponent, _integer, _placed, _uncomputed, ccx, default_input, h,
+    mcx, x,
 )
 from .counting import PredicateCircuit, emit_less_than
 from .errors import BadArgument, MachineContractError, StatsMismatch
@@ -205,8 +206,9 @@ def compile_pair_postsel(m1: PredicateCircuit, m2: PredicateCircuit, k: int = 0)
 
 def gadget_biased_flag(a: int, m: int) -> Circuit:
     """Circuit whose output flag is 1 with probability exactly a / 2**m."""
+    a, m = _integer(a, "a"), _exponent(m, "m")
     _check_width(m + 1)  # the circuit's width, before 1 << m is built
-    if m < 0 or not 0 <= a <= (1 << m):
+    if not 0 <= a <= (1 << m):
         raise BadArgument("need 0 <= a <= 2**m")
     b = _Builder()
     return b.finish(output=b.biased_flag(a, m))
@@ -238,7 +240,7 @@ def mixed_conditional(f: int, t: int, inner: Fraction) -> Fraction:
 
     cond_W = (f / 2**(t+1)) * cond_V + (1/2) * (2**(t+1) - f) / 2**(t+1)
     """
-    t = _exponent(t, "t")
+    f, t = _integer(f, "f"), _exponent(t, "t")
     return Fraction(f, 1 << (t + 1)) * inner + Fraction(1, 2) * Fraction(
         (1 << (t + 1)) - f, 1 << (t + 1)
     )
@@ -262,9 +264,10 @@ def mix_with_constant(circuit: Circuit, f: int, h_exp: int, bits=None) -> Circui
     reads its qubits, since selection happens through controlled swaps of
     its output and postselection bits onto the tails-side qubits.
     """
+    h_exp = _exponent(h_exp, "h")
     _check_width(circuit.width + h_exp + 3)  # the result's width, before 1 << h_exp is built
-    if h_exp < 0 or not 0 < f <= (1 << h_exp):
-        raise BadArgument(f"need h >= 0 and 0 < f <= 2**h, got f = {f}, h = {h_exp}")
+    if not 0 < f <= (1 << h_exp):
+        raise BadArgument(f"need 0 < f <= 2**h, got f = {f}, h = {h_exp}")
     stats = postselect_stats(circuit, default_input(circuit) if bits is None else bits)
     if stats.p_post != DyadicRational(f, h_exp):
         raise StatsMismatch(
@@ -355,7 +358,7 @@ def verify_error_algebra(r: int) -> WitnessReport:
     the witness analyses, at sharpness exponent r >= 2.  Each returned
     condition carries its exact Fraction sides; nothing is rounded.
     """
-    if r < 2:
+    if _integer(r, "r") < 2:
         raise BadArgument("r must be >= 2")
     eps1 = Fraction(1, 1 << (r - 1))  # 2**-(r+1-2) = 2**-(r-1)
     eps2 = Fraction(1, 1 << (r - 2))  # 2**-(r-2)

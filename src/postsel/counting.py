@@ -68,13 +68,11 @@ class PredicateCircuit(_Value):
         self, input_width: int, path_width: int, ancilla_count: int,
         gates: tuple[Gate, ...], accept_index: int,
     ):
-        gates = _tuple(gates, "gates")
         self._set(
-            _integer(input_width, "input_width"), _integer(path_width, "path_width"),
-            _integer(ancilla_count, "ancilla_count"), gates, _integer(accept_index, "accept_index"),
+            _exponent(input_width, "input_width"), _exponent(path_width, "path_width"),
+            _exponent(ancilla_count, "ancilla_count"), _tuple(gates, "gates"),
+            _integer(accept_index, "accept_index"),
         )
-        if self.input_width < 0 or self.path_width < 0 or self.ancilla_count < 0:
-            raise BadArgument("widths must be >= 0")
         data, total = self.input_width + self.path_width, self.total_bits
         if not data <= self.accept_index < total:
             raise BadArgument("accept bit must sit past the instance and path bits")
@@ -118,7 +116,7 @@ def eval_machine(machine: PredicateCircuit, w, x_val: int) -> bool:
     Also enforces the machine contract: instance and path bits unchanged,
     scratch bits restored to 0.  This is the per-path reference for ``gap``.
     """
-    w_int = _instance(machine, w)
+    w_int, x_val = _instance(machine, w), _integer(x_val, "path index")
     if not 0 <= x_val < (1 << machine.path_width):
         raise BadArgument("path index out of range")
     start = state = w_int | x_val << machine.input_width
@@ -159,7 +157,7 @@ def emit_less_than(bit_indices, constant: int, flag_index: int) -> list[Gate]:
     comparison decomposes into mutually exclusive prefix terms, one per set
     bit of the constant, so plain XOR accumulation realizes the OR.
     """
-    q = len(bit_indices)
+    q, constant = len(bit_indices), _integer(constant, "constant")
     if constant <= 0:
         return []
     if constant >= (1 << q):
@@ -180,7 +178,7 @@ def make_gap_machine(v: int, q: int) -> PredicateCircuit:
     The ``tabulated_count_machine`` that accepts the paths x < (2**q + v) / 2,
     so v must satisfy |v| <= 2**q and v == 2**q (mod 2).
     """
-    q = _exponent(q, "path width")
+    v, q = _integer(v, "gap"), _exponent(q, "path width")
     if abs(v) > (1 << q):
         raise BadArgument(f"|gap| {abs(v)} needs more than {q} path bits")
     if (v - (1 << q)) % 2:
@@ -236,11 +234,13 @@ def tabulated_count_machine(
     One block of comparator terms per table entry, each guarded on the full
     instance pattern; the guards are mutually exclusive across entries.
     """
+    input_width = _exponent(input_width, "input_width")
+    path_width = _exponent(path_width, "path_width")
     gates: list[Gate] = []
     accept = input_width + path_width
     x_bits = list(range(input_width, accept))
     for w, count in sorted(table.items()):
-        w_int = _pack_bits(w, input_width)
+        w_int, count = _pack_bits(w, input_width), _integer(count, "count")
         if not 0 <= count <= (1 << path_width):
             raise BadArgument(f"count {count} does not fit in {path_width} path bits")
         guard_ctls = list(range(input_width))

@@ -9,9 +9,8 @@ engines read a circuit's events (P(o=1), P(p=1), P(o=1, p=1)) as
 ``simulator._events`` defines them.  Scenario functions all take (seed, r).  Only
 ``oracle-equivalence``, ``gap-squared`` and ``postsel-rescale`` read the
 seed: it drives their random circuits and machines through a private
-generator, so repeated runs are byte-identical.  ``run_scenario`` takes r
-from 2 to ``_MAX_R`` = 1024.  Only ``pp-to-postsel`` reads r, the sharpness
-exponent of its bounds; ``error-algebra`` checks r = 2..max(16, r).
+generator, so repeated runs are byte-identical.  Every scenario runs at the
+sharpness ``_R`` = 4, which only ``pp-to-postsel`` reads, as its bounds' exponent.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .counting import (
     make_gap_machine,
     tabulated_count_machine,
 )
-from .errors import BadArgument, CapExceeded, PromiseViolation, StatsMismatch, ZeroPostselection
+from .errors import BadArgument, PromiseViolation, StatsMismatch, ZeroPostselection
 from .pathsum import path_sum, path_sum_slow
 from .simulator import _events, joint_prob, measure_prob, postselect_stats, run
 from .witness import (
@@ -438,7 +437,7 @@ def scenario_exact_postsel_adjust(seed: int, r: int) -> WitnessReport:
     stf = _stats(final)
     report.check("fixture-hi:final-postsel", stf.p_post, "==", Fraction(1, 16))
     report.check("fixture-hi:final-cond", stf.p_cond, "==", Fraction(3, 4))
-    report.merge(classify_postsel_profile({"f=10,h=4": stf}, "exp", u=4), "profile:")
+    report.merge(classify_postsel_profile({"f=10,h=4": stf}, "exp", q_exp=4), "profile:")
 
     v_lo = _uniform_circuit(4, 10, 1)
     inner_lo = _stats(v_lo)
@@ -558,14 +557,14 @@ def scenario_pp_to_postsel(seed: int, r: int) -> WitnessReport:
 
 
 def scenario_error_algebra(seed: int, r: int) -> WitnessReport:
-    """Exact inequality ladder across the sharpness range."""
+    """Exact inequality ladder across the sharpness range r = 2..16."""
     report = WitnessReport("error-algebra")
-    for rr in range(2, max(16, r) + 1):
+    for rr in range(2, 17):
         report.merge(verify_error_algebra(rr), f"r={rr}:")
     return report
 
 
-_MAX_R = 1024  # the largest sharpness exponent a scenario is run at
+_R = 4  # the sharpness exponent every scenario is run at
 
 SCENARIOS = {
     "oracle-equivalence": scenario_oracle_equivalence,
@@ -595,17 +594,13 @@ SUITES = {
 }
 
 
-def run_scenario(name: str, seed: int = 42, r: int = 4) -> WitnessReport:
+def run_scenario(name: str, seed: int = 42) -> WitnessReport:
     if name not in SCENARIOS:
         raise BadArgument(f"unknown scenario {name!r}")
-    if r < 2:
-        raise BadArgument("r must be >= 2")
-    if r > _MAX_R:  # pp-to-postsel builds 1 << r; error-algebra prints 4r rows of r-bit values
-        raise CapExceeded(f"r = {r} is above the cap of {_MAX_R}")
-    return SCENARIOS[name](seed, r)
+    return SCENARIOS[name](seed, _R)
 
 
-def run_suite(suite: str, seed: int = 42, r: int = 4) -> list[WitnessReport]:
+def run_suite(suite: str, seed: int = 42) -> list[WitnessReport]:
     if suite not in SUITES:
         raise BadArgument(f"unknown suite {suite!r}; known suites: {', '.join(SUITES)}")
-    return [run_scenario(name, seed, r) for name in SUITES[suite]]
+    return [run_scenario(name, seed) for name in SUITES[suite]]

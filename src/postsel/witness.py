@@ -199,7 +199,6 @@ def classify_postsel_profile(
     *,
     f: Mapping | None = None,
     q_exp: int | None = None,
-    u: int | None = None,
     r2: int | None = None,
 ) -> WitnessReport:
     """Check that postselection probabilities fit a declared restriction.
@@ -214,7 +213,7 @@ def classify_postsel_profile(
     - ``size``:   P(p=1) == f(|w|) / 2**q_exp (depends only on length)
     - ``aFP``:    P(p=1) within (1 +- 2**-r2) * f(w) / 2**q_exp
     - ``asize``:  same window with f a function of |w| alone
-    - ``exp``:    P(p=1) == 2**-u exactly
+    - ``exp``:    P(p=1) == 2**-q_exp exactly (``FP`` with f = 1)
 
     A profile that reads ``f`` raises ``BadArgument`` when ``f`` is not given or
     has no entry for an instance (or its length).
@@ -229,11 +228,9 @@ def classify_postsel_profile(
         if profile == "post":
             report.check(f"{cid}:positive", pf, ">", 0)
             continue
-        if profile == "exp":
-            target = Fraction(1, 1 << _exponent(u, "u"))
-        else:
-            key = len(w) if profile.endswith("size") else w
-            target = _frac(_entry(f, key, "f")) / (1 << _exponent(q_exp, "q_exp"))
+        key = len(w) if profile.endswith("size") else w
+        num = 1 if profile == "exp" else _frac(_entry(f, key, "f"))
+        target = Fraction(num, 1 << _exponent(q_exp, "q_exp"))
         if profile in ("FP", "size", "exp"):
             report.check(f"{cid}:equals", pf, "==", target)
         else:  # aFP, asize

@@ -7,12 +7,12 @@ from postsel import PredicateCircuit, ccx, run_suite
 
 @pytest.fixture(scope="session")
 def seed42_reports():
-    """``run_suite("all", seed=42, r=4)`` by scenario name, run once per session.
+    """``run_suite("all", seed=42)`` by scenario name, run once per session.
 
     The acceptance criteria read their rows, the scenario pass tests their
     verdicts, and criterion 11 their machine text.
     """
-    return {rep.name: rep for rep in run_suite("all", seed=42, r=4)}
+    return {rep.name: rep for rep in run_suite("all", seed=42)}
 
 
 @pytest.fixture

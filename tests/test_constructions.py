@@ -514,3 +514,5 @@ def test_error_algebra_tight_at_r2():
 def test_error_algebra_many_r():
     with pytest.raises(ValueError):
         verify_error_algebra(1)
+    for r in range(2, 65):
+        assert verify_error_algebra(r).passed, r

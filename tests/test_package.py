@@ -5,6 +5,7 @@ import builtins
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,60 @@ def test_no_module_raises_a_builtin_exception():
             if isinstance(exc, ast.Name) and exc.id in names:
                 raised.append((path.name, exc.id, node.lineno))
     assert [r[:2] for r in raised] == [("__init__.py", "AttributeError")], raised
+
+
+def _pair():
+    """A compiled gap pair with P(p=1) = 1/4: a circuit for the mixing gadgets."""
+    m1, m2 = postsel.make_gap_machine(2, 1), postsel.make_gap_machine(0, 1)
+    return postsel.compile_pair_postsel(m1, m2, 0)
+
+
+# each public argument that is compared or shifted: a call that passes it the given
+# value, the role its message names, and whether it is an exponent (and so also >= 0)
+_INTEGER_ARGUMENTS = {
+    "make_gap_machine-v": (lambda v: postsel.make_gap_machine(v, 2), "gap", False),
+    "gadget_biased_flag-a": (lambda a: postsel.gadget_biased_flag(a, 2), "a", False),
+    "gadget_biased_flag-m": (lambda m: postsel.gadget_biased_flag(1, m), "m", True),
+    "emit_less_than-constant": (lambda c: postsel.emit_less_than([0, 1], c, 2), "constant", False),
+    "tabulated-input_width": (
+        lambda n: postsel.tabulated_count_machine({"": 1}, n, 2), "input_width", True
+    ),
+    "tabulated-path_width": (
+        lambda q: postsel.tabulated_count_machine({"": 1}, 0, q), "path_width", True
+    ),
+    "tabulated-count": (lambda c: postsel.tabulated_count_machine({"": c}, 0, 2), "count", False),
+    "eval_machine-x_val": (
+        lambda x: postsel.eval_machine(postsel.make_gap_machine(2, 2), "", x), "path index", False
+    ),
+    "mixed_conditional-f": (lambda f: postsel.mixed_conditional(f, 1, Fraction(1, 2)), "f", False),
+    "mix_with_constant-h": (lambda h: postsel.mix_with_constant(_pair(), 1, h), "h", True),
+    "compile_fqp_to_exp-h": (lambda h: postsel.compile_fqp_to_exp(_pair(), 1, h), "h", True),
+    "verify_error_algebra-r": (postsel.verify_error_algebra, "r", False),
+    "PredicateCircuit-input_width": (
+        lambda n: postsel.PredicateCircuit(n, 1, 0, (), 2), "input_width", True
+    ),
+    "PredicateCircuit-path_width": (
+        lambda n: postsel.PredicateCircuit(0, n, 0, (), 2), "path_width", True
+    ),
+    "PredicateCircuit-ancilla_count": (
+        lambda n: postsel.PredicateCircuit(0, 1, n, (), 1), "ancilla_count", True
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, value) for name, (_, _, exponent) in _INTEGER_ARGUMENTS.items()
+     for value in ((1.5, True, -1) if exponent else (1.5, True))],
+)
+def test_integer_arguments_refuse_other_values(name, value):
+    """A float or a bool is ``BadArgument`` naming the argument, never a raw TypeError
+    from a shift; an exponent below 0 is too, before any ``1 << value`` is built."""
+    call, role, _ = _INTEGER_ARGUMENTS[name]
+    want = "must be >= 0, got -1" if value == -1 else f"must be an integer, got {value}"
+    with pytest.raises(postsel.BadArgument) as exc:
+        call(value)
+    assert str(exc.value) == f"{role} {want}"
 
 
 def _fresh(probe: str, *flags: str) -> str:

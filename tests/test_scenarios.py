@@ -67,25 +67,17 @@ def test_unknown_names_raise():
 
 
 def test_seeded_runs_are_byte_identical(seed42_reports):
-    again = run_scenario("gap-squared", seed=42, r=4).to_machine()
+    again = run_scenario("gap-squared", seed=42).to_machine()
     assert again == seed42_reports["gap-squared"].to_machine()
 
 
 def test_different_seeds_vary_the_sampled_conditions():
-    a = run_scenario("gap-squared", seed=7, r=4).to_machine()
-    b = run_scenario("gap-squared", seed=8, r=4).to_machine()
+    a = run_scenario("gap-squared", seed=7).to_machine()
+    b = run_scenario("gap-squared", seed=8).to_machine()
     assert a != b
 
 
-def test_sharper_threshold_still_passes(seed42_reports):
-    # pp-to-postsel's bounds read r; error-algebra reads it only above 16
-    for name, r in (("pp-to-postsel", 6), ("error-algebra", 20)):
-        report = run_scenario(name, seed=42, r=r)
-        assert report.passed, report.to_text()
-        assert report.to_machine() != seed42_reports[name].to_machine(), name
-
-
 def test_suite_runner_returns_one_report_per_scenario():
-    reports = run_suite("awpp", seed=42, r=4)
+    reports = run_suite("awpp", seed=42)
     assert [rep.name for rep in reports] == SUITES["awpp"]
     assert all(rep.passed for rep in reports)

@@ -203,7 +203,6 @@ _INEXACT = {
     "r2": lambda: classify_postsel_profile(_STATS, "aFP", f={"1": 1}, q_exp=1, r2=1.0),
     "q_exp": lambda: classify_postsel_profile(_STATS, "FP", f={"1": 1}, q_exp=1.0),
     "f": lambda: classify_postsel_profile(_STATS, "FP", f={"1": 0.5}, q_exp=0),
-    "u": lambda: classify_postsel_profile(_STATS, "exp", u=1.0),
 }
 
 
@@ -249,7 +248,6 @@ def test_witness_tables_missing_an_entry_raise(case):
 
 # each call gives one exponent below 0, which would be a shift by -1
 _NEGATIVE_EXPONENT = {
-    "u": lambda: classify_postsel_profile(_STATS, "exp", u=-1),
     "q_exp": lambda: classify_postsel_profile(_STATS, "FP", f={"1": 1}, q_exp=-1),
     "r2": lambda: classify_postsel_profile(_STATS, "aFP", f={"1": 1}, q_exp=1, r2=-1),
 }
@@ -314,19 +312,19 @@ def test_profile_asize_window():
 
 def test_profile_exp_and_leexp():
     stats = {"0": _p(1, 3)}
-    assert classify_postsel_profile(stats, "exp", u=3).passed
-    assert not classify_postsel_profile(stats, "exp", u=2).passed
-    assert not classify_postsel_profile(stats, "exp", u=4).passed
-    # the one-sided P(p=1) >= 2**-u profile is gone; asking for it is an error
+    assert classify_postsel_profile(stats, "exp", q_exp=3).passed
+    assert not classify_postsel_profile(stats, "exp", q_exp=2).passed
+    assert not classify_postsel_profile(stats, "exp", q_exp=4).passed
+    # the one-sided P(p=1) >= 2**-q_exp profile is gone; asking for it is an error
     with pytest.raises(ValueError, match="unknown profile 'leexp'"):
-        classify_postsel_profile(stats, "leexp", u=3)
+        classify_postsel_profile(stats, "leexp", q_exp=3)
 
 
 def test_profile_accepts_stats_objects():
     from postsel import PostselStats
 
     st = PostselStats(_p(1, 2), _p(1, 3))
-    rep = classify_postsel_profile({"0": st}, "exp", u=2)
+    rep = classify_postsel_profile({"0": st}, "exp", q_exp=2)
     assert rep.passed
 
 
