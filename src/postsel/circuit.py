@@ -273,15 +273,16 @@ def expand_mcx(circuit: Circuit) -> Circuit:
 
 def _pack_bits(bits, width: int) -> int:
     """0/1 bits (a string or a sequence) as an int, bit i at position i; ``BadArgument``
-    unless there are exactly ``width`` bits, each 0 or 1."""
+    unless there are exactly ``width`` bits, each ``"0"``/``"1"`` or an ``_integer`` 0/1."""
     bits = _tuple(bits, "bits")
     if len(bits) != width:
         raise BadArgument(f"expected {width} bits, got {len(bits)}")
     z = 0
     for i, b in enumerate(bits):
-        if b not in (0, 1, "0", "1"):
+        v = b if isinstance(b, str) else _integer(b, "bit")
+        if v not in (0, 1, "0", "1"):
             raise BadArgument(f"bits must be 0/1, got {b!r}")
-        z |= int(b) << i
+        z |= int(v) << i
     return z
 
 

@@ -17,7 +17,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from ._value import _Value
-from .circuit import _uncomputed, cx
+from .circuit import _integer, _uncomputed, cx
 from .counting import PredicateCircuit, gap
 from .errors import BadArgument, MachineContractError, PromiseViolation, StatsMismatch
 from .exactring import DyadicRational
@@ -115,7 +115,7 @@ def wapp_witness(
     """
     if not fp_numerators:
         raise BadArgument("no declared statistics to witness")
-    t = tm.post.path_width
+    t, fp_exponent = tm.post.path_width, _integer(fp_exponent, "fp_exponent")
     if not 0 <= fp_exponent <= t:
         raise BadArgument(f"declared denominator 2**{fp_exponent} is outside 2**0 .. 2**{t}")
     for w in sorted(fp_numerators):

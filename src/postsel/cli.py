@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from .circuit import _lines, default_input, parse_circuit, serialize_circuit
 from .errors import BadArgument, CircuitSyntaxError, PostselError
@@ -75,7 +74,7 @@ def _cmd_simulate(args) -> int:
         matched = True
         for key, cons in events.items():
             g, m = path_sum(circ, bits, cons)
-            matched = matched and Fraction(g, 1 << m) == probs[key].as_fraction()
+            matched = matched and DyadicRational(g, m) == probs[key]
         rows.append(("oracle", "match" if matched else "mismatch"))
         if not matched:
             status = 1

@@ -32,7 +32,7 @@ from .errors import BadArgument, MachineContractError, StatsMismatch
 from .exactring import DyadicRational
 from .planes import _check_width
 from .simulator import PostselStats, postselect_stats
-from .witness import WitnessReport
+from .witness import WitnessReport, _frac
 
 
 class _Builder:
@@ -109,7 +109,7 @@ def _machine_gates(
 
 def gap_squared_prob(g_val: int, q: int) -> DyadicRational:
     """Closed form for the single-machine compiler: P(o=1) = G**2 / 2**2q."""
-    return DyadicRational(g_val * g_val, 2 * q)
+    return DyadicRational(g_val * g_val, 2 * _exponent(q, "q"))
 
 
 def pair_stats(g1: int, g2: int, q: int, k: int) -> PostselStats:
@@ -119,7 +119,7 @@ def pair_stats(g1: int, g2: int, q: int, k: int) -> PostselStats:
 
     so P(o=1 | p=1) = G1**2 / (G1**2 + G2**2); G1 == G2 == 0 raises ``ZeroPostselection``.
     """
-    e = 2 * q + 2 + 2 * k
+    e = 2 * _exponent(q, "q") + 2 + 2 * _exponent(k, "k")
     return PostselStats(DyadicRational(g1 * g1 + g2 * g2, e), DyadicRational(g1 * g1, e))
 
 
@@ -240,7 +240,7 @@ def mixed_conditional(f: int, t: int, inner: Fraction) -> Fraction:
 
     cond_W = (f / 2**(t+1)) * cond_V + (1/2) * (2**(t+1) - f) / 2**(t+1)
     """
-    f, t = _integer(f, "f"), _exponent(t, "t")
+    f, t, inner = _integer(f, "f"), _exponent(t, "t"), _frac(inner)
     return Fraction(f, 1 << (t + 1)) * inner + Fraction(1, 2) * Fraction(
         (1 << (t + 1)) - f, 1 << (t + 1)
     )
@@ -264,7 +264,7 @@ def mix_with_constant(circuit: Circuit, f: int, h_exp: int, bits=None) -> Circui
     reads its qubits, since selection happens through controlled swaps of
     its output and postselection bits onto the tails-side qubits.
     """
-    h_exp = _exponent(h_exp, "h")
+    f, h_exp = _integer(f, "f"), _exponent(h_exp, "h")
     _check_width(circuit.width + h_exp + 3)  # the result's width, before 1 << h_exp is built
     if not 0 < f <= (1 << h_exp):
         raise BadArgument(f"need 0 < f <= 2**h, got f = {f}, h = {h_exp}")
@@ -301,6 +301,7 @@ def compile_fqp_to_exp(circuit: Circuit, f: int, h_exp: int, bits=None) -> Circu
     rescale.  The final postselection probability depends only on h; the
     conditional is the mixed conditional of the input circuit's.
     """
+    f = _integer(f, "f")
     mixed = mix_with_constant(circuit, f, h_exp, bits)
     t = f.bit_length() - 1
     return rescale_postsel(mixed, t)

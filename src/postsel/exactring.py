@@ -3,31 +3,27 @@
 An event probability of such a circuit is a path sum squared over 2**m (a
 GapP-style count), so one integer pair carries it exactly.  ``DyadicRational``
 stores that pair in canonical form and prints as the literal string
-``"n/2^k"`` (9/16 prints as ``9/2^4``).  It carries no arithmetic: every
-comparison and every conditional probability goes through ``as_fraction``
-and ``fractions.Fraction``.  Amplitudes never need a number type of their
+``"n/2^k"`` (9/16 prints as ``9/2^4``).  It carries no arithmetic: ``==``
+compares canonical pairs, and every order and every conditional probability
+goes through ``as_fraction`` and ``fractions.Fraction``.  Amplitudes never need a number type of their
 own; the simulator reports one as the integer pair (c, m), meaning
-c / sqrt(2)**m.  No value here ever touches a float.
+c / sqrt(2)**m.  No value here ever touches a float: n and k are read by
+``circuit._integer`` and ``circuit._exponent``, the package's one integer rule.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Integral
 
 from ._value import _Value
-from .errors import BadArgument
+from .circuit import _exponent, _integer
 
 
 def _reduce_dyadic(n: int, k: int) -> tuple[int, int]:
     """Lower (n, k) to the canonical representative of n / 2**k."""
-    if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in (n, k)):
-        raise BadArgument(f"DyadicRational({n!r}, {k!r}) needs two integers")
-    if k < 0:
-        raise BadArgument("denominator exponent must be >= 0")
+    n, k = _integer(n, "numerator"), _exponent(k, "denominator exponent")
     if n == 0:
         return 0, 0
-    n, k = int(n), int(k)  # numpy integers count, but have no bit_length
     shift = min((n & -n).bit_length() - 1, k)  # n's trailing zero bits, at most k
     return n >> shift, k - shift
 

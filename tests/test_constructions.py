@@ -250,6 +250,12 @@ def test_mixed_conditional_refuses_a_negative_t():
             mixed_conditional(4, t, Fraction(1, 2))
 
 
+def test_mixed_conditional_refuses_a_float_inner():
+    """An exact helper returns no float: ``inner`` is read by ``witness._frac``."""
+    with pytest.raises(BadArgument, match=r"^expected an exact rational value, got 0\.9$"):
+        mixed_conditional(10, 3, 0.9)
+
+
 def test_mix_with_constant_pinned():
     base = _uniform_circuit(4, 10, 9)  # P(p) = 10/16, cond = 9/10
     mixed = mix_with_constant(base, 10, 4)

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import postsel
@@ -61,10 +62,49 @@ def test_no_module_raises_a_builtin_exception():
     assert [r[:2] for r in raised] == [("__init__.py", "AttributeError")], raised
 
 
+def _bool_tests(node, func: str = "") -> list[str]:
+    """The enclosing function ('' at module level) of each ``isinstance(..., bool)``
+    call under ``node``, a bool among a tuple of types too."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _bool_tests(child, child.name)
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "isinstance" and len(child.args) == 2
+                and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(child.args[1]))):
+            found.append(func)
+        found += _bool_tests(child, func)
+    return found
+
+
+def test_one_function_holds_the_integer_rule():
+    """``circuit._integer`` is the one integer rule: no other module imports
+    ``numbers.Integral``, and no other function asks ``isinstance(..., bool)``."""
+    integral, bools = [], []
+    for path in sorted(Path(postsel.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module == "numbers"
+                    and "Integral" in {a.name for a in node.names}) or (
+                    isinstance(node, ast.Attribute) and node.attr == "Integral"
+                    and isinstance(node.value, ast.Name) and node.value.id == "numbers"):
+                integral.append((path.name, node.lineno))
+        bools += [(path.name, func) for func in _bool_tests(tree)]
+    assert [name for name, _ in integral] == ["circuit.py"], integral
+    assert bools == [("circuit.py", "_integer")], bools
+
+
 def _pair():
     """A compiled gap pair with P(p=1) = 1/4: a circuit for the mixing gadgets."""
     m1, m2 = postsel.make_gap_machine(2, 1), postsel.make_gap_machine(0, 1)
     return postsel.compile_pair_postsel(m1, m2, 0)
+
+
+def _coins():
+    """A one-coin machine that postselects and outputs 1 on half its paths."""
+    half = postsel.tabulated_count_machine({"": 1}, 0, 1)
+    return postsel.CoinMachine(half, half)
 
 
 # each public argument that is compared or shifted: a call that passes it the given
@@ -85,8 +125,18 @@ _INTEGER_ARGUMENTS = {
         lambda x: postsel.eval_machine(postsel.make_gap_machine(2, 2), "", x), "path index", False
     ),
     "mixed_conditional-f": (lambda f: postsel.mixed_conditional(f, 1, Fraction(1, 2)), "f", False),
+    "mix_with_constant-f": (lambda f: postsel.mix_with_constant(_pair(), f, 2), "f", False),
     "mix_with_constant-h": (lambda h: postsel.mix_with_constant(_pair(), 1, h), "h", True),
+    "compile_fqp_to_exp-f": (lambda f: postsel.compile_fqp_to_exp(_pair(), f, 2), "f", False),
     "compile_fqp_to_exp-h": (lambda h: postsel.compile_fqp_to_exp(_pair(), 1, h), "h", True),
+    "DyadicRational-n": (lambda n: postsel.DyadicRational(n, 2), "numerator", False),
+    "DyadicRational-k": (lambda k: postsel.DyadicRational(1, k), "denominator exponent", True),
+    # an integer only: a negative exponent keeps wapp_witness's own range message
+    "wapp_witness-fp_exponent": (lambda s: postsel.wapp_witness(_coins(), {"": 1}, s),
+                                 "fp_exponent", False),
+    "pair_stats-q": (lambda q: postsel.pair_stats(1, 1, q, 0), "q", True),
+    "pair_stats-k": (lambda k: postsel.pair_stats(1, 1, 0, k), "k", True),
+    "gap_squared_prob-q": (lambda q: postsel.gap_squared_prob(1, q), "q", True),
     "verify_error_algebra-r": (postsel.verify_error_algebra, "r", False),
     "PredicateCircuit-input_width": (
         lambda n: postsel.PredicateCircuit(n, 1, 0, (), 2), "input_width", True
@@ -113,6 +163,14 @@ def test_integer_arguments_refuse_other_values(name, value):
     with pytest.raises(postsel.BadArgument) as exc:
         call(value)
     assert str(exc.value) == f"{role} {want}"
+
+
+def test_compile_fqp_to_exp_reads_a_numpy_f_as_its_int():
+    """A numpy integer f builds the circuit the equal int does: ``f.bit_length()``
+    is called on the int that ``_integer`` returns."""
+    assert postsel.compile_fqp_to_exp(_pair(), np.int64(1), 2) == postsel.compile_fqp_to_exp(
+        _pair(), 1, 2
+    )
 
 
 def _fresh(probe: str, *flags: str) -> str:

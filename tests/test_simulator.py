@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 
 from postsel import planes, simulator
 from postsel import (
+    BadArgument,
     CapExceeded,
     Circuit,
     DyadicRational,
@@ -406,6 +407,11 @@ def test_rejects_bad_bits():
             run(Circuit(2, (), 0), bits)
     with pytest.raises(MachineContractError, match="bits must be a sequence"):
         gap(make_gap_machine(2, 2), 5)
+    # a bit is "0", "1" or an integer 0/1: 1.0 and True equal 1, but are neither
+    for bit in (1.0, True):
+        with pytest.raises(BadArgument, match=f"^bit must be an integer, got {bit}$"):
+            run(Circuit(2, (), 0), [bit, 0])
+    assert measure_prob(run(Circuit(2, (), 0), [np.int64(1), 0]), 0, 1) == DyadicRational(1, 0)
 
 
 # ===================================================================
