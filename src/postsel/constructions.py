@@ -109,6 +109,7 @@ def _machine_gates(
 
 def gap_squared_prob(g_val: int, q: int) -> DyadicRational:
     """Closed form for the single-machine compiler: P(o=1) = G**2 / 2**2q."""
+    g_val = _integer(g_val, "gap")
     return DyadicRational(g_val * g_val, 2 * _exponent(q, "q"))
 
 
@@ -119,6 +120,7 @@ def pair_stats(g1: int, g2: int, q: int, k: int) -> PostselStats:
 
     so P(o=1 | p=1) = G1**2 / (G1**2 + G2**2); G1 == G2 == 0 raises ``ZeroPostselection``.
     """
+    g1, g2 = _integer(g1, "gap"), _integer(g2, "gap")
     e = 2 * _exponent(q, "q") + 2 + 2 * _exponent(k, "k")
     return PostselStats(DyadicRational(g1 * g1 + g2 * g2, e), DyadicRational(g1 * g1, e))
 
@@ -217,8 +219,8 @@ def gadget_biased_flag(a: int, m: int) -> Circuit:
 def rescale_postsel(circuit: Circuit, t: int) -> Circuit:
     """Multiply P(p=1) by exactly 2**-t without touching the conditional.
 
-    ANDs the old postselection bit with an independent all-zeros test on t
-    fresh coins.  t == 0 returns the circuit unchanged.
+    ANDs the old postselection bit with an independent ``biased_flag(1, t)``,
+    which fires with probability 2**-t.  t == 0 returns the circuit unchanged.
     """
     t = _exponent(t, "t")
     if circuit.postselect is None:
@@ -226,11 +228,8 @@ def rescale_postsel(circuit: Circuit, t: int) -> Circuit:
     if t == 0:
         return circuit
     b = _Builder(circuit)
-    coins = b.alloc(t)
-    flag = b.alloc1()
+    flag = b.biased_flag(1, t)
     p_new = b.alloc1()
-    b.extend(map(h, coins))
-    b.add(mcx(coins, flag, [True] * t))
     b.add(ccx(flag, circuit.postselect, p_new))
     return b.finish(output=circuit.output, postselect=p_new)
 
@@ -313,8 +312,9 @@ def compile_pp_instance(mg: PredicateCircuit, mf: PredicateCircuit) -> Circuit:
     Appends two squared-gap blocks (``_gap_squared_block``) on one instance
     register, which each leaves as it came in, with one borrow pool between
     them; downscales each by the other's path budget and routes them through a
-    two-coin selector: both coins heads simulates the f block (output forced
-    to 0), anything else simulates the g block (output mirrors it).  With
+    selector that fires with probability 1/4 (``_Builder.biased_flag(1, 2)``:
+    both of its coins read 0).  A firing selector simulates the f block (output
+    forced to 0); otherwise the g block runs (output mirrors it).  With
     q = 2 * mg.path_width and q' = 2 * mf.path_width, on instance w:
 
         P_V(o=1) = G_g**2 / 2**(q+q')      P_W(o=1) = G_f**2 / 2**(q+q')
@@ -341,10 +341,7 @@ def compile_pp_instance(mg: PredicateCircuit, mf: PredicateCircuit) -> Circuit:
     b.add(mcx(coins[:qp_exp], flag_g, [True] * qp_exp))
     b.add(mcx(coins[:q_exp], flag_f, [True] * q_exp))
 
-    c1 = b.alloc1()
-    c2 = b.alloc1()
-    sel = b.alloc1()
-    b.extend([h(c1), h(c2), ccx(c1, c2, sel)])
+    sel = b.biased_flag(1, 2)
 
     out = b.alloc1()
     post = b.alloc1()

@@ -142,6 +142,12 @@ def random_machine(rng: random.Random, input_width: int, path_width: int) -> Pre
     return PredicateCircuit(input_width, path_width, 0, tuple(gates), accept)
 
 
+def _point_machine(q: int, j: int) -> PredicateCircuit:
+    """No instance bits, q path bits; accepts exactly path j."""
+    negs = [((j >> i) & 1) == 0 for i in range(q)]
+    return PredicateCircuit(0, q, 0, (mcx(list(range(q)), q, negs),), q)
+
+
 # --- shared fixture for the gap-pair scenarios --------------------------------
 
 # Two-bit toy language (in iff the first bit is 1) with sharp witnesses g/f:
@@ -205,8 +211,7 @@ def scenario_gap_squared(seed: int, r: int) -> WitnessReport:
 
     pinned = compile_gap_squared(make_gap_machine(2, 2))
     report.check("pinned-gap2-q2", _output_prob(pinned), "==", Fraction(1, 4))
-    all_accept = PredicateCircuit(0, 2, 0, (x(2),), 2)
-    certain = compile_gap_squared(all_accept)
+    certain = compile_gap_squared(make_gap_machine(4, 2))  # every path accepts
     report.check("pinned-all-accept", _output_prob(certain), "==", 1)
     self_reading = PredicateCircuit(0, 2, 1, (ccx(0, 3, 2), ccx(0, 1, 3)), 3)  # reads bit 3 first
     want = gap_squared_prob(gap(self_reading, "").gap, 2)
@@ -437,7 +442,9 @@ def scenario_exact_postsel_adjust(seed: int, r: int) -> WitnessReport:
     stf = _stats(final)
     report.check("fixture-hi:final-postsel", stf.p_post, "==", Fraction(1, 16))
     report.check("fixture-hi:final-cond", stf.p_cond, "==", Fraction(3, 4))
-    report.merge(classify_postsel_profile({"f=10,h=4": stf}, "exp", q_exp=4), "profile:")
+    report.merge(
+        classify_postsel_profile({"f=10,h=4": stf}, "FP", f={"f=10,h=4": 1}, q_exp=4), "profile:"
+    )
 
     v_lo = _uniform_circuit(4, 10, 1)
     inner_lo = _stats(v_lo)
@@ -456,23 +463,16 @@ def scenario_exact_postsel_adjust(seed: int, r: int) -> WitnessReport:
 def scenario_classical_upcoup(seed: int, r: int) -> WitnessReport:
     """Coin machines coupling two counters with a unique accepting path."""
     report = WitnessReport("classical-upcoup")
-
-    def point_machine(q: int, j: int) -> PredicateCircuit:
-        negs = [((j >> i) & 1) == 0 for i in range(q)]
-        return PredicateCircuit(0, q, 0, (mcx(list(range(q)), q, negs),), q)
-
-    def empty_machine(q: int) -> PredicateCircuit:
-        return PredicateCircuit(0, q, 0, (), q)
-
     for q in range(1, 7):
+        empty = make_gap_machine(-(1 << q), q)  # no path accepts
         for owner in ("first", "second"):
             good = 0
             for j in range(1 << q):
                 if owner == "first":
-                    tm = build_upcoup(point_machine(q, j), empty_machine(q), "")
+                    tm = build_upcoup(_point_machine(q, j), empty, "")
                     want = Fraction(1)
                 else:
-                    tm = build_upcoup(empty_machine(q), point_machine(q, j), "")
+                    tm = build_upcoup(empty, _point_machine(q, j), "")
                     want = Fraction(0)
                 st = run_ptm(tm, "")
                 if st.p_post.as_fraction() == Fraction(1, 1 << q) and st.p_cond == want:
@@ -481,17 +481,17 @@ def scenario_classical_upcoup(seed: int, r: int) -> WitnessReport:
     report.check_raises(
         "two-paths-raise",
         PromiseViolation,
-        lambda: build_upcoup(point_machine(2, 0), point_machine(2, 1), ""),
+        lambda: build_upcoup(_point_machine(2, 0), _point_machine(2, 1), ""),
     )
     report.check_raises(
         "no-path-raises",
         PromiseViolation,
-        lambda: build_upcoup(empty_machine(2), empty_machine(2), ""),
+        lambda: build_upcoup(make_gap_machine(-4, 2), make_gap_machine(-4, 2), ""),
     )
 
     def below(q: int, c: int) -> PredicateCircuit:
-        """One instance bit, q coins; accepts iff the coins read below c."""
-        return PredicateCircuit(1, q, 0, tuple(emit_less_than(range(1, q + 1), c, q + 1)), q + 1)
+        """One instance bit, q coins; on w = "1" accepts iff the coins read below c."""
+        return tabulated_count_machine({"1": c}, 1, q)
 
     three_quarters = CoinMachine(below(3, 4), below(3, 3))
     wit = wapp_witness(three_quarters, {"1": 1}, 1)
@@ -522,7 +522,7 @@ def scenario_classical_upcoup(seed: int, r: int) -> WitnessReport:
 
 
 def scenario_pp_to_postsel(seed: int, r: int) -> WitnessReport:
-    """Majority-vote gap pair routed through the two-coin selector."""
+    """Majority-vote gap pair routed through the 1/4 selector flag."""
     report = WitnessReport("pp-to-postsel")
     mg = tabulated_count_machine({"1": 3, "0": 2}, 1, 2)
     mf = tabulated_count_machine({"1": 3, "0": 4}, 1, 2)  # gaps 2 and 4: f reads w

@@ -19,7 +19,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from ._value import _Value
-from .circuit import _exponent
+from .circuit import _exponent, _integer
 from .errors import BadArgument
 
 _OPS = {
@@ -32,12 +32,12 @@ _OPS = {
 
 
 def _frac(v) -> Fraction:
-    """An exact value (a ``Rational`` or anything with ``as_fraction``) as a Fraction."""
+    """An exact value (a ``Fraction``, a non-bool integer or any ``as_fraction``) as a Fraction."""
     if hasattr(v, "as_fraction"):
         return v.as_fraction()
     if not isinstance(v, Rational):
         raise BadArgument(f"expected an exact rational value, got {v!r}")
-    return Fraction(v)
+    return Fraction(v if isinstance(v, Fraction) else _integer(v, "exact value"))
 
 
 def _entry(table: Mapping | None, key, role: str):
@@ -190,7 +190,7 @@ def check_wapp_witness(
     return report
 
 
-PROFILE_KINDS = ("post", "FP", "size", "aFP", "asize", "exp")
+PROFILE_KINDS = ("post", "FP", "size", "aFP", "asize")
 
 
 def classify_postsel_profile(
@@ -209,11 +209,10 @@ def classify_postsel_profile(
     numerator.  Profiles:
 
     - ``post``:   P(p=1) > 0
-    - ``FP``:     P(p=1) == f(w) / 2**q_exp exactly
+    - ``FP``:     P(p=1) == f(w) / 2**q_exp exactly (f = 1: exactly 2**-q_exp)
     - ``size``:   P(p=1) == f(|w|) / 2**q_exp (depends only on length)
     - ``aFP``:    P(p=1) within (1 +- 2**-r2) * f(w) / 2**q_exp
     - ``asize``:  same window with f a function of |w| alone
-    - ``exp``:    P(p=1) == 2**-q_exp exactly (``FP`` with f = 1)
 
     A profile that reads ``f`` raises ``BadArgument`` when ``f`` is not given or
     has no entry for an instance (or its length).
@@ -229,9 +228,8 @@ def classify_postsel_profile(
             report.check(f"{cid}:positive", pf, ">", 0)
             continue
         key = len(w) if profile.endswith("size") else w
-        num = 1 if profile == "exp" else _frac(_entry(f, key, "f"))
-        target = Fraction(num, 1 << _exponent(q_exp, "q_exp"))
-        if profile in ("FP", "size", "exp"):
+        target = _frac(_entry(f, key, "f")) / (1 << _exponent(q_exp, "q_exp"))
+        if profile in ("FP", "size"):
             report.check(f"{cid}:equals", pf, "==", target)
         else:  # aFP, asize
             eps = Fraction(1, 1 << _exponent(r2, "r2"))

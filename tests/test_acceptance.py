@@ -44,9 +44,9 @@ from postsel import (
     wapp_witness,
 )
 from postsel.cli import main
-from postsel.counting import PredicateCircuit
-from postsel.circuit import mcx
-from postsel.scenarios import _rng, _stats, _uniform_circuit, random_circuit, random_machine
+from postsel.scenarios import (
+    _point_machine, _rng, _stats, _uniform_circuit, random_circuit, random_machine,
+)
 
 
 def _problems(report: WitnessReport, counts: dict[str, int] | None = None) -> list[str]:
@@ -292,16 +292,11 @@ def test_acceptance_08_promise_fixtures():
 # -------------------------------------------------------------------
 
 
-def _point_machine(q: int, j: int) -> PredicateCircuit:
-    negs = [((j >> i) & 1) == 0 for i in range(q)]
-    return PredicateCircuit(0, q, 0, (mcx(list(range(q)), q, negs),), q)
-
-
 def test_acceptance_09_unique_path_coupling(seed42_reports):
     # witness extraction at margin 1/2: exact 0/1 ratios validate
     report = WitnessReport("criterion-09")
     q = 3
-    pair = (_point_machine(q, 5), PredicateCircuit(0, q, 0, (), q))
+    pair = (_point_machine(q, 5), make_gap_machine(-(1 << q), q))
     for owner, machines in (("first", pair), ("second", pair[::-1])):
         wit = wapp_witness(build_upcoup(*machines, ""), {"": 1}, q)
         ratio = {"": wit.ratio("")}

@@ -19,7 +19,6 @@ from postsel import (
     check_wapp_witness,
     complement_machine,
     cx,
-    emit_less_than,
     eval_machine,
     gap,
     mcx,
@@ -38,8 +37,7 @@ from postsel.scenarios import random_machine
 
 def _below(coin_width: int, c: int) -> PredicateCircuit:
     """No instance bits; accepts iff the coins read below c."""
-    gates = emit_less_than(range(coin_width), c, coin_width)
-    return PredicateCircuit(0, coin_width, 0, tuple(gates), coin_width)
+    return tabulated_count_machine({"": c}, 0, coin_width)
 
 
 def test_run_ptm_threshold():
@@ -140,7 +138,7 @@ def _unique_path_machine(path_width: int, the_path: int, in_w: int = 1) -> Predi
 
 
 def _never_machine(path_width: int, in_w: int = 1) -> PredicateCircuit:
-    return PredicateCircuit(in_w, path_width, 0, (), in_w + path_width)
+    return tabulated_count_machine({}, in_w, path_width)
 
 
 def test_upcoup_unique_path_statistics(self_reading_machine):

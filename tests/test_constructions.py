@@ -440,34 +440,43 @@ def _fqp2exp(pair: Circuit, w: str) -> Circuit:
     return compile_fqp_to_exp(pair, p_post.n, p_post.k, bits)
 
 
+# name: (build, (width, gate count, H count), sha256 of the circuit text).  A new
+# digest under the same shape rewires or reorders gates but adds none.
 PINNED_CIRCUITS = {
     "gapsq": (
         lambda: compile_gap_squared(CI_M1),
+        (5, 16, 6),
         "7fc7255fc2ae8dff3eb60417391435839ba8da46de0fc24155b7093b9931c15b",
     ),
     "pair": (
         lambda: compile_pair_postsel(CI_M1, CI_M2, 1),
+        (11, 28, 10),
         "9e6a65335a3d66a338155cc3292faa3be774034ba36bf79c088f0adaaa11116f",
     ),
     "rescale": (
         lambda: rescale_postsel(compile_pair_postsel(CI_M1, CI_M2, 1), 2),
-        "92de1c749cde2540ff6a42af39322723a000d84df47546fa0f9f4eeb10cfa5ea",
+        (15, 32, 12),
+        "ccc114367e25585f42fe0a5cdda86da3eef23556f0382d8f2a341ac61d50ab31",
     ),
     "fqp2exp": (
         lambda: _fqp2exp(compile_pair_postsel(CI_M1, CI_M2, 1), "1"),
+        (19, 42, 17),
         "2acc0a80597f50666d4c7e3075268feda572cc7bc2245289450d9e4a29f41aaa",
     ),
     "pp": (
         lambda: compile_pp_instance(CI_M1, CI_M2),
-        "f44eb4163c0a8655b0375c30ca8daee960532f94c8e4d78fafc3608d2f4a499c",
+        (21, 46, 18),
+        "5b832e545867a4ea06fb493499980234dda68b61b87bf7e8988990f040c27d77",
     ),
     "gapsq-m2": (
         lambda: compile_gap_squared(CI_M2),
+        (6, 18, 6),
         "7de503e5b0a1fe81a12e79db1b704594d53b41c226d0f4f0780d54838f3e1eee",
     ),
     "pp-pool": (  # the pp-to-postsel scenario's pair: its blocks borrow for 3-control mcx
         lambda: compile_pp_instance(*PP_MACHINES),
-        "632faae0baefc519205575fd8d0907c42795d1177d6e67dd966ecb62578d778a",
+        (20, 44, 18),
+        "a593b6c51e9097b62e0e60567d504c3056a4d6e8e58f29f3b7238f953ceb585c",
     ),
 }
 
@@ -475,8 +484,10 @@ PINNED_CIRCUITS = {
 @pytest.mark.parametrize("name", PINNED_CIRCUITS)
 def test_compiled_circuit_text_is_pinned(name):
     """The verify digests see only probabilities; these see every gate."""
-    build, digest = PINNED_CIRCUITS[name]
-    text = serialize_circuit(build())
+    build, shape, digest = PINNED_CIRCUITS[name]
+    circuit = build()
+    assert (circuit.width, len(circuit.gates), sum(g.kind == "h" for g in circuit.gates)) == shape
+    text = serialize_circuit(circuit)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 

@@ -137,6 +137,10 @@ _INTEGER_ARGUMENTS = {
     "pair_stats-q": (lambda q: postsel.pair_stats(1, 1, q, 0), "q", True),
     "pair_stats-k": (lambda k: postsel.pair_stats(1, 1, 0, k), "k", True),
     "gap_squared_prob-q": (lambda q: postsel.gap_squared_prob(1, q), "q", True),
+    # gaps may be negative: an integer only
+    "gap_squared_prob-g_val": (lambda g: postsel.gap_squared_prob(g, 2), "gap", False),
+    "pair_stats-g1": (lambda g: postsel.pair_stats(g, 1, 1, 0), "gap", False),
+    "pair_stats-g2": (lambda g: postsel.pair_stats(1, g, 1, 0), "gap", False),
     "verify_error_algebra-r": (postsel.verify_error_algebra, "r", False),
     "PredicateCircuit-input_width": (
         lambda n: postsel.PredicateCircuit(n, 1, 0, (), 2), "input_width", True

@@ -2,15 +2,18 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from postsel import (
+    BadArgument,
     Condition,
     DyadicRational,
     WitnessReport,
     check_awpp_witness,
     check_wapp_witness,
     classify_postsel_profile,
+    mixed_conditional,
 )
 from postsel.witness import PROFILE_KINDS
 
@@ -213,6 +216,20 @@ def test_witness_rows_reject_inexact_values(case):
         _INEXACT[case]()
 
 
+def test_an_exact_value_reads_an_integer_through_the_integer_rule():
+    """A bool is no exact value, though ``bool`` is a ``Rational``: True is not probability 1.
+    A numpy integer reads as its int."""
+    for call in (
+        lambda: WitnessReport("r").check("c", True, "==", 1),
+        lambda: mixed_conditional(10, 3, True),
+    ):
+        with pytest.raises(BadArgument, match="^exact value must be an integer, got True$"):
+            call()
+    rep = WitnessReport("r")
+    assert rep.check("c", np.int64(1), "==", Fraction(1))
+    assert rep.conditions[0].lhs == "1"
+
+
 # each call omits one entry; the ValueError's message names it
 _MISSING = {
     "awpp-f": (
@@ -269,7 +286,7 @@ def _p(n: int, k: int) -> DyadicRational:
 
 
 def test_profile_kinds_frozen():
-    assert PROFILE_KINDS == ("post", "FP", "size", "aFP", "asize", "exp")
+    assert PROFILE_KINDS == ("post", "FP", "size", "aFP", "asize")
 
 
 def test_profile_post():
@@ -311,20 +328,22 @@ def test_profile_asize_window():
 
 
 def test_profile_exp_and_leexp():
+    """P(p=1) == 2**-q_exp exactly is ``FP`` with f = 1; no profile of its own is left."""
     stats = {"0": _p(1, 3)}
-    assert classify_postsel_profile(stats, "exp", q_exp=3).passed
-    assert not classify_postsel_profile(stats, "exp", q_exp=2).passed
-    assert not classify_postsel_profile(stats, "exp", q_exp=4).passed
-    # the one-sided P(p=1) >= 2**-q_exp profile is gone; asking for it is an error
-    with pytest.raises(ValueError, match="unknown profile 'leexp'"):
-        classify_postsel_profile(stats, "leexp", q_exp=3)
+    assert classify_postsel_profile(stats, "FP", f={"0": 1}, q_exp=3).passed
+    assert not classify_postsel_profile(stats, "FP", f={"0": 1}, q_exp=2).passed
+    assert not classify_postsel_profile(stats, "FP", f={"0": 1}, q_exp=4).passed
+    # the one-sided P(p=1) >= 2**-q_exp profile is gone, and so is exp (FP with f = 1)
+    for gone in ("leexp", "exp"):
+        with pytest.raises(ValueError, match=f"unknown profile '{gone}'"):
+            classify_postsel_profile(stats, gone, q_exp=3)
 
 
 def test_profile_accepts_stats_objects():
     from postsel import PostselStats
 
     st = PostselStats(_p(1, 2), _p(1, 3))
-    rep = classify_postsel_profile({"0": st}, "exp", q_exp=2)
+    rep = classify_postsel_profile({"0": st}, "FP", f={"0": 1}, q_exp=2)
     assert rep.passed
 
 
