@@ -12,9 +12,10 @@ Subcommands:
 - ``verify``: run verification suites and report pass/fail conditions.
 
 Exit codes: 0 success, 1 a verification or cross-check failed, 2 bad input:
-a ``PostselError`` (syntax errors, inconsistent parameters, an unknown suite,
-a simulated or forced instance on which nothing is postselected) or a file
-that cannot be read.  Any other exception is a bug and ends in a traceback.
+a ``PostselError`` (syntax errors, inconsistent parameters, an unknown suite, a
+simulated or forced instance on which nothing is postselected; not one raised in a
+``verify`` scenario, which fails its ``raised`` row) or a file that cannot be
+read.  Any other exception is a bug and ends in a traceback.
 The argument parser is built once per process, on the first ``main`` call,
 not at import; only a process that calls ``main`` more than once reuses it.
 

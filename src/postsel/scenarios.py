@@ -6,11 +6,12 @@ comparisons against closed forms as a WitnessReport.  A machine pair is
 compiled once, and instance w of its n instance bits runs through that one
 circuit on the input ``constructions._instance_input(circuit, w, n)``.  Both
 engines read a circuit's events (P(o=1), P(p=1), P(o=1, p=1)) as
-``simulator._events`` defines them.  Scenario functions all take (seed, r).  Only
-``oracle-equivalence``, ``gap-squared`` and ``postsel-rescale`` read the
-seed: it drives their random circuits and machines through a private
-generator, so repeated runs are byte-identical.  Every scenario runs at the
-sharpness ``_R`` = 4, which only ``pp-to-postsel`` reads, as its bounds' exponent.
+``simulator._events`` defines them.  Scenario functions all take (seed,
+fixtures), ``fixtures`` being the witness pairs of ``_pair_fixtures``, built once
+per pass, that the AWPP and APP scenarios check.  Only ``oracle-equivalence``,
+``gap-squared`` and ``postsel-rescale`` read the seed: it drives their random
+circuits and machines through a private generator, so repeated runs are
+byte-identical.  A ``PostselError`` in a scenario is its one failed row.
 """
 
 from __future__ import annotations
@@ -44,10 +45,11 @@ from .counting import (
     make_gap_machine,
     tabulated_count_machine,
 )
-from .errors import BadArgument, PromiseViolation, StatsMismatch, ZeroPostselection
+from .errors import BadArgument, PostselError, PromiseViolation, StatsMismatch, ZeroPostselection
 from .pathsum import path_sum, path_sum_slow
 from .simulator import _events, joint_prob, measure_prob, postselect_stats, run
 from .witness import (
+    Condition,
     WitnessReport,
     check_awpp_witness,
     check_wapp_witness,
@@ -70,7 +72,7 @@ def _output_prob(circuit: Circuit, w: str = "", width: int = 0):
 
 
 def _check_pair(
-    report: WitnessReport, prefix: str, circuit: Circuit, w: str, gaps, q: int, k=0, width=0
+    report: WitnessReport, prefix: str, circuit: Circuit, w: str, gaps, q: int, width=0, k=0
 ):
     """Rows ``prefix:postsel`` and ``prefix:conditional``: a compiled gap pair's
     statistics on instance w against the closed form ``pair_stats``.  Returns the stats."""
@@ -142,43 +144,48 @@ def random_machine(rng: random.Random, input_width: int, path_width: int) -> Pre
     return PredicateCircuit(input_width, path_width, 0, tuple(gates), accept)
 
 
-def _point_machine(q: int, j: int) -> PredicateCircuit:
-    """No instance bits, q path bits; accepts exactly path j."""
+def _point_machine(n: int, q: int, j: int) -> PredicateCircuit:
+    """n instance bits it never reads, q path bits; accepts exactly path j."""
     negs = [((j >> i) & 1) == 0 for i in range(q)]
-    return PredicateCircuit(0, q, 0, (mcx(list(range(q)), q, negs),), q)
+    return PredicateCircuit(n, q, 0, (mcx(list(range(n, n + q)), n + q, negs),), n + q)
 
 
-# --- shared fixture for the gap-pair scenarios --------------------------------
-
-# Two-bit toy language (in iff the first bit is 1) with sharp witnesses g/f:
-# g1 is f on the language and 0 off it, g2 = f - g1, and f = 2 everywhere.
-# The cross products g1*f and g2*f put both ratios over the common
-# denominator f*f; the machines realize twice those values, 4*g1 and 4*g2,
-# as raw gaps G1, G2 over q = 3 path bits, so every instance has
-# P(p=1) = (G1**2 + G2**2) / 2**(2q+2) = 64 / 2**8.
-_TOY_LABELS = {w: w[0] == "1" for w in ("00", "01", "10", "11")}
-_TOY_N, _TOY_Q = 2, 3
-_TOY_F = 2
-_TOY_G1 = {w: _TOY_F if in_l else 0 for w, in_l in _TOY_LABELS.items()}
-_TOY_G2 = {w: _TOY_F - g for w, g in _TOY_G1.items()}
-_TOY_GAPS = {w: (4 * _TOY_G1[w], 4 * _TOY_G2[w]) for w in _TOY_LABELS}
-_TOY_POST, _TOY_POST_EXP = 64, 2 * _TOY_Q + 2
+# --- the pair fixtures of the theorem scenarios -------------------------------
 
 
-def _toy_machines() -> tuple[PredicateCircuit, PredicateCircuit]:
-    """The two machines whose gaps on instance w are ``_TOY_GAPS[w]``."""
-    return tuple(
-        tabulated_count_machine(
-            {w: ((1 << _TOY_Q) + gaps[i]) // 2 for w, gaps in _TOY_GAPS.items()}, _TOY_N, _TOY_Q
+class _PairFixture:
+    """A witness pair on n-bit instances, ``labels`` saying which are in the language:
+    g1 / f near 1 on it and near 0 off it, g2 = f - g1.  The machines realize the
+    cross products over f*f, doubled, as gaps (G1, G2) = (2*f*g1, 2*f*g2) on q path
+    bits, so P(p=1) = post / 2**post_exp, post = G1**2 + G2**2, post_exp = 2q + 2.
+    It holds closed forms and one compiled circuit, never a simulation; ``prefix``
+    keeps its row ids apart from other fixtures'."""
+
+    def __init__(self, prefix: str, labels: dict, n: int, q: int, g1: dict, f: dict):
+        self.prefix, self.labels, self.n, self.q, self.g1, self.f = prefix, labels, n, q, g1, f
+        self.g2 = {w: f[w] - g for w, g in g1.items()}
+        self.gaps = {w: (2 * f[w] * g1[w], 2 * f[w] * self.g2[w]) for w in labels}
+        self.post = {w: a * a + b * b for w, (a, b) in self.gaps.items()}
+        self.post_exp = 2 * q + 2
+        self.machines = tuple(
+            tabulated_count_machine({w: ((1 << q) + g[i]) // 2 for w, g in self.gaps.items()}, n, q)
+            for i in (0, 1)
         )
-        for i in (0, 1)
-    )
+        self.circuit = compile_pair_postsel(*self.machines)
+
+
+def _pair_fixtures() -> list[_PairFixture]:
+    """Fixture 0: the two-bit language "first bit is 1" with the sharp witness
+    f = 2, g1 = f on it and 0 off it, q = 3, so P(p=1) = 64 / 2**8 everywhere."""
+    labels = {w: w[0] == "1" for w in ("00", "01", "10", "11")}
+    g1 = {w: 2 if in_l else 0 for w, in_l in labels.items()}
+    return [_PairFixture("", labels, 2, 3, g1, dict.fromkeys(labels, 2))]
 
 
 # --- scenarios ----------------------------------------------------------------
 
 
-def scenario_oracle_equivalence(seed: int, r: int) -> WitnessReport:
+def scenario_oracle_equivalence(seed: int, fixtures: list) -> WitnessReport:
     """Statevector simulation and branch enumeration agree on random circuits."""
     rng = _rng(seed, "oracle-equivalence")
     report = WitnessReport("oracle-equivalence")
@@ -204,7 +211,7 @@ def scenario_oracle_equivalence(seed: int, r: int) -> WitnessReport:
     return report
 
 
-def scenario_gap_squared(seed: int, r: int) -> WitnessReport:
+def scenario_gap_squared(seed: int, fixtures: list) -> WitnessReport:
     """Single-machine compiler: P(o=1) equals the squared gap exactly."""
     rng = _rng(seed, "gap-squared")
     report = WitnessReport("gap-squared")
@@ -230,32 +237,26 @@ def scenario_gap_squared(seed: int, r: int) -> WitnessReport:
     return report
 
 
-def scenario_awpp_forward(seed: int, r: int) -> WitnessReport:
+def scenario_awpp_forward(seed: int, fixtures: list) -> WitnessReport:
     """Witness pair -> pair compiler: exact statistics and sharp conditionals."""
-    m1, m2 = _toy_machines()
-    f = dict.fromkeys(_TOY_LABELS, _TOY_F)
     report = WitnessReport("awpp-forward")
-    report.merge(check_awpp_witness(_TOY_G1, f, _TOY_LABELS, Fraction(1, 32)), "w1:")
-    flipped = {w: not v for w, v in _TOY_LABELS.items()}
-    report.merge(check_awpp_witness(_TOY_G2, f, flipped, Fraction(1, 32)), "w2:")
-
-    stats = {}
-    circ = compile_pair_postsel(m1, m2)
-    for w, in_l in _TOY_LABELS.items():
-        st = stats[w] = _check_pair(report, f"w={w}", circ, w, _TOY_GAPS[w], _TOY_Q, width=_TOY_N)
-        _check_oracle_joint(report, f"w={w}", circ, w, st, _TOY_N)
-        if in_l:
-            report.check(f"w={w}:cond-high", st.p_cond, ">=", 1 - Fraction(1, 8))
-        else:
-            report.check(f"w={w}:cond-low", st.p_cond, "<=", Fraction(1, 8))
-
-    prof = classify_postsel_profile(
-        stats, "aFP", f=dict.fromkeys(_TOY_LABELS, _TOY_POST), q_exp=_TOY_POST_EXP, r2=3
-    )
-    report.merge(prof, "profile:")
-
-    padded = compile_pair_postsel(m1, m2, k=1)
-    _check_pair(report, "padded-k1", padded, "11", _TOY_GAPS["11"], _TOY_Q, k=1, width=_TOY_N)
+    for fx in fixtures:
+        p = fx.prefix
+        report.merge(check_awpp_witness(fx.g1, fx.f, fx.labels, Fraction(1, 32)), f"{p}w1:")
+        flipped = {w: not v for w, v in fx.labels.items()}
+        report.merge(check_awpp_witness(fx.g2, fx.f, flipped, Fraction(1, 32)), f"{p}w2:")
+        stats = {}
+        for w, in_l in fx.labels.items():
+            st = stats[w] = _check_pair(report, f"{p}w={w}", fx.circuit, w, fx.gaps[w], fx.q, fx.n)
+            _check_oracle_joint(report, f"{p}w={w}", fx.circuit, w, st, fx.n)
+            if in_l:
+                report.check(f"{p}w={w}:cond-high", st.p_cond, ">=", 1 - Fraction(1, 8))
+            else:
+                report.check(f"{p}w={w}:cond-low", st.p_cond, "<=", Fraction(1, 8))
+        prof = classify_postsel_profile(stats, "aFP", f=fx.post, q_exp=fx.post_exp, r2=3)
+        report.merge(prof, f"{p}profile:")
+        padded, w = compile_pair_postsel(*fx.machines, k=1), max(fx.labels)
+        _check_pair(report, f"{p}padded-k1", padded, w, fx.gaps[w], fx.q, fx.n, k=1)
 
     # boundary instance sitting exactly on the in-language threshold 1 - 2**-5
     boundary = check_awpp_witness({"1": 31}, {"1": 32}, {"1": True}, Fraction(1, 32))
@@ -266,26 +267,27 @@ def scenario_awpp_forward(seed: int, r: int) -> WitnessReport:
     return report
 
 
-def scenario_awpp_forward_complement(seed: int, r: int) -> WitnessReport:
+def scenario_awpp_forward_complement(seed: int, fixtures: list) -> WitnessReport:
     """Complementation: swapping the machines flips the conditional."""
-    m1, m2 = _toy_machines()
     report = WitnessReport("awpp-forward-complement")
-    swapped = compile_pair_postsel(m2, m1)
-    signed = compile_pair_postsel(complement_machine(m1), m2)
-    for w, in_l in _TOY_LABELS.items():
-        g1, g2 = _TOY_GAPS[w]
-        report.check(f"w={w}:complement-gap", gap(complement_machine(m1), w).gap, "==", -g1)
-        ref, st = pair_stats(g1, g2, _TOY_Q, 0), _stats(swapped, w, _TOY_N)
-        report.check(f"w={w}:swap-postsel", st.p_post, "==", ref.p_post)
-        report.check(f"w={w}:swap-conditional", st.p_cond, "==", 1 - ref.p_cond)
-        if in_l:
-            report.check(f"w={w}:swap-cond-low", st.p_cond, "<=", Fraction(1, 8))
-        else:
-            report.check(f"w={w}:swap-cond-high", st.p_cond, ">=", 1 - Fraction(1, 8))
-        # a gap's sign never shows in the statistics
-        if g1 != 0:
-            stn = _stats(signed, w, _TOY_N)
-            report.check(f"w={w}:sign-invariant", stn.p_cond, "==", ref.p_cond)
+    for fx in fixtures:
+        m1, m2 = fx.machines
+        swapped = compile_pair_postsel(m2, m1)
+        signed = compile_pair_postsel(complement_machine(m1), m2)
+        for w, in_l in fx.labels.items():
+            (g1, g2), p = fx.gaps[w], f"{fx.prefix}w={w}"
+            report.check(f"{p}:complement-gap", gap(complement_machine(m1), w).gap, "==", -g1)
+            ref, st = pair_stats(g1, g2, fx.q, 0), _stats(swapped, w, fx.n)
+            report.check(f"{p}:swap-postsel", st.p_post, "==", ref.p_post)
+            report.check(f"{p}:swap-conditional", st.p_cond, "==", 1 - ref.p_cond)
+            if in_l:
+                report.check(f"{p}:swap-cond-low", st.p_cond, "<=", Fraction(1, 8))
+            else:
+                report.check(f"{p}:swap-cond-high", st.p_cond, ">=", 1 - Fraction(1, 8))
+            # a gap's sign never shows in the statistics
+            if g1 != 0:
+                stn = _stats(signed, w, fx.n)
+                report.check(f"{p}:sign-invariant", stn.p_cond, "==", ref.p_cond)
     zero = make_gap_machine(0, 3)
     report.check_raises(
         "zero-gaps-raise", ZeroPostselection, lambda: _stats(compile_pair_postsel(zero, zero))
@@ -293,7 +295,7 @@ def scenario_awpp_forward_complement(seed: int, r: int) -> WitnessReport:
     return report
 
 
-def scenario_awpp_backward(seed: int, r: int) -> WitnessReport:
+def scenario_awpp_backward(seed: int, fixtures: list) -> WitnessReport:
     """Read a witness pair back out of the compiled circuits via the oracle.
 
     The joint numerator from branch enumeration, scaled by 2**r2, over the
@@ -301,67 +303,61 @@ def scenario_awpp_backward(seed: int, r: int) -> WitnessReport:
     or [0, eps] at eps = 1/3 whenever the circuit statistics are within the
     declared windows at r1 = r2 = 3.
     """
-    m1, m2 = _toy_machines()
     r2 = 3
     report = WitnessReport("awpp-backward")
-    g_wit: dict[str, int] = {}
-    f_wit: dict[str, int] = {}
-    circ = compile_pair_postsel(m1, m2)
-    for w in _TOY_LABELS:
-        gj, mj = path_sum(circ, _instance_input(circ, w, _TOY_N), _events(circ)["prob_joint"])
-        g_wit[w] = gj << r2
-        f_wit[w] = _TOY_POST * ((1 << r2) + 1) << (mj - _TOY_POST_EXP)
-    report.merge(check_awpp_witness(g_wit, f_wit, _TOY_LABELS, Fraction(1, 3)))
+    for fx in fixtures:
+        g_wit, f_wit = {}, {}
+        joint = _events(fx.circuit)["prob_joint"]
+        for w in fx.labels:
+            gj, mj = path_sum(fx.circuit, _instance_input(fx.circuit, w, fx.n), joint)
+            g_wit[w] = gj << r2
+            f_wit[w] = fx.post[w] * ((1 << r2) + 1) << (mj - fx.post_exp)
+        report.merge(check_awpp_witness(g_wit, f_wit, fx.labels, Fraction(1, 3)), fx.prefix)
     lower = (1 - Fraction(1, 8)) ** 2 / (1 + Fraction(1, 8))
     report.check("bound-value", lower, "==", Fraction(49, 72))
     report.check("bound-instantiation", lower, ">=", Fraction(2, 3))
     return report
 
 
-def scenario_app_forward(seed: int, r: int) -> WitnessReport:
+def scenario_app_forward(seed: int, fixtures: list) -> WitnessReport:
     """Length-indexed normalizer: statistics fit the size-only profiles."""
-    m1, m2 = _toy_machines()
     report = WitnessReport("app-forward")
-    norm_machine = tabulated_count_machine({"11": ((1 << 7) + _TOY_POST) // 2}, _TOY_N, 7)
-    f_fn = FPFunction(7, norm_machine)
-    stats = {}
-    circ = compile_pair_postsel(m1, m2)
-    for w in _TOY_LABELS:
-        report.check(f"w={w}:normalizer", f_fn(w), "==", _TOY_POST)
-        stats[w] = _check_pair(report, f"w={w}", circ, w, _TOY_GAPS[w], _TOY_Q, width=_TOY_N)
-    report.merge(classify_postsel_profile(stats, "post"), "profile-post:")
-    report.merge(
-        classify_postsel_profile(stats, "size", f={2: _TOY_POST}, q_exp=_TOY_POST_EXP),
-        "profile-size:",
-    )
-    report.merge(
-        classify_postsel_profile(stats, "asize", f={2: _TOY_POST}, q_exp=_TOY_POST_EXP, r2=3),
-        "profile-asize:",
-    )
+    for fx in fixtures:
+        p, size_f = fx.prefix, {len(w): v for w, v in fx.post.items()}
+        norm = {"1" * fx.n: ((1 << fx.post_exp) + size_f[fx.n]) // 2}  # gap f(|w|)
+        f_fn = FPFunction(fx.post_exp, tabulated_count_machine(norm, fx.n, fx.post_exp))
+        stats = {}
+        for w in fx.labels:
+            report.check(f"{p}w={w}:normalizer", f_fn(w), "==", fx.post[w])
+            stats[w] = _check_pair(report, f"{p}w={w}", fx.circuit, w, fx.gaps[w], fx.q, fx.n)
+        report.merge(classify_postsel_profile(stats, "post"), f"{p}profile-post:")
+        for kind, r2 in (("size", None), ("asize", 3)):
+            prof = classify_postsel_profile(stats, kind, f=size_f, q_exp=fx.post_exp, r2=r2)
+            report.merge(prof, f"{p}profile-{kind}:")
     return report
 
 
-def scenario_wpp_promise(seed: int, r: int) -> WitnessReport:
+def scenario_wpp_promise(seed: int, fixtures: list) -> WitnessReport:
     """Two-valued conditionals with a fixed postselection numerator."""
     report = WitnessReport("wpp-promise")
     q = 2
-    fixtures = {"0": (0, 2), "1": (2, 0)}
+    pairs = {"0": (0, 2), "1": (2, 0)}
     stats = {}
-    for label in sorted(fixtures):
-        v1, v2 = fixtures[label]
+    for label in sorted(pairs):
+        v1, v2 = pairs[label]
         circ = compile_pair_postsel(make_gap_machine(v1, q), make_gap_machine(v2, q))
         st = stats[label] = _check_pair(report, f"w={label}", circ, "", (v1, v2), q)
         report.check(f"w={label}:two-valued", st.p_cond * (1 - st.p_cond), "==", 0)
         report.check(f"w={label}:floor", st.p_post, ">=", Fraction(1, 1 << (2 * q)))
         _check_oracle_joint(report, f"w={label}", circ, "", st)
-    table = {label: 4 for label in fixtures}
+    table = {label: 4 for label in pairs}
     report.merge(
         classify_postsel_profile(stats, "FP", f=table, q_exp=2 * q + 2), "profile-fp:"
     )
     return report
 
 
-def scenario_postsel_rescale(seed: int, r: int) -> WitnessReport:
+def scenario_postsel_rescale(seed: int, fixtures: list) -> WitnessReport:
     """Rescaling halves P(p=1) per step and leaves the conditional alone."""
     rng = _rng(seed, "postsel-rescale")
     report = WitnessReport("postsel-rescale")
@@ -412,7 +408,7 @@ def _uniform_circuit(h_exp: int, f_post: int, f_out: int | None) -> Circuit:
     return b.finish(output=out, postselect=p_flag)
 
 
-def scenario_exact_postsel_adjust(seed: int, r: int) -> WitnessReport:
+def scenario_exact_postsel_adjust(seed: int, fixtures: list) -> WitnessReport:
     """Mix-then-rescale drives P(p=1) to exactly 2**-h for every numerator."""
     report = WitnessReport("exact-postsel-adjust")
     for h_exp in range(1, 7):
@@ -460,7 +456,7 @@ def scenario_exact_postsel_adjust(seed: int, r: int) -> WitnessReport:
     return report
 
 
-def scenario_classical_upcoup(seed: int, r: int) -> WitnessReport:
+def scenario_classical_upcoup(seed: int, fixtures: list) -> WitnessReport:
     """Coin machines coupling two counters with a unique accepting path."""
     report = WitnessReport("classical-upcoup")
     for q in range(1, 7):
@@ -469,10 +465,10 @@ def scenario_classical_upcoup(seed: int, r: int) -> WitnessReport:
             good = 0
             for j in range(1 << q):
                 if owner == "first":
-                    tm = build_upcoup(_point_machine(q, j), empty, "")
+                    tm = build_upcoup(_point_machine(0, q, j), empty, "")
                     want = Fraction(1)
                 else:
-                    tm = build_upcoup(empty, _point_machine(q, j), "")
+                    tm = build_upcoup(empty, _point_machine(0, q, j), "")
                     want = Fraction(0)
                 st = run_ptm(tm, "")
                 if st.p_post.as_fraction() == Fraction(1, 1 << q) and st.p_cond == want:
@@ -481,7 +477,7 @@ def scenario_classical_upcoup(seed: int, r: int) -> WitnessReport:
     report.check_raises(
         "two-paths-raise",
         PromiseViolation,
-        lambda: build_upcoup(_point_machine(2, 0), _point_machine(2, 1), ""),
+        lambda: build_upcoup(_point_machine(0, 2, 0), _point_machine(0, 2, 1), ""),
     )
     report.check_raises(
         "no-path-raises",
@@ -521,14 +517,17 @@ def scenario_classical_upcoup(seed: int, r: int) -> WitnessReport:
     return report
 
 
-def scenario_pp_to_postsel(seed: int, r: int) -> WitnessReport:
+_R = 4  # the sharpness exponent at which pp-to-postsel checks its bounds
+
+
+def scenario_pp_to_postsel(seed: int, fixtures: list) -> WitnessReport:
     """Majority-vote gap pair routed through the 1/4 selector flag."""
     report = WitnessReport("pp-to-postsel")
     mg = tabulated_count_machine({"1": 3, "0": 2}, 1, 2)
     mf = tabulated_count_machine({"1": 3, "0": 4}, 1, 2)  # gaps 2 and 4: f reads w
     labels = {"1": True, "0": False}
-    in_bound = Fraction(1, 2) + Fraction(1, 22) - Fraction(12, 11) / (1 << r)
-    out_bound = Fraction(3, 1 << (2 * r))
+    in_bound = Fraction(1, 2) + Fraction(1, 22) - Fraction(12, 11) / (1 << _R)
+    out_bound = Fraction(3, 1 << (2 * _R))
     circ = compile_pp_instance(mg, mf)
     for w in sorted(labels):
         st = _stats(circ, w, mg.input_width)
@@ -542,7 +541,7 @@ def scenario_pp_to_postsel(seed: int, r: int) -> WitnessReport:
             report.check(f"w={w}:cond-high", st.p_cond, ">=", in_bound)
         else:
             report.check(f"w={w}:cond-low", st.p_cond, "<=", out_bound)
-    rho = 1 - Fraction(1, 1 << r)
+    rho = 1 - Fraction(1, 1 << _R)
     report.check("bound-instantiation", 3 * rho**2 / (3 * rho**2 + 1), ">=", in_bound)
     report.check(
         "bound-value-r4",
@@ -556,15 +555,13 @@ def scenario_pp_to_postsel(seed: int, r: int) -> WitnessReport:
     return report
 
 
-def scenario_error_algebra(seed: int, r: int) -> WitnessReport:
+def scenario_error_algebra(seed: int, fixtures: list) -> WitnessReport:
     """Exact inequality ladder across the sharpness range r = 2..16."""
     report = WitnessReport("error-algebra")
     for rr in range(2, 17):
         report.merge(verify_error_algebra(rr), f"r={rr}:")
     return report
 
-
-_R = 4  # the sharpness exponent every scenario is run at
 
 SCENARIOS = {
     "oracle-equivalence": scenario_oracle_equivalence,
@@ -594,13 +591,23 @@ SUITES = {
 }
 
 
+def _run(name: str, seed: int, fixtures: list) -> WitnessReport:
+    """One scenario's report; a ``PostselError`` it raises is its one row, ``raised``, failed."""
+    try:
+        return SCENARIOS[name](seed, fixtures)
+    except PostselError as exc:
+        raised = Condition("raised", type(exc).__name__, "==", "nothing", False)
+        return WitnessReport(name, [raised])
+
+
 def run_scenario(name: str, seed: int = 42) -> WitnessReport:
     if name not in SCENARIOS:
         raise BadArgument(f"unknown scenario {name!r}")
-    return SCENARIOS[name](seed, _R)
+    return _run(name, seed, _pair_fixtures())
 
 
 def run_suite(suite: str, seed: int = 42) -> list[WitnessReport]:
     if suite not in SUITES:
         raise BadArgument(f"unknown suite {suite!r}; known suites: {', '.join(SUITES)}")
-    return [run_scenario(name, seed) for name in SUITES[suite]]
+    fixtures = _pair_fixtures()
+    return [_run(name, seed, fixtures) for name in SUITES[suite]]

@@ -296,7 +296,7 @@ def test_acceptance_09_unique_path_coupling(seed42_reports):
     # witness extraction at margin 1/2: exact 0/1 ratios validate
     report = WitnessReport("criterion-09")
     q = 3
-    pair = (_point_machine(q, 5), make_gap_machine(-(1 << q), q))
+    pair = (_point_machine(0, q, 5), make_gap_machine(-(1 << q), q))
     for owner, machines in (("first", pair), ("second", pair[::-1])):
         wit = wapp_witness(build_upcoup(*machines, ""), {"": 1}, q)
         ratio = {"": wit.ratio("")}

@@ -28,7 +28,7 @@ from postsel import (
     wapp_witness,
     x,
 )
-from postsel.scenarios import random_machine
+from postsel.scenarios import _point_machine, random_machine
 
 # ===================================================================
 # exact counting
@@ -129,25 +129,17 @@ def test_run_ptm_matches_per_path_counts(self_reading_machine, case):
 # ===================================================================
 
 
-def _unique_path_machine(path_width: int, the_path: int, in_w: int = 1) -> PredicateCircuit:
-    """Accept exactly ``the_path``, whatever the instance says."""
-    accept = in_w + path_width
-    ctls = list(range(in_w, accept))
-    negs = [not ((the_path >> i) & 1) for i in range(path_width)]
-    return PredicateCircuit(in_w, path_width, 0, (mcx(ctls, accept, negs),), accept)
-
-
 def _never_machine(path_width: int, in_w: int = 1) -> PredicateCircuit:
     return tabulated_count_machine({}, in_w, path_width)
 
 
 def test_upcoup_unique_path_statistics(self_reading_machine):
     q = 3
-    tm = build_upcoup(_unique_path_machine(q, 5), _never_machine(q), "1")
+    tm = build_upcoup(_point_machine(1, q, 5), _never_machine(q), "1")
     st = run_ptm(tm, "1")
     assert st.p_post == DyadicRational(1, q)  # exactly 2**-q
     assert st.p_cond == Fraction(1)  # the first machine owns the path
-    tm2 = build_upcoup(_never_machine(q), _unique_path_machine(q, 5), "0")
+    tm2 = build_upcoup(_never_machine(q), _point_machine(1, q, 5), "0")
     st2 = run_ptm(tm2, "0")
     assert st2.p_post == DyadicRational(1, q)
     assert st2.p_cond == Fraction(0)
@@ -162,7 +154,7 @@ def test_upcoup_unique_path_statistics(self_reading_machine):
 def test_upcoup_exhaustive_over_path_owners():
     for q in (1, 2, 3):
         for owner in range(1 << q):
-            tm = build_upcoup(_unique_path_machine(q, owner), _never_machine(q), "0")
+            tm = build_upcoup(_point_machine(1, q, owner), _never_machine(q), "0")
             st = run_ptm(tm, "0")
             assert st.p_post == DyadicRational(1, q)
             assert st.p_cond in (Fraction(0), Fraction(1))
@@ -173,9 +165,7 @@ def test_upcoup_promise_violations_raise_eagerly():
     with pytest.raises(PromiseViolation):
         build_upcoup(_never_machine(q), _never_machine(q), "0")  # zero accepts
     with pytest.raises(PromiseViolation):
-        build_upcoup(
-            _unique_path_machine(q, 1), _unique_path_machine(q, 2), "0"
-        )  # two accepts
+        build_upcoup(_point_machine(1, q, 1), _point_machine(1, q, 2), "0")  # two accepts
     with pytest.raises(MachineContractError, match="machines must share a path width"):
         build_upcoup(_never_machine(2), _never_machine(3), "0")  # width mismatch
 

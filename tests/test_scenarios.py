@@ -6,7 +6,8 @@ The pass tests read the seed-42 ``all`` suite from the session's
 
 import pytest
 
-from postsel import SCENARIOS, SUITES, run_scenario, run_suite
+from postsel import SCENARIOS, SUITES, BadArgument, StatsMismatch, run_scenario, run_suite
+from postsel.cli import main
 
 # exact-postsel-adjust and pp-to-postsel have tests of their own below
 FAST = [
@@ -60,10 +61,42 @@ def test_registry_and_suites_consistent():
 
 
 def test_unknown_names_raise():
-    with pytest.raises(ValueError):
+    """A bad name is refused before any scenario runs, never reported as a row."""
+    with pytest.raises(BadArgument, match="unknown scenario 'nope'"):
         run_scenario("nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(BadArgument, match="unknown suite 'nope'; known suites: all, awpp"):
         run_suite("nope")
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_condition_ids_are_unique_within_every_report(seed, seed42_reports):
+    reports = seed42_reports.values() if seed == 42 else run_suite("all", seed=seed)
+    for rep in reports:
+        ids = [c.cid for c in rep.conditions]
+        assert len(ids) == len(set(ids)), (rep.name, sorted({i for i in ids if ids.count(i) > 1}))
+
+
+def test_a_scenario_that_raises_is_one_failed_row(monkeypatch, capsys):
+    """A ``PostselError`` inside one scenario fails that scenario's one row and
+    every other scenario still reports; a builtin exception stays a bug."""
+
+    def planted(seed, fixtures):
+        raise StatsMismatch("planted")
+
+    monkeypatch.setitem(SCENARIOS, "wpp-promise", planted)
+    assert main(["verify", "--suite", "all", "--format", "machine"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 863
+    assert [r for r in rows if not r.endswith("result=pass")] == [
+        "scenario=wpp-promise condition=raised lhs=StatsMismatch op=== rhs=nothing result=fail"
+    ]
+
+    def broken(seed, fixtures):
+        raise ZeroDivisionError
+
+    monkeypatch.setitem(SCENARIOS, "wpp-promise", broken)
+    with pytest.raises(ZeroDivisionError):
+        run_suite("wpp")
 
 
 def test_seeded_runs_are_byte_identical(seed42_reports):
