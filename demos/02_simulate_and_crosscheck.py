@@ -53,7 +53,7 @@ print("P(out=1 | post=1) =", st.p_cond)
 # P = g / 2^m with m = number of Hadamards
 g, m = path_sum(circ, bits, [(circ.output, 1), (circ.postselect, 1)])
 print(f"oracle joint      = {g}/2^{m}")
-assert st.p_joint.as_fraction() == Fraction(g, 1 << m)  # exact agreement
+assert st.p_joint == Fraction(g, 1 << m)  # exact agreement
 
 # width 63: wires 9, 40 and 62 sit in bytes 1, 5 and 7 of each 64-bit index
 WIDE = """\
@@ -79,5 +79,5 @@ for name, cons in pins.items():
     p = joint_prob(wstate, cons)
     g, m = path_sum(wide, wbits, cons)
     print(f"P({name}) = {p}, oracle {g}/2^{m}")
-    assert p.as_fraction() == Fraction(g, 1 << m)  # exact agreement at width 63
+    assert p == Fraction(g, 1 << m)  # exact agreement at width 63
 print("P(out=1 | post=1) =", postselect_stats(wide, wbits).p_cond)

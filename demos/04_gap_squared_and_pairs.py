@@ -55,4 +55,4 @@ padded = compile_pair_postsel(m1, m2, k=2)
 st2 = postselect_stats(padded, default_input(padded))
 print("k=2 rescales P(p=1) to", st2.p_post, "; conditional stays", st2.p_cond)
 assert st2.p_cond == st.p_cond
-assert st2.p_post.as_fraction() == st.p_post.as_fraction() / 16
+assert st2.p_post == st.p_post / 16

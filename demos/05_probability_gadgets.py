@@ -50,7 +50,7 @@ assert st1.p_cond == st0.p_cond
 forced = compile_fqp_to_exp(base, 10, 4)
 st2 = stats(forced)
 print("forced:   P(p=1) =", st2.p_post, " cond =", st2.p_cond)
-assert st2.p_post.as_fraction() == Fraction(1, 16)
+assert st2.p_post == Fraction(1, 16)
 assert st2.p_cond == mixed_conditional(10, 3, st0.p_cond) == Fraction(3, 4)
 
 # a conditional of 9/10 never lands below 7/10, and one of 1/10 never

@@ -1,11 +1,11 @@
 """Exact desk-scale laboratory for postselected circuits and counting gaps.
 
-Everything is computed over exact integer, dyadic and rational arithmetic;
-no floating point enters any probability.  The package pairs a sparse
-statevector simulator with an independent branch-enumeration oracle,
-compiles counting machines into circuits whose statistics are closed forms
-in the machine gaps, and verifies witness-style acceptance conditions as
-exact comparisons.
+Everything is computed over exact integer arithmetic, and every probability
+is a ``fractions.Fraction``; no floating point enters any probability.  The
+package pairs a sparse statevector simulator with an independent
+branch-enumeration oracle, compiles counting machines into circuits whose
+statistics are closed forms in the machine gaps, and verifies witness-style
+acceptance conditions as exact comparisons.
 
 ``import postsel`` loads no submodule and no numpy.  Each public name is
 listed once, in ``_EXPORTS`` under the module that defines it, and that
@@ -40,7 +40,6 @@ _EXPORTS = {
         "MachineContractError", "PostselError", "PromiseViolation", "StatsMismatch",
         "ZeroPostselection",
     ),
-    "exactring": ("DyadicRational",),
     "pathsum": ("path_sum", "path_sum_slow"),
     "scenarios": ("SCENARIOS", "SUITES", "run_scenario", "run_suite"),
     "simulator": (

@@ -39,13 +39,16 @@ writer here also serve the machine format of ``counting``, and
 ``_placed`` is the one rule for moving a gate list onto other wires (a
 relabelling: a placed gate gains no control), ``_uncomputed`` the one rule
 for computing, copying out and uncomputing, and ``_borrowed`` the one rule
-for the work qubits an ``mcx`` borrows.
+for the work qubits an ``mcx`` borrows.  ``_integer`` is the package's one
+integer rule and ``_frac`` its one exact-value rule: every probability is a
+``fractions.Fraction``, and ``_frac`` refuses a float.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence, Set
-from numbers import Integral
+from fractions import Fraction
+from numbers import Integral, Rational
 
 from ._value import _Value
 from .errors import BadArgument, CircuitSyntaxError, InsufficientAncillas
@@ -69,6 +72,13 @@ def _exponent(value, role: str) -> int:
     if value < 0:
         raise BadArgument(f"{role} must be >= 0, got {value}")
     return value
+
+
+def _frac(value) -> Fraction:
+    """``value`` as a Fraction; ``BadArgument`` unless a ``Fraction`` or an ``_integer``."""
+    if not isinstance(value, Rational):
+        raise BadArgument(f"expected an exact rational value, got {value!r}")
+    return Fraction(value if isinstance(value, Fraction) else _integer(value, "exact value"))
 
 
 def _tuple(value, role: str) -> tuple:

@@ -5,8 +5,8 @@ registers: ``post`` accepts a coin outcome iff the run postselects (p = 1),
 and ``joint`` accepts iff it postselects with output 1 (p = 1 and o = 1).
 The coin register is the machines' path register, so the exact
 postselection statistics over all 2**t outcomes are two accept counts,
-``gap(post, w).accepts`` and ``gap(joint, w).accepts``, as dyadic
-rationals in the ``PostselStats`` record the quantum simulator reports for
+``gap(post, w).accepts`` and ``gap(joint, w).accepts``, each over 2**t as a
+``Fraction`` in the ``PostselStats`` record the quantum simulator reports for
 circuits; that record, not this module, refuses a ``joint`` that accepts
 more outcomes than ``post``.
 """
@@ -20,7 +20,6 @@ from ._value import _Value
 from .circuit import _integer, _uncomputed, cx
 from .counting import PredicateCircuit, gap
 from .errors import BadArgument, MachineContractError, PromiseViolation, StatsMismatch
-from .exactring import DyadicRational
 from .simulator import PostselStats
 
 
@@ -40,9 +39,9 @@ def run_ptm(tm: CoinMachine, w: str) -> PostselStats:
     all 2**t coin outcomes.  The record refuses what no machine run can give:
     ``ZeroPostselection`` if no outcome postselects, ``StatsMismatch`` if
     ``joint`` accepts more outcomes than ``post``."""
-    t = tm.post.path_width
+    coins = 1 << tm.post.path_width
     return PostselStats(
-        DyadicRational(gap(tm.post, w).accepts, t), DyadicRational(gap(tm.joint, w).accepts, t)
+        Fraction(gap(tm.post, w).accepts, coins), Fraction(gap(tm.joint, w).accepts, coins)
     )
 
 
@@ -120,7 +119,7 @@ def wapp_witness(
         raise BadArgument(f"declared denominator 2**{fp_exponent} is outside 2**0 .. 2**{t}")
     for w in sorted(fp_numerators):
         p_post = run_ptm(tm, w).p_post
-        declared = DyadicRational(fp_numerators[w], fp_exponent)
+        declared = Fraction(_integer(fp_numerators[w], "numerator"), 1 << fp_exponent)
         if p_post != declared:
             raise StatsMismatch(f"on {w!r}: P(p=1) = {p_post}, declaration says {declared}")
     return WappWitness(tm.joint, dict(fp_numerators), t - fp_exponent)

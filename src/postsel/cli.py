@@ -32,10 +32,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from fractions import Fraction
 
 from .circuit import _lines, default_input, parse_circuit, serialize_circuit
 from .errors import BadArgument, CircuitSyntaxError, PostselError
-from .exactring import DyadicRational
 from .pathsum import path_sum
 from .planes import _check_width
 from .simulator import PostselStats, _events, joint_prob, run
@@ -55,6 +55,11 @@ def _read(path: str) -> str:
         ) from exc
 
 
+def _dyadic(p: Fraction) -> str:
+    """``p``, whose denominator is a power of two, as the text ``n/2^k`` in lowest terms."""
+    return f"{p.numerator}/2^{p.denominator.bit_length() - 1}"
+
+
 def _input_bits(circ, given):
     _check_width(circ.width)  # before default_input builds a width-long string
     return given if given is not None else default_input(circ)
@@ -66,7 +71,7 @@ def _cmd_simulate(args) -> int:
     state = run(circ, bits)
     events = _events(circ)  # read by the simulator and by the oracle alike
     probs = {key: joint_prob(state, cons) for key, cons in events.items()}
-    rows = [(key, str(p)) for key, p in probs.items()]
+    rows = [(key, _dyadic(p)) for key, p in probs.items()]
     if circ.postselect is not None:
         st = PostselStats(probs["prob_postselect"], probs["prob_joint"])
         rows.append(("conditional", str(st.p_cond)))
@@ -75,7 +80,7 @@ def _cmd_simulate(args) -> int:
         matched = True
         for key, cons in events.items():
             g, m = path_sum(circ, bits, cons)
-            matched = matched and DyadicRational(g, m) == probs[key]
+            matched = matched and Fraction(g, 1 << m) == probs[key]
         rows.append(("oracle", "match" if matched else "mismatch"))
         if not matched:
             status = 1
@@ -139,14 +144,16 @@ def _cmd_compile(args) -> int:
             # the closed form; mix_with_constant checks it against one simulation
             w = args.input or ""
             p = pair_stats(gap(m1, w).gap, gap(m2, w).gap, m1.path_width, k).p_post
-            h_exp = p.k if args.h is None else args.h
+            p_exp = p.denominator.bit_length() - 1
+            h_exp = p_exp if args.h is None else args.h
             _check_width(circ.width + h_exp + 3)  # the mixed circuit's, before f ~ 2**h is built
-            if h_exp < p.k:
+            if h_exp < p_exp:
                 raise BadArgument(
-                    f"need h >= 0 and P(p=1) * 2**h an integer, got P(p=1) = {p}, h = {h_exp}"
+                    f"need h >= 0 and P(p=1) * 2**h an integer, got P(p=1) = {_dyadic(p)}, "
+                    f"h = {h_exp}"
                 )
             bits = _instance_input(circ, w, m1.input_width)
-            circ = compile_fqp_to_exp(circ, p.n << (h_exp - p.k), h_exp, bits)
+            circ = compile_fqp_to_exp(circ, p.numerator << (h_exp - p_exp), h_exp, bits)
     with open(args.output, "w", encoding="ascii") as fh:
         fh.write(serialize_circuit(circ))
     print(
@@ -162,7 +169,7 @@ def _cmd_oracle(args) -> int:
     g, m = path_sum(circ, bits, args.constrain or _events(circ)["prob_output"])
     print(f"g={g}")
     print(f"m={m}")
-    print(f"prob={DyadicRational(g, m)}")
+    print(f"prob={_dyadic(Fraction(g, 1 << m))}")
     return 0
 
 

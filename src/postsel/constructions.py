@@ -16,7 +16,9 @@ refuses a w that is not n bits (``MachineContractError``).  The gadgets
 A compiler composes ``_Builder`` steps and finishes once, into a Circuit with
 one borrow pool whose mcx macros are still unexpanded; enough work qubits are
 declared that ``expand_mcx`` always succeeds.  Probabilities quoted in the
-docstrings are exact, not bounds, unless explicitly written as inequalities.
+docstrings are exact, not bounds, unless explicitly written as inequalities;
+the closed forms ``gap_squared_prob`` and ``pair_stats`` return them as
+Fractions, the values the simulator reports.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .circuit import (
-    Circuit, Gate, _borrowed, _exponent, _integer, _placed, _uncomputed, ccx, default_input, h,
-    mcx, x,
+    Circuit, Gate, _borrowed, _exponent, _frac, _integer, _placed, _uncomputed, ccx,
+    default_input, h, mcx, x,
 )
 from .counting import PredicateCircuit, emit_less_than
 from .errors import BadArgument, MachineContractError, StatsMismatch
-from .exactring import DyadicRational
 from .planes import _check_width
 from .simulator import PostselStats, postselect_stats
-from .witness import WitnessReport, _frac
+from .witness import WitnessReport
 
 
 class _Builder:
@@ -107,10 +108,10 @@ def _machine_gates(
     return _placed(machine.gates, (w_map + x_map + rest).__getitem__)
 
 
-def gap_squared_prob(g_val: int, q: int) -> DyadicRational:
+def gap_squared_prob(g_val: int, q: int) -> Fraction:
     """Closed form for the single-machine compiler: P(o=1) = G**2 / 2**2q."""
     g_val = _integer(g_val, "gap")
-    return DyadicRational(g_val * g_val, 2 * _exponent(q, "q"))
+    return Fraction(g_val * g_val, 1 << (2 * _exponent(q, "q")))
 
 
 def pair_stats(g1: int, g2: int, q: int, k: int) -> PostselStats:
@@ -122,7 +123,7 @@ def pair_stats(g1: int, g2: int, q: int, k: int) -> PostselStats:
     """
     g1, g2 = _integer(g1, "gap"), _integer(g2, "gap")
     e = 2 * _exponent(q, "q") + 2 + 2 * _exponent(k, "k")
-    return PostselStats(DyadicRational(g1 * g1 + g2 * g2, e), DyadicRational(g1 * g1, e))
+    return PostselStats(Fraction(g1 * g1 + g2 * g2, 1 << e), Fraction(g1 * g1, 1 << e))
 
 
 def _gap_squared_block(b: _Builder, machine: PredicateCircuit, wq: list[int]) -> int:
@@ -268,10 +269,8 @@ def mix_with_constant(circuit: Circuit, f: int, h_exp: int, bits=None) -> Circui
     if not 0 < f <= (1 << h_exp):
         raise BadArgument(f"need 0 < f <= 2**h, got f = {f}, h = {h_exp}")
     stats = postselect_stats(circuit, default_input(circuit) if bits is None else bits)
-    if stats.p_post != DyadicRational(f, h_exp):
-        raise StatsMismatch(
-            f"P(p=1) is {stats.p_post}, expected {DyadicRational(f, h_exp)}"
-        )
+    if stats.p_post != Fraction(f, 1 << h_exp):
+        raise StatsMismatch(f"P(p=1) is {stats.p_post}, expected {Fraction(f, 1 << h_exp)}")
     t = f.bit_length() - 1
     a = (1 << (t + 1)) - f
 

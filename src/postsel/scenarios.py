@@ -194,7 +194,7 @@ def scenario_oracle_equivalence(seed: int, fixtures: list) -> WitnessReport:
         state = run(circ, bits)
         # P(o=0) pins a wire to 0, which no event does; the two engines share
         # that pin (planes.Planes.kept), so the check is P(o=0) + P(o=1) = 1
-        p0, p1 = (measure_prob(state, circ.output, v).as_fraction() for v in (0, 1))
+        p0, p1 = (measure_prob(state, circ.output, v) for v in (0, 1))
         report.check(f"circuit{i:03d}:prob_output0", p0, "==", 1 - p1)
         for event, cons in _events(circ).items():
             g, m = path_sum(circ, bits, cons)
@@ -380,7 +380,7 @@ def scenario_postsel_rescale(seed: int, fixtures: list) -> WitnessReport:
             f"circuit{made:02d}:postsel-t{t}",
             st.p_post,
             "==",
-            base.p_post.as_fraction() / (1 << t),
+            base.p_post / (1 << t),
         )
         report.check(f"circuit{made:02d}:conditional-t{t}", st.p_cond, "==", base.p_cond)
         made += 1
@@ -471,7 +471,7 @@ def scenario_classical_upcoup(seed: int, fixtures: list) -> WitnessReport:
                     tm = build_upcoup(empty, _point_machine(0, q, j), "")
                     want = Fraction(0)
                 st = run_ptm(tm, "")
-                if st.p_post.as_fraction() == Fraction(1, 1 << q) and st.p_cond == want:
+                if st.p_post == Fraction(1, 1 << q) and st.p_cond == want:
                     good += 1
             report.check(f"q={q}:{owner}-owner", good, "==", 1 << q)
     report.check_raises(

@@ -25,11 +25,13 @@ most min(2**w, 2**m) entries, and between merges n stays at most 2**m and
 below max(2 * ``planes._FLOOR``, 2**(w + 2)).  Unitarity gives sum(c_j**2) ==
 2**m: with at most ``_keys._INT64_SAFE_H`` Hadamards every coefficient, square
 and partial sum of squares fits in int64; larger circuits use object-dtype
-Python ints.  ``joint_prob`` counts the kept entries when n == 2**m (every
-coefficient is then +-1) and otherwise counts them per short coefficient
-and weighs each count by its square.  ``CapExceeded`` is raised above
-``DEFAULT_MAX_SUPPORT`` = 2**24 live entries (so every circuit of width
-<= 24 runs) and above ``planes.MAX_WIDTH`` = 63 qubits.
+Python ints.  ``joint_prob`` returns the sum of the kept squares over 2**m
+as a ``fractions.Fraction``, the package's one exact value type: it counts
+the kept entries when n == 2**m (every coefficient is then +-1) and
+otherwise counts them per short coefficient and weighs each count by its
+square.  ``CapExceeded`` is raised above ``DEFAULT_MAX_SUPPORT`` = 2**24
+live entries (so every circuit of width <= 24 runs) and above
+``planes.MAX_WIDTH`` = 63 qubits.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._value import _Value
-from .circuit import Circuit, _integer, expand_mcx
+from .circuit import Circuit, _frac, _integer, expand_mcx
 from .errors import BadArgument, StatsMismatch, ZeroPostselection
-from .exactring import DyadicRational
 from .planes import Planes, _basis_index, _constraint_mask
 
 DEFAULT_MAX_SUPPORT = 1 << 24
@@ -103,23 +104,23 @@ class QuantumState:
 
 class PostselStats(_Value):
     """Exact P(p = 1) and P(o = 1, p = 1) of a postselecting run, from which
-    ``p_cond`` derives P(o = 1 | p = 1).  This is the one check of the
-    probability axioms: P(p = 1) == 0 raises ``ZeroPostselection``, and any
-    other pair outside 0 <= P(o = 1, p = 1) <= P(p = 1) <= 1 raises
-    ``StatsMismatch``."""
+    ``p_cond`` derives P(o = 1 | p = 1).  Both are read by ``circuit._frac``
+    (a float is ``BadArgument``).  This is the one check of the probability
+    axioms: P(p = 1) == 0 raises ``ZeroPostselection``, and any other pair
+    outside 0 <= P(o = 1, p = 1) <= P(p = 1) <= 1 raises ``StatsMismatch``."""
 
-    def __init__(self, p_post: DyadicRational, p_joint: DyadicRational):
-        if p_post.is_zero():
+    def __init__(self, p_post: Fraction, p_joint: Fraction):
+        p_post, p_joint = _frac(p_post), _frac(p_joint)
+        if p_post == 0:
             raise ZeroPostselection("P(postselect=1) is exactly zero")
-        k = max(p_post.k, p_joint.k)  # both numerators over 2**k
-        if not 0 <= p_joint.n << (k - p_joint.k) <= p_post.n << (k - p_post.k) <= 1 << k:
+        if not 0 <= p_joint <= p_post <= 1:
             raise StatsMismatch(f"impossible record: P(p=1) = {p_post}, P(o=1, p=1) = {p_joint}")
         self._set(p_post, p_joint)
 
     @property
     def p_cond(self) -> Fraction:
         """P(o = 1 | p = 1), an exact Fraction: never rounded."""
-        return self.p_joint.as_fraction() / self.p_post.as_fraction()
+        return self.p_joint / self.p_post
 
 
 def run(circuit: Circuit, input_bits) -> QuantumState:
@@ -148,12 +149,12 @@ def run(circuit: Circuit, input_bits) -> QuantumState:
     return QuantumState(circuit.width, st, short, m)
 
 
-def measure_prob(state: QuantumState, qubit: int, value: int) -> DyadicRational:
+def measure_prob(state: QuantumState, qubit: int, value: int) -> Fraction:
     """Exact probability that measuring ``qubit`` yields ``value``."""
     return joint_prob(state, [(qubit, value)])
 
 
-def joint_prob(state: QuantumState, constraints) -> DyadicRational:
+def joint_prob(state: QuantumState, constraints) -> Fraction:
     """Exact probability that every (qubit, value) constraint holds at once."""
     n, pin = state.n, _constraint_mask(state.width, constraints)
     keep = state.planes.kept(*pin) if pin else 0
@@ -161,9 +162,9 @@ def joint_prob(state: QuantumState, constraints) -> DyadicRational:
     # square to be 1, so the kept squares sum to the number of kept entries
     # (as they do, 0, when no entry is kept)
     if n == 1 << state.m or not keep:
-        return DyadicRational(keep.bit_count(), state.m)
+        return Fraction(keep.bit_count(), 1 << state.m)
     from . import _keys  # only a merge makes a coefficient other than +-1
-    return DyadicRational(_keys._weighed_count(state._short, keep, n), state.m)
+    return Fraction(_keys._weighed_count(state._short, keep, n), 1 << state.m)
 
 
 def _events(circuit: Circuit) -> dict[str, list[tuple[int, int]]]:

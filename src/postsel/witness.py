@@ -1,10 +1,11 @@
 """Pass/fail reporting for exact verification conditions.
 
 A report is an ordered list of conditions, each carrying both sides of an
-exact comparison rendered as text (Fractions, dyadics or integers — never
-floats).  Every row is ``lhs op rhs`` with ``op`` one of ``== <= >= < >``
-(``check``) or ``in`` (``within``), whose rhs is an interval such as
-``[1/2,1)``: a square bracket is a closed bound, a round one an open bound.
+exact comparison rendered as text: ``circuit._frac`` reads each side as a
+Fraction, never a float.  Every row is ``lhs op rhs`` with ``op`` one of
+``== <= >= < >`` (``check``) or ``in`` (``within``), whose rhs is an
+interval such as ``[1/2,1)``: a square bracket is a closed bound, a round
+one an open bound.
 The witness checks below build all of their rows that way.  Reports
 serialize two ways: a human-readable block, and a line-oriented machine
 form that is byte-deterministic for fixed inputs so repeated runs can be
@@ -16,10 +17,9 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping
 from fractions import Fraction
-from numbers import Rational
 
 from ._value import _Value
-from .circuit import _exponent, _integer
+from .circuit import _exponent, _frac
 from .errors import BadArgument
 
 _OPS = {
@@ -29,15 +29,6 @@ _OPS = {
     "<": operator.lt,
     ">": operator.gt,
 }
-
-
-def _frac(v) -> Fraction:
-    """An exact value (a ``Fraction``, a non-bool integer or any ``as_fraction``) as a Fraction."""
-    if hasattr(v, "as_fraction"):
-        return v.as_fraction()
-    if not isinstance(v, Rational):
-        raise BadArgument(f"expected an exact rational value, got {v!r}")
-    return Fraction(v if isinstance(v, Fraction) else _integer(v, "exact value"))
 
 
 def _entry(table: Mapping | None, key, role: str):

@@ -10,13 +10,13 @@ more than 60 Hadamards, far past the 20-H branch cap of the path oracles.
 """
 
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as hst
 
 from postsel import (
     Circuit,
-    DyadicRational,
     QuantumState,
     apply_gate_classical,
     h,
@@ -158,22 +158,22 @@ def check_engines(circuit: Circuit, bits: str, constraints) -> None:
     zs = np.array(list(ref), np.int64)
     squares = np.array([c * c for c in ref.values()], object)
 
-    def weight(pins) -> DyadicRational:
+    def weight(pins) -> Fraction:
         keep = np.ones(zs.size, bool)
         for q, v in pins:
             keep &= (zs >> q) & 1 == v
-        return DyadicRational(int(squares[keep].sum()), m)
+        return Fraction(int(squares[keep].sum()), 1 << m)
 
     drawn = [(pins, weight(pins)) for pins in [[]] + list(constraints)]
-    assert drawn[0][1] == DyadicRational(1, 0)
+    assert drawn[0][1] == Fraction(1)
     pairs, marginals = [], []
     for q in range(width):  # wire q and the next, the same wire at width 1
         r = (q + 1) % width
         both = ((zs >> q) & 1) * 2 + ((zs >> r) & 1)
         w = [int(squares[both == k].sum()) for k in range(4)]
         for v in (0, 1):
-            marginals.append((q, v, DyadicRational(w[2 * v] + w[2 * v + 1], m)))
-            pairs += [([(q, v), (r, u)], DyadicRational(w[2 * v + u], m)) for u in (0, 1)]
+            marginals.append((q, v, Fraction(w[2 * v] + w[2 * v + 1], 1 << m)))
+            pairs += [([(q, v), (r, u)], Fraction(w[2 * v + u], 1 << m)) for u in (0, 1)]
     z0 = next(iter(ref))  # off the support: basis states of the low six wires, z0's neighbours
     off = {*range(1 << min(width, 6)), *(z0 ^ 1 << q for q in range(width))} - ref.keys()
     unit = all(abs(c) == 1 for c in ref.values())
@@ -201,5 +201,5 @@ def check_engines(circuit: Circuit, bits: str, constraints) -> None:
     if m <= _ORACLE_MAX_H:
         assert _amplitudes(circuit, int(bits[::-1], 2)) == ref
         for pins, p in drawn:
-            g = path_sum(circuit, bits, pins)
-            assert g[1] == m and DyadicRational(*g) == p
+            g, m_g = path_sum(circuit, bits, pins)
+            assert m_g == m and Fraction(g, 1 << m) == p

@@ -11,7 +11,7 @@ case, mixed-conditional bounds and low-fixture rescale, 08's promise sweep,
 Those are rows of a local report, so every failing criterion names the
 rows that failed.  Each test prints one ``[pass]``/``[FAIL]`` line; run
 ``pytest -s tests/test_acceptance.py`` to see them.  All comparisons are
-exact: integers, dyadics and Fractions, zero tolerance.
+exact: integers and Fractions, zero tolerance.
 """
 
 import hashlib

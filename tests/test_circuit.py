@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from postsel import (
     CircuitSyntaxError,
     CoinMachine,
     Condition,
-    DyadicRational,
     FPFunction,
     Gate,
     InsufficientAncillas,
@@ -274,10 +274,9 @@ _VALUES = {
     ),
     "PostselStats": (
         PostselStats,
-        dict(p_post=DyadicRational(1, 1), p_joint=DyadicRational(1, 2)),
-        "PostselStats(p_post=DyadicRational(n=1, k=1), p_joint=DyadicRational(n=1, k=2))",
+        dict(p_post=Fraction(1, 2), p_joint=Fraction(1, 4)),
+        "PostselStats(p_post=Fraction(1, 2), p_joint=Fraction(1, 4))",
     ),
-    "DyadicRational": (DyadicRational, dict(n=9, k=4), "DyadicRational(n=9, k=4)"),
     "PredicateCircuit": (
         PredicateCircuit,
         dict(input_width=1, path_width=1, ancilla_count=0, gates=(ccx(0, 1, 2),), accept_index=2),

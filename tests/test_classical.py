@@ -9,7 +9,6 @@ from hypothesis import strategies as hst
 
 from postsel import (
     CoinMachine,
-    DyadicRational,
     MachineContractError,
     PredicateCircuit,
     PromiseViolation,
@@ -43,8 +42,8 @@ def _below(coin_width: int, c: int) -> PredicateCircuit:
 def test_run_ptm_threshold():
     # postselect iff coins < 10; output 1 iff coins < 9
     st = run_ptm(CoinMachine(_below(4, 10), _below(4, 9)), "")
-    assert st.p_post == DyadicRational(10, 4)
-    assert st.p_joint == DyadicRational(9, 4)
+    assert st.p_post == Fraction(10, 16)
+    assert st.p_joint == Fraction(9, 16)
     assert st.p_cond == Fraction(9, 10)
 
 
@@ -81,7 +80,7 @@ def test_coin_machine_rejects_mismatched_widths():
 
 def test_joint_accepting_more_than_post_raises():
     tm = CoinMachine(_below(2, 1), _below(2, 3))
-    with pytest.raises(StatsMismatch, match=r"P\(p=1\) = 1/2\^2, P\(o=1, p=1\) = 3/2\^2"):
+    with pytest.raises(StatsMismatch, match=r"P\(p=1\) = 1/4, P\(o=1, p=1\) = 3/4$"):
         run_ptm(tm, "")
     with pytest.raises(StatsMismatch, match="impossible record"):
         wapp_witness(tm, {"": 1}, 1)
@@ -121,7 +120,7 @@ def test_run_ptm_matches_per_path_counts(self_reading_machine, case):
             run_ptm(tm, w)
     else:
         st = run_ptm(tm, w)
-        assert (st.p_post, st.p_joint) == (DyadicRational(n_post, t), DyadicRational(n_joint, t))
+        assert (st.p_post, st.p_joint) == (Fraction(n_post, 1 << t), Fraction(n_joint, 1 << t))
 
 
 # ===================================================================
@@ -137,18 +136,18 @@ def test_upcoup_unique_path_statistics(self_reading_machine):
     q = 3
     tm = build_upcoup(_point_machine(1, q, 5), _never_machine(q), "1")
     st = run_ptm(tm, "1")
-    assert st.p_post == DyadicRational(1, q)  # exactly 2**-q
+    assert st.p_post == Fraction(1, 1 << q)  # exactly 2**-q
     assert st.p_cond == Fraction(1)  # the first machine owns the path
     tm2 = build_upcoup(_never_machine(q), _point_machine(1, q, 5), "0")
     st2 = run_ptm(tm2, "0")
-    assert st2.p_post == DyadicRational(1, q)
+    assert st2.p_post == Fraction(1, 1 << q)
     assert st2.p_cond == Fraction(0)
     # the self-reading machine owns path 11 of two
     never = _never_machine(2, in_w=0)
     st = run_ptm(build_upcoup(self_reading_machine, never, ""), "")
-    assert (st.p_post, st.p_cond) == (DyadicRational(1, 2), Fraction(1))
+    assert (st.p_post, st.p_cond) == (Fraction(1, 4), Fraction(1))
     st = run_ptm(build_upcoup(never, self_reading_machine, ""), "")
-    assert (st.p_post, st.p_cond) == (DyadicRational(1, 2), Fraction(0))
+    assert (st.p_post, st.p_cond) == (Fraction(1, 4), Fraction(0))
 
 
 def test_upcoup_exhaustive_over_path_owners():
@@ -156,7 +155,7 @@ def test_upcoup_exhaustive_over_path_owners():
         for owner in range(1 << q):
             tm = build_upcoup(_point_machine(1, q, owner), _never_machine(q), "0")
             st = run_ptm(tm, "0")
-            assert st.p_post == DyadicRational(1, q)
+            assert st.p_post == Fraction(1, 1 << q)
             assert st.p_cond in (Fraction(0), Fraction(1))
 
 
@@ -277,7 +276,7 @@ def test_wapp_witness_refuses_a_numerator_below_one():
             wapp_witness(never, {"": f}, 1)
     half = CoinMachine(_below(1, 1), _below(1, 1))
     for f in (0, -1):
-        with pytest.raises(StatsMismatch, match=f"declaration says {f}/2\\^"):
+        with pytest.raises(StatsMismatch, match=f"declaration says {Fraction(f, 2)}$"):
             wapp_witness(half, {"": f}, 1)
 
 

@@ -20,7 +20,7 @@ from postsel import (
     serialize_machine,
 )
 from postsel import simulator
-from postsel.cli import _COMPILE_READS, main
+from postsel.cli import _COMPILE_READS, _dyadic, main
 
 BELL = """\
 qubits 2
@@ -256,6 +256,37 @@ def test_oracle_explicit_constraints(bell_file, capsys):
     assert "prob=0/2^0" in capsys.readouterr().out
 
 
+def test_dyadic_text_is_n_slash_two_caret_k():
+    assert _dyadic(Fraction(9, 16)) == "9/2^4"
+    assert _dyadic(Fraction(1)) == "1/2^0"
+    assert _dyadic(Fraction(0)) == "0/2^0"
+    assert _dyadic(Fraction(-3, 4)) == "-3/2^2"
+
+
+def test_dyadic_text_is_in_lowest_terms(tmp_path, capsys):
+    """A Fraction is in lowest terms, so an even g prints over a smaller power."""
+    assert _dyadic(Fraction(4, 8)) == "1/2^1"
+    assert _dyadic(Fraction(0, 1 << 7)) == "0/2^0"
+    assert _dyadic(Fraction(6, 2)) == "3/2^0"
+    path = tmp_path / "two.circ"
+    path.write_text("qubits 2\nh 0\nh 1\noutput 0\n")  # P(o=1) = 2 paths of 4
+    assert main(["oracle", "--circuit", str(path)]) == 0
+    assert capsys.readouterr().out == "g=2\nm=2\nprob=1/2^1\n"
+
+
+def test_dyadic_text_strips_trailing_zero_bits_only_down_to_an_integer():
+    assert _dyadic(Fraction(-40, 32)) == "-5/2^2"
+    assert _dyadic(Fraction(1 << 70, 8)) == f"{1 << 67}/2^0"
+
+
+@given(hst.integers(-(1 << 40), 1 << 40), hst.integers(0, 40))
+def test_dyadic_text_names_the_value_with_an_odd_numerator(n, k):
+    """``n/2^k`` reads back as the value, and its numerator is odd unless k == 0."""
+    a, _, b = _dyadic(Fraction(n, 1 << k)).partition("/2^")
+    assert Fraction(int(a), 1 << int(b)) == Fraction(n, 1 << k)
+    assert int(b) == 0 or int(a) % 2 == 1
+
+
 def test_oracle_non_integer_constraint_names_the_flag(bell_file, capsys):
     with pytest.raises(SystemExit) as e:
         main(["oracle", "--circuit", bell_file, "--constrain", "a", "1"])
@@ -306,7 +337,7 @@ def test_compile_gapsq_roundtrip(machine_files, tmp_path, capsys):
     from postsel import measure_prob, run
 
     state = run(circ, default_input(circ))
-    assert measure_prob(state, circ.output, 1).as_fraction() == Fraction(1, 4)
+    assert measure_prob(state, circ.output, 1) == Fraction(1, 4)
 
 
 # The console checks, one row each: the machines compiled (or, with no
@@ -516,7 +547,7 @@ def test_compile_fqp2exp_h_sets_the_postselection_exponent(machine_files, tmp_pa
     assert main([*argv, "--h", str(h_exp), "-o", str(out)]) == 0
     circ = parse_circuit(out.read_text())
     st = postselect_stats(circ, default_input(circ))
-    assert st.p_post.as_fraction() == Fraction(1, 1 << h_exp)
+    assert st.p_post == Fraction(1, 1 << h_exp)
     assert st.p_cond == Fraction(1, 2)
 
 

@@ -20,7 +20,6 @@ from postsel import (
     BadArgument,
     CapExceeded,
     Circuit,
-    DyadicRational,
     MachineContractError,
     PostselStats,
     PredicateCircuit,
@@ -62,15 +61,15 @@ from postsel.simulator import _events
 # ===================================================================
 
 
-def _sim_output_prob(circuit: Circuit) -> DyadicRational:
+def _sim_output_prob(circuit: Circuit) -> Fraction:
     state = run(circuit, default_input(circuit))
     return measure_prob(state, circuit.output, 1)
 
 
-def _oracle_output_prob(circuit: Circuit) -> DyadicRational:
+def _oracle_output_prob(circuit: Circuit) -> Fraction:
     flat = expand_mcx(circuit)
     g, m = path_sum(flat, default_input(flat), [(flat.output, 1)])
-    return DyadicRational(g, m)
+    return Fraction(g, 1 << m)
 
 
 # ===================================================================
@@ -82,8 +81,8 @@ def test_gap_squared_pinned():
     m = make_gap_machine(2, 2)
     assert gap(m, "").gap == 2
     c = compile_gap_squared(m)
-    assert _sim_output_prob(c) == DyadicRational(1, 2)  # 2**2 / 2**4 == 1/4
-    assert _oracle_output_prob(c) == DyadicRational(1, 2)
+    assert _sim_output_prob(c) == Fraction(1, 4)  # 2**2 / 2**4 == 1/4
+    assert _oracle_output_prob(c) == Fraction(1, 4)
 
 
 def test_gap_squared_sign_irrelevant(self_reading_machine):
@@ -92,19 +91,19 @@ def test_gap_squared_sign_irrelevant(self_reading_machine):
         assert _sim_output_prob(c) == gap_squared_prob(v, 2)
     assert gap(self_reading_machine, "").gap == -2
     c = compile_gap_squared(self_reading_machine)
-    assert _sim_output_prob(c) == _oracle_output_prob(c) == DyadicRational(1, 2)  # 4/2**4
+    assert _sim_output_prob(c) == _oracle_output_prob(c) == Fraction(1, 4)  # 4/2**4
 
 
 def test_gap_squared_all_accept_is_certain():
     m = make_gap_machine(8, 3)
     c = compile_gap_squared(m)
-    assert _sim_output_prob(c) == DyadicRational(1, 0)
+    assert _sim_output_prob(c) == Fraction(1)
 
 
 def test_gap_squared_restores_scratch(self_reading_machine):
     for m in (make_gap_machine(4, 3), self_reading_machine):
         c = compile_gap_squared(m)
-        assert joint_prob(run(c, default_input(c)), c.ancillas) == DyadicRational(1, 0)
+        assert joint_prob(run(c, default_input(c)), c.ancillas) == Fraction(1)
 
 
 def test_gap_squared_instance_width_checked():
@@ -131,13 +130,13 @@ def test_pair_pinned(self_reading_machine):
         assert [(g.kind, g.controls[0], g.negated) for g in sel_gates[1:]] == [
             ("ccx", c.output, (False, True)), ("ccx", c.output, (True, True))]
         st = postselect_stats(c, default_input(c))
-        assert st.p_post == DyadicRational(1, 3)  # (4+4)/2**6 == 1/8
+        assert st.p_post == Fraction(1, 8)  # (4+4)/2**6 == 1/8
         assert st.p_cond == Fraction(1, 2)
-        assert st.p_joint == DyadicRational(1, 4)
+        assert st.p_joint == Fraction(1, 16)
         # oracle route for the same joint event
         flat = expand_mcx(c)
         g, m = path_sum(flat, default_input(flat), [(flat.output, 1), (flat.postselect, 1)])
-        assert DyadicRational(g, m) == DyadicRational(1, 4)
+        assert Fraction(g, 1 << m) == Fraction(1, 16)
 
 
 def test_pair_padding_scales_postselection_only():
@@ -147,7 +146,7 @@ def test_pair_padding_scales_postselection_only():
     for k in (1, 2):
         c = compile_pair_postsel(m1, m2, k)
         st = postselect_stats(c, default_input(c))
-        assert st.p_post.as_fraction() == base.p_post.as_fraction() / (1 << (2 * k))
+        assert st.p_post == base.p_post / (1 << (2 * k))
         assert st.p_cond == base.p_cond
 
 
@@ -176,8 +175,8 @@ def test_pair_validation():
 
 def test_biased_flag_pinned():
     c = gadget_biased_flag(5, 3)
-    assert _sim_output_prob(c) == DyadicRational(5, 3)
-    assert _oracle_output_prob(c) == DyadicRational(5, 3)
+    assert _sim_output_prob(c) == Fraction(5, 8)
+    assert _oracle_output_prob(c) == Fraction(5, 8)
 
 
 def test_biased_flag_sweep():
@@ -202,12 +201,12 @@ def test_biased_flag_checks_the_width_before_building_2_to_the_m():
 def test_rescale_divides_postselection_only():
     base = _uniform_circuit(4, 10, 9)
     st0 = postselect_stats(base, default_input(base))
-    assert st0.p_post == DyadicRational(10, 4)
+    assert st0.p_post == Fraction(10, 16)
     assert st0.p_cond == Fraction(9, 10)
     for t in (1, 2, 3):
         c = rescale_postsel(base, t)
         st = postselect_stats(c, default_input(c))
-        assert st.p_post.as_fraction() == st0.p_post.as_fraction() / (1 << t)
+        assert st.p_post == st0.p_post / (1 << t)
         assert st.p_cond == st0.p_cond
 
 
@@ -251,7 +250,7 @@ def test_mixed_conditional_refuses_a_negative_t():
 
 
 def test_mixed_conditional_refuses_a_float_inner():
-    """An exact helper returns no float: ``inner`` is read by ``witness._frac``."""
+    """An exact helper returns no float: ``inner`` is read by ``circuit._frac``."""
     with pytest.raises(BadArgument, match=r"^expected an exact rational value, got 0\.9$"):
         mixed_conditional(10, 3, 0.9)
 
@@ -265,7 +264,7 @@ def test_mix_with_constant_pinned():
     assert coin_gates[0] == h(coin)
     assert [(g.kind, g.controls[0]) for g in coin_gates[1:]] == [("ccx", coin)] * 6
     st = postselect_stats(mixed, default_input(mixed))
-    assert st.p_post == DyadicRational(1, 1)  # 2**3 / 2**4
+    assert st.p_post == Fraction(1, 2)  # 2**3 / 2**4
     assert st.p_cond == Fraction(3, 4)
     assert st.p_cond == mixed_conditional(10, 3, Fraction(9, 10))
 
@@ -281,7 +280,7 @@ def test_mix_with_constant_sweep():
         t = f_post.bit_length() - 1
         mixed = mix_with_constant(base, f_post, h_exp)
         st = postselect_stats(mixed, default_input(mixed))
-        assert st.p_post == DyadicRational(1 << t, h_exp)
+        assert st.p_post == Fraction(1 << t, 1 << h_exp)
         assert st.p_cond == mixed_conditional(f_post, t, inner)
 
 
@@ -299,7 +298,7 @@ def test_fqp_to_exp_forces_power_of_two():
     base = _uniform_circuit(4, 10, 9)
     c = compile_fqp_to_exp(base, 10, 4)
     st = postselect_stats(c, default_input(c))
-    assert st.p_post == DyadicRational(1, 4)  # exactly 2**-4
+    assert st.p_post == Fraction(1, 16)  # exactly 2**-4
     assert st.p_cond == Fraction(3, 4)
 
 
@@ -307,7 +306,7 @@ def test_fqp_to_exp_power_of_two_input_skips_rescale():
     base = _uniform_circuit(3, 4, 3)
     c = compile_fqp_to_exp(base, 4, 3)
     st = postselect_stats(c, default_input(c))
-    assert st.p_post == DyadicRational(1, 3)
+    assert st.p_post == Fraction(1, 8)
     # f == 2**t: heads branch kept whole, conditional mixes with exactly 1/2
     assert st.p_cond == mixed_conditional(4, 2, Fraction(3, 4))
 
@@ -323,7 +322,7 @@ def test_pp_instance_pinned():
     c = compile_pp_instance(mg, mf)
     st = postselect_stats(c, default_input(c))
     # P_V = P_W = 4/2**4 = 1/4; P(p) = (3+1)/4 * 1/4 = 1/4; cond = 3/4
-    assert st.p_post == DyadicRational(1, 2)
+    assert st.p_post == Fraction(1, 4)
     assert st.p_cond == Fraction(3, 4)
 
 
@@ -340,7 +339,7 @@ def test_pp_instance_closed_forms():
         denom = 1 << (2 * qg + 2 * qf + 2)
         p_exp = Fraction(3 * gg * gg + gf * gf, denom)
         st = postselect_stats(c, default_input(c))
-        assert st.p_post.as_fraction() == p_exp
+        assert st.p_post == p_exp
         assert st.p_cond == Fraction(3 * gg * gg, 3 * gg * gg + gf * gf)
 
 
@@ -381,9 +380,10 @@ def machine_pairs(draw):
     return machine(), machine()
 
 
-def _oracle_last_event(circuit: Circuit, bits: str) -> DyadicRational:
+def _oracle_last_event(circuit: Circuit, bits: str) -> Fraction:
     """P(o=1, p=1), or P(o=1) with no postselect qubit, by branch enumeration."""
-    return DyadicRational(*path_sum(circuit, bits, list(_events(circuit).values())[-1]))
+    g, m = path_sum(circuit, bits, list(_events(circuit).values())[-1])
+    return Fraction(g, 1 << m)
 
 
 @settings(max_examples=25, deadline=None,
@@ -411,7 +411,7 @@ def test_one_circuit_per_pair_matches_closed_forms_on_every_instance(
                     postselect_stats(circ, _instance_input(circ, w, m1.input_width))
             continue
         pp_ref = PostselStats(  # both blocks have q path bits
-            DyadicRational(3 * g1 * g1 + g2 * g2, 4 * q + 2), DyadicRational(3 * g1 * g1, 4 * q + 2)
+            Fraction(3 * g1 * g1 + g2 * g2, 1 << (4 * q + 2)), Fraction(3 * g1 * g1, 1 << (4 * q + 2))
         )
         for circ, want in ((two, pair_stats(g1, g2, q, k)), (pp, pp_ref)):
             bits = _instance_input(circ, w, m1.input_width)
@@ -437,7 +437,7 @@ def _fqp2exp(pair: Circuit, w: str) -> Circuit:
     """``compile --construction fqp2exp --input w`` without --h: f and h read off the pair."""
     bits = _instance_input(pair, w, CI_M1.input_width)
     p_post = postselect_stats(pair, bits).p_post
-    return compile_fqp_to_exp(pair, p_post.n, p_post.k, bits)
+    return compile_fqp_to_exp(pair, p_post.numerator, p_post.denominator.bit_length() - 1, bits)
 
 
 # name: (build, (width, gate count, H count), sha256 of the circuit text).  A new

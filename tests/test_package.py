@@ -78,21 +78,34 @@ def _bool_tests(node, func: str = "") -> list[str]:
     return found
 
 
+def _numbers_uses(name: str) -> list[tuple[str, int]]:
+    """Each (module, line) that imports ``numbers.<name>`` or reads it as an attribute."""
+    found = []
+    for path in sorted(Path(postsel.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module == "numbers"
+                    and name in {a.name for a in node.names}) or (
+                    isinstance(node, ast.Attribute) and node.attr == name
+                    and isinstance(node.value, ast.Name) and node.value.id == "numbers"):
+                found.append((path.name, node.lineno))
+    return found
+
+
 def test_one_function_holds_the_integer_rule():
     """``circuit._integer`` is the one integer rule: no other module imports
     ``numbers.Integral``, and no other function asks ``isinstance(..., bool)``."""
-    integral, bools = [], []
-    for path in sorted(Path(postsel.__path__[0]).glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.ImportFrom) and node.module == "numbers"
-                    and "Integral" in {a.name for a in node.names}) or (
-                    isinstance(node, ast.Attribute) and node.attr == "Integral"
-                    and isinstance(node.value, ast.Name) and node.value.id == "numbers"):
-                integral.append((path.name, node.lineno))
-        bools += [(path.name, func) for func in _bool_tests(tree)]
+    integral = _numbers_uses("Integral")
     assert [name for name, _ in integral] == ["circuit.py"], integral
+    bools = [(path.name, func) for path in sorted(Path(postsel.__path__[0]).glob("*.py"))
+             for func in _bool_tests(ast.parse(path.read_text()))]
     assert bools == [("circuit.py", "_integer")], bools
+
+
+def test_one_function_holds_the_exact_value_rule():
+    """``circuit._frac`` is the one exact-value rule: no other module imports
+    ``numbers.Rational``, so every record and report row reads its values there."""
+    rational = _numbers_uses("Rational")
+    assert [name for name, _ in rational] == ["circuit.py"], rational
 
 
 def _pair():
@@ -129,8 +142,8 @@ _INTEGER_ARGUMENTS = {
     "mix_with_constant-h": (lambda h: postsel.mix_with_constant(_pair(), 1, h), "h", True),
     "compile_fqp_to_exp-f": (lambda f: postsel.compile_fqp_to_exp(_pair(), f, 2), "f", False),
     "compile_fqp_to_exp-h": (lambda h: postsel.compile_fqp_to_exp(_pair(), 1, h), "h", True),
-    "DyadicRational-n": (lambda n: postsel.DyadicRational(n, 2), "numerator", False),
-    "DyadicRational-k": (lambda k: postsel.DyadicRational(1, k), "denominator exponent", True),
+    "wapp_witness-numerator": (lambda n: postsel.wapp_witness(_coins(), {"": n}, 1),
+                               "numerator", False),
     # an integer only: a negative exponent keeps wapp_witness's own range message
     "wapp_witness-fp_exponent": (lambda s: postsel.wapp_witness(_coins(), {"": 1}, s),
                                  "fp_exponent", False),

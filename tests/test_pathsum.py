@@ -3,6 +3,7 @@ wide circuits and on narrow ones, where paths meet most often."""
 
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,6 @@ from postsel import pathsum
 from postsel import (
     CapExceeded,
     Circuit,
-    DyadicRational,
     ccx,
     compile_fqp_to_exp,
     cx,
@@ -56,7 +56,7 @@ def test_no_hadamards_is_deterministic():
 def test_empty_constraints_total_probability():
     c = Circuit(2, (h(0), h(1), cx(0, 1)), 0)
     g, m = path_sum(c, "00", [])
-    assert DyadicRational(g, m) == DyadicRational(1, 0)
+    assert Fraction(g, 1 << m) == Fraction(1)
 
 
 def test_bell_joint():
@@ -181,7 +181,7 @@ def test_planes_grown_where_read_match_both_references(name):
 
 @pytest.mark.parametrize("engine, expected", [
     (path_sum, (1 << 14, 20)),
-    (lambda c, bits, pins: joint_prob(run(c, bits), pins), DyadicRational(1 << 14, 20)),
+    (lambda c, bits, pins: joint_prob(run(c, bits), pins), Fraction(1 << 14, 1 << 20)),
     # pins all 28 wires: a constraint ANDs the pinned planes at their own sizes
     (lambda c, bits, pins: run(c, bits).amplitude(4194303), (1, 20)),
 ], ids=["path_sum", "run", "amplitude"])
@@ -263,7 +263,7 @@ def test_oracle_handles_mcx_natively():
     # cross-check through the simulator, which lowers mcx on a widened circuit
     wide = Circuit(7, c.gates, 0, ancillas=((5, 0), (6, 0)))
     st = run(wide, "0000000")
-    assert joint_prob(st, [(4, 1)]) == DyadicRational(1, 1)
+    assert joint_prob(st, [(4, 1)]) == Fraction(1, 2)
 
 
 def test_oracle_branch_cap(monkeypatch):
@@ -275,7 +275,7 @@ def test_oracle_branch_cap(monkeypatch):
     g, m = path_sum(c, "0", [(0, 0)])
     # 21 h's == one net h; amplitude 2**10/sqrt2**21 squares to 2**20/2**21
     assert (g, m) == (1 << 20, 21)
-    assert DyadicRational(g, m) == DyadicRational(1, 1)
+    assert Fraction(g, 1 << m) == Fraction(1, 2)
     # path_sum_slow reads the same cap: 2**21 paths in Python would take
     # seconds, so lower it instead
     monkeypatch.setattr(pathsum, "DEFAULT_MAX_BRANCH", 2)

@@ -14,7 +14,6 @@ from postsel import (
     BadArgument,
     CapExceeded,
     Circuit,
-    DyadicRational,
     InsufficientAncillas,
     MachineContractError,
     PostselStats,
@@ -48,7 +47,7 @@ def test_single_hadamard_is_uniform():
     st = run(Circuit(1, (h(0),), 0), "0")
     assert st.m == 1
     assert [st.amplitude(z) for z in range(2)] == [(1, 1), (1, 1)]  # 1/sqrt2 each
-    assert measure_prob(st, 0, 1) == DyadicRational(1, 1)
+    assert measure_prob(st, 0, 1) == Fraction(1, 2)
 
 
 def test_hh_is_identity():
@@ -69,9 +68,9 @@ def test_bell_pair():
     assert st.m == 1
     # (|00> + |11>)/sqrt2
     assert [st.amplitude(z) for z in range(4)] == [(1, 1), (0, 1), (0, 1), (1, 1)]
-    assert measure_prob(st, 0, 1) == DyadicRational(1, 1)
-    assert joint_prob(st, [(0, 1), (1, 0)]) == DyadicRational(0, 0)
-    assert joint_prob(st, [(0, 1), (1, 1)]) == DyadicRational(1, 1)
+    assert measure_prob(st, 0, 1) == Fraction(1, 2)
+    assert joint_prob(st, [(0, 1), (1, 0)]) == Fraction(0)
+    assert joint_prob(st, [(0, 1), (1, 1)]) == Fraction(1, 2)
 
 
 def test_x_and_negated_control():
@@ -102,7 +101,7 @@ def test_norm_invariant_sum_of_squares_is_2_to_m():
         c, bits = random_circuit(rng, allow_mcx=rng.random() < 0.5)
         st = run(c, bits)
         assert st.m == c.h_count
-        assert joint_prob(st, []) == DyadicRational(1, 0)
+        assert joint_prob(st, []) == Fraction(1)
         assert sum(v * v for v in st.coeffs.tolist()) == 1 << st.m
 
 
@@ -112,7 +111,7 @@ def test_marginals_sum_to_one():
         c, bits = random_circuit(rng, allow_mcx=rng.random() < 0.5)
         st = run(c, bits)
         for q in range(c.width):
-            total = measure_prob(st, q, 0).as_fraction() + measure_prob(st, q, 1).as_fraction()
+            total = measure_prob(st, q, 0) + measure_prob(st, q, 1)
             assert total == Fraction(1)
 
 
@@ -258,7 +257,8 @@ def test_run_is_the_same_whenever_it_merges(case):
         p = joint_prob(lazy, pins)
         assert joint_prob(eager, pins) == p
         if circuit.h_count <= DEFAULT_MAX_BRANCH:
-            assert DyadicRational(*path_sum(circuit, bits, pins)) == p
+            g, m = path_sum(circuit, bits, pins)
+            assert Fraction(g, 1 << m) == p
 
 
 def test_queries_leave_a_branch_only_state_unwritten():
@@ -276,10 +276,10 @@ def test_queries_leave_a_branch_only_state_unwritten():
         ((h(0), h(0)) + layer, "0" + "1" * 16, (-2, 18), planes._FLOOR >> 2),
     ):
         st = run(Circuit(17, gates, 0), bits)
-        assert joint_prob(st, [(1, 1), (16, 0)]) == DyadicRational(1, 2)
-        assert measure_prob(st, 16, 1) == DyadicRational(1, 1)
+        assert joint_prob(st, [(1, 1), (16, 0)]) == Fraction(1, 4)
+        assert measure_prob(st, 16, 1) == Fraction(1, 2)
         assert st.amplitude(0b10) == amp
-        assert joint_prob(st, []) == DyadicRational(1, 0)
+        assert joint_prob(st, []) == Fraction(1)
         assert {"coeffs", "indices", "short"}.isdisjoint(vars(st))
         assert (st.short.size, st.n) == (size, 1 << 16)
 
@@ -292,7 +292,7 @@ def test_object_dtype_fallback_for_many_hadamards():
     st = run(c, "00")
     assert st.coeffs.dtype == object
     assert sum(v * v for v in st.coeffs.tolist()) == 1 << 63
-    assert joint_prob(st, []) == DyadicRational(1, 0)
+    assert joint_prob(st, []) == Fraction(1)
     # qubit 0 saw 32 h's (identity), qubit 1 saw 31 (one net h); 62 of the 63
     # branchings cancel pairwise, so each coefficient is 2**31 at m = 63
     assert (st.n, st.indices.tolist(), st.m) == (2, [0b00, 0b10], 63)
@@ -359,7 +359,7 @@ def test_support_cap(monkeypatch):
 def test_width_limit_is_63_qubits_on_both_engines():
     ok = Circuit(63, (h(0), x(62), cx(62, 61)), 0)
     st = run(ok, "0" * 63)
-    assert joint_prob(st, [(0, 1), (61, 1)]) == DyadicRational(1, 1)
+    assert joint_prob(st, [(0, 1), (61, 1)]) == Fraction(1, 2)
     assert path_sum(ok, "0" * 63, [(0, 1), (61, 1)]) == (1, 1)
     wide = Circuit(64, (h(0), x(63)), 0)
     with pytest.raises(CapExceeded, match="63-qubit"):
@@ -411,7 +411,7 @@ def test_rejects_bad_bits():
     for bit in (1.0, True):
         with pytest.raises(BadArgument, match=f"^bit must be an integer, got {bit}$"):
             run(Circuit(2, (), 0), [bit, 0])
-    assert measure_prob(run(Circuit(2, (), 0), [np.int64(1), 0]), 0, 1) == DyadicRational(1, 0)
+    assert measure_prob(run(Circuit(2, (), 0), [np.int64(1), 0]), 0, 1) == Fraction(1)
 
 
 # ===================================================================
@@ -422,8 +422,8 @@ def test_rejects_bad_bits():
 def test_postselect_stats_bell():
     c = Circuit(2, (h(0), cx(0, 1)), output=1, postselect=0)
     st = postselect_stats(c, "00")
-    assert st.p_post == DyadicRational(1, 1)
-    assert st.p_joint == DyadicRational(1, 1)
+    assert st.p_post == Fraction(1, 2)
+    assert st.p_joint == Fraction(1, 2)
     assert st.p_cond == Fraction(1)
 
 
@@ -436,8 +436,8 @@ def test_postselect_stats_conditional_is_exact_fraction():
         postselect=3,  # p == OR of the coins
     )
     st = postselect_stats(c, "0000")
-    assert st.p_post == DyadicRational(3, 2)
-    assert st.p_joint == DyadicRational(1, 2)
+    assert st.p_post == Fraction(3, 4)
+    assert st.p_joint == Fraction(1, 4)
     assert st.p_cond == Fraction(1, 3)
 
 
@@ -447,19 +447,33 @@ def test_postselect_stats_zero_raises():
         postselect_stats(c, "00")
     # the record itself refuses P(p=1) = 0, whichever engine built it
     with pytest.raises(ZeroPostselection, match=r"^P\(postselect=1\) is exactly zero$"):
-        PostselStats(DyadicRational(0, 0), DyadicRational(0, 0))
+        PostselStats(Fraction(0), Fraction(0))
 
 
 def test_postsel_stats_refuses_an_impossible_pair():
     """Only 0 <= P(o=1, p=1) <= P(p=1) <= 1 is a record; the message names both."""
-    for post, joint in [((1, 1), (3, 1)), ((1, 1), (-1, 1)), ((3, 1), (1, 1)), ((-1, 1), (0, 0))]:
-        p_post, p_joint = DyadicRational(*post), DyadicRational(*joint)
+    half = Fraction(1, 2)
+    for p_post, p_joint in [(half, 3 * half), (half, -half), (3 * half, half), (-half, Fraction(0))]:
         names = re.escape(f"P(p=1) = {p_post}, P(o=1, p=1) = {p_joint}")
         with pytest.raises(StatsMismatch, match=names + "$"):
             PostselStats(p_post, p_joint)
     # the bounds themselves make a record, over mixed denominators too
-    assert PostselStats(DyadicRational(1, 0), DyadicRational(3, 2)).p_cond == Fraction(3, 4)
-    assert PostselStats(DyadicRational(1, 2), DyadicRational(2, 3)).p_cond == Fraction(1)
+    assert PostselStats(Fraction(1), Fraction(3, 4)).p_cond == Fraction(3, 4)
+    assert PostselStats(Fraction(1, 4), Fraction(2, 8)).p_cond == Fraction(1)
+
+
+def test_probabilities_are_fractions_that_compare_with_numbers():
+    st = run(Circuit(1, (h(0),), 0), "0")
+    assert measure_prob(st, 0, 1) == Fraction(1, 2)
+    assert type(joint_prob(st, [])) is Fraction and measure_prob(st, 0, 0) < 1
+
+
+@pytest.mark.parametrize("p_post, p_joint", [(0.5, 0.25), (Fraction(1, 2), 0.25), (True, 0)],
+                         ids=["floats", "float-joint", "bool"])
+def test_postsel_stats_refuses_an_inexact_value(p_post, p_joint):
+    """Both values are read by ``circuit._frac``: a float or a bool is ``BadArgument``."""
+    with pytest.raises(BadArgument, match="^(expected an exact rational value|exact value must)"):
+        PostselStats(p_post, p_joint)
 
 
 def test_postselect_stats_requires_postselect_qubit():
@@ -469,5 +483,5 @@ def test_postselect_stats_requires_postselect_qubit():
 
 def test_joint_prob_conflicting_constraints_is_zero():
     st = run(Circuit(2, (h(0),), 0), "00")
-    assert joint_prob(st, [(0, 0), (0, 1)]) == DyadicRational(0, 0)
-    assert joint_prob(st, [(0, 1), (0, 1)]) == DyadicRational(1, 1)
+    assert joint_prob(st, [(0, 0), (0, 1)]) == Fraction(0)
+    assert joint_prob(st, [(0, 1), (0, 1)]) == Fraction(1, 2)

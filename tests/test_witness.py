@@ -8,7 +8,6 @@ import pytest
 from postsel import (
     BadArgument,
     Condition,
-    DyadicRational,
     WitnessReport,
     check_awpp_witness,
     check_wapp_witness,
@@ -61,7 +60,7 @@ def test_report_rejects_spaces():
 
 def test_report_row_rule_check_raises_and_merge():
     rep = WitnessReport("rows")
-    assert rep.check("dyadic", DyadicRational(2, 2), "==", Fraction(1, 2))
+    assert rep.check("dyadic", Fraction(2, 4), "==", Fraction(1, 2))
     assert not rep.check("strict", 1, "<", Fraction(2, 2))
     rep.check_raises("raises", ZeroDivisionError, lambda: 1 // 0)
     rep.check_raises("silent", ZeroDivisionError, lambda: 1)
@@ -105,7 +104,7 @@ def test_report_within_brackets(brackets):
 
 def test_report_within_default_is_closed_and_rejects_bad_brackets():
     rep = WitnessReport("within")
-    assert rep.within("dyadic", DyadicRational(1, 1), 0, Fraction(1, 2))
+    assert rep.within("dyadic", Fraction(1, 2), 0, Fraction(1, 2))
     assert rep.conditions == [Condition("dyadic", "1/2", "in", "[0,1/2]", True)]
     for brackets in ("", "[", "]]", "{}", "[]]"):
         with pytest.raises(ValueError, match="brackets must be one of"):
@@ -281,8 +280,8 @@ def test_profile_exponent_below_0_is_named(name):
 # ===================================================================
 
 
-def _p(n: int, k: int) -> DyadicRational:
-    return DyadicRational(n, k)
+def _p(n: int, k: int) -> Fraction:
+    return Fraction(n, 1 << k)
 
 
 def test_profile_kinds_frozen():
@@ -311,13 +310,13 @@ def test_profile_size_depends_on_length_only():
 def test_profile_afp_window():
     target = Fraction(3, 16)
     eps = Fraction(1, 4)
-    inside = DyadicRational(9, 6)  # 9/64 == (1 - 1/4) * 3/16 exactly: boundary
-    outside = DyadicRational(8, 6)
+    inside = Fraction(9, 64)  # 9/64 == (1 - 1/4) * 3/16 exactly: boundary
+    outside = Fraction(8, 64)
     rep = classify_postsel_profile({"0": inside}, "aFP", f={"0": 3}, q_exp=4, r2=2)
     assert rep.passed
     rep2 = classify_postsel_profile({"0": outside}, "aFP", f={"0": 3}, q_exp=4, r2=2)
     assert not rep2.passed
-    assert (1 - eps) * target == inside.as_fraction()
+    assert (1 - eps) * target == inside
 
 
 def test_profile_asize_window():
