@@ -39,9 +39,11 @@ writer here also serve the machine format of ``counting``, and
 ``_placed`` is the one rule for moving a gate list onto other wires (a
 relabelling: a placed gate gains no control), ``_uncomputed`` the one rule
 for computing, copying out and uncomputing, and ``_borrowed`` the one rule
-for the work qubits an ``mcx`` borrows.  ``_integer`` is the package's one
-integer rule and ``_frac`` its one exact-value rule: every probability is a
-``fractions.Fraction``, and ``_frac`` refuses a float.
+for the work qubits an ``mcx`` borrows.  The package's argument rules live
+here too: ``_integer`` for an integer, ``_frac`` for an exact value (every
+probability is a ``fractions.Fraction``; a float is refused), ``_wire`` for a
+wire that a circuit, a machine or a constraint names, and ``_capped``, the one
+code that raises ``CapExceeded``, for the four caps.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from fractions import Fraction
 from numbers import Integral, Rational
 
 from ._value import _Value
-from .errors import BadArgument, CircuitSyntaxError, InsufficientAncillas
+from .errors import BadArgument, CapExceeded, CircuitSyntaxError, InsufficientAncillas
 
 # controls per kind, at least _ARITY["mcx"] for an mcx; _MCX_KINDS renames an mcx with fewer
 _ARITY = {"h": 0, "x": 0, "cx": 1, "ccx": 2, "mcx": 3}
@@ -71,6 +73,21 @@ def _exponent(value, role: str) -> int:
     value = _integer(value, role)
     if value < 0:
         raise BadArgument(f"{role} must be >= 0, got {value}")
+    return value
+
+
+def _wire(q, width: int, role: str) -> int:
+    """Wire ``q`` as an ``_integer``; ``BadArgument`` unless 0 <= q < ``width``."""
+    q = _integer(q, f"{role} qubit")
+    if not 0 <= q < width:
+        raise BadArgument(f"{role} qubit {q} outside width {width}")
+    return q
+
+
+def _capped(value: int, cap: int, what: str) -> int:
+    """``value``; ``CapExceeded`` naming ``what`` if it is above ``cap``."""
+    if value > cap:
+        raise CapExceeded(f"{what} = {value} exceeds cap {cap}")
     return value
 
 
@@ -168,27 +185,22 @@ class Circuit(_Value):
     def __init__(self, width: int, gates: Iterable[Gate], output: int,
                  postselect: int | None = None, ancillas: Iterable[tuple[int, int]] = ()):
         gates = _tuple(gates, "gates")
-        try:
-            ancillas = tuple(sorted(
-                (_integer(q, "ancilla qubit"), _integer(v, "ancilla value")) for q, v in ancillas
-            ))
-        except TypeError:
-            raise BadArgument(f"ancillas must be (qubit, value) pairs, got {ancillas!r}") from None
         width = _integer(width, "width")
         if width < 1:
             raise BadArgument("width must be >= 1")
-        def _chk(q, role):
-            if not 0 <= q < width:
-                raise BadArgument(f"{role} qubit {q} outside width {width}")
-            return q
-        output = _chk(_integer(output, "output qubit"), "output")
+        try:
+            ancillas = tuple(sorted(
+                (_wire(q, width, "ancilla"), _integer(v, "ancilla value")) for q, v in ancillas
+            ))
+        except TypeError:
+            raise BadArgument(f"ancillas must be (qubit, value) pairs, got {ancillas!r}") from None
+        output = _wire(output, width, "output")
         if postselect is not None:
-            postselect = _chk(_integer(postselect, "postselect qubit"), "postselect")
+            postselect = _wire(postselect, width, "postselect")
             if postselect == output:
                 raise BadArgument("output and postselect qubits must differ")
         seen = set()
         for q, v in ancillas:
-            _chk(q, "ancilla")
             if v not in (0, 1):
                 raise BadArgument("ancilla initial value must be 0 or 1")
             if q in seen:
@@ -199,7 +211,7 @@ class Circuit(_Value):
                 raise BadArgument(f"gates must be Gate objects, got {g!r}")
             if g.span[0] < 0 or g.span[1] >= width:  # name the first qubit off the register
                 for q in g.qubits:
-                    _chk(q, f"{g.kind} gate")
+                    _wire(q, width, f"{g.kind} gate")
         self._set(width, gates, output, postselect, ancillas)
 
     @property

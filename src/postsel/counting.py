@@ -29,7 +29,8 @@ accept count is the popcount of the accept plane, and the contract holds iff
 every other plane ends equal to its starting plane.  Only the planes that the
 gates or the accept count read are grown to 2**q bits; they and their
 starting copies take at most 2 * total_bits * 2**q / 8 bytes.
-``eval_machine`` runs one path and is the per-path reference.
+``eval_machine`` runs one path and is the per-path reference.  Past 20 path
+bits ``gap`` raises ``CapExceeded``, "path bits = 21 exceeds cap 20".
 
 ``FPFunction`` is the length normalizer: an efficiently-computable positive
 integer function whose value on w is a machine's gap on the all-ones
@@ -42,6 +43,7 @@ from ._value import _Value
 from .circuit import (
     Gate,
     _body,
+    _capped,
     _exponent,
     _gate_line,
     _integer,
@@ -50,11 +52,12 @@ from .circuit import (
     _placed,
     _tuple,
     _uncomputed,
+    _wire,
     apply_gate_classical,
     mcx,
     x,
 )
-from .errors import BadArgument, CapExceeded, CircuitSyntaxError, MachineContractError
+from .errors import BadArgument, CircuitSyntaxError, MachineContractError
 from .planes import Planes, _wires, apply_gates_planes
 
 # At the cap a plane grown to full length is 2**20 bits (128 KiB): at most
@@ -81,9 +84,9 @@ class PredicateCircuit(_Value):
                 raise BadArgument(f"gates must be Gate objects, got {g!r}")
             if g.kind == "h":
                 raise BadArgument("predicate machines are reversible: no h gates")
-            if g.span[0] < 0 or g.span[1] >= total:
-                q = next(q for q in g.qubits if not 0 <= q < total)
-                raise BadArgument(f"gate touches bit {q} outside machine")
+            if g.span[0] < 0 or g.span[1] >= total:  # name the first bit off the register
+                for q in g.qubits:
+                    _wire(q, total, f"{g.kind} gate")
 
     @property
     def total_bits(self) -> int:
@@ -133,9 +136,7 @@ def gap(machine: PredicateCircuit, w) -> GapValue:
 
     All paths run at once on bit-planes; path x sets the path bits to x.
     """
-    q = machine.path_width
-    if q > DEFAULT_MAX_PATH_BITS:
-        raise CapExceeded(f"enumerating 2**{q} paths exceeds cap 2**{DEFAULT_MAX_PATH_BITS}")
+    q = _capped(machine.path_width, DEFAULT_MAX_PATH_BITS, "path bits")
     w_int = _instance(machine, w)
     st = Planes(w_int, machine.total_bits)
     for j in range(q):  # path bit j starts at 0: no sign is written

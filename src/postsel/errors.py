@@ -35,7 +35,8 @@ class PromiseViolation(PostselError):
 
 
 class CapExceeded(PostselError):
-    """A width / branch-count / enumeration cap would be exceeded."""
+    """A cap is passed (``circuit._capped``): ``MAX_WIDTH`` wires, ``DEFAULT_MAX_SUPPORT``
+    live entries, ``DEFAULT_MAX_BRANCH`` Hadamards or ``DEFAULT_MAX_PATH_BITS`` path bits."""
 
 
 class InsufficientAncillas(PostselError):

@@ -35,14 +35,14 @@ or the support cap, and at the end; this never merges two paths before its
 final sort.  ``run`` also sees the ``expand_mcx`` ladder, where this applies
 ``mcx`` natively.  ``path_sum_slow``, a deliberately naive per-path rewrite
 that shares no plane code (``_amplitudes``), is the independent check of both.
+Past 20 Hadamards both raise ``CapExceeded``, "Hadamard count = 21 exceeds cap 20".
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from .circuit import Circuit, apply_gate_classical
-from .errors import CapExceeded
+from .circuit import Circuit, _capped, apply_gate_classical
 from .planes import Planes, _basis_index, _constraint_mask
 
 # At the cap the planes take at most (width + 1) * 2**20 / 8 bytes (8 MiB at
@@ -53,14 +53,11 @@ from .planes import Planes, _basis_index, _constraint_mask
 DEFAULT_MAX_BRANCH = 20
 
 
-def _branch_count(circuit: Circuit) -> int:
-    """The Hadamard count; ``CapExceeded`` above ``DEFAULT_MAX_BRANCH``."""
-    hcount = circuit.h_count
-    if hcount > DEFAULT_MAX_BRANCH:
-        raise CapExceeded(
-            f"{hcount} Hadamard branchings exceed oracle cap {DEFAULT_MAX_BRANCH}"
-        )
-    return hcount
+def _entry(circuit: Circuit, input_bits, constraints) -> tuple[int, int, tuple[int, int] | None]:
+    """(Hadamard count, input basis state, ``_constraint_mask``), checked in that
+    order: ``CapExceeded`` above ``DEFAULT_MAX_BRANCH`` Hadamards first."""
+    return (_capped(circuit.h_count, DEFAULT_MAX_BRANCH, "Hadamard count"),
+            _basis_index(circuit, input_bits), _constraint_mask(circuit.width, constraints))
 
 
 def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
@@ -69,9 +66,7 @@ def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
     Raises ``CapExceeded`` above ``DEFAULT_MAX_BRANCH`` Hadamards, and
     ``BadArgument`` if an input bit contradicts a declared ancilla value.
     """
-    hcount = _branch_count(circuit)
-    z0 = _basis_index(circuit, input_bits)
-    pin = _constraint_mask(circuit.width, constraints)
+    hcount, z0, pin = _entry(circuit, input_bits, constraints)
     if pin is None:
         return 0, hcount
 
@@ -91,9 +86,7 @@ def path_sum(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
 def path_sum_slow(circuit: Circuit, input_bits, constraints) -> tuple[int, int]:
     """Reference implementation: the squares of ``_amplitudes`` at the basis
     states that meet the constraints.  Raises as ``path_sum`` does."""
-    hcount = _branch_count(circuit)
-    z0 = _basis_index(circuit, input_bits)
-    pin = _constraint_mask(circuit.width, constraints)
+    hcount, z0, pin = _entry(circuit, input_bits, constraints)
     if pin is None:
         return 0, hcount
     mask, val = pin

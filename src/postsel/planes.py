@@ -13,7 +13,8 @@ once.  ``Planes`` grows a plane to n entries only where it is read, and
 pins at their own sizes, leaving them as they were.  This module is pure
 Python; only leaving the layout needs numpy, in ``_keys``, which transposes
 the planes into one uint64 key per entry, so a circuit has at most
-``MAX_WIDTH`` = 63 qubits (qubit 63 would be an int64 index's sign bit).
+``MAX_WIDTH`` = 63 qubits (qubit 63 would be an int64 index's sign bit):
+a wider one raises ``CapExceeded``, "width = 64 exceeds cap 63".
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from collections.abc import Iterable
 from itertools import chain, groupby
 from operator import attrgetter
 
-from .circuit import Circuit, Gate, _integer, _pack_bits
-from .errors import BadArgument, CapExceeded
+from .circuit import Circuit, Gate, _capped, _integer, _pack_bits, _wire
+from .errors import BadArgument
 
 MAX_WIDTH = 63
 # ``drive`` merges no earlier than at this many entries: a merge's numpy calls
@@ -33,8 +34,7 @@ _QUBITS = attrgetter("qubits")
 
 
 def _check_width(width: int) -> None:
-    if width > MAX_WIDTH:
-        raise CapExceeded(f"width {width} exceeds the {MAX_WIDTH}-qubit index limit")
+    _capped(width, MAX_WIDTH, "width")
 
 
 def _basis_index(circuit: Circuit, bits) -> int:
@@ -52,9 +52,7 @@ def _constraint_mask(width: int, constraints) -> tuple[int, int] | None:
     """Validated (mask, value): (z & mask) == value iff all constraints hold; None if two clash."""
     pinned: dict[int, int] = {}
     for q, v in constraints:
-        q, v = _integer(q, "constraint qubit"), _integer(v, "constraint value")
-        if not 0 <= q < width:
-            raise BadArgument(f"constraint qubit {q} outside width {width}")
+        q, v = _wire(q, width, "constraint"), _integer(v, "constraint value")
         if v not in (0, 1):
             raise BadArgument("constraint value must be 0 or 1")
         if pinned.setdefault(q, v) != v:
@@ -163,8 +161,8 @@ class Planes:
         count that replace them, the entries at one basis state summed: when
         n reaches max(``_FLOOR``, twice the count after the last merge), when
         n passes ``cap``, and after the last gate, so the entries end
-        distinct.  ``CapExceeded`` is raised once an H leaves more than
-        ``cap`` entries after that merge.  So at most ``cap`` entries are
+        distinct.  ``CapExceeded`` ("live support after h 2 = 8 exceeds cap 7")
+        is raised once an H leaves more than ``cap`` entries after that merge.  So at most ``cap`` entries are
         left after every H, and before a merge the planes hold at most
         2 * max(``_FLOOR``, ``cap``).
         """
@@ -186,8 +184,8 @@ class Planes:
                 if pending and (self.n >= due or cap is not None and self.n > cap):
                     self._merged(merge)
                     pending, due = False, max(_FLOOR, 2 * self.n)
-                if cap is not None and self.n > cap:
-                    raise CapExceeded(f"live support {self.n} exceeds cap {cap} at h {g.target}")
+                if cap is not None and self.n > cap:  # the message is built only past the cap
+                    _capped(self.n, cap, f"live support after h {g.target}")
         if pending:
             self._merged(merge)
         return meet

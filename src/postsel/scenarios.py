@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .circuit import Circuit, ccx, cx, default_input, h, mcx, x
+from .circuit import Circuit, _ARITY, ccx, default_input, h, mcx, x
 from .classical import CoinMachine, build_upcoup, run_ptm, wapp_witness
 from .constructions import (
     _Builder,
@@ -114,14 +114,8 @@ def random_circuit(rng: random.Random, *, allow_mcx: bool = False) -> tuple[Circ
             gates.append(h(rng.randrange(active)))
         elif kind == "x":
             gates.append(x(rng.randrange(active)))
-        elif kind == "cx":
-            c, t = rng.sample(range(active), 2)
-            gates.append(cx(c, t, rng.random() < 0.3))
-        elif kind == "ccx":
-            c1, c2, t = rng.sample(range(active), 3)
-            gates.append(ccx(c1, c2, t, rng.random() < 0.3, rng.random() < 0.3))
-        else:
-            n_ctl = rng.randint(3, min(4, active - 1))
+        else:  # cx, ccx or mcx: mcx names the kind by its control count
+            n_ctl = _ARITY[kind] if kind != "mcx" else rng.randint(3, min(4, active - 1))
             qs = rng.sample(range(active), n_ctl + 1)
             gates.append(mcx(qs[:-1], qs[-1], [rng.random() < 0.3 for _ in qs[:-1]]))
     output = rng.randrange(active)

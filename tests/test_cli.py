@@ -139,7 +139,7 @@ def test_width_64_exits_2_with_cap_error(tmp_path, capsys, command):
     p = tmp_path / "wide.circ"
     p.write_text("qubits 64\nh 0\nx 63\noutput 0\n")
     assert main([command, "--circuit", str(p)]) == 2
-    assert "63-qubit" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: width = 64 exceeds cap 63\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "oracle"])
@@ -149,7 +149,7 @@ def test_huge_width_exits_2_before_building_the_default_input(tmp_path, capsys, 
     p.write_text("qubits 1000000000000\noutput 0\n")
     assert main([command, "--circuit", str(p)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: width 1000000000000 exceeds the 63-qubit index limit\n"
+    assert err == "error: width = 1000000000000 exceeds cap 63\n"
 
 
 def test_simulate_non_ascii_digit_exits_2_naming_its_line(tmp_path, capsys):
@@ -299,7 +299,24 @@ def test_oracle_past_the_branch_cap_exits_2(tmp_path, capsys):
     p.write_text("qubits 1\n" + "h 0\n" * 21 + "output 0\n")
     assert main(["oracle", "--circuit", str(p)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: 21 Hadamard branchings exceed oracle cap 20\n"
+    assert err == "error: Hadamard count = 21 exceeds cap 20\n"
+
+
+def test_simulate_past_the_support_cap_exits_2(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "h2.circ"
+    p.write_text("qubits 2\nh 0\nh 1\noutput 0\n")
+    monkeypatch.setattr("postsel.simulator.DEFAULT_MAX_SUPPORT", 3)
+    assert main(["simulate", "--circuit", str(p)]) == 2
+    assert capsys.readouterr().err == "error: live support after h 1 = 4 exceeds cap 3\n"
+
+
+def test_compile_past_the_path_bit_cap_exits_2(tmp_path, capsys):
+    """fqp2exp reads both machines' gaps, so a 21-path-bit pair reaches ``gap``'s cap."""
+    m = tmp_path / "q21.machine"
+    m.write_text("machine 0 21 0\naccept 21\n")
+    argv = ["compile", "--construction", "fqp2exp", "--machine1", str(m), "--machine2", str(m)]
+    assert main([*argv, "-o", str(tmp_path / "x.circ")]) == 2
+    assert capsys.readouterr().err == "error: path bits = 21 exceeds cap 20\n"
 
 
 def test_input_contradicting_an_ancilla_is_refused_by_every_engine(tmp_path, capsys):
@@ -486,7 +503,7 @@ def test_compile_huge_machine_exits_2_before_allocating(tmp_path, capsys):
     argv = ["compile", "--construction", "gapsq", "--machine1", str(m)]
     assert main([*argv, "-o", str(tmp_path / "x.circ")]) == 2
     err = capsys.readouterr().err
-    assert err == "error: width 1000000000000 exceeds the 63-qubit index limit\n"
+    assert err == "error: width = 1000000000000 exceeds cap 63\n"
     assert not (tmp_path / "x.circ").exists()
 
 
@@ -498,7 +515,7 @@ def test_compile_fqp2exp_huge_exponent_exits_2_before_allocating(machine_files, 
     out = tmp_path / "x.circ"
     assert main([*argv, "--h", "1000000000000", "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: width 1000000000009 exceeds the 63-qubit index limit\n"
+    assert err == "error: width = 1000000000009 exceeds cap 63\n"
     assert not out.exists()
 
 

@@ -46,13 +46,13 @@ def test_machine_validation():
 
 # checked per gate in order: not a Gate, then h, then the register range
 MACHINE_OFF_REGISTER = [
-    ((cx(0, -1),), "gate touches bit -1 outside machine"),
-    ((cx(0, 3),), "gate touches bit 3 outside machine"),  # the first bit past it
+    ((cx(0, -1),), "cx gate qubit -1 outside width 3"),
+    ((cx(0, 3),), "cx gate qubit 3 outside width 3"),  # the first bit past it
     # a control and the target both off the register: the control is named
-    ((ccx(0, 7, -1),), "gate touches bit 7 outside machine"),
+    ((ccx(0, 7, -1),), "ccx gate qubit 7 outside width 3"),
     ((x(1), 5), "gates must be Gate objects, got 5"),
     ((h(0), cx(0, 5)), "predicate machines are reversible: no h gates"),
-    ((cx(0, 5), h(0)), "gate touches bit 5 outside machine"),
+    ((cx(0, 5), h(0)), "cx gate qubit 5 outside width 3"),
 ]
 
 

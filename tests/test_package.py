@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import postsel
+from postsel.counting import DEFAULT_MAX_PATH_BITS
+from postsel.planes import MAX_WIDTH
 
 # modules that only compile and verify need
 _NOT_FOR_SIMULATE = ("scenarios", "constructions", "counting", "classical", "witness")
@@ -62,20 +64,37 @@ def test_no_module_raises_a_builtin_exception():
     assert [r[:2] for r in raised] == [("__init__.py", "AttributeError")], raised
 
 
-def _bool_tests(node, func: str = "") -> list[str]:
-    """The enclosing function ('' at module level) of each ``isinstance(..., bool)``
-    call under ``node``, a bool among a tuple of types too."""
+def _callers(node, match, func: str = "") -> list[str]:
+    """The enclosing function ('' at module level) of each call under ``node``
+    that ``match`` accepts."""
     found = []
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found += _bool_tests(child, child.name)
+            found += _callers(child, match, child.name)
             continue
-        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                and child.func.id == "isinstance" and len(child.args) == 2
-                and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(child.args[1]))):
+        if isinstance(child, ast.Call) and match(child):
             found.append(func)
-        found += _bool_tests(child, func)
+        found += _callers(child, match, func)
     return found
+
+
+def _src_callers(match) -> list[tuple[str, str]]:
+    """(module, enclosing function) of each call in ``src/`` that ``match`` accepts."""
+    return [(path.name, func) for path in sorted(Path(postsel.__path__[0]).glob("*.py"))
+            for func in _callers(ast.parse(path.read_text()), match)]
+
+
+def _is_bool_test(call: ast.Call) -> bool:
+    """``isinstance(..., bool)``, a bool among a tuple of types too."""
+    return (isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+            and len(call.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(call.args[1])))
+
+
+def _is_cap_exceeded(call: ast.Call) -> bool:
+    """``CapExceeded(...)``, by its bare name or as a module attribute."""
+    func = call.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "CapExceeded"
 
 
 def _numbers_uses(name: str) -> list[tuple[str, int]]:
@@ -96,8 +115,7 @@ def test_one_function_holds_the_integer_rule():
     ``numbers.Integral``, and no other function asks ``isinstance(..., bool)``."""
     integral = _numbers_uses("Integral")
     assert [name for name, _ in integral] == ["circuit.py"], integral
-    bools = [(path.name, func) for path in sorted(Path(postsel.__path__[0]).glob("*.py"))
-             for func in _bool_tests(ast.parse(path.read_text()))]
+    bools = _src_callers(_is_bool_test)
     assert bools == [("circuit.py", "_integer")], bools
 
 
@@ -106,6 +124,41 @@ def test_one_function_holds_the_exact_value_rule():
     ``numbers.Rational``, so every record and report row reads its values there."""
     rational = _numbers_uses("Rational")
     assert [name for name, _ in rational] == ["circuit.py"], rational
+
+
+def test_one_function_raises_every_cap():
+    """``circuit._capped`` is the one cap rule: no other code builds a ``CapExceeded``,
+    so every cap refuses in one message shape."""
+    built = _src_callers(_is_cap_exceeded)
+    assert built == [("circuit.py", "_capped")], built
+
+
+# each cap, driven through its public entry: the setting patched to the cap
+# (None: the cap as shipped), the cap, a call given cap + 1, and the quantity named
+_CAPS = {
+    "width": (None, MAX_WIDTH, lambda n: postsel.run(postsel.Circuit(n, (), 0), "0" * n),
+              "width"),
+    # one H doubles the single entry to 2
+    "support": ("postsel.simulator.DEFAULT_MAX_SUPPORT", 1,
+                lambda _: postsel.run(postsel.Circuit(1, (postsel.h(0),), 0), "0"),
+                "live support after h 0"),
+    "branch": ("postsel.pathsum.DEFAULT_MAX_BRANCH", 0,
+               lambda n: postsel.path_sum(postsel.Circuit(1, (postsel.h(0),) * n, 0), "0", []),
+               "Hadamard count"),
+    "path-bits": (None, DEFAULT_MAX_PATH_BITS,
+                  lambda q: postsel.gap(postsel.PredicateCircuit(0, q, 0, (), q), ""),
+                  "path bits"),
+}
+
+
+@pytest.mark.parametrize("name", _CAPS)
+def test_every_cap_refuses_cap_plus_one_in_one_shape(monkeypatch, name):
+    setting, cap, call, what = _CAPS[name]
+    if setting is not None:
+        monkeypatch.setattr(setting, cap)
+    with pytest.raises(postsel.CapExceeded) as exc:
+        call(cap + 1)
+    assert str(exc.value) == f"{what} = {cap + 1} exceeds cap {cap}"
 
 
 def _pair():

@@ -269,7 +269,7 @@ def test_oracle_handles_mcx_natively():
 def test_oracle_branch_cap(monkeypatch):
     c = Circuit(1, tuple(h(0) for _ in range(21)), 0)
     for oracle in (path_sum, path_sum_slow):
-        with pytest.raises(CapExceeded, match="^21 Hadamard branchings exceed oracle cap 20$"):
+        with pytest.raises(CapExceeded, match="^Hadamard count = 21 exceeds cap 20$"):
             oracle(c, "0", [])
     monkeypatch.setattr(pathsum, "DEFAULT_MAX_BRANCH", 21)
     g, m = path_sum(c, "0", [(0, 0)])
@@ -280,7 +280,7 @@ def test_oracle_branch_cap(monkeypatch):
     # seconds, so lower it instead
     monkeypatch.setattr(pathsum, "DEFAULT_MAX_BRANCH", 2)
     three = Circuit(1, (h(0),) * 3, 0)
-    with pytest.raises(CapExceeded, match="^3 Hadamard branchings exceed oracle cap 2$"):
+    with pytest.raises(CapExceeded, match="^Hadamard count = 3 exceeds cap 2$"):
         path_sum_slow(three, "0", [])
     assert path_sum_slow(Circuit(1, (h(0),) * 2, 0), "0", [(0, 0)]) == (4, 2)
 
